@@ -22,8 +22,8 @@ from qdw.groups import (
     Subgroup,
     character_table,
     double_cosets,
-    enumerate_subgroups,
     is_automorphism,
+    subgroup_conjugacy_classes,
 )
 
 __all__ = [
@@ -133,15 +133,9 @@ class BoundaryType:
 
 def boundary_types(group: FiniteGroup) -> list[BoundaryType]:
     """Distinct boundary types, one per subgroup conjugacy class."""
-    classes: dict[tuple[int, ...], list[Subgroup]] = {}
-    for sub in enumerate_subgroups(group):
-        classes.setdefault(sub.canonical_key(), []).append(sub)
-    out = []
-    for key in sorted(classes, key=lambda k: (len(k), k)):
-        members = tuple(sorted(classes[key], key=lambda s: s.elements))
-        rep = next(s for s in members if s.elements == key)
-        out.append(BoundaryType(rep=rep, members=members))
-    return out
+    # each class is sorted by elements, so its first member is the canonical key
+    return [BoundaryType(rep=members[0], members=tuple(members))
+            for members in subgroup_conjugacy_classes(group)]
 
 
 class LagrangianAlgebra:

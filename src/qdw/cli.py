@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import sys
 import time
@@ -89,7 +88,6 @@ class RunConfig:
     subgroup2: Optional[str] = None
     lattice: Optional[str] = None
     format: str = "json"
-    threads: int = 1
     tolerance: float = DEFAULT_TOLERANCE
     out: Optional[str] = None
     inject_literal_edge: Optional[str] = None
@@ -112,8 +110,6 @@ class RunConfig:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv", "pretty-table"):
             raise UsageError(f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise UsageError("--threads must be at least 1")
         if not self.tolerance > 0:
             raise UsageError("--tolerance must be positive")
 
@@ -702,8 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="torus:RxC | patch:RxC | ring:C | JSON with holes")
         p.add_argument("--format", default="json",
                        choices=("json", "csv", "pretty-table"))
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism hint (default: QDW_THREADS or 1)")
         p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                        help="numeric tolerance for report-level checks")
         p.add_argument("--out", help="write the report to this file")
@@ -718,16 +712,6 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(list(argv))
     if ns.command is None:
         raise UsageError("missing command")
-    threads = ns.threads
-    if threads is None:
-        env = os.environ.get("QDW_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"QDW_THREADS must be an integer, got {env!r}")
-        else:
-            threads = 1
     return RunConfig.from_dict({
         "command": ns.command,
         "group": ns.group,
@@ -735,7 +719,6 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
         "subgroup2": ns.subgroup2,
         "lattice": ns.lattice,
         "format": ns.format,
-        "threads": threads,
         "tolerance": ns.tolerance,
         "out": ns.out,
         "inject_literal_edge": getattr(ns, "inject_literal_edge", None),
@@ -772,8 +755,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)

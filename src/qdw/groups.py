@@ -457,7 +457,12 @@ def _split_product(text: str) -> list[str]:
 def _group_from_table_dict(data: dict) -> FiniteGroup:
     if "table" not in data:
         raise ValueError("explicit group spec needs a 'table' entry")
-    n = int(data.get("order", 0))
+    if not isinstance(data["table"], list):
+        raise ValueError("explicit group 'table' must be a list")
+    try:
+        n = int(data.get("order", 0))
+    except TypeError:
+        raise ValueError("explicit group 'order' must be an integer") from None
     flat = list(data["table"])
     if n <= 0:
         n = int(round(len(flat) ** 0.5))
@@ -465,6 +470,8 @@ def _group_from_table_dict(data: dict) -> FiniteGroup:
         raise ValueError(f"table length {len(flat)} does not match order {n}")
     tbl = [flat[i * n:(i + 1) * n] for i in range(n)]
     names = data.get("names")
+    if names is not None and not isinstance(names, list):
+        raise ValueError("explicit group 'names' must be a list")
     # relabel so the identity sits at index 0, keeping input order otherwise
     ident = None
     for a in range(n):
@@ -722,7 +729,8 @@ def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     gens = _generating_sequence(group)
     if not gens:
         return [(0,)]
-    # express every element as a fixed word in the generators
+    # express every element as a fixed word in the generators; insertion
+    # order is reach order, so each prefix is mapped before it is extended
     word: dict[int, tuple[int, int]] = {}  # elem -> (prev_elem, gen_position)
     frontier = [0]
     reached = {0}
@@ -739,14 +747,9 @@ def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     orders = [group.element_order(g) for g in gens]
     candidates = [[x for x in range(group.order) if group.element_order(x) == o] for o in orders]
     autos = []
-    bfs = _bfs_order(group, gens)
     for images in itertools.product(*candidates):
         phi = [0] * group.order
-        # rebuild in reach order so prefixes are already mapped
-        for y in bfs:
-            if y == 0:
-                continue
-            prev, gi = word[y]
+        for y, (prev, gi) in word.items():
             phi[y] = group.mul(phi[prev], images[gi])
         if len(set(phi)) == group.order and is_automorphism(group, phi):
             autos.append(tuple(phi))
@@ -754,23 +757,6 @@ def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     if not autos:
         raise InvariantError("automorphism search returned empty (identity must exist)")
     return autos
-
-
-def _bfs_order(group: FiniteGroup, gens: list[int]) -> list[int]:
-    order = [0]
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in reached:
-                    reached.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return order
 
 
 # ---------------------------------------------------------------------------

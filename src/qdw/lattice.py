@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -47,10 +48,20 @@ __all__ = [
     "ground_space",
 ]
 
-DENSE_DIM_BUDGET = 20_000
+MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
 TRACE_PARTIAL_BUDGET = 20_000_000
 COUNTING_GAMMA_BUDGET = 2_000_000
-MATERIALIZE_DIM_BUDGET = 20_000
+
+
+def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every configuration of k n-valued registers (row-major, register 0 slowest).
+
+    Returns (digits, weights): digits[c] lists the register values of
+    configuration c, and c == digits[c] @ weights.
+    """
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
+    return digits, weights
 
 
 # ---------------------------------------------------------------------------
@@ -276,35 +287,44 @@ class Operator:
             return all(v in (Fraction(0), Fraction(1)) for v in vals.values())
         return ((self * self) - self).is_zero()
 
-    def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
-        """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
+    def matrix_entries(self, edges: Sequence[int]):
+        """(rows, cols, values) of every nonzero contribution over `edges`.
+
+        Configurations are indexed as in `config_digits`; entries at the
+        same position are separate contributions, to be summed.
+        """
         k = len(edges)
         dim = self.n ** k
         if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError(f"materialization dimension {dim} over budget")
-        sup = set(self.support)
-        if not sup <= set(edges):
-            raise ValueError("edge list does not cover the operator support")
-        mat = np.zeros((dim, dim))
         pos = {e: i for i, e in enumerate(edges)}
-        for key, c in self.terms.items():
-            cf = float(c)
-            for cfg in itertools.product(range(self.n), repeat=k):
-                tgt = list(cfg)
-                ok = True
-                for e, m in key:
-                    y = m[cfg[pos[e]]]
-                    if y < 0:
-                        ok = False
-                        break
-                    tgt[pos[e]] = y
-                if ok:
-                    col = 0
-                    row = 0
-                    for i in range(k):
-                        col = col * self.n + cfg[i]
-                        row = row * self.n + tgt[i]
-                    mat[row, col] += cf
+        if not set(self.support) <= set(pos):
+            raise ValueError("edge list does not cover the operator support")
+        digits, weights = config_digits(self.n, k)
+        cols_all = np.arange(dim, dtype=np.int64)
+        rows_acc = [cols_all[:0]]
+        cols_acc = [cols_all[:0]]
+        data_acc = [np.zeros(0)]
+        for key, coeff in self.terms.items():
+            rows = cols_all.copy()
+            valid = np.ones(dim, dtype=bool)
+            for e, m in key:
+                d = digits[:, pos[e]]
+                tgt = np.array(m, dtype=np.int64)[d]
+                valid &= tgt >= 0
+                rows = rows + (np.where(tgt >= 0, tgt, 0) - d) * weights[pos[e]]
+            rows_acc.append(rows[valid])
+            cols_acc.append(cols_all[valid])
+            data_acc.append(np.full(int(valid.sum()), float(coeff)))
+        return (np.concatenate(rows_acc), np.concatenate(cols_acc),
+                np.concatenate(data_acc))
+
+    def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
+        """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
+        dim = self.n ** len(edges)
+        rows, cols, data = self.matrix_entries(edges)
+        mat = np.zeros((dim, dim))
+        np.add.at(mat, (rows, cols), data)
         return mat
 
 
@@ -654,13 +674,6 @@ def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
     return out
 
 
-def _cycle_value_from_letters(group: FiniteGroup, letters: Sequence[int]) -> int:
-    acc = 0
-    for h in letters:
-        acc = group.mul(acc, h)
-    return acc
-
-
 def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
                      base_vertex: Optional[int] = None) -> Operator:
     """Projector onto face holonomy h, read from the base corner.
@@ -684,7 +697,7 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
         letters = []
         for (e, along), x in zip(cyc[:-1], prefix):
             letters.append(group.inv[x] if along else x)
-        partial = _cycle_value_from_letters(group, letters)
+        partial = group.product(letters)
         last = group.mul(group.inv[partial], h)
         e_last, along_last = cyc[-1]
         x_last = group.inv[last] if along_last else last
@@ -917,34 +930,36 @@ def elimination_order(lat: Lattice) -> list[EliminationStep]:
     return steps
 
 
-def _solve_edge(group: FiniteGroup, lat: Lattice, pi: int, target: int,
-                values: Sequence[int]) -> Optional[int]:
+def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]], values):
+    """Face-walk product of `cyc`: each letter left-multiplies the running value.
+
+    The letter of an edge is its register value when walked along the
+    edge and the inverse when walked against it.  `values` maps edges to
+    register values, either ints or numpy columns (one row per
+    configuration); the result has the same shape.
+    """
+    acc = 0
+    for e, along in cyc:
+        x = values[e]
+        acc = group.table[x if along else group.inv[x], acc]
+    return acc
+
+
+def _solve_edge(group: FiniteGroup, lat: Lattice, pi: int, target: int, values):
     """Register value forced on `target` by trivial holonomy of face `pi`.
 
-    `values` holds current register assignments (indexed by edge).
+    `values` holds the other registers of the face, as in `_holonomy`.
     """
     cyc = lat.plaquettes[pi]
     idx = next(i for i, (e, _) in enumerate(cyc) if e == target)
-    low = 0
-    for e, along in cyc[:idx]:
-        x = values[e]
-        low = group.mul(x if along else group.inv[x], low)
-    high = 0
-    for e, along in cyc[idx + 1:]:
-        x = values[e]
-        high = group.mul(x if along else group.inv[x], high)
-    t = group.mul(group.inv[high], group.inv[low])
-    e, along = cyc[idx]
-    return t if along else group.inv[t]
+    low = _holonomy(group, cyc[:idx], values)
+    high = _holonomy(group, cyc[idx + 1:], values)
+    t = group.table[group.inv[high], group.inv[low]]
+    return t if cyc[idx][1] else group.inv[t]
 
 
-def _holonomy_ok(group: FiniteGroup, lat: Lattice, pi: int,
-                 values: Sequence[int]) -> bool:
-    acc = 0
-    for e, along in lat.plaquettes[pi]:
-        x = values[e]
-        acc = group.mul(x if along else group.inv[x], acc)
-    return acc == 0
+def _holonomy_ok(group: FiniteGroup, lat: Lattice, pi: int, values):
+    return _holonomy(group, lat.plaquettes[pi], values) == 0
 
 
 def _edge_allowances(lat: Lattice, group: FiniteGroup,
@@ -976,6 +991,13 @@ def _vertex_domains(lat: Lattice, group: FiniteGroup,
     return out
 
 
+def _gauge_volume(domains: Sequence[Sequence[int]],
+                  dangling: Mapping[int, Subgroup]) -> int:
+    """Order of the gauge group: one label per vertex, two K labels per dangling edge."""
+    return (prod(len(d) for d in domains)
+            * prod(sub.order ** 2 for sub in dangling.values()))
+
+
 def _dangling_weight_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """w[x, gh, gt] = number of subgroup pairs (l, r) with l gh x gt^-1 r^-1 = x."""
     n = group.order
@@ -1002,11 +1024,7 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
                   subgroups: Mapping[str, Subgroup]) -> Optional[int]:
     domains = _vertex_domains(lat, group, subgroups)
     allowed, dangling = _edge_allowances(lat, group, subgroups)
-    gamma_size = 1
-    for d in domains:
-        gamma_size *= len(d)
-    for sub in dangling.values():
-        gamma_size *= sub.order ** 2
+    gamma_size = _gauge_volume(domains, dangling)
     if gamma_size > COUNTING_GAMMA_BUDGET:
         return None
     steps = elimination_order(lat)
@@ -1123,18 +1141,8 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
             if budget > TRACE_PARTIAL_BUDGET:
                 return None
     n = group.order
-    tbl = group.table
-    inv = group.inv
     cols: dict[int, np.ndarray] = {}
     count = 1
-
-    def holonomy_col(pi: int) -> np.ndarray:
-        acc = np.zeros(count, dtype=np.int64)
-        for e, along in lat.plaquettes[pi]:
-            x = cols[e]
-            term = x if along else inv[x]
-            acc = tbl[term, acc]
-        return acc
 
     allowed_masks = []
     for e in range(lat.n_edges):
@@ -1152,19 +1160,7 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
             cols[e] = np.tile(vals, count)
             count *= k
         else:
-            cyc = lat.plaquettes[st.plaquette]
-            idx = next(i for i, (e2, _) in enumerate(cyc) if e2 == e)
-            low = np.zeros(count, dtype=np.int64)
-            for e2, along in cyc[:idx]:
-                x = cols[e2]
-                low = tbl[x if along else inv[x], low]
-            high = np.zeros(count, dtype=np.int64)
-            for e2, along in cyc[idx + 1:]:
-                x = cols[e2]
-                high = tbl[x if along else inv[x], high]
-            t = tbl[inv[high], inv[low]]
-            _, along = cyc[idx]
-            col = t if along else inv[t]
+            col = _solve_edge(group, lat, st.plaquette, e, cols)
             keep = allowed_masks[e][col]
             if not keep.all():
                 for e2 in list(cols):
@@ -1173,7 +1169,7 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
                 count = int(keep.sum())
             cols[e] = col
         for pc in st.checkers:
-            keep = holonomy_col(pc) == 0
+            keep = _holonomy_ok(group, lat, pc, cols)
             if not keep.all():
                 for e2 in list(cols):
                     cols[e2] = cols[e2][keep]
@@ -1195,11 +1191,7 @@ def _gsd_trace(lat: Lattice, group: FiniteGroup,
     if configs is None:
         return None
     domains = _vertex_domains(lat, group, subgroups)
-    gamma_size = 1
-    for d in domains:
-        gamma_size *= len(d)
-    for sub in dangling.values():
-        gamma_size *= sub.order ** 2
+    gamma_size = _gauge_volume(domains, dangling)
     nc = configs.shape[0]
     if nc == 0:
         return 0
@@ -1314,32 +1306,9 @@ def _gsd_trace(lat: Lattice, group: FiniteGroup,
 
 
 def _term_matrix(term: HamiltonianTerm, group: FiniteGroup, n_edges: int) -> sp.csr_matrix:
-    n = group.order
-    dim = n ** n_edges
-    weights = n ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
-    cols_all = np.arange(dim, dtype=np.int64)
-    digits = (cols_all[:, None] // weights[None, :]) % n
-    rows_acc = []
-    cols_acc = []
-    data_acc = []
-    for key, coeff in term.op.terms.items():
-        rows = cols_all.copy()
-        valid = np.ones(dim, dtype=bool)
-        for e, m in key:
-            mp = np.array(m, dtype=np.int64)
-            d = digits[:, e]
-            tgt = mp[d]
-            valid &= tgt >= 0
-            rows = rows + (np.where(tgt >= 0, tgt, 0) - d) * weights[e]
-        rows_acc.append(rows[valid])
-        cols_acc.append(cols_all[valid])
-        data_acc.append(np.full(int(valid.sum()), float(coeff)))
-    if not rows_acc:
-        return sp.csr_matrix((dim, dim))
-    mat = sp.coo_matrix((np.concatenate(data_acc),
-                         (np.concatenate(rows_acc), np.concatenate(cols_acc))),
-                        shape=(dim, dim))
-    return mat.tocsr()
+    dim = group.order ** n_edges
+    rows, cols, data = term.op.matrix_entries(range(n_edges))
+    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def _dense_projector(lat: Lattice, group: FiniteGroup,
@@ -1347,7 +1316,7 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
                      terms: Optional[Sequence[HamiltonianTerm]] = None):
     n = group.order
     dim = n ** lat.n_edges
-    if dim > DENSE_DIM_BUDGET:
+    if dim > MATERIALIZE_DIM_BUDGET:
         return None
     if terms is None:
         terms = build_terms(lat, group, subgroups)

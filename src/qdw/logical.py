@@ -21,11 +21,13 @@ import scipy.sparse as sp
 
 from qdw.classify import abelian_anyon_data
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, character_table
-from qdw.lattice import Lattice, _region_assignment
+from qdw.lattice import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
+                         config_digits)
 
 __all__ = [
     "SmithForm",
     "smith_normal_form",
+    "is_cyclic_presentation",
     "AbelianGroundSpace",
     "StringOperator",
     "shift_string",
@@ -191,6 +193,12 @@ def _cyclic_step(n: int, sub: Subgroup) -> int:
     return step
 
 
+def is_cyclic_presentation(group: FiniteGroup) -> bool:
+    """Whether the table is addition mod n, as built by build_group('cyclic:n')."""
+    n = group.order
+    return bool(np.array_equal(group.table, (np.arange(n)[:, None] + np.arange(n)) % n))
+
+
 class AbelianGroundSpace:
     """Ground sectors, orbit labels, and representatives over Z_n.
 
@@ -203,8 +211,7 @@ class AbelianGroundSpace:
     def __init__(self, lat: Lattice, group: FiniteGroup,
                  subgroups: Mapping[str, Subgroup]):
         n = group.order
-        add = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-        if not np.array_equal(group.table, add):
+        if not is_cyclic_presentation(group):
             raise ValueError("logical analysis needs an explicitly cyclic "
                              "presentation (use build_group('cyclic:n'))")
         self.lattice = lat
@@ -351,10 +358,9 @@ class AbelianGroundSpace:
         """
         n, ne = self.n, self.lattice.n_edges
         dim = n ** ne
-        if dim > 20_000:
+        if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("lattice too large to materialize orbit states")
-        weights = n ** np.arange(ne - 1, -1, -1, dtype=np.int64)
-        digits = (np.arange(dim)[:, None] // weights[None, :]) % n
+        digits, _ = config_digits(n, ne)
         rows = np.array(self._shift_rows, dtype=np.int64)
         ok = ((digits @ rows.T) % n == 0).all(axis=1)
         idx_by_label: dict[tuple[int, ...], list[int]] = {}
@@ -428,11 +434,10 @@ class StringOperator:
     def to_matrix(self) -> sp.csr_matrix:
         n, ne = self.n, len(self.shift)
         dim = n ** ne
-        if dim > 20_000:
+        if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("string operator too large to materialize")
-        weights = n ** np.arange(ne - 1, -1, -1, dtype=np.int64)
+        digits, weights = config_digits(n, ne)
         cols = np.arange(dim, dtype=np.int64)
-        digits = (cols[:, None] // weights[None, :]) % n
         tgt = (digits + np.array(self.shift, dtype=np.int64)[None, :]) % n
         rows = tgt @ weights
         expo = (self.offset + digits @ np.array(self.phase, dtype=np.int64)) % n

@@ -32,6 +32,7 @@ from qdw.groups import (
     inner_automorphism,
 )
 from qdw.lattice import (
+    MATERIALIZE_DIM_BUDGET,
     audit_commutation,
     build_terms,
     ground_space_dimension,
@@ -42,6 +43,7 @@ from qdw.logical import (
     AbelianGroundSpace,
     charge_projectors,
     charge_string,
+    is_cyclic_presentation,
     logical_action,
     logical_algebra,
     loop_operator,
@@ -84,12 +86,6 @@ class CheckResult:
     name: str
     status: str          # pass | skip | fail
     detail: str
-
-
-def _is_cyclic_presentation(group: FiniteGroup) -> bool:
-    n = group.order
-    add = np.fromfunction(lambda i, j: (i + j) % n, (n, n), dtype=np.int64)
-    return bool(np.array_equal(group.table, add))
 
 
 def _check_sector_census(group: FiniteGroup, tol: float) -> str:
@@ -248,7 +244,7 @@ def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
     acts = [logical_action(ags, op) for op in ops]
     if any(a != acts[0] for a in acts[1:]):
         raise InvariantError("rerouted tunnel changed its ground-space action")
-    if ags.n ** ags.lattice.n_edges <= 20_000:
+    if ags.n ** ags.lattice.n_edges <= MATERIALIZE_DIM_BUDGET:
         mats = [op.to_matrix() for op in ops]
         q = ags.orbit_state_matrix()
         for m in mats[1:]:
@@ -260,6 +256,18 @@ def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
 def _check_abelian_modular_data(group: FiniteGroup, tol: float) -> str:
     data = abelian_anyon_data(group)
     return f"S matrix over {len(data.charges)} sectors is unitary and symmetric"
+
+
+def _audit_gate(group: FiniteGroup) -> Optional[str]:
+    if group.order <= AUDIT_ORDER_CAP:
+        return None
+    return f"group order {group.order} above audit cap {AUDIT_ORDER_CAP}"
+
+
+def _cyclic_gate(group: FiniteGroup) -> Optional[str]:
+    if is_cyclic_presentation(group) and 2 <= group.order <= LOGICAL_ORDER_CAP:
+        return None
+    return "needs a cyclic presentation of order 2..5"
 
 
 _REGISTRY: list[tuple[str, Callable[[FiniteGroup], Optional[str]],
@@ -274,26 +282,11 @@ _REGISTRY: list[tuple[str, Callable[[FiniteGroup], Optional[str]],
     ("abelian-modular-data",
      lambda g: None if g.is_abelian else "needs an abelian group",
      _check_abelian_modular_data),
-    ("lattice-audit",
-     lambda g: None if g.order <= AUDIT_ORDER_CAP
-     else f"group order {g.order} above audit cap {AUDIT_ORDER_CAP}",
-     _check_lattice_audit),
-    ("gsd-census",
-     lambda g: None if g.order <= AUDIT_ORDER_CAP
-     else f"group order {g.order} above audit cap {AUDIT_ORDER_CAP}",
-     _check_gsd_census),
-    ("hole-qudit",
-     lambda g: None if _is_cyclic_presentation(g) and 2 <= g.order <= LOGICAL_ORDER_CAP
-     else "needs a cyclic presentation of order 2..5",
-     _check_hole_qudit),
-    ("charge-readout",
-     lambda g: None if _is_cyclic_presentation(g) and 2 <= g.order <= LOGICAL_ORDER_CAP
-     else "needs a cyclic presentation of order 2..5",
-     _check_charge_readout),
-    ("path-deformation",
-     lambda g: None if _is_cyclic_presentation(g) and 2 <= g.order <= LOGICAL_ORDER_CAP
-     else "needs a cyclic presentation of order 2..5",
-     _check_path_deformation),
+    ("lattice-audit", _audit_gate, _check_lattice_audit),
+    ("gsd-census", _audit_gate, _check_gsd_census),
+    ("hole-qudit", _cyclic_gate, _check_hole_qudit),
+    ("charge-readout", _cyclic_gate, _check_charge_readout),
+    ("path-deformation", _cyclic_gate, _check_path_deformation),
 ]
 
 

@@ -28,7 +28,7 @@ def run_json(capsys, argv):
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig(command="gsd", group="cyclic:2", lattice="torus:2x2",
-                        format="csv", threads=3, tolerance=1e-8)
+                        format="csv", tolerance=1e-8)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_field_rejected(self):
@@ -171,6 +171,9 @@ class TestExitCodes:
         ["logical", "--group", "cyclic:2", "--lattice", "ring:3",
          "--format", "csv"],
         ["anyons", "--group", "cyclic:2", "--threads", "0"],
+        ["group-info", "--group", '{"table": null}'],
+        ["group-info", "--group", '{"table": [0], "order": null}'],
+        ["group-info", "--group", '{"table": [0], "names": 5}'],
     ])
     def test_usage_errors(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -186,6 +189,15 @@ class TestExitCodes:
         assert out["results"]["ok"] is False
         failed = [c["name"] for c in out["checks"] if c["status"] == "fail"]
         assert "pairwise-commutation" in failed
+
+    def test_sabotaged_ring_audit_names_the_failing_pair(self, capsys):
+        rc = main(["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
+                   "--subgroup", "full", "--subgroup2", "trivial",
+                   "--inject-literal-edge", "in0"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_INVARIANT
+        assert out["results"]["failures"] == [
+            "pair [B(f0), L(in0)] != 0 (|.|_F = 3.4641)"]
 
     def test_clean_audit_passes(self, capsys):
         out = run_json(capsys, ["lattice-audit", "--group", "cyclic:2",
@@ -310,20 +322,14 @@ class TestFormatsAndSinks:
         data = json.loads(target.read_text())
         assert data["results"]["count"] == 4
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDW_THREADS", "5")
-        out = run_json(capsys, ["anyons", "--group", "cyclic:2"])
-        assert out["config"]["threads"] == 5
-
-    def test_threads_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDW_THREADS", "5")
-        out = run_json(capsys, ["anyons", "--group", "cyclic:2",
-                                "--threads", "2"])
-        assert out["config"]["threads"] == 2
-
-    def test_bad_threads_env_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("QDW_THREADS", "lots")
-        assert main(["anyons", "--group", "cyclic:2"]) == EXIT_USAGE
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["anyons", "--group", "cyclic:2",
+                     "--out", str(target)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+        assert "Traceback" not in captured.err
 
 
 class TestRegionAssignment:

@@ -15,6 +15,7 @@ from qdw.lattice import (
     HamiltonianTerm,
     Lattice,
     Operator,
+    _term_matrix,
     audit_commutation,
     boundary_edge_term,
     build_terms,
@@ -35,6 +36,22 @@ from qdw.lattice import (
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
 Z3 = build_group("cyclic:3")
+
+
+def loop_matrix(op, edges):
+    """Entry-by-entry reference for Operator.to_matrix (register 0 slowest)."""
+    n, k = op.n, len(edges)
+    pos = {e: i for i, e in enumerate(edges)}
+    index = lambda cfg: sum(x * n ** (k - 1 - i) for i, x in enumerate(cfg))
+    mat = np.zeros((n ** k, n ** k))
+    for key, c in op.terms.items():
+        for cfg in itertools.product(range(n), repeat=k):
+            tgt = list(cfg)
+            for e, m in key:
+                tgt[pos[e]] = m[cfg[pos[e]]]
+            if all(x >= 0 for x in tgt):
+                mat[index(tgt), index(cfg)] += float(c)
+    return mat
 
 
 def two_hole_lattice():
@@ -312,6 +329,18 @@ class TestOperatorAlgebra:
         # acts on the second register only; first register untouched
         expect = np.kron(np.eye(2), np.diag([1.0, 0.0]))
         assert np.array_equal(mat, expect)
+
+    @pytest.mark.parametrize("group,lat,subs", [
+        (Z2, torus(2, 2), {}),
+        (S3, ring(3), {"inner": S3.trivial_subgroup(), "outer": S3.full_subgroup()}),
+    ], ids=["C2-torus2x2", "S3-ring3"])
+    def test_term_matrices_match_the_entry_loop(self, group, lat, subs):
+        for t in build_terms(lat, group, subs):
+            assert np.array_equal(t.op.to_matrix(t.edges), loop_matrix(t.op, t.edges))
+            if group.order ** lat.n_edges <= 1024:
+                full = tuple(range(lat.n_edges))
+                assert np.array_equal(t.op.to_matrix(full),
+                                      _term_matrix(t, group, lat.n_edges).toarray())
 
     def test_matrix_budget_guard(self):
         op = Operator.identity(S3.order)
