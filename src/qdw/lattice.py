@@ -6,9 +6,11 @@ injective partial map of the register to each touched edge.  Products,
 adjoints, and commutators are therefore exact; the audit reports exact
 zeros, not small numbers.
 
-Ground-state counts come from up to three independent routes (gauge-orbit
-counting, fixed-point trace, dense matrix trace) which must agree on any
-lattice where more than one fits its budget.
+Ground-state counts come from up to three routes, which must agree on
+any lattice where more than one fits its budget.  Counting and trace
+evaluate one Burnside sum over gauge orbits of flat connections, on a
+gauge-fixed slice and on every flat configuration; the dense matrix
+trace is the only route that does not share that formula.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
 TRACE_PARTIAL_BUDGET = 20_000_000
-COUNTING_GAMMA_BUDGET = 2_000_000
 
 
 def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -889,11 +890,13 @@ class EliminationStep:
     checkers: tuple[int, ...] = ()   # faces fully assigned after this step
 
 
-def elimination_order(lat: Lattice) -> list[EliminationStep]:
+def elimination_order(lat: Lattice, first: Sequence[int] = ()) -> list[EliminationStep]:
     """Assign edges so faces fix registers as early as possible.
 
-    Greedy: a face with one free edge solves it; otherwise branch on an
-    edge inside the face closest to completion (lowest indices break ties).
+    The edges in `first` are branched on before any other, in that order.
+    The rest is greedy: a face with one free edge solves it; otherwise
+    branch on an edge inside the face closest to completion (lowest
+    indices break ties).
     """
     remaining = [set(e for e, _ in cyc) for cyc in lat.plaquettes]
     solved_by: set[int] = set()
@@ -911,6 +914,8 @@ def elimination_order(lat: Lattice) -> list[EliminationStep]:
         steps.append(EliminationStep(action=action, edge=e, plaquette=solver,
                                      checkers=tuple(checkers)))
 
+    for e in first:
+        assign(e, "branch", None)
     while unassigned:
         ready = [(len(rem), pi) for pi, rem in enumerate(remaining)
                  if len(rem) == 1 and pi not in solved_by]
@@ -962,33 +967,25 @@ def _holonomy_ok(group: FiniteGroup, lat: Lattice, pi: int, values):
     return _holonomy(group, lat.plaquettes[pi], values) == 0
 
 
-def _edge_allowances(lat: Lattice, group: FiniteGroup,
-                     subgroups: Mapping[str, Subgroup]):
-    """Per-edge admissible register values and dangling-weight tables."""
-    _, edge_region = _region_assignment(lat, group, subgroups)
+def _gauge_domains(lat: Lattice, group: FiniteGroup,
+                   subgroups: Mapping[str, Subgroup]):
+    """Admissible register values per edge, gauge labels per vertex, and
+    the boundary subgroup of each dangling edge."""
+    vertex_region, edge_region = _region_assignment(lat, group, subgroups)
+    full = tuple(range(group.order))
+    domains = [subgroups[vertex_region[v]].elements if v in vertex_region else full
+               for v in range(lat.n_vertices)]
     allowed = []
     dangling: dict[int, Subgroup] = {}
     for e in range(lat.n_edges):
         reg = edge_region.get(e)
-        if reg is None:
-            allowed.append(tuple(range(group.order)))
-        elif reg[1] == "rim":
+        if reg is not None and reg[1] == "rim":
             allowed.append(subgroups[reg[0]].elements)
         else:
-            allowed.append(tuple(range(group.order)))
-            dangling[e] = subgroups[reg[0]]
-    return allowed, dangling
-
-
-def _vertex_domains(lat: Lattice, group: FiniteGroup,
-                    subgroups: Mapping[str, Subgroup]) -> list[tuple[int, ...]]:
-    vertex_region, _ = _region_assignment(lat, group, subgroups)
-    out = []
-    for v in range(lat.n_vertices):
-        reg = vertex_region.get(v)
-        out.append(tuple(range(group.order)) if reg is None
-                   else subgroups[reg].elements)
-    return out
+            allowed.append(full)
+            if reg is not None:
+                dangling[e] = subgroups[reg[0]]
+    return allowed, domains, dangling
 
 
 def _gauge_volume(domains: Sequence[Sequence[int]],
@@ -1016,124 +1013,126 @@ def _dangling_weight_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     return w
 
 
-# ---------------------------------------------------------------------------
-# route 1: gauge-orbit counting (pure integer arithmetic)
+def _spanning_forest(lat: Lattice, group: FiniteGroup,
+                     subgroups: Mapping[str, Subgroup],
+                     dangling: Mapping[int, Subgroup]):
+    """Breadth-first spanning forest over the non-dangling edges, rim roots first.
 
-
-def _gsd_counting(lat: Lattice, group: FiniteGroup,
-                  subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    domains = _vertex_domains(lat, group, subgroups)
-    allowed, dangling = _edge_allowances(lat, group, subgroups)
-    gamma_size = _gauge_volume(domains, dangling)
-    if gamma_size > COUNTING_GAMMA_BUDGET:
-        return None
-    steps = elimination_order(lat)
-    n = group.order
-    weight_tables = {e: _dangling_weight_table(group, sub)
-                     for e, sub in dangling.items()}
-    # vertex assignment order: breadth-first so edges complete early
-    order: list[int] = []
-    seen = [False] * lat.n_vertices
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(lat.n_vertices)]
+    Returns (roots, tree, pinned).  tree[c] lists the edges of the tree
+    rooted at roots[c] as (edge, child, child_is_head), parents before
+    children.  `pinned` maps a tree edge to its child when the child's
+    gauge label can always turn the edge register into the identity: the
+    child is a bulk vertex (domain G), or a rim vertex reached along a rim
+    edge of its own region from a rim vertex of that region (register,
+    parent label and child label all in K).
+    """
+    vertex_region, edge_region = _region_assignment(lat, group, subgroups)
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(lat.n_vertices)]
     for ei, (t, h) in enumerate(lat.edges):
-        adj[t].append((h, ei))
-        adj[h].append((t, ei))
-    for root in range(lat.n_vertices):
+        if ei not in dangling:
+            adj[t].append((h, ei, True))
+            adj[h].append((t, ei, False))
+    seen = [False] * lat.n_vertices
+    roots: list[int] = []
+    tree: list[list[tuple[int, int, bool]]] = []
+    pinned: dict[int, int] = {}
+    for root in sorted(range(lat.n_vertices), key=lambda v: v not in vertex_region):
         if seen[root]:
             continue
         seen[root] = True
+        roots.append(root)
+        edges: list[tuple[int, int, bool]] = []
         queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w, _ in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    pos_in_order = {v: i for i, v in enumerate(order)}
-    # edges become checkable once both endpoints are assigned
-    edges_ready: list[list[int]] = [[] for _ in range(lat.n_vertices)]
-    for ei, (t, h) in enumerate(lat.edges):
-        later = t if pos_in_order[t] > pos_in_order[h] else h
-        edges_ready[later].append(ei)
-
-    gvals = [0] * lat.n_vertices
-    sets: list[Optional[dict[int, int]]] = [None] * lat.n_edges  # value -> weight
-    total = 0
-
-    def edge_candidates(e: int) -> dict[int, int]:
-        t, h = lat.edges[e]
-        gt, gh = gvals[t], gvals[h]
-        if e in weight_tables:
-            col = weight_tables[e][:, gh, gt]
-            return {x: int(col[x]) for x in range(n) if col[x]}
-        out = {}
-        for x in allowed[e]:
-            if group.mul(group.mul(gh, x), group.inv[gt]) == x:
-                out[x] = 1
-        return out
-
-    values = [0] * lat.n_edges
-
-    def config_dfs(step_idx: int, weight_acc: int) -> int:
-        if step_idx == len(steps):
-            return weight_acc
-        st = steps[step_idx]
-        e = st.edge
-        cand = sets[e]
-        subtotal = 0
-        if st.action == "solve":
-            forced = _solve_edge(group, lat, st.plaquette, e, values)
-            w = cand.get(forced)
-            if w:
-                values[e] = forced
-                if all(_holonomy_ok(group, lat, pc, values) for pc in st.checkers):
-                    subtotal += config_dfs(step_idx + 1, weight_acc * w)
-            return subtotal
-        for x, w in cand.items():
-            values[e] = x
-            if st.checkers and not all(_holonomy_ok(group, lat, pc, values)
-                                       for pc in st.checkers):
-                continue
-            subtotal += config_dfs(step_idx + 1, weight_acc * w)
-        return subtotal
-
-    def vertex_dfs(i: int) -> int:
-        nonlocal total
-        if i == len(order):
-            return config_dfs(0, 1)
-        v = order[i]
-        acc = 0
-        for g in domains[v]:
-            gvals[v] = g
-            ok = True
-            for e in edges_ready[v]:
-                cand = edge_candidates(e)
-                if not cand:
-                    ok = False
-                    break
-                sets[e] = cand
-            if ok:
-                acc += vertex_dfs(i + 1)
-        return acc
-
-    total = vertex_dfs(0)
-    if total % gamma_size != 0:
-        raise InvariantError("orbit count is not divisible by the gauge volume")
-    return total // gamma_size
+        for v in queue:              # the queue grows while it is walked
+            for w, ei, child_is_head in adj[v]:
+                if seen[w]:
+                    continue
+                seen[w] = True
+                edges.append((ei, w, child_is_head))
+                queue.append(w)
+                reg = vertex_region.get(w)
+                if reg is None or (vertex_region.get(v) == reg
+                                   and edge_region.get(ei) == (reg, "rim")):
+                    pinned[ei] = w
+        tree.append(edges)
+    return roots, tree, pinned
 
 
-# ---------------------------------------------------------------------------
-# route 2: fixed-point trace (vectorized over admissible configurations)
+def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
+                      domains: Sequence[Sequence[int]],
+                      dangling: Mapping[int, Subgroup],
+                      roots: Sequence[int], tree) -> int:
+    """Sum over `configs` of the number of gauge transformations fixing each.
+
+    On each tree of the forest a fixing transformation is determined by
+    its root label: labels propagate along tree edges, and must lie in
+    their vertex domains and respect every non-tree edge.  Trees joined
+    by dangling edges are enumerated together, each dangling edge
+    weighted by the K pairs that fix it.
+    """
+    nc = configs.shape[0]
+    inv = group.inv
+    conj = group.table[group.table, inv[:, None]]  # conj[x, g] = x g x^-1
+    member = [np.isin(np.arange(group.order), d) for d in domains]
+    comp = [0] * lat.n_vertices
+    for ci, (root, edges) in enumerate(zip(roots, tree)):
+        comp[root] = ci
+        for _, child, _ in edges:
+            comp[child] = ci
+    tree_edges = {ei for edges in tree for ei, _, _ in edges}
+    nontree_by_comp: dict[int, list[int]] = {}
+    for ei, (t, _) in enumerate(lat.edges):
+        if ei not in dangling and ei not in tree_edges:
+            nontree_by_comp.setdefault(comp[t], []).append(ei)
+    # trees linked by dangling edges form one cluster
+    cluster = list(range(len(roots)))
+    for ei in dangling:
+        a, b = (cluster[comp[v]] for v in lat.edges[ei])
+        cluster = [a if c == b else c for c in cluster]
+    clusters: dict[int, list[int]] = {}
+    for ci, c in enumerate(cluster):
+        clusters.setdefault(c, []).append(ci)
+    weight_tables = {e: _dangling_weight_table(group, sub)
+                     for e, sub in dangling.items()}
+
+    total_col = np.ones(nc, dtype=np.int64)
+    for members in clusters.values():
+        cluster_count = np.zeros(nc, dtype=np.int64)
+        domains_list = [domains[roots[ci]] for ci in members]
+        for root_labels in itertools.product(*domains_list):
+            glabels: dict[int, np.ndarray] = {}
+            ok = np.ones(nc, dtype=bool)
+            for ci, lab in zip(members, root_labels):
+                glabels[roots[ci]] = np.full(nc, lab, dtype=np.int64)
+                for ei, child, child_is_head in tree[ci]:
+                    t, h = lat.edges[ei]
+                    x = configs[:, ei]
+                    glabels[child] = (conj[x, glabels[t]] if child_is_head
+                                      else conj[inv[x], glabels[h]])
+                    ok &= member[child][glabels[child]]
+                for ei in nontree_by_comp.get(ci, ()):
+                    t, h = lat.edges[ei]
+                    ok &= glabels[h] == conj[configs[:, ei], glabels[t]]
+            weight = ok.astype(np.int64)
+            for ei in dangling:
+                t, h = lat.edges[ei]
+                if comp[t] in members:
+                    weight *= weight_tables[ei][configs[:, ei], glabels[h], glabels[t]]
+            cluster_count += weight
+        total_col *= cluster_count
+    return int(total_col.sum())
 
 
 def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
-                            allowed: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
+                            allowed: Sequence[Sequence[int]],
+                            first: Sequence[int] = ()) -> Optional[np.ndarray]:
     """All register assignments with trivial holonomy on every face.
 
-    Returns an (N, n_edges) int array, or None when over budget.
+    The edges in `first` are assigned before any other (see
+    `elimination_order`).  Returns an (N, n_edges) int array, or None
+    when over budget.
     """
-    steps = elimination_order(lat)
+    steps = elimination_order(lat, first)
     budget = 1
     for st in steps:
         if st.action == "branch":
@@ -1184,118 +1183,52 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
     return out
 
 
+# ---------------------------------------------------------------------------
+# routes 1 and 2: the Burnside sum
+#
+# The ground states are the gauge orbits of flat connections, with
+# K-restricted gauge on the rims, so their number is the gauge-group
+# average of the stabilizer orders of the flat configurations.
+
+
+def _gsd_counting(lat: Lattice, group: FiniteGroup,
+                  subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+    """Route 1: the Burnside sum on a gauge-fixed slice.
+
+    Pinned forest edges (see `_spanning_forest`) are set to the identity.
+    Each gauge orbit then contributes the order of the residual gauge
+    group, which drops the pinned children's labels, to the slice's
+    stabilizer total.  Shares its formula with route 2, so only the dense
+    route is an independent oracle for it.
+    """
+    allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
+    roots, tree, pinned = _spanning_forest(lat, group, subgroups, dangling)
+    allowed = [(0,) if e in pinned else a for e, a in enumerate(allowed)]
+    configs = _enumerate_flat_configs(lat, group, allowed, first=list(pinned))
+    if configs is None:
+        return None
+    total = _stabilizer_total(lat, group, configs, domains, dangling, roots, tree)
+    residual = (_gauge_volume(domains, dangling)
+                // prod(len(domains[child]) for child in pinned.values()))
+    if total % residual != 0:
+        raise InvariantError("orbit count is not divisible by the residual gauge volume")
+    return total // residual
+
+
 def _gsd_trace(lat: Lattice, group: FiniteGroup,
                subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    allowed, dangling = _edge_allowances(lat, group, subgroups)
+    """Route 2: the Burnside sum over every flat configuration (fixed-point trace).
+
+    Shares its formula with route 1, so only the dense route is an
+    independent oracle for it.
+    """
+    allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     configs = _enumerate_flat_configs(lat, group, allowed)
     if configs is None:
         return None
-    domains = _vertex_domains(lat, group, subgroups)
+    roots, tree, _ = _spanning_forest(lat, group, subgroups, dangling)
+    total = _stabilizer_total(lat, group, configs, domains, dangling, roots, tree)
     gamma_size = _gauge_volume(domains, dangling)
-    nc = configs.shape[0]
-    if nc == 0:
-        return 0
-    n = group.order
-    tbl = group.table
-    inv = group.inv
-    conj = np.zeros((n, n), dtype=np.int64)  # conj[x, g] = x g x^-1
-    for x in range(n):
-        conj[x] = tbl[tbl[x, np.arange(n)], inv[x]]
-    member = {v: np.zeros(n, dtype=bool) for v in range(lat.n_vertices)}
-    for v in range(lat.n_vertices):
-        member[v][list(domains[v])] = True
-    # spanning forest over non-dangling edges
-    comp = [-1] * lat.n_vertices
-    tree: list[list[tuple[int, int, bool]]] = []  # per comp: (edge, child, child_is_head)
-    roots: list[int] = []
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(lat.n_vertices)]
-    for ei, (t, h) in enumerate(lat.edges):
-        if ei in dangling:
-            continue
-        adj[t].append((h, ei, True))
-        adj[h].append((t, ei, False))
-    nontree: list[int] = []
-    seen_edges: set[int] = set()
-    for root in range(lat.n_vertices):
-        if comp[root] != -1:
-            continue
-        ci = len(roots)
-        roots.append(root)
-        tree.append([])
-        comp[root] = ci
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w, ei, child_is_head in adj[v]:
-                if ei in seen_edges:
-                    continue
-                if comp[w] == -1:
-                    comp[w] = ci
-                    seen_edges.add(ei)
-                    tree[ci].append((ei, w, child_is_head))
-                    queue.append(w)
-        # remaining edges inside this component are consistency checks
-    for ei, (t, h) in enumerate(lat.edges):
-        if ei not in dangling and ei not in seen_edges:
-            nontree.append(ei)
-    # cluster components linked by dangling edges
-    parent = list(range(len(roots)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ei in dangling:
-        t, h = lat.edges[ei]
-        ra, rb = find(comp[t]), find(comp[h])
-        if ra != rb:
-            parent[ra] = rb
-    clusters: dict[int, list[int]] = {}
-    for ci in range(len(roots)):
-        clusters.setdefault(find(ci), []).append(ci)
-    weight_tables = {e: _dangling_weight_table(group, sub)
-                     for e, sub in dangling.items()}
-    nontree_by_comp: dict[int, list[int]] = {}
-    for ei in nontree:
-        nontree_by_comp.setdefault(comp[lat.edges[ei][0]], []).append(ei)
-    dangling_by_cluster: dict[int, list[int]] = {}
-    for ei in dangling:
-        dangling_by_cluster.setdefault(find(comp[lat.edges[ei][0]]), []).append(ei)
-
-    total_col = np.ones(nc, dtype=np.int64)
-    for root_ci, members in clusters.items():
-        cluster_count = np.zeros(nc, dtype=np.int64)
-        domains_list = [domains[roots[ci]] for ci in members]
-        for root_labels in itertools.product(*domains_list):
-            glabels: dict[int, np.ndarray] = {}
-            ok = np.ones(nc, dtype=bool)
-            for ci, lab in zip(members, root_labels):
-                glabels[roots[ci]] = np.full(nc, lab, dtype=np.int64)
-                for ei, child, child_is_head in tree[ci]:
-                    x = configs[:, ei]
-                    g_parent = glabels[lat.edges[ei][0] if child_is_head
-                                       else lat.edges[ei][1]]
-                    if child_is_head:
-                        glabels[child] = conj[x, g_parent]
-                    else:
-                        glabels[child] = conj[inv[x], g_parent]
-                for ei, child, child_is_head in tree[ci]:
-                    ok &= member[child][glabels[child]]
-                ok &= member[roots[ci]][glabels[roots[ci]]]
-                for ei in nontree_by_comp.get(ci, ()):
-                    t, h = lat.edges[ei]
-                    x = configs[:, ei]
-                    ok &= glabels[h] == conj[x, glabels[t]]
-            weight = ok.astype(np.int64)
-            for ei in dangling_by_cluster.get(root_ci, ()):
-                t, h = lat.edges[ei]
-                x = configs[:, ei]
-                weight *= weight_tables[ei][x, glabels[h], glabels[t]]
-            cluster_count += weight
-        total_col *= cluster_count
-    total = int(total_col.sum())
     if total % gamma_size != 0:
         raise InvariantError("fixed-point total is not divisible by the gauge volume")
     return total // gamma_size
@@ -1336,16 +1269,20 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     return proj
 
 
-def _gsd_dense(lat: Lattice, group: FiniteGroup,
-               subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    proj = _dense_projector(lat, group, subgroups)
-    if proj is None:
-        return None
+def _projector_rank(proj) -> int:
+    """Rank of a projector matrix, read from its trace, which must be an integer."""
     tr = float(proj.diagonal().sum())
     val = int(round(tr))
     if abs(tr - val) > 1e-6 * max(1.0, abs(tr)):
         raise InvariantError(f"projector trace {tr} is not close to an integer")
     return val
+
+
+def _gsd_dense(lat: Lattice, group: FiniteGroup,
+               subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+    """Route 3: the trace of the explicit projector, the independent oracle."""
+    proj = _dense_projector(lat, group, subgroups)
+    return None if proj is None else _projector_rank(proj)
 
 
 # ---------------------------------------------------------------------------
@@ -1405,7 +1342,11 @@ class GroundSpace:
         if proj is None:
             raise ValueError("lattice is too large for an explicit ground basis")
         dim = proj.shape[0]
-        expected = ground_space_dimension(lat, group, subgroups).value
+        expected = ground_space_dimension(lat, group, subgroups,
+                                          methods=("counting", "trace")).value
+        rank = _projector_rank(proj)
+        if rank != expected:
+            raise InvariantError(f"projector rank {rank} != route count {expected}")
         rng = np.random.default_rng(7)
         probe = rng.normal(size=(dim, min(dim, expected + 6)))
         img = proj @ probe

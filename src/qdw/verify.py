@@ -78,7 +78,7 @@ VALIDATORS = {
 }
 
 AUDIT_ORDER_CAP = 8     # torus/annulus audits stay desk-scale up to here
-LOGICAL_ORDER_CAP = 5   # ring(3) counting budget holds through cyclic:5
+LOGICAL_ORDER_CAP = 5   # charge-readout's cost grows steeply with the order
 
 
 @dataclass

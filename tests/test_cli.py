@@ -139,6 +139,14 @@ class TestWorkedExamples:
         assert out["results"]["by_method"] == {
             "counting": 4, "dense": 4, "trace": 4}
 
+    def test_single_route_count_skips_route_agreement(self, capsys):
+        out = run_json(capsys, ["gsd", "--group", "symmetric:3",
+                                "--lattice", "torus:3x3"])
+        assert out["results"]["dimension"] == 8
+        assert out["results"]["by_method"] == {"counting": 8}
+        assert out["checks"] == [{"name": "gsd-route-agreement",
+                                  "status": "skip"}]
+
     def test_trivial_group_has_one_sector(self, capsys):
         out = run_json(capsys, ["anyons", "--group", "cyclic:1"])
         res = out["results"]

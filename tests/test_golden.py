@@ -15,6 +15,9 @@ from qdw.cli import EXIT_INVARIANT, EXIT_OK, main
 GOLDEN = {
     "gsd --group cyclic:2 --lattice torus:2x2":
         (EXIT_OK, "ef43df3e107383ad4da588e565aa4ab90500703ada2c9d71e546addbae660da8"),
+    # one route in budget: gsd-route-agreement is reported as skip
+    "gsd --group symmetric:3 --lattice torus:3x3":
+        (EXIT_OK, "0395024aef0be02f58b57db7a88a107164781e03bd9bc30c25ea14d26c6018a8"),
     "subgroups --group dihedral:4":
         (EXIT_OK, "b3715952ff6c8af1e10f9a933d90b17359cf3e5d7ed86e735fcd68f0316a272f"),
     "qudit-dim --group dihedral:4 --subgroup trivial --subgroup2 trivial":

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdw.groups import InvariantError, build_group, enumerate_subgroups
-from qdw.classify import qudit_dimension
+from qdw.classify import anyon_table, qudit_dimension
 from qdw.groups import double_cosets
 from qdw.lattice import (
     BoundaryRegion,
@@ -15,6 +16,7 @@ from qdw.lattice import (
     HamiltonianTerm,
     Lattice,
     Operator,
+    _spanning_forest,
     _term_matrix,
     audit_commutation,
     boundary_edge_term,
@@ -58,6 +60,25 @@ def two_hole_lattice():
     lat = patch(3, 5)
     lat = carve_hole(lat, ["p(1,1)"], "hole0")
     return carve_hole(lat, ["p(1,3)"], "hole1")
+
+
+def pinned_edges(lat):
+    """The counting route's pinned forest edges, each region given Z2 itself."""
+    subs = {reg.name: Z2.full_subgroup() for reg in lat.regions}
+    return list(_spanning_forest(lat, Z2, subs, {})[2])
+
+
+def relabelled(spec, perm):
+    """The preset's table with element a renamed perm[a]."""
+    g = build_group(spec)
+    n = g.order
+    table = [0] * (n * n)
+    names = [""] * n
+    for a in range(n):
+        names[perm[a]] = g.names[a]
+        for b in range(n):
+            table[perm[a] * n + perm[b]] = perm[g.mul(a, b)]
+    return build_group({"order": n, "table": table, "names": names})
 
 
 def dangling_lattice():
@@ -433,16 +454,20 @@ class TestEliminationOrder:
     @pytest.mark.parametrize("lat", [torus(2, 2), torus(3, 2), patch(2, 3),
                                      ring(4), two_hole_lattice()])
     def test_each_edge_assigned_once(self, lat):
-        steps = elimination_order(lat)
-        assert sorted(s.edge for s in steps) == list(range(lat.n_edges))
+        for first in ([], pinned_edges(lat)):
+            steps = elimination_order(lat, first)
+            assert [s.edge for s in steps[:len(first)]] == first
+            assert all(s.action == "branch" for s in steps[:len(first)])
+            assert sorted(s.edge for s in steps) == list(range(lat.n_edges))
 
     @pytest.mark.parametrize("lat", [torus(2, 2), patch(2, 3), ring(4),
                                      two_hole_lattice()])
     def test_faces_solve_or_check(self, lat):
-        steps = elimination_order(lat)
-        solvers = [s.plaquette for s in steps if s.action == "solve"]
-        checkers = [p for s in steps for p in s.checkers]
-        assert sorted(solvers + checkers) == list(range(lat.n_plaquettes))
+        for first in ([], pinned_edges(lat)):
+            steps = elimination_order(lat, first)
+            solvers = [s.plaquette for s in steps if s.action == "solve"]
+            checkers = [p for s in steps for p in s.checkers]
+            assert sorted(solvers + checkers) == list(range(lat.n_plaquettes))
 
     def test_torus_has_one_redundant_face(self):
         # on a closed surface the face constraints have one relation
@@ -480,6 +505,28 @@ class TestGroundStateCounts:
         assert rep.value == 8
         assert len(rep.by_method) >= 2
 
+    @pytest.mark.parametrize("spec,rows,cols", [("symmetric:3", 3, 3),
+                                                ("dihedral:4", 4, 4),
+                                                ("symmetric:4", 3, 3)])
+    def test_gauge_fixed_torus_counts_match_sector_census(self, spec, rows, cols):
+        g = build_group(spec)
+        rep = ground_space_dimension(torus(rows, cols), g, {})
+        assert rep.value == rep.by_method["counting"] == len(anyon_table(g))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_routes_agree_on_relabelled_tables(self, data):
+        spec = data.draw(st.sampled_from(["cyclic:2", "cyclic:3", "symmetric:3"]))
+        n = build_group(spec).order
+        g = relabelled(spec, data.draw(st.permutations(range(n))))
+        lat = data.draw(st.sampled_from([ring(3), patch(2, 2), dangling_lattice()]))
+        subs = enumerate_subgroups(g)
+        assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
+        rep = ground_space_dimension(lat, g, assign)
+        assert len(rep.by_method) >= 2
+        assert "counting" in rep.by_method
+        assert set(rep.by_method.values()) == {rep.value}
+
     @pytest.mark.parametrize("sub_elems", [(0,), (0, 1), (0, 2), (0, 5),
                                            (0, 3, 4), (0, 1, 2, 3, 4, 5)])
     def test_disk_is_nondegenerate_for_every_boundary(self, sub_elems):
@@ -514,12 +561,23 @@ class TestGroundStateCounts:
         assert rep.value == 2
         assert set(rep.by_method) == {"counting", "trace"}
 
-    def test_two_hole_count_over_budget_reports_cleanly(self):
+    def test_two_hole_qutrit_count(self):
         lat = two_hole_lattice()
         assign = {"outer": Z3.full_subgroup(), "hole0": Z3.trivial_subgroup(),
                   "hole1": Z3.trivial_subgroup()}
+        rep = ground_space_dimension(lat, Z3, assign)
+        assert rep.value == rep.by_method["counting"] == 3
+
+    def test_six_hole_count_over_budget_reports_cleanly(self):
+        s4 = build_group("symmetric:4")
+        lat = patch(5, 7)
+        assign = {"outer": s4.full_subgroup()}
+        for i, face in enumerate(["p(1,1)", "p(1,3)", "p(1,5)",
+                                  "p(3,1)", "p(3,3)", "p(3,5)"]):
+            lat = carve_hole(lat, [face], f"hole{i}")
+            assign[f"hole{i}"] = s4.trivial_subgroup()
         with pytest.raises(ValueError, match="budget"):
-            ground_space_dimension(lat, Z3, assign)
+            ground_space_dimension(lat, s4, assign)
 
     def test_dangling_edge_counts_double_cosets(self):
         lat = dangling_lattice()
@@ -552,6 +610,21 @@ class TestGroundSpace:
         assert gs.dimension == 4
         gram = gs.basis.T @ gs.basis
         assert np.abs(gram - np.eye(4)).max() < 1e-9
+
+    def test_terms_and_projector_are_built_once(self, monkeypatch):
+        import qdw.lattice as lattice
+        calls = {"build_terms": 0, "_dense_projector": 0}
+        for name in calls:
+            real = getattr(lattice, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(lattice, name, counted)
+        gs = ground_space(ring(3), Z3, {"inner": Z3.trivial_subgroup(),
+                                        "outer": Z3.trivial_subgroup()})
+        assert gs.dimension == 3
+        assert calls == {"build_terms": 1, "_dense_projector": 1}
 
     def test_oversized_lattice_rejected(self):
         with pytest.raises(ValueError, match="too large"):
