@@ -4,7 +4,13 @@ Edges carry one group-valued register each.  Every Hamiltonian term is a
 sum of monomials with Fraction coefficients, where a monomial assigns an
 injective partial map of the register to each touched edge.  Products,
 adjoints, and commutators are therefore exact; the audit reports exact
-zeros, not small numbers.
+zeros, not small numbers.  A diagonal operator is also evaluated as an
+integer table over the configurations of its support (numerators over
+one common denominator, built with numpy), which decides whether it is
+a projector.  The audit first tries an exact permutation pre-test on
+that table for each pair of a diagonal and a non-diagonal term, and
+falls back to expanding the commutator into matrix-unit atoms when the
+pre-test does not pass.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits its budget.  Counting and trace
@@ -18,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -260,21 +266,40 @@ class Operator:
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
 
-    def diagonal_values(self, edges: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
-        """Exact diagonal entries over configurations of `edges` (diagonal ops only)."""
+    def _diagonal_numerators(self, edges: Sequence[int]) -> tuple[np.ndarray, int]:
+        """Exact diagonal entries as integers over one common denominator.
+
+        Returns (numerators, den): the entry of configuration c of `edges`
+        (indexed as in `config_digits`) is numerators[c] / den, where den
+        is the least common multiple of the coefficient denominators.
+        Each monomial adds its scaled numerator where the indicator
+        gathers of its edge maps all hit.  The int64 sums cannot wrap:
+        the sum of |numerator| is checked to stay below 2**62.
+        """
         if not self.is_diagonal():
             raise ValueError("operator is not diagonal")
-        out: dict[tuple[int, ...], Fraction] = {}
         pos = {e: i for i, e in enumerate(edges)}
-        for cfg in itertools.product(range(self.n), repeat=len(edges)):
-            total = Fraction(0)
-            for key, c in self.terms.items():
-                hit = all(m[cfg[pos[e]]] >= 0 for e, m in key)
-                if hit:
-                    total += c
-            if total:
-                out[cfg] = total
-        return out
+        if not set(self.support) <= set(pos):
+            raise ValueError("edge list does not cover the operator support")
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
+        if sum(abs(x) for x in nums) >= 2 ** 62:
+            raise ValueError("diagonal numerators over the int64 budget 2**62")
+        digits, _ = config_digits(self.n, len(edges))
+        total = np.zeros(len(digits), dtype=np.int64)
+        for key, num in zip(self.terms, nums):
+            hit = np.ones(len(digits), dtype=bool)
+            for e, m in key:
+                hit &= (np.array(m) >= 0)[digits[:, pos[e]]]
+            total[hit] += num
+        return total, den
+
+    def diagonal_values(self, edges: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+        """Exact nonzero diagonal entries over configurations of `edges` (diagonal ops only)."""
+        total, den = self._diagonal_numerators(edges)
+        digits, _ = config_digits(self.n, len(edges))
+        return {tuple(int(x) for x in digits[c]): Fraction(int(total[c]), den)
+                for c in np.flatnonzero(total)}
 
     def is_projector(self) -> bool:
         """Exact idempotence and self-adjointness."""
@@ -284,8 +309,8 @@ class Operator:
             edges = self.support
             if self.n ** len(edges) > MATERIALIZE_DIM_BUDGET:
                 return ((self * self) - self).is_zero()
-            vals = self.diagonal_values(edges)
-            return all(v in (Fraction(0), Fraction(1)) for v in vals.values())
+            total, den = self._diagonal_numerators(edges)
+            return bool(np.all((total == 0) | (total == den)))
         return ((self * self) - self).is_zero()
 
     def matrix_entries(self, edges: Sequence[int]):
@@ -417,6 +442,12 @@ class Lattice:
             for e in reg.dangling_edges:
                 if face_count[e] != 0:
                     raise ValueError(f"dangling edge {e} still borders a face")
+                for v in self.edges[e]:
+                    if v not in reg.rim_vertices:
+                        raise ValueError(
+                            f"dangling edge {self.edge_names[e]} has endpoint "
+                            f"{self.vertex_names[v]}, which is not a rim vertex "
+                            f"of region {reg.name!r}")
 
     @property
     def n_edges(self) -> int:
@@ -830,6 +861,12 @@ class PairCheck:
 
 @dataclass
 class AuditReport:
+    """Per-term and per-pair audit results.
+
+    `skipped_pairs` (reported as `pairs_skipped_disjoint`) counts the pairs
+    that commute without a check: disjoint pairs and overlapping pairs of
+    two diagonal terms.
+    """
     term_checks: list[TermCheck]
     pair_checks: list[PairCheck]
     skipped_pairs: int
@@ -848,14 +885,62 @@ class AuditReport:
         return out
 
 
+def _commutes_by_permutation(numerators: np.ndarray, edges: Sequence[int],
+                             other: Operator) -> bool:
+    """Sufficient test that a diagonal operator D commutes with `other`.
+
+    `numerators` is D's integer table over `edges` (D's support), as
+    returned by `Operator._diagonal_numerators`.  The test passes when
+    every monomial U of `other` is total on `edges` and D's table is
+    invariant under the configuration map U induces there: then D U = U D
+    column by column, so D commutes with every monomial and with their
+    sum.  False means "not shown", not "does not commute".
+    """
+    pos = {e: i for i, e in enumerate(edges)}
+    digits, weights = config_digits(other.n, len(edges))
+    identity = np.arange(len(digits), dtype=np.int64)
+    for key in other.terms:
+        idx = identity
+        for e, m in key:
+            i = pos.get(e)
+            if i is None:
+                continue
+            if min(m) < 0:
+                return False
+            col = digits[:, i]
+            idx = idx + (np.array(m, dtype=np.int64)[col] - col) * weights[i]
+        if not np.array_equal(numerators[idx], numerators):
+            return False
+    return True
+
+
 def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     """Exact projector, hermiticity, and pairwise commutation checks.
 
-    Pairs of diagonal terms commute identically and are skipped (counted).
-    Residual norms are materialized only for failing pairs on small supports.
+    A term flagged diagonal must have a diagonal operator, because the
+    pair loop trusts the flag; a diagonal operator flagged otherwise (a
+    vertex term with K trivial is the identity) is only checked more
+    than it needs to be.  Disjoint pairs and pairs of two diagonal terms
+    commute identically; both are skipped and counted in `skipped_pairs`.
+
+    A diagonal term is a projector when its integer diagonal table
+    (`Operator._diagonal_numerators`) takes only the values 0 and its
+    denominator.  For an overlapping pair with one diagonal term D, the
+    exact permutation pre-test `_commutes_by_permutation` runs first on
+    D's table; when it does not pass, the commutator is expanded into
+    matrix-unit atoms as for every other pair.  Both routes record the
+    pair as checked.  Residual norms are materialized only for failing
+    pairs on small supports.
     """
+    for t in terms:
+        if t.diagonal and not t.op.is_diagonal():
+            raise InvariantError(f"term {t.name} is flagged diagonal, "
+                                 "but its operator is not diagonal")
     term_checks = [TermCheck(t.name, t.op.is_projector(), t.op.is_hermitian())
                    for t in terms]
+    tables = {k: t.op._diagonal_numerators(t.op.support)[0]
+              for k, t in enumerate(terms)
+              if t.diagonal and n ** len(t.op.support) <= MATERIALIZE_DIM_BUDGET}
     pair_checks = []
     skipped = 0
     for i in range(len(terms)):
@@ -866,6 +951,11 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 continue
             if ti.diagonal and tj.diagonal:
                 skipped += 1
+                continue
+            d, other = (i, tj) if ti.diagonal else (j, ti)
+            if d in tables and _commutes_by_permutation(
+                    tables[d], terms[d].op.support, other.op):
+                pair_checks.append(PairCheck(ti.name, tj.name, True))
                 continue
             comm = ti.op.commutator(tj.op)
             ok = comm.is_zero()

@@ -30,6 +30,12 @@ GOLDEN = {
     "--subgroup2 trivial --inject-literal-edge in0":
         (EXIT_INVARIANT,
          "8c0a60466ef21b6dc3ae3aab1a4a29380188dbbff8ef3154b40378f6099766e8"),
+    # the audit's permutation pre-test decides most pairs of these two;
+    # both digests were taken with every pair expanded into atoms
+    "lattice-audit --group symmetric:3 --lattice torus:2x2":
+        (EXIT_OK, "7debc0349b3256370f4b43fffea225dd031d60070d56c4e947e3080da6320dcd"),
+    "lattice-audit --group quaternion8 --lattice ring:3 --subgroup 1,-1 --subgroup2 1":
+        (EXIT_OK, "d8092834a5a785bd9ce77a82c53907a9b6e87cf852c27c14f1a5565cd9252c52"),
 }
 
 

@@ -11,11 +11,16 @@ from qdw.groups import InvariantError, build_group, enumerate_subgroups
 from qdw.classify import anyon_table, qudit_dimension
 from qdw.groups import double_cosets
 from qdw.lattice import (
+    MATERIALIZE_DIM_BUDGET,
+    AuditReport,
     BoundaryRegion,
     GroundSpace,
     HamiltonianTerm,
     Lattice,
     Operator,
+    PairCheck,
+    TermCheck,
+    _commutes_by_permutation,
     _spanning_forest,
     _term_matrix,
     audit_commutation,
@@ -38,6 +43,7 @@ from qdw.lattice import (
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
 Z3 = build_group("cyclic:3")
+Q8 = build_group("quaternion8")
 
 
 def loop_matrix(op, edges):
@@ -56,10 +62,133 @@ def loop_matrix(op, edges):
     return mat
 
 
+def loop_diagonal_values(op, edges):
+    """Fraction-by-Fraction reference for Operator.diagonal_values."""
+    out = {}
+    pos = {e: i for i, e in enumerate(edges)}
+    for cfg in itertools.product(range(op.n), repeat=len(edges)):
+        total = Fraction(0)
+        for key, c in op.terms.items():
+            hit = all(m[cfg[pos[e]]] >= 0 for e, m in key)
+            if hit:
+                total += c
+        if total:
+            out[cfg] = total
+    return out
+
+
+_LOOP_TABLES = {}
+
+
+def cached_loop_diagonal_values(op):
+    """loop_diagonal_values over the support, run once per operator shape.
+
+    Operators equal up to a relabelling of their edges (one face shape on
+    several lattices) share one loop run: the operator is written on axes
+    0..k-1 in the order that gives the smallest key, and the loop's
+    configurations are mapped back to the support's order.
+    """
+    support = op.support
+    forms = []
+    for perm in itertools.permutations(range(len(support))):
+        axis = {support[p]: i for i, p in enumerate(perm)}
+        forms.append((tuple(sorted((tuple(sorted((axis[e], m) for e, m in key)), c)
+                                   for key, c in op.terms.items())), perm))
+    form, perm = min(forms)
+    if (op.n, form) not in _LOOP_TABLES:
+        canonical = Operator(op.n, dict(form))
+        _LOOP_TABLES[op.n, form] = loop_diagonal_values(canonical, range(len(support)))
+    out = {}
+    for cfg, v in _LOOP_TABLES[op.n, form].items():
+        orig = [0] * len(support)
+        for i, p in enumerate(perm):
+            orig[p] = cfg[i]
+        out[tuple(orig)] = v
+    return out
+
+
+def atom_path_audit(terms, n, memo):
+    """Reference audit: the Fraction loop for diagonal projector checks and
+    atom expansion for every overlapping pair that is not diagonal-diagonal.
+
+    `memo` maps term and pair names to their results, so audits of one
+    lattice with different injected terms share the work.
+    """
+    term_checks = []
+    for t in terms:
+        if t.name not in memo:
+            op = t.op
+            herm = op.is_hermitian()
+            if not herm:
+                proj = False
+            elif op.is_diagonal() and n ** len(op.support) <= MATERIALIZE_DIM_BUDGET:
+                proj = all(v in (0, 1) for v in cached_loop_diagonal_values(op).values())
+            else:
+                proj = ((op * op) - op).is_zero()
+            memo[t.name] = TermCheck(t.name, proj, herm)
+        term_checks.append(memo[t.name])
+    pair_checks = []
+    skipped = 0
+    for i, ti in enumerate(terms):
+        for tj in terms[i + 1:]:
+            if not set(ti.edges) & set(tj.edges) or (ti.diagonal and tj.diagonal):
+                skipped += 1
+                continue
+            if (ti.name, tj.name) not in memo:
+                comm = ti.op.commutator(tj.op)
+                ok = comm.is_zero()
+                norm = None
+                union = tuple(sorted(set(ti.edges) | set(tj.edges)))
+                if not ok and n ** len(union) <= MATERIALIZE_DIM_BUDGET:
+                    norm = float(np.linalg.norm(comm.to_matrix(union)))
+                memo[ti.name, tj.name] = PairCheck(ti.name, tj.name, ok, norm)
+            pair_checks.append(memo[ti.name, tj.name])
+    return AuditReport(term_checks, pair_checks, skipped)
+
+
+def with_literal_edge(lat, group, subs, terms, e):
+    """`terms` plus the literal edge average on edge e, as lattice-audit injects it."""
+    region = next((r.name for r in lat.regions
+                   if e in r.rim_edges or e in r.dangling_edges), None)
+    sub = subs[region] if region is not None else group.full_subgroup()
+    return list(terms) + [HamiltonianTerm(
+        name=f"L({lat.edge_names[e]})", kind="literal",
+        op=literal_gauge_edge_term(group, e, sub), edges=(e,),
+        diagonal=False, region=region)]
+
+
 def two_hole_lattice():
     lat = patch(3, 5)
     lat = carve_hole(lat, ["p(1,1)"], "hole0")
     return carve_hole(lat, ["p(1,3)"], "hole1")
+
+
+def spur_on_bulk_vertex():
+    """patch(2, 2) plus a dangling edge from the centre vertex to a new rim vertex."""
+    lat = patch(2, 2)
+    outer = lat.regions[0]
+    spur = BoundaryRegion("outer", outer.rim_vertices + (9,), outer.rim_edges,
+                          dangling_edges=(lat.n_edges,))
+    return Lattice(10, lat.edges + [(4, 9)], lat.plaquettes, regions=[spur],
+                   vertex_names=lat.vertex_names + ["spur"],
+                   edge_names=lat.edge_names + ["s"],
+                   plaquette_names=lat.plaquette_names)
+
+
+def audit_cases():
+    """(id, group, lattice, boundary subgroups) for the fast-path tests:
+    each region gets a proper nontrivial subgroup where one exists."""
+    cases = []
+    for group in (Z2, Z3, S3, Q8):
+        subs = enumerate_subgroups(group)
+        k = subs[1] if len(subs) > 2 else group.full_subgroup()
+        for name, lat, assign in (
+                ("torus2x2", torus(2, 2), {}),
+                ("ring3", ring(3), {"inner": k, "outer": group.trivial_subgroup()}),
+                ("patch2x2", patch(2, 2), {"outer": k}),
+                ("dangling", dangling_lattice(), {"bdry": k})):
+            cases.append((f"{group.label}-{name}", group, lat, assign))
+    return cases
 
 
 def pinned_edges(lat):
@@ -153,6 +282,19 @@ class TestGeometry:
         sq = [((0, True), (1, True), (2, True), (3, True))]
         with pytest.raises(ValueError, match="dangling"):
             Lattice(4, [(0, 1), (1, 2), (2, 3), (3, 0)], sq, regions=[reg])
+
+    def test_dangling_edge_on_bulk_vertex_rejected(self):
+        # with K = {e, (23)} its terms would not commute ([A((1,1)), P-(s)])
+        # and the Burnside total would not divide by the gauge volume
+        with pytest.raises(ValueError, match=r"dangling edge s .* \(1,1\)"):
+            spur_on_bulk_vertex()
+
+    def test_rim_anchored_dangling_edges_and_carved_patches_validate(self):
+        assert dangling_lattice().regions[0].dangling_edges == (4,)
+        for lat in (carve_hole(patch(3, 4), ["p(1,1)"], "h"),
+                    carve_hole(patch(3, 4), ["p(1,1)", "p(1,2)"], "h"),
+                    two_hole_lattice()):
+            Lattice(lat.n_vertices, lat.edges, lat.plaquettes, lat.regions)
 
     def test_two_hole_lattice_census(self):
         lat = two_hole_lattice()
@@ -432,6 +574,14 @@ class TestTermsAndAudit:
             rep = audit_commutation(build_terms(lat, S3, {"bdry": sub}), S3.order)
             assert rep.ok
 
+    def test_misflagged_diagonal_term_is_an_invariant_error(self):
+        lat = torus(2, 2)
+        op = gauge_vertex_term(lat, S3, 0)
+        fake = HamiltonianTerm(name="A*", kind="gauge", op=op, edges=op.support,
+                               diagonal=True)
+        with pytest.raises(InvariantError, match="flagged diagonal"):
+            audit_commutation(build_terms(lat, S3, {}) + [fake], S3.order)
+
     def test_literal_term_fails_the_audit(self):
         k2, k3 = S3.subgroup([0, 1]), S3.subgroup([0, 3, 4])
         terms = build_terms(ring(3), S3, {"inner": k2, "outer": k3})
@@ -446,6 +596,107 @@ class TestTermsAndAudit:
         assert ("B(f0)", "L_K(in0)") in bad_pairs
         norms = [p.residual_norm for p in rep.pair_checks if not p.commutes]
         assert all(x is not None and x > 0.1 for x in norms)
+
+
+# integer diagonal tables and the permutation pre-test ----------------------
+
+def diagonal_operator(n, monomials):
+    """Sum of point or indicator monomials, each (coeff, {edge: allowed values})."""
+    out = Operator(n)
+    for coeff, allowed in monomials:
+        maps = {e: tuple(x if x in vals else -1 for x in range(n))
+                for e, vals in allowed.items()}
+        out = out + Operator.monomial(n, coeff, maps)
+    return out
+
+
+@st.composite
+def diagonal_and_shifts(draw):
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 3))
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                              Fraction(1, 3), Fraction(2, 3), Fraction(5, 6)])
+    values = st.sets(st.integers(0, n - 1), min_size=1, max_size=n)
+    monomials = draw(st.lists(st.tuples(coeffs, st.dictionaries(
+        st.integers(0, k - 1), values, min_size=1)), min_size=1, max_size=4))
+    diag = diagonal_operator(n, monomials)
+    # a sum of permutation monomials, each total on its edges, touching
+    # the diagonal's edges and one edge beyond them
+    perm = st.permutations(range(n)).map(tuple)
+    shifts = draw(st.lists(st.tuples(coeffs, st.dictionaries(
+        st.integers(0, k), perm, min_size=1)), min_size=1, max_size=3))
+    other = Operator(n)
+    for coeff, maps in shifts:
+        other = other + Operator.monomial(n, coeff, maps)
+    if draw(st.booleans()):
+        # average the diagonal over every power of the first shift's
+        # monomial, which makes it invariant under that one
+        u = Operator.monomial(n, Fraction(1), shifts[0][1])
+        power, avg = Operator.identity(n), Operator(n)
+        for _ in range(6):   # permutations of at most 3 points have order | 6
+            avg = avg + power * diag * power.adjoint()
+            power = u * power
+        diag = avg.scale(Fraction(1, 6))
+        other = u
+    return diag, other
+
+
+class TestDiagonalFastPath:
+    @pytest.mark.parametrize("case", audit_cases(), ids=lambda c: c[0])
+    def test_diagonal_values_match_the_loop(self, case):
+        _, group, lat, subs = case
+        for t in build_terms(lat, group, subs):
+            if t.diagonal:
+                assert t.op.diagonal_values(t.op.support) == \
+                    cached_loop_diagonal_values(t.op), t.name
+
+    def test_diagonal_values_on_a_wider_edge_list(self):
+        op = boundary_edge_term(torus(2, 2), S3, 3, S3.subgroup([0, 1]))
+        edges = (5, 3)
+        assert op.diagonal_values(edges) == loop_diagonal_values(op, edges)
+        with pytest.raises(ValueError, match="cover"):
+            op.diagonal_values((5,))
+        with pytest.raises(ValueError, match="not diagonal"):
+            gauge_vertex_term(torus(2, 2), S3, 0).diagonal_values((0, 4, 2, 6))
+
+    def test_numerators_guard_against_int64_overflow(self):
+        big = Fraction(2 ** 61, 3)
+        op = Operator.monomial(2, big, {0: (0, -1)}) + \
+            Operator.monomial(2, big * 2, {0: (-1, 1)})
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            op.is_projector()
+
+    # The reference expands every overlapping pair into atoms, which takes
+    # about a second per injected term for S3 and Q8.  So every injection
+    # is swept for C2 and C3 on every lattice and for S3 on the dangling
+    # lattice, whose rim pins, spur and face meet the literal term in every
+    # pair kind; the other cases are audited without injections, and Q8 on
+    # torus:2x2 and patch:2x2 not at all (Q8 on ring:3 also has a golden
+    # digest, taken with every pair expanded).
+    @pytest.mark.parametrize("case", [c for c in audit_cases() if c[0] not in (
+        "quaternion8-torus2x2", "quaternion8-patch2x2")], ids=lambda c: c[0])
+    def test_audit_matches_the_atom_path(self, case):
+        name, group, lat, subs = case
+        terms = build_terms(lat, group, subs)
+        memo = {}
+        assert audit_commutation(terms, group.order) == \
+            atom_path_audit(terms, group.order, memo)
+        if group.order > 3 and name != "symmetric:3-dangling":
+            return
+        for e in range(lat.n_edges):
+            injected = with_literal_edge(lat, group, subs, terms, e)
+            assert audit_commutation(injected, group.order) == \
+                atom_path_audit(injected, group.order, memo), lat.edge_names[e]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(diagonal_and_shifts())
+    def test_pre_test_is_sound(self, ops):
+        diag, other = ops
+        edges = diag.support
+        table, _ = diag._diagonal_numerators(edges)
+        if _commutes_by_permutation(table, edges, other):
+            assert diag.commutator(other).is_zero()
+        assert diag.is_projector() == ((diag * diag) - diag).is_zero()
 
 
 # elimination order ---------------------------------------------------------
