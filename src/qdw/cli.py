@@ -453,6 +453,10 @@ def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat]:
         region = next((r.name for r in lat.regions
                        if e in r.rim_edges or e in r.dangling_edges), None)
         sub = subs[region] if region is not None else group.full_subgroup()
+        if sub.order == 1:
+            where = "the bulk" if region is None else f"region {region!r}"
+            raise ValueError(f"--inject-literal-edge {lat.edge_names[e]}: {where} has "
+                             "trivial K, so the literal term is the identity")
         terms = terms + [HamiltonianTerm(
             name=f"L({lat.edge_names[e]})", kind="literal",
             op=literal_gauge_edge_term(group, e, sub), edges=(e,),

@@ -16,7 +16,9 @@ Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits its budget.  Counting and trace
 evaluate one Burnside sum over gauge orbits of flat connections, on a
 gauge-fixed slice and on every flat configuration; the dense matrix
-trace is the only route that does not share that formula.
+trace is the only route that does not share that formula.  It builds
+the projector on the support of the diagonal terms, and raises when a
+term maps that support outside itself, which commuting projectors never do.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from qdw.groups import FiniteGroup, InvariantError, Subgroup
 
@@ -313,11 +314,12 @@ class Operator:
             return bool(np.all((total == 0) | (total == den)))
         return ((self * self) - self).is_zero()
 
-    def matrix_entries(self, edges: Sequence[int]):
-        """(rows, cols, values) of every nonzero contribution over `edges`.
+    def monomial_entries(self, edges: Sequence[int]):
+        """(rows, cols, coeff) of each monomial over configurations of `edges`.
 
-        Configurations are indexed as in `config_digits`; entries at the
-        same position are separate contributions, to be summed.
+        Configurations are indexed as in `config_digits`.  A monomial is an injective
+        partial map, so its rows never repeat and `out[rows] += coeff * x[cols]`
+        applies it exactly.  Budget and edge cover are checked before the first one.
         """
         k = len(edges)
         dim = self.n ** k
@@ -328,29 +330,33 @@ class Operator:
             raise ValueError("edge list does not cover the operator support")
         digits, weights = config_digits(self.n, k)
         cols_all = np.arange(dim, dtype=np.int64)
-        rows_acc = [cols_all[:0]]
-        cols_acc = [cols_all[:0]]
-        data_acc = [np.zeros(0)]
-        for key, coeff in self.terms.items():
+
+        def entries(key):
             rows = cols_all.copy()
             valid = np.ones(dim, dtype=bool)
             for e, m in key:
                 d = digits[:, pos[e]]
                 tgt = np.array(m, dtype=np.int64)[d]
                 valid &= tgt >= 0
-                rows = rows + (np.where(tgt >= 0, tgt, 0) - d) * weights[pos[e]]
-            rows_acc.append(rows[valid])
-            cols_acc.append(cols_all[valid])
-            data_acc.append(np.full(int(valid.sum()), float(coeff)))
-        return (np.concatenate(rows_acc), np.concatenate(cols_acc),
-                np.concatenate(data_acc))
+                rows += (np.where(tgt >= 0, tgt, 0) - d) * weights[pos[e]]
+            return rows[valid], cols_all[valid]
+
+        return ((*entries(key), coeff) for key, coeff in self.terms.items())
+
+    def apply(self, edges: Sequence[int], x: np.ndarray) -> np.ndarray:
+        """The operator applied to the rows of x (configurations of `edges`)."""
+        out = np.zeros(x.shape, dtype=np.result_type(x, float))
+        for rows, cols, coeff in self.monomial_entries(edges):
+            out[rows] += float(coeff) * x[cols]
+        return out
 
     def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
         """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
+        entries = self.monomial_entries(edges)
         dim = self.n ** len(edges)
-        rows, cols, data = self.matrix_entries(edges)
         mat = np.zeros((dim, dim))
-        np.add.at(mat, (rows, cols), data)
+        for rows, cols, coeff in entries:
+            mat[rows, cols] += float(coeff)
         return mat
 
 
@@ -1328,35 +1334,45 @@ def _gsd_trace(lat: Lattice, group: FiniteGroup,
 # route 3: dense matrix trace
 
 
-def _term_matrix(term: HamiltonianTerm, group: FiniteGroup, n_edges: int) -> sp.csr_matrix:
-    dim = group.order ** n_edges
-    rows, cols, data = term.op.matrix_entries(range(n_edges))
-    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
-
-
 def _dense_projector(lat: Lattice, group: FiniteGroup,
                      subgroups: Mapping[str, Subgroup],
                      terms: Optional[Sequence[HamiltonianTerm]] = None):
-    n = group.order
-    dim = n ** lat.n_edges
+    """(support, P_S), or None over budget: the ground projector's dense S x S block.
+
+    S lists the configurations where the product of the diagonal terms is
+    nonzero; P_S starts as that product, and each off-diagonal monomial is
+    applied as one gather through its inverse map (row m, kept zero, means
+    no preimage).  Commuting projectors keep S invariant, so the projector
+    vanishes outside the block; a monomial that maps S outside S raises.
+    """
+    dim = group.order ** lat.n_edges
     if dim > MATERIALIZE_DIM_BUDGET:
         return None
     if terms is None:
         terms = build_terms(lat, group, subgroups)
+    edges = range(lat.n_edges)
     diag = np.ones(dim)
-    offdiag = []
-    for t in terms:
-        mat = _term_matrix(t, group, lat.n_edges)
-        if t.diagonal:
-            diag *= mat.diagonal()
-        else:
-            offdiag.append(mat)
-    proj = sp.diags(diag).tocsr()
-    for mat in offdiag:
-        proj = mat @ proj
-        if proj.nnz > 40_000_000:
-            raise InvariantError("dense projector exceeded the sparsity guard")
-    return proj
+    for t in (t for t in terms if t.diagonal):
+        diag *= t.op.apply(edges, np.ones(dim))
+    support = np.flatnonzero(diag)
+    m = len(support)
+    if m ** 2 > 40_000_000:
+        raise InvariantError("dense projector exceeded the sparsity guard")
+    index = np.full(dim, m, dtype=np.int64)
+    index[support] = np.arange(m)
+    proj = np.vstack([np.diag(diag[support]), np.zeros(m)])
+    for t in (t for t in terms if not t.diagonal):
+        out = np.zeros_like(proj)
+        for rows, cols, coeff in t.op.monomial_entries(edges):
+            inside = index[cols] < m
+            rows, cols = index[rows[inside]], index[cols[inside]]
+            if (rows == m).any():
+                raise InvariantError(f"{t.name} maps a configuration out of the support")
+            preimage = np.full(m, m)
+            preimage[rows] = cols
+            out[:m] += float(coeff) * proj[preimage]
+        proj = out
+    return support, proj[:m]
 
 
 def _projector_rank(proj) -> int:
@@ -1370,9 +1386,9 @@ def _projector_rank(proj) -> int:
 
 def _gsd_dense(lat: Lattice, group: FiniteGroup,
                subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    """Route 3: the trace of the explicit projector, the independent oracle."""
-    proj = _dense_projector(lat, group, subgroups)
-    return None if proj is None else _projector_rank(proj)
+    """Route 3: the trace of the explicit projector's support block, the independent oracle."""
+    dense = _dense_projector(lat, group, subgroups)
+    return None if dense is None else _projector_rank(dense[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1428,10 +1444,11 @@ class GroundSpace:
         self.lattice = lat
         self.group = group
         self.terms = build_terms(lat, group, subgroups)
-        proj = _dense_projector(lat, group, subgroups, self.terms)
-        if proj is None:
+        dense = _dense_projector(lat, group, subgroups, self.terms)
+        if dense is None:
             raise ValueError("lattice is too large for an explicit ground basis")
-        dim = proj.shape[0]
+        support, proj = dense
+        dim = group.order ** lat.n_edges
         expected = ground_space_dimension(lat, group, subgroups,
                                           methods=("counting", "trace")).value
         rank = _projector_rank(proj)
@@ -1439,7 +1456,8 @@ class GroundSpace:
             raise InvariantError(f"projector rank {rank} != route count {expected}")
         rng = np.random.default_rng(7)
         probe = rng.normal(size=(dim, min(dim, expected + 6)))
-        img = proj @ probe
+        img = np.zeros_like(probe)
+        img[support] = proj @ probe[support]
         q, r = np.linalg.qr(img)
         keep = np.abs(np.diag(r)) > 1e-8 * max(1.0, float(np.abs(r).max()))
         self.basis = q[:, keep]
@@ -1447,8 +1465,7 @@ class GroundSpace:
             raise InvariantError(
                 f"ground basis rank {self.basis.shape[1]} != expected {expected}")
         for t in self.terms:
-            mat = _term_matrix(t, group, lat.n_edges)
-            if float(np.abs(mat @ self.basis - self.basis).max()) > 1e-9:
+            if float(np.abs(t.op.apply(range(lat.n_edges), self.basis) - self.basis).max()) > 1e-9:
                 raise InvariantError(f"ground basis is not fixed by {t.name}")
 
     @property

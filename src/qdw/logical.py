@@ -17,7 +17,6 @@ from math import gcd, prod
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from qdw.classify import abelian_anyon_data
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, character_table
@@ -431,18 +430,18 @@ class StringOperator:
     def is_identity(self) -> bool:
         return (not any(self.shift)) and (not any(self.phase)) and self.offset == 0
 
-    def to_matrix(self) -> sp.csr_matrix:
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """The operator applied to the rows of states (configurations, as in config_digits)."""
         n, ne = self.n, len(self.shift)
         dim = n ** ne
         if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("string operator too large to materialize")
         digits, weights = config_digits(n, ne)
-        cols = np.arange(dim, dtype=np.int64)
-        tgt = (digits + np.array(self.shift, dtype=np.int64)[None, :]) % n
-        rows = tgt @ weights
+        rows = ((digits + np.array(self.shift, dtype=np.int64)[None, :]) % n) @ weights
         expo = (self.offset + digits @ np.array(self.phase, dtype=np.int64)) % n
-        data = np.exp(2j * np.pi * expo / n)
-        return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
+        out = np.empty(states.shape, dtype=complex)
+        out[rows] = (np.exp(2j * np.pi * expo / n) * states.T).T
+        return out
 
 
 def shift_string(ags: AbelianGroundSpace, amounts: Mapping, ) -> StringOperator:

@@ -245,10 +245,10 @@ def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
     if any(a != acts[0] for a in acts[1:]):
         raise InvariantError("rerouted tunnel changed its ground-space action")
     if ags.n ** ags.lattice.n_edges <= MATERIALIZE_DIM_BUDGET:
-        mats = [op.to_matrix() for op in ops]
         q = ags.orbit_state_matrix()
-        for m in mats[1:]:
-            if np.abs((m - mats[0]) @ q).max() > tol:
+        imgs = [op.apply(q) for op in ops]
+        for img in imgs[1:]:
+            if np.abs(img - imgs[0]).max() > tol:
                 raise InvariantError("rerouted tunnel moved a ground state")
     return f"{len(routes)} homotopic reroutes act identically on the sectors"
 

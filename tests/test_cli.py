@@ -1,10 +1,15 @@
 """End-to-end runner tests: flags, formats, exit codes, report shapes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdw
 from qdw.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
@@ -182,6 +187,9 @@ class TestExitCodes:
         ["group-info", "--group", '{"table": null}'],
         ["group-info", "--group", '{"table": [0], "order": null}'],
         ["group-info", "--group", '{"table": [0], "names": 5}'],
+        ["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
+         "--subgroup", "trivial", "--subgroup2", "full",
+         "--inject-literal-edge", "in0"],
     ])
     def test_usage_errors(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -378,3 +386,13 @@ class TestRegionAssignment:
                    "--subgroup", "trivial", "--subgroup2", "trivial"])
         assert rc == EXIT_USAGE
         assert "attic" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI imports numpy only; scipy would add its import to every run."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
+    code = ("import sys, qdw.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "[]"

@@ -21,8 +21,8 @@ from qdw.lattice import (
     PairCheck,
     TermCheck,
     _commutes_by_permutation,
+    _dense_projector,
     _spanning_forest,
-    _term_matrix,
     audit_commutation,
     boundary_edge_term,
     build_terms,
@@ -502,8 +502,8 @@ class TestOperatorAlgebra:
             assert np.array_equal(t.op.to_matrix(t.edges), loop_matrix(t.op, t.edges))
             if group.order ** lat.n_edges <= 1024:
                 full = tuple(range(lat.n_edges))
-                assert np.array_equal(t.op.to_matrix(full),
-                                      _term_matrix(t, group, lat.n_edges).toarray())
+                eye = np.eye(group.order ** lat.n_edges)
+                assert np.array_equal(t.op.to_matrix(full), t.op.apply(full, eye))
 
     def test_matrix_budget_guard(self):
         op = Operator.identity(S3.order)
@@ -843,6 +843,48 @@ class TestGroundStateCounts:
         assert rep.by_method == {"dense": 4}
         with pytest.raises(ValueError, match="unknown method"):
             ground_space_dimension(torus(2, 2), Z2, {}, methods=("magic",))
+
+
+# the dense route's restricted projector ------------------------------------
+
+def dense_reference_cases():
+    """(group, lattice, boundary subgroups) params with n^E <= 4096: C2 and C3 on
+    torus:2x2, ring:3 with every boundary pair, patch:1x2 and the dangling lattice."""
+    cases = []
+    for group in (Z2, Z3):
+        subs = [group.trivial_subgroup(), group.full_subgroup()]
+        shapes = [("torus2x2", torus(2, 2), [{}]),
+                  ("ring3", ring(3), [{"inner": a, "outer": b} for a in subs for b in subs]),
+                  ("patch1x2", patch(1, 2), [{"outer": k} for k in subs]),
+                  ("dangling", dangling_lattice(), [{"bdry": k} for k in subs])]
+        for name, lat, assigns in shapes:
+            if group.order ** lat.n_edges > 4096:
+                continue
+            for i, assign in enumerate(assigns):
+                cases.append(pytest.param(group, lat, assign,
+                                          id=f"{group.label}-{name}-{i}"))
+    return cases
+
+
+class TestDenseProjector:
+    @pytest.mark.parametrize("group,lat,subs", dense_reference_cases())
+    def test_support_block_matches_the_full_product(self, group, lat, subs):
+        full = tuple(range(lat.n_edges))
+        terms = build_terms(lat, group, subs)
+        ref = np.eye(group.order ** lat.n_edges)
+        for t in terms:
+            ref = t.op.to_matrix(full) @ ref
+        support, proj = _dense_projector(lat, group, subs, terms)
+        block = np.ix_(support, support)
+        assert np.abs(ref[block] - proj).max() < 1e-12
+        ref[block] = 0.0
+        assert not ref.any()
+
+    def test_literal_face_edge_breaks_the_support(self):
+        lat = torus(2, 2)
+        terms = with_literal_edge(lat, Z2, {}, build_terms(lat, Z2, {}), 0)
+        with pytest.raises(InvariantError, match=r"^L\(h\(0,0\)\) maps a configuration"):
+            _dense_projector(lat, Z2, {}, terms)
 
 
 # explicit ground bases -----------------------------------------------------
