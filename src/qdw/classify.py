@@ -30,6 +30,7 @@ __all__ = [
     "AnyonLabel",
     "AnyonTable",
     "anyon_table",
+    "s_matrix",
     "BoundaryType",
     "boundary_types",
     "LagrangianAlgebra",
@@ -114,6 +115,67 @@ def anyon_table(group: FiniteGroup) -> AnyonTable:
     if "anyon_table" not in group._cache:
         group._cache["anyon_table"] = AnyonTable(group)
     return group._cache["anyon_table"]
+
+
+def s_matrix(group: FiniteGroup) -> np.ndarray:
+    """The modular S matrix of D(G) over `anyon_table(group)`, cached per group.
+
+    S[(A,a),(B,b)] = 1/|G| sum over commuting g in A, h in B of
+    conj chi_a(x_g^-1 h x_g) conj chi_b(x_h^-1 g x_h), where x_g r_A x_g^-1 = g
+    for the class representative r_A (Coste, Gannon and Ruelle, "Finite
+    group modular data", 2000).  The value does not depend on the choice
+    of x_g, because chi_a is a class function of the centralizer of r_A.
+    Raises InvariantError unless S is unitary and symmetric with
+    S[0, 0] = 1/|G|.
+    """
+    if "s_matrix" not in group._cache:
+        group._cache["s_matrix"] = _build_s_matrix(anyon_table(group))
+    return group._cache["s_matrix"]
+
+
+def _build_s_matrix(table: AnyonTable) -> np.ndarray:
+    group = table.group
+    n = group.order
+    class_of = [group.class_index_of(g) for g in range(n)]
+    transporter: dict[int, int] = {}       # g -> x_g with x_g r x_g^-1 = g
+    for cl in table.classes:
+        for x in range(n):
+            transporter.setdefault(group.conj(x, cl.rep), x)
+    # column of each centralizer's character table at a parent element
+    columns = []
+    for cl in table.classes:
+        sub, to_parent = cl.centralizer.as_group()
+        columns.append({p: sub.class_index_of(i) for i, p in enumerate(to_parent)})
+    # character columns of every commuting pair, grouped by class pair
+    pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for g in range(n):
+        for h in range(n):
+            if group.mul(g, h) != group.mul(h, g):
+                continue
+            a, b = class_of[g], class_of[h]
+            cols_a, cols_b = pairs.setdefault((a, b), ([], []))
+            cols_a.append(columns[a][group.conj(group.inv[transporter[g]], h)])
+            cols_b.append(columns[b][group.conj(group.inv[transporter[h]], g)])
+    start = [table.index_of(ci, 0) for ci in range(len(table.classes))]
+    m = len(table)
+    s = np.zeros((m, m), dtype=complex)
+    for (a, b), (cols_a, cols_b) in pairs.items():
+        x = table.centralizer_tables[a].chars[:, None, cols_a]
+        y = table.centralizer_tables[b].chars[None, :, cols_b]
+        # conj(x y), each real product rounded on its own as in Python's
+        # complex product, so an abelian S is the closed form to the bit
+        block = np.empty((x.shape[0], y.shape[1], len(cols_a)), dtype=complex)
+        block.real = x.real * y.real - x.imag * y.imag
+        block.imag = -(x.real * y.imag + x.imag * y.real)
+        s[start[a]:start[a] + x.shape[0], start[b]:start[b] + y.shape[1]] = \
+            block.sum(axis=2) / n
+    if not np.allclose(s @ np.conj(s.T), np.eye(m), rtol=0, atol=TOL):
+        raise InvariantError("sector S matrix is not unitary")
+    if not np.allclose(s, s.T, rtol=0, atol=TOL):
+        raise InvariantError("sector S matrix is not symmetric")
+    if abs(s[0, 0] - 1 / n) > TOL:
+        raise InvariantError(f"sector S matrix has S00 = {s[0, 0]}, expected 1/{n}")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -299,36 +361,34 @@ class AbelianAnyonData:
 
 
 def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
+    """S matrix (from `s_matrix`) and fusion table of an abelian group's sectors."""
     if not group.is_abelian:
         raise ValueError("closed-form sector data needs an abelian group")
     table = anyon_table(group)
     ct = character_table(group)
-    n = group.order
     charges = [(a.class_index, a.irrep_index) for a in table.anyons]
     # flux class i is the singleton {i} for abelian groups
     for g, q in charges:
         if table.classes[g].members != (g,):
             raise InvariantError("abelian conjugacy classes must be singletons")
-    m = len(charges)
-    s = np.zeros((m, m), dtype=complex)
-    for a, (ga, qa) in enumerate(charges):
-        for b, (gb, qb) in enumerate(charges):
-            s[a, b] = np.conj(ct.value(qb, ga) * ct.value(qa, gb)) / n
-    if not np.allclose(s @ np.conj(s.T), np.eye(m) / 1.0, atol=TOL):
-        raise InvariantError("sector S matrix is not unitary")
-    if not np.allclose(s, s.T, atol=TOL):
-        raise InvariantError("sector S matrix is not symmetric")
-    fusion = np.zeros((m, m), dtype=np.int64)
+    # irrep_product[qa, qb] is the row equal to the product of rows qa and qb
+    k = ct.n_irreps
     rows = ct.chars
-    for a, (ga, qa) in enumerate(charges):
-        for b, (gb, qb) in enumerate(charges):
-            gc = group.mul(ga, gb)
-            prod = rows[qa] * rows[qb]
-            hits = [q for q in range(ct.n_irreps) if np.allclose(rows[q], prod, atol=1e-6)]
+    irrep_product = np.zeros((k, k), dtype=np.int64)
+    for qa in range(k):
+        for qb in range(k):
+            hits = np.flatnonzero(np.isclose(rows, rows[qa] * rows[qb],
+                                             atol=1e-6).all(axis=1))
             if len(hits) != 1:
                 raise InvariantError("character product did not match a unique row")
-            fusion[a, b] = charges.index((gc, hits[0]))
-    return AbelianAnyonData(group=group, table=table, s_matrix=s,
+            irrep_product[qa, qb] = hits[0]
+    index = np.array([[table.index_of(g, q) for q in range(k)]
+                      for g in range(group.order)], dtype=np.int64)
+    flux = np.array([g for g, _ in charges], dtype=np.int64)
+    charge = np.array([q for _, q in charges], dtype=np.int64)
+    fusion = index[group.table[flux[:, None], flux[None, :]],
+                   irrep_product[charge[:, None], charge[None, :]]]
+    return AbelianAnyonData(group=group, table=table, s_matrix=s_matrix(group),
                             fusion=fusion, charges=charges)
 
 

@@ -13,12 +13,15 @@ falls back to expanding the commutator into matrix-unit atoms when the
 pre-test does not pass.
 
 Ground-state counts come from up to three routes, which must agree on
-any lattice where more than one fits its budget.  Counting and trace
-evaluate one Burnside sum over gauge orbits of flat connections, on a
-gauge-fixed slice and on every flat configuration; the dense matrix
-trace is the only route that does not share that formula.  It builds
-the projector on the support of the diagonal terms, and raises when a
-term maps that support outside itself, which commuting projectors never do.
+any lattice where more than one fits.  Counting evaluates the Burnside
+sum over gauge orbits of flat connections on a gauge-fixed slice.
+Modular takes the count from the S matrix of D(G) and the boundary
+condensates, without the lattice's configurations, on any connected
+surface whose boundary circles are its regions.  Dense takes the trace
+of the projector built on the support of the diagonal terms, and raises
+when a term maps that support outside itself, which commuting
+projectors never do.  Trace, the Burnside sum over every flat
+configuration, is a reference route that runs only when named.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from qdw.classify import LagrangianAlgebra, anyon_table, s_matrix
 from qdw.groups import FiniteGroup, InvariantError, Subgroup
 
 __all__ = [
@@ -817,13 +821,13 @@ def build_terms(lat: Lattice, group: FiniteGroup,
             op = gauge_vertex_term(lat, group, v)
             terms.append(HamiltonianTerm(
                 name=f"A({lat.vertex_names[v]})", kind="gauge", op=op,
-                edges=op.support, diagonal=False))
+                edges=op.support, diagonal=op.is_diagonal()))
         else:
             sub = subgroups[reg]
             op = gauge_vertex_term(lat, group, v, sub)
             terms.append(HamiltonianTerm(
                 name=f"A_K({lat.vertex_names[v]})", kind="gauge", op=op,
-                edges=op.support, diagonal=False, region=reg))
+                edges=op.support, diagonal=op.is_diagonal(), region=reg))
     for pi in range(lat.n_plaquettes):
         op = flux_term(lat, group, pi)
         terms.append(HamiltonianTerm(
@@ -842,7 +846,7 @@ def build_terms(lat: Lattice, group: FiniteGroup,
                 op = half_translation_term(group, e, sub, side)
                 terms.append(HamiltonianTerm(
                     name=f"{tag}({lat.edge_names[e]})", kind="half-shift", op=op,
-                    edges=(e,), diagonal=False, region=reg))
+                    edges=(e,), diagonal=op.is_diagonal(), region=reg))
     return terms
 
 
@@ -923,11 +927,10 @@ def _commutes_by_permutation(numerators: np.ndarray, edges: Sequence[int],
 def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     """Exact projector, hermiticity, and pairwise commutation checks.
 
-    A term flagged diagonal must have a diagonal operator, because the
-    pair loop trusts the flag; a diagonal operator flagged otherwise (a
-    vertex term with K trivial is the identity) is only checked more
-    than it needs to be.  Disjoint pairs and pairs of two diagonal terms
-    commute identically; both are skipped and counted in `skipped_pairs`.
+    A term's `diagonal` flag must say whether its operator is diagonal,
+    because the pair loop trusts the flag.  Disjoint pairs and pairs of
+    two diagonal terms commute identically; both are skipped and counted
+    in `skipped_pairs`.
 
     A diagonal term is a projector when its integer diagonal table
     (`Operator._diagonal_numerators`) takes only the values 0 and its
@@ -939,9 +942,11 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     pairs on small supports.
     """
     for t in terms:
-        if t.diagonal and not t.op.is_diagonal():
-            raise InvariantError(f"term {t.name} is flagged diagonal, "
-                                 "but its operator is not diagonal")
+        if t.diagonal != t.op.is_diagonal():
+            flag, actual = (("diagonal", "not diagonal") if t.diagonal
+                            else ("non-diagonal", "diagonal"))
+            raise InvariantError(
+                f"term {t.name} is flagged {flag}, but its operator is {actual}")
     term_checks = [TermCheck(t.name, t.op.is_projector(), t.op.is_hermitian())
                    for t in terms]
     tables = {k: t.op._diagonal_numerators(t.op.support)[0]
@@ -1280,7 +1285,7 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# routes 1 and 2: the Burnside sum
+# route 1 and the trace reference: the Burnside sum
 #
 # The ground states are the gauge orbits of flat connections, with
 # K-restricted gauge on the rims, so their number is the gauge-group
@@ -1294,8 +1299,8 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     Pinned forest edges (see `_spanning_forest`) are set to the identity.
     Each gauge orbit then contributes the order of the residual gauge
     group, which drops the pinned children's labels, to the slice's
-    stabilizer total.  Shares its formula with route 2, so only the dense
-    route is an independent oracle for it.
+    stabilizer total.  The modular and dense routes are independent
+    oracles for it; the trace reference shares its formula.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     roots, tree, pinned = _spanning_forest(lat, group, subgroups, dangling)
@@ -1313,10 +1318,12 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
 
 def _gsd_trace(lat: Lattice, group: FiniteGroup,
                subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    """Route 2: the Burnside sum over every flat configuration (fixed-point trace).
+    """Reference route: the Burnside sum over every flat configuration.
 
-    Shares its formula with route 1, so only the dense route is an
-    independent oracle for it.
+    It evaluates route 1's formula without the gauge fixing, so it is no
+    independent oracle, and it costs far more time and memory.  It runs
+    only when named in `methods`; tests use it as the reference for
+    counting that is not gauge-fixed.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     configs = _enumerate_flat_configs(lat, group, allowed)
@@ -1328,6 +1335,82 @@ def _gsd_trace(lat: Lattice, group: FiniteGroup,
     if total % gamma_size != 0:
         raise InvariantError("fixed-point total is not divisible by the gauge volume")
     return total // gamma_size
+
+
+# ---------------------------------------------------------------------------
+# route 2: modular data
+
+
+def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether `edges` join `vertices` into one piece and touch no other vertex."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for t, h in edges:
+        if t not in adj or h not in adj:
+            return False
+        adj[t].append(h)
+        adj[h].append(t)
+    if not adj:
+        return False
+    seen = {next(iter(adj))}
+    queue = list(seen)
+    for v in queue:                  # the queue grows while it is walked
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(adj)
+
+
+def _is_bounded_surface(lat: Lattice) -> bool:
+    """Whether `lat` is a connected oriented surface whose boundary circles are its regions.
+
+    Every edge borders two faces that traverse it in opposite directions,
+    or is a rim edge and borders one face; no region has a dangling edge;
+    and each region's rim edges join its rim vertices into one piece.
+    """
+    sides: list[list[bool]] = [[] for _ in lat.edges]
+    for cyc in lat.plaquettes:
+        for e, along in cyc:
+            sides[e].append(along)
+    rim = {e for reg in lat.regions for e in reg.rim_edges}
+    if any(reg.dangling_edges for reg in lat.regions) or any(
+            len(sd) != (1 if e in rim else 2) or len(set(sd)) != len(sd)
+            for e, sd in enumerate(sides)):
+        return False
+    return _is_connected(range(lat.n_vertices), lat.edges) and all(
+        _is_connected(reg.rim_vertices, [lat.edges[e] for e in reg.rim_edges])
+        for reg in lat.regions)
+
+
+def _gsd_modular(lat: Lattice, group: FiniteGroup,
+                 subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+    """Route 2: the ground-state count from the modular data of D(G).
+
+    A boundary with subgroup K condenses the Lagrangian algebra W_K, so a
+    surface with Euler characteristic chi and boundary regions i has
+    GSD = sum over sectors x of S_0x^chi prod_i (W_i S)_x (Cong, Cheng and
+    Wang, arXiv 1707.04564).  No lattice configuration is enumerated, so
+    this is an independent oracle for route 1.  The sum is taken in
+    complex128 and must lie within 1e-9 (relative) of a non-negative
+    integer.  Returns None on a lattice that is no such surface
+    (`_is_bounded_surface`): one with dangling edges, where the count is
+    a double-coset count, or one with a one-face edge that is no region's
+    rim edge.
+    """
+    _region_assignment(lat, group, subgroups)
+    if not _is_bounded_surface(lat):
+        return None
+    table = anyon_table(group)
+    s = s_matrix(group)
+    summand = s[0] ** lat.euler_characteristic
+    for reg in lat.regions:
+        w = np.array(LagrangianAlgebra(table, subgroups[reg.name]).multiplicities)
+        summand = summand * (w @ s)
+    total = complex(summand.sum())
+    val = int(round(total.real))
+    if val < 0 or abs(total - val) > 1e-9 * max(1.0, abs(total)):
+        raise InvariantError(f"modular sum {total} is not a non-negative integer")
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -1386,7 +1469,7 @@ def _projector_rank(proj) -> int:
 
 def _gsd_dense(lat: Lattice, group: FiniteGroup,
                subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    """Route 3: the trace of the explicit projector's support block, the independent oracle."""
+    """Route 3: the trace of the explicit projector's support block, an independent oracle."""
     dense = _dense_projector(lat, group, subgroups)
     return None if dense is None else _projector_rank(dense[1])
 
@@ -1404,16 +1487,21 @@ class GsdReport:
 
 _METHODS = {
     "counting": _gsd_counting,
-    "trace": _gsd_trace,
+    "modular": _gsd_modular,
     "dense": _gsd_dense,
+    "trace": _gsd_trace,
 }
 
 
 def ground_space_dimension(lat: Lattice, group: FiniteGroup,
                            subgroups: Mapping[str, Subgroup],
-                           methods: Sequence[str] = ("counting", "trace", "dense"),
+                           methods: Sequence[str] = ("counting", "modular", "dense"),
                            ) -> GsdReport:
-    """Ground-state count, cross-checked across every route within budget."""
+    """Ground-state count, cross-checked across every route within budget.
+
+    A route that does not fit the lattice or its budget is listed in
+    `skipped`.  The trace reference route runs only when named.
+    """
     results: dict[str, int] = {}
     skipped: list[str] = []
     for m in methods:
@@ -1450,7 +1538,7 @@ class GroundSpace:
         support, proj = dense
         dim = group.order ** lat.n_edges
         expected = ground_space_dimension(lat, group, subgroups,
-                                          methods=("counting", "trace")).value
+                                          methods=("counting", "modular")).value
         rank = _projector_rank(proj)
         if rank != expected:
             raise InvariantError(f"projector rank {rank} != route count {expected}")

@@ -21,8 +21,10 @@ from qdw.classify import (
     defect_list,
     lagrangian_algebra,
     qudit_dimension,
+    s_matrix,
     symmetry_action,
 )
+from qdw.groups import InvariantError
 
 OMEGA = complex(-0.5, 3 ** 0.5 / 2)
 
@@ -220,6 +222,98 @@ def test_abelian_data_invariants(spec):
     assert np.array_equal(ab.fusion, ab.fusion.T)
     for a in range(m):
         assert sorted(ab.fusion[a].tolist()) == list(range(m))
+
+
+def loop_abelian_anyon_data(group):
+    """Reference: the closed-form loop `abelian_anyon_data` ran before it read
+    `s_matrix`.  Its fusion lookup is memoized on the charge pair; the loop
+    it comes from repeated it for every flux pair."""
+    table = anyon_table(group)
+    ct = character_table(group)
+    n = group.order
+    charges = [(a.class_index, a.irrep_index) for a in table.anyons]
+    m = len(charges)
+    s = np.zeros((m, m), dtype=complex)
+    for a, (ga, qa) in enumerate(charges):
+        for b, (gb, qb) in enumerate(charges):
+            s[a, b] = np.conj(ct.value(qb, ga) * ct.value(qa, gb)) / n
+    fusion = np.zeros((m, m), dtype=np.int64)
+    rows = ct.chars
+    lookup = {}
+    for a, (ga, qa) in enumerate(charges):
+        for b, (gb, qb) in enumerate(charges):
+            if (qa, qb) not in lookup:
+                prod = rows[qa] * rows[qb]
+                lookup[qa, qb] = [q for q in range(ct.n_irreps)
+                                  if np.allclose(rows[q], prod, atol=1e-6)]
+            hits = lookup[qa, qb]
+            assert len(hits) == 1
+            fusion[a, b] = charges.index((group.mul(ga, gb), hits[0]))
+    return s, fusion
+
+
+@pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(2, 13)]
+                         + ["product:cyclic:2,cyclic:4"])
+def test_abelian_data_matches_the_closed_form_loop(spec):
+    ab = abelian_anyon_data(build_group(spec))
+    s, fusion = loop_abelian_anyon_data(build_group(spec))
+    assert np.array_equal(ab.s_matrix, s)
+    assert np.array_equal(ab.fusion, fusion)
+
+
+def relabelled(spec, seed):
+    """The preset's table with its elements renamed by a seeded permutation."""
+    g = build_group(spec)
+    n = g.order
+    perm = np.random.default_rng(seed).permutation(n)
+    table = [0] * (n * n)
+    names = [""] * n
+    for a in range(n):
+        names[perm[a]] = g.names[a]
+        for b in range(n):
+            table[perm[a] * n + perm[b]] = int(perm[g.mul(a, b)])
+    return build_group({"order": n, "table": table, "names": names})
+
+
+S_CASES = ["cyclic:1", "cyclic:2", "cyclic:4", "symmetric:3", "dihedral:4",
+           "quaternion8", "symmetric:4", "product:cyclic:2,cyclic:2"]
+
+
+@pytest.mark.parametrize("group", [build_group(s) for s in S_CASES]
+                         + [relabelled(s, seed) for s in S_CASES[2:6] for seed in (1, 2)],
+                         ids=lambda g: g.label)
+def test_s_matrix_invariants(group):
+    table = anyon_table(group)
+    s = s_matrix(group)
+    m = len(table)
+    assert s is s_matrix(group)
+    assert np.abs(s @ np.conj(s.T) - np.eye(m)).max() < 1e-9
+    assert np.abs(s - s.T).max() < 1e-9
+    dims = np.array([a.dim for a in table.anyons])
+    assert np.abs(s[0] - dims / group.order).max() < 1e-12
+    # S^2 is charge conjugation: an involution that fixes the vacuum and
+    # keeps dimensions and twists
+    sq = s @ s
+    perm = np.abs(sq).argmax(axis=1)
+    conj = np.zeros((m, m))
+    conj[np.arange(m), perm] = 1.0
+    assert np.abs(sq - conj).max() < 1e-9
+    assert sorted(perm) == list(range(m))
+    assert perm[0] == 0 and all(perm[perm] == np.arange(m))
+    assert all(dims[perm] == dims)
+    twists = np.array([a.twist for a in table.anyons])
+    assert np.abs(twists[perm] - twists).max() < 1e-9
+    # the modular relation (S T)^3 = S^2 for a quantum double
+    st_ = s @ np.diag(twists)
+    assert np.abs(st_ @ st_ @ st_ - sq).max() < 1e-9
+
+
+def test_s_matrix_check_rejects_a_broken_character_table():
+    g = build_group("symmetric:3")
+    table = anyon_table(g)
+    table.centralizer_tables[0].chars = table.centralizer_tables[0].chars[::-1]
+    with pytest.raises(InvariantError, match="S matrix"):
+        s_matrix(g)
 
 
 def test_abelian_condensates_match_multiplicity_route():

@@ -151,10 +151,11 @@ def with_literal_edge(lat, group, subs, terms, e):
     region = next((r.name for r in lat.regions
                    if e in r.rim_edges or e in r.dangling_edges), None)
     sub = subs[region] if region is not None else group.full_subgroup()
+    op = literal_gauge_edge_term(group, e, sub)
+    # with K trivial the literal term is the identity, flagged diagonal
     return list(terms) + [HamiltonianTerm(
-        name=f"L({lat.edge_names[e]})", kind="literal",
-        op=literal_gauge_edge_term(group, e, sub), edges=(e,),
-        diagonal=False, region=region)]
+        name=f"L({lat.edge_names[e]})", kind="literal", op=op, edges=(e,),
+        diagonal=op.is_diagonal(), region=region)]
 
 
 def two_hole_lattice():
@@ -582,6 +583,19 @@ class TestTermsAndAudit:
         with pytest.raises(InvariantError, match="flagged diagonal"):
             audit_commutation(build_terms(lat, S3, {}) + [fake], S3.order)
 
+    def test_misflagged_identity_term_is_an_invariant_error(self):
+        lat = ring(3)
+        trivial = Z3.trivial_subgroup()
+        terms = build_terms(lat, Z3, {"inner": trivial, "outer": trivial})
+        rim_terms = [t for t in terms if t.name.startswith("A_K")]
+        assert rim_terms and all(t.diagonal for t in rim_terms)
+        assert audit_commutation(terms, Z3.order).ok
+        op = gauge_vertex_term(lat, Z3, 0, trivial)
+        fake = HamiltonianTerm(name="A_K*", kind="gauge", op=op, edges=op.support,
+                               diagonal=False)
+        with pytest.raises(InvariantError, match="flagged non-diagonal"):
+            audit_commutation(terms + [fake], Z3.order)
+
     def test_literal_term_fails_the_audit(self):
         k2, k3 = S3.subgroup([0, 1]), S3.subgroup([0, 3, 4])
         terms = build_terms(ring(3), S3, {"inner": k2, "outer": k3})
@@ -810,7 +824,7 @@ class TestGroundStateCounts:
                   "hole1": Z2.trivial_subgroup()}
         rep = ground_space_dimension(lat, Z2, assign)
         assert rep.value == 2
-        assert set(rep.by_method) == {"counting", "trace"}
+        assert set(rep.by_method) == {"counting", "modular"}
 
     def test_two_hole_qutrit_count(self):
         lat = two_hole_lattice()
@@ -828,15 +842,67 @@ class TestGroundStateCounts:
             lat = carve_hole(lat, [face], f"hole{i}")
             assign[f"hole{i}"] = s4.trivial_subgroup()
         with pytest.raises(ValueError, match="budget"):
-            ground_space_dimension(lat, s4, assign)
+            ground_space_dimension(lat, s4, assign,
+                                   methods=("counting", "trace", "dense"))
+        rep = ground_space_dimension(lat, s4, assign)
+        assert rep.by_method == {"modular": 24 ** 5}
+        assert set(rep.skipped) == {"counting", "dense"}
 
     def test_dangling_edge_counts_double_cosets(self):
         lat = dangling_lattice()
         for sub in (S3.subgroup([0, 1]), S3.subgroup([0, 3, 4]),
                     S3.full_subgroup()):
-            rep = ground_space_dimension(lat, S3, {"bdry": sub})
+            rep = ground_space_dimension(lat, S3, {"bdry": sub},
+                                         methods=("counting", "trace", "dense"))
             assert rep.value == len(double_cosets(sub, sub))
             assert len(rep.by_method) == 3
+            rep = ground_space_dimension(lat, S3, {"bdry": sub})
+            assert rep.value == len(double_cosets(sub, sub))
+            assert "modular" in rep.skipped
+
+    def test_modular_route_skips_boundaries_that_are_not_regions(self):
+        # patch(2, 2) without its region: a one-face edge that is no rim edge
+        bare = patch(2, 2)
+        bare = Lattice(bare.n_vertices, bare.edges, bare.plaquettes)
+        rep = ground_space_dimension(bare, Z2, {})
+        assert rep.skipped == ("modular",)
+        assert set(rep.by_method) == {"counting", "dense"}
+        # ring(3) with both rims in one region: no region is one boundary circle
+        ann = ring(3)
+        inner, outer = ann.regions
+        both = BoundaryRegion("both", inner.rim_vertices + outer.rim_vertices,
+                              inner.rim_edges + outer.rim_edges)
+        ann = Lattice(ann.n_vertices, ann.edges, ann.plaquettes, regions=[both])
+        rep = ground_space_dimension(ann, Z2, {"both": Z2.trivial_subgroup()})
+        assert rep.skipped == ("modular",)
+        assert rep.value == 2
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_modular_equals_counting_on_carved_patches(self, data):
+        spec = data.draw(st.sampled_from(["cyclic:2", "cyclic:3", "symmetric:3"]))
+        g = build_group(spec)
+        holes = data.draw(st.integers(0, 2))
+        # one-face holes sit on interior faces, which needs three rows; two
+        # of them share no vertex only as p(1,1) and p(1,3) of a 3x5 patch
+        rows = 3 if holes else data.draw(st.integers(1, 3))
+        cols = 5 if holes == 2 else data.draw(st.integers(3 if holes else 1, 5))
+        lat = patch(rows, cols)
+        if holes == 1:
+            faces = [f"p(1,{data.draw(st.integers(1, cols - 2))})"]
+        else:
+            faces = ["p(1,1)", "p(1,3)"][:holes]
+        for i, face in enumerate(faces):
+            lat = carve_hole(lat, [face], f"hole{i}")
+        subs = enumerate_subgroups(g)
+        outer = subs
+        if spec == "symmetric:3" and rows * cols > 4:
+            # outer K = G there is the counting route's memory case
+            outer = [k for k in subs if k.order < g.order]
+        assign = {reg.name: data.draw(st.sampled_from(outer if reg.name == "outer" else subs))
+                  for reg in lat.regions}
+        rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
+        assert rep.by_method["counting"] == rep.by_method["modular"]
 
     def test_method_selection(self):
         rep = ground_space_dimension(torus(2, 2), Z2, {}, methods=("dense",))
