@@ -4,7 +4,8 @@ Bulk sectors are (conjugacy class, centralizer irrep) pairs.  A boundary
 is a subgroup K up to conjugation; its condensate is the set of bulk
 sectors that terminate on it, with multiplicities read off from the left
 translation action on admissible cosets.  Point defects between two
-boundaries are (double coset, stabilizer irrep) pairs.  All censuses are
+boundaries are (double coset, stabilizer irrep) pairs, and the point
+excitations of one K boundary are its K-K defects.  All censuses are
 validated against exact sum rules before they are returned.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -99,12 +101,6 @@ class AnyonTable:
 
     def index_of(self, class_index: int, irrep_index: int) -> int:
         return self._index[(class_index, irrep_index)]
-
-    def index_of_name(self, name: str) -> int:
-        for i, a in enumerate(self.anyons):
-            if a.name == name:
-                return i
-        raise ValueError(f"unknown sector name {name!r}")
 
     @property
     def vacuum_index(self) -> int:
@@ -250,9 +246,6 @@ class LagrangianAlgebra:
     def condensed(self) -> list[AnyonLabel]:
         return [a for m, a in zip(self.multiplicities, self.table.anyons) if m > 0]
 
-    def multiplicity_of(self, name: str) -> int:
-        return self.multiplicities[self.table.index_of_name(name)]
-
 
 def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlgebra:
     return LagrangianAlgebra(anyon_table(group), boundary)
@@ -272,20 +265,14 @@ class BoundaryExcitation:
 
 
 def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
-    """Excitations of one K boundary; quantum dimensions are integers."""
-    group = boundary.group
+    """Excitations of one K boundary: its K-K defects, whose quantum dimensions are integers."""
     out = []
-    for ti, dc in enumerate(double_cosets(boundary, boundary)):
-        ct = character_table(dc.stabilizer)
-        for ri in range(ct.n_irreps):
-            num = dc.size * ct.dims[ri]
-            if num % boundary.order != 0:
-                raise InvariantError("boundary excitation dimension is not an integer")
-            out.append(BoundaryExcitation(coset_index=ti, irrep_index=ri,
-                                          name=f"T{ti}-R{ri}",
-                                          dim=num // boundary.order))
-    if sum(x.dim ** 2 for x in out) != group.order:
-        raise InvariantError("boundary excitation dimensions violate the order sum rule")
+    for d in defect_list(boundary, boundary):
+        dim = isqrt(d.dim_squared.numerator)
+        if d.dim_squared != dim * dim:
+            raise InvariantError("boundary excitation dimension is not an integer")
+        out.append(BoundaryExcitation(coset_index=d.coset_index, irrep_index=d.irrep_index,
+                                      name=d.name, dim=dim))
     return out
 
 
@@ -373,15 +360,8 @@ def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
             raise InvariantError("abelian conjugacy classes must be singletons")
     # irrep_product[qa, qb] is the row equal to the product of rows qa and qb
     k = ct.n_irreps
-    rows = ct.chars
-    irrep_product = np.zeros((k, k), dtype=np.int64)
-    for qa in range(k):
-        for qb in range(k):
-            hits = np.flatnonzero(np.isclose(rows, rows[qa] * rows[qb],
-                                             atol=1e-6).all(axis=1))
-            if len(hits) != 1:
-                raise InvariantError("character product did not match a unique row")
-            irrep_product[qa, qb] = hits[0]
+    irrep_product = np.array([[ct.row_of(ct.chars[qa] * ct.chars[qb]) for qb in range(k)]
+                              for qa in range(k)], dtype=np.int64)
     index = np.array([[table.index_of(g, q) for q in range(k)]
                       for g in range(group.order)], dtype=np.int64)
     flux = np.array([g for g, _ in charges], dtype=np.int64)
@@ -439,11 +419,7 @@ class SymmetryAction:
                     raise InvariantError("transport left the source centralizer")
                 values.append(ct1.chars[a.irrep_index, sub1.class_index_of(
                     to_parent1.index(pre))])
-            hits = [q for q in range(ct2.n_irreps)
-                    if np.allclose(ct2.chars[q], values, atol=1e-6)]
-            if len(hits) != 1:
-                raise InvariantError("transported character did not match a unique irrep")
-            perm.append(table.index_of(ci2, hits[0]))
+            perm.append(table.index_of(ci2, ct2.row_of(values)))
         if sorted(perm) != list(range(len(table.anyons))):
             raise InvariantError("sector transport is not a permutation")
         return perm

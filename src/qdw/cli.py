@@ -32,6 +32,7 @@ from qdw.groups import (
     FiniteGroup,
     InvariantError,
     Subgroup,
+    _is_json_int,
     build_group,
     character_table,
     enumerate_subgroups,
@@ -66,10 +67,6 @@ EXIT_USAGE = 2
 COMMANDS = ("group-info", "anyons", "subgroups", "lagrangian", "excitations",
             "defects", "qudit-dim", "lattice-audit", "gsd", "logical",
             "charge-project", "verify-all")
-
-# commands whose results form one flat table, the only shape csv can carry
-FLAT_COMMANDS = ("anyons", "subgroups", "lagrangian", "excitations",
-                 "defects", "qudit-dim", "gsd")
 
 
 class UsageError(ValueError):
@@ -194,19 +191,22 @@ def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
             raise UsageError(f"unknown lattice fields: {', '.join(unknown)}")
         kind = data.get("kind")
         try:
-            if kind == "torus":
-                lat = torus(int(data["rows"]), int(data["cols"]))
-            elif kind == "patch":
-                lat = patch(int(data["rows"]), int(data["cols"]))
-            elif kind == "ring":
-                lat = ring(int(data["cols"]))
-            else:
+            if kind not in ("torus", "patch", "ring"):
                 raise UsageError(f"unknown lattice kind {kind!r}")
+            sizes = [data[k] for k in (("cols",) if kind == "ring" else ("rows", "cols"))]
+            if not all(_is_json_int(x) for x in sizes):
+                raise UsageError(f"lattice sizes must be integers, got {sizes}")
+            lat = {"torus": torus, "patch": patch, "ring": ring}[kind](*sizes)
             for hole in data.get("holes", ()):
                 extra = sorted(set(hole) - {"name", "faces"})
                 if extra:
                     raise UsageError(f"unknown hole fields: {', '.join(extra)}")
-                lat = carve_hole(lat, list(hole["faces"]), str(hole["name"]))
+                faces = hole["faces"]
+                if not (isinstance(faces, list)
+                        and all(isinstance(f, str) or _is_json_int(f) for f in faces)):
+                    raise UsageError(f"hole faces must be a list of face names or "
+                                     f"indices, got {faces}")
+                lat = carve_hole(lat, faces, str(hole["name"]))
         except (KeyError, TypeError) as exc:
             raise UsageError(f"bad lattice JSON: {exc}") from None
         except ValueError as exc:

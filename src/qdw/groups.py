@@ -39,12 +39,30 @@ __all__ = [
     "is_automorphism",
     "inner_automorphism",
     "permutation_character",
-    "character_multiplicities",
 ]
 
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed; results cannot be trusted."""
+
+
+def _breadth_first(roots, neighbours):
+    """Breadth-first search from `roots`, yielding (vertex, parent, step) in reach order.
+
+    `neighbours(v)` gives the (w, step) moves out of v.  Each vertex is
+    yielded once, when it is first reached; the roots come first, with
+    parent and step None.  Stopping early leaves the rest unexplored.
+    """
+    queue = list(dict.fromkeys(roots))
+    seen = set(queue)
+    for r in queue:
+        yield r, None, None
+    for v in queue:                  # the queue grows while it is walked
+        for w, step in neighbours(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+                yield w, v, step
 
 
 class FiniteGroup:
@@ -161,6 +179,7 @@ class FiniteGroup:
         n = self.order
         seen = [False] * n
         classes: list[ConjugacyClass] = []
+        centralizers: dict[tuple[int, ...], Subgroup] = {}   # one per element tuple
         for a in range(n):
             if seen[a]:
                 continue
@@ -168,8 +187,10 @@ class FiniteGroup:
             for m in members:
                 seen[m] = True
             cent = tuple(g for g in range(n) if self.table[g, a] == self.table[a, g])
+            if cent not in centralizers:
+                centralizers[cent] = Subgroup(self, cent)
             classes.append(ConjugacyClass(rep=a, members=tuple(members),
-                                          centralizer=Subgroup(self, cent)))
+                                          centralizer=centralizers[cent]))
         self._cache["classes"] = classes
         return classes
 
@@ -186,17 +207,10 @@ class FiniteGroup:
         return Subgroup(self, tuple(sorted(set(elements))))
 
     def generated_subgroup(self, generators: Iterable[int]) -> "Subgroup":
-        elems = {0}
-        frontier = [0]
-        gens = sorted(set(generators) | {0})
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                for y in (self.mul(x, g), self.mul(g, x)):
-                    if y not in elems:
-                        elems.add(y)
-                        frontier.append(y)
-        return Subgroup(self, tuple(sorted(elems)))
+        # right multiples reach the whole subgroup: inverses are powers
+        gens = sorted(set(generators))
+        reach = _breadth_first([0], lambda x: ((self.mul(x, g), g) for g in gens))
+        return Subgroup(self, tuple(sorted(x for x, _, _ in reach)))
 
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, (0,))
@@ -264,11 +278,6 @@ class Subgroup:
         """Lexicographically smallest conjugate; identifies the conjugacy class."""
         return min(self.conjugate_by(g).elements for g in range(len(self.group)))
 
-    def intersection(self, other: "Subgroup") -> "Subgroup":
-        if other.group is not self.group:
-            raise ValueError("subgroups live in different parent groups")
-        return Subgroup(self.group, tuple(sorted(self._set & other._set)))
-
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Abstract copy of this subgroup plus the local-to-parent index map."""
         if "as_group" not in self._cache:
@@ -282,11 +291,6 @@ class Subgroup:
                               validate=False)
             self._cache["as_group"] = (sub, to_parent)
         return self._cache["as_group"]
-
-    def local_index(self, parent_index: int) -> int:
-        if parent_index not in self._set:
-            raise ValueError(f"element {parent_index} is not in the subgroup")
-        return self.elements.index(parent_index)
 
     def left_cosets(self) -> list[tuple[int, ...]]:
         """Left cosets g*K, each as a sorted tuple, ordered by smallest member."""
@@ -454,24 +458,29 @@ def _split_product(text: str) -> list[str]:
     return parts
 
 
+def _is_json_int(x) -> bool:
+    """Whether a parsed JSON value is an integer (JSON true and false are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _group_from_table_dict(data: dict) -> FiniteGroup:
     if "table" not in data:
         raise ValueError("explicit group spec needs a 'table' entry")
     if not isinstance(data["table"], list):
         raise ValueError("explicit group 'table' must be a list")
-    try:
-        n = int(data.get("order", 0))
-    except TypeError:
-        raise ValueError("explicit group 'order' must be an integer") from None
-    flat = list(data["table"])
-    if n <= 0:
-        n = int(round(len(flat) ** 0.5))
+    flat = data["table"]
+    n = data.get("order", round(len(flat) ** 0.5))
+    if not (_is_json_int(n) and n > 0):
+        raise ValueError("explicit group 'order' must be a positive integer")
     if len(flat) != n * n:
         raise ValueError(f"table length {len(flat)} does not match order {n}")
+    if not all(_is_json_int(x) and 0 <= x < n for x in flat):
+        raise ValueError(f"explicit group 'table' entries must be integers from 0 to {n - 1}")
     tbl = [flat[i * n:(i + 1) * n] for i in range(n)]
     names = data.get("names")
-    if names is not None and not isinstance(names, list):
-        raise ValueError("explicit group 'names' must be a list")
+    if names is not None and not (isinstance(names, list) and len(names) == n
+                                  and all(isinstance(x, str) for x in names)):
+        raise ValueError(f"explicit group 'names' must be a list of {n} strings")
     # relabel so the identity sits at index 0, keeping input order otherwise
     ident = None
     for a in range(n):
@@ -570,6 +579,13 @@ class CharacterTable:
                 raise InvariantError(f"non-integer character multiplicity {m}")
             out.append(mi)
         return out
+
+    def row_of(self, class_function: Sequence[complex]) -> int:
+        """Index of the unique row equal to a character given by class values."""
+        hits = np.flatnonzero(np.isclose(self.chars, class_function, atol=1e-6).all(axis=1))
+        if len(hits) != 1:
+            raise InvariantError("character did not match a unique irrep row")
+        return int(hits[0])
 
 
 def character_table(target) -> CharacterTable:
@@ -729,27 +745,16 @@ def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     gens = _generating_sequence(group)
     if not gens:
         return [(0,)]
-    # express every element as a fixed word in the generators; insertion
-    # order is reach order, so each prefix is mapped before it is extended
-    word: dict[int, tuple[int, int]] = {}  # elem -> (prev_elem, gen_position)
-    frontier = [0]
-    reached = {0}
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                y = group.mul(x, g)
-                if y not in reached:
-                    reached.add(y)
-                    word[y] = (x, gi)
-                    nxt.append(y)
-        frontier = nxt
+    # express every element as a fixed word in the generators; reach order
+    # maps each prefix before it is extended
+    word = list(_breadth_first(
+        [0], lambda x: ((group.mul(x, g), gi) for gi, g in enumerate(gens))))[1:]
     orders = [group.element_order(g) for g in gens]
     candidates = [[x for x in range(group.order) if group.element_order(x) == o] for o in orders]
     autos = []
     for images in itertools.product(*candidates):
         phi = [0] * group.order
-        for y, (prev, gi) in word.items():
+        for y, prev, gi in word:
             phi[y] = group.mul(phi[prev], images[gi])
         if len(set(phi)) == group.order and is_automorphism(group, phi):
             autos.append(tuple(phi))
@@ -777,7 +782,3 @@ def permutation_character(group: FiniteGroup, action: Sequence[Sequence[int]]) -
         perm = action[cl.rep]
         out.append(sum(1 for i, img in enumerate(perm) if img == i))
     return out
-
-
-def character_multiplicities(table: CharacterTable, class_function: Sequence[complex]) -> list[int]:
-    return table.multiplicities(class_function)

@@ -20,22 +20,24 @@ condensates, without the lattice's configurations, on any connected
 surface whose boundary circles are its regions.  Dense takes the trace
 of the projector built on the support of the diagonal terms, and raises
 when a term maps that support outside itself, which commuting
-projectors never do.  Trace, the Burnside sum over every flat
-configuration, is a reference route that runs only when named.
+projectors never do.  Trace is the counting route with its gauge fix
+switched off, the Burnside sum over every flat configuration: a
+reference route that runs only when named.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from qdw.classify import LagrangianAlgebra, anyon_table, s_matrix
-from qdw.groups import FiniteGroup, InvariantError, Subgroup
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 
 __all__ = [
     "Operator",
@@ -62,6 +64,7 @@ __all__ = [
 ]
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
+MAX_LATTICE_EDGES = 10_000        # largest torus, patch or ring built
 TRACE_PARTIAL_BUDGET = 20_000_000
 
 
@@ -130,10 +133,6 @@ class Operator:
     def __init__(self, n: int, terms: Optional[dict] = None):
         self.n = n
         self.terms: dict[tuple, Fraction] = terms if terms is not None else {}
-
-    @staticmethod
-    def zero(n: int) -> "Operator":
-        return Operator(n)
 
     @staticmethod
     def identity(n: int) -> "Operator":
@@ -508,89 +507,69 @@ class Lattice:
                 f"P={self.n_plaquettes}, regions={[r.name for r in self.regions]})")
 
 
+def _check_edge_count(kind: str, n_edges: int) -> None:
+    if n_edges > MAX_LATTICE_EDGES:
+        raise ValueError(f"{kind} would have {n_edges} edges, over the cap of "
+                         f"{MAX_LATTICE_EDGES}")
+
+
+def _square_grid(rows: int, cols: int, kind: str) -> Lattice:
+    """Square lattice of rows x cols faces, wound into a torus or cut out as a patch.
+
+    Vertex (r,c) and the edges h(r,c) along rows, then v(r,c) down columns,
+    are numbered row-major; face p(r,c) winds counterclockwise.  A patch
+    has one more row and column of vertices than a torus, and its border
+    cells form the region "outer".
+    """
+    wrap = kind == "torus"
+    vr, vc = (rows, cols) if wrap else (rows + 1, cols + 1)
+    _check_edge_count(kind, vr * cols + rows * vc)
+    def vid(r: int, c: int) -> int:
+        return (r % vr) * vc + c % vc
+    def h(r: int, c: int) -> int:
+        return (r % vr) * cols + c
+    def v(r: int, c: int) -> int:
+        return vr * cols + r * vc + c % vc
+    edges = ([(vid(r, c), vid(r, c + 1)) for r in range(vr) for c in range(cols)]
+             + [(vid(r, c), vid(r + 1, c)) for r in range(rows) for c in range(vc)])
+    edge_names = ([f"h({r},{c})" for r in range(vr) for c in range(cols)]
+                  + [f"v({r},{c})" for r in range(rows) for c in range(vc)])
+    plaqs = [((h(r, c), True), (v(r, c + 1), True), (h(r + 1, c), False), (v(r, c), False))
+             for r in range(rows) for c in range(cols)]
+    regions = ()
+    if not wrap:
+        rim_v = [vid(r, c) for r in range(vr) for c in range(vc)
+                 if r in (0, rows) or c in (0, cols)]
+        rim_e = sorted([h(r, c) for r in (0, rows) for c in range(cols)] +
+                       [v(r, c) for r in range(rows) for c in (0, cols)])
+        regions = (BoundaryRegion(name="outer", rim_vertices=tuple(rim_v),
+                                  rim_edges=tuple(rim_e)),)
+    return Lattice(vr * vc, edges, plaqs, regions=regions,
+                   vertex_names=[f"({r},{c})" for r in range(vr) for c in range(vc)],
+                   edge_names=edge_names,
+                   plaquette_names=[f"p({r},{c})" for r in range(rows) for c in range(cols)],
+                   kind=kind)
+
+
 def torus(rows: int, cols: int) -> Lattice:
     """Square lattice on a torus; faces wind counterclockwise."""
     if rows < 2 or cols < 2:
         raise ValueError("torus needs at least 2 rows and 2 columns")
-    def vid(r: int, c: int) -> int:
-        return (r % rows) * cols + (c % cols)
-    edges = []
-    edge_names = []
-    h_index = {}
-    v_index = {}
-    for r in range(rows):
-        for c in range(cols):
-            h_index[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r, c + 1)))
-            edge_names.append(f"h({r},{c})")
-    for r in range(rows):
-        for c in range(cols):
-            v_index[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r + 1, c)))
-            edge_names.append(f"v({r},{c})")
-    plaqs = []
-    pnames = []
-    for r in range(rows):
-        for c in range(cols):
-            plaqs.append((
-                (h_index[(r, c)], True),
-                (v_index[(r, (c + 1) % cols)], True),
-                (h_index[((r + 1) % rows, c)], False),
-                (v_index[(r, c)], False),
-            ))
-            pnames.append(f"p({r},{c})")
-    vnames = [f"({r},{c})" for r in range(rows) for c in range(cols)]
-    return Lattice(rows * cols, edges, plaqs, regions=(), vertex_names=vnames,
-                   edge_names=edge_names, plaquette_names=pnames, kind="torus")
+    return _square_grid(rows, cols, "torus")
 
 
 def patch(rows: int, cols: int) -> Lattice:
     """Rectangular disk of faces with one outer boundary region."""
     if rows < 1 or cols < 1:
         raise ValueError("patch needs at least one face")
-    def vid(r: int, c: int) -> int:
-        return r * (cols + 1) + c
-    edges = []
-    edge_names = []
-    h_index = {}
-    v_index = {}
-    for r in range(rows + 1):
-        for c in range(cols):
-            h_index[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r, c + 1)))
-            edge_names.append(f"h({r},{c})")
-    for r in range(rows):
-        for c in range(cols + 1):
-            v_index[(r, c)] = len(edges)
-            edges.append((vid(r, c), vid(r + 1, c)))
-            edge_names.append(f"v({r},{c})")
-    plaqs = []
-    pnames = []
-    for r in range(rows):
-        for c in range(cols):
-            plaqs.append((
-                (h_index[(r, c)], True),
-                (v_index[(r, c + 1)], True),
-                (h_index[(r + 1, c)], False),
-                (v_index[(r, c)], False),
-            ))
-            pnames.append(f"p({r},{c})")
-    rim_v = sorted({vid(r, c) for r in range(rows + 1) for c in range(cols + 1)
-                    if r in (0, rows) or c in (0, cols)})
-    rim_e = sorted([h_index[(r, c)] for r in (0, rows) for c in range(cols)] +
-                   [v_index[(r, c)] for r in range(rows) for c in (0, cols)])
-    outer = BoundaryRegion(name="outer", rim_vertices=tuple(rim_v),
-                           rim_edges=tuple(rim_e))
-    vnames = [f"({r},{c})" for r in range(rows + 1) for c in range(cols + 1)]
-    return Lattice((rows + 1) * (cols + 1), edges, plaqs, regions=(outer,),
-                   vertex_names=vnames, edge_names=edge_names,
-                   plaquette_names=pnames, kind="patch")
+    return _square_grid(rows, cols, "patch")
 
 
 def ring(cols: int) -> Lattice:
     """Annulus: two concentric vertex rings joined by rungs, one face per sector."""
     if cols < 3:
         raise ValueError("ring needs at least 3 sectors")
+    _check_edge_count("ring", 3 * cols)
     # vertices: inner 0..cols-1, outer cols..2cols-1
     edges = []
     edge_names = []
@@ -1128,11 +1107,11 @@ def _spanning_forest(lat: Lattice, group: FiniteGroup,
     parent label and child label all in K).
     """
     vertex_region, edge_region = _region_assignment(lat, group, subgroups)
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(lat.n_vertices)]
+    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(lat.n_vertices)]
     for ei, (t, h) in enumerate(lat.edges):
         if ei not in dangling:
-            adj[t].append((h, ei, True))
-            adj[h].append((t, ei, False))
+            adj[t].append((h, (ei, True)))
+            adj[h].append((t, (ei, False)))
     seen = [False] * lat.n_vertices
     roots: list[int] = []
     tree: list[list[tuple[int, int, bool]]] = []
@@ -1140,21 +1119,18 @@ def _spanning_forest(lat: Lattice, group: FiniteGroup,
     for root in sorted(range(lat.n_vertices), key=lambda v: v not in vertex_region):
         if seen[root]:
             continue
-        seen[root] = True
         roots.append(root)
         edges: list[tuple[int, int, bool]] = []
-        queue = [root]
-        for v in queue:              # the queue grows while it is walked
-            for w, ei, child_is_head in adj[v]:
-                if seen[w]:
-                    continue
-                seen[w] = True
-                edges.append((ei, w, child_is_head))
-                queue.append(w)
-                reg = vertex_region.get(w)
-                if reg is None or (vertex_region.get(v) == reg
-                                   and edge_region.get(ei) == (reg, "rim")):
-                    pinned[ei] = w
+        for w, v, step in _breadth_first([root], adj.__getitem__):
+            seen[w] = True
+            if v is None:
+                continue
+            ei, child_is_head = step
+            edges.append((ei, w, child_is_head))
+            reg = vertex_region.get(w)
+            if reg is None or (vertex_region.get(v) == reg
+                               and edge_region.get(ei) == (reg, "rim")):
+                pinned[ei] = w
         tree.append(edges)
     return roots, tree, pinned
 
@@ -1285,7 +1261,7 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# route 1 and the trace reference: the Burnside sum
+# route 1, and the trace reference route without its gauge fix: the Burnside sum
 #
 # The ground states are the gauge orbits of flat connections, with
 # K-restricted gauge on the rims, so their number is the gauge-group
@@ -1293,17 +1269,22 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
 
 
 def _gsd_counting(lat: Lattice, group: FiniteGroup,
-                  subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+                  subgroups: Mapping[str, Subgroup],
+                  gauge_fix: bool = True) -> Optional[int]:
     """Route 1: the Burnside sum on a gauge-fixed slice.
 
     Pinned forest edges (see `_spanning_forest`) are set to the identity.
     Each gauge orbit then contributes the order of the residual gauge
     group, which drops the pinned children's labels, to the slice's
     stabilizer total.  The modular and dense routes are independent
-    oracles for it; the trace reference shares its formula.
+    oracles for it.  With `gauge_fix` off nothing is pinned and the sum
+    runs over every flat configuration: that is the trace reference
+    route, no independent oracle, and far costlier in time and memory.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     roots, tree, pinned = _spanning_forest(lat, group, subgroups, dangling)
+    if not gauge_fix:
+        pinned = {}
     allowed = [(0,) if e in pinned else a for e, a in enumerate(allowed)]
     configs = _enumerate_flat_configs(lat, group, allowed, first=list(pinned))
     if configs is None:
@@ -1316,49 +1297,21 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     return total // residual
 
 
-def _gsd_trace(lat: Lattice, group: FiniteGroup,
-               subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    """Reference route: the Burnside sum over every flat configuration.
-
-    It evaluates route 1's formula without the gauge fixing, so it is no
-    independent oracle, and it costs far more time and memory.  It runs
-    only when named in `methods`; tests use it as the reference for
-    counting that is not gauge-fixed.
-    """
-    allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-    configs = _enumerate_flat_configs(lat, group, allowed)
-    if configs is None:
-        return None
-    roots, tree, _ = _spanning_forest(lat, group, subgroups, dangling)
-    total = _stabilizer_total(lat, group, configs, domains, dangling, roots, tree)
-    gamma_size = _gauge_volume(domains, dangling)
-    if total % gamma_size != 0:
-        raise InvariantError("fixed-point total is not divisible by the gauge volume")
-    return total // gamma_size
-
-
 # ---------------------------------------------------------------------------
 # route 2: modular data
 
 
 def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
     """Whether `edges` join `vertices` into one piece and touch no other vertex."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    adj: dict[int, list[tuple[int, None]]] = {v: [] for v in vertices}
     for t, h in edges:
         if t not in adj or h not in adj:
             return False
-        adj[t].append(h)
-        adj[h].append(t)
+        adj[t].append((h, None))
+        adj[h].append((t, None))
     if not adj:
         return False
-    seen = {next(iter(adj))}
-    queue = list(seen)
-    for v in queue:                  # the queue grows while it is walked
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(adj)
+    return sum(1 for _ in _breadth_first([next(iter(adj))], adj.__getitem__)) == len(adj)
 
 
 def _is_bounded_surface(lat: Lattice) -> bool:
@@ -1489,7 +1442,7 @@ _METHODS = {
     "counting": _gsd_counting,
     "modular": _gsd_modular,
     "dense": _gsd_dense,
-    "trace": _gsd_trace,
+    "trace": partial(_gsd_counting, gauge_fix=False),
 }
 
 

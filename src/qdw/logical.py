@@ -19,7 +19,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from qdw.classify import abelian_anyon_data
-from qdw.groups import FiniteGroup, InvariantError, Subgroup, character_table
+from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
+                        character_table)
 from qdw.lattice import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
                          config_digits)
 
@@ -498,23 +499,20 @@ def tunnel_operator(ags: AbelianGroundSpace, region_a: str, region_b: str,
     dst = set(lat.region_by_name(region_b).rim_vertices)
     if not src or not dst:
         raise ValueError("both regions need rim vertices")
-    parent: dict[int, Optional[int]] = {v: None for v in src}
-    queue = list(src)
-    goal = None
-    while queue:
-        u = queue.pop(0)
-        if u in dst:
-            goal = u
-            break
+
+    def neighbours(u: int):
         for e, _ in lat.star[u]:
             t, h = lat.edges[e]
-            w = h if t == u else t
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    if goal is None:
+            yield (h if t == u else t), None
+
+    parent: dict[int, Optional[int]] = {}
+    for v, p, _ in _breadth_first(src, neighbours):
+        parent[v] = p
+        if v in dst:
+            break
+    else:
         raise ValueError(f"regions {region_a!r} and {region_b!r} are not connected")
-    path = [goal]
+    path = [v]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
     return charge_string(ags, list(reversed(path)), charge)
@@ -657,10 +655,6 @@ class LogicalAction:
     def is_identity(self) -> bool:
         return all(p == j for j, p in enumerate(self.perm)) \
             and not any(self.phase_exp)
-
-    @property
-    def phase_turns(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(k, self.n) for k in self.phase_exp)
 
     def matrix(self) -> np.ndarray:
         d = len(self.perm)
@@ -838,17 +832,8 @@ def _additive_irrep_map(group: FiniteGroup) -> dict[int, int]:
     n = group.order
     omega = np.exp(2j * np.pi / n)
     table = character_table(group)
-    out: dict[int, int] = {}
-    for a in range(n):
-        want = np.array([omega ** ((a * x) % n) for x in range(n)])
-        for q in range(n):
-            row = np.array([table.value(q, x) for x in range(n)])
-            if np.abs(row - want).max() < 1e-9:
-                out[a] = q
-                break
-        else:
-            raise InvariantError("missing cyclic character")
-    return out
+    return {a: table.row_of([omega ** ((a * cl.rep) % n) for cl in table.classes])
+            for a in range(n)}
 
 
 def charge_projectors(qudit: LogicalQudit,

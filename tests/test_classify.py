@@ -9,6 +9,7 @@ import pytest
 from qdw.groups import (
     build_group,
     character_table,
+    double_cosets,
     enumerate_automorphisms,
     enumerate_subgroups,
     inner_automorphism,
@@ -154,6 +155,19 @@ def test_defects_reduce_to_boundary_excitations():
     xs = boundary_excitations(k2)
     assert [d.name for d in ds] == [x.name for x in xs]
     assert [d.dim_squared for d in ds] == [Fraction(x.dim ** 2) for x in xs]
+
+
+def test_boundary_excitations_match_the_double_coset_formula():
+    """dim = |double coset| * dim(stabilizer irrep) / |K|, over every subgroup of S4 and D4."""
+    for spec in ("symmetric:4", "dihedral:4"):
+        g = build_group(spec)
+        for k in enumerate_subgroups(g):
+            want = [(f"T{ti}-R{ri}", ti, ri, dc.size * d // k.order)
+                    for ti, dc in enumerate(double_cosets(k, k))
+                    for ri, d in enumerate(character_table(dc.stabilizer).dims)]
+            got = [(x.name, x.coset_index, x.irrep_index, x.dim)
+                   for x in boundary_excitations(k)]
+            assert got == want
 
 
 @pytest.mark.parametrize("spec,k1_gens,k2_gens,expect", [

@@ -108,6 +108,12 @@ class TestSpecParsers:
         with pytest.raises(UsageError, match="kind"):
             parse_lattice('{"kind": "prism", "rows": 2, "cols": 2}')
 
+    def test_lattice_sizes_are_checked(self):
+        with pytest.raises(UsageError, match="20200 edges, over the cap"):
+            parse_lattice("torus:101x100")
+        with pytest.raises(UsageError, match=r"must be integers, got \[2.9, 2\]"):
+            parse_lattice('{"kind": "torus", "rows": 2.9, "cols": 2}')
+
 
 class TestStableOutput:
     def test_json_bytes_identical_across_runs(self, capsys):
@@ -195,6 +201,15 @@ class TestExitCodes:
         ["group-info", "--group", '{"table": null}'],
         ["group-info", "--group", '{"table": [0], "order": null}'],
         ["group-info", "--group", '{"table": [0], "names": 5}'],
+        ["group-info", "--group", '{"table": [0, 1, 1, 0.9]}'],
+        ["group-info", "--group", '{"table": [0, 1, 1, 0], "names": [1, 2]}'],
+        ["group-info", "--group", '{"table": [0], "order": 1e400}'],
+        ["group-info", "--group", '{"table": [0, 1, 1, 99999999999999999999999]}'],
+        ["gsd", "--group", "cyclic:2", "--lattice",
+         '{"kind": "torus", "rows": 2.9, "cols": 2}'],
+        ["gsd", "--group", "cyclic:2", "--lattice",
+         '{"kind": "patch", "rows": 3, "cols": 3, "holes": [{"name": "h", "faces": [4.0]}], '
+         '"subgroups": {"outer": "full", "h": "trivial"}}'],
         ["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
          "--subgroup", "trivial", "--subgroup2", "full",
          "--inject-literal-edge", "in0"],

@@ -7,6 +7,7 @@ from qdw.groups import (
     FiniteGroup,
     InvariantError,
     Subgroup,
+    _breadth_first,
     build_group,
     character_table,
     double_cosets,
@@ -128,6 +129,50 @@ def test_generated_subgroup_s3():
     g = build_group("symmetric:3")
     assert g.generated_subgroup([g.index_of("(123)")]).order == 3
     assert g.generated_subgroup([g.index_of("(12)"), g.index_of("(23)")]).order == 6
+
+
+def test_breadth_first_reach_order_and_parents():
+    # a square 0-1-2-3-0 with a tail 2-4, reached from 0
+    adj = {0: [1, 3], 1: [0, 2], 2: [1, 3, 4], 3: [0, 2], 4: [2]}
+    reach = list(_breadth_first([0], lambda v: ((w, (v, w)) for w in adj[v])))
+    assert reach == [(0, None, None), (1, 0, (0, 1)), (3, 0, (0, 3)),
+                     (2, 1, (1, 2)), (4, 2, (2, 4))]
+    # several roots come first, once each; the walk is lazy, so a caller may stop early
+    walk = _breadth_first([3, 1, 3], lambda v: ((w, None) for w in adj[v]))
+    assert [next(walk)[0] for _ in range(3)] == [3, 1, 0]
+
+
+def test_equal_centralizers_share_one_subgroup():
+    g = build_group("cyclic:12")
+    cents = {id(cl.centralizer) for cl in g.conjugacy_classes()}
+    assert len(cents) == 1
+    g = build_group("dihedral:4")
+    by_elements = {}
+    for cl in g.conjugacy_classes():
+        assert by_elements.setdefault(cl.centralizer.elements, cl.centralizer) is cl.centralizer
+
+
+def test_character_row_lookup():
+    t = character_table(build_group("symmetric:4"))
+    for i in range(t.n_irreps):
+        assert t.row_of(t.chars[i]) == i
+    with pytest.raises(InvariantError, match="unique irrep row"):
+        t.row_of(t.chars[0] + t.chars[1])
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"table": [0, 1, 1, 0.9]}, "entries must be integers from 0 to 1"),
+    ({"table": [0, 1, 1, 2]}, "entries must be integers from 0 to 1"),
+    ({"table": [0, 1, 1, False]}, "entries must be integers"),
+    ({"table": [0, 1, 1, 0], "order": 2.0}, "'order' must be a positive integer"),
+    ({"table": [0, 1, 1, 0], "order": float("inf")}, "'order' must be a positive integer"),
+    ({"table": [0, 1, 1, 0], "order": -7}, "'order' must be a positive integer"),
+    ({"table": [0, 1, 1, 0], "names": [1, 2]}, "'names' must be a list of 2 strings"),
+    ({"table": [1, 0, 0, 1], "names": ["a"]}, "'names' must be a list of 2 strings"),
+])
+def test_malformed_table_specs_rejected(spec, message):
+    with pytest.raises(ValueError, match=message):
+        build_group(spec)
 
 
 def test_conjugacy_classes_s3():

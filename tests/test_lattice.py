@@ -12,6 +12,7 @@ from qdw.classify import anyon_table, qudit_dimension
 from qdw.groups import double_cosets
 from qdw.lattice import (
     MATERIALIZE_DIM_BUDGET,
+    MAX_LATTICE_EDGES,
     AuditReport,
     BoundaryRegion,
     GroundSpace,
@@ -239,6 +240,31 @@ class TestGeometry:
     def test_torus_minimum_size(self):
         with pytest.raises(ValueError):
             torus(1, 5)
+
+    def test_square_grid_cells_and_names(self):
+        lat = torus(2, 3)
+        assert lat.edges == [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                             (0, 3), (1, 4), (2, 5), (3, 0), (4, 1), (5, 2)]
+        assert lat.plaquettes[2] == ((2, True), (6, True), (5, False), (8, False))
+        assert lat.plaquettes[5] == ((5, True), (9, True), (2, False), (11, False))
+        assert lat.edge_names[5:8] == ["h(1,2)", "v(0,0)", "v(0,1)"]
+        assert lat.vertex_names[4] == "(1,1)" and lat.plaquette_names[4] == "p(1,1)"
+        lat = patch(2, 1)
+        assert lat.edges == [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)]
+        assert lat.plaquettes == [((0, True), (4, True), (1, False), (3, False)),
+                                  ((1, True), (6, True), (2, False), (5, False))]
+        assert lat.edge_names == ["h(0,0)", "h(1,0)", "h(2,0)",
+                                  "v(0,0)", "v(0,1)", "v(1,0)", "v(1,1)"]
+        assert lat.regions == [BoundaryRegion("outer", (0, 1, 2, 3, 4, 5),
+                                              (0, 2, 3, 4, 5, 6))]
+
+    def test_edge_cap_is_checked_before_building(self):
+        with pytest.raises(ValueError, match=f"20200 edges, over the cap of {MAX_LATTICE_EDGES}"):
+            torus(101, 100)
+        with pytest.raises(ValueError, match="over the cap"):
+            patch(100, 100)
+        with pytest.raises(ValueError, match="10200 edges"):
+            ring(3400)
 
     def test_patch_cell_counts(self):
         lat = patch(2, 3)

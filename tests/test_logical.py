@@ -675,3 +675,55 @@ class TestChargeProjectors:
                               charge_string(ags, ["i0", "i1", "i2", "i0"]))
         with pytest.raises(ValueError, match="flux loop"):
             charge_projectors(qud, "inner")
+
+
+# tunnel paths ----------------------------------------------------------------
+#
+# The Weyl normal form hides which shortest walk a tunnel takes, so the
+# walks themselves are pinned: nonzero phase entries by edge name.
+
+def phase_support(lat, op):
+    return {lat.edge_names[e]: p for e, p in enumerate(op.phase) if p}
+
+
+def two_hole_patch(group, rows, cols):
+    lat = carve_hole(patch(rows, cols), ["p(1,1)"], "hole0")
+    lat = carve_hole(lat, [f"p({rows - 2},{cols - 2})"], "hole1")
+    return lat, {"outer": group.full_subgroup(),
+                 "hole0": group.trivial_subgroup(),
+                 "hole1": group.trivial_subgroup()}
+
+
+class TestTunnelPaths:
+    def test_readme_two_hole_patch(self):
+        g = build_group("cyclic:3")
+        lat, subs = two_hole(g)
+        ags = AbelianGroundSpace(lat, g, subs)
+        assert phase_support(lat, tunnel_operator(ags, "hole0", "hole1")) == {"h(1,2)": 1}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ring(self, n):
+        g = build_group(f"cyclic:{n}")
+        lat, subs = rough_ring(g)
+        ags = AbelianGroundSpace(lat, g, subs)
+        assert phase_support(lat, tunnel_operator(ags, "inner", "outer")) == {"rung0": 1}
+
+    @pytest.mark.parametrize("n, rows, cols, forward, backward", [
+        (2, 6, 10, "h(2,2) h(2,3) h(2,4) h(2,5) h(2,6) h(2,7) v(2,8) v(3,8)",
+         "h(4,2) h(4,3) h(4,4) h(4,5) h(4,6) h(4,7) v(2,2) v(3,2)"),
+        (3, 5, 10, "h(2,2) h(2,3) h(2,4) h(2,5) h(2,6) h(2,7) v(2,8)",
+         "h(3,2) h(3,3) h(3,4) h(3,5) h(3,6) h(3,7) v(2,2)"),
+        (4, 5, 8, "h(2,2) h(2,3) h(2,4) h(2,5) v(2,6)",
+         "h(3,2) h(3,3) h(3,4) h(3,5) v(2,2)"),
+        (7, 4, 6, "h(2,2) h(2,3)", "h(2,2) h(2,3)"),
+    ])
+    def test_two_hole_patches(self, n, rows, cols, forward, backward):
+        g = build_group(f"cyclic:{n}")
+        lat, subs = two_hole_patch(g, rows, cols)
+        ags = AbelianGroundSpace(lat, g, subs)
+        # every entry is 1: forward edges are walked along, backward ones
+        # against, with charge n - 1
+        assert phase_support(lat, tunnel_operator(ags, "hole0", "hole1")) == \
+            dict.fromkeys(forward.split(), 1)
+        assert phase_support(lat, tunnel_operator(ags, "hole1", "hole0", charge=n - 1)) == \
+            dict.fromkeys(backward.split(), 1)
