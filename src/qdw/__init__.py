@@ -23,7 +23,6 @@ from qdw.lattice import (
     audit_commutation,
     build_terms,
     carve_hole,
-    ground_space,
     ground_space_dimension,
     patch,
     ring,
@@ -67,7 +66,6 @@ __all__ = [
     "double_cosets",
     "enumerate_subgroups",
     "flux_string",
-    "ground_space",
     "ground_space_dimension",
     "lagrangian_algebra",
     "logical_action",

@@ -425,7 +425,7 @@ class SymmetryAction:
         return perm
 
     def subgroup_image(self, boundary: Subgroup) -> Subgroup:
-        return Subgroup(self.table.group, tuple(self.phi[x] for x in boundary.elements))
+        return self.table.group.subgroup(self.phi[x] for x in boundary.elements)
 
     def is_identity(self) -> bool:
         return self.anyon_permutation == list(range(len(self.table.anyons)))

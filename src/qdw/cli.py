@@ -166,7 +166,7 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
         return group.generated_subgroup({group.index_of(name)})
     try:
         members = [group.index_of(nm) for nm in _split_outside_parens(text)]
-        return Subgroup(group, members)
+        return group.subgroup(members)
     except ValueError as exc:
         raise UsageError(f"bad subgroup spec {spec!r}: {exc}") from None
 
@@ -537,7 +537,7 @@ def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
         "loop_region": holes[0],
         "labels": [[f, q] for f, q in fam.labels],
         "projectors": [{"label": [f, q],
-                        "trace": float(np.trace(p).real),
+                        "trace": _round12(np.trace(p).real),
                         "matrix": _matrix_pairs(p)}
                        for (f, q), p in zip(fam.labels, fam.projectors)],
         "selected": [{"label": [f, q], "state": s}

@@ -179,18 +179,14 @@ class FiniteGroup:
         n = self.order
         seen = [False] * n
         classes: list[ConjugacyClass] = []
-        centralizers: dict[tuple[int, ...], Subgroup] = {}   # one per element tuple
         for a in range(n):
             if seen[a]:
                 continue
             members = sorted({self.conj(g, a) for g in range(n)})
             for m in members:
                 seen[m] = True
-            cent = tuple(g for g in range(n) if self.table[g, a] == self.table[a, g])
-            if cent not in centralizers:
-                centralizers[cent] = Subgroup(self, cent)
-            classes.append(ConjugacyClass(rep=a, members=tuple(members),
-                                          centralizer=centralizers[cent]))
+            cent = self.subgroup(g for g in range(n) if self.table[g, a] == self.table[a, g])
+            classes.append(ConjugacyClass(rep=a, members=tuple(members), centralizer=cent))
         self._cache["classes"] = classes
         return classes
 
@@ -204,19 +200,24 @@ class FiniteGroup:
         return self._cache["class_of"][a]
 
     def subgroup(self, elements: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(elements))))
+        """The one Subgroup of this element set, so its caches are shared."""
+        key = tuple(sorted({int(x) for x in elements}))
+        subs = self._cache.setdefault("subgroups", {})
+        if key not in subs:
+            subs[key] = Subgroup(self, key)
+        return subs[key]
 
     def generated_subgroup(self, generators: Iterable[int]) -> "Subgroup":
         # right multiples reach the whole subgroup: inverses are powers
         gens = sorted(set(generators))
         reach = _breadth_first([0], lambda x: ((self.mul(x, g), g) for g in gens))
-        return Subgroup(self, tuple(sorted(x for x, _, _ in reach)))
+        return self.subgroup(x for x, _, _ in reach)
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,))
+        return self.subgroup((0,))
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)))
+        return self.subgroup(range(self.order))
 
 
 @dataclass(frozen=True)
@@ -269,7 +270,7 @@ class Subgroup:
         return f"Subgroup(order={self.order}, elements={self.elements})"
 
     def conjugate_by(self, g: int) -> "Subgroup":
-        return Subgroup(self.group, tuple(self.group.conj(g, x) for x in self.elements))
+        return self.group.subgroup(self.group.conj(g, x) for x in self.elements)
 
     def is_normal(self) -> bool:
         return all(self.conjugate_by(g).elements == self.elements for g in range(len(self.group)))
@@ -526,8 +527,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             if ext not in found:
                 found.add(ext)
                 queue.append(ext)
-    subs = [Subgroup(group, e) for e in sorted(found, key=lambda e: (len(e), e))]
-    return subs
+    return [group.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e))]
 
 
 def subgroup_conjugacy_classes(group: FiniteGroup) -> list[list[Subgroup]]:
@@ -698,7 +698,7 @@ def double_cosets(k1: Subgroup, k2: Subgroup) -> list[DoubleCoset]:
         for m in members:
             seen[m] = True
         conj_k2 = {group.conj(g, x) for x in k2.elements}
-        stab = Subgroup(group, tuple(sorted(set(k1.elements) & conj_k2)))
+        stab = group.subgroup(set(k1.elements) & conj_k2)
         dc = DoubleCoset(rep=g, members=tuple(members), stabilizer=stab)
         if dc.size * stab.order != k1.order * k2.order:
             raise InvariantError("double coset size does not match the stabilizer index")

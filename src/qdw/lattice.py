@@ -59,8 +59,6 @@ __all__ = [
     "audit_commutation",
     "GsdReport",
     "ground_space_dimension",
-    "GroundSpace",
-    "ground_space",
 ]
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
@@ -1472,48 +1470,3 @@ def ground_space_dimension(lat: Lattice, group: FiniteGroup,
         raise InvariantError(f"counting routes disagree: {results}")
     return GsdReport(value=vals.pop(), by_method=results, skipped=tuple(skipped))
 
-
-# ---------------------------------------------------------------------------
-# explicit ground space (small systems)
-
-
-class GroundSpace:
-    """Orthonormal ground basis of the dense projector, with certificates."""
-
-    def __init__(self, lat: Lattice, group: FiniteGroup,
-                 subgroups: Mapping[str, Subgroup]):
-        self.lattice = lat
-        self.group = group
-        self.terms = build_terms(lat, group, subgroups)
-        dense = _dense_projector(lat, group, subgroups, self.terms)
-        if dense is None:
-            raise ValueError("lattice is too large for an explicit ground basis")
-        support, proj = dense
-        dim = group.order ** lat.n_edges
-        expected = ground_space_dimension(lat, group, subgroups,
-                                          methods=("counting", "modular")).value
-        rank = _projector_rank(proj)
-        if rank != expected:
-            raise InvariantError(f"projector rank {rank} != route count {expected}")
-        rng = np.random.default_rng(7)
-        probe = rng.normal(size=(dim, min(dim, expected + 6)))
-        img = np.zeros_like(probe)
-        img[support] = proj @ probe[support]
-        q, r = np.linalg.qr(img)
-        keep = np.abs(np.diag(r)) > 1e-8 * max(1.0, float(np.abs(r).max()))
-        self.basis = q[:, keep]
-        if self.basis.shape[1] != expected:
-            raise InvariantError(
-                f"ground basis rank {self.basis.shape[1]} != expected {expected}")
-        for t in self.terms:
-            if float(np.abs(t.op.apply(range(lat.n_edges), self.basis) - self.basis).max()) > 1e-9:
-                raise InvariantError(f"ground basis is not fixed by {t.name}")
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-
-def ground_space(lat: Lattice, group: FiniteGroup,
-                 subgroups: Mapping[str, Subgroup]) -> GroundSpace:
-    return GroundSpace(lat, group, subgroups)

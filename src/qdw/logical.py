@@ -5,7 +5,9 @@ admissible configurations are an integer kernel, gauge shifts are a
 sublattice, and ground sectors are the quotient.  Smith normal forms with
 tracked unimodular transforms make every step exact, so logical string
 operators come out with integer shift and phase data and their algebra
-can be certified without any floating point.
+can be certified without any floating point.  The sector label is a
+homomorphism on the admissible kernel, so a string acts on sectors by
+translation: it adds the label of its shift to every sector's label.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, prod
 from typing import Mapping, Optional, Sequence
 
@@ -269,17 +272,10 @@ class AbelianGroundSpace:
         self._form1 = smith_normal_form(reduced)
         diag1 = self._form1.diagonal()
         self._g = [gcd(diag1[i] if i < len(diag1) else 0, n) for i in range(ne)]
-        # gauge generators in kernel coordinates
-        gens: list[list[int]] = []
-        for v in range(lat.n_vertices):
-            gens.append([(self.vertex_step[v] * x) % n for x in incidence[v]])
-        for e in sorted(self.dangling_step):
-            gen = [0] * ne
-            gen[e] = self.dangling_step[e] % n
-            gens.append(gen)
+        # gauge generators in kernel coordinates: the phase rows reduced mod n
         gen_coords = []
-        for w in gens:
-            t = self._kernel_coordinates(w)
+        for row in phase_rows:
+            t = self._kernel_coordinates([x % n for x in row])
             if t is None:
                 raise InvariantError("a gauge shift escapes the admissible kernel")
             gen_coords.append(t)
@@ -327,8 +323,7 @@ class AbelianGroundSpace:
         return tuple(z[i] % self._s[i] for i in self._live)
 
     def labels(self) -> list[tuple[int, ...]]:
-        return [tuple(lab) for lab in
-                itertools.product(*(range(self._s[i]) for i in self._live))]
+        return list(itertools.product(*(range(self._s[i]) for i in self._live)))
 
     def representative(self, label: Sequence[int]) -> tuple[int, ...]:
         """One admissible configuration in the given sector."""
@@ -345,6 +340,11 @@ class AbelianGroundSpace:
                                   for l, i in zip(label, self._live)):
             raise InvariantError("sector representative does not map back")
         return tuple(x)
+
+    @cached_property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        """One round-trip-checked representative per sector, in labels() order."""
+        return tuple(self.representative(lab) for lab in self.labels())
 
     def _check(self, rows, msgs, vec, what: str) -> None:
         for row, msg in zip(rows, msgs):
@@ -445,22 +445,25 @@ class StringOperator:
         return out
 
 
-def shift_string(ags: AbelianGroundSpace, amounts: Mapping, ) -> StringOperator:
-    """Validated shift vector; keys are edge indices or names."""
-    s = [0] * ags.lattice.n_edges
+def _edge_vector(ags: AbelianGroundSpace, amounts: Mapping) -> list[int]:
+    """Amounts summed per edge mod n; keys are edge indices or names."""
+    vec = [0] * ags.lattice.n_edges
     for key, val in amounts.items():
         e = ags.lattice.edge_index(key) if isinstance(key, str) else int(key)
-        s[e] = (s[e] + int(val)) % ags.n
+        vec[e] = (vec[e] + int(val)) % ags.n
+    return vec
+
+
+def shift_string(ags: AbelianGroundSpace, amounts: Mapping) -> StringOperator:
+    """Validated shift vector; keys are edge indices or names."""
+    s = _edge_vector(ags, amounts)
     ags._check(ags._shift_rows, ags._shift_msgs, s, "shift")
     return StringOperator.make(ags.n, s, [0] * len(s))
 
 
 def phase_string(ags: AbelianGroundSpace, amounts: Mapping) -> StringOperator:
     """Validated phase vector; keys are edge indices or names."""
-    p = [0] * ags.lattice.n_edges
-    for key, val in amounts.items():
-        e = ags.lattice.edge_index(key) if isinstance(key, str) else int(key)
-        p[e] = (p[e] + int(val)) % ags.n
+    p = _edge_vector(ags, amounts)
     ags._check(ags._phase_rows, ags._phase_msgs, p, "phase")
     return StringOperator.make(ags.n, [0] * len(p), p)
 
@@ -478,15 +481,14 @@ def charge_string(ags: AbelianGroundSpace, vertices: Sequence,
         raise ValueError("a charge string needs at least two vertices")
     p = [0] * lat.n_edges
     for u, v in zip(path, path[1:]):
-        fwd = [e for e, (a, b) in enumerate(lat.edges) if (a, b) == (u, v)]
-        bwd = [e for e, (a, b) in enumerate(lat.edges) if (a, b) == (v, u)]
-        if fwd:
-            p[min(fwd)] = (p[min(fwd)] + charge) % ags.n
-        elif bwd:
-            p[min(bwd)] = (p[min(bwd)] - charge) % ags.n
-        else:
+        # the lowest edge u -> v, else the lowest edge v -> u
+        joins = sorted((at_head, e) for e, at_head in lat.star[u]
+                       if lat.edges[e][0 if at_head else 1] == v)
+        if not joins:
             raise ValueError(
                 f"no edge joins {lat.vertex_names[u]} and {lat.vertex_names[v]}")
+        backward, e = joins[0]
+        p[e] = (p[e] + (-charge if backward else charge)) % ags.n
     ags._check(ags._phase_rows, ags._phase_msgs, p, "charge string")
     return StringOperator.make(ags.n, [0] * len(p), p)
 
@@ -501,9 +503,8 @@ def tunnel_operator(ags: AbelianGroundSpace, region_a: str, region_b: str,
         raise ValueError("both regions need rim vertices")
 
     def neighbours(u: int):
-        for e, _ in lat.star[u]:
-            t, h = lat.edges[e]
-            yield (h if t == u else t), None
+        for e, at_head in lat.star[u]:
+            yield lat.edges[e][0 if at_head else 1], None
 
     parent: dict[int, Optional[int]] = {}
     for v, p, _ in _breadth_first(src, neighbours):
@@ -548,36 +549,41 @@ def flux_string(ags: AbelianGroundSpace, stations: Sequence,
     for kind, _ in kinds[1:-1]:
         if kind != "face":
             raise ValueError("regions may only start or end a flux string")
+
+    def edges(kind, v) -> set[int]:
+        if kind == "region":
+            return set(lat.region_by_name(v).rim_edges)
+        return {e for e, _ in lat.plaquettes[v]}
+
     s = [0] * lat.n_edges
     for (ka, va), (kb, vb) in zip(kinds, kinds[1:]):
-        if ka == "face" and kb == "face":
-            ea = {e for e, _ in lat.plaquettes[va]}
-            eb = {e for e, _ in lat.plaquettes[vb]}
-            shared = sorted(ea & eb)
-            if not shared:
-                raise ValueError(
-                    f"faces {lat.plaquette_names[va]} and "
-                    f"{lat.plaquette_names[vb]} share no edge")
-            e = shared[0]
-            s[e] = (s[e] + flux * _face_sign(lat, va, e)) % ags.n
-        elif ka == "region" and kb == "face":
-            rim = set(lat.region_by_name(va).rim_edges)
-            shared = sorted({e for e, _ in lat.plaquettes[vb]} & rim)
-            if not shared:
-                raise ValueError(f"face does not border region {va!r}")
-            e = shared[0]
-            s[e] = (s[e] - flux * _face_sign(lat, vb, e)) % ags.n
-        elif ka == "face" and kb == "region":
-            rim = set(lat.region_by_name(vb).rim_edges)
-            shared = sorted({e for e, _ in lat.plaquettes[va]} & rim)
-            if not shared:
-                raise ValueError(f"face does not border region {vb!r}")
-            e = shared[0]
-            s[e] = (s[e] + flux * _face_sign(lat, va, e)) % ags.n
-        else:
+        if ka == kb == "region":
             raise ValueError("a flux string cannot join two regions directly")
+        shared = sorted(edges(ka, va) & edges(kb, vb))
+        if not shared:
+            raise ValueError(
+                f"faces {lat.plaquette_names[va]} and {lat.plaquette_names[vb]} "
+                "share no edge" if ka == kb else
+                f"face does not border region {va if ka == 'region' else vb!r}")
+        # crossing out of a face follows its orientation, into one opposes it
+        e = shared[0]
+        sign = _face_sign(lat, va, e) if ka == "face" else -_face_sign(lat, vb, e)
+        s[e] = (s[e] + flux * sign) % ags.n
     ags._check(ags._shift_rows, ags._shift_msgs, s, "flux string")
     return StringOperator.make(ags.n, s, [0] * len(s))
+
+
+def _closed_walk(nbrs: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
+    """The one cycle through every node, from the smallest toward its smaller
+    neighbour; None unless each node has two neighbours and one cycle holds all."""
+    if not nbrs or any(len(v) != 2 for v in nbrs.values()):
+        return None
+    start = min(nbrs)
+    walk = [start, min(nbrs[start])]
+    while walk[-1] != start:
+        a, b = walk[-2], walk[-1]
+        walk.append(nbrs[b][0] if nbrs[b][0] != a else nbrs[b][1])
+    return walk if len(walk) == len(nbrs) + 1 else None
 
 
 def loop_operator(ags: AbelianGroundSpace, region_name: str,
@@ -597,12 +603,8 @@ def loop_operator(ags: AbelianGroundSpace, region_name: str,
     if any(len(v) != 2 for v in nbrs.values()):
         raise ValueError("surrounding faces do not form a simple loop; "
                          "pass an explicit face walk instead")
-    start = faces[0]
-    walk = [start, nbrs[start][0]]
-    while walk[-1] != start:
-        a, b = walk[-2], walk[-1]
-        walk.append(nbrs[b][0] if nbrs[b][0] != a else nbrs[b][1])
-    if len(walk) != len(faces) + 1:
+    walk = _closed_walk(nbrs)
+    if walk is None:
         raise ValueError("surrounding faces split into several loops; "
                          "pass an explicit face walk instead")
     return flux_string(ags, walk, flux)
@@ -622,15 +624,8 @@ def rim_loop(ags: AbelianGroundSpace, region_name: str,
         t, h = lat.edges[e]
         nbrs.setdefault(t, []).append(h)
         nbrs.setdefault(h, []).append(t)
-    if not nbrs or any(len(v) != 2 for v in nbrs.values()):
-        raise ValueError(f"rim of {region_name!r} is not a single cycle")
-    start = min(nbrs)
-    walk = [start, min(nbrs[start])]
-    while walk[-1] != start:
-        a, b = walk[-2], walk[-1]
-        nxt = nbrs[b][0] if nbrs[b][0] != a else nbrs[b][1]
-        walk.append(nxt)
-    if len(walk) != len(nbrs) + 1:
+    walk = _closed_walk(nbrs)
+    if walk is None:
         raise ValueError(f"rim of {region_name!r} is not a single cycle")
     return charge_string(ags, walk, charge)
 
@@ -665,17 +660,16 @@ class LogicalAction:
 
 
 def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction:
+    """Sector j goes to label_j + label(shift), with phase offset + phase.rep_j."""
     if op.n != ags.n or len(op.shift) != ags.lattice.n_edges:
         raise ValueError("operator does not match the sector data")
     labels = ags.labels()
     index = {lab: j for j, lab in enumerate(labels)}
-    perm = []
-    phase = []
-    for lab in labels:
-        x = ags.representative(lab)
-        moved = tuple((a + b) % ags.n for a, b in zip(x, op.shift))
-        perm.append(index[ags.label(moved)])
-        phase.append((op.offset + sum(p * a for p, a in zip(op.phase, x))) % ags.n)
+    step = ags.label(op.shift)
+    perm = [index[tuple((a + b) % s for a, b, s in zip(lab, step, ags.invariant_factors))]
+            for lab in labels]
+    phase = [(op.offset + sum(p * a for p, a in zip(op.phase, x))) % ags.n
+             for x in ags.representatives]
     if sorted(perm) != list(range(len(labels))):
         raise InvariantError("sector action is not a permutation")
     return LogicalAction(ags.n, tuple(perm), tuple(phase))

@@ -26,7 +26,6 @@ from qdw.classify import (
 from qdw.groups import (
     FiniteGroup,
     InvariantError,
-    Subgroup,
     enumerate_automorphisms,
     enumerate_subgroups,
     inner_automorphism,
@@ -150,7 +149,7 @@ def _check_automorphisms(group: FiniteGroup, tol: float) -> str:
         act = symmetry_action(group, phi)
         perm = act.anyon_permutation
         for sub in subs:
-            image = Subgroup(group, [phi[k] for k in sub.elements])
+            image = group.subgroup(phi[k] for k in sub.elements)
             src = lagrangian_algebra(group, sub).multiplicities
             dst = lagrangian_algebra(group, image).multiplicities
             moved = [0] * len(src)

@@ -11,6 +11,11 @@ import pytest
 
 from qdw.cli import EXIT_INVARIANT, EXIT_OK, main
 
+# the README's two-hole patch, written without spaces so a command splits on them
+README_PATCH = ('{"kind":"patch","rows":3,"cols":5,"holes":['
+                '{"name":"hole0","faces":["p(1,1)"]},{"name":"hole1","faces":["p(1,3)"]}],'
+                '"subgroups":{"outer":"full"}}')
+
 # command line -> (exit status, sha256 of stdout)
 GOLDEN = {
     "gsd --group cyclic:2 --lattice torus:2x2":
@@ -36,6 +41,18 @@ GOLDEN = {
         (EXIT_OK, "7debc0349b3256370f4b43fffea225dd031d60070d56c4e947e3080da6320dcd"),
     "lattice-audit --group quaternion8 --lattice ring:3 --subgroup 1,-1 --subgroup2 1":
         (EXIT_OK, "d8092834a5a785bd9ce77a82c53907a9b6e87cf852c27c14f1a5565cd9252c52"),
+    # logical reports print complex matrix entries; every phase in these is
+    # +-1 or +-i (and every trace 0 or 1), so the 12-digit rounding gives
+    # the same decimals on every IEEE machine
+    "logical --group cyclic:4 --lattice ring:3":
+        (EXIT_OK, "d0264831f34c5d0796ce1b764bec65909e3f2de722ed78def7cefe7868efb5d5"),
+    f"logical --group cyclic:2 --lattice {README_PATCH}":
+        (EXIT_OK, "d30a6efa2b67b7c4164da025bd384b5256bbe87ad79438add65f94d93f52aa6d"),
+    f"charge-project --group cyclic:2 --lattice {README_PATCH}":
+        (EXIT_OK, "c0812e65cdc5e703a1d6d0596515db65373a6383e3b06bf7952303453a52203a"),
+    # projector traces go through the same rounding as every other float
+    "charge-project --group cyclic:4 --lattice ring:3":
+        (EXIT_OK, "30a943f12705de0a606ee28459a53f86cfe3416151cc8901b81c106148dc1153"),
 }
 
 

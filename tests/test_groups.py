@@ -152,6 +152,40 @@ def test_equal_centralizers_share_one_subgroup():
         assert by_elements.setdefault(cl.centralizer.elements, cl.centralizer) is cl.centralizer
 
 
+
+def test_one_subgroup_object_per_element_set():
+    g = build_group("symmetric:4")
+    subs = enumerate_subgroups(g)
+    by_elements = {s.elements: s for s in subs}
+    assert all(a is b for a, b in zip(enumerate_subgroups(g), subs))
+    assert g.subgroup(reversed(subs[5].elements)) is subs[5]
+    assert g.trivial_subgroup() is subs[0] and g.full_subgroup() is subs[-1]
+    assert g.generated_subgroup([g.index_of("(123)")]) is by_elements[
+        g.generated_subgroup([g.index_of("(132)")]).elements]
+    for cl in g.conjugacy_classes():
+        assert cl.centralizer is by_elements[cl.centralizer.elements]
+    for dc in double_cosets(subs[3], subs[7]):
+        assert dc.stabilizer is by_elements[dc.stabilizer.elements]
+    assert subs[3].conjugate_by(5) is by_elements[subs[3].conjugate_by(5).elements]
+    with pytest.raises(ValueError):
+        g.subgroup((0, 3))
+    assert (0, 3) not in by_elements
+
+
+def test_defect_sum_rule_builds_one_character_table_per_subgroup(monkeypatch):
+    import qdw.groups as groups
+    from qdw.verify import run_check
+    built = []
+    real = groups.CharacterTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(groups.CharacterTable, "__init__", counted)
+    g = build_group("symmetric:4")
+    assert run_check("defect-sum-rule", g).status == "pass"
+    assert 0 < len(built) <= len(enumerate_subgroups(g))
+
 def test_character_row_lookup():
     t = character_table(build_group("symmetric:4"))
     for i in range(t.n_irreps):

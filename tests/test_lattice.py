@@ -15,7 +15,6 @@ from qdw.lattice import (
     MAX_LATTICE_EDGES,
     AuditReport,
     BoundaryRegion,
-    GroundSpace,
     HamiltonianTerm,
     Lattice,
     Operator,
@@ -32,7 +31,6 @@ from qdw.lattice import (
     flux_sector_term,
     flux_term,
     gauge_vertex_term,
-    ground_space,
     ground_space_dimension,
     half_translation_term,
     literal_gauge_edge_term,
@@ -978,39 +976,3 @@ class TestDenseProjector:
         with pytest.raises(InvariantError, match=r"^L\(h\(0,0\)\) maps a configuration"):
             _dense_projector(lat, Z2, {}, terms)
 
-
-# explicit ground bases -----------------------------------------------------
-
-class TestGroundSpace:
-    def test_annulus_basis_sizes(self):
-        gs = ground_space(ring(3), Z2, {"inner": Z2.trivial_subgroup(),
-                                        "outer": Z2.full_subgroup()})
-        assert gs.dimension == 1
-        gs2 = ground_space(ring(3), Z2, {"inner": Z2.trivial_subgroup(),
-                                         "outer": Z2.trivial_subgroup()})
-        assert gs2.dimension == 2
-
-    def test_torus_basis_is_orthonormal(self):
-        gs = ground_space(torus(2, 2), Z2, {})
-        assert gs.dimension == 4
-        gram = gs.basis.T @ gs.basis
-        assert np.abs(gram - np.eye(4)).max() < 1e-9
-
-    def test_terms_and_projector_are_built_once(self, monkeypatch):
-        import qdw.lattice as lattice
-        calls = {"build_terms": 0, "_dense_projector": 0}
-        for name in calls:
-            real = getattr(lattice, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(lattice, name, counted)
-        gs = ground_space(ring(3), Z3, {"inner": Z3.trivial_subgroup(),
-                                        "outer": Z3.trivial_subgroup()})
-        assert gs.dimension == 3
-        assert calls == {"build_terms": 1, "_dense_projector": 1}
-
-    def test_oversized_lattice_rejected(self):
-        with pytest.raises(ValueError, match="too large"):
-            ground_space(torus(3, 3), S3, {})

@@ -23,6 +23,7 @@ from qdw.lattice import (
 )
 from qdw.logical import (
     AbelianGroundSpace,
+    LogicalAction,
     StringOperator,
     charge_projectors,
     charge_string,
@@ -133,6 +134,7 @@ class TestSectors:
         g3 = build_group("cyclic:3")
         ags3 = AbelianGroundSpace(torus(2, 2), g3, {})
         assert ags3.dimension == 9
+        assert ags3.invariant_factors == (3, 3)
 
     def test_mixed_ring_is_unique(self):
         g = build_group("cyclic:3")
@@ -477,6 +479,106 @@ class TestWeylPair:
             logical_algebra(ags, x @ z, z)
         with pytest.raises(ValueError, match="without phases"):
             logical_algebra(ags, x, x @ z)
+
+
+def loop_logical_action(ags, op):
+    """Reference action: rebuild, relabel and phase one representative per sector."""
+    labels = ags.labels()
+    index = {lab: j for j, lab in enumerate(labels)}
+    perm, phase = [], []
+    for lab in labels:
+        x = ags.representative(lab)
+        moved = tuple((a + b) % ags.n for a, b in zip(x, op.shift))
+        perm.append(index[ags.label(moved)])
+        phase.append((op.offset + sum(p * a for p, a in zip(op.phase, x))) % ags.n)
+    if sorted(perm) != list(range(len(labels))):
+        raise InvariantError("sector action is not a permutation")
+    return LogicalAction(ags.n, tuple(perm), tuple(phase))
+
+
+def hand_made_strings(ags, charge_walks):
+    """Shift strings from every sector representative, phase strings copied
+    edge by edge from charge strings along the given vertex walks."""
+    shifts = [shift_string(ags, dict(enumerate(rep))) for rep in ags.representatives]
+    phases = []
+    for walk in charge_walks:
+        p = charge_string(ags, walk).phase
+        phases.append(phase_string(ags, {ags.lattice.edge_names[e]: a
+                                         for e, a in enumerate(p) if a}))
+    return shifts + phases
+
+
+def ring_strings(ags):
+    return [tunnel_operator(ags, "inner", "outer"), loop_operator(ags, "inner"),
+            loop_operator(ags, "outer"), rim_loop(ags, "inner"),
+            rim_loop(ags, "outer")] + hand_made_strings(ags, [["i0", "o0"]])
+
+
+def torus_strings(ags, rows, cols):
+    row = [f"(0,{c})" for c in range(cols)] + ["(0,0)"]
+    col = [f"({r},0)" for r in range(rows)] + ["(0,0)"]
+    faces = [f"p(0,{c})" for c in range(cols)] + ["p(0,0)"]
+    return [charge_string(ags, row), charge_string(ags, col),
+            flux_string(ags, faces)] + hand_made_strings(ags, [row, col])
+
+
+def two_hole_strings(ags):
+    return [tunnel_operator(ags, "hole0", "hole1"), loop_operator(ags, "hole0"),
+            loop_operator(ags, "hole1"), rim_loop(ags, "hole0"),
+            flux_string(ags, ["outer", "p(0,1)", "p(0,2)", "outer"])] + \
+        hand_made_strings(ags, [["(1,2)", "(1,3)"]])
+
+
+def label_map_cases():
+    for k in range(2, 8):
+        g = build_group(f"cyclic:{k}")
+        lat, subs = rough_ring(g)
+        yield f"ring:3 cyclic:{k}", g, lat, subs, ring_strings
+    for spec, rows, cols in (("cyclic:2", 2, 3), ("cyclic:3", 2, 2)):
+        yield (f"torus:{rows}x{cols} {spec}", build_group(spec), torus(rows, cols), {},
+               lambda ags, r=rows, c=cols: torus_strings(ags, r, c))
+    for spec in ("cyclic:2", "cyclic:3"):
+        g = build_group(spec)
+        lat, subs = two_hole(g)
+        yield f"two-hole {spec}", g, lat, subs, two_hole_strings
+
+
+class TestLabelMap:
+    """logical_action moves sectors by the label of the shift; that must agree
+    with relabelling a shifted representative of every sector."""
+
+    @pytest.mark.parametrize("case", list(label_map_cases()), ids=lambda c: c[0])
+    def test_matches_per_sector_recomputation(self, case):
+        _, g, lat, subs, strings = case
+        ags = AbelianGroundSpace(lat, g, subs)
+        ops = strings(ags)
+        ops += [op.power(k) for op in ops[:5] for k in (2, -1, g.order + 1)]
+        ops += [a @ b for a, b in itertools.combinations(ops[:6], 2)]
+        moved = 0
+        for op in ops:
+            act = logical_action(ags, op)
+            assert act == loop_logical_action(ags, op)
+            moved += not all(p == j for j, p in enumerate(act.perm))
+        assert moved, "no string permutes the sectors"
+
+    def test_representatives_are_cached_in_label_order(self):
+        g = build_group("cyclic:3")
+        ags = AbelianGroundSpace(torus(2, 2), g, {})
+        reps = ags.representatives
+        assert reps is ags.representatives
+        assert [ags.label(x) for x in reps] == ags.labels()
+
+    def test_face_violating_shift_is_refused(self):
+        g = build_group("cyclic:4")
+        lat, subs = rough_ring(g)
+        ags = AbelianGroundSpace(lat, g, subs)
+        with pytest.raises(ValueError, match="shift changes the holonomy"):
+            shift_string(ags, {"rung0": 1})
+        raw = StringOperator.make(4, [1 if name == "rung0" else 0
+                                      for name in lat.edge_names], [0] * lat.n_edges)
+        for action in (logical_action, loop_logical_action):
+            with pytest.raises(ValueError, match="violates a face"):
+                action(ags, raw)
 
 
 def frame_matrix(qud):
