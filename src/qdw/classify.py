@@ -205,8 +205,6 @@ class LagrangianAlgebra:
     """
 
     def __init__(self, table: AnyonTable, boundary: Subgroup):
-        if boundary.group is not table.group:
-            raise ValueError("boundary subgroup belongs to a different group")
         self.table = table
         self.boundary = boundary
         self.multiplicities: list[int] = []
@@ -248,7 +246,12 @@ class LagrangianAlgebra:
 
 
 def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlgebra:
-    return LagrangianAlgebra(anyon_table(group), boundary)
+    """The condensate of a K boundary, built once and kept on the subgroup K."""
+    if boundary.group is not group:
+        raise ValueError("boundary subgroup belongs to a different group")
+    if "lagrangian" not in boundary._cache:
+        boundary._cache["lagrangian"] = LagrangianAlgebra(anyon_table(group), boundary)
+    return boundary._cache["lagrangian"]
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +313,8 @@ def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
     Computed two independent ways (condensate overlap; double-coset
     stabilizer class count) which must agree exactly.
     """
-    table = anyon_table(group)
-    m1 = LagrangianAlgebra(table, k1).multiplicities
-    m2 = LagrangianAlgebra(table, k2).multiplicities
+    m1 = lagrangian_algebra(group, k1).multiplicities
+    m2 = lagrangian_algebra(group, k2).multiplicities
     overlap = sum(a * b for a, b in zip(m1, m2))
     by_cosets = sum(len(dc.stabilizer.as_group()[0].conjugacy_classes())
                     for dc in double_cosets(k1, k2))

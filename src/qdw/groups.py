@@ -683,10 +683,16 @@ class DoubleCoset:
         return len(self.members)
 
 
-def double_cosets(k1: Subgroup, k2: Subgroup) -> list[DoubleCoset]:
-    """K1\\G/K2 double cosets ordered by smallest member, reps canonical."""
+def double_cosets(k1: Subgroup, k2: Subgroup) -> tuple[DoubleCoset, ...]:
+    """K1\\G/K2 double cosets ordered by smallest member, reps canonical.
+
+    The tuple is built once per ordered pair and kept on K1.
+    """
     if k1.group is not k2.group:
         raise ValueError("double cosets need subgroups of the same parent group")
+    key = ("double_cosets", k2.elements)
+    if key in k1._cache:
+        return k1._cache[key]
     group = k1.group
     seen = [False] * group.order
     out = []
@@ -705,7 +711,8 @@ def double_cosets(k1: Subgroup, k2: Subgroup) -> list[DoubleCoset]:
         out.append(dc)
     if sum(dc.size for dc in out) != group.order:
         raise InvariantError("double cosets do not partition the group")
-    return out
+    k1._cache[key] = tuple(out)
+    return k1._cache[key]
 
 
 # ---------------------------------------------------------------------------

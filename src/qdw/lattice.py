@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from qdw.classify import LagrangianAlgebra, anyon_table, s_matrix
+from qdw.classify import lagrangian_algebra, s_matrix
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 
 __all__ = [
@@ -476,23 +476,26 @@ class Lattice:
             out.append(t if along else h)
         return out
 
-    def edge_index(self, name: str) -> int:
-        try:
-            return self.edge_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown edge {name!r}") from None
+    def _cell_index(self, kind: str, names: Sequence[str], key) -> int:
+        """Index of a cell given by name or by integer index 0..count-1."""
+        if isinstance(key, str):
+            try:
+                return names.index(key)
+            except ValueError:
+                raise ValueError(f"unknown {kind} {key!r}") from None
+        i = int(key)
+        if not 0 <= i < len(names):
+            raise ValueError(f"{kind} index {i} out of range")
+        return i
 
-    def plaquette_index(self, name: str) -> int:
-        try:
-            return self.plaquette_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown face {name!r}") from None
+    def edge_index(self, key) -> int:
+        return self._cell_index("edge", self.edge_names, key)
 
-    def vertex_index(self, name: str) -> int:
-        try:
-            return self.vertex_names.index(name)
-        except ValueError:
-            raise ValueError(f"unknown vertex {name!r}") from None
+    def plaquette_index(self, key) -> int:
+        return self._cell_index("face", self.plaquette_names, key)
+
+    def vertex_index(self, key) -> int:
+        return self._cell_index("vertex", self.vertex_names, key)
 
     def region_by_name(self, name: str) -> BoundaryRegion:
         for reg in self.regions:
@@ -610,12 +613,7 @@ def carve_hole(lat: Lattice, plaquettes: Sequence, region_name: str) -> Lattice:
     """
     if lat.kind not in ("patch", "carved"):
         raise ValueError("holes can only be carved out of a patch")
-    q: set[int] = set()
-    for p in plaquettes:
-        pi = lat.plaquette_index(p) if isinstance(p, str) else int(p)
-        if not 0 <= pi < lat.n_plaquettes:
-            raise ValueError(f"face index {pi} out of range")
-        q.add(pi)
+    q = {lat.plaquette_index(p) for p in plaquettes}
     if not q:
         raise ValueError("a hole needs at least one face")
     if any(reg.name == region_name for reg in lat.regions):
@@ -1351,11 +1349,10 @@ def _gsd_modular(lat: Lattice, group: FiniteGroup,
     _region_assignment(lat, group, subgroups)
     if not _is_bounded_surface(lat):
         return None
-    table = anyon_table(group)
     s = s_matrix(group)
     summand = s[0] ** lat.euler_characteristic
     for reg in lat.regions:
-        w = np.array(LagrangianAlgebra(table, subgroups[reg.name]).multiplicities)
+        w = np.array(lagrangian_algebra(group, subgroups[reg.name]).multiplicities)
         summand = summand * (w @ s)
     total = complex(summand.sum())
     val = int(round(total.real))

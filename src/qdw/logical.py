@@ -8,6 +8,12 @@ operators come out with integer shift and phase data and their algebra
 can be certified without any floating point.  The sector label is a
 homomorphism on the admissible kernel, so a string acts on sectors by
 translation: it adds the label of its shift to every sector's label.
+
+The first normal form writes the kernel as a sum of Z_{g_i}, g_i =
+gcd(d_i, n), one coordinate per edge.  The quotient by the gauge shifts
+(the second form) needs only the free coordinates, g_i > 1: by the chain
+d_i | d_{i+1} the g_i = 1 ones come first, and over all E coordinates
+they are a prefix of unit rows whose pivots touch nothing else.
 """
 
 from __future__ import annotations
@@ -222,17 +228,8 @@ class AbelianGroundSpace:
         self.n = n
         vertex_region, edge_region = _region_assignment(lat, group, subgroups)
         ne = lat.n_edges
-        self.vertex_step = [1] * lat.n_vertices
-        for v, reg in vertex_region.items():
-            self.vertex_step[v] = _cyclic_step(n, subgroups[reg])
-        self.rim_step: dict[int, int] = {}
-        self.dangling_step: dict[int, int] = {}
-        for e, (reg, role) in edge_region.items():
-            step = _cyclic_step(n, subgroups[reg])
-            if role == "rim":
-                self.rim_step[e] = step
-            else:
-                self.dangling_step[e] = step
+        step = {reg: _cyclic_step(n, sub) for reg, sub in subgroups.items()}
+        edge_roles = sorted(edge_region.items())
         shift_rows: list[list[int]] = []
         shift_msgs: list[str] = []
         for pi, cyc in enumerate(lat.plaquettes):
@@ -241,11 +238,10 @@ class AbelianGroundSpace:
                 row[e] += 1 if along else -1
             shift_rows.append(row)
             shift_msgs.append(f"changes the holonomy of {lat.plaquette_names[pi]}")
-        for e in sorted(self.rim_step):
-            row = [0] * ne
-            row[e] = n // self.rim_step[e]
-            shift_rows.append(row)
-            shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
+        for e, (reg, role) in edge_roles:
+            if role == "rim":
+                shift_rows.append([n // step[reg] if j == e else 0 for j in range(ne)])
+                shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
         self._shift_rows = shift_rows
         self._shift_msgs = shift_msgs
         incidence = [[0] * ne for _ in range(lat.n_vertices)]
@@ -256,13 +252,13 @@ class AbelianGroundSpace:
         phase_rows: list[list[int]] = []
         phase_msgs: list[str] = []
         for v in range(lat.n_vertices):
-            phase_rows.append([self.vertex_step[v] * x for x in incidence[v]])
+            k = step[vertex_region[v]] if v in vertex_region else 1
+            phase_rows.append([k * x for x in incidence[v]])
             phase_msgs.append(f"creates unabsorbed charge at {lat.vertex_names[v]}")
-        for e in sorted(self.dangling_step):
-            row = [0] * ne
-            row[e] = self.dangling_step[e]
-            phase_rows.append(row)
-            phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
+        for e, (reg, role) in edge_roles:
+            if role == "dangling":
+                phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
+                phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
         self._phase_rows = phase_rows
         self._phase_msgs = phase_msgs
         # kernel of M mod n, parameterized through the first normal form
@@ -272,22 +268,19 @@ class AbelianGroundSpace:
         self._form1 = smith_normal_form(reduced)
         diag1 = self._form1.diagonal()
         self._g = [gcd(diag1[i] if i < len(diag1) else 0, n) for i in range(ne)]
-        # gauge generators in kernel coordinates: the phase rows reduced mod n
+        self._free = [i for i, g in enumerate(self._g) if g > 1]
+        # gauge generators in free kernel coordinates: the phase rows reduced mod n
         gen_coords = []
         for row in phase_rows:
             t = self._kernel_coordinates([x % n for x in row])
             if t is None:
                 raise InvariantError("a gauge shift escapes the admissible kernel")
             gen_coords.append(t)
-        quot = [[0] * (ne + len(gen_coords)) for _ in range(ne)]
-        for i in range(ne):
-            quot[i][i] = self._g[i]
-        for j, t in enumerate(gen_coords):
-            for i in range(ne):
-                quot[i][ne + j] = t[i] % self._g[i] if self._g[i] else t[i]
+        free_g = [self._g[i] for i in self._free]
+        quot = [[g if c == r else 0 for c in range(len(free_g))] + [t[r] for t in gen_coords]
+                for r, g in enumerate(free_g)]
         self._form2 = smith_normal_form(quot)
-        diag2 = self._form2.diagonal()
-        self._s = [diag2[i] for i in range(ne)]
+        self._s = self._form2.diagonal()
         if any(s <= 0 for s in self._s):
             raise InvariantError("sector quotient is not finite")
         self._live = [i for i, s in enumerate(self._s) if s > 1]
@@ -296,30 +289,30 @@ class AbelianGroundSpace:
 
     # -- admissibility and labels
 
+    def _registers(self, config: Sequence[int]) -> list[int]:
+        if len(config) != self.lattice.n_edges:
+            raise ValueError(f"configuration has {len(config)} registers, "
+                             f"expected {self.lattice.n_edges}")
+        return [int(c) % self.n for c in config]
+
     def is_admissible(self, config: Sequence[int]) -> bool:
-        x = [int(c) % self.n for c in config]
+        x = self._registers(config)
         return all(sum(r[j] * x[j] for j in range(len(x))) % self.n == 0
                    for r in self._shift_rows)
 
     def _kernel_coordinates(self, x: Sequence[int]) -> Optional[list[int]]:
-        """Coordinates t with x = V . (n/g_i * t_i) mod n, or None outside."""
-        n = self.n
+        """Free coordinates t_i (g_i > 1) with x = V . (n/g_i * t_i) mod n, or None outside."""
         y = _matvec(self._form1.vinv, list(x))
-        t = []
-        for i, yi in enumerate(y):
-            stride = n // self._g[i]
-            if yi % stride:
-                return None
-            t.append((yi // stride) % self._g[i] if self._g[i] else 0)
-        return t
+        if any(yi % (self.n // g) for yi, g in zip(y, self._g)):
+            return None
+        return [(y[i] // (self.n // self._g[i])) % self._g[i] for i in self._free]
 
     def label(self, config: Sequence[int]) -> tuple[int, ...]:
         """Sector label of an admissible configuration."""
-        x = [int(c) % self.n for c in config]
+        x = self._registers(config)
         if not self.is_admissible(x):
             raise ValueError("configuration violates a face or rim constraint")
-        t = self._kernel_coordinates(x)
-        z = _matvec(self._form2.u, t)
+        z = _matvec(self._form2.u, self._kernel_coordinates(x))
         return tuple(z[i] % self._s[i] for i in self._live)
 
     def labels(self) -> list[tuple[int, ...]]:
@@ -332,10 +325,9 @@ class AbelianGroundSpace:
         full = [0] * len(self._s)
         for pos, i in enumerate(self._live):
             full[i] = int(label[pos]) % self._s[i]
-        t = _matvec(self._form2.uinv, full)
-        n = self.n
-        y = [(n // self._g[i]) * t[i] for i in range(len(t))]
-        x = [xi % n for xi in _matvec(self._form1.v, y)]
+        t = dict(zip(self._free, _matvec(self._form2.uinv, full)))
+        y = [(self.n // g) * t.get(i, 0) for i, g in enumerate(self._g)]
+        x = [xi % self.n for xi in _matvec(self._form1.v, y)]
         if self.label(x) != tuple(int(l) % self._s[i]
                                   for l, i in zip(label, self._live)):
             raise InvariantError("sector representative does not map back")
@@ -449,7 +441,7 @@ def _edge_vector(ags: AbelianGroundSpace, amounts: Mapping) -> list[int]:
     """Amounts summed per edge mod n; keys are edge indices or names."""
     vec = [0] * ags.lattice.n_edges
     for key, val in amounts.items():
-        e = ags.lattice.edge_index(key) if isinstance(key, str) else int(key)
+        e = ags.lattice.edge_index(key)
         vec[e] = (vec[e] + int(val)) % ags.n
     return vec
 
@@ -468,15 +460,11 @@ def phase_string(ags: AbelianGroundSpace, amounts: Mapping) -> StringOperator:
     return StringOperator.make(ags.n, [0] * len(p), p)
 
 
-def _resolve_vertex(lat: Lattice, v) -> int:
-    return lat.vertex_index(v) if isinstance(v, str) else int(v)
-
-
 def charge_string(ags: AbelianGroundSpace, vertices: Sequence,
                   charge: int = 1) -> StringOperator:
     """Phase string along a vertex walk; ends must absorb the charge."""
     lat = ags.lattice
-    path = [_resolve_vertex(lat, v) for v in vertices]
+    path = [lat.vertex_index(v) for v in vertices]
     if len(path) < 2:
         raise ValueError("a charge string needs at least two vertices")
     p = [0] * lat.n_edges
@@ -542,8 +530,7 @@ def flux_string(ags: AbelianGroundSpace, stations: Sequence,
         if isinstance(st, str) and st in region_names:
             kinds.append(("region", st))
         else:
-            kinds.append(("face", lat.plaquette_index(st)
-                          if isinstance(st, str) else int(st)))
+            kinds.append(("face", lat.plaquette_index(st)))
     if len(kinds) < 2:
         raise ValueError("a flux string needs at least two stations")
     for kind, _ in kinds[1:-1]:

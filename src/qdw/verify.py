@@ -309,13 +309,9 @@ def verify_group(group: FiniteGroup,
                  tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
     """Run every applicable registered check; failures are collected, not raised."""
     out = []
-    for name, gate, fn in _REGISTRY:
-        reason = gate(group)
-        if reason is not None:
-            out.append(CheckResult(name, "skip", reason))
-            continue
+    for name in check_names():
         try:
-            out.append(CheckResult(name, "pass", fn(group, tolerance)))
+            out.append(run_check(name, group, tolerance))
         except InvariantError as exc:
             out.append(CheckResult(name, "fail", str(exc)))
     return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdw.groups import (
+    DoubleCoset,
     build_group,
     character_table,
     double_cosets,
@@ -15,6 +16,7 @@ from qdw.groups import (
     inner_automorphism,
 )
 from qdw.classify import (
+    LagrangianAlgebra,
     abelian_anyon_data,
     anyon_table,
     boundary_excitations,
@@ -26,6 +28,8 @@ from qdw.classify import (
     symmetry_action,
 )
 from qdw.groups import InvariantError
+from qdw.lattice import ground_space_dimension, ring
+from qdw.verify import verify_group
 
 OMEGA = complex(-0.5, 3 ** 0.5 / 2)
 
@@ -415,3 +419,69 @@ def test_symmetry_rejects_non_automorphism():
     g = build_group("cyclic:4")
     with pytest.raises(ValueError):
         symmetry_action(g, (0, 2, 1, 3))
+
+
+# one condensate and one double-coset list per input
+
+
+def test_condensate_is_kept_on_its_subgroup():
+    g, ke, k2, k3, kg = _s3_with_subgroups()
+    for sub in (ke, k2, k3, kg):
+        assert lagrangian_algebra(g, sub) is lagrangian_algebra(g, sub)
+    other = build_group("symmetric:3")
+    with pytest.raises(ValueError, match="different group"):
+        lagrangian_algebra(other, k2)
+    # the check runs before the kept condensate is looked up
+    with pytest.raises(ValueError, match="different group"):
+        lagrangian_algebra(g, other.full_subgroup())
+
+
+def test_double_cosets_are_kept_per_ordered_pair():
+    g, ke, k2, k3, kg = _s3_with_subgroups()
+    assert double_cosets(k2, k3) is double_cosets(k2, k3)
+    assert double_cosets(k3, k2) is not double_cosets(k2, k3)
+    assert [dc.rep for dc in double_cosets(k3, k2)] == [0]
+    assert len(double_cosets(k2, k2)) == 2
+
+
+def _count_constructions(monkeypatch):
+    """Counters on condensate construction and on double-coset list construction.
+
+    Every double-coset list holds exactly one coset with representative 0
+    (the identity's), so constructions of that coset count lists.
+    """
+    counts = {"condensates": 0, "double_coset_lists": 0}
+    la_init, dc_init = LagrangianAlgebra.__init__, DoubleCoset.__init__
+
+    def counted_la(self, *args, **kwargs):
+        counts["condensates"] += 1
+        la_init(self, *args, **kwargs)
+
+    def counted_dc(self, *args, **kwargs):
+        dc_init(self, *args, **kwargs)
+        counts["double_coset_lists"] += self.rep == 0
+
+    monkeypatch.setattr(LagrangianAlgebra, "__init__", counted_la)
+    monkeypatch.setattr(DoubleCoset, "__init__", counted_dc)
+    return counts
+
+
+def test_verify_builds_one_condensate_and_one_coset_list_per_input(monkeypatch):
+    counts = _count_constructions(monkeypatch)
+    g = build_group("symmetric:4")
+    results = verify_group(g)
+    assert not [r for r in results if r.status == "fail"]
+    n_subs = len(enumerate_subgroups(g))
+    assert n_subs == 30
+    assert counts == {"condensates": n_subs, "double_coset_lists": n_subs ** 2}
+
+
+def test_modular_route_reuses_the_region_condensates(monkeypatch):
+    g = build_group("symmetric:3")
+    subs = {"inner": g.trivial_subgroup(), "outer": g.full_subgroup()}
+    for sub in subs.values():
+        lagrangian_algebra(g, sub)
+    counts = _count_constructions(monkeypatch)
+    rep = ground_space_dimension(ring(3), g, subs, methods=("modular",))
+    assert rep.value == qudit_dimension(g, subs["inner"], subs["outer"])
+    assert counts["condensates"] == 0

@@ -15,6 +15,10 @@ from qdw.cli import EXIT_INVARIANT, EXIT_OK, main
 README_PATCH = ('{"kind":"patch","rows":3,"cols":5,"holes":['
                 '{"name":"hole0","faces":["p(1,1)"]},{"name":"hole1","faces":["p(1,3)"]}],'
                 '"subgroups":{"outer":"full"}}')
+# a 5x8 two-hole patch: 93 edges, so a composite n meets a wide sector quotient
+WIDE_PATCH = ('{"kind":"patch","rows":5,"cols":8,"holes":['
+              '{"name":"hole0","faces":["p(1,1)"]},{"name":"hole1","faces":["p(1,4)"]}],'
+              '"subgroups":{"outer":"full"}}')
 
 # command line -> (exit status, sha256 of stdout)
 GOLDEN = {
@@ -31,6 +35,9 @@ GOLDEN = {
         (EXIT_OK, "3e753563a16d38dae9d10718306ed12117b67fbd60a1f34c759f8eedf4c2bb49"),
     "verify-all --group cyclic:3":
         (EXIT_OK, "7e6ef9e01dd6d8ecf97face37fcd529b6c8d338b0d17fc47a2f7c748aff7db7d"),
+    # every condensate, double-coset and strip path, over 30 subgroups
+    "verify-all --group symmetric:4":
+        (EXIT_OK, "15cb4f36d0fbca3724c6837cb93132cbe4506f305ac561aad0bbcdbea77d5783"),
     "lattice-audit --group cyclic:3 --lattice ring:3 --subgroup full "
     "--subgroup2 trivial --inject-literal-edge in0":
         (EXIT_INVARIANT,
@@ -50,6 +57,10 @@ GOLDEN = {
         (EXIT_OK, "d30a6efa2b67b7c4164da025bd384b5256bbe87ad79438add65f94d93f52aa6d"),
     f"charge-project --group cyclic:2 --lattice {README_PATCH}":
         (EXIT_OK, "c0812e65cdc5e703a1d6d0596515db65373a6383e3b06bf7952303453a52203a"),
+    f"logical --group cyclic:4 --lattice {WIDE_PATCH}":
+        (EXIT_OK, "fc5b60546be1a04e65261dfa8384b1d574ce603d2649c35c70e1ac82df089d15"),
+    f"charge-project --group cyclic:4 --lattice {WIDE_PATCH}":
+        (EXIT_OK, "f03a1063b5b0da4e0415f6390be7552f4387e9bdccab8be0e82ed4f1fc1c2679"),
     # projector traces go through the same rounding as every other float
     "charge-project --group cyclic:4 --lattice ring:3":
         (EXIT_OK, "30a943f12705de0a606ee28459a53f86cfe3416151cc8901b81c106148dc1153"),

@@ -365,6 +365,24 @@ class TestGeometry:
         with pytest.raises(ValueError):
             carve_hole(patch(3, 5), [], "x")
 
+    def test_cells_resolve_by_name_or_in_range_index(self):
+        lat = ring(3)
+        assert lat.edge_index("rung0") == lat.edge_index(6) == 6
+        assert lat.vertex_index("o2") == lat.vertex_index(5) == 5
+        assert lat.plaquette_index("f1") == lat.plaquette_index(1) == 1
+        with pytest.raises(ValueError, match="unknown edge 'x'"):
+            lat.edge_index("x")
+        for resolve, kind, count in ((lat.edge_index, "edge", 9),
+                                     (lat.vertex_index, "vertex", 6),
+                                     (lat.plaquette_index, "face", 3)):
+            for bad in (-1, -count, count):
+                with pytest.raises(ValueError, match=f"{kind} index {bad} out of range"):
+                    resolve(bad)
+        with pytest.raises(ValueError, match="face index -1 out of range"):
+            carve_hole(patch(3, 5), [-1], "x")
+        assert carve_hole(patch(3, 5), [6], "x").region_by_name("x").rim_vertices == \
+            carve_hole(patch(3, 5), ["p(1,1)"], "x").region_by_name("x").rim_vertices
+
 
 # operator algebra ----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -829,3 +830,144 @@ class TestTunnelPaths:
             dict.fromkeys(forward.split(), 1)
         assert phase_support(lat, tunnel_operator(ags, "hole1", "hole0", charge=n - 1)) == \
             dict.fromkeys(backward.split(), 1)
+
+
+# ---------------------------------------------------------------------------
+# the sector quotient over free kernel coordinates equals the full-width one
+
+
+def _matvec(a, x):
+    return [sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+def full_width_labels(ags):
+    """Reference sector data from a second normal form over all E kernel
+    coordinates, the pinned (g_i = 1) ones included."""
+    n, g = ags.n, ags._g
+    ne = len(g)
+
+    def coords(x):
+        y = _matvec(ags._form1.vinv, [c % n for c in x])
+        assert all(yi % (n // gi) == 0 for yi, gi in zip(y, g))
+        return [(yi // (n // gi)) % gi for yi, gi in zip(y, g)]
+
+    gens = [coords(row) for row in ags._phase_rows]
+    form = smith_normal_form([[g[i] if j == i else 0 for j in range(ne)] +
+                              [t[i] for t in gens] for i in range(ne)])
+    s = form.diagonal()
+    live = [i for i, si in enumerate(s) if si > 1]
+
+    def label(x):
+        z = _matvec(form.u, coords(x))
+        return tuple(z[i] % s[i] for i in live)
+
+    labels = list(itertools.product(*(range(s[i]) for i in live)))
+    reps = []
+    for lab in labels:
+        full = [0] * ne
+        for pos, i in enumerate(live):
+            full[i] = lab[pos]
+        t = _matvec(form.uinv, full)
+        y = [(n // gi) * ti for gi, ti in zip(g, t)]
+        reps.append(tuple(xi % n for xi in _matvec(ags._form1.v, y)))
+    return SimpleNamespace(form=form, invariant_factors=tuple(s[i] for i in live),
+                           labels=labels, representatives=tuple(reps), label=label)
+
+
+def wide_patch(group):
+    lat = carve_hole(patch(5, 8), ["p(1,1)"], "hole0")
+    lat = carve_hole(lat, ["p(1,4)"], "hole1")
+    return lat, {"outer": group.full_subgroup(),
+                 "hole0": group.trivial_subgroup(),
+                 "hole1": group.trivial_subgroup()}
+
+
+def quotient_cases():
+    for k in range(2, 8):
+        g = build_group(f"cyclic:{k}")
+        for k1, k2 in itertools.product(enumerate_subgroups(g), repeat=2):
+            yield (f"ring:3 cyclic:{k} K={k1.order},{k2.order}", g, ring(3),
+                   {"inner": k1, "outer": k2})
+    yield "torus:2x3 cyclic:2", build_group("cyclic:2"), torus(2, 3), {}
+    yield "torus:2x2 cyclic:3", build_group("cyclic:3"), torus(2, 2), {}
+    for spec in ("cyclic:2", "cyclic:3"):
+        g = build_group(spec)
+        yield (f"two-hole {spec}", g) + two_hole(g)
+    for spec in ("cyclic:4", "cyclic:6"):
+        g = build_group(spec)
+        yield (f"5x8 two-hole {spec}", g) + wide_patch(g)
+    g = build_group("cyclic:3")
+    for sub in (g.trivial_subgroup(), g.full_subgroup()):
+        yield f"spur cyclic:3 K={sub.order}", g, spur_lattice(), {"bdry": sub}
+
+
+class TestNarrowQuotient:
+    @pytest.mark.parametrize("case", list(quotient_cases()), ids=lambda c: c[0])
+    def test_matches_the_full_width_quotient(self, case):
+        _, g, lat, subs = case
+        ags = AbelianGroundSpace(lat, g, subs)
+        ref = full_width_labels(ags)
+        free = [i for i, gi in enumerate(ags._g) if gi > 1]
+        # one row per free coordinate; the full-width form is the identity on
+        # the pinned coordinates and the narrow form on the free ones
+        assert len(ags._form2.u) == len(free)
+        pinned = [i for i in range(lat.n_edges) if i not in free]
+        assert pinned == list(range(len(pinned)))
+        assert ref.form.diagonal() == [1] * len(pinned) + ags._form2.diagonal()
+        assert [[ref.form.u[i][j] for j in free] for i in free] == ags._form2.u
+        assert ags.invariant_factors == ref.invariant_factors
+        assert ags.labels() == ref.labels
+        assert ags.representatives == ref.representatives
+        rng = random.Random(lat.n_edges * g.order)
+        for lab, rep in zip(ags.labels(), ags.representatives):
+            assert ags.label(rep) == ref.label(rep) == lab
+            for _ in range(3):
+                x = list(rep)
+                for row in rng.sample(ags._phase_rows, min(4, len(ags._phase_rows))):
+                    c = rng.randrange(g.order)
+                    x = [(a + c * b) % g.order for a, b in zip(x, row)]
+                assert ags.is_admissible(x)
+                assert ags.label(x) == ref.label(x) == lab
+
+    def test_wide_patch_drops_the_pinned_coordinates(self):
+        g = build_group("cyclic:2")
+        lat = carve_hole(patch(6, 10), ["p(1,1)"], "hole0")
+        lat = carve_hole(lat, ["p(1,3)"], "hole1")
+        ags = AbelianGroundSpace(lat, g, {"outer": g.full_subgroup(),
+                                          "hole0": g.trivial_subgroup(),
+                                          "hole1": g.trivial_subgroup()})
+        assert (lat.n_edges, len(ags._form2.u)) == (136, 70)
+        assert ags.invariant_factors == (2,)
+
+
+# ---------------------------------------------------------------------------
+# cells by name or in-range index; configurations of the right length
+
+
+class TestCellIndices:
+    @pytest.fixture
+    def ags(self):
+        g = build_group("cyclic:3")
+        return AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
+
+    def test_negative_indices_are_refused(self, ags):
+        with pytest.raises(ValueError, match="edge index -9 out of range"):
+            phase_string(ags, {-9: 1, 0: 2})
+        with pytest.raises(ValueError, match="vertex index -6 out of range"):
+            charge_string(ags, [-6, -3])
+
+    def test_indices_past_the_end_are_refused(self, ags):
+        with pytest.raises(ValueError, match="face index 7 out of range"):
+            flux_string(ags, [0, 7])
+        with pytest.raises(ValueError, match="vertex index 30 out of range"):
+            charge_string(ags, [0, 30])
+        with pytest.raises(ValueError, match="edge index 20 out of range"):
+            shift_string(ags, {20: 1})
+
+    @pytest.mark.parametrize("length", [3, 8, 10, 12])
+    def test_configurations_need_one_register_per_edge(self, ags, length):
+        with pytest.raises(ValueError, match=f"has {length} registers, expected 9"):
+            ags.label([0] * length)
+        with pytest.raises(ValueError, match="registers"):
+            ags.is_admissible([0] * length)
+        assert ags.label([0] * 9) == (0,)
