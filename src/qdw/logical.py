@@ -14,6 +14,11 @@ gcd(d_i, n), one coordinate per edge.  The quotient by the gauge shifts
 (the second form) needs only the free coordinates, g_i > 1: by the chain
 d_i | d_{i+1} the g_i = 1 ones come first, and over all E coordinates
 they are a prefix of unit rows whose pivots touch nothing else.
+
+Both normal forms run on exact Python ints; the maps read from them are
+int64 arrays reduced mod the one modulus their result is read at.  A
+kernel coordinate t_i = (V^-1 x)_i / (n/g_i) is read mod g_i, so it needs
+(V^-1 x)_i only mod n, and label entry i is read mod s_i.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,8 +83,11 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return out
 
 
-def _matvec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+def _residues(rows: Sequence[Sequence[int]], width: int,
+              mods: Iterable[int]) -> np.ndarray:
+    """Row i of an exact integer matrix reduced mod mods[i], as int64."""
+    return np.array([[x % m for x in row] for row, m in zip(rows, mods)],
+                    dtype=np.int64).reshape(len(rows), width)
 
 
 @dataclass
@@ -215,6 +223,13 @@ class AbelianGroundSpace:
     signed row per face and one pinning row per rim edge.  Gauge shifts
     span a sublattice of that kernel; sectors are the finite quotient,
     presented through two normal forms as a product of cyclic factors.
+
+    Each map is built once, after the exact normal forms: the shift and
+    phase rows and the free rows of V^-1 mod n (registers live in Z_n),
+    live row i of the second form's U mod s_i, and the lift from labels to
+    representatives, V[:, free] . diag(n/g) . U^-1[:, live], mod n.  So a
+    label, a representative and every validation is one matmul, whose
+    entries all lie below n, so its int64 sums stay far from wrapping.
     """
 
     def __init__(self, lat: Lattice, group: FiniteGroup,
@@ -242,7 +257,7 @@ class AbelianGroundSpace:
             if role == "rim":
                 shift_rows.append([n // step[reg] if j == e else 0 for j in range(ne)])
                 shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
-        self._shift_rows = shift_rows
+        self._shift = _residues(shift_rows, ne, itertools.repeat(n))
         self._shift_msgs = shift_msgs
         incidence = [[0] * ne for _ in range(lat.n_vertices)]
         for e, (t, h) in enumerate(lat.edges):
@@ -260,88 +275,86 @@ class AbelianGroundSpace:
                 phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
                 phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
         self._phase_rows = phase_rows
+        self._phase = _residues(phase_rows, ne, itertools.repeat(n))
         self._phase_msgs = phase_msgs
+        if (self._shift @ self._phase.T % n).any():
+            raise InvariantError("a gauge shift escapes the admissible kernel")
         # kernel of M mod n, parameterized through the first normal form
-        reduced = [[x % n for x in row] for row in shift_rows]
-        if not reduced:
-            reduced = [[0] * ne]
-        self._form1 = smith_normal_form(reduced)
+        self._form1 = smith_normal_form(self._shift.tolist() or [[0] * ne])
         diag1 = self._form1.diagonal()
         self._g = [gcd(diag1[i] if i < len(diag1) else 0, n) for i in range(ne)]
-        self._free = [i for i, g in enumerate(self._g) if g > 1]
-        # gauge generators in free kernel coordinates: the phase rows reduced mod n
-        gen_coords = []
-        for row in phase_rows:
-            t = self._kernel_coordinates([x % n for x in row])
-            if t is None:
-                raise InvariantError("a gauge shift escapes the admissible kernel")
-            gen_coords.append(t)
-        free_g = [self._g[i] for i in self._free]
-        quot = [[g if c == r else 0 for c in range(len(free_g))] + [t[r] for t in gen_coords]
-                for r, g in enumerate(free_g)]
-        self._form2 = smith_normal_form(quot)
-        self._s = self._form2.diagonal()
-        if any(s <= 0 for s in self._s):
+        free = [i for i, g in enumerate(self._g) if g > 1]
+        self._vinv = _residues([self._form1.vinv[i] for i in free], ne, itertools.repeat(n))
+        self._unit = np.array([n // self._g[i] for i in free], dtype=np.int64)
+        # the quotient by the gauge generators, in free kernel coordinates
+        gens = self._coordinates(self._phase).T.tolist()
+        self._form2 = smith_normal_form(
+            [[self._g[i] if c == r else 0 for c in range(len(free))] + gens[r]
+             for r, i in enumerate(free)])
+        s = self._form2.diagonal()
+        if any(si <= 0 for si in s):
             raise InvariantError("sector quotient is not finite")
-        self._live = [i for i, s in enumerate(self._s) if s > 1]
-        self.invariant_factors = tuple(self._s[i] for i in self._live)
-        self.dimension = prod(self.invariant_factors) if self._live else 1
+        live = [i for i, si in enumerate(s) if si > 1]
+        self.invariant_factors = tuple(s[i] for i in live)
+        self.dimension = prod(self.invariant_factors)
+        self._u = _residues([self._form2.u[i] for i in live], len(free),
+                            self.invariant_factors)
+        lift = _matmul([[row[i] * (n // self._g[i]) for i in free] for row in self._form1.v],
+                       [[row[i] for i in live] for row in self._form2.uinv])
+        self._lift = _residues(lift, len(live), itertools.repeat(n))
 
     # -- admissibility and labels
 
-    def _registers(self, config: Sequence[int]) -> list[int]:
+    def _registers(self, config: Sequence[int]) -> np.ndarray:
         if len(config) != self.lattice.n_edges:
             raise ValueError(f"configuration has {len(config)} registers, "
                              f"expected {self.lattice.n_edges}")
-        return [int(c) % self.n for c in config]
+        return np.array([int(c) % self.n for c in config], dtype=np.int64)
+
+    def _coordinates(self, x: np.ndarray) -> np.ndarray:
+        """Free kernel coordinates of admissible rows x (one row per configuration)."""
+        return x @ self._vinv.T % self.n // self._unit
+
+    def _labels(self, x: np.ndarray) -> np.ndarray:
+        """Sector labels of admissible rows x (one row per configuration)."""
+        return self._coordinates(x) @ self._u.T % np.array(self.invariant_factors,
+                                                          dtype=np.int64)
 
     def is_admissible(self, config: Sequence[int]) -> bool:
-        x = self._registers(config)
-        return all(sum(r[j] * x[j] for j in range(len(x))) % self.n == 0
-                   for r in self._shift_rows)
-
-    def _kernel_coordinates(self, x: Sequence[int]) -> Optional[list[int]]:
-        """Free coordinates t_i (g_i > 1) with x = V . (n/g_i * t_i) mod n, or None outside."""
-        y = _matvec(self._form1.vinv, list(x))
-        if any(yi % (self.n // g) for yi, g in zip(y, self._g)):
-            return None
-        return [(y[i] // (self.n // self._g[i])) % self._g[i] for i in self._free]
+        return not (self._shift @ self._registers(config) % self.n).any()
 
     def label(self, config: Sequence[int]) -> tuple[int, ...]:
         """Sector label of an admissible configuration."""
-        x = self._registers(config)
-        if not self.is_admissible(x):
+        if not self.is_admissible(config):
             raise ValueError("configuration violates a face or rim constraint")
-        z = _matvec(self._form2.u, self._kernel_coordinates(x))
-        return tuple(z[i] % self._s[i] for i in self._live)
+        return tuple(self._labels(self._registers(config)).tolist())
 
     def labels(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(self._s[i]) for i in self._live)))
+        return list(itertools.product(*(range(s) for s in self.invariant_factors)))
 
     def representative(self, label: Sequence[int]) -> tuple[int, ...]:
         """One admissible configuration in the given sector."""
-        if len(label) != len(self._live):
+        if len(label) != len(self.invariant_factors):
             raise ValueError("label length does not match the sector rank")
-        full = [0] * len(self._s)
-        for pos, i in enumerate(self._live):
-            full[i] = int(label[pos]) % self._s[i]
-        t = dict(zip(self._free, _matvec(self._form2.uinv, full)))
-        y = [(self.n // g) * t.get(i, 0) for i, g in enumerate(self._g)]
-        x = [xi % self.n for xi in _matvec(self._form1.v, y)]
-        if self.label(x) != tuple(int(l) % self._s[i]
-                                  for l, i in zip(label, self._live)):
+        lab = tuple(int(l) % s for l, s in zip(label, self.invariant_factors))
+        x = tuple((self._lift @ np.array(lab, dtype=np.int64) % self.n).tolist())
+        if self.label(x) != lab:
             raise InvariantError("sector representative does not map back")
-        return tuple(x)
+        return x
 
     @cached_property
     def representatives(self) -> tuple[tuple[int, ...], ...]:
         """One round-trip-checked representative per sector, in labels() order."""
         return tuple(self.representative(lab) for lab in self.labels())
 
-    def _check(self, rows, msgs, vec, what: str) -> None:
-        for row, msg in zip(rows, msgs):
-            if sum(r * x for r, x in zip(row, vec)) % self.n:
-                raise ValueError(f"{what} {msg}")
+    def _string(self, what: str, vec: Sequence[int], shift: bool) -> "StringOperator":
+        """The string with vec as its shift (or its phase), once every row holds."""
+        rows, msgs = (self._shift, self._shift_msgs) if shift else (self._phase, self._phase_msgs)
+        bad = np.flatnonzero(rows @ np.array(vec, dtype=np.int64) % self.n)
+        if bad.size:
+            raise ValueError(f"{what} {msgs[bad[0]]}")
+        zero = [0] * len(vec)
+        return StringOperator.make(self.n, *((vec, zero) if shift else (zero, vec)))
 
     def orbit_state_matrix(self) -> np.ndarray:
         """Columns are normalized gauge-orbit superpositions, in label order.
@@ -353,11 +366,10 @@ class AbelianGroundSpace:
         if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("lattice too large to materialize orbit states")
         digits, _ = config_digits(n, ne)
-        rows = np.array(self._shift_rows, dtype=np.int64)
-        ok = ((digits @ rows.T) % n == 0).all(axis=1)
+        ok = np.flatnonzero(~(digits @ self._shift.T % n).any(axis=1))
         idx_by_label: dict[tuple[int, ...], list[int]] = {}
-        for i in np.nonzero(ok)[0]:
-            idx_by_label.setdefault(self.label(digits[i]), []).append(int(i))
+        for i, lab in zip(ok.tolist(), self._labels(digits[ok]).tolist()):
+            idx_by_label.setdefault(tuple(lab), []).append(i)
         labels = self.labels()
         if sorted(idx_by_label) != sorted(labels):
             raise InvariantError("orbit census does not match the sector count")
@@ -379,6 +391,11 @@ class StringOperator:
     shift: tuple[int, ...]
     phase: tuple[int, ...]
     offset: int = 0
+
+    def __post_init__(self):
+        if len(self.phase) != len(self.shift):
+            raise ValueError(f"phase has {len(self.phase)} registers, "
+                             f"shift has {len(self.shift)}")
 
     @staticmethod
     def make(n: int, shift: Sequence[int], phase: Sequence[int],
@@ -448,16 +465,12 @@ def _edge_vector(ags: AbelianGroundSpace, amounts: Mapping) -> list[int]:
 
 def shift_string(ags: AbelianGroundSpace, amounts: Mapping) -> StringOperator:
     """Validated shift vector; keys are edge indices or names."""
-    s = _edge_vector(ags, amounts)
-    ags._check(ags._shift_rows, ags._shift_msgs, s, "shift")
-    return StringOperator.make(ags.n, s, [0] * len(s))
+    return ags._string("shift", _edge_vector(ags, amounts), shift=True)
 
 
 def phase_string(ags: AbelianGroundSpace, amounts: Mapping) -> StringOperator:
     """Validated phase vector; keys are edge indices or names."""
-    p = _edge_vector(ags, amounts)
-    ags._check(ags._phase_rows, ags._phase_msgs, p, "phase")
-    return StringOperator.make(ags.n, [0] * len(p), p)
+    return ags._string("phase", _edge_vector(ags, amounts), shift=False)
 
 
 def charge_string(ags: AbelianGroundSpace, vertices: Sequence,
@@ -477,8 +490,7 @@ def charge_string(ags: AbelianGroundSpace, vertices: Sequence,
                 f"no edge joins {lat.vertex_names[u]} and {lat.vertex_names[v]}")
         backward, e = joins[0]
         p[e] = (p[e] + (-charge if backward else charge)) % ags.n
-    ags._check(ags._phase_rows, ags._phase_msgs, p, "charge string")
-    return StringOperator.make(ags.n, [0] * len(p), p)
+    return ags._string("charge string", p, shift=False)
 
 
 def tunnel_operator(ags: AbelianGroundSpace, region_a: str, region_b: str,
@@ -507,14 +519,6 @@ def tunnel_operator(ags: AbelianGroundSpace, region_a: str, region_b: str,
     return charge_string(ags, list(reversed(path)), charge)
 
 
-def _face_sign(lat: Lattice, pi: int, e: int) -> int:
-    for e2, along in lat.plaquettes[pi]:
-        if e2 == e:
-            return 1 if along else -1
-    raise ValueError(f"edge {lat.edge_names[e]} is not on face "
-                     f"{lat.plaquette_names[pi]}")
-
-
 def flux_string(ags: AbelianGroundSpace, stations: Sequence,
                 flux: int = 1) -> StringOperator:
     """Shift string crossing between consecutive faces.
@@ -524,18 +528,13 @@ def flux_string(ags: AbelianGroundSpace, stations: Sequence,
     rim.  A walk whose first and last face coincide is a closed loop.
     """
     lat = ags.lattice
-    kinds: list[tuple[str, int | str]] = []
     region_names = {r.name for r in lat.regions}
-    for st in stations:
-        if isinstance(st, str) and st in region_names:
-            kinds.append(("region", st))
-        else:
-            kinds.append(("face", lat.plaquette_index(st)))
+    kinds = [("region", st) if isinstance(st, str) and st in region_names
+             else ("face", lat.plaquette_index(st)) for st in stations]
     if len(kinds) < 2:
         raise ValueError("a flux string needs at least two stations")
-    for kind, _ in kinds[1:-1]:
-        if kind != "face":
-            raise ValueError("regions may only start or end a flux string")
+    if any(kind != "face" for kind, _ in kinds[1:-1]):
+        raise ValueError("regions may only start or end a flux string")
 
     def edges(kind, v) -> set[int]:
         if kind == "region":
@@ -554,10 +553,9 @@ def flux_string(ags: AbelianGroundSpace, stations: Sequence,
                 f"face does not border region {va if ka == 'region' else vb!r}")
         # crossing out of a face follows its orientation, into one opposes it
         e = shared[0]
-        sign = _face_sign(lat, va, e) if ka == "face" else -_face_sign(lat, vb, e)
-        s[e] = (s[e] + flux * sign) % ags.n
-    ags._check(ags._shift_rows, ags._shift_msgs, s, "flux string")
-    return StringOperator.make(ags.n, s, [0] * len(s))
+        along = next(a for f, a in lat.plaquettes[va if ka == "face" else vb] if f == e)
+        s[e] = (s[e] + (flux if along == (ka == "face") else -flux)) % ags.n
+    return ags._string("flux string", s, shift=True)
 
 
 def _closed_walk(nbrs: Mapping[int, Sequence[int]]) -> Optional[list[int]]:
@@ -655,11 +653,11 @@ def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction
     step = ags.label(op.shift)
     perm = [index[tuple((a + b) % s for a, b, s in zip(lab, step, ags.invariant_factors))]
             for lab in labels]
-    phase = [(op.offset + sum(p * a for p, a in zip(op.phase, x))) % ags.n
-             for x in ags.representatives]
+    phase = (op.offset + np.array(ags.representatives, dtype=np.int64)
+             @ np.array(op.phase, dtype=np.int64)) % ags.n
     if sorted(perm) != list(range(len(labels))):
         raise InvariantError("sector action is not a permutation")
-    return LogicalAction(ags.n, tuple(perm), tuple(phase))
+    return LogicalAction(ags.n, tuple(perm), tuple(phase.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -698,18 +696,13 @@ class LogicalQudit:
         pos = {lab: k for k, lab in enumerate(self.orbit_cycle)}
         labels = self.sector.labels()
         cyc = [pos[lab] for lab in labels]   # label index -> frame coordinate
-        if not self.fourier:
-            perm = [0] * n
-            phase = [0] * n
-            for j in range(n):
-                perm[cyc[j]] = cyc[act.perm[j]]
-                phase[cyc[j]] = act.phase_exp[j]
-            return LogicalAction(n, tuple(perm), tuple(phase))
-        steps = set()
-        phases = [0] * n
+        perm, phases = [0] * n, [0] * n
         for j in range(n):
-            steps.add((cyc[act.perm[j]] - cyc[j]) % n)
+            perm[cyc[j]] = cyc[act.perm[j]]
             phases[cyc[j]] = act.phase_exp[j]
+        if not self.fourier:
+            return LogicalAction(n, tuple(perm), tuple(phases))
+        steps = {(perm[c] - c) % n for c in range(n)}
         if len(steps) != 1:
             raise InvariantError("string does not translate the orbit cycle")
         m = steps.pop()

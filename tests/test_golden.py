@@ -61,6 +61,10 @@ GOLDEN = {
         (EXIT_OK, "fc5b60546be1a04e65261dfa8384b1d574ce603d2649c35c70e1ac82df089d15"),
     f"charge-project --group cyclic:4 --lattice {WIDE_PATCH}":
         (EXIT_OK, "f03a1063b5b0da4e0415f6390be7552f4387e9bdccab8be0e82ed4f1fc1c2679"),
+    # composite n = 6 on the 93-edge patch (47 free kernel coordinates);
+    # every float it prints is 0.0 or 1.0
+    f"charge-project --group cyclic:6 --lattice {WIDE_PATCH}":
+        (EXIT_OK, "3361b289ea72c3917f41b0040da53a737335d9d05dbdc1b20abab862a5764b7c"),
     # projector traces go through the same rounding as every other float
     "charge-project --group cyclic:4 --lattice ring:3":
         (EXIT_OK, "30a943f12705de0a606ee28459a53f86cfe3416151cc8901b81c106148dc1153"),

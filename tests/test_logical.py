@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdw.classify import qudit_dimension
 from qdw.groups import InvariantError, build_group, enumerate_subgroups
@@ -220,6 +221,12 @@ class TestStringOperators:
         b = StringOperator.make(3, (1, 0), (0, 0))
         with pytest.raises(ValueError, match="different lattices"):
             a @ b
+
+    def test_phase_needs_one_register_per_shift_register(self):
+        with pytest.raises(ValueError, match="phase has 7 registers, shift has 9"):
+            StringOperator.make(3, [0] * 9, [0] * 6 + [1])
+        with pytest.raises(ValueError, match="phase has 2 registers, shift has 1"):
+            StringOperator(3, (1,), (0, 0))
 
 
 class TestStringBuilders:
@@ -580,6 +587,45 @@ class TestLabelMap:
         for action in (logical_action, loop_logical_action):
             with pytest.raises(ValueError, match="violates a face"):
                 action(ags, raw)
+
+
+@st.composite
+def holed_patches(draw):
+    """A patch of 3x3 to 4x6 faces with up to two one-face holes, a cyclic
+    group C2-C6, and a random boundary subgroup on every region.  Every
+    patch has room for a hole; without one the sector space is trivial."""
+    g = build_group(f"cyclic:{draw(st.integers(2, 6))}")
+    rows, cols = draw(st.integers(3, 4)), draw(st.integers(3, 6))
+    lat = patch(rows, cols)
+    inner = [(r, c) for r in range(1, rows - 1) for c in range(1, cols - 1)]
+    # two holes may not share a vertex
+    holes = [()] + [(f,) for f in inner] + [
+        (f, h) for f, h in itertools.combinations(inner, 2)
+        if abs(f[0] - h[0]) > 1 or abs(f[1] - h[1]) > 1]
+    for k, (r, c) in enumerate(draw(st.sampled_from(holes))):
+        lat = carve_hole(lat, [f"p({r},{c})"], f"hole{k}")
+    subs = enumerate_subgroups(g)
+    return g, lat, {reg.name: draw(st.sampled_from(subs)) for reg in lat.regions}
+
+
+class TestLabelHomomorphism:
+    """label is additive on admissible configurations and constant on gauge
+    orbits, which is what lets logical_action move sectors by label(shift)."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(holed_patches(), st.data())
+    def test_label_adds_and_forgets_gauge_shifts(self, case, data):
+        g, lat, subs = case
+        ags = AbelianGroundSpace(lat, g, subs)
+        n = g.order
+        assert [ags.label(ags.representative(lab)) for lab in ags.labels()] == ags.labels()
+        rng = data.draw(st.randoms(use_true_random=False))
+        l1, l2 = rng.choice(ags.labels()), rng.choice(ags.labels())
+        x = np.add(ags.representative(l1), ags.representative(l2))
+        for row in ags._phase_rows:
+            x += rng.randrange(n) * np.array(row)
+        want = tuple((a + b) % s for a, b, s in zip(l1, l2, ags.invariant_factors))
+        assert ags.label(x % n) == want
 
 
 def frame_matrix(qud):
