@@ -506,13 +506,16 @@ def _group_from_table_dict(data: dict) -> FiniteGroup:
 def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, ordered by (order, element tuple).
 
-    Exhaustive closure search; refuses groups of order above
+    Exhaustive closure search, run once per group and kept in its cache;
+    each call returns a fresh list.  Refuses groups of order above
     MAX_SUBGROUP_ENUM_ORDER to keep the blowup desk-scale.
     """
     if group.order > MAX_SUBGROUP_ENUM_ORDER:
         raise ValueError(
             f"subgroup enumeration is capped at order {MAX_SUBGROUP_ENUM_ORDER}; "
             f"got {group.order} (use generated_subgroup with explicit generators)")
+    if "subgroup_list" in group._cache:
+        return list(group._cache["subgroup_list"])
     found: set[tuple[int, ...]] = set()
     queue: list[tuple[int, ...]] = []
     triv = (0,)
@@ -527,7 +530,9 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             if ext not in found:
                 found.add(ext)
                 queue.append(ext)
-    return [group.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e))]
+    group._cache["subgroup_list"] = tuple(
+        group.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e)))
+    return list(group._cache["subgroup_list"])
 
 
 def subgroup_conjugacy_classes(group: FiniteGroup) -> list[list[Subgroup]]:

@@ -15,10 +15,14 @@ gcd(d_i, n), one coordinate per edge.  The quotient by the gauge shifts
 d_i | d_{i+1} the g_i = 1 ones come first, and over all E coordinates
 they are a prefix of unit rows whose pivots touch nothing else.
 
-Both normal forms run on exact Python ints; the maps read from them are
-int64 arrays reduced mod the one modulus their result is read at.  A
-kernel coordinate t_i = (V^-1 x)_i / (n/g_i) is read mod g_i, so it needs
-(V^-1 x)_i only mod n, and label entry i is read mod s_i.
+Both normal forms run on exact Python ints, in steps that scale with the
+nonzeros: the pivot search stops at the first unit, a unit pivot skips the
+divisibility rescan, the transforms that change by columns are kept
+transposed, and the three exact checks on each form multiply only
+nonzeros.  The maps read from the forms are int64 arrays reduced mod the
+one modulus their result is read at.  A kernel coordinate t_i =
+(V^-1 x)_i / (n/g_i) is read mod g_i, so it needs (V^-1 x)_i only mod n,
+and label entry i is read mod s_i.
 """
 
 from __future__ import annotations
@@ -62,6 +66,12 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # integer matrices (python ints; sizes here are tiny and swell must not wrap)
+#
+# The matrices the logical layer reduces are face, rim and vertex
+# incidences: a few nonzeros per row, nearly all of them +-1.  So products
+# walk only the nonzeros of each row of b, and the three exact checks on a
+# normal form (u a v == d, u uinv == I, v vinv == I) cost a multiply per
+# pair of nonzeros that meet, not one per entry.
 
 
 def _eye(k: int) -> list[list[int]]:
@@ -69,18 +79,19 @@ def _eye(k: int) -> list[list[int]]:
 
 
 def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for t in range(inner):
-            v = ai[t]
+    cols = len(b[0]) if b else 0
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = [[0] * cols for _ in range(len(a))]
+    for ai, oi in zip(a, out):
+        for v, bt in zip(ai, nonzeros):
             if v:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += v * bt[j]
+                for j, x in bt:
+                    oi[j] += v * x
     return out
+
+
+def _transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*a)]
 
 
 def _residues(rows: Sequence[Sequence[int]], width: int,
@@ -105,52 +116,72 @@ class SmithForm:
 
 
 def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
+    """Exact Smith normal form with both unimodular transforms and inverses.
+
+    Pivot t is the smallest nonzero of the trailing block, the first in
+    row-major order, so the search stops at the first +-1.  A unit pivot
+    divides every entry, so its block needs no divisibility rescan; any
+    other pivot rescans only the trailing slice of each row.  Row and
+    column operations update u and vinv by rows; uinv and v change by
+    columns, so they are kept transposed (uinv_t, v_t) until the end and
+    every update is one comprehension over one row.  Columns t.. of rows
+    above t are already zero, so column operations on d touch only rows
+    t.. of the current step.
+    """
     m = len(a)
     k = len(a[0]) if m else 0
-    d = [list(map(int, row)) for row in a]
-    u, uinv = _eye(m), _eye(m)
-    v, vinv = _eye(k), _eye(k)
+    for i, row in enumerate(a):
+        if len(row) != k:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
+    a = [list(map(int, row)) for row in a]
+    d = [row[:] for row in a]
+    u, uinv_t = _eye(m), _eye(m)
+    v_t, vinv = _eye(k), _eye(k)
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(m):
-            uinv[r][i], uinv[r][j] = uinv[r][j], uinv[r][i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def row_addmul(i, j, q):
         # row_i += q * row_j
         d[i] = [x + q * y for x, y in zip(d[i], d[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(m):
-            uinv[r][j] -= q * uinv[r][i]
+        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
 
     def row_negate(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(m):
-            uinv[r][i] = -uinv[r][i]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
+    # column operations run inside step t; rows above t are zero in columns t..
     def col_swap(i, j):
-        for r in range(m):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(k):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for r in range(t, m):
+            dr = d[r]
+            dr[i], dr[j] = dr[j], dr[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def col_addmul(i, j, q):
         # col_i += q * col_j
-        for r in range(m):
-            d[r][i] += q * d[r][j]
-        for r in range(k):
-            v[r][i] += q * v[r][j]
+        for r in range(t, m):
+            dr = d[r]
+            dr[i] += q * dr[j]
+        v_t[i] = [x + q * y for x, y in zip(v_t[i], v_t[j])]
         vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
 
     for t in range(min(m, k)):
-        piv = None
+        piv, best = None, 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, k):
-                if d[i][j] and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(row[j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+                    if x == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         row_swap(t, piv[0])
@@ -171,25 +202,23 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
                     if d[t][j]:
                         col_swap(t, j)
                         clean = False
+            # a clean pass zeroed row t and column t past the pivot
             if not clean:
                 continue
-            if any(d[i][t] for i in range(t + 1, m)) or \
-                    any(d[t][j] for j in range(t + 1, k)):
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                if any(d[i][j] % d[t][t] for j in range(t + 1, k)):
-                    offender = i
-                    break
+            p = d[t][t]
+            if p in (1, -1):
+                break
+            offender = next((i for i in range(t + 1, m)
+                             if any(x % p for x in d[i][t + 1:])), None)
             if offender is None:
                 break
             row_addmul(t, offender, 1)
         if d[t][t] < 0:
             row_negate(t)
-    form = SmithForm(d, u, uinv, v, vinv)
-    if _matmul(_matmul(u, [list(map(int, row)) for row in a]), v) != d:
+    form = SmithForm(d, u, _transpose(uinv_t), _transpose(v_t), vinv)
+    if _matmul(_matmul(u, a), form.v) != d:
         raise InvariantError("normal form transform bookkeeping failed")
-    if _matmul(u, uinv) != _eye(m) or _matmul(v, vinv) != _eye(k):
+    if _matmul(u, form.uinv) != _eye(m) or _matmul(form.v, vinv) != _eye(k):
         raise InvariantError("normal form transforms are not unimodular")
     diag = form.diagonal()
     for i in range(len(diag) - 1):
@@ -837,12 +866,13 @@ def charge_projectors(qudit: LogicalQudit,
         op = flux_t.power(flux) @ charge_t.power(q)
         transports[(flux, irrep)] = qudit.frame_action(op)
     ivac = data.charges.index((0, irrep_of[0]))
+    mats = [transports[lab].matrix() for lab in data.charges]
     projectors = []
-    for j, lab_j in enumerate(data.charges):
+    for j in range(len(data.charges)):
         p = np.zeros((n, n), dtype=complex)
-        for i, lab_i in enumerate(data.charges):
+        for i, mat in enumerate(mats):
             ratio = data.s_matrix[i, j] / data.s_matrix[i, ivac]
-            p += np.conj(ratio) * transports[lab_i].matrix()
+            p += np.conj(ratio) * mat
         p /= n * n
         projectors.append(p)
     total = sum(projectors)
@@ -867,9 +897,9 @@ def charge_projectors(qudit: LogicalQudit,
         selected[lab] = state
     if len(selected) != n:
         raise InvariantError("charge projectors do not resolve every sector")
-    for i, pi in enumerate(projectors):
-        for j in range(i + 1, len(projectors)):
-            if np.abs(pi @ projectors[j]).max() > 1e-12:
-                raise InvariantError("charge projectors are not orthogonal")
+    stack = np.array(projectors)
+    for i in range(len(stack) - 1):
+        if np.abs(stack[i] @ stack[i + 1:]).max() > 1e-12:
+            raise InvariantError("charge projectors are not orthogonal")
     return ChargeProjectors(labels=list(data.charges), projectors=projectors,
                             transport_actions=transports, selected=selected)

@@ -19,6 +19,14 @@ README_PATCH = ('{"kind":"patch","rows":3,"cols":5,"holes":['
 WIDE_PATCH = ('{"kind":"patch","rows":5,"cols":8,"holes":['
               '{"name":"hole0","faces":["p(1,1)"]},{"name":"hole1","faces":["p(1,4)"]}],'
               '"subgroups":{"outer":"full"}}')
+# two patches of the algebra benchmark workload, with its seed-21 hole placements:
+# 136 edges for C2, and the 4x6 patch where C7 builds 49 transports
+BENCH_PATCH_6X10 = ('{"kind":"patch","rows":6,"cols":10,"holes":['
+                    '{"name":"hole0","faces":["p(1,1)"]},{"name":"hole1","faces":["p(1,3)"]}],'
+                    '"subgroups":{"outer":"full"}}')
+BENCH_PATCH_4X6 = ('{"kind":"patch","rows":4,"cols":6,"holes":['
+                   '{"name":"hole0","faces":["p(1,2)"]},{"name":"hole1","faces":["p(1,4)"]}],'
+                   '"subgroups":{"outer":"full"}}')
 
 # command line -> (exit status, sha256 of stdout)
 GOLDEN = {
@@ -68,6 +76,11 @@ GOLDEN = {
     # projector traces go through the same rounding as every other float
     "charge-project --group cyclic:4 --lattice ring:3":
         (EXIT_OK, "30a943f12705de0a606ee28459a53f86cfe3416151cc8901b81c106148dc1153"),
+    # every float the C7 report prints is 0.0 or 1.0
+    f"logical --group cyclic:2 --lattice {BENCH_PATCH_6X10}":
+        (EXIT_OK, "d8b3b5d155df273d972c3328a5640fb26b5694cbf51f732aeab255d99e2f6a27"),
+    f"charge-project --group cyclic:7 --lattice {BENCH_PATCH_4X6}":
+        (EXIT_OK, "cb68ccb8931f351f08dfb9f87c8225690abbfc133b18b4cec2d0d28edc17ad4c"),
 }
 
 

@@ -186,6 +186,30 @@ def test_defect_sum_rule_builds_one_character_table_per_subgroup(monkeypatch):
     assert run_check("defect-sum-rule", g).status == "pass"
     assert 0 < len(built) <= len(enumerate_subgroups(g))
 
+
+def test_verify_all_runs_the_subgroup_search_once(monkeypatch):
+    """Six checks list the subgroups; only the first call searches."""
+    import qdw.groups as groups
+    from qdw.verify import verify_group
+    searches = []
+    real = groups.FiniteGroup.generated_subgroup
+
+    def counted(self, generators):
+        searches.append(self)
+        return real(self, generators)
+    monkeypatch.setattr(groups.FiniteGroup, "generated_subgroup", counted)
+    enumerate_subgroups(build_group("symmetric:4"))
+    one_search = len(searches)
+    searches.clear()
+    assert all(r.status != "fail" for r in verify_group(build_group("symmetric:4")))
+    assert one_search <= len(searches) < 2 * one_search
+
+
+def test_enumerated_list_is_a_fresh_copy():
+    g = build_group("dihedral:4")
+    enumerate_subgroups(g).clear()
+    assert len(enumerate_subgroups(g)) == 10
+
 def test_character_row_lookup():
     t = character_table(build_group("symmetric:4"))
     for i in range(t.n_irreps):

@@ -2,7 +2,8 @@
 
 import itertools
 import random
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +80,12 @@ class TestSmithNormalForm:
         assert smith_normal_form([[1, 2], [2, 4]]).diagonal() == [1, 0]
         assert smith_normal_form([[0, 0], [0, 0]]).diagonal() == [0, 0]
 
+    @pytest.mark.parametrize("ragged, row", [([[1], [2, 3]], 1), ([[1, 2], [3]], 1),
+                                             ([[1, 2], [3, 4], []], 2)])
+    def test_ragged_rows_are_refused_by_index(self, ragged, row):
+        with pytest.raises(ValueError, match=f"row {row} has"):
+            smith_normal_form(ragged)
+
     def test_transforms_on_random_matrices(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -94,6 +101,105 @@ class TestSmithNormalForm:
                 for j, val in enumerate(row):
                     if i != j:
                         assert val == 0
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _det(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in a]
+    n, sign, prev = len(a), 1, 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
+        prev = a[t][t]
+    return sign * a[-1][-1]
+
+
+def _rank(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _minor_gcd(a, k):
+    """gcd of every k x k minor, stopping once it reaches 1."""
+    g = 0
+    for rows in itertools.combinations(a, k):
+        for cols in itertools.combinations(range(len(a[0])), k):
+            g = gcd(g, _det([[row[c] for c in cols] for row in rows]))
+            if g == 1:
+                return 1
+    return g
+
+
+@st.composite
+def dense_matrices(draw):
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                         min_size=m, max_size=m))
+
+
+@st.composite
+def incidence_matrices(draw):
+    """Each column has at most two +-1 entries, like an edge between faces."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    cols = []
+    for _ in range(k):
+        col = [0] * m
+        for r in draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True)):
+            col[r] = draw(st.sampled_from((1, -1)))
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+class TestSmithOracle:
+    """d_1 ... d_k is the gcd of the k x k minors (zero past the rank), and
+    the transforms are exact inverses that carry a to d."""
+
+    def check(self, a):
+        m, k = len(a), len(a[0])
+        form = smith_normal_form(a)
+        d = form.diagonal()
+        assert form.d == [[d[i] if i == j else 0 for j in range(k)] for i in range(m)]
+        assert _product(_product(form.u, a), form.v) == form.d
+        assert _product(form.u, form.uinv) == [[int(i == j) for j in range(m)]
+                                               for i in range(m)]
+        assert _product(form.v, form.vinv) == [[int(i == j) for j in range(k)]
+                                               for i in range(k)]
+        rank = _rank(a)
+        assert all(x > 0 for x in d[:rank]) and not any(d[rank:])
+        for i in range(1, rank + 1):
+            assert prod(d[:i]) == _minor_gcd(a, i)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(dense_matrices())
+    def test_dense_integer_matrices(self, a):
+        self.check(a)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(incidence_matrices())
+    def test_sparse_incidence_matrices(self, a):
+        self.check(a)
 
 
 class TestSectors:
