@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "Defect",
     "defect_list",
     "qudit_dimension",
+    "condensate_count",
     "AbelianAnyonData",
     "abelian_anyon_data",
     "SymmetryAction",
@@ -240,9 +242,9 @@ class LagrangianAlgebra:
         for m, a in zip(self.multiplicities, anyons):
             if m > 0 and abs(a.twist - 1.0) > TOL:
                 raise InvariantError(f"condensed sector {a.name} has twist {a.twist}")
-
-    def condensed(self) -> list[AnyonLabel]:
-        return [a for m, a in zip(self.multiplicities, self.table.anyons) if m > 0]
+        w = np.array(self.multiplicities)
+        if np.abs(w @ s_matrix(self.table.group) - w).max() > TOL:
+            raise InvariantError("condensate is not fixed by S: W S != W")
 
 
 def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlgebra:
@@ -307,15 +309,34 @@ def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:
     return out
 
 
+def condensate_count(group: FiniteGroup, chi: int, boundaries: Sequence[Subgroup]) -> int:
+    """Ground states of a surface of Euler characteristic chi with one boundary
+    circle per K in `boundaries`: sum over sectors x of (d_x/|G|)^chi prod_K W_{K,x}.
+
+    That is the modular sum of S_0x^chi prod_K (W_K S)_x (Cong, Cheng and Wang,
+    arXiv 1707.04564), as S_0x = d_x/|G| and every condensate has W S = W.  Summed
+    exactly, in integers over one denominator; InvariantError unless integral."""
+    n, anyons = group.order, anyon_table(group).anyons
+    if chi >= 0:
+        den, terms = n ** chi, [a.dim ** chi for a in anyons]
+    else:   # (|G|/d_x)^-chi over the lcm of the d_x^-chi
+        den = lcm(*(a.dim ** -chi for a in anyons))
+        terms = [n ** -chi * den // a.dim ** -chi for a in anyons]
+    for k in boundaries:
+        terms = map(mul, terms, lagrangian_algebra(group, k).multiplicities)
+    total = sum(terms)
+    if total % den:
+        raise InvariantError(f"condensate sum {total}/{den} is not an integer")
+    return total // den
+
+
 def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
     """Ground-state count of a strip with boundary K1 on one side, K2 on the other.
 
-    Computed two independent ways (condensate overlap; double-coset
-    stabilizer class count) which must agree exactly.
+    Computed two independent ways (`condensate_count` at chi = 0, the
+    condensate overlap; double-coset stabilizer class count) which must agree.
     """
-    m1 = lagrangian_algebra(group, k1).multiplicities
-    m2 = lagrangian_algebra(group, k2).multiplicities
-    overlap = sum(a * b for a, b in zip(m1, m2))
+    overlap = condensate_count(group, 0, (k1, k2))
     by_cosets = sum(len(dc.stabilizer.as_group()[0].conjugacy_classes())
                     for dc in double_cosets(k1, k2))
     if overlap != by_cosets:

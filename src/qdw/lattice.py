@@ -14,8 +14,8 @@ pre-test does not pass.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
-sum over gauge orbits of flat connections on a gauge-fixed slice.
-Modular takes the count from the S matrix of D(G) and the boundary
+sum over gauge orbits of flat connections on a slice gauge-fixed by the
+vertex gauge domains.  Modular is one exact sum over the boundary
 condensates, without the lattice's configurations, on any connected
 surface whose boundary circles are its regions.  Dense takes the trace
 of the projector built on the support of the diagonal terms, and raises
@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from qdw.classify import lagrangian_algebra, s_matrix
+from qdw.classify import condensate_count
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 
 __all__ = [
@@ -156,11 +156,14 @@ class Operator:
         else:
             self.terms[key] = total
 
-    def __add__(self, other: "Operator") -> "Operator":
-        out = Operator(self.n, dict(self.terms))
+    def __iadd__(self, other: "Operator") -> "Operator":
+        """In place, so a sum built term by term copies no dict."""
         for key, c in other.terms.items():
-            out._accumulate(key, c)
-        return out
+            self._accumulate(key, c)
+        return self
+
+    def __add__(self, other: "Operator") -> "Operator":
+        return Operator(self.n, dict(self.terms)).__iadd__(other)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + other.scale(Fraction(-1))
@@ -269,7 +272,7 @@ class Operator:
         return (self - self.adjoint()).is_zero()
 
     def _diagonal_numerators(self, edges: Sequence[int]) -> tuple[np.ndarray, int]:
-        """Exact diagonal entries as integers over one common denominator.
+        """Exact entries of a diagonal operator (unchecked) as integers over one denominator.
 
         Returns (numerators, den): the entry of configuration c of `edges`
         (indexed as in `config_digits`) is numerators[c] / den, where den
@@ -278,8 +281,6 @@ class Operator:
         gathers of its edge maps all hit.  The int64 sums cannot wrap:
         the sum of |numerator| is checked to stay below 2**62.
         """
-        if not self.is_diagonal():
-            raise ValueError("operator is not diagonal")
         pos = {e: i for i, e in enumerate(edges)}
         if not set(self.support) <= set(pos):
             raise ValueError("edge list does not cover the operator support")
@@ -298,22 +299,24 @@ class Operator:
 
     def diagonal_values(self, edges: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
         """Exact nonzero diagonal entries over configurations of `edges` (diagonal ops only)."""
+        if not self.is_diagonal():
+            raise ValueError("operator is not diagonal")
         total, den = self._diagonal_numerators(edges)
         digits, _ = config_digits(self.n, len(edges))
         return {tuple(int(x) for x in digits[c]): Fraction(int(total[c]), den)
                 for c in np.flatnonzero(total)}
 
+    def _idempotent_table(self, diagonal: bool) -> tuple[bool, Optional[np.ndarray]]:
+        """Exact idempotence, read from the diagonal table (`_diagonal_numerators`,
+        also returned) when `diagonal` and within budget, else from op*op - op."""
+        if diagonal and self.n ** len(self.support) <= MATERIALIZE_DIM_BUDGET:
+            table, den = self._diagonal_numerators(self.support)
+            return bool(np.all((table == 0) | (table == den))), table
+        return ((self * self) - self).is_zero(), None
+
     def is_projector(self) -> bool:
         """Exact idempotence and self-adjointness."""
-        if not self.is_hermitian():
-            return False
-        if self.is_diagonal():
-            edges = self.support
-            if self.n ** len(edges) > MATERIALIZE_DIM_BUDGET:
-                return ((self * self) - self).is_zero()
-            total, den = self._diagonal_numerators(edges)
-            return bool(np.all((total == 0) | (total == den)))
-        return ((self * self) - self).is_zero()
+        return self.is_hermitian() and self._idempotent_table(self.is_diagonal())[0]
 
     def monomial_entries(self, edges: Sequence[int]):
         """(rows, cols, coeff) of each monomial over configurations of `edges`.
@@ -684,10 +687,9 @@ def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
         raise ValueError("vertex star contains a repeated edge")
     out = Operator(group.order)
     for g in elems:
-        maps = {}
-        for e, at_head in star:
-            maps[e] = _map_left(group, g) if at_head else _map_right_inv(group, g)
-        out = out + Operator.monomial(group.order, Fraction(1, len(elems)), maps)
+        maps = {e: _map_left(group, g) if at_head else _map_right_inv(group, g)
+                for e, at_head in star}
+        out += Operator.monomial(group.order, Fraction(1, len(elems)), maps)
     return out
 
 
@@ -720,7 +722,7 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
         x_last = group.inv[last] if along_last else last
         maps = {e: _map_point(n, x) for (e, _), x in zip(cyc[:-1], prefix)}
         maps[e_last] = _map_point(n, x_last)
-        out = out + Operator.monomial(n, Fraction(1), maps)
+        out += Operator.monomial(n, Fraction(1), maps)
     return out
 
 
@@ -744,7 +746,7 @@ def half_translation_term(group: FiniteGroup, edge: int, sub: Subgroup,
     out = Operator(group.order)
     for k in sub.elements:
         m = _map_left(group, k) if side == "left" else _map_right_inv(group, k)
-        out = out + Operator.monomial(group.order, Fraction(1, sub.order), {edge: m})
+        out += Operator.monomial(group.order, Fraction(1, sub.order), {edge: m})
     return out
 
 
@@ -757,10 +759,8 @@ def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Ope
     """
     out = Operator(group.order)
     for k in sub.elements:
-        out = out + Operator.monomial(group.order, Fraction(1, 2 * sub.order),
-                                      {edge: _map_left(group, k)})
-        out = out + Operator.monomial(group.order, Fraction(1, 2 * sub.order),
-                                      {edge: _map_right_inv(group, k)})
+        for m in (_map_left(group, k), _map_right_inv(group, k)):
+            out += Operator.monomial(group.order, Fraction(1, 2 * sub.order), {edge: m})
     return out
 
 
@@ -907,26 +907,25 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     two diagonal terms commute identically; both are skipped and counted
     in `skipped_pairs`.
 
-    A diagonal term is a projector when its integer diagonal table
-    (`Operator._diagonal_numerators`) takes only the values 0 and its
-    denominator.  For an overlapping pair with one diagonal term D, the
-    exact permutation pre-test `_commutes_by_permutation` runs first on
-    D's table; when it does not pass, the commutator is expanded into
-    matrix-unit atoms as for every other pair.  Both routes record the
-    pair as checked.  Residual norms are materialized only for failing
-    pairs on small supports.
+    Each term's flag, hermiticity and idempotence are decided once, a
+    diagonal term's from its integer table (`Operator._idempotent_table`).
+    For an overlapping pair with one diagonal term D, the exact permutation
+    pre-test `_commutes_by_permutation` runs first on D's table; when it
+    does not pass, the commutator is expanded into matrix-unit atoms as for
+    every other pair.  Both routes record the pair as checked.  Residual
+    norms are materialized only for failing pairs on small supports.
     """
+    term_checks, tables = [], []
     for t in terms:
         if t.diagonal != t.op.is_diagonal():
             flag, actual = (("diagonal", "not diagonal") if t.diagonal
                             else ("non-diagonal", "diagonal"))
             raise InvariantError(
                 f"term {t.name} is flagged {flag}, but its operator is {actual}")
-    term_checks = [TermCheck(t.name, t.op.is_projector(), t.op.is_hermitian())
-                   for t in terms]
-    tables = {k: t.op._diagonal_numerators(t.op.support)[0]
-              for k, t in enumerate(terms)
-              if t.diagonal and n ** len(t.op.support) <= MATERIALIZE_DIM_BUDGET}
+        hermitian = t.op.is_hermitian()
+        projector, table = t.op._idempotent_table(t.diagonal) if hermitian else (False, None)
+        term_checks.append(TermCheck(t.name, projector, hermitian))
+        tables.append(table)
     pair_checks = []
     skipped = 0
     for i in range(len(terms)):
@@ -939,7 +938,7 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 skipped += 1
                 continue
             d, other = (i, tj) if ti.diagonal else (j, ti)
-            if d in tables and _commutes_by_permutation(
+            if tables[d] is not None and _commutes_by_permutation(
                     tables[d], terms[d].op.support, other.op):
                 pair_checks.append(PairCheck(ti.name, tj.name, True))
                 continue
@@ -1064,13 +1063,6 @@ def _gauge_domains(lat: Lattice, group: FiniteGroup,
     return allowed, domains, dangling
 
 
-def _gauge_volume(domains: Sequence[Sequence[int]],
-                  dangling: Mapping[int, Subgroup]) -> int:
-    """Order of the gauge group: one label per vertex, two K labels per dangling edge."""
-    return (prod(len(d) for d in domains)
-            * prod(sub.order ** 2 for sub in dangling.values()))
-
-
 def _dangling_weight_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     """w[x, gh, gt] = number of subgroup pairs (l, r) with l gh x gt^-1 r^-1 = x."""
     n = group.order
@@ -1089,30 +1081,29 @@ def _dangling_weight_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
     return w
 
 
-def _spanning_forest(lat: Lattice, group: FiniteGroup,
-                     subgroups: Mapping[str, Subgroup],
+def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
+                     domains: Sequence[Sequence[int]],
                      dangling: Mapping[int, Subgroup]):
     """Breadth-first spanning forest over the non-dangling edges, rim roots first.
 
     Returns (roots, tree, pinned).  tree[c] lists the edges of the tree
     rooted at roots[c] as (edge, child, child_is_head), parents before
-    children.  `pinned` maps a tree edge to its child when the child's
-    gauge label can always turn the edge register into the identity: the
-    child is a bulk vertex (domain G), or a rim vertex reached along a rim
-    edge of its own region from a rim vertex of that region (register,
-    parent label and child label all in K).
+    children.  `pinned` maps the tree edge e from v to w to w when
+    domain(v) and allowed(e) lie in domain(w) (both from `_gauge_domains`):
+    the domains are subgroups, so w's label can always turn the register
+    into the identity.
     """
-    vertex_region, edge_region = _region_assignment(lat, group, subgroups)
     adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(lat.n_vertices)]
     for ei, (t, h) in enumerate(lat.edges):
         if ei not in dangling:
             adj[t].append((h, (ei, True)))
             adj[h].append((t, (ei, False)))
+    rim = {v for reg in lat.regions for v in reg.rim_vertices}
     seen = [False] * lat.n_vertices
     roots: list[int] = []
     tree: list[list[tuple[int, int, bool]]] = []
     pinned: dict[int, int] = {}
-    for root in sorted(range(lat.n_vertices), key=lambda v: v not in vertex_region):
+    for root in sorted(range(lat.n_vertices), key=lambda v: v not in rim):
         if seen[root]:
             continue
         roots.append(root)
@@ -1123,9 +1114,7 @@ def _spanning_forest(lat: Lattice, group: FiniteGroup,
                 continue
             ei, child_is_head = step
             edges.append((ei, w, child_is_head))
-            reg = vertex_region.get(w)
-            if reg is None or (vertex_region.get(v) == reg
-                               and edge_region.get(ei) == (reg, "rim")):
+            if set(domains[v]).union(allowed[ei]) <= set(domains[w]):
                 pinned[ei] = w
         tree.append(edges)
     return roots, tree, pinned
@@ -1278,7 +1267,7 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     route, no independent oracle, and far costlier in time and memory.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-    roots, tree, pinned = _spanning_forest(lat, group, subgroups, dangling)
+    roots, tree, pinned = _spanning_forest(lat, allowed, domains, dangling)
     if not gauge_fix:
         pinned = {}
     allowed = [(0,) if e in pinned else a for e, a in enumerate(allowed)]
@@ -1286,7 +1275,8 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     if configs is None:
         return None
     total = _stabilizer_total(lat, group, configs, domains, dangling, roots, tree)
-    residual = (_gauge_volume(domains, dangling)
+    # residual gauge: a label per vertex, two K labels per dangling edge, less pinned children
+    residual = (prod(len(d) for d in domains) * prod(k.order ** 2 for k in dangling.values())
                 // prod(len(domains[child]) for child in pinned.values()))
     if total % residual != 0:
         raise InvariantError("orbit count is not divisible by the residual gauge volume")
@@ -1333,32 +1323,21 @@ def _is_bounded_surface(lat: Lattice) -> bool:
 
 def _gsd_modular(lat: Lattice, group: FiniteGroup,
                  subgroups: Mapping[str, Subgroup]) -> Optional[int]:
-    """Route 2: the ground-state count from the modular data of D(G).
+    """Route 2: the ground-state count from the condensates of D(G).
 
-    A boundary with subgroup K condenses the Lagrangian algebra W_K, so a
-    surface with Euler characteristic chi and boundary regions i has
-    GSD = sum over sectors x of S_0x^chi prod_i (W_i S)_x (Cong, Cheng and
-    Wang, arXiv 1707.04564).  No lattice configuration is enumerated, so
-    this is an independent oracle for route 1.  The sum is taken in
-    complex128 and must lie within 1e-9 (relative) of a non-negative
-    integer.  Returns None on a lattice that is no such surface
-    (`_is_bounded_surface`): one with dangling edges, where the count is
-    a double-coset count, or one with a one-face edge that is no region's
-    rim edge.
+    A surface with Euler characteristic chi and boundary regions i has
+    GSD = sum over sectors x of (d_x/|G|)^chi prod_i W_{i,x}, with W_i the
+    condensate of region i, summed exactly by `condensate_count`.  It
+    enumerates no configuration, so it is an independent oracle for route 1.
+    Returns None on a lattice that is no such surface (`_is_bounded_surface`):
+    one with dangling edges, where the count is a double-coset count, or one
+    with a one-face edge that is no region's rim edge.
     """
     _region_assignment(lat, group, subgroups)
     if not _is_bounded_surface(lat):
         return None
-    s = s_matrix(group)
-    summand = s[0] ** lat.euler_characteristic
-    for reg in lat.regions:
-        w = np.array(lagrangian_algebra(group, subgroups[reg.name]).multiplicities)
-        summand = summand * (w @ s)
-    total = complex(summand.sum())
-    val = int(round(total.real))
-    if val < 0 or abs(total - val) > 1e-9 * max(1.0, abs(total)):
-        raise InvariantError(f"modular sum {total} is not a non-negative integer")
-    return val
+    return condensate_count(group, lat.euler_characteristic,
+                            [subgroups[reg.name] for reg in lat.regions])
 
 
 # ---------------------------------------------------------------------------

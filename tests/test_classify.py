@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdw.groups import (
     DoubleCoset,
@@ -21,6 +22,7 @@ from qdw.classify import (
     anyon_table,
     boundary_excitations,
     boundary_types,
+    condensate_count,
     defect_list,
     lagrangian_algebra,
     qudit_dimension,
@@ -332,6 +334,67 @@ def test_s_matrix_check_rejects_a_broken_character_table():
     table.centralizer_tables[0].chars = table.centralizer_tables[0].chars[::-1]
     with pytest.raises(InvariantError, match="S matrix"):
         s_matrix(g)
+
+
+def test_condensate_check_rejects_multiplicities_not_fixed_by_s():
+    # vacuum 1, bosons only and total dimension 6, but W S != W
+    g = build_group("symmetric:3")
+    alg = LagrangianAlgebra(anyon_table(g), g.trivial_subgroup())
+    alg.multiplicities = [1, 2, 0, 1, 0, 0, 0, 0]
+    with pytest.raises(InvariantError, match="not fixed by S"):
+        alg._validate()
+
+
+def test_condensate_check_rejects_a_perturbed_s_matrix():
+    g = build_group("symmetric:3")
+    s = s_matrix(g)
+    g._cache["s_matrix"] = s[:, [0, 2, 1, 3, 4, 5, 6, 7]]  # unitary, not the S of D(S3)
+    with pytest.raises(InvariantError, match="not fixed by S"):
+        lagrangian_algebra(g, g.trivial_subgroup())
+
+
+def float_modular_sum(group, chi, boundaries):
+    """Reference for condensate_count: sum_x S_0x^chi prod_i (W_i S)_x in complex128."""
+    s = s_matrix(group)
+    summand = s[0] ** chi
+    for k in boundaries:
+        summand = summand * (np.array(lagrangian_algebra(group, k).multiplicities) @ s)
+    return complex(summand.sum())
+
+
+SUM_GROUPS = ([build_group(s) for s in ("cyclic:1", "cyclic:2", "cyclic:3", "cyclic:4",
+                                         "cyclic:6", "symmetric:3", "dihedral:4",
+                                         "quaternion8", "product:cyclic:2,cyclic:2")]
+              + [relabelled(s, 3) for s in ("symmetric:3", "dihedral:4")])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_condensate_count_matches_the_float_modular_sum(data):
+    group = data.draw(st.sampled_from(SUM_GROUPS))
+    n_bdry = data.draw(st.integers(0, 4))
+    # a surface of genus g with b boundary circles has chi = 2 - 2g - b
+    chi = data.draw(st.sampled_from([c for c in range(-3, 3)
+                                     if c <= 2 - n_bdry and (2 - c - n_bdry) % 2 == 0]))
+    boundaries = [data.draw(st.sampled_from(enumerate_subgroups(group)))
+                  for _ in range(n_bdry)]
+    count = condensate_count(group, chi, boundaries)
+    ref = float_modular_sum(group, chi, boundaries)
+    if abs(ref) < 2 ** 50:
+        assert abs(ref - count) < 1e-6 * max(1.0, abs(ref))
+
+
+def test_condensate_count_special_cases():
+    g, ke, k2, k3, kg = _s3_with_subgroups()
+    assert condensate_count(g, 2, []) == 1                 # sphere
+    assert condensate_count(g, 0, []) == len(anyon_table(g))  # torus
+    assert condensate_count(g, 1, [k2]) == 1               # disk
+    assert condensate_count(g, 0, [ke, kg]) == qudit_dimension(g, ke, kg)
+    # b trivial holes in a full outer rim: |G|^(b-1)
+    assert condensate_count(g, -2, [kg, ke, ke, ke]) == 6 ** 2
+    # no surface has chi = 2 and one boundary; the sum is 1/6 there
+    with pytest.raises(InvariantError, match="not an integer"):
+        condensate_count(g, 2, [ke])
 
 
 def test_abelian_condensates_match_multiplicity_route():

@@ -6,6 +6,7 @@ report, which has to be deliberate.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -27,6 +28,14 @@ BENCH_PATCH_6X10 = ('{"kind":"patch","rows":6,"cols":10,"holes":['
 BENCH_PATCH_4X6 = ('{"kind":"patch","rows":4,"cols":6,"holes":['
                    '{"name":"hole0","faces":["p(1,2)"]},{"name":"hole1","faces":["p(1,4)"]}],'
                    '"subgroups":{"outer":"full"}}')
+# a 7x13 patch with twelve trivial one-face holes in a full outer rim: for
+# S4 its count 24**11 is above 2**53, where a float sum can round wrongly
+TWELVE_HOLE_PATCH = json.dumps({
+    "kind": "patch", "rows": 7, "cols": 13,
+    "holes": [{"name": f"hole{i}", "faces": [f"p({r},{c})"]}
+              for i, (r, c) in enumerate((r, c) for r in (1, 3) for c in range(1, 12, 2))],
+    "subgroups": {"outer": "full", **{f"hole{i}": "trivial" for i in range(12)}},
+}, separators=(",", ":"))
 
 # command line -> (exit status, sha256 of stdout)
 GOLDEN = {
@@ -81,6 +90,9 @@ GOLDEN = {
         (EXIT_OK, "d8b3b5d155df273d972c3328a5640fb26b5694cbf51f732aeab255d99e2f6a27"),
     f"charge-project --group cyclic:7 --lattice {BENCH_PATCH_4X6}":
         (EXIT_OK, "cb68ccb8931f351f08dfb9f87c8225690abbfc133b18b4cec2d0d28edc17ad4c"),
+    # only the modular route fits; see test_twelve_hole_count_is_exact
+    f"gsd --group symmetric:4 --lattice {TWELVE_HOLE_PATCH}":
+        (EXIT_OK, "93a38a7da350adcacea31a476f658142827eba19767c54b54e4321e520bd7205"),
 }
 
 
@@ -91,3 +103,10 @@ def test_stdout_digest(capsys, command):
     out = capsys.readouterr().out
     assert rc == want_rc
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest, out
+
+
+def test_twelve_hole_count_is_exact(capsys):
+    rc = main(f"gsd --group symmetric:4 --lattice {TWELVE_HOLE_PATCH}".split())
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert rc == EXIT_OK
+    assert results["dimension"] == results["by_method"]["modular"] == 24 ** 11

@@ -1,11 +1,13 @@
 """Geometry, exact operator algebra, audit, and ground-state counting."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qdw.groups import InvariantError, build_group, enumerate_subgroups
 from qdw.classify import anyon_table, qudit_dimension
@@ -22,6 +24,8 @@ from qdw.lattice import (
     TermCheck,
     _commutes_by_permutation,
     _dense_projector,
+    _gauge_domains,
+    _gsd_counting,
     _spanning_forest,
     audit_commutation,
     boundary_edge_term,
@@ -157,8 +161,8 @@ def with_literal_edge(lat, group, subs, terms, e):
         diagonal=op.is_diagonal(), region=region)]
 
 
-def two_hole_lattice():
-    lat = patch(3, 5)
+def two_hole_lattice(rows=3, cols=5):
+    lat = patch(rows, cols)
     lat = carve_hole(lat, ["p(1,1)"], "hole0")
     return carve_hole(lat, ["p(1,3)"], "hole1")
 
@@ -194,7 +198,17 @@ def audit_cases():
 def pinned_edges(lat):
     """The counting route's pinned forest edges, each region given Z2 itself."""
     subs = {reg.name: Z2.full_subgroup() for reg in lat.regions}
-    return list(_spanning_forest(lat, Z2, subs, {})[2])
+    allowed, domains, dangling = _gauge_domains(lat, Z2, subs)
+    return list(_spanning_forest(lat, allowed, domains, dangling)[2])
+
+
+def slice_branch_product(lat, group, assign, gauge_fix=True):
+    """Configurations the counting route's enumeration branches over."""
+    allowed, domains, dangling = _gauge_domains(lat, group, assign)
+    pinned = _spanning_forest(lat, allowed, domains, dangling)[2] if gauge_fix else {}
+    allowed = [(0,) if e in pinned else a for e, a in enumerate(allowed)]
+    return prod(len(allowed[s.edge]) for s in elimination_order(lat, list(pinned))
+                if s.action == "branch")
 
 
 def relabelled(spec, perm):
@@ -744,6 +758,21 @@ class TestDiagonalFastPath:
             assert audit_commutation(injected, group.order) == \
                 atom_path_audit(injected, group.order, memo), lat.edge_names[e]
 
+    def test_audit_decides_each_term_once(self, monkeypatch):
+        calls = Counter()
+        for name in ("is_diagonal", "is_hermitian", "_diagonal_numerators"):
+            def counted(op, *args, _name=name, _method=getattr(Operator, name)):
+                calls[_name, id(op)] += 1
+                return _method(op, *args)
+            monkeypatch.setattr(Operator, name, counted)
+        terms = build_terms(ring(3), S3, {"inner": S3.subgroup([0, 1]),
+                                          "outer": S3.trivial_subgroup()})
+        calls.clear()
+        audit_commutation(terms, S3.order)
+        assert set(calls.values()) == {1}
+        n_diagonal = sum(t.diagonal for t in terms)
+        assert sum(name == "_diagonal_numerators" for name, _ in calls) == n_diagonal
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(diagonal_and_shifts())
     def test_pre_test_is_sound(self, ops):
@@ -945,6 +974,47 @@ class TestGroundStateCounts:
                   for reg in lat.regions}
         rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
         assert rep.by_method["counting"] == rep.by_method["modular"]
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_gauge_fix_keeps_the_count(self, data):
+        spec = data.draw(st.sampled_from(["cyclic:2", "cyclic:3", "symmetric:3"]))
+        g = build_group(spec)
+        holes = data.draw(st.integers(0, 2))
+        if holes:
+            lat = patch(3, 3 if holes == 1 else 5)
+        else:
+            lat = patch(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)))
+        for i, face in enumerate(["p(1,1)", "p(1,3)"][:holes]):
+            lat = carve_hole(lat, [face], f"hole{i}")
+        subs = enumerate_subgroups(g)
+        assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
+        # the reference enumerates every flat configuration, so keep it small
+        assume(slice_branch_product(lat, g, assign, gauge_fix=False) <= 100_000)
+        assert _gsd_counting(lat, g, assign) == _gsd_counting(lat, g, assign, gauge_fix=False)
+
+    def test_full_rims_are_pinned(self):
+        # with the rim vertices left unpinned this slice had 1.59e6 branches
+        g = build_group("cyclic:3")
+        lat = two_hole_lattice(5, 10)
+        assign = {"outer": g.full_subgroup(), "hole0": g.full_subgroup(),
+                  "hole1": g.trivial_subgroup()}
+        assert slice_branch_product(lat, g, assign) <= 9
+        rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
+        assert rep.by_method == {"counting": 3, "modular": 3}
+
+    @pytest.mark.parametrize("spec,order", [("symmetric:4", 24),
+                                            ("product:symmetric:4,cyclic:2", 48)])
+    def test_twelve_hole_count_is_exact(self, spec, order):
+        # above 2**53, where a float sum can round to a wrong integer
+        g = build_group(spec)
+        lat = patch(7, 13)
+        assign = {"outer": g.full_subgroup()}
+        for i, (r, c) in enumerate(itertools.product((1, 3), range(1, 12, 2))):
+            lat = carve_hole(lat, [f"p({r},{c})"], f"hole{i}")
+            assign[f"hole{i}"] = g.trivial_subgroup()
+        rep = ground_space_dimension(lat, g, assign)
+        assert rep.by_method == {"modular": order ** 11}
 
     def test_method_selection(self):
         rep = ground_space_dimension(torus(2, 2), Z2, {}, methods=("dense",))
