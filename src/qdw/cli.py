@@ -450,8 +450,7 @@ def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat]:
     terms = build_terms(lat, group, subs)
     if cfg.inject_literal_edge is not None:
         e = lat.edge_index(cfg.inject_literal_edge)
-        region = next((r.name for r in lat.regions
-                       if e in r.rim_edges or e in r.dangling_edges), None)
+        region = lat.edge_region[e][0] if e in lat.edge_region else None
         sub = subs[region] if region is not None else group.full_subgroup()
         if sub.order == 1:
             where = "the bulk" if region is None else f"region {region!r}"
@@ -719,17 +718,7 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
     ns = build_parser().parse_args(list(argv))
     if ns.command is None:
         raise UsageError("missing command")
-    return RunConfig.from_dict({
-        "command": ns.command,
-        "group": ns.group,
-        "subgroup": ns.subgroup,
-        "subgroup2": ns.subgroup2,
-        "lattice": ns.lattice,
-        "format": ns.format,
-        "tolerance": ns.tolerance,
-        "out": ns.out,
-        "inject_literal_edge": getattr(ns, "inject_literal_edge", None),
-    })
+    return RunConfig.from_dict(vars(ns))
 
 
 def run(cfg: RunConfig) -> tuple[Report, Flat]:

@@ -15,14 +15,16 @@ pre-test does not pass.
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
 sum over gauge orbits of flat connections on a slice gauge-fixed by the
-vertex gauge domains.  Modular is one exact sum over the boundary
-condensates, without the lattice's configurations, on any connected
-surface whose boundary circles are its regions.  Dense takes the trace
-of the projector built on the support of the diagonal terms, and raises
-when a term maps that support outside itself, which commuting
-projectors never do.  Trace is the counting route with its gauge fix
-switched off, the Burnside sum over every flat configuration: a
-reference route that runs only when named.
+vertex gauge domains; a dangling edge with boundary subgroup K stays out
+of the slice and contributes one factor |K\\G/K|.  Modular is one exact
+sum over the boundary condensates, without the lattice's
+configurations, on any connected surface whose boundary circles are its
+regions.  Dense takes the trace of the projector built on the support
+of the diagonal terms, and raises when a term maps that support outside
+itself, which commuting projectors never do.  Trace is the counting
+route with its gauge fix switched off, the Burnside sum over every flat
+configuration of the edges that are not dangling: a reference route
+that runs only when named.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from qdw.classify import condensate_count
-from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
 
 __all__ = [
     "Operator",
@@ -75,6 +77,29 @@ def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
     return digits, weights
+
+
+def _monomial_rows(key: tuple, pos: Mapping[int, int], digits: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where monomial `key` sends each configuration of the edges in `pos`.
+
+    Configurations are indexed as in `config_digits`, whose output is
+    `digits` and `weights`.  Returns (rows, defined): configuration c
+    goes to rows[c] wherever defined[c], i.e. where every map of `key`
+    is defined on c's values; elsewhere rows[c] is meaningless.  Maps on
+    edges outside `pos` are ignored.
+    """
+    rows = np.arange(len(digits), dtype=np.int64)
+    defined = np.ones(len(digits), dtype=bool)
+    for e, m in key:
+        i = pos.get(e)
+        if i is None:
+            continue
+        col = digits[:, i]
+        tgt = np.array(m, dtype=np.int64)[col]
+        defined &= tgt >= 0
+        rows += (tgt - col) * weights[i]
+    return rows, defined
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +358,10 @@ class Operator:
         if not set(self.support) <= set(pos):
             raise ValueError("edge list does not cover the operator support")
         digits, weights = config_digits(self.n, k)
-        cols_all = np.arange(dim, dtype=np.int64)
 
         def entries(key):
-            rows = cols_all.copy()
-            valid = np.ones(dim, dtype=bool)
-            for e, m in key:
-                d = digits[:, pos[e]]
-                tgt = np.array(m, dtype=np.int64)[d]
-                valid &= tgt >= 0
-                rows += (np.where(tgt >= 0, tgt, 0) - d) * weights[pos[e]]
-            return rows[valid], cols_all[valid]
+            rows, defined = _monomial_rows(key, pos, digits, weights)
+            return rows[defined], np.flatnonzero(defined)
 
         return ((*entries(key), coeff) for key, coeff in self.terms.items())
 
@@ -440,15 +458,24 @@ class Lattice:
         for e, c in enumerate(face_count):
             if c > 2:
                 raise ValueError(f"edge {e} borders more than two faces")
-        taken_v: set[int] = set()
-        taken_e: set[int] = set()
+        # vertex -> region name, and edge -> (region name, "rim" | "dangling")
+        self.vertex_region: dict[int, str] = {}
+        self.edge_region: dict[int, tuple[str, str]] = {}
         for reg in self.regions:
-            if set(reg.rim_vertices) & taken_v or \
-                    (set(reg.rim_edges) | set(reg.dangling_edges)) & taken_e:
+            for kind, cells, count in (("rim vertex", reg.rim_vertices, self.n_vertices),
+                                       ("rim edge", reg.rim_edges, ne),
+                                       ("dangling edge", reg.dangling_edges, ne)):
+                for i in cells:
+                    if not 0 <= i < count:
+                        raise ValueError(f"region {reg.name!r} lists {kind} {i}, "
+                                         f"outside 0..{count - 1}")
+            roles = {**dict.fromkeys(reg.rim_edges, (reg.name, "rim")),
+                     **dict.fromkeys(reg.dangling_edges, (reg.name, "dangling"))}
+            if self.vertex_region.keys() & reg.rim_vertices or \
+                    self.edge_region.keys() & roles.keys():
                 raise ValueError(f"region {reg.name!r} shares cells with another region")
-            taken_v.update(reg.rim_vertices)
-            taken_e.update(reg.rim_edges)
-            taken_e.update(reg.dangling_edges)
+            self.vertex_region.update(dict.fromkeys(reg.rim_vertices, reg.name))
+            self.edge_region.update(roles)
             for e in reg.dangling_edges:
                 if face_count[e] != 0:
                     raise ValueError(f"dangling edge {e} still borders a face")
@@ -634,10 +661,7 @@ def carve_hole(lat: Lattice, plaquettes: Sequence, region_name: str) -> Lattice:
     rim_v = sorted({v for pi in q for v in lat.plaquette_base_vertices(pi)}
                    - removed_vertices)
     rim_e = sorted({e for pi in q for e, _ in lat.plaquettes[pi]} - removed_edges)
-    taken_v = {v for reg in lat.regions for v in reg.rim_vertices}
-    taken_e = {e for reg in lat.regions
-               for e in tuple(reg.rim_edges) + tuple(reg.dangling_edges)}
-    if set(rim_v) & taken_v or set(rim_e) & taken_e:
+    if lat.vertex_region.keys() & rim_v or lat.edge_region.keys() & rim_e:
         raise ValueError("the hole touches an existing boundary")
     vkeep = [v for v in range(lat.n_vertices) if v not in removed_vertices]
     ekeep = [e for e in range(lat.n_edges) if e not in removed_edges]
@@ -766,23 +790,14 @@ def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Ope
 
 def _region_assignment(lat: Lattice, group: FiniteGroup,
                        subgroups: Mapping[str, Subgroup]):
-    """Per-vertex and per-edge boundary assignment, validated."""
+    """The lattice's vertex and edge region maps, once `subgroups` is checked against them."""
     names = {reg.name for reg in lat.regions}
     if set(subgroups) != names:
         raise ValueError(f"boundary subgroups must be given for exactly {sorted(names)}")
     for name, sub in subgroups.items():
         if sub.group is not group:
             raise ValueError(f"subgroup for region {name!r} lives in the wrong group")
-    vertex_region: dict[int, str] = {}
-    edge_region: dict[int, tuple[str, str]] = {}  # edge -> (region, role)
-    for reg in lat.regions:
-        for v in reg.rim_vertices:
-            vertex_region[v] = reg.name
-        for e in reg.rim_edges:
-            edge_region[e] = (reg.name, "rim")
-        for e in reg.dangling_edges:
-            edge_region[e] = (reg.name, "dangling")
-    return vertex_region, edge_region
+    return lat.vertex_region, lat.edge_region
 
 
 def build_terms(lat: Lattice, group: FiniteGroup,
@@ -883,18 +898,9 @@ def _commutes_by_permutation(numerators: np.ndarray, edges: Sequence[int],
     """
     pos = {e: i for i, e in enumerate(edges)}
     digits, weights = config_digits(other.n, len(edges))
-    identity = np.arange(len(digits), dtype=np.int64)
     for key in other.terms:
-        idx = identity
-        for e, m in key:
-            i = pos.get(e)
-            if i is None:
-                continue
-            if min(m) < 0:
-                return False
-            col = digits[:, i]
-            idx = idx + (np.array(m, dtype=np.int64)[col] - col) * weights[i]
-        if not np.array_equal(numerators[idx], numerators):
+        rows, defined = _monomial_rows(key, pos, digits, weights)
+        if not defined.all() or not np.array_equal(numerators[rows], numerators):
             return False
     return True
 
@@ -1063,24 +1069,6 @@ def _gauge_domains(lat: Lattice, group: FiniteGroup,
     return allowed, domains, dangling
 
 
-def _dangling_weight_table(group: FiniteGroup, sub: Subgroup) -> np.ndarray:
-    """w[x, gh, gt] = number of subgroup pairs (l, r) with l gh x gt^-1 r^-1 = x."""
-    n = group.order
-    w = np.zeros((n, n, n), dtype=np.int64)
-    ks = set(sub.elements)
-    for x in range(n):
-        for gh in range(n):
-            for gt in range(n):
-                y = group.mul(group.mul(gh, x), group.inv[gt])
-                cnt = 0
-                for r in sub.elements:
-                    lam = group.mul(group.mul(x, r), group.inv[y])
-                    if lam in ks:
-                        cnt += 1
-                w[x, gh, gt] = cnt
-    return w
-
-
 def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
                      domains: Sequence[Sequence[int]],
                      dangling: Mapping[int, Subgroup]):
@@ -1098,12 +1086,11 @@ def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
         if ei not in dangling:
             adj[t].append((h, (ei, True)))
             adj[h].append((t, (ei, False)))
-    rim = {v for reg in lat.regions for v in reg.rim_vertices}
     seen = [False] * lat.n_vertices
     roots: list[int] = []
     tree: list[list[tuple[int, int, bool]]] = []
     pinned: dict[int, int] = {}
-    for root in sorted(range(lat.n_vertices), key=lambda v: v not in rim):
+    for root in sorted(range(lat.n_vertices), key=lambda v: v not in lat.vertex_region):
         if seen[root]:
             continue
         roots.append(root)
@@ -1121,16 +1108,15 @@ def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
 
 
 def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
-                      domains: Sequence[Sequence[int]],
-                      dangling: Mapping[int, Subgroup],
-                      roots: Sequence[int], tree) -> int:
-    """Sum over `configs` of the number of gauge transformations fixing each.
+                      domains: Sequence[Sequence[int]], roots: Sequence[int], tree) -> int:
+    """Sum over `configs` of the number of vertex gauge transformations fixing each.
 
     On each tree of the forest a fixing transformation is determined by
     its root label: labels propagate along tree edges, and must lie in
-    their vertex domains and respect every non-tree edge.  Trees joined
-    by dangling edges are enumerated together, each dangling edge
-    weighted by the K pairs that fix it.
+    their vertex domains and respect every non-tree edge of the tree.
+    Only dangling edges join trees, and their K x K translations absorb
+    both endpoint labels (see `_gsd_counting`), so their checks are
+    skipped and the trees' counts multiply.
     """
     nc = configs.shape[0]
     inv = group.inv
@@ -1144,45 +1130,26 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
     tree_edges = {ei for edges in tree for ei, _, _ in edges}
     nontree_by_comp: dict[int, list[int]] = {}
     for ei, (t, _) in enumerate(lat.edges):
-        if ei not in dangling and ei not in tree_edges:
+        if ei not in tree_edges and lat.edge_region.get(ei, ("", ""))[1] != "dangling":
             nontree_by_comp.setdefault(comp[t], []).append(ei)
-    # trees linked by dangling edges form one cluster
-    cluster = list(range(len(roots)))
-    for ei in dangling:
-        a, b = (cluster[comp[v]] for v in lat.edges[ei])
-        cluster = [a if c == b else c for c in cluster]
-    clusters: dict[int, list[int]] = {}
-    for ci, c in enumerate(cluster):
-        clusters.setdefault(c, []).append(ci)
-    weight_tables = {e: _dangling_weight_table(group, sub)
-                     for e, sub in dangling.items()}
-
-    total_col = np.ones(nc, dtype=np.int64)
-    for members in clusters.values():
-        cluster_count = np.zeros(nc, dtype=np.int64)
-        domains_list = [domains[roots[ci]] for ci in members]
-        for root_labels in itertools.product(*domains_list):
-            glabels: dict[int, np.ndarray] = {}
+    total = np.ones(nc, dtype=np.int64)
+    for ci, (root, edges) in enumerate(zip(roots, tree)):
+        count = np.zeros(nc, dtype=np.int64)
+        for label in domains[root]:
+            glabels = {root: np.full(nc, label, dtype=np.int64)}
             ok = np.ones(nc, dtype=bool)
-            for ci, lab in zip(members, root_labels):
-                glabels[roots[ci]] = np.full(nc, lab, dtype=np.int64)
-                for ei, child, child_is_head in tree[ci]:
-                    t, h = lat.edges[ei]
-                    x = configs[:, ei]
-                    glabels[child] = (conj[x, glabels[t]] if child_is_head
-                                      else conj[inv[x], glabels[h]])
-                    ok &= member[child][glabels[child]]
-                for ei in nontree_by_comp.get(ci, ()):
-                    t, h = lat.edges[ei]
-                    ok &= glabels[h] == conj[configs[:, ei], glabels[t]]
-            weight = ok.astype(np.int64)
-            for ei in dangling:
+            for ei, child, child_is_head in edges:
                 t, h = lat.edges[ei]
-                if comp[t] in members:
-                    weight *= weight_tables[ei][configs[:, ei], glabels[h], glabels[t]]
-            cluster_count += weight
-        total_col *= cluster_count
-    return int(total_col.sum())
+                x = configs[:, ei]
+                glabels[child] = (conj[x, glabels[t]] if child_is_head
+                                  else conj[inv[x], glabels[h]])
+                ok &= member[child][glabels[child]]
+            for ei in nontree_by_comp.get(ci, ()):
+                t, h = lat.edges[ei]
+                ok &= glabels[h] == conj[configs[:, ei], glabels[t]]
+            count += ok
+        total *= count
+    return int(total.sum())
 
 
 def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
@@ -1261,26 +1228,31 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     Pinned forest edges (see `_spanning_forest`) are set to the identity.
     Each gauge orbit then contributes the order of the residual gauge
     group, which drops the pinned children's labels, to the slice's
-    stabilizer total.  The modular and dense routes are independent
-    oracles for it.  With `gauge_fix` off nothing is pinned and the sum
-    runs over every flat configuration: that is the trace reference
-    route, no independent oracle, and far costlier in time and memory.
+    stabilizer total.  A dangling edge borders no face, and its K x K
+    translations absorb both endpoint labels, so every orbit is an orbit
+    of the other edges times one double coset K x K: the dangling edges
+    are left out of the slice (set to the identity) and the count is
+    multiplied by |K\\G/K| for each.  The modular and dense routes are
+    independent oracles for it.  With `gauge_fix` off nothing is pinned
+    and the sum runs over every flat configuration of the other edges:
+    that is the trace reference route, no independent oracle, and far
+    costlier in time and memory.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     roots, tree, pinned = _spanning_forest(lat, allowed, domains, dangling)
     if not gauge_fix:
         pinned = {}
-    allowed = [(0,) if e in pinned else a for e, a in enumerate(allowed)]
+    allowed = [(0,) if e in pinned or e in dangling else a for e, a in enumerate(allowed)]
     configs = _enumerate_flat_configs(lat, group, allowed, first=list(pinned))
     if configs is None:
         return None
-    total = _stabilizer_total(lat, group, configs, domains, dangling, roots, tree)
-    # residual gauge: a label per vertex, two K labels per dangling edge, less pinned children
-    residual = (prod(len(d) for d in domains) * prod(k.order ** 2 for k in dangling.values())
+    total = _stabilizer_total(lat, group, configs, domains, roots, tree)
+    # residual gauge: a label per vertex, less the pinned children's
+    residual = (prod(len(d) for d in domains)
                 // prod(len(domains[child]) for child in pinned.values()))
     if total % residual != 0:
         raise InvariantError("orbit count is not divisible by the residual gauge volume")
-    return total // residual
+    return total // residual * prod(len(double_cosets(k, k)) for k in dangling.values())
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,18 @@ def slice_branch_product(lat, group, assign, gauge_fix=True):
                 if s.action == "branch")
 
 
+def two_squares_joined_by_dangling_edge():
+    """Two squares in one region, joined only by a dangling edge from vertex 0 to 4."""
+    square = lambda first: tuple((e, True) for e in range(first, first + 4))
+    return Lattice(
+        8,
+        edges=[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4)],
+        plaquettes=[square(0), square(4)],
+        regions=[BoundaryRegion("bdry", rim_vertices=tuple(range(8)),
+                                rim_edges=tuple(range(8)), dangling_edges=(8,))],
+    )
+
+
 def relabelled(spec, perm):
     """The preset's table with element a renamed perm[a]."""
     g = build_group(spec)
@@ -315,6 +327,19 @@ class TestGeometry:
         regions = [BoundaryRegion("a", (0,), ()), BoundaryRegion("b", (0,), ())]
         with pytest.raises(ValueError, match="shares cells"):
             Lattice(2, [(0, 1)], [], regions=regions)
+
+    @pytest.mark.parametrize("rim_v,rim_e,dangling,cell", [
+        ((0, 1, 2, 3, 7), (0, 1, 2, 3), (), "rim vertex 7"),
+        ((-1, 0, 1, 2, 3), (0, 1, 2, 3), (), "rim vertex -1"),
+        ((0, 1, 2, 3), (0, 1, 2, 3, 9), (), "rim edge 9"),
+        ((0, 1, 2, 3), (0, 1, 2, 3), (-1,), "dangling edge -1"),
+    ])
+    def test_region_cell_out_of_range_rejected(self, rim_v, rim_e, dangling, cell):
+        # unchecked, these build and then raise IndexError or go unnoticed
+        reg = BoundaryRegion("rimK", rim_v, rim_e, dangling_edges=dangling)
+        sq = [((0, True), (1, True), (2, True), (3, True))]
+        with pytest.raises(ValueError, match=f"region 'rimK' lists {cell}, outside"):
+            Lattice(4, [(0, 1), (1, 2), (2, 3), (3, 0)], sq, regions=[reg])
 
     def test_dangling_edge_with_face_rejected(self):
         reg = BoundaryRegion("r", (0, 1, 2, 3), (), dangling_edges=(0,))
@@ -931,6 +956,23 @@ class TestGroundStateCounts:
             assert rep.value == len(double_cosets(sub, sub))
             assert "modular" in rep.skipped
 
+    def test_dangling_edge_between_two_trees_counts_double_cosets(self):
+        # each square is one forest tree, and only the dangling edge links them
+        lat = two_squares_joined_by_dangling_edge()
+        routes = ("counting", "trace", "dense")
+        for group in (Z2, Z3):
+            for sub in enumerate_subgroups(group):
+                rep = ground_space_dimension(lat, group, {"bdry": sub}, methods=routes)
+                assert rep.by_method == dict.fromkeys(routes, len(double_cosets(sub, sub)))
+
+    def test_spur_counts_double_cosets_for_every_s4_subgroup(self):
+        s4 = build_group("symmetric:4")
+        subs = enumerate_subgroups(s4)
+        assert len(subs) == 30
+        for sub in subs:
+            assert _gsd_counting(dangling_lattice(), s4, {"bdry": sub}) == \
+                len(double_cosets(sub, sub))
+
     def test_modular_route_skips_boundaries_that_are_not_regions(self):
         # patch(2, 2) without its region: a one-face edge that is no rim edge
         bare = patch(2, 2)
@@ -966,12 +1008,7 @@ class TestGroundStateCounts:
         for i, face in enumerate(faces):
             lat = carve_hole(lat, [face], f"hole{i}")
         subs = enumerate_subgroups(g)
-        outer = subs
-        if spec == "symmetric:3" and rows * cols > 4:
-            # outer K = G there is the counting route's memory case
-            outer = [k for k in subs if k.order < g.order]
-        assign = {reg.name: data.draw(st.sampled_from(outer if reg.name == "outer" else subs))
-                  for reg in lat.regions}
+        assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
         rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
         assert rep.by_method["counting"] == rep.by_method["modular"]
 
