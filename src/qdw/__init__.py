@@ -1,84 +1,40 @@
-"""Exact workbench for finite-group lattice gauge models with boundaries."""
+"""Exact workbench for finite-group lattice gauge models with boundaries.
 
-from qdw.classify import (
-    anyon_table,
-    boundary_excitations,
-    boundary_types,
-    defect_list,
-    lagrangian_algebra,
-    qudit_dimension,
-    symmetry_action,
-)
-from qdw.groups import (
-    FiniteGroup,
-    InvariantError,
-    Subgroup,
-    build_group,
-    character_table,
-    double_cosets,
-    enumerate_subgroups,
-)
-from qdw.lattice import (
-    Lattice,
-    audit_commutation,
-    build_terms,
-    carve_hole,
-    ground_space_dimension,
-    patch,
-    ring,
-    torus,
-)
-from qdw.logical import (
-    AbelianGroundSpace,
-    StringOperator,
-    charge_projectors,
-    charge_string,
-    flux_string,
-    logical_action,
-    logical_algebra,
-    loop_operator,
-    rim_loop,
-    tunnel_operator,
-)
-from qdw.verify import check_names, run_check, verify_group
+The names below are exported lazily (PEP 562): `import qdw` loads no
+layer, and each name or submodule is imported when it is first read, so
+a command pays only for the layers it reaches.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianGroundSpace",
-    "FiniteGroup",
-    "InvariantError",
-    "Lattice",
-    "StringOperator",
-    "Subgroup",
-    "anyon_table",
-    "audit_commutation",
-    "boundary_excitations",
-    "boundary_types",
-    "build_group",
-    "build_terms",
-    "carve_hole",
-    "character_table",
-    "charge_projectors",
-    "charge_string",
-    "check_names",
-    "defect_list",
-    "double_cosets",
-    "enumerate_subgroups",
-    "flux_string",
-    "ground_space_dimension",
-    "lagrangian_algebra",
-    "logical_action",
-    "logical_algebra",
-    "loop_operator",
-    "patch",
-    "qudit_dimension",
-    "rim_loop",
-    "ring",
-    "run_check",
-    "symmetry_action",
-    "torus",
-    "tunnel_operator",
-    "verify_group",
-    "__version__",
-]
+_EXPORTS = {
+    "qdw.classify": ("anyon_table", "boundary_excitations", "boundary_types",
+                     "defect_list", "lagrangian_algebra", "qudit_dimension",
+                     "symmetry_action"),
+    "qdw.groups": ("FiniteGroup", "InvariantError", "Subgroup", "build_group",
+                   "character_table", "double_cosets", "enumerate_subgroups"),
+    "qdw.lattice": ("Lattice", "audit_commutation", "build_terms", "carve_hole",
+                    "ground_space_dimension", "patch", "ring", "torus"),
+    "qdw.logical": ("AbelianGroundSpace", "StringOperator", "charge_projectors",
+                    "charge_string", "flux_string", "logical_action", "logical_algebra",
+                    "loop_operator", "rim_loop", "tunnel_operator"),
+    "qdw.verify": ("check_names", "run_check", "verify_group"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = ("classify", "cli", "groups", "lattice", "logical", "verify")
+
+__all__ = sorted(_SOURCE) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(importlib.import_module(_SOURCE[name]), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCE) | set(_SUBMODULES))

@@ -420,29 +420,41 @@ class SymmetryAction:
                 raise InvariantError("sector transport must preserve dimension and twist")
 
     def _permute_anyons(self) -> list[int]:
+        """Target sector of each sector, matched one flux class at a time.
+
+        phi carries class C to C' = [phi(rep)] and the centralizer of rep
+        onto that of phi(rep), which conjugation by c takes to the
+        centralizer of rep' (the rep of C').  An irrep of the source
+        centralizer goes to the target irrep whose character, on each
+        target class, equals the source character at the preimage.  The
+        preimages depend only on the class, so all irreps of a class are
+        matched against the target table in one comparison.
+        """
         table, group = self.table, self.table.group
-        perm = []
-        for a in table.anyons:
-            cl = table.classes[a.class_index]
+        perm = [0] * len(table.anyons)
+        for ci, cl in enumerate(table.classes):
             r2 = self.phi[cl.rep]
             ci2 = group.class_index_of(r2)
             cl2 = table.classes[ci2]
             c = next(g for g in range(group.order) if group.conj(g, r2) == cl2.rep)
             sub2, to_parent2 = cl2.centralizer.as_group()
-            ct2 = table.centralizer_tables[ci2]
             sub1, to_parent1 = cl.centralizer.as_group()
-            ct1 = table.centralizer_tables[a.class_index]
-            # character of the transported irrep on each class of the target
-            values = []
+            # source class of each target class's preimage
+            cols = []
             c_inv = group.inv[c]
             for scl in sub2.conjugacy_classes():
                 y = to_parent2[scl.rep]
                 pre = self.phi_inv[group.conj(c_inv, y)]
                 if pre not in cl.centralizer:
                     raise InvariantError("transport left the source centralizer")
-                values.append(ct1.chars[a.irrep_index, sub1.class_index_of(
-                    to_parent1.index(pre))])
-            perm.append(table.index_of(ci2, ct2.row_of(values)))
+                cols.append(sub1.class_index_of(to_parent1.index(pre)))
+            values = table.centralizer_tables[ci].chars[:, cols]
+            target = table.centralizer_tables[ci2].chars
+            hits = np.isclose(target[None, :, :], values[:, None, :], atol=1e-6).all(axis=2)
+            if (hits.sum(axis=1) != 1).any():
+                raise InvariantError("character did not match a unique irrep row")
+            for pi, pi2 in enumerate(hits.argmax(axis=1)):
+                perm[table.index_of(ci, pi)] = table.index_of(ci2, int(pi2))
         if sorted(perm) != list(range(len(table.anyons))):
             raise InvariantError("sector transport is not a permutation")
         return perm

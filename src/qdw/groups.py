@@ -31,6 +31,7 @@ __all__ = [
     "DoubleCoset",
     "build_group",
     "canonical_group_spec",
+    "is_cyclic_presentation",
     "enumerate_subgroups",
     "subgroup_conjugacy_classes",
     "character_table",
@@ -315,6 +316,12 @@ def _cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic group needs order >= 1")
     tbl = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(tbl, names=[str(i) for i in range(n)], label=f"cyclic:{n}", validate=False)
+
+
+def is_cyclic_presentation(group: FiniteGroup) -> bool:
+    """Whether the table is addition mod n, as built by build_group('cyclic:n')."""
+    n = group.order
+    return bool(np.array_equal(group.table, (np.arange(n)[:, None] + np.arange(n)) % n))
 
 
 def _dihedral(n: int) -> FiniteGroup:

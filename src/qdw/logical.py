@@ -38,14 +38,13 @@ import numpy as np
 
 from qdw.classify import abelian_anyon_data
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        character_table)
+                        character_table, is_cyclic_presentation)
 from qdw.lattice import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
                          config_digits)
 
 __all__ = [
     "SmithForm",
     "smith_normal_form",
-    "is_cyclic_presentation",
     "AbelianGroundSpace",
     "StringOperator",
     "shift_string",
@@ -237,12 +236,6 @@ def _cyclic_step(n: int, sub: Subgroup) -> int:
     if tuple(sub.elements) != tuple(range(0, n, step)):
         raise InvariantError("subgroup of a cyclic group must be a stride")
     return step
-
-
-def is_cyclic_presentation(group: FiniteGroup) -> bool:
-    """Whether the table is addition mod n, as built by build_group('cyclic:n')."""
-    n = group.order
-    return bool(np.array_equal(group.table, (np.arange(n)[:, None] + np.arange(n)) % n))
 
 
 class AbelianGroundSpace:

@@ -1,5 +1,6 @@
 """End-to-end runner tests: flags, formats, exit codes, report shapes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -411,11 +412,88 @@ class TestRegionAssignment:
         assert "attic" in capsys.readouterr().err
 
 
+# ---------------------------------------------------------------------------
+# start-up: the modules each run loads, and the names read lazily
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """Modules a fresh interpreter holds after running `statement`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
+    code = f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def test_cli_import_loads_no_scipy():
     """The CLI imports numpy only; scipy would add its import to every run."""
-    env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
-    code = ("import sys, qdw.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.strip() == "[]"
+    loaded = _loaded_after("import qdw.cli")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("argv,loads", [
+    (None, set()),
+    (["anyons", "--group", "dihedral:5"], set()),
+    (["verify-all", "--group", "symmetric:4"], set()),
+    (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"], {"qdw.lattice"}),
+    (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
+     {"qdw.lattice", "qdw.logical"}),
+], ids=["import", "anyons", "verify-all", "gsd", "logical"])
+def test_each_run_loads_only_the_layers_it_reaches(argv, loads):
+    statement = "import qdw.cli"
+    if argv is not None:
+        statement += f"\nassert qdw.cli.main({argv!r}) == 0"
+    loaded = set(_loaded_after(statement))
+    assert {"qdw.groups", "qdw.classify", "qdw.verify", "qdw.cli"} <= loaded
+    assert loaded & {"qdw.lattice", "qdw.logical"} == loads
+
+
+def test_import_qdw_loads_no_layer_until_a_name_is_read():
+    statement = ("import qdw\n"
+                 "bare = sorted(m for m in sys.modules if m.startswith('qdw.'))\n"
+                 "assert bare == [], bare\n"
+                 "assert qdw.lattice is sys.modules['qdw.lattice']\n"
+                 "assert 'qdw.logical' not in sys.modules\n"
+                 "assert qdw.tunnel_operator is sys.modules['qdw.logical'].tunnel_operator")
+    assert "qdw.logical" in _loaded_after(statement)
+
+
+def _home_object(obj, name: str):
+    return getattr(sys.modules[obj.__module__], name)
+
+
+def test_every_package_export_is_the_defining_module_object():
+    names = [n for n in qdw.__all__ if n != "__version__"]
+    assert {"Lattice", "AbelianGroundSpace", "build_terms", "verify_group"} <= set(names)
+    for name in names:
+        obj = getattr(qdw, name)
+        assert obj.__module__.startswith("qdw.")
+        assert _home_object(obj, name) is obj, name
+    assert set(qdw.__all__) <= set(dir(qdw))
+    assert {"cli", "lattice", "logical"} <= set(dir(qdw))
+
+
+def test_unknown_attributes_raise_naming_the_attribute():
+    import qdw.cli as cli
+    for module in (qdw, cli):
+        with pytest.raises(AttributeError, match="no_such_layer_name"):
+            module.no_such_layer_name
+
+
+def test_every_layer_name_the_tracer_reads_off_the_cli_is_the_library_object():
+    """The benchmark's traced handlers call the layers through `qdw.cli`."""
+    import qdw.cli as cli
+    import qdw.lattice
+    import qdw.logical
+    tree = ast.parse((REPO / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "cli"}
+    assert {"build_terms", "audit_commutation", "tunnel_operator",
+            "charge_projectors", "anyon_table"} <= names
+    for name in names:
+        obj = getattr(cli, name)
+        assert _home_object(obj, name) is obj, name
+    assert cli.build_terms is qdw.lattice.build_terms
+    assert cli.charge_projectors is qdw.logical.charge_projectors
