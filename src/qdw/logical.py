@@ -1,28 +1,23 @@
 """Exact logical operators for cyclic groups on boundary lattices.
 
 For a cyclic group the whole ground problem is linear algebra over Z_n:
-admissible configurations are an integer kernel, gauge shifts are a
-sublattice, and ground sectors are the quotient.  Smith normal forms with
-tracked unimodular transforms make every step exact, so logical string
-operators come out with integer shift and phase data and their algebra
-can be certified without any floating point.  The sector label is a
-homomorphism on the admissible kernel, so a string acts on sectors by
+admissible configurations are a kernel mod n, gauge shifts are a
+sublattice, and ground sectors are the quotient.  Smith normal forms over
+Z_n with tracked invertible transforms make every step exact, so logical
+string operators come out with integer shift and phase data and their
+algebra can be certified without any floating point.  The sector label is
+a homomorphism on the admissible kernel, so a string acts on sectors by
 translation: it adds the label of its shift to every sector's label.
 
-The first normal form writes the kernel as a sum of Z_{g_i}, g_i =
-gcd(d_i, n), one coordinate per edge.  The quotient by the gauge shifts
-(the second form) needs only the free coordinates, g_i > 1: by the chain
-d_i | d_{i+1} the g_i = 1 ones come first, and over all E coordinates
+Working mod n loses nothing, because both lattices contain nZ^E.  The
+admissible kernel is defined mod n.  The first normal form writes it as a
+sum of Z_{g_i}, g_i = gcd(d_i, n), one coordinate per edge, and in those
+free coordinates the gauge lattice contains diag(g_i) with g_i | n.  So
+the quotient (the second form) is the same over Z and over Z_n, and every
+matrix stays int64 with entries in [0, n): no coefficient swell.  The
+quotient needs only the free coordinates, g_i > 1: by the chain
+g_i | g_{i+1} the g_i = 1 ones come first, and over all E coordinates
 they are a prefix of unit rows whose pivots touch nothing else.
-
-Both normal forms run on exact Python ints, in steps that scale with the
-nonzeros: the pivot search stops at the first unit, a unit pivot skips the
-divisibility rescan, the transforms that change by columns are kept
-transposed, and the three exact checks on each form multiply only
-nonzeros.  The maps read from the forms are int64 arrays reduced mod the
-one modulus their result is read at.  A kernel coordinate t_i =
-(V^-1 x)_i / (n/g_i) is read mod g_i, so it needs (V^-1 x)_i only mod n,
-and label entry i is read mod s_i.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -64,165 +59,128 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# integer matrices (python ints; sizes here are tiny and swell must not wrap)
-#
-# The matrices the logical layer reduces are face, rim and vertex
-# incidences: a few nonzeros per row, nearly all of them +-1.  So products
-# walk only the nonzeros of each row of b, and the three exact checks on a
-# normal form (u a v == d, u uinv == I, v vinv == I) cost a multiply per
-# pair of nonzeros that meet, not one per entry.
+# Smith normal form over Z_n: int64 entries in [0, n), so nothing swells
 
 
-def _eye(k: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    out = [[0] * cols for _ in range(len(a))]
-    for ai, oi in zip(a, out):
-        for v, bt in zip(ai, nonzeros):
-            if v:
-                for j, x in bt:
-                    oi[j] += v * x
-    return out
-
-
-def _transpose(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*a)]
-
-
-def _residues(rows: Sequence[Sequence[int]], width: int,
-              mods: Iterable[int]) -> np.ndarray:
-    """Row i of an exact integer matrix reduced mod mods[i], as int64."""
-    return np.array([[x % m for x in row] for row, m in zip(rows, mods)],
-                    dtype=np.int64).reshape(len(rows), width)
+def _bezout(p: int, x: int) -> tuple[int, int, int]:
+    """(h, s, r) with s p + r x = h = gcd(p, x)."""
+    s0, s1, r0, r1 = 1, 0, 0, 1
+    while x:
+        q, rem = divmod(p, x)
+        p, x = x, rem
+        s0, s1, r0, r1 = s1, s0 - q * s1, r1, r0 - q * r1
+    return p, s0, r0
 
 
 @dataclass
 class SmithForm:
-    """u @ a @ v == d with d diagonal and a divisibility chain."""
-    d: list[list[int]]
-    u: list[list[int]]
-    uinv: list[list[int]]
-    v: list[list[int]]
-    vinv: list[list[int]]
+    """u @ a @ v == d (mod n) with d diagonal and u, v invertible mod n.
+
+    Every matrix is int64 with entries in [0, n).
+    """
+    n: int
+    d: np.ndarray
+    u: np.ndarray
+    uinv: np.ndarray
+    v: np.ndarray
+    vinv: np.ndarray
 
     def diagonal(self) -> list[int]:
-        k = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return [self.d[i][i] for i in range(k)]
+        """gcd(d_ii, n) for each i, so a zero pivot reads n."""
+        return np.gcd(np.diagonal(self.d), self.n).tolist()
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SmithForm:
-    """Exact Smith normal form with both unimodular transforms and inverses.
+def smith_normal_form(a: np.ndarray | Sequence[Sequence[int]], n: int) -> SmithForm:
+    """Smith normal form of an integer matrix over Z_n, with both
+    transforms and their inverses.
 
-    Pivot t is the smallest nonzero of the trailing block, the first in
-    row-major order, so the search stops at the first +-1.  A unit pivot
-    divides every entry, so its block needs no divisibility rescan; any
-    other pivot rescans only the trailing slice of each row.  Row and
-    column operations update u and vinv by rows; uinv and v change by
-    columns, so they are kept transposed (uinv_t, v_t) until the end and
-    every update is one comprehension over one row.  Columns t.. of rows
-    above t are already zero, so column operations on d touch only rows
-    t.. of the current step.
+    Pivot t is the trailing entry with the smallest gcd(x, n), the first in
+    row-major order, so a unit is taken whenever there is one.  The pivot p
+    divides an entry x in Z_n exactly when g = gcd(p, n) divides x; all such
+    entries of column t (then of row t) go in one rank-one update.  Any other
+    entry meets the pivot in a 2x2 Bezout step of determinant 1, which puts
+    gcd(p, x) on the pivot: gcd(d_tt, n) strictly shrinks, so the loop ends.
+    A cleared pivot that does not divide some trailing entry takes in that
+    entry's row and goes round again.
     """
-    m = len(a)
-    k = len(a[0]) if m else 0
-    for i, row in enumerate(a):
-        if len(row) != k:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
-    a = [list(map(int, row)) for row in a]
-    d = [row[:] for row in a]
-    u, uinv_t = _eye(m), _eye(m)
-    v_t, vinv = _eye(k), _eye(k)
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    if not isinstance(a, np.ndarray):
+        k = len(a[0]) if len(a) else 0
+        for i, row in enumerate(a):
+            if len(row) != k:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
+        a = np.array(a, dtype=np.int64).reshape(len(a), k)
+    a = a.astype(np.int64) % n
+    m, k = a.shape
+    # every product below sums at most max(m, k, 2) terms under n^2 each
+    if max(m, k, 2) * n * n >= 2 ** 63:
+        raise ValueError(f"modulus {n} is too large for int64 at width {max(m, k)}")
+    d = a.copy()
+    u, uinv_t = np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)
+    v_t, vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
 
-    def row_swap(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+    # A column step on d is a row step on d^T that updates v^T as u and v^-1
+    # as uinv^T, so one pair of steps serves both sides.  Lines t.. are zero
+    # before position t, so each step touches d[t:, t:] only.
+    rows, cols = (d, u, uinv_t), (d.T, v_t, vinv)
 
-    def row_addmul(i, j, q):
-        # row_i += q * row_j
-        d[i] = [x + q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
+    def combine(side, i, s, r, b, c):
+        """Lines (t, i) <- [[s, r], [-b, c]] @ lines (t, i), determinant 1."""
+        dd, x, x_inv = side
+        dd[[t, i], t:] = np.array([[s, r], [-b, c]]) @ dd[[t, i], t:] % n
+        x[[t, i]] = np.array([[s, r], [-b, c]]) @ x[[t, i]] % n
+        x_inv[[t, i]] = np.array([[c, b], [-r, s]]) @ x_inv[[t, i]] % n
 
-    def row_negate(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        uinv_t[i] = [-x for x in uinv_t[i]]
+    def eliminate(side, lines, q):
+        """Line i -= q_i line t, for every i in lines."""
+        dd, x, x_inv = side
+        dd[lines, t:] = (dd[lines, t:] - np.outer(q, dd[t, t:])) % n
+        x[lines] = (x[lines] - np.outer(q, x[t])) % n
+        x_inv[t] = (x_inv[t] + q @ x_inv[lines]) % n
 
-    # column operations run inside step t; rows above t are zero in columns t..
-    def col_swap(i, j):
-        for r in range(t, m):
-            dr = d[r]
-            dr[i], dr[j] = dr[j], dr[i]
-        v_t[i], v_t[j] = v_t[j], v_t[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_addmul(i, j, q):
-        # col_i += q * col_j
-        for r in range(t, m):
-            dr = d[r]
-            dr[i] += q * dr[j]
-        v_t[i] = [x + q * y for x, y in zip(v_t[i], v_t[j])]
-        vinv[j] = [x - q * y for x, y in zip(vinv[j], vinv[i])]
+    def clear(side):
+        """Zero position t of every later line; returns gcd(d_tt, n)."""
+        line = side[0][:, t]
+        p = int(line[t])
+        g = gcd(p, n)
+        for i in np.flatnonzero(line[t + 1:] % g) + t + 1 if g > 1 else ():
+            x = int(line[i])
+            if x % g:
+                h, s, r = _bezout(p, x)
+                combine(side, i, s, r, x // h, p // h)
+                p, g = h, gcd(h, n)
+        rest = np.flatnonzero(line[t + 1:]) + t + 1
+        if rest.size:
+            eliminate(side, rest, line[rest] // g * pow(p // g, -1, n // g) % (n // g))
+        return g
 
     for t in range(min(m, k)):
-        piv, best = None, 0
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, k):
-                x = abs(row[j])
-                if x and (piv is None or x < best):
-                    piv, best = (i, j), x
-                    if x == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
+        nonzero = np.flatnonzero(d[t:, t:])
+        if not nonzero.size:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        at = int(nonzero[np.gcd(d[t:, t:].flat[nonzero], n).argmin()])
+        for side, i in zip((rows, cols), divmod(at, k - t)):
+            for x in side:
+                x[[t, t + i]] = x[[t + i, t]]
         while True:
-            clean = True
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    row_addmul(i, t, -q)
-                    if d[i][t]:
-                        row_swap(t, i)
-                        clean = False
-            for j in range(t + 1, k):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    col_addmul(j, t, -q)
-                    if d[t][j]:
-                        col_swap(t, j)
-                        clean = False
-            # a clean pass zeroed row t and column t past the pivot
-            if not clean:
+            clear(rows)
+            g = clear(cols)
+            if d[t + 1:, t].any():
                 continue
-            p = d[t][t]
-            if p in (1, -1):
+            offender = np.flatnonzero((d[t + 1:, t + 1:] % g).any(axis=1)) if g > 1 else ()
+            if not len(offender):
                 break
-            offender = next((i for i in range(t + 1, m)
-                             if any(x % p for x in d[i][t + 1:])), None)
-            if offender is None:
-                break
-            row_addmul(t, offender, 1)
-        if d[t][t] < 0:
-            row_negate(t)
-    form = SmithForm(d, u, _transpose(uinv_t), _transpose(v_t), vinv)
-    if _matmul(_matmul(u, a), form.v) != d:
+            combine(rows, offender[0] + t + 1, 1, 1, 0, 1)   # row t += that row
+    form = SmithForm(n, d, u, np.ascontiguousarray(uinv_t.T), np.ascontiguousarray(v_t.T), vinv)
+    if (u @ a % n @ form.v % n != d).any():
         raise InvariantError("normal form transform bookkeeping failed")
-    if _matmul(u, form.uinv) != _eye(m) or _matmul(form.v, vinv) != _eye(k):
-        raise InvariantError("normal form transforms are not unimodular")
+    if ((u @ form.uinv % n != np.eye(m)).any()
+            or (form.v @ vinv % n != np.eye(k)).any()):
+        raise InvariantError("normal form transforms are not invertible mod n")
     diag = form.diagonal()
-    for i in range(len(diag) - 1):
-        if diag[i + 1] and diag[i] and diag[i + 1] % diag[i]:
-            raise InvariantError("normal form lost the divisibility chain")
+    if any(y % x for x, y in zip(diag, diag[1:])):
+        raise InvariantError("normal form lost the divisibility chain")
     return form
 
 
@@ -244,14 +202,15 @@ class AbelianGroundSpace:
     Admissible configurations solve M x = 0 (mod n), where M stacks one
     signed row per face and one pinning row per rim edge.  Gauge shifts
     span a sublattice of that kernel; sectors are the finite quotient,
-    presented through two normal forms as a product of cyclic factors.
+    presented through two normal forms over Z_n as a product of cyclic
+    factors.
 
-    Each map is built once, after the exact normal forms: the shift and
-    phase rows and the free rows of V^-1 mod n (registers live in Z_n),
-    live row i of the second form's U mod s_i, and the lift from labels to
-    representatives, V[:, free] . diag(n/g) . U^-1[:, live], mod n.  So a
-    label, a representative and every validation is one matmul, whose
-    entries all lie below n, so its int64 sums stay far from wrapping.
+    Each map is read straight off the forms, all mod n: the free rows of
+    V^-1 (kernel coordinate i is (V^-1 x)_i / (n/g_i)), the live rows of the
+    second form's U, and the lift from labels to representatives,
+    V[:, free] . diag(n/g) . U^-1[:, live].  So a label, a representative
+    and every validation is one matmul, whose entries all lie below n, so
+    its int64 sums stay far from wrapping.
     """
 
     def __init__(self, lat: Lattice, group: FiniteGroup,
@@ -279,7 +238,7 @@ class AbelianGroundSpace:
             if role == "rim":
                 shift_rows.append([n // step[reg] if j == e else 0 for j in range(ne)])
                 shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
-        self._shift = _residues(shift_rows, ne, itertools.repeat(n))
+        self._shift = np.array(shift_rows, dtype=np.int64).reshape(len(shift_rows), ne) % n
         self._shift_msgs = shift_msgs
         incidence = [[0] * ne for _ in range(lat.n_vertices)]
         for e, (t, h) in enumerate(lat.edges):
@@ -297,33 +256,28 @@ class AbelianGroundSpace:
                 phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
                 phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
         self._phase_rows = phase_rows
-        self._phase = _residues(phase_rows, ne, itertools.repeat(n))
+        self._phase = np.array(phase_rows, dtype=np.int64).reshape(len(phase_rows), ne) % n
         self._phase_msgs = phase_msgs
         if (self._shift @ self._phase.T % n).any():
             raise InvariantError("a gauge shift escapes the admissible kernel")
         # kernel of M mod n, parameterized through the first normal form
-        self._form1 = smith_normal_form(self._shift.tolist() or [[0] * ne])
+        self._form1 = smith_normal_form(self._shift, n)
         diag1 = self._form1.diagonal()
-        self._g = [gcd(diag1[i] if i < len(diag1) else 0, n) for i in range(ne)]
+        self._g = diag1 + [n] * (ne - len(diag1))
         free = [i for i, g in enumerate(self._g) if g > 1]
-        self._vinv = _residues([self._form1.vinv[i] for i in free], ne, itertools.repeat(n))
-        self._unit = np.array([n // self._g[i] for i in free], dtype=np.int64)
+        g_free = np.array([self._g[i] for i in free], dtype=np.int64)
+        self._vinv = self._form1.vinv[free]
+        self._unit = n // g_free
         # the quotient by the gauge generators, in free kernel coordinates
-        gens = self._coordinates(self._phase).T.tolist()
-        self._form2 = smith_normal_form(
-            [[self._g[i] if c == r else 0 for c in range(len(free))] + gens[r]
-             for r, i in enumerate(free)])
+        gens = self._coordinates(self._phase).T
+        self._form2 = smith_normal_form(np.hstack([np.diag(g_free), gens]), n)
         s = self._form2.diagonal()
-        if any(si <= 0 for si in s):
-            raise InvariantError("sector quotient is not finite")
         live = [i for i, si in enumerate(s) if si > 1]
         self.invariant_factors = tuple(s[i] for i in live)
         self.dimension = prod(self.invariant_factors)
-        self._u = _residues([self._form2.u[i] for i in live], len(free),
-                            self.invariant_factors)
-        lift = _matmul([[row[i] * (n // self._g[i]) for i in free] for row in self._form1.v],
-                       [[row[i] for i in live] for row in self._form2.uinv])
-        self._lift = _residues(lift, len(live), itertools.repeat(n))
+        self._u = self._form2.u[live]
+        self._lift = (self._form1.v[:, free] * self._unit % n
+                      @ self._form2.uinv[:, live] % n)
 
     # -- admissibility and labels
 

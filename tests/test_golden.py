@@ -78,8 +78,11 @@ GOLDEN = {
         (EXIT_OK, "fc5b60546be1a04e65261dfa8384b1d574ce603d2649c35c70e1ac82df089d15"),
     f"charge-project --group cyclic:4 --lattice {WIDE_PATCH}":
         (EXIT_OK, "f03a1063b5b0da4e0415f6390be7552f4387e9bdccab8be0e82ed4f1fc1c2679"),
-    # composite n = 6 on the 93-edge patch (47 free kernel coordinates);
-    # every float it prints is 0.0 or 1.0
+    # composite n = 6 on the 93-edge patch (47 free kernel coordinates); the
+    # logical phases are sixth roots of unity, whose 12-digit decimals sit far
+    # from a rounding edge, and every float charge-project prints is 0.0 or 1.0
+    f"logical --group cyclic:6 --lattice {WIDE_PATCH}":
+        (EXIT_OK, "111c9c3f55fce55113af140f3bd1bfd355b8a1b2c3c8d3fdc71d36c8dbf44d60"),
     f"charge-project --group cyclic:6 --lattice {WIDE_PATCH}":
         (EXIT_OK, "3361b289ea72c3917f41b0040da53a737335d9d05dbdc1b20abab862a5764b7c"),
     # projector traces go through the same rounding as every other float

@@ -72,32 +72,45 @@ def spur_lattice():
 
 class TestSmithNormalForm:
     def test_known_diagonal(self):
-        form = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-        assert form.diagonal() == [2, 2, 156]
+        # over Z the diagonal is 2, 2, 156; over Z_n each entry is its gcd with n
+        a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        for n, diagonal in ((12, [2, 2, 12]), (156, [2, 2, 156]), (8, [2, 2, 4]),
+                            (7, [1, 1, 1])):
+            assert smith_normal_form(a, n).diagonal() == diagonal
 
     def test_rectangular_and_deficient(self):
-        assert smith_normal_form([[1, 2], [3, 4], [5, 6]]).diagonal() == [1, 2]
-        assert smith_normal_form([[1, 2], [2, 4]]).diagonal() == [1, 0]
-        assert smith_normal_form([[0, 0], [0, 0]]).diagonal() == [0, 0]
+        assert smith_normal_form([[1, 2], [3, 4], [5, 6]], 6).diagonal() == [1, 2]
+        assert smith_normal_form([[1, 2], [3, 4], [5, 6]], 5).diagonal() == [1, 1]
+        # a zero pivot reads n
+        assert smith_normal_form([[1, 2], [2, 4]], 6).diagonal() == [1, 6]
+        assert smith_normal_form([[0, 0], [0, 0]], 6).diagonal() == [6, 6]
 
     @pytest.mark.parametrize("ragged, row", [([[1], [2, 3]], 1), ([[1, 2], [3]], 1),
                                              ([[1, 2], [3, 4], []], 2)])
     def test_ragged_rows_are_refused_by_index(self, ragged, row):
         with pytest.raises(ValueError, match=f"row {row} has"):
-            smith_normal_form(ragged)
+            smith_normal_form(ragged, 6)
+
+    def test_modulus_is_checked(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            smith_normal_form([[1]], 0)
+        # int64 products of width 2 need 2 n^2 < 2^63
+        assert smith_normal_form([[3]], 2 ** 31 - 1).diagonal() == [1]
+        with pytest.raises(ValueError, match="too large for int64"):
+            smith_normal_form([[3]], 2 ** 31)
 
     def test_transforms_on_random_matrices(self):
         rng = random.Random(5)
         for _ in range(40):
             m = rng.randrange(1, 6)
             k = rng.randrange(1, 6)
+            n = rng.randrange(2, 49)
             a = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(m)]
-            form = smith_normal_form(a)
+            form = smith_normal_form(a, n)
             d = form.diagonal()
             for i in range(len(d) - 1):
-                if d[i] and d[i + 1]:
-                    assert d[i + 1] % d[i] == 0
-            for i, row in enumerate(form.d):
+                assert d[i + 1] % d[i] == 0
+            for i, row in enumerate(form.d.tolist()):
                 for j, val in enumerate(row):
                     if i != j:
                         assert val == 0
@@ -141,13 +154,16 @@ def _rank(a):
     return rank
 
 
-def _minor_gcd(a, k):
-    """gcd of every k x k minor, stopping once it reaches 1."""
+def _minor_gcd(a, k, n):
+    """gcd of every k x k minor, stopping once its gcd with n reaches 1.
+    A minor through a zero row or column vanishes, so those are left out."""
+    live_rows = [row for row in a if any(row)]
+    live_cols = [c for c in range(len(a[0])) if any(row[c] for row in a)]
     g = 0
-    for rows in itertools.combinations(a, k):
-        for cols in itertools.combinations(range(len(a[0])), k):
+    for rows in itertools.combinations(live_rows, k):
+        for cols in itertools.combinations(live_cols, k):
             g = gcd(g, _det([[row[c] for c in cols] for row in rows]))
-            if g == 1:
+            if gcd(g, n) == 1:
                 return 1
     return g
 
@@ -172,34 +188,53 @@ def incidence_matrices(draw):
     return [list(row) for row in zip(*cols)]
 
 
+# dense entries in [-30, 30]: over Z its elimination swells past a million bits
+SWELLING_6X5 = [[25, -23, 0, 13, 0], [22, 0, 27, 0, -20], [26, 0, -29, 0, -22],
+                [-20, 16, 20, 0, -5], [-12, 0, -3, 12, -4], [12, 0, 27, 0, 22]]
+
+
 class TestSmithOracle:
-    """d_1 ... d_k is the gcd of the k x k minors (zero past the rank), and
-    the transforms are exact inverses that carry a to d."""
+    """gcd(e_1 ... e_i, n) = gcd(D_i, n), with D_i the gcd of the i x i minors
+    over Z, and the transforms are inverses mod n that carry a to d."""
 
-    def check(self, a):
+    def check(self, a, n):
         m, k = len(a), len(a[0])
-        form = smith_normal_form(a)
-        d = form.diagonal()
-        assert form.d == [[d[i] if i == j else 0 for j in range(k)] for i in range(m)]
-        assert _product(_product(form.u, a), form.v) == form.d
-        assert _product(form.u, form.uinv) == [[int(i == j) for j in range(m)]
-                                               for i in range(m)]
-        assert _product(form.v, form.vinv) == [[int(i == j) for j in range(k)]
-                                               for i in range(k)]
+        form = smith_normal_form(a, n)
+        for mat in (form.d, form.u, form.uinv, form.v, form.vinv):
+            assert mat.dtype == np.int64
+            assert ((0 <= mat) & (mat < n)).all()
+        e = form.diagonal()
+        d = form.d.tolist()
+        assert d == [[d[i][i] if i == j else 0 for j in range(k)] for i in range(m)]
+        assert all(gcd(d[i][i], n) == e[i] for i in range(len(e)))
+        u, uinv, v, vinv = (x.tolist() for x in (form.u, form.uinv, form.v, form.vinv))
+
+        def mod(x):
+            return [[y % n for y in row] for row in x]
+
+        assert mod(_product(_product(u, a), v)) == d
+        assert mod(_product(u, uinv)) == [[int(i == j) for j in range(m)] for i in range(m)]
+        assert mod(_product(v, vinv)) == [[int(i == j) for j in range(k)] for i in range(k)]
+        assert all(y % x == 0 for x, y in zip(e, e[1:]))
         rank = _rank(a)
-        assert all(x > 0 for x in d[:rank]) and not any(d[rank:])
-        for i in range(1, rank + 1):
-            assert prod(d[:i]) == _minor_gcd(a, i)
+        for i in range(1, len(e) + 1):
+            # past the rank every minor vanishes, so D_i = 0
+            minors = _minor_gcd(a, i, n) if i <= rank else 0
+            assert gcd(prod(e[:i]), n) == gcd(minors, n)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(dense_matrices())
-    def test_dense_integer_matrices(self, a):
-        self.check(a)
+    @given(dense_matrices(), st.integers(2, 48))
+    def test_dense_integer_matrices(self, a, n):
+        self.check(a, n)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(incidence_matrices())
-    def test_sparse_incidence_matrices(self, a):
-        self.check(a)
+    @given(incidence_matrices(), st.integers(2, 48))
+    def test_sparse_incidence_matrices(self, a, n):
+        self.check(a, n)
+
+    @pytest.mark.parametrize("n", [2, 6, 12, 48])
+    def test_dense_matrix_that_swells_over_z(self, n):
+        self.check(SWELLING_6X5, n)
 
 
 class TestSectors:
@@ -732,6 +767,8 @@ class TestLabelHomomorphism:
             x += rng.randrange(n) * np.array(row)
         want = tuple((a + b) % s for a, b, s in zip(l1, l2, ags.invariant_factors))
         assert ags.label(x % n) == want
+        assert ags.dimension == ground_space_dimension(lat, g, subs,
+                                                       methods=("modular",)).value
 
 
 def frame_matrix(qud):
@@ -997,20 +1034,22 @@ def full_width_labels(ags):
     coordinates, the pinned (g_i = 1) ones included."""
     n, g = ags.n, ags._g
     ne = len(g)
+    vinv, v = ags._form1.vinv.tolist(), ags._form1.v.tolist()
 
     def coords(x):
-        y = _matvec(ags._form1.vinv, [c % n for c in x])
+        y = [yi % n for yi in _matvec(vinv, [c % n for c in x])]
         assert all(yi % (n // gi) == 0 for yi, gi in zip(y, g))
         return [(yi // (n // gi)) % gi for yi, gi in zip(y, g)]
 
     gens = [coords(row) for row in ags._phase_rows]
     form = smith_normal_form([[g[i] if j == i else 0 for j in range(ne)] +
-                              [t[i] for t in gens] for i in range(ne)])
+                              [t[i] for t in gens] for i in range(ne)], n)
     s = form.diagonal()
     live = [i for i, si in enumerate(s) if si > 1]
+    u, uinv = form.u.tolist(), form.uinv.tolist()
 
     def label(x):
-        z = _matvec(form.u, coords(x))
+        z = _matvec(u, coords(x))
         return tuple(z[i] % s[i] for i in live)
 
     labels = list(itertools.product(*(range(s[i]) for i in live)))
@@ -1019,9 +1058,9 @@ def full_width_labels(ags):
         full = [0] * ne
         for pos, i in enumerate(live):
             full[i] = lab[pos]
-        t = _matvec(form.uinv, full)
+        t = _matvec(uinv, full)
         y = [(n // gi) * ti for gi, ti in zip(g, t)]
-        reps.append(tuple(xi % n for xi in _matvec(ags._form1.v, y)))
+        reps.append(tuple(xi % n for xi in _matvec(v, y)))
     return SimpleNamespace(form=form, invariant_factors=tuple(s[i] for i in live),
                            labels=labels, representatives=tuple(reps), label=label)
 
@@ -1032,6 +1071,18 @@ def wide_patch(group):
     return lat, {"outer": group.full_subgroup(),
                  "hole0": group.trivial_subgroup(),
                  "hole1": group.trivial_subgroup()}
+
+
+# rims (outer, hole0, hole1) by subgroup order, and the ground-state count;
+# over Z the first case's transforms reach 53 010-bit entries
+C6_WIDE_RIMS = {(6, 3, 3): 18, (2, 2, 2): 36}
+
+
+def c6_wide_patch(rims):
+    g = build_group("cyclic:6")
+    lat, _ = wide_patch(g)
+    by_order = {sub.order: sub for sub in enumerate_subgroups(g)}
+    return g, lat, {name: by_order[k] for name, k in zip(("outer", "hole0", "hole1"), rims)}
 
 
 def quotient_cases():
@@ -1048,6 +1099,8 @@ def quotient_cases():
     for spec in ("cyclic:4", "cyclic:6"):
         g = build_group(spec)
         yield (f"5x8 two-hole {spec}", g) + wide_patch(g)
+    for rims in C6_WIDE_RIMS:
+        yield (f"5x8 two-hole cyclic:6 K={','.join(map(str, rims))}",) + c6_wide_patch(rims)
     g = build_group("cyclic:3")
     for sub in (g.trivial_subgroup(), g.full_subgroup()):
         yield f"spur cyclic:3 K={sub.order}", g, spur_lattice(), {"bdry": sub}
@@ -1066,7 +1119,7 @@ class TestNarrowQuotient:
         pinned = [i for i in range(lat.n_edges) if i not in free]
         assert pinned == list(range(len(pinned)))
         assert ref.form.diagonal() == [1] * len(pinned) + ags._form2.diagonal()
-        assert [[ref.form.u[i][j] for j in free] for i in free] == ags._form2.u
+        assert ref.form.u[np.ix_(free, free)].tolist() == ags._form2.u.tolist()
         assert ags.invariant_factors == ref.invariant_factors
         assert ags.labels() == ref.labels
         assert ags.representatives == ref.representatives
@@ -1080,6 +1133,13 @@ class TestNarrowQuotient:
                     x = [(a + c * b) % g.order for a, b in zip(x, row)]
                 assert ags.is_admissible(x)
                 assert ags.label(x) == ref.label(x) == lab
+
+    @pytest.mark.parametrize("rims", list(C6_WIDE_RIMS))
+    def test_c6_wide_patch_matches_the_modular_count(self, rims):
+        g, lat, subs = c6_wide_patch(rims)
+        ags = AbelianGroundSpace(lat, g, subs)
+        modular = ground_space_dimension(lat, g, subs, methods=("modular",)).value
+        assert ags.dimension == modular == C6_WIDE_RIMS[rims]
 
     def test_wide_patch_drops_the_pinned_coordinates(self):
         g = build_group("cyclic:2")
