@@ -13,17 +13,17 @@ _EXPORTS = {
     "qdw.classify": ("anyon_table", "boundary_excitations", "boundary_types",
                      "defect_list", "lagrangian_algebra", "qudit_dimension",
                      "symmetry_action"),
+    "qdw.geometry": ("Lattice", "carve_hole", "patch", "ring", "torus"),
     "qdw.groups": ("FiniteGroup", "InvariantError", "Subgroup", "build_group",
                    "character_table", "double_cosets", "enumerate_subgroups"),
-    "qdw.lattice": ("Lattice", "audit_commutation", "build_terms", "carve_hole",
-                    "ground_space_dimension", "patch", "ring", "torus"),
+    "qdw.lattice": ("audit_commutation", "build_terms", "ground_space_dimension"),
     "qdw.logical": ("AbelianGroundSpace", "StringOperator", "charge_projectors",
                     "charge_string", "flux_string", "logical_action", "logical_algebra",
                     "loop_operator", "rim_loop", "tunnel_operator"),
     "qdw.verify": ("check_names", "run_check", "verify_group"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("classify", "cli", "groups", "lattice", "logical", "verify")
+_SUBMODULES = ("classify", "cli", "geometry", "groups", "lattice", "logical", "verify")
 
 __all__ = sorted(_SOURCE) + ["__version__"]
 

@@ -104,10 +104,6 @@ class AnyonTable:
     def index_of(self, class_index: int, irrep_index: int) -> int:
         return self._index[(class_index, irrep_index)]
 
-    @property
-    def vacuum_index(self) -> int:
-        return 0
-
 
 def anyon_table(group: FiniteGroup) -> AnyonTable:
     if "anyon_table" not in group._cache:
@@ -358,17 +354,6 @@ class AbelianAnyonData:
     fusion: np.ndarray  # fusion[a, b] = index of a x b
     charges: list[tuple[int, int]] = field(default_factory=list)  # (flux, irrep)
 
-    def condensed_indices(self, boundary: Subgroup) -> list[int]:
-        """Sectors whose flux lies in K and whose charge restricts trivially."""
-        ct = character_table(self.group)
-        out = []
-        for i, (g, q) in enumerate(self.charges):
-            if g not in boundary:
-                continue
-            if all(abs(ct.value(q, k) - 1.0) < 1e-6 for k in boundary.elements):
-                out.append(i)
-        return out
-
 
 def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
     """S matrix (from `s_matrix`) and fusion table of an abelian group's sectors."""
@@ -428,10 +413,13 @@ class SymmetryAction:
         centralizer goes to the target irrep whose character, on each
         target class, equals the source character at the preimage.  The
         preimages depend only on the class, so all irreps of a class are
-        matched against the target table in one comparison.
+        matched against the target table in one comparison, and classes
+        that share both tables and preimage columns (every class of an
+        abelian group) share that comparison.
         """
         table, group = self.table, self.table.group
         perm = [0] * len(table.anyons)
+        matches: dict[tuple, list[int]] = {}
         for ci, cl in enumerate(table.classes):
             r2 = self.phi[cl.rep]
             ci2 = group.class_index_of(r2)
@@ -448,19 +436,19 @@ class SymmetryAction:
                 if pre not in cl.centralizer:
                     raise InvariantError("transport left the source centralizer")
                 cols.append(sub1.class_index_of(to_parent1.index(pre)))
-            values = table.centralizer_tables[ci].chars[:, cols]
-            target = table.centralizer_tables[ci2].chars
-            hits = np.isclose(target[None, :, :], values[:, None, :], atol=1e-6).all(axis=2)
-            if (hits.sum(axis=1) != 1).any():
-                raise InvariantError("character did not match a unique irrep row")
-            for pi, pi2 in enumerate(hits.argmax(axis=1)):
-                perm[table.index_of(ci, pi)] = table.index_of(ci2, int(pi2))
+            source, target = table.centralizer_tables[ci], table.centralizer_tables[ci2]
+            key = (id(source), id(target), tuple(cols))
+            if key not in matches:
+                hits = np.isclose(target.chars[None, :, :], source.chars[:, cols][:, None, :],
+                                  atol=1e-6).all(axis=2)
+                if (hits.sum(axis=1) != 1).any():
+                    raise InvariantError("character did not match a unique irrep row")
+                matches[key] = hits.argmax(axis=1).tolist()
+            for pi, pi2 in enumerate(matches[key]):
+                perm[table.index_of(ci, pi)] = table.index_of(ci2, pi2)
         if sorted(perm) != list(range(len(table.anyons))):
             raise InvariantError("sector transport is not a permutation")
         return perm
-
-    def subgroup_image(self, boundary: Subgroup) -> Subgroup:
-        return self.table.group.subgroup(self.phi[x] for x in boundary.elements)
 
     def is_identity(self) -> bool:
         return self.anyon_permutation == list(range(len(self.table.anyons)))

@@ -4,15 +4,15 @@ Reports are value-stable: the same configuration and version always
 produce the same bytes on stdout, so runs can be diffed.  Wall-clock
 timing goes to stderr (and into the pretty format) only.
 
-Each run is one process, so start-up is part of every answer.  The
-lattice and logical layers are imported inside the handlers that reach
-them; their names read off this module resolve through `__getattr__`.
+Each run is one process, so start-up is part of every answer.  Only the
+group layer is imported here; the sector, check, geometry, lattice and
+logical layers are imported inside the handlers that reach them, and
+their names read off this module resolve through `__getattr__`.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
 import json
@@ -24,15 +24,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from qdw.classify import (
-    anyon_table,
-    boundary_excitations,
-    boundary_types,
-    defect_list,
-    lagrangian_algebra,
-    qudit_dimension,
-)
 from qdw.groups import (
+    DEFAULT_TOLERANCE,
     MAX_SUBGROUP_ENUM_ORDER,
     FiniteGroup,
     InvariantError,
@@ -42,10 +35,9 @@ from qdw.groups import (
     character_table,
     enumerate_subgroups,
 )
-from qdw.verify import DEFAULT_TOLERANCE, VALIDATORS, verify_group
 
 if TYPE_CHECKING:
-    from qdw.lattice import Lattice
+    from qdw.geometry import Lattice
 
 __all__ = ["RunConfig", "Report", "main", "run"]
 
@@ -53,6 +45,8 @@ __all__ = ["RunConfig", "Report", "main", "run"]
 # off this module.  Each resolves, when read, to the object its layer
 # module holds, so reading one imports that layer.
 _LAYER_NAMES = {
+    "qdw.classify": ("anyon_table", "boundary_excitations", "boundary_types",
+                     "defect_list", "lagrangian_algebra", "qudit_dimension"),
     "qdw.lattice": ("audit_commutation", "build_terms"),
     "qdw.logical": ("charge_projectors", "logical_algebra", "loop_operator",
                     "tunnel_operator"),
@@ -73,6 +67,23 @@ EXIT_USAGE = 2
 COMMANDS = ("group-info", "anyons", "subgroups", "lagrangian", "excitations",
             "defects", "qudit-dim", "lattice-audit", "gsd", "logical",
             "charge-project", "verify-all")
+
+
+# which validation suites stand behind each command's numbers
+VALIDATORS = {
+    "group-info": ("character-orthogonality",),
+    "anyons": ("sector-square-sum", "twist-unimodular"),
+    "subgroups": ("subgroup-closure",),
+    "lagrangian": ("condensate-dimension", "vacuum-multiplicity", "boson-support"),
+    "excitations": ("excitation-square-sum",),
+    "defects": ("defect-square-sum",),
+    "qudit-dim": ("strip-route-agreement",),
+    "lattice-audit": ("term-projector", "term-hermitian", "pairwise-commutation"),
+    "gsd": ("gsd-route-agreement",),
+    "logical": ("weyl-relations", "frame-transport", "operator-unitarity"),
+    "charge-project": ("projector-completeness", "projector-orthogonality",
+                       "projector-idempotence", "frame-diagonality"),
+}
 
 
 class UsageError(ValueError):
@@ -186,7 +197,7 @@ def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
     Accepts "torus:RxC", "patch:RxC", "ring:C", or a JSON object
     {"kind", "rows"/"cols", "holes": [{"name", "faces"}], "subgroups"}.
     """
-    from qdw.lattice import carve_hole, patch, ring, torus
+    from qdw.geometry import carve_hole, patch, ring, torus
 
     text = spec.strip()
     if text.startswith("{"):
@@ -317,6 +328,8 @@ def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import anyon_table
+
     group = build_group(cfg.group)
     table = anyon_table(group)
     rows = []
@@ -343,6 +356,8 @@ def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_subgroups(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import boundary_types
+
     group = build_group(cfg.group)
     subs = enumerate_subgroups(group)
     types = boundary_types(group)
@@ -370,6 +385,8 @@ def _cmd_subgroups(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_lagrangian(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import lagrangian_algebra
+
     group = build_group(cfg.group)
     _require(cfg, "subgroup")
     sub = parse_subgroup(group, cfg.subgroup)
@@ -390,6 +407,8 @@ def _cmd_lagrangian(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_excitations(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import boundary_excitations
+
     group = build_group(cfg.group)
     _require(cfg, "subgroup")
     sub = parse_subgroup(group, cfg.subgroup)
@@ -408,6 +427,8 @@ def _cmd_excitations(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_defects(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import defect_list
+
     group = build_group(cfg.group)
     _require(cfg, "subgroup", "subgroup2")
     k1 = parse_subgroup(group, cfg.subgroup)
@@ -431,6 +452,8 @@ def _cmd_defects(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_qudit_dim(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.classify import qudit_dimension
+
     group = build_group(cfg.group)
     _require(cfg, "subgroup", "subgroup2")
     k1 = parse_subgroup(group, cfg.subgroup)
@@ -564,6 +587,8 @@ def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_verify_all(cfg: RunConfig) -> tuple[dict, Flat]:
+    from qdw.verify import verify_group
+
     group = build_group(cfg.group)
     outcomes = verify_group(group, cfg.tolerance)
     results = {
@@ -625,6 +650,8 @@ def render_json(report: Report) -> str:
 
 
 def render_csv(flat: tuple[list[str], list[list]]) -> str:
+    import csv
+
     header, rows = flat
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -695,6 +722,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for finite-group lattice models "
                     "with gapped boundaries.")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    # the flags every command takes, declared once and copied into each subparser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--group", required=True,
+                        help="group spec, e.g. cyclic:3, symmetric:3, "
+                             "product:cyclic:2,cyclic:2, or a JSON table")
+    common.add_argument("--subgroup",
+                        help="subgroup spec: element list like \"e,(12)\", or "
+                             "trivial | full | cyclic:<element>")
+    common.add_argument("--subgroup2", help="second subgroup spec")
+    common.add_argument("--lattice",
+                        help="torus:RxC | patch:RxC | ring:C | JSON with holes")
+    common.add_argument("--format", default="json",
+                        choices=("json", "csv", "pretty-table"))
+    common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help="numeric tolerance for report-level checks")
+    common.add_argument("--out", help="write the report to this file")
     descriptions = {
         "group-info": "elements, classes, and irrep dimensions of a group",
         "anyons": "bulk sector census of the chosen group",
@@ -710,21 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-all": "run every applicable named cross-check for a group",
     }
     for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--group", required=True,
-                       help="group spec, e.g. cyclic:3, symmetric:3, "
-                            "product:cyclic:2,cyclic:2, or a JSON table")
-        p.add_argument("--subgroup",
-                       help="subgroup spec: element list like \"e,(12)\", or "
-                            "trivial | full | cyclic:<element>")
-        p.add_argument("--subgroup2", help="second subgroup spec")
-        p.add_argument("--lattice",
-                       help="torus:RxC | patch:RxC | ring:C | JSON with holes")
-        p.add_argument("--format", default="json",
-                       choices=("json", "csv", "pretty-table"))
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help="numeric tolerance for report-level checks")
-        p.add_argument("--out", help="write the report to this file")
+        p = sub.add_parser(name, help=descriptions[name], parents=[common])
         if name == "lattice-audit":
             p.add_argument("--inject-literal-edge", metavar="EDGE",
                            help="add the naive one-sided edge average on EDGE "

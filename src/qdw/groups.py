@@ -22,6 +22,7 @@ import numpy as np
 
 MAX_TABLE_ORDER = 48
 MAX_SUBGROUP_ENUM_ORDER = 24
+DEFAULT_TOLERANCE = 1e-10   # report-level numeric checks (`--tolerance`)
 
 __all__ = [
     "FiniteGroup",

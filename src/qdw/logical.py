@@ -34,8 +34,8 @@ import numpy as np
 from qdw.classify import abelian_anyon_data
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
                         character_table, is_cyclic_presentation)
-from qdw.lattice import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
-                         config_digits)
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
+                          config_digits)
 
 __all__ = [
     "SmithForm",

@@ -6,8 +6,8 @@ The registry here is what `qdw verify-all` runs and what the acceptance
 tests call; each check either passes, is skipped with a reason, or
 raises InvariantError naming the broken rule.
 
-The lattice and logical layers are imported inside the checks that use
-them, so a group whose gates skip those checks never loads them.
+The geometry, lattice and logical layers are imported inside the checks
+that use them, so a group whose gates skip those checks never loads them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from qdw.classify import (
     symmetry_action,
 )
 from qdw.groups import (
+    DEFAULT_TOLERANCE,
     FiniteGroup,
     InvariantError,
     enumerate_automorphisms,
@@ -40,30 +41,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "VALIDATORS",
     "CheckResult",
     "run_check",
     "verify_group",
     "check_names",
 ]
-
-DEFAULT_TOLERANCE = 1e-10
-
-# which validation suites stand behind each command's numbers
-VALIDATORS = {
-    "group-info": ("character-orthogonality",),
-    "anyons": ("sector-square-sum", "twist-unimodular"),
-    "subgroups": ("subgroup-closure",),
-    "lagrangian": ("condensate-dimension", "vacuum-multiplicity", "boson-support"),
-    "excitations": ("excitation-square-sum",),
-    "defects": ("defect-square-sum",),
-    "qudit-dim": ("strip-route-agreement",),
-    "lattice-audit": ("term-projector", "term-hermitian", "pairwise-commutation"),
-    "gsd": ("gsd-route-agreement",),
-    "logical": ("weyl-relations", "frame-transport", "operator-unitarity"),
-    "charge-project": ("projector-completeness", "projector-orthogonality",
-                       "projector-idempotence", "frame-diagonality"),
-}
 
 AUDIT_ORDER_CAP = 8     # torus/annulus audits stay desk-scale up to here
 LOGICAL_ORDER_CAP = 5   # charge-readout's cost grows steeply with the order
@@ -156,7 +138,8 @@ def _check_automorphisms(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_lattice_audit(group: FiniteGroup, tol: float) -> str:
-    from qdw.lattice import audit_commutation, build_terms, ring, torus
+    from qdw.geometry import ring, torus
+    from qdw.lattice import audit_commutation, build_terms
 
     reports = []
     lat = torus(2, 2)
@@ -174,7 +157,8 @@ def _check_lattice_audit(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_gsd_census(group: FiniteGroup, tol: float) -> str:
-    from qdw.lattice import ground_space_dimension, torus
+    from qdw.geometry import torus
+    from qdw.lattice import ground_space_dimension
 
     want = len(anyon_table(group))
     rep = ground_space_dimension(torus(2, 2), group, {})
@@ -186,7 +170,7 @@ def _check_gsd_census(group: FiniteGroup, tol: float) -> str:
 
 
 def _rough_ring_sector(group: FiniteGroup) -> AbelianGroundSpace:
-    from qdw.lattice import ring
+    from qdw.geometry import ring
     from qdw.logical import AbelianGroundSpace
 
     subs = {"inner": group.trivial_subgroup(), "outer": group.trivial_subgroup()}
@@ -234,7 +218,7 @@ def _check_charge_readout(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
-    from qdw.lattice import MATERIALIZE_DIM_BUDGET
+    from qdw.geometry import MATERIALIZE_DIM_BUDGET
     from qdw.logical import charge_string, logical_action
 
     ags = _rough_ring_sector(group)

@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,14 @@ import pytest
 
 import qdw
 from qdw.cli import (
+    COMMANDS,
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
     UsageError,
     main,
+    parse_argv,
     parse_lattice,
     parse_subgroup,
 )
@@ -372,6 +375,30 @@ class TestFormatsAndSinks:
         assert "Traceback" not in captured.err
 
 
+class TestParser:
+    """Every command shares one set of flags; lattice-audit adds one."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_shared_flags_in_order(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = re.findall(r"^  (--[a-z0-9-]+)", capsys.readouterr().out, flags=re.M)
+        extra = ["--inject-literal-edge"] if command == "lattice-audit" else []
+        assert listed == ["--group", "--subgroup", "--subgroup2", "--lattice", "--format",
+                          "--tolerance", "--out"] + extra
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_lattice_audit_takes_inject_literal_edge(self, command, capsys):
+        argv = [command, "--group", "cyclic:2", "--inject-literal-edge", "in0"]
+        if command == "lattice-audit":
+            assert parse_argv(argv).inject_literal_edge == "in0"
+        else:
+            assert main(argv) == EXIT_USAGE
+            assert "unrecognized arguments: --inject-literal-edge in0" in \
+                capsys.readouterr().err
+
+
 class TestRegionAssignment:
     def test_flags_fill_regions_in_lattice_order(self, capsys):
         out = run_json(capsys, ["gsd", "--group", "cyclic:3",
@@ -435,19 +462,24 @@ def test_cli_import_loads_no_scipy():
 
 @pytest.mark.parametrize("argv,loads", [
     (None, set()),
-    (["anyons", "--group", "dihedral:5"], set()),
-    (["verify-all", "--group", "symmetric:4"], set()),
-    (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"], {"qdw.lattice"}),
+    (["anyons", "--group", "dihedral:5"], {"qdw.classify"}),
+    (["verify-all", "--group", "symmetric:4"], {"qdw.classify", "qdw.verify"}),
+    (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
+      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}),
+    (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
+     {"qdw.geometry", "qdw.lattice", "qdw.classify"}),
     (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.lattice", "qdw.logical"}),
-], ids=["import", "anyons", "verify-all", "gsd", "logical"])
+     {"qdw.geometry", "qdw.classify", "qdw.logical"}),
+    (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
+     {"qdw.geometry", "qdw.classify", "qdw.logical"}),
+], ids=["import", "anyons", "verify-all", "lattice-audit", "gsd", "logical",
+        "charge-project"])
 def test_each_run_loads_only_the_layers_it_reaches(argv, loads):
     statement = "import qdw.cli"
     if argv is not None:
         statement += f"\nassert qdw.cli.main({argv!r}) == 0"
-    loaded = set(_loaded_after(statement))
-    assert {"qdw.groups", "qdw.classify", "qdw.verify", "qdw.cli"} <= loaded
-    assert loaded & {"qdw.lattice", "qdw.logical"} == loads
+    loaded = {m for m in _loaded_after(statement) if m.startswith("qdw")}
+    assert loaded == {"qdw", "qdw.groups", "qdw.cli"} | loads
 
 
 def test_import_qdw_loads_no_layer_until_a_name_is_read():

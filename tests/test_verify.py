@@ -2,11 +2,10 @@
 
 import pytest
 
-from qdw.cli import COMMANDS
+from qdw.cli import COMMANDS, VALIDATORS
 from qdw.groups import InvariantError, build_group
 from qdw.verify import (
     DEFAULT_TOLERANCE,
-    VALIDATORS,
     check_names,
     run_check,
     verify_group,
