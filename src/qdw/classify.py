@@ -6,18 +6,20 @@ sectors that terminate on it, with multiplicities read off from the left
 translation action on admissible cosets.  Point defects between two
 boundaries are (double coset, stabilizer irrep) pairs, and the point
 excitations of one K boundary are its K-K defects.  All censuses are
-validated against exact sum rules before they are returned.
+validated against exact sum rules before they are returned, and every
+condensate against the modular rule W S = W, decided without building S
+from integer fixed-coset counts.  numpy is imported only where S is the
+result: `s_matrix` and `abelian_anyon_data`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from qdw.groups import (
     FiniteGroup,
@@ -28,6 +30,9 @@ from qdw.groups import (
     is_automorphism,
     subgroup_conjugacy_classes,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AnyonLabel",
@@ -104,6 +109,36 @@ class AnyonTable:
     def index_of(self, class_index: int, irrep_index: int) -> int:
         return self._index[(class_index, irrep_index)]
 
+    @cached_property
+    def transporter(self) -> list[int]:
+        """x_g for each element g: the first x with x r x^-1 = g, r the rep of g's class."""
+        group = self.group
+        out: list = [None] * group.order
+        for cl in self.classes:
+            for x in range(group.order):
+                g = group.conj(x, cl.rep)
+                if out[g] is None:
+                    out[g] = x
+        return out
+
+    @cached_property
+    def centralizer_reps(self) -> list[list[int]]:
+        """Per flux class: the representative of each class of its centralizer."""
+        out = []
+        for cl in self.classes:
+            sub, to_parent = cl.centralizer.as_group()
+            out.append([to_parent[scl.rep] for scl in sub.conjugacy_classes()])
+        return out
+
+    @cached_property
+    def local_class(self) -> list[dict[int, int]]:
+        """Per flux class: each centralizer element's class index in the centralizer."""
+        out = []
+        for cl in self.classes:
+            sub, to_parent = cl.centralizer.as_group()
+            out.append({x: sub.class_index_of(i) for i, x in enumerate(to_parent)})
+        return out
+
 
 def anyon_table(group: FiniteGroup) -> AnyonTable:
     if "anyon_table" not in group._cache:
@@ -113,6 +148,9 @@ def anyon_table(group: FiniteGroup) -> AnyonTable:
 
 def s_matrix(group: FiniteGroup) -> np.ndarray:
     """The modular S matrix of D(G) over `anyon_table(group)`, cached per group.
+
+    Built only where S is itself the result; the condensate rule W S = W
+    is decided without it (`_fixed_by_s`).
 
     S[(A,a),(B,b)] = 1/|G| sum over commuting g in A, h in B of
     conj chi_a(x_g^-1 h x_g) conj chi_b(x_h^-1 g x_h), where x_g r_A x_g^-1 = g
@@ -128,18 +166,12 @@ def s_matrix(group: FiniteGroup) -> np.ndarray:
 
 
 def _build_s_matrix(table: AnyonTable) -> np.ndarray:
+    import numpy as np
+
     group = table.group
     n = group.order
     class_of = [group.class_index_of(g) for g in range(n)]
-    transporter: dict[int, int] = {}       # g -> x_g with x_g r x_g^-1 = g
-    for cl in table.classes:
-        for x in range(n):
-            transporter.setdefault(group.conj(x, cl.rep), x)
-    # column of each centralizer's character table at a parent element
-    columns = []
-    for cl in table.classes:
-        sub, to_parent = cl.centralizer.as_group()
-        columns.append({p: sub.class_index_of(i) for i, p in enumerate(to_parent)})
+    transporter, columns = table.transporter, table.local_class
     # character columns of every commuting pair, grouped by class pair
     pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for g in range(n):
@@ -206,25 +238,8 @@ class LagrangianAlgebra:
         self.table = table
         self.boundary = boundary
         self.multiplicities: list[int] = []
-        group = table.group
-        cosets = boundary.left_cosets()
-        member_to_coset = {}
-        for idx, c in enumerate(cosets):
-            for m in c:
-                member_to_coset[m] = idx
-        for ci, cl in enumerate(table.classes):
-            r = cl.rep
-            admissible = [idx for idx, c in enumerate(cosets)
-                          if group.conj(group.inv[c[0]], r) in boundary]
-            sub, to_parent = cl.centralizer.as_group()
-            ct = table.centralizer_tables[ci]
-            fixed = []
-            for scl in sub.conjugacy_classes():
-                g = to_parent[scl.rep]
-                count = sum(1 for idx in admissible
-                            if member_to_coset[group.mul(g, cosets[idx][0])] == idx)
-                fixed.append(count)
-            self.multiplicities.extend(ct.multiplicities(fixed))
+        for ct, counts in zip(table.centralizer_tables, _fixed_coset_counts(table, boundary)):
+            self.multiplicities.extend(ct.multiplicities(counts))
         self._validate()
 
     def _validate(self) -> None:
@@ -238,9 +253,51 @@ class LagrangianAlgebra:
         for m, a in zip(self.multiplicities, anyons):
             if m > 0 and abs(a.twist - 1.0) > TOL:
                 raise InvariantError(f"condensed sector {a.name} has twist {a.twist}")
-        w = np.array(self.multiplicities)
-        if np.abs(w @ s_matrix(self.table.group) - w).max() > TOL:
+        if not _fixed_by_s(self.table, self.multiplicities):
             raise InvariantError("condensate is not fixed by S: W S != W")
+
+
+def _fixed_coset_counts(table: AnyonTable, boundary: Subgroup) -> list[list[int]]:
+    """psi_A for each flux class A: on each class of Z(r_A), the number of
+    admissible cosets xK (those with x^-1 r_A x in K) its representative fixes."""
+    group = table.group
+    cosets = boundary.left_cosets()
+    member_to_coset = {}
+    for idx, c in enumerate(cosets):
+        for m in c:
+            member_to_coset[m] = idx
+    out = []
+    for cl, reps in zip(table.classes, table.centralizer_reps):
+        admissible = [idx for idx, c in enumerate(cosets)
+                      if group.conj(group.inv[c[0]], cl.rep) in boundary]
+        out.append([sum(1 for idx in admissible
+                        if member_to_coset[group.mul(g, cosets[idx][0])] == idx)
+                    for g in reps])
+    return out
+
+
+def _fixed_by_s(table: AnyonTable, w: Sequence[int]) -> bool:
+    """Whether W S = W, decided without S.
+
+    Let psi_A = sum_a W_(A,a) chi_a, a class function of Z(r_A), and
+    phi_B(g) = psi_[g](x_g^-1 r_B x_g) for g in Z(r_B), with x_g as in
+    `s_matrix`.  Summing S of `s_matrix` against W gives
+    (W S)_(B,b) = <phi_B, chi_b> over Z(r_B), so W S = W exactly when
+    phi_B = psi_B on every class of every Z(r_B).  For a condensate psi_A
+    is the count of fixed admissible cosets, so this compares integers.
+    """
+    group = table.group
+    psi, start = [], 0
+    for ct in table.centralizer_tables:
+        psi.append(ct.character(w[start:start + ct.n_irreps]))
+        start += ct.n_irreps
+    for b, cl in enumerate(table.classes):
+        for g, value in zip(table.centralizer_reps[b], psi[b]):
+            a = group.class_index_of(g)
+            y = group.conj(group.inv[table.transporter[g]], cl.rep)
+            if psi[a][table.local_class[a][y]] != value:
+                return False
+    return True
 
 
 def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlgebra:
@@ -357,6 +414,8 @@ class AbelianAnyonData:
 
 def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
     """S matrix (from `s_matrix`) and fusion table of an abelian group's sectors."""
+    import numpy as np
+
     if not group.is_abelian:
         raise ValueError("closed-form sector data needs an abelian group")
     table = anyon_table(group)
@@ -366,10 +425,13 @@ def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
     for g, q in charges:
         if table.classes[g].members != (g,):
             raise InvariantError("abelian conjugacy classes must be singletons")
-    # irrep_product[qa, qb] is the row equal to the product of rows qa and qb
+    # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
+    # every irrep is linear, so exponents add at each class
     k = ct.n_irreps
-    irrep_product = np.array([[ct.row_of(ct.chars[qa] * ct.chars[qb]) for qb in range(k)]
-                              for qa in range(k)], dtype=np.int64)
+    row_index = {tuple(row): q for q, row in enumerate(ct.spectra)}
+    irrep_product = np.array([[row_index[tuple(
+        ((sa[0] + sb[0]) % o,) for sa, sb, o in zip(ct.spectra[qa], ct.spectra[qb], ct.orders))]
+        for qb in range(k)] for qa in range(k)], dtype=np.int64)
     index = np.array([[table.index_of(g, q) for q in range(k)]
                       for g in range(group.order)], dtype=np.int64)
     flux = np.array([g for g, _ in charges], dtype=np.int64)
@@ -408,44 +470,44 @@ class SymmetryAction:
         """Target sector of each sector, matched one flux class at a time.
 
         phi carries class C to C' = [phi(rep)] and the centralizer of rep
-        onto that of phi(rep), which conjugation by c takes to the
-        centralizer of rep' (the rep of C').  An irrep of the source
-        centralizer goes to the target irrep whose character, on each
-        target class, equals the source character at the preimage.  The
-        preimages depend only on the class, so all irreps of a class are
-        matched against the target table in one comparison, and classes
-        that share both tables and preimage columns (every class of an
-        abelian group) share that comparison.
+        onto that of phi(rep), which conjugation by x^-1, x the transporter
+        of phi(rep), takes to the centralizer of rep' (the rep of C').  An
+        irrep of the source centralizer goes to the target irrep whose
+        character, on each target class, equals the source character at the
+        preimage; the values are compared exactly, as eigenvalue exponents
+        at elements of equal order.  The preimages depend only on the
+        class, so all irreps of a class are matched in one lookup, and
+        classes that share both tables and preimage columns (every class of
+        an abelian group) share it.
         """
         table, group = self.table, self.table.group
         perm = [0] * len(table.anyons)
         matches: dict[tuple, list[int]] = {}
+        targets: dict[int, dict[tuple, int]] = {}
         for ci, cl in enumerate(table.classes):
             r2 = self.phi[cl.rep]
             ci2 = group.class_index_of(r2)
-            cl2 = table.classes[ci2]
-            c = next(g for g in range(group.order) if group.conj(g, r2) == cl2.rep)
-            sub2, to_parent2 = cl2.centralizer.as_group()
-            sub1, to_parent1 = cl.centralizer.as_group()
+            x, local = table.transporter[r2], table.local_class[ci]
             # source class of each target class's preimage
             cols = []
-            c_inv = group.inv[c]
-            for scl in sub2.conjugacy_classes():
-                y = to_parent2[scl.rep]
-                pre = self.phi_inv[group.conj(c_inv, y)]
-                if pre not in cl.centralizer:
+            for y in table.centralizer_reps[ci2]:
+                col = local.get(self.phi_inv[group.conj(x, y)])
+                if col is None:
                     raise InvariantError("transport left the source centralizer")
-                cols.append(sub1.class_index_of(to_parent1.index(pre)))
+                cols.append(col)
             source, target = table.centralizer_tables[ci], table.centralizer_tables[ci2]
             key = (id(source), id(target), tuple(cols))
             if key not in matches:
-                hits = np.isclose(target.chars[None, :, :], source.chars[:, cols][:, None, :],
-                                  atol=1e-6).all(axis=2)
-                if (hits.sum(axis=1) != 1).any():
+                if ci2 not in targets:
+                    targets[ci2] = {tuple(row): q for q, row in enumerate(target.spectra)}
+                rows = targets[ci2]
+                hits = [rows.get(tuple(row[c] for c in cols)) for row in source.spectra]
+                if len(rows) != target.n_irreps or None in hits:
                     raise InvariantError("character did not match a unique irrep row")
-                matches[key] = hits.argmax(axis=1).tolist()
-            for pi, pi2 in enumerate(matches[key]):
-                perm[table.index_of(ci, pi)] = table.index_of(ci2, pi2)
+                matches[key] = hits
+            # the sectors of one flux class are consecutive
+            first, first2 = table.index_of(ci, 0), table.index_of(ci2, 0)
+            perm[first:first + len(matches[key])] = [first2 + q for q in matches[key]]
         if sorted(perm) != list(range(len(table.anyons))):
             raise InvariantError("sector transport is not a permutation")
         return perm

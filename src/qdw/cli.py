@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
 from qdw.groups import (
     DEFAULT_TOLERANCE,
     MAX_SUBGROUP_ENUM_ORDER,
@@ -37,6 +35,8 @@ from qdw.groups import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from qdw.geometry import Lattice
 
 __all__ = ["RunConfig", "Report", "main", "run"]
@@ -299,11 +299,11 @@ def _round12(x: float) -> float:
 
 
 def _complex_pair(z: complex) -> list[float]:
-    return [_round12(np.real(z)), _round12(np.imag(z))]
+    return [_round12(z.real), _round12(z.imag)]
 
 
 def _matrix_pairs(m: np.ndarray) -> list[list[float]]:
-    return [_complex_pair(z) for z in np.asarray(m).ravel()]
+    return [_complex_pair(z) for z in m.ravel()]
 
 
 def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat]:
@@ -344,7 +344,7 @@ def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat]:
             "twist": _complex_pair(a.twist),
         })
         body.append([a.name, flux, a.irrep_index, a.dim,
-                     _round12(np.real(a.twist)), _round12(np.imag(a.twist))])
+                     _round12(a.twist.real), _round12(a.twist.imag)])
     results = {
         "group": group.label,
         "count": len(table),
@@ -544,6 +544,8 @@ def _hole_encoding(cfg: RunConfig):
 
 
 def _relation_rows(qud) -> list[dict]:
+    import numpy as np
+
     rows = []
     for lhs, rhs, turns in qud.relation_report():
         phase = complex(np.exp(2j * np.pi * float(turns)))
@@ -553,6 +555,8 @@ def _relation_rows(qud) -> list[dict]:
 
 
 def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat]:
+    import numpy as np
+
     group, qud, holes = _hole_encoding(cfg)
     ops = [("X", qud.x_action.matrix()), ("Z", qud.z_action.matrix())]
     for name, m in ops:
@@ -568,6 +572,8 @@ def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat]:
 
 
 def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
+    import numpy as np
+
     from qdw.logical import charge_projectors
 
     group, qud, holes = _hole_encoding(cfg)

@@ -5,6 +5,13 @@ identity pinned at index 0.  Everything downstream (conjugacy classes,
 subgroups, character tables, double cosets) works with plain integer
 indices so results are deterministic and cheap to compare.
 
+Character tables are exact.  Each value is kept as the eigenvalue
+exponents of its irrep at the class representative, found over a prime
+field by Dixon's method and lifted to integers, so multiplicities and
+orthogonality are checked in integers; the complex values are derived
+from them.  numpy is imported only to build the array views
+`FiniteGroup.table` and `CharacterTable.chars`, on first access.
+
 Supported presets: cyclic:n, dihedral:n, symmetric:n (n <= 4),
 quaternion8, and product:<spec>,<spec>.  Explicit tables up to order 48
 can be supplied as {"order": n, "table": row-major list, "names": [...]}.
@@ -16,9 +23,11 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from math import cos, gcd, isqrt, pi, sin, sqrt
+from operator import mul
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 MAX_TABLE_ORDER = 48
 MAX_SUBGROUP_ENUM_ORDER = 24
@@ -68,20 +77,26 @@ def _breadth_first(roots, neighbours):
 
 
 class FiniteGroup:
-    """Finite group given by an explicit, validated multiplication table."""
+    """Finite group given by an explicit, validated multiplication table.
+
+    `rows[a][b]` is the index of a*b and `inv[a]` that of a^-1, both
+    tuples of ints; `table` is the same table as an int64 array, built on
+    first access for the callers that index it with arrays.
+    """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
                  label: str = "group", validate: bool = True):
-        tbl = np.asarray(table, dtype=np.int64)
-        if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
-            raise ValueError(f"multiplication table must be square, got shape {tbl.shape}")
-        n = tbl.shape[0]
+        rows = tuple(tuple(int(x) for x in row) for row in table)
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"multiplication table must be square, got {n} rows "
+                             f"of lengths {sorted({len(row) for row in rows})}")
         if n == 0:
             raise ValueError("empty multiplication table")
         if n > MAX_TABLE_ORDER:
             raise ValueError(f"group order {n} exceeds supported maximum {MAX_TABLE_ORDER}")
         self.order: int = n
-        self.table: np.ndarray = tbl
+        self.rows: tuple[tuple[int, ...], ...] = rows
         self.label: str = label
         if names is None:
             names = [str(i) for i in range(n)]
@@ -93,47 +108,58 @@ class FiniteGroup:
             self._name_to_index["e"] = 0
         if validate:
             self._validate()
-        inv = np.full(n, -1, dtype=np.int64)
-        for a in range(n):
-            hits = np.flatnonzero(tbl[a] == 0)
-            if hits.size != 1:
+        inv = []
+        for a, row in enumerate(rows):
+            if row.count(0) != 1:
                 raise ValueError(f"element {a} has no unique inverse")
-            inv[a] = hits[0]
-        self.inv: np.ndarray = inv
+            inv.append(row.index(0))
+        self.inv: tuple[int, ...] = tuple(inv)
         self._cache: dict = {}
 
     def _validate(self) -> None:
-        n, tbl = self.order, self.table
-        if tbl.min() < 0 or tbl.max() >= n:
+        n, rows = self.order, self.rows
+        if any(x < 0 or x >= n for row in rows for x in row):
             raise ValueError("table entries must be element indices")
-        if not (np.array_equal(tbl[0], np.arange(n)) and np.array_equal(tbl[:, 0], np.arange(n))):
+        ident = tuple(range(n))
+        if rows[0] != ident or tuple(row[0] for row in rows) != ident:
             raise ValueError("index 0 must act as the identity on both sides")
         for a in range(n):
-            if len(set(tbl[a])) != n or len(set(tbl[:, a])) != n:
+            if len(set(rows[a])) != n or len({row[a] for row in rows}) != n:
                 raise ValueError(f"row or column {a} is not a permutation (not a Latin square)")
-        # full associativity sweep; n <= 48 keeps this at ~110k triples
-        left = tbl[tbl]                  # left[a,b,c] = (a*b)*c
-        right = np.take(tbl, tbl, axis=1)  # right[a,b,c] = a*(b*c)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            raise ValueError(f"table is not associative at triple {tuple(int(x) for x in bad)}")
+        # Light's test: the s with (a*s)*b = a*(s*b) for all a, b are closed
+        # under products, so checking the generators covers every element
+        for s in _generating_sequence(self):
+            srow = rows[s]
+            if any(rows[row[s]] != tuple(row[x] for x in srow) for row in rows):
+                break
+        else:
+            return
+        for a, b, c in itertools.product(range(n), repeat=3):
+            if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                raise ValueError(f"table is not associative at triple {(a, b, c)}")
+
+    @cached_property
+    def table(self):
+        import numpy as np
+
+        return np.array(self.rows, dtype=np.int64)
 
     # -- basic arithmetic ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self.rows[a][b]
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return self.inv[a]
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inv[g]])
+        return self.rows[self.rows[g][x]][self.inv[g]]
 
     def product(self, elements: Iterable[int]) -> int:
         acc = 0
         for x in elements:
-            acc = int(self.table[acc, x])
+            acc = self.rows[acc][x]
         return acc
 
     def power(self, a: int, k: int) -> int:
@@ -141,13 +167,13 @@ class FiniteGroup:
             return self.power(self.inverse(a), -k)
         acc = 0
         for _ in range(k):
-            acc = int(self.table[acc, a])
+            acc = self.rows[acc][a]
         return acc
 
     def element_order(self, a: int) -> int:
         k, acc = 1, a
         while acc != 0:
-            acc = int(self.table[acc, a])
+            acc = self.rows[acc][a]
             k += 1
         return k
 
@@ -163,7 +189,7 @@ class FiniteGroup:
     @property
     def is_abelian(self) -> bool:
         if "abelian" not in self._cache:
-            self._cache["abelian"] = bool(np.array_equal(self.table, self.table.T))
+            self._cache["abelian"] = self.rows == tuple(zip(*self.rows))
         return self._cache["abelian"]
 
     def __len__(self) -> int:
@@ -187,7 +213,7 @@ class FiniteGroup:
             members = sorted({self.conj(g, a) for g in range(n)})
             for m in members:
                 seen[m] = True
-            cent = self.subgroup(g for g in range(n) if self.table[g, a] == self.table[a, g])
+            cent = self.subgroup(g for g in range(n) if self.rows[g][a] == self.rows[a][g])
             classes.append(ConjugacyClass(rep=a, members=tuple(members), centralizer=cent))
         self._cache["classes"] = classes
         return classes
@@ -242,10 +268,11 @@ class Subgroup:
             raise ValueError("a subgroup must contain the identity (index 0)")
         es = set(elems)
         for a in elems:
-            if int(group.inv[a]) not in es:
+            if group.inv[a] not in es:
                 raise ValueError(f"subset not closed under inverse at element {a}")
+            row = group.rows[a]
             for b in elems:
-                if int(group.table[a, b]) not in es:
+                if row[b] not in es:
                     raise ValueError(f"subset not closed under product at ({a}, {b})")
         if len(group) % len(elems) != 0:
             raise InvariantError("subgroup order does not divide the group order")
@@ -322,7 +349,7 @@ def _cyclic(n: int) -> FiniteGroup:
 def is_cyclic_presentation(group: FiniteGroup) -> bool:
     """Whether the table is addition mod n, as built by build_group('cyclic:n')."""
     n = group.order
-    return bool(np.array_equal(group.table, (np.arange(n)[:, None] + np.arange(n)) % n))
+    return group.rows == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -560,53 +587,124 @@ def subgroup_conjugacy_classes(group: FiniteGroup) -> list[list[Subgroup]]:
 
 
 class CharacterTable:
-    """Irreducible characters of a finite group as a complex matrix.
+    """Irreducible characters of a finite group, exact.
 
     Rows are irreps in canonical order (dimension, then descending
     lexicographic character vector); columns follow conjugacy-class order.
+    `spectra[i][c]` is the sorted tuple of exponents j for which the
+    eigenvalues of irrep i at the representative of class c are the
+    zeta^j, zeta = exp(2 pi i / orders[c]); the character value there is
+    their sum.  `values` holds those sums as complex numbers, and `chars`
+    the same as a complex array, built on first access.
     """
 
-    def __init__(self, group: FiniteGroup, chars: np.ndarray):
+    def __init__(self, group: FiniteGroup, spectra: list[list[tuple[int, ...]]]):
         self.group = group
         self.classes = group.conjugacy_classes()
-        self.chars = chars
-        self.dims = [int(round(chars[i, 0].real)) for i in range(chars.shape[0])]
+        self.orders = [group.element_order(c.rep) for c in self.classes]
+        self.spectra = spectra
+        self.dims = [len(row[0]) for row in spectra]
+        self.values = [_complex_row(row, self.orders) for row in spectra]
+
+    @cached_property
+    def chars(self):
+        import numpy as np
+
+        return np.array(self.values, dtype=complex)
 
     @property
     def n_irreps(self) -> int:
-        return self.chars.shape[0]
+        return len(self.spectra)
 
     def value(self, irrep: int, element: int) -> complex:
-        return complex(self.chars[irrep, self.group.class_index_of(element)])
+        return self.values[irrep][self.group.class_index_of(element)]
 
-    def multiplicities(self, class_function: Sequence[complex]) -> list[int]:
-        """Inner-product multiplicities of a character given by class values."""
-        vals = np.asarray(class_function, dtype=complex)
-        sizes = np.array([c.size for c in self.classes], dtype=float)
+    def multiplicities(self, class_function: Sequence[int]) -> list[int]:
+        """Multiplicity of each irrep in a character given by integer class values.
+
+        Exact: the values must be constant on each rational class, every
+        multiplicity must be a non-negative integer, and the multiplicities
+        must give the values back.
+        """
+        vals = list(class_function)
+        if not all(isinstance(v, int) for v in vals):
+            raise ValueError("multiplicities need integer class values")
+        reps, images, cyclic = _rational_classes(self.group)
+        at_rep = [vals[c] for c in reps]
+        if any(v != at_rep[r] for v, (r, _) in zip(vals, images)):
+            raise InvariantError("the class function is not constant on rational classes, "
+                                 "so its multiplicities are not all integers")
         n = self.group.order
         out = []
-        for i in range(self.n_irreps):
-            m = float(np.real(np.sum(sizes * vals * np.conj(self.chars[i])) / n))
-            mi = int(round(m))
-            if abs(m - mi) > 1e-6 or mi < 0:
-                raise InvariantError(f"non-integer character multiplicity {m}")
-            out.append(mi)
+        for traces in self._traces:
+            num = sum(map(mul, map(mul, at_rep, cyclic), traces))
+            if num % n or num < 0:
+                raise InvariantError(f"character multiplicity {Fraction(num, n)} "
+                                     "is not a non-negative integer")
+            out.append(num // n)
+        if self.character(out) != vals:
+            raise InvariantError("character multiplicities do not give the class function back")
         return out
+
+    def character(self, weights: Sequence[int]) -> list[int]:
+        """Class values of sum_i weights[i] chi_i, which must be rational integers.
+
+        At a representative g of order o the sum is x = sum_j m_j zeta^j,
+        with m_j the weighted count of exponent j.  The trace of x from
+        Q(zeta) to Q is T = sum_j m_j c_o(j), and the trace of |x|^2 is
+        Q = sum_j,k m_j m_k c_o(j - k), c_o being the Ramanujan sums.  The
+        trace of |x - T/phi(o)|^2 is Q - T^2/phi(o), a sum of squares of the
+        conjugates' moduli, so x is the integer T/phi(o) exactly when
+        Q phi(o) = T^2.
+        """
+        reps, images, _ = _rational_classes(self.group)
+        at_rep = []
+        for c in reps:
+            o = self.orders[c]
+            count: dict[int, int] = {}
+            for w, row in zip(weights, self.spectra):
+                if w:
+                    for j in row[c]:
+                        count[j] = count.get(j, 0) + w
+            ram = _ramanujan_sums(o)
+            tr = sum(m * ram[j] for j, m in count.items())
+            sq = sum(m * m2 * ram[j - j2] for j, m in count.items() for j2, m2 in count.items())
+            if tr % ram[0] or sq * ram[0] != tr * tr:
+                raise InvariantError("weighted character sum is not integer-valued")
+            at_rep.append(tr // ram[0])
+        return [at_rep[r] for r, _ in images]
 
     def row_of(self, class_function: Sequence[complex]) -> int:
         """Index of the unique row equal to a character given by class values."""
-        hits = np.flatnonzero(np.isclose(self.chars, class_function, atol=1e-6).all(axis=1))
+        vals = [complex(v) for v in class_function]
+        hits = [i for i, row in enumerate(self.values)
+                if all(abs(a - b) <= 1e-6 for a, b in zip(row, vals))]
         if len(hits) != 1:
             raise InvariantError("character did not match a unique irrep row")
-        return int(hits[0])
+        return hits[0]
+
+    @cached_property
+    def _traces(self) -> list[list[int]]:
+        """Trace from Q(zeta_o) to Q of each character at each rational class representative."""
+        reps, _, _ = _rational_classes(self.group)
+        return [[sum(_ramanujan_sums(self.orders[c])[j] for j in row[c]) for c in reps]
+                for row in self.spectra]
 
 
 def character_table(target) -> CharacterTable:
-    """Character table via simultaneous diagonalization of class-sum matrices.
+    """Exact character table by the Dixon-Schneider method.
 
     Accepts a FiniteGroup or a Subgroup (computed on its abstract copy).
-    Deterministic: fixed seeds, canonical row order, rows rounded only for
-    ordering, never for the stored values.
+    Over F_p, with p prime, p = 1 mod exp(G) and p > 2 sqrt(|G|), the class
+    sums split F_p^k into one common eigenvector per irrep, which gives the
+    irrep's values mod p (Dixon, "High speed computation of group
+    characters", Numer. Math. 10, 1967).  At g of order o those values on
+    the powers of g determine, by a discrete Fourier transform over F_p,
+    the multiplicity of each eigenvalue zeta_o^j; each lies between 0 and
+    the dimension, below p/2, so it lifts to a unique integer.  Values at
+    the other classes of a rational class are Galois images, checked
+    against their values mod p.  The rows are then checked to be exactly
+    orthonormal.
     """
     if isinstance(target, Subgroup):
         group, _ = target.as_group()
@@ -615,69 +713,296 @@ def character_table(target) -> CharacterTable:
     if "char_table" in group._cache:
         return group._cache["char_table"]
     classes = group.conjugacy_classes()
-    k = len(classes)
     n = group.order
     class_of = [group.class_index_of(a) for a in range(n)]
-    # structure constants a_{ijl}: K_i K_j = sum_l a_{ijl} K_l; the vector
-    # (|C_l| chi(g_l) / d)_l is a joint right eigenvector of the matrices
-    # (A_i)[j, l] = a_{ijl}
-    mats = np.zeros((k, k, k), dtype=float)
-    for l, cl in enumerate(classes):
-        z = cl.rep
-        for i, ci in enumerate(classes):
-            for x in ci.members:
-                j = class_of[int(group.table[group.inv[x], z])]
-                mats[i, j, l] += 1.0
-    eigvecs = None
-    for seed in range(24):
-        rng = np.random.default_rng(seed)
-        coeffs = rng.normal(size=k)
-        m = np.tensordot(coeffs, mats, axes=(0, 0))
-        vals, vecs = np.linalg.eig(m)
-        sep = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(sep, np.inf)
-        if k == 1 or sep.min() > 1e-6:
-            eigvecs = vecs
-            break
-    if eigvecs is None:
-        raise InvariantError("class-sum diagonalization failed to separate eigenvalues")
-    rows = []
-    sizes = np.array([c.size for c in classes], dtype=float)
-    for idx in range(k):
-        v = eigvecs[:, idx]
-        m0 = int(np.argmax(np.abs(v)))
-        lam = np.array([(mats[i] @ v)[m0] / v[m0] for i in range(k)])
-        denom = float(np.sum(np.abs(lam) ** 2 / sizes).real)
-        d = (n / denom) ** 0.5
-        di = int(round(d))
-        if di < 1 or abs(d - di) > 1e-6:
-            raise InvariantError(f"irrep dimension {d} did not round to a positive integer")
-        chi = di * lam / sizes
-        rows.append((di, chi))
-    # canonical order: dimension asc, then character vector descending lex
-    def row_key(item):
-        di, chi = item
-        vec = tuple((-round(z.real, 6), -round(z.imag, 6)) for z in chi)
-        return (di, vec)
-    rows.sort(key=row_key)
-    chars = np.array([chi for _, chi in rows])
-    table = CharacterTable(group, chars)
-    _check_orthogonality(table, sizes, n)
-    if sum(d * d for d in table.dims) != n:
-        raise InvariantError("irrep dimensions do not satisfy the order sum rule")
+    reps, images, _ = _rational_classes(group)
+    orders = [group.element_order(c.rep) for c in classes]
+    exponent = 1
+    for o in orders:
+        exponent = exponent * o // gcd(exponent, o)
+    p = exponent + 1
+    while p * p <= 4 * n or not _is_prime(p):
+        p += exponent
+    z = _primitive_root_of_unity(exponent, p)
+    # powers of a primitive o-th root of unity mod p, for each element order o
+    roots = {o: [pow(z, exponent // o * j, p) for j in range(o)] for o in set(orders)}
+    dft = {}    # dft[o][j][m] = zeta^(-j m) / o, which maps values on g^m to multiplicities
+    for o, w in roots.items():
+        inv_o = pow(o, -1, p)
+        dft[o] = [[w[-j * m % o] * inv_o % p for m in range(o)] for j in range(o)]
+    power_classes = []
+    for c in reps:
+        x, cls = 0, []
+        for _ in range(orders[c]):
+            cls.append(class_of[x])
+            x = group.mul(x, classes[c].rep)
+        power_classes.append(cls)
+    spectra = []
+    for row in _characters_mod_p(group, classes, class_of, p):
+        at_rep = [_lift([row[d] for d in cls], row[0], dft[orders[c]], p)
+                  for c, cls in zip(reps, power_classes)]
+        spectra_row = []
+        for c, (r, t) in enumerate(images):
+            o = orders[c]
+            s = _power_spectrum(at_rep[r], t, o)
+            if sum(roots[o][j] for j in s) % p != row[c]:
+                raise InvariantError("exact character value does not reduce to its value mod p")
+            spectra_row.append(s)
+        spectra.append(spectra_row)
+    spectra.sort(key=lambda row: _row_key(len(row[0]), _complex_row(row, orders)))
+    table = CharacterTable(group, spectra)
+    _check_table(table)
     group._cache["char_table"] = table
     return table
 
 
-def _check_orthogonality(table: CharacterTable, sizes: np.ndarray, n: int) -> None:
-    chars = table.chars
-    gram = (chars * sizes) @ np.conj(chars.T) / n
-    if not np.allclose(gram, np.eye(chars.shape[0]), atol=1e-9):
-        raise InvariantError("character rows are not orthonormal within 1e-9")
-    col = np.conj(chars.T) @ chars
-    expected = np.diag(n / sizes)
-    if not np.allclose(col, expected, atol=1e-9 * n):
-        raise InvariantError("character columns fail the second orthogonality relation")
+def _complex_row(spectra: Sequence[tuple[int, ...]], orders: Sequence[int]) -> list[complex]:
+    return [sum(_root_of_unity(j, o) for j in s) for s, o in zip(spectra, orders)]
+
+
+def _row_key(dim: int, values: Sequence[complex]) -> tuple:
+    # canonical order: dimension asc, then character vector descending lex
+    return (dim, tuple((-round(z.real, 6), -round(z.imag, 6)) for z in values))
+
+
+def _check_table(table: CharacterTable) -> None:
+    """Rows in canonical order, Galois-consistent, and exactly orthonormal.
+
+    Over a rational class R (the classes of the powers g^t, t prime to the
+    order o of its representative g) the values are the Galois conjugates
+    of those at g.  So the sum over R of |C| chi_a conj chi_b is the number
+    of cyclic subgroups R generates times the trace from Q(zeta_o) to Q of
+    chi_a(g) conj chi_b(g), that is the sum of the Ramanujan sums
+    c_o(j - j') over the exponents j of chi_a and j' of chi_b at g: an
+    integer.  Orthonormality of the square table also gives the column
+    relations.
+    """
+    group, n = table.group, table.group.order
+    keys = [_row_key(d, v) for d, v in zip(table.dims, table.values)]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise InvariantError("character rows are not in canonical order")
+    if len(table.spectra) != len(table.classes):
+        raise InvariantError("character table is not square")
+    reps, images, cyclic = _rational_classes(group)
+    for row in table.spectra:
+        for c, (r, t) in enumerate(images):
+            o = table.orders[c]
+            if row[c] != _power_spectrum(row[reps[r]], t, o):
+                raise InvariantError("character values are not Galois conjugates "
+                                     "across a rational class")
+    weights = [(c, cyc, _ramanujan_sums(table.orders[c])) for c, cyc in zip(reps, cyclic)]
+    for a, row_a in enumerate(table.spectra):
+        for b in range(a, len(table.spectra)):
+            row_b = table.spectra[b]
+            total = sum(cyc * ram[j - j2] for c, cyc, ram in weights
+                        for j in row_a[c] for j2 in row_b[c])
+            if total != (n if a == b else 0):
+                raise InvariantError("character rows are not orthonormal")
+    if sum(d * d for d in table.dims) != n:
+        raise InvariantError("irrep dimensions do not satisfy the order sum rule")
+
+
+def _characters_mod_p(group: FiniteGroup, classes: list[ConjugacyClass],
+                      class_of: list[int], p: int) -> list[list[int]]:
+    """Each irrep's class values mod p, rows in no particular order.
+
+    With K_i the class sums, K_i K_j = sum_l a_ijl K_l, the central
+    character w_l = |C_l| chi(g_l) / chi(1) of each irrep is a common right
+    eigenvector of the matrices (A_i)[j, l] = a_ijl with w_0 = 1.  The
+    identity class's unit vector meets every such eigenvector, so splitting
+    it by one class matrix after another ends with one vector per irrep.
+    Then chi(1)^2 = |G| / sum_l w_l w_l* / |C_l|, l* the class of inverses.
+    """
+    n, k = group.order, len(classes)
+    mats: list[list[dict[int, int]]] = [[{} for _ in range(k)] for _ in range(k)]
+    for l, cl in enumerate(classes):
+        for x in range(n):
+            entry = mats[class_of[x]][class_of[group.mul(group.inv[x], cl.rep)]]
+            entry[l] = entry.get(l, 0) + 1
+    vecs = [[1] + [0] * (k - 1)]
+    for mat in mats[1:]:
+        if len(vecs) == k:
+            break
+        vecs = [part for v in vecs for part in _eigenparts(mat, v, p)]
+    if len(vecs) != k or any(v[0] == 0 for v in vecs):
+        raise InvariantError("class sums did not split into one eigenvector per class")
+    sizes = [cl.size for cl in classes]
+    inv_sizes = [pow(s, -1, p) for s in sizes]
+    inv_class = [class_of[group.inv[cl.rep]] for cl in classes]
+    rows = []
+    for v in vecs:
+        scale = pow(v[0], -1, p)
+        w = [x * scale % p for x in v]
+        norm = sum(w[l] * w[inv_class[l]] * inv_sizes[l] for l in range(k)) % p
+        if norm == 0:
+            raise InvariantError("central character has zero norm mod p")
+        dim_sq = n * pow(norm, -1, p) % p
+        dim = next((d for d in range(1, isqrt(n) + 1) if d * d % p == dim_sq), None)
+        if dim is None:
+            raise InvariantError("irrep dimension did not lift to an integer")
+        rows.append([dim * x * s % p for x, s in zip(w, inv_sizes)])
+    return rows
+
+
+def _eigenparts(mat: list[dict[int, int]], v: list[int], p: int) -> list[list[int]]:
+    """The parts of v in the eigenspaces of one class matrix, over F_p.
+
+    The Krylov vectors v, Av, A^2 v, ... are reduced against the earlier
+    ones until one depends on them; that dependence is the minimal
+    polynomial f of v.  A class matrix is diagonalizable with its
+    eigenvalues in F_p, so f has distinct roots lam in F_p, and the part of
+    v in the lam-eigenspace is (f / (t - lam))(A) v.
+    """
+    krylov = [v]
+    echelon: list[tuple[int, list[int], list[int]]] = []
+    while True:
+        r, f = krylov[-1], [0] * (len(krylov) - 1) + [1]
+        for pivot, b, fb in echelon:
+            x = r[pivot]
+            if x:
+                r = [(u - x * y) % p for u, y in zip(r, b)]
+                f = [(u - x * y) % p for u, y in zip(f, fb)] + f[len(fb):]
+        pivot = next((i for i, u in enumerate(r) if u), None)
+        if pivot is None:
+            break
+        s = pow(r[pivot], -1, p)
+        echelon.append((pivot, [u * s % p for u in r], [u * s % p for u in f]))
+        krylov.append([sum(a * krylov[-1][l] for l, a in entry.items()) % p for entry in mat])
+    degree = len(f) - 1
+    if degree == 1:
+        return [v]
+    roots = [lam for lam in range(p) if _poly_at(f, lam, p) == 0]
+    if len(roots) != degree:
+        raise InvariantError("class matrix has no basis of eigenvectors mod p")
+    columns = list(zip(*krylov[:degree]))
+    parts = []
+    for lam in roots:
+        q, acc = [0] * degree, 0
+        for j in range(degree, 0, -1):      # q = f / (t - lam)
+            acc = (f[j] + lam * acc) % p
+            q[j - 1] = acc
+        parts.append([sum(map(mul, q, col)) % p for col in columns])
+    return parts
+
+
+def _poly_at(f: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _lift(powers: list[int], dim: int, dft: list[list[int]], p: int) -> tuple[int, ...]:
+    """Eigenvalue exponents at g from the values mod p at g^0 .. g^(o-1)."""
+    spectrum: list[int] = []
+    for j, row in enumerate(dft):
+        m = sum(map(mul, powers, row)) % p
+        if m > dim:
+            raise InvariantError(f"eigenvalue multiplicity {m} mod {p} exceeds the dimension {dim}")
+        spectrum += [j] * m
+    if len(spectrum) != dim:
+        raise InvariantError("eigenvalue multiplicities do not add up to the dimension")
+    return tuple(spectrum)
+
+
+def _power_spectrum(spectrum: Sequence[int], t: int, o: int) -> tuple[int, ...]:
+    """Eigenvalue exponents at g^t from those at g, g of order o."""
+    return tuple(sorted(j * t % o for j in spectrum))
+
+
+def _rational_classes(group: FiniteGroup) -> tuple[list[int], list[tuple[int, int]], list[int]]:
+    """Conjugacy classes grouped under g -> g^t, t prime to the order of g.
+
+    Returns (reps, images, cyclic): reps[r] is the first class of rational
+    class r; images[c] = (r, t) says class c holds the t-th power of the
+    representative of class reps[r]; cyclic[r] is the number of cyclic
+    subgroups that rational class r generates.
+    """
+    if "rational_classes" not in group._cache:
+        classes = group.conjugacy_classes()
+        reps: list[int] = []
+        images: list = [None] * len(classes)
+        cyclic: list[int] = []
+        for c, cl in enumerate(classes):
+            if images[c] is not None:
+                continue
+            o, x, size = group.element_order(cl.rep), cl.rep, 0
+            for t in range(1, o + 1):       # x = rep^t
+                if gcd(t, o) == 1:
+                    d = group.class_index_of(x)
+                    if images[d] is None:
+                        images[d] = (len(reps), t)
+                        size += classes[d].size
+                x = group.mul(x, cl.rep)
+            cyclic.append(size // _ramanujan_sums(o)[0])
+            reps.append(c)
+        group._cache["rational_classes"] = (reps, images, cyclic)
+    return group._cache["rational_classes"]
+
+
+@lru_cache(maxsize=None)
+def _ramanujan_sums(o: int) -> tuple[int, ...]:
+    """c_o(j) = sum of zeta_o^(t j) over t prime to o, for j in range(o).
+
+    c_o(j) is the trace of zeta_o^j from Q(zeta_o) to Q, and c_o(0) = phi(o).
+    It equals the sum of d mu(o/d) over the divisors d of gcd(j, o).
+    Indexing by a negative difference wraps, as it should, mod o.
+    """
+    def mobius(m: int) -> int:
+        sign, q = 1, 2
+        while q * q <= m:
+            if m % q == 0:
+                m //= q
+                if m % q == 0:
+                    return 0
+                sign = -sign
+            q += 1
+        return -sign if m > 1 else sign
+
+    sums = []
+    for j in range(o):
+        g = gcd(j, o)
+        sums.append(sum(d * mobius(o // d) for d in range(1, g + 1) if g % d == 0))
+    return tuple(sums)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(j: int, o: int) -> complex:
+    """exp(2 pi i j / o), with cos and sin taken at an angle of at most pi/4.
+
+    The symmetries of the circle reduce every angle to that range, so
+    conjugate roots come out exactly conjugate, and the roots of order 1,
+    2, 3, 4, 6, 8 and 12 come out correctly rounded.
+    """
+    j %= o
+    if 2 * j > o:                   # exp(-i a) = conj exp(i a)
+        return _root_of_unity(o - j, o).conjugate()
+    if 4 * j > o:                   # a = pi - b
+        z = _root_of_unity(o - 2 * j, 2 * o)
+        return complex(-z.real, z.imag)
+    if 8 * j > o:                   # a = pi/2 - b
+        z = _root_of_unity(o - 4 * j, 4 * o)
+        return complex(z.imag, z.real)
+    if 8 * j == o:
+        return complex(sqrt(0.5), sqrt(0.5))
+    if 12 * j == o:
+        return complex(sqrt(0.75), 0.5)
+    a = 2 * pi * j / o
+    return complex(cos(a), sin(a))
+
+
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % q for q in range(2, isqrt(m) + 1))
+
+
+def _primitive_root_of_unity(e: int, p: int) -> int:
+    """An element of multiplicative order exactly e in F_p, for e dividing p - 1."""
+    primes = [q for q in range(2, e + 1) if e % q == 0 and _is_prime(q)]
+    for x in range(2, p):
+        z = pow(x, (p - 1) // e, p)
+        if all(pow(z, e // q, p) != 1 for q in primes):
+            return z
+    raise InvariantError(f"F_{p} has no element of order {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,10 +1061,11 @@ def is_automorphism(group: FiniteGroup, phi: Sequence[int]) -> bool:
     p = list(phi)
     if sorted(p) != list(range(group.order)) or p[0] != 0:
         return False
-    tbl = group.table
+    rows = group.rows
     for a in range(group.order):
+        row, image = rows[a], rows[p[a]]
         for b in range(group.order):
-            if p[tbl[a, b]] != tbl[p[a], p[b]]:
+            if p[row[b]] != image[p[b]]:
                 return False
     return True
 
@@ -749,12 +1075,17 @@ def inner_automorphism(group: FiniteGroup, g: int) -> tuple[int, ...]:
 
 
 def _generating_sequence(group: FiniteGroup) -> list[int]:
+    """Each generator the smallest element the earlier ones do not reach.
+
+    Reach is closure of the identity under right multiplication, so this
+    also runs on a table not yet known to be a group.
+    """
     gens: list[int] = []
     have = {0}
     while len(have) < group.order:
-        nxt = min(x for x in range(group.order) if x not in have)
-        gens.append(nxt)
-        have = set(group.generated_subgroup(gens).elements)
+        gens.append(min(x for x in range(group.order) if x not in have))
+        have = {x for x, _, _ in _breadth_first(
+            [0], lambda x: ((group.mul(x, g), g) for g in gens))}
     return gens
 
 

@@ -702,11 +702,18 @@ def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]], values):
     register values, either ints or numpy columns (one row per
     configuration); the result has the same shape.
     """
-    acc = 0
+    acc, inv = 0, _inverse_array(group)
     for e, along in cyc:
         x = values[e]
-        acc = group.table[x if along else group.inv[x], acc]
+        acc = group.table[x if along else inv[x], acc]
     return acc
+
+
+def _inverse_array(group: FiniteGroup) -> np.ndarray:
+    """`group.inv` as an int64 array, so that it can index register columns."""
+    if "inverse_array" not in group._cache:
+        group._cache["inverse_array"] = np.array(group.inv, dtype=np.int64)
+    return group._cache["inverse_array"]
 
 
 def _solve_edge(group: FiniteGroup, lat: Lattice, pi: int, target: int, values):
@@ -718,8 +725,9 @@ def _solve_edge(group: FiniteGroup, lat: Lattice, pi: int, target: int, values):
     idx = next(i for i, (e, _) in enumerate(cyc) if e == target)
     low = _holonomy(group, cyc[:idx], values)
     high = _holonomy(group, cyc[idx + 1:], values)
-    t = group.table[group.inv[high], group.inv[low]]
-    return t if cyc[idx][1] else group.inv[t]
+    inv = _inverse_array(group)
+    t = group.table[inv[high], inv[low]]
+    return t if cyc[idx][1] else inv[t]
 
 
 def _holonomy_ok(group: FiniteGroup, lat: Lattice, pi: int, values):
@@ -797,7 +805,7 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
     skipped and the trees' counts multiply.
     """
     nc = configs.shape[0]
-    inv = group.inv
+    inv = _inverse_array(group)
     conj = group.table[group.table, inv[:, None]]  # conj[x, g] = x g x^-1
     member = [np.isin(np.arange(group.order), d) for d in domains]
     comp = [0] * lat.n_vertices

@@ -31,7 +31,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from qdw.classify import abelian_anyon_data
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
                         character_table, is_cyclic_presentation)
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
@@ -795,6 +794,8 @@ def charge_projectors(qudit: LogicalQudit,
     charge sectors survive; their projectors are diagonal in the loop
     eigenbasis and pick out single logical states.
     """
+    from qdw.classify import abelian_anyon_data
+
     ags = qudit.sector
     n = ags.n
     if not qudit.fourier:

@@ -6,16 +6,15 @@ The registry here is what `qdw verify-all` runs and what the acceptance
 tests call; each check either passes, is skipped with a reason, or
 raises InvariantError naming the broken rule.
 
-The geometry, lattice and logical layers are imported inside the checks
-that use them, so a group whose gates skip those checks never loads them.
+The geometry, lattice and logical layers, and numpy, are imported inside
+the checks that use them, so a group whose gates skip those checks never
+loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
-
-import numpy as np
 
 from qdw.classify import (
     abelian_anyon_data,
@@ -178,6 +177,8 @@ def _rough_ring_sector(group: FiniteGroup) -> AbelianGroundSpace:
 
 
 def _check_hole_qudit(group: FiniteGroup, tol: float) -> str:
+    import numpy as np
+
     from qdw.logical import logical_algebra, loop_operator, tunnel_operator
 
     n = group.order
@@ -202,6 +203,8 @@ def _check_hole_qudit(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_charge_readout(group: FiniteGroup, tol: float) -> str:
+    import numpy as np
+
     from qdw.logical import (charge_projectors, logical_algebra, loop_operator,
                              tunnel_operator)
 
@@ -218,6 +221,8 @@ def _check_charge_readout(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
+    import numpy as np
+
     from qdw.geometry import MATERIALIZE_DIM_BUDGET
     from qdw.logical import charge_string, logical_action
 

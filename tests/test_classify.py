@@ -16,6 +16,7 @@ from qdw.groups import (
     enumerate_subgroups,
     inner_automorphism,
 )
+import qdw.classify as classify
 from qdw.classify import (
     LagrangianAlgebra,
     abelian_anyon_data,
@@ -342,12 +343,60 @@ def test_condensate_check_rejects_multiplicities_not_fixed_by_s():
         alg._validate()
 
 
-def test_condensate_check_rejects_a_perturbed_s_matrix():
-    g = build_group("symmetric:3")
-    s = s_matrix(g)
-    g._cache["s_matrix"] = s[:, [0, 2, 1, 3, 4, 5, 6, 7]]  # unitary, not the S of D(S3)
+def test_condensate_check_rejects_perturbed_fixed_coset_counts(monkeypatch):
+    """Counts that pass the vacuum, dimension and boson rules, yet are no condensate's.
+
+    Over D(Z3) they give W = [1, 0, 0, 2, 0, 0, 0, 0, 0]: the vacuum, and
+    the flux-1 boson twice, where a condensate has the fluxes 1 and 2 once.
+    """
+    g = build_group("cyclic:3")
+    fake = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]     # per flux class: 0, 1, 2
+    monkeypatch.setattr(classify, "_fixed_coset_counts", lambda table, boundary: fake)
     with pytest.raises(InvariantError, match="not fixed by S"):
         lagrangian_algebra(g, g.trivial_subgroup())
+    w = np.array([1, 0, 0, 2, 0, 0, 0, 0, 0])
+    assert np.abs(w @ s_matrix(g) - w).max() > 0.1
+
+
+def test_the_census_never_builds_the_s_matrix():
+    g = build_group("cyclic:48")
+    assert qudit_dimension(g, g.trivial_subgroup(), g.trivial_subgroup()) == 48
+    assert "s_matrix" not in g._cache
+    s4 = build_group("symmetric:4")
+    for sub in enumerate_subgroups(s4):
+        lagrangian_algebra(s4, sub)
+    assert "s_matrix" not in s4._cache
+
+
+FIXED_POINT_PRESETS = ([f"cyclic:{n}" for n in range(1, 25)]
+                       + [f"dihedral:{n}" for n in range(1, 13)]
+                       + [f"symmetric:{n}" for n in range(1, 5)]
+                       + ["quaternion8", "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:3",
+                          "product:cyclic:2,cyclic:4", "product:cyclic:3,cyclic:3",
+                          "product:cyclic:2,symmetric:3"])
+
+
+@pytest.mark.parametrize("spec", FIXED_POINT_PRESETS)
+def test_fixed_point_rule_agrees_with_the_s_matrix(spec):
+    """W S = W by `w @ s_matrix(g)` and by fixed-coset counts, on every condensate,
+    and both reject the condensate with one more copy of a sector."""
+    g = build_group(spec)
+    table, s = anyon_table(g), s_matrix(g)
+    for i, sub in enumerate(enumerate_subgroups(g)):
+        w = lagrangian_algebra(g, sub).multiplicities
+        assert np.abs(np.array(w) @ s - w).max() < 1e-9
+        assert classify._fixed_by_s(table, w)
+        if len(w) == 1:
+            continue
+        more = list(w)
+        more[1 + i % (len(w) - 1)] += 1
+        assert np.abs(np.array(more) @ s - more).max() > 1e-6
+        try:
+            fixed = classify._fixed_by_s(table, more)
+        except InvariantError as exc:       # the counts are no longer integers
+            assert "not integer-valued" in str(exc)
+            fixed = False
+        assert not fixed
 
 
 def float_modular_sum(group, chi, boundaries):

@@ -455,31 +455,46 @@ def _loaded_after(statement: str) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    """The CLI imports numpy only; scipy would add its import to every run."""
+    """scipy would add its import to every run."""
     loaded = _loaded_after("import qdw.cli")
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
-@pytest.mark.parametrize("argv,loads", [
-    (None, set()),
-    (["anyons", "--group", "dihedral:5"], {"qdw.classify"}),
-    (["verify-all", "--group", "symmetric:4"], {"qdw.classify", "qdw.verify"}),
+CENSUS = {"qdw.classify"}
+S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "full"]
+
+
+@pytest.mark.parametrize("argv,loads,numpy", [
+    (None, set(), False),
+    (["group-info", "--group", "dihedral:5"], set(), False),
+    (["anyons", "--group", "dihedral:5"], CENSUS, False),
+    (["subgroups", "--group", "symmetric:3"], CENSUS, False),
+    (["lagrangian", "--group", "cyclic:4", "--subgroup", "full"], CENSUS, False),
+    (["excitations", "--group", "symmetric:3", "--subgroup", "e,(12)"], CENSUS, False),
+    (["defects"] + S3_PAIR, CENSUS, False),
+    (["qudit-dim"] + S3_PAIR, CENSUS, False),
+    (["verify-all", "--group", "symmetric:4"], {"qdw.classify", "qdw.verify"}, False),
+    (["verify-all", "--group", "cyclic:9"], {"qdw.classify", "qdw.verify"}, True),
     (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
-      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}),
+      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}, True),
     (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
-     {"qdw.geometry", "qdw.lattice", "qdw.classify"}),
+     {"qdw.geometry", "qdw.lattice", "qdw.classify"}, True),
     (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.classify", "qdw.logical"}),
+     {"qdw.geometry", "qdw.logical"}, True),
     (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.classify", "qdw.logical"}),
-], ids=["import", "anyons", "verify-all", "lattice-audit", "gsd", "logical",
-        "charge-project"])
-def test_each_run_loads_only_the_layers_it_reaches(argv, loads):
+     {"qdw.geometry", "qdw.classify", "qdw.logical"}, True),
+], ids=["import", "group-info", "anyons", "subgroups", "lagrangian", "excitations",
+        "defects", "qudit-dim", "verify-all", "verify-all-cyclic9", "lattice-audit", "gsd",
+        "logical", "charge-project"])
+def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
+    """The census runs on Python integers; numpy loads only where matrices are."""
     statement = "import qdw.cli"
     if argv is not None:
         statement += f"\nassert qdw.cli.main({argv!r}) == 0"
-    loaded = {m for m in _loaded_after(statement) if m.startswith("qdw")}
+    modules = _loaded_after(statement)
+    loaded = {m for m in modules if m.startswith("qdw")}
     assert loaded == {"qdw", "qdw.groups", "qdw.cli"} | loads
+    assert ("numpy" in modules) == numpy
 
 
 def test_import_qdw_loads_no_layer_until_a_name_is_read():

@@ -1,9 +1,15 @@
 """Group-layer tests: presets, censuses, character tables, double cosets."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qdw.groups as groups
 from qdw.groups import (
+    CharacterTable,
     FiniteGroup,
     InvariantError,
     Subgroup,
@@ -40,6 +46,29 @@ def test_rejects_non_associative_table():
            [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match="associative"):
         FiniteGroup(tbl)
+
+
+def test_associativity_error_names_the_first_failing_triple():
+    """Light's test finds the failure; the message names the first triple of the full sweep."""
+    tbl = [[0, 1, 2, 3, 4],
+           [1, 0, 3, 4, 2],
+           [2, 4, 0, 1, 3],
+           [3, 2, 4, 0, 1],
+           [4, 3, 1, 2, 0]]
+    first = next(t for t in itertools.product(range(5), repeat=3)
+                 if tbl[tbl[t[0]][t[1]]][t[2]] != tbl[t[0]][tbl[t[1]][t[2]]])
+    with pytest.raises(ValueError, match=re.escape(f"at triple {first}")):
+        FiniteGroup(tbl)
+
+
+def test_rows_are_integer_tuples_and_the_array_is_built_on_first_access():
+    g = build_group("symmetric:3")
+    assert isinstance(g.rows, tuple) and isinstance(g.inv, tuple)
+    assert all(type(x) is int for row in g.rows for x in row)
+    assert "table" not in vars(g)
+    assert g.table.dtype == np.int64
+    assert g.table.tolist() == [list(row) for row in g.rows]
+    assert all(g.mul(a, g.inverse(a)) == 0 for a in range(g.order))
 
 
 def test_rejects_identity_elsewhere():
@@ -411,3 +440,160 @@ def test_bad_specs_rejected():
     for bad in ["symmetric:5", "cyclic:100", "frobnicate:7", "product:cyclic:2"]:
         with pytest.raises(ValueError):
             build_group(bad)
+
+
+# ---------------------------------------------------------------------------
+# exact character tables against the float route they replaced
+
+
+def float_character_table(group):
+    """Reference: the float eigen route of `character_table` before its values
+    were exact, verbatim except that it returns the sorted complex rows."""
+    classes = group.conjugacy_classes()
+    k = len(classes)
+    n = group.order
+    class_of = [group.class_index_of(a) for a in range(n)]
+    # structure constants a_{ijl}: K_i K_j = sum_l a_{ijl} K_l; the vector
+    # (|C_l| chi(g_l) / d)_l is a joint right eigenvector of the matrices
+    # (A_i)[j, l] = a_{ijl}
+    mats = np.zeros((k, k, k), dtype=float)
+    for l, cl in enumerate(classes):
+        z = cl.rep
+        for i, ci in enumerate(classes):
+            for x in ci.members:
+                j = class_of[int(group.table[group.inv[x], z])]
+                mats[i, j, l] += 1.0
+    eigvecs = None
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.normal(size=k)
+        m = np.tensordot(coeffs, mats, axes=(0, 0))
+        vals, vecs = np.linalg.eig(m)
+        sep = np.abs(vals[:, None] - vals[None, :])
+        np.fill_diagonal(sep, np.inf)
+        if k == 1 or sep.min() > 1e-6:
+            eigvecs = vecs
+            break
+    if eigvecs is None:
+        raise InvariantError("class-sum diagonalization failed to separate eigenvalues")
+    rows = []
+    sizes = np.array([c.size for c in classes], dtype=float)
+    for idx in range(k):
+        v = eigvecs[:, idx]
+        m0 = int(np.argmax(np.abs(v)))
+        lam = np.array([(mats[i] @ v)[m0] / v[m0] for i in range(k)])
+        denom = float(np.sum(np.abs(lam) ** 2 / sizes).real)
+        d = (n / denom) ** 0.5
+        di = int(round(d))
+        if di < 1 or abs(d - di) > 1e-6:
+            raise InvariantError(f"irrep dimension {d} did not round to a positive integer")
+        chi = di * lam / sizes
+        rows.append((di, chi))
+    # canonical order: dimension asc, then character vector descending lex
+    def row_key(item):
+        di, chi = item
+        vec = tuple((-round(z.real, 6), -round(z.imag, 6)) for z in chi)
+        return (di, vec)
+    rows.sort(key=row_key)
+    chars = np.array([chi for _, chi in rows])
+    gram = (chars * sizes) @ np.conj(chars.T) / n
+    if not np.allclose(gram, np.eye(chars.shape[0]), atol=1e-9):
+        raise InvariantError("character rows are not orthonormal within 1e-9")
+    col = np.conj(chars.T) @ chars
+    expected = np.diag(n / sizes)
+    if not np.allclose(col, expected, atol=1e-9 * n):
+        raise InvariantError("character columns fail the second orthogonality relation")
+    return chars
+
+
+ORACLE_PRESETS = ([f"cyclic:{n}" for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 48)]
+                  + [f"dihedral:{n}" for n in (1, 2, 3, 4, 5, 6, 8, 12, 24)]
+                  + ["symmetric:2", "symmetric:3", "symmetric:4", "quaternion8",
+                     "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4",
+                     "product:cyclic:3,cyclic:3", "product:cyclic:2,symmetric:3",
+                     "product:cyclic:2,symmetric:4", "product:quaternion8,symmetric:3",
+                     "product:cyclic:4,cyclic:12"])
+
+
+def relabelled_group(spec, perm):
+    """The preset's table with element a renamed perm[a]."""
+    g = build_group(spec)
+    n = g.order
+    table = [0] * (n * n)
+    names = [""] * n
+    for a in range(n):
+        names[perm[a]] = g.names[a]
+        for b in range(n):
+            table[perm[a] * n + perm[b]] = perm[g.mul(a, b)]
+    return build_group({"order": n, "table": table, "names": names})
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_exact_table_matches_the_float_route(data):
+    """Same rows in the same order, values within 1e-9, on presets and relabellings."""
+    spec = data.draw(st.sampled_from(ORACLE_PRESETS))
+    group = build_group(spec)
+    if data.draw(st.booleans()):
+        group = relabelled_group(spec, data.draw(st.permutations(range(group.order))))
+    exact = character_table(group)
+    ref = float_character_table(group)
+    assert exact.chars.shape == ref.shape
+    assert np.abs(exact.chars - ref).max() < 1e-9
+    assert exact.dims == [int(round(x.real)) for x in ref[:, 0]]
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:12", "quaternion8",
+                                  "product:cyclic:2,symmetric:4"])
+def test_exact_values_are_eigenvalue_spectra(spec):
+    """Each value is a sum of dim roots of unity of the element's order."""
+    t = character_table(build_group(spec))
+    for row, dim in zip(t.spectra, t.dims):
+        assert row[0] == (0,) * dim
+        for s, o in zip(row, t.orders):
+            assert len(s) == dim and list(s) == sorted(s) and all(0 <= j < o for j in s)
+    assert t.character([1] * t.n_irreps)[0] == sum(t.dims)
+
+
+def test_exact_table_check_rejects_swapped_rows():
+    t = character_table(build_group("symmetric:4"))
+    broken = CharacterTable(t.group, [t.spectra[1], t.spectra[0]] + t.spectra[2:])
+    with pytest.raises(InvariantError, match="canonical order"):
+        groups._check_table(broken)
+
+
+def test_exact_table_check_rejects_rows_swapped_at_one_class():
+    # the two 3-dimensional rows of S4 exchange their 4-cycle values: the rows
+    # stay in canonical order but are no longer orthogonal to the trivial row
+    t = character_table(build_group("symmetric:4"))
+    spectra = [list(row) for row in t.spectra]
+    spectra[3][4], spectra[4][4] = spectra[4][4], spectra[3][4]
+    with pytest.raises(InvariantError, match="orthonormal"):
+        groups._check_table(CharacterTable(t.group, spectra))
+
+
+def test_exact_table_rejects_a_wrong_lift(monkeypatch):
+    real = groups._lift
+
+    def shifted(powers, dim, dft, p):
+        spectrum = real(powers, dim, dft, p)
+        return tuple(sorted((j + 1) % len(dft) for j in spectrum))
+    monkeypatch.setattr(groups, "_lift", shifted)
+    with pytest.raises(InvariantError, match="does not reduce"):
+        character_table(build_group("symmetric:3"))
+
+
+def test_multiplicities_are_exact_and_checked():
+    s3 = character_table(build_group("symmetric:3"))
+    assert s3.multiplicities([3, 1, 0]) == [1, 0, 1]       # S3 on three points
+    with pytest.raises(InvariantError, match="1/2 is not a non-negative integer"):
+        s3.multiplicities([1, 0, 1])
+    with pytest.raises(InvariantError, match="-1 is not a non-negative integer"):
+        s3.multiplicities([0, 2, 0])                    # trivial minus sign
+    c3 = character_table(build_group("cyclic:3"))
+    # not constant on the rational class {1, 2}: no integer multiplicities
+    with pytest.raises(InvariantError, match="rational classes"):
+        c3.multiplicities([1, 1, 0])
+    with pytest.raises(InvariantError, match="not integer-valued"):
+        c3.character([0, 1, 0])
+    assert c3.character([0, 1, 1]) == [2, -1, -1]
