@@ -238,11 +238,14 @@ class LagrangianAlgebra:
         self.table = table
         self.boundary = boundary
         self.multiplicities: list[int] = []
-        for ct, counts in zip(table.centralizer_tables, _fixed_coset_counts(table, boundary)):
+        psi = _fixed_coset_counts(table, boundary)
+        for ct, counts in zip(table.centralizer_tables, psi):
             self.multiplicities.extend(ct.multiplicities(counts))
-        self._validate()
+        self._validate(psi)
 
-    def _validate(self) -> None:
+    def _validate(self, psi: Sequence[Sequence[int]]) -> None:
+        """The condensate rules; `psi` holds the class functions of the
+        multiplicities, one per flux class (`_fixed_by_s`)."""
         anyons = self.table.anyons
         if self.multiplicities[0] != 1:
             raise InvariantError("vacuum multiplicity in a condensate must be 1")
@@ -253,7 +256,7 @@ class LagrangianAlgebra:
         for m, a in zip(self.multiplicities, anyons):
             if m > 0 and abs(a.twist - 1.0) > TOL:
                 raise InvariantError(f"condensed sector {a.name} has twist {a.twist}")
-        if not _fixed_by_s(self.table, self.multiplicities):
+        if not _fixed_by_s(self.table, psi):
             raise InvariantError("condensate is not fixed by S: W S != W")
 
 
@@ -276,21 +279,18 @@ def _fixed_coset_counts(table: AnyonTable, boundary: Subgroup) -> list[list[int]
     return out
 
 
-def _fixed_by_s(table: AnyonTable, w: Sequence[int]) -> bool:
-    """Whether W S = W, decided without S.
+def _fixed_by_s(table: AnyonTable, psi: Sequence[Sequence[int]]) -> bool:
+    """Whether W S = W, decided without S, from the class functions psi_A.
 
-    Let psi_A = sum_a W_(A,a) chi_a, a class function of Z(r_A), and
-    phi_B(g) = psi_[g](x_g^-1 r_B x_g) for g in Z(r_B), with x_g as in
-    `s_matrix`.  Summing S of `s_matrix` against W gives
-    (W S)_(B,b) = <phi_B, chi_b> over Z(r_B), so W S = W exactly when
-    phi_B = psi_B on every class of every Z(r_B).  For a condensate psi_A
-    is the count of fixed admissible cosets, so this compares integers.
+    psi_A = sum_a W_(A,a) chi_a is a class function of Z(r_A), given by
+    its values on the classes of Z(r_A).  Let phi_B(g) = psi_[g](x_g^-1 r_B x_g)
+    for g in Z(r_B), with x_g as in `s_matrix`.  Summing S of `s_matrix`
+    against W gives (W S)_(B,b) = <phi_B, chi_b> over Z(r_B), so W S = W
+    exactly when phi_B = psi_B on every class of every Z(r_B).  For a
+    condensate psi_A is the count of fixed admissible cosets, so this
+    compares integers.
     """
     group = table.group
-    psi, start = [], 0
-    for ct in table.centralizer_tables:
-        psi.append(ct.character(w[start:start + ct.n_irreps]))
-        start += ct.n_irreps
     for b, cl in enumerate(table.classes):
         for g, value in zip(table.centralizer_reps[b], psi[b]):
             a = group.class_index_of(g)

@@ -674,15 +674,6 @@ class CharacterTable:
             at_rep.append(tr // ram[0])
         return [at_rep[r] for r, _ in images]
 
-    def row_of(self, class_function: Sequence[complex]) -> int:
-        """Index of the unique row equal to a character given by class values."""
-        vals = [complex(v) for v in class_function]
-        hits = [i for i, row in enumerate(self.values)
-                if all(abs(a - b) <= 1e-6 for a, b in zip(row, vals))]
-        if len(hits) != 1:
-            raise InvariantError("character did not match a unique irrep row")
-        return hits[0]
-
     @cached_property
     def _traces(self) -> list[list[int]]:
         """Trace from Q(zeta_o) to Q of each character at each rational class representative."""

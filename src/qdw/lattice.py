@@ -14,17 +14,18 @@ pre-test does not pass.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
-sum over gauge orbits of flat connections on a slice gauge-fixed by the
-vertex gauge domains; a dangling edge with boundary subgroup K stays out
-of the slice and contributes one factor |K\\G/K|.  Modular is one exact
-sum over the boundary condensates, without the lattice's
-configurations, on any connected surface whose boundary circles are its
-regions.  Dense takes the trace of the projector built on the support
-of the diagonal terms, and raises when a term maps that support outside
-itself, which commuting projectors never do.  Trace is the counting
-route with its gauge fix switched off, the Burnside sum over every flat
-configuration of the edges that are not dangling: a reference route
-that runs only when named.
+sum over gauge orbits of flat connections on a slice that keeps, on each
+spanning-forest edge, one value per orbit of its child's gauge domain; a
+dangling edge with boundary subgroup K stays out of the slice and
+contributes one factor |K\\G/K|.  Modular is one exact sum over the
+boundary condensates, without the lattice's configurations, on any
+connected surface whose boundary circles are its regions.  Dense takes
+the trace of the projector built on the support of the diagonal terms,
+and raises when a term maps that support outside itself, which
+commuting projectors never do.  Trace is the counting route with its
+gauge fix switched off, the Burnside sum over every flat configuration
+of the edges that are not dangling: a reference route that runs only
+when named.
 
 The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
 `qdw.geometry` and is re-exported here.  The modular route imports the
@@ -360,13 +361,6 @@ class Operator:
             return rows[defined], np.flatnonzero(defined)
 
         return ((*entries(key), coeff) for key, coeff in self.terms.items())
-
-    def apply(self, edges: Sequence[int], x: np.ndarray) -> np.ndarray:
-        """The operator applied to the rows of x (configurations of `edges`)."""
-        out = np.zeros(x.shape, dtype=np.result_type(x, float))
-        for rows, cols, coeff in self.monomial_entries(edges):
-            out[rows] += float(coeff) * x[cols]
-        return out
 
     def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
         """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
@@ -755,17 +749,11 @@ def _gauge_domains(lat: Lattice, group: FiniteGroup,
     return allowed, domains, dangling
 
 
-def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
-                     domains: Sequence[Sequence[int]],
-                     dangling: Mapping[int, Subgroup]):
+def _spanning_forest(lat: Lattice, dangling: Mapping[int, Subgroup]):
     """Breadth-first spanning forest over the non-dangling edges, rim roots first.
 
-    Returns (roots, tree, pinned).  tree[c] lists the edges of the tree
-    rooted at roots[c] as (edge, child, child_is_head), parents before
-    children.  `pinned` maps the tree edge e from v to w to w when
-    domain(v) and allowed(e) lie in domain(w) (both from `_gauge_domains`):
-    the domains are subgroups, so w's label can always turn the register
-    into the identity.
+    Returns (roots, tree).  tree[c] lists the edges of the tree rooted at
+    roots[c] as (edge, child, child_is_head), parents before children.
     """
     adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(lat.n_vertices)]
     for ei, (t, h) in enumerate(lat.edges):
@@ -775,7 +763,6 @@ def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
     seen = [False] * lat.n_vertices
     roots: list[int] = []
     tree: list[list[tuple[int, int, bool]]] = []
-    pinned: dict[int, int] = {}
     for root in sorted(range(lat.n_vertices), key=lambda v: v not in lat.vertex_region):
         if seen[root]:
             continue
@@ -783,14 +770,25 @@ def _spanning_forest(lat: Lattice, allowed: Sequence[Sequence[int]],
         edges: list[tuple[int, int, bool]] = []
         for w, v, step in _breadth_first([root], adj.__getitem__):
             seen[w] = True
-            if v is None:
-                continue
-            ei, child_is_head = step
-            edges.append((ei, w, child_is_head))
-            if set(domains[v]).union(allowed[ei]) <= set(domains[w]):
-                pinned[ei] = w
+            if v is not None:
+                edges.append((step[0], w, step[1]))
         tree.append(edges)
-    return roots, tree, pinned
+    return roots, tree
+
+
+def _transversal(group: FiniteGroup, allowed: Sequence[int], domain: Sequence[int],
+                 child_is_head: bool) -> tuple[int, ...]:
+    """The least element of each orbit of `domain` on `allowed`.
+
+    The gauge label of a tree edge's child w acts on the edge's register
+    from the left when w is the head and from the right when w is the
+    tail (as in `_stabilizer_total`), so the orbits are D x and x D.
+    """
+    if child_is_head:
+        least = group.table[np.ix_(domain, allowed)].min(axis=0)
+    else:
+        least = group.table[np.ix_(allowed, domain)].min(axis=1)
+    return tuple(sorted(set(least.tolist())))
 
 
 def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
@@ -839,15 +837,14 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
 
 
 def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
-                            allowed: Sequence[Sequence[int]],
-                            first: Sequence[int] = ()) -> Optional[np.ndarray]:
+                            allowed: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
     """All register assignments with trivial holonomy on every face.
 
-    The edges in `first` are assigned before any other (see
-    `elimination_order`).  Returns an (N, n_edges) int array, or None
+    Every edge with a single allowed value is assigned before any other
+    (see `elimination_order`).  Returns an (N, n_edges) int array, or None
     when over budget.
     """
-    steps = elimination_order(lat, first)
+    steps = elimination_order(lat, [e for e, a in enumerate(allowed) if len(a) == 1])
     budget = 1
     for st in steps:
         if st.action == "branch":
@@ -911,31 +908,34 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
                   gauge_fix: bool = True) -> Optional[int]:
     """Route 1: the Burnside sum on a gauge-fixed slice.
 
-    Pinned forest edges (see `_spanning_forest`) are set to the identity.
-    Each gauge orbit then contributes the order of the residual gauge
-    group, which drops the pinned children's labels, to the slice's
-    stabilizer total.  A dangling edge borders no face, and its K x K
-    translations absorb both endpoint labels, so every orbit is an orbit
-    of the other edges times one double coset K x K: the dangling edges
-    are left out of the slice (set to the identity) and the count is
-    multiplied by |K\\G/K| for each.  The modular and dense routes are
-    independent oracles for it.  With `gauge_fix` off nothing is pinned
-    and the sum runs over every flat configuration of the other edges:
-    that is the trace reference route, no independent oracle, and far
-    costlier in time and memory.
+    Each tree edge of the spanning forest (see `_spanning_forest`) keeps
+    only `_transversal` of its allowed values under its child's gauge
+    domain.  Taking the children in forest order, every configuration is
+    then one gauge transformation of the children away from exactly one
+    configuration of the slice, so each gauge orbit contributes the order
+    of the residual gauge group, the product of the root domains, to the
+    slice's stabilizer total.  A dangling edge borders no face, and its
+    K x K translations absorb both endpoint labels, so every orbit is an
+    orbit of the other edges times one double coset K x K: the dangling
+    edges are left out of the slice (set to the identity) and the count
+    is multiplied by |K\\G/K| for each.  The modular and dense routes are
+    independent oracles for it.  With `gauge_fix` off no edge is
+    restricted and the sum runs over every flat configuration of the
+    other edges: that is the trace reference route, no independent
+    oracle, and far costlier in time and memory.
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-    roots, tree, pinned = _spanning_forest(lat, allowed, domains, dangling)
-    if not gauge_fix:
-        pinned = {}
-    allowed = [(0,) if e in pinned or e in dangling else a for e, a in enumerate(allowed)]
-    configs = _enumerate_flat_configs(lat, group, allowed, first=list(pinned))
+    roots, tree = _spanning_forest(lat, dangling)
+    allowed = [(0,) if e in dangling else a for e, a in enumerate(allowed)]
+    if gauge_fix:
+        for ei, child, child_is_head in itertools.chain.from_iterable(tree):
+            allowed[ei] = _transversal(group, allowed[ei], domains[child], child_is_head)
+    configs = _enumerate_flat_configs(lat, group, allowed)
     if configs is None:
         return None
     total = _stabilizer_total(lat, group, configs, domains, roots, tree)
-    # residual gauge: a label per vertex, less the pinned children's
-    residual = (prod(len(d) for d in domains)
-                // prod(len(domains[child]) for child in pinned.values()))
+    # residual gauge: the root labels, or every label without the gauge fix
+    residual = prod(len(domains[v]) for v in (roots if gauge_fix else range(lat.n_vertices)))
     if total % residual != 0:
         raise InvariantError("orbit count is not divisible by the residual gauge volume")
     return total // residual * prod(len(double_cosets(k, k)) for k in dangling.values())
@@ -1023,7 +1023,8 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     edges = range(lat.n_edges)
     diag = np.ones(dim)
     for t in (t for t in terms if t.diagonal):
-        diag *= t.op.apply(edges, np.ones(dim))
+        table, den = t.op._diagonal_numerators(edges)
+        diag *= table / den
     support = np.flatnonzero(diag)
     m = len(support)
     if m ** 2 > 40_000_000:

@@ -777,11 +777,16 @@ class ChargeProjectors:
 
 
 def _additive_irrep_map(group: FiniteGroup) -> dict[int, int]:
-    """Irrep index of the character x -> w^(a x), for each a."""
+    """Irrep index of the character x -> w^(a x), w = exp(2 pi i / n), for each a.
+
+    At x of order o = n/gcd(x, n), w^(a x) = zeta_o^(a x/gcd(x, n)), so each
+    character is matched to its row on exact spectra.
+    """
     n = group.order
-    omega = np.exp(2j * np.pi / n)
     table = character_table(group)
-    return {a: table.row_of([omega ** ((a * cl.rep) % n) for cl in table.classes])
+    row = {tuple(spectra): i for i, spectra in enumerate(table.spectra)}
+    return {a: row[tuple(((a * cl.rep // gcd(cl.rep, n)) % o,)
+                         for cl, o in zip(table.classes, table.orders))]
             for a in range(n)}
 
 

@@ -334,13 +334,22 @@ def test_s_matrix_check_rejects_a_broken_character_table():
         s_matrix(g)
 
 
+def class_functions(table, w):
+    """psi_A = sum_a W_(A,a) chi_a for each flux class A, by `CharacterTable.character`."""
+    psi, start = [], 0
+    for ct in table.centralizer_tables:
+        psi.append(ct.character(w[start:start + ct.n_irreps]))
+        start += ct.n_irreps
+    return psi
+
+
 def test_condensate_check_rejects_multiplicities_not_fixed_by_s():
     # vacuum 1, bosons only and total dimension 6, but W S != W
     g = build_group("symmetric:3")
     alg = LagrangianAlgebra(anyon_table(g), g.trivial_subgroup())
     alg.multiplicities = [1, 2, 0, 1, 0, 0, 0, 0]
     with pytest.raises(InvariantError, match="not fixed by S"):
-        alg._validate()
+        alg._validate(class_functions(alg.table, alg.multiplicities))
 
 
 def test_condensate_check_rejects_perturbed_fixed_coset_counts(monkeypatch):
@@ -385,14 +394,14 @@ def test_fixed_point_rule_agrees_with_the_s_matrix(spec):
     for i, sub in enumerate(enumerate_subgroups(g)):
         w = lagrangian_algebra(g, sub).multiplicities
         assert np.abs(np.array(w) @ s - w).max() < 1e-9
-        assert classify._fixed_by_s(table, w)
+        assert classify._fixed_by_s(table, class_functions(table, w))
         if len(w) == 1:
             continue
         more = list(w)
         more[1 + i % (len(w) - 1)] += 1
         assert np.abs(np.array(more) @ s - more).max() > 1e-6
         try:
-            fixed = classify._fixed_by_s(table, more)
+            fixed = classify._fixed_by_s(table, class_functions(table, more))
         except InvariantError as exc:       # the counts are no longer integers
             assert "not integer-valued" in str(exc)
             fixed = False

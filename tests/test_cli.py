@@ -170,6 +170,28 @@ class TestWorkedExamples:
         assert out["checks"] == [{"name": "gsd-route-agreement",
                                   "status": "skip"}]
 
+    def test_c3_rims_count_within_three_gigabytes(self):
+        # C6 patch:5x8 with two one-face holes and C3 = <2> on every rim: the
+        # counting slice once grew by 3 per rim vertex entered from the bulk,
+        # and the run died of MemoryError near 2.8 GB
+        import resource
+
+        lattice = {"kind": "patch", "rows": 5, "cols": 8,
+                   "holes": [{"name": "hole0", "faces": ["p(1,1)"]},
+                             {"name": "hole1", "faces": ["p(1,4)"]}],
+                   "subgroups": {name: "cyclic:2" for name in ("outer", "hole0", "hole1")}}
+        cap = 3 * 1024 ** 3
+        env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdw.cli", "gsd", "--group", "cyclic:6",
+             "--lattice", json.dumps(lattice)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        res = json.loads(proc.stdout)["results"]
+        assert res["regions"] == {name: ["0", "2", "4"] for name in ("outer", "hole0", "hole1")}
+        assert res["by_method"] == {"counting": 36, "modular": 36}
+
     def test_trivial_group_has_one_sector(self, capsys):
         out = run_json(capsys, ["anyons", "--group", "cyclic:1"])
         res = out["results"]

@@ -239,14 +239,6 @@ def test_enumerated_list_is_a_fresh_copy():
     enumerate_subgroups(g).clear()
     assert len(enumerate_subgroups(g)) == 10
 
-def test_character_row_lookup():
-    t = character_table(build_group("symmetric:4"))
-    for i in range(t.n_irreps):
-        assert t.row_of(t.chars[i]) == i
-    with pytest.raises(InvariantError, match="unique irrep row"):
-        t.row_of(t.chars[0] + t.chars[1])
-
-
 @pytest.mark.parametrize("spec, message", [
     ({"table": [0, 1, 1, 0.9]}, "entries must be integers from 0 to 1"),
     ({"table": [0, 1, 1, 2]}, "entries must be integers from 0 to 1"),
