@@ -8,7 +8,12 @@ of a patch as one more boundary region, and `config_digits` numbers the
 configurations of a set of edge registers.  Both the Hamiltonian layer
 (`qdw.lattice`) and the logical layer (`qdw.logical`) read this module;
 it imports no group or operator code, so the logical layer never loads
-the Hamiltonian layer.
+the Hamiltonian layer.  numpy is imported only inside `config_digits`,
+which only code that builds a matrix calls.  So the commands that load
+numpy are those that build one: `gsd` where its dense route fits,
+`logical`, `charge-project`, and those that need the S matrix.
+`lattice-audit` and the counting and modular `gsd` routes run on Python
+integers.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from qdw.groups import FiniteGroup, Subgroup
 
 __all__ = [
@@ -43,6 +48,8 @@ def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (digits, weights): digits[c] lists the register values of
     configuration c, and c == digits[c] @ weights.
     """
+    import numpy as np
+
     weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
     return digits, weights

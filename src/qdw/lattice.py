@@ -4,13 +4,14 @@ Edges carry one group-valued register each.  Every Hamiltonian term is a
 sum of monomials with Fraction coefficients, where a monomial assigns an
 injective partial map of the register to each touched edge.  Products,
 adjoints, and commutators are therefore exact; the audit reports exact
-zeros, not small numbers.  A diagonal operator is also evaluated as an
-integer table over the configurations of its support (numerators over
-one common denominator, built with numpy), which decides whether it is
-a projector.  The audit first tries an exact permutation pre-test on
-that table for each pair of a diagonal and a non-diagonal term, and
-falls back to expanding the commutator into matrix-unit atoms when the
-pre-test does not pass.
+zeros, not small numbers.  A diagonal operator is also evaluated as a
+sparse integer table over the configurations of its support (its
+nonzero numerators over one common denominator, as Python ints), which
+decides whether it is a projector.  The audit first tries an exact
+permutation pre-test on that table for each pair of a diagonal and a
+non-diagonal term, and falls back to expanding the commutator into
+matrix-unit atoms when the pre-test does not pass; a failing pair's
+Frobenius norm is read from those atoms.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
@@ -30,6 +31,11 @@ when named.
 The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
 `qdw.geometry` and is re-exported here.  The modular route imports the
 sector layer (`qdw.classify`) where it runs, so an audit never loads it.
+The audit and the counting, trace and modular routes run on Python
+integers; numpy is imported only where a matrix is built
+(`Operator.monomial_entries`, `Operator.to_matrix` and the dense route),
+so neither an audit nor a `gsd` run whose dense route is over budget
+loads it.
 """
 
 from __future__ import annotations
@@ -38,10 +44,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm, prod
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from math import lcm, prod, sqrt
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from qdw.geometry import (
     MATERIALIZE_DIM_BUDGET,
@@ -56,6 +60,9 @@ from qdw.geometry import (
     torus,
 )
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MATERIALIZE_DIM_BUDGET",
@@ -85,41 +92,18 @@ __all__ = [
 TRACE_PARTIAL_BUDGET = 20_000_000
 
 
-def _monomial_rows(key: tuple, pos: Mapping[int, int], digits: np.ndarray,
-                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where monomial `key` sends each configuration of the edges in `pos`.
-
-    Configurations are indexed as in `config_digits`, whose output is
-    `digits` and `weights`.  Returns (rows, defined): configuration c
-    goes to rows[c] wherever defined[c], i.e. where every map of `key`
-    is defined on c's values; elsewhere rows[c] is meaningless.  Maps on
-    edges outside `pos` are ignored.
-    """
-    rows = np.arange(len(digits), dtype=np.int64)
-    defined = np.ones(len(digits), dtype=bool)
-    for e, m in key:
-        i = pos.get(e)
-        if i is None:
-            continue
-        col = digits[:, i]
-        tgt = np.array(m, dtype=np.int64)[col]
-        defined &= tgt >= 0
-        rows += (tgt - col) * weights[i]
-    return rows, defined
-
-
 # ---------------------------------------------------------------------------
 # injective partial maps on one register, encoded as tuples with -1 for
 # "outside the domain"
 
 
 def _map_left(group: FiniteGroup, g: int) -> tuple[int, ...]:
-    return tuple(int(group.table[g, x]) for x in range(group.order))
+    return tuple(group.rows[g])
 
 
 def _map_right_inv(group: FiniteGroup, g: int) -> tuple[int, ...]:
     gi = group.inv[g]
-    return tuple(int(group.table[x, gi]) for x in range(group.order))
+    return tuple(row[gi] for row in group.rows)
 
 
 def _map_indicator(n: int, allowed: Iterable[int]) -> tuple[int, ...]:
@@ -302,38 +286,40 @@ class Operator:
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
 
-    def _diagonal_numerators(self, edges: Sequence[int]) -> tuple[np.ndarray, int]:
-        """Exact entries of a diagonal operator (unchecked) as integers over one denominator.
+    def _diagonal_numerators(self, edges: Sequence[int]) -> tuple[dict[int, int], int]:
+        """Exact nonzero entries of a diagonal operator (unchecked) over one denominator.
 
         Returns (numerators, den): the entry of configuration c of `edges`
-        (indexed as in `config_digits`) is numerators[c] / den, where den
-        is the least common multiple of the coefficient denominators.
-        Each monomial adds its scaled numerator where the indicator
-        gathers of its edge maps all hit.  The int64 sums cannot wrap:
-        the sum of |numerator| is checked to stay below 2**62.
+        (indexed as in `config_digits`) is numerators.get(c, 0) / den,
+        where den is the least common multiple of the coefficient
+        denominators; only nonzero numerators are stored, as Python ints.
+        Each monomial adds its scaled numerator on the configurations
+        where every map of its key is defined.
         """
         pos = {e: i for i, e in enumerate(edges)}
         if not set(self.support) <= set(pos):
             raise ValueError("edge list does not cover the operator support")
+        n, k = self.n, len(edges)
         den = lcm(*(c.denominator for c in self.terms.values()))
-        nums = [c.numerator * (den // c.denominator) for c in self.terms.values()]
-        if sum(abs(x) for x in nums) >= 2 ** 62:
-            raise ValueError("diagonal numerators over the int64 budget 2**62")
-        digits, _ = config_digits(self.n, len(edges))
-        total = np.zeros(len(digits), dtype=np.int64)
-        for key, num in zip(self.terms, nums):
-            hit = np.ones(len(digits), dtype=bool)
+        # each register value times its position's weight in the index
+        places = [[x * n ** (k - 1 - i) for x in range(n)] for i in range(k)]
+        table: dict[int, int] = {}
+        for key, coeff in self.terms.items():
+            num = coeff.numerator * (den // coeff.denominator)
+            hit = list(places)
             for e, m in key:
-                hit &= (np.array(m) >= 0)[digits[:, pos[e]]]
-            total[hit] += num
-        return total, den
+                i = pos[e]
+                hit[i] = [places[i][x] for x in range(n) if m[x] >= 0]
+            for c in map(sum, itertools.product(*hit)):
+                table[c] = table.get(c, 0) + num
+        return {c: v for c, v in table.items() if v}, den
 
-    def _idempotent_table(self, diagonal: bool) -> tuple[bool, Optional[np.ndarray]]:
+    def _idempotent_table(self, diagonal: bool) -> tuple[bool, Optional[dict[int, int]]]:
         """Exact idempotence, read from the diagonal table (`_diagonal_numerators`,
         also returned) when `diagonal` and within budget, else from op*op - op."""
         if diagonal and self.n ** len(self.support) <= MATERIALIZE_DIM_BUDGET:
             table, den = self._diagonal_numerators(self.support)
-            return bool(np.all((table == 0) | (table == den))), table
+            return all(v == den for v in table.values()), table
         return ((self * self) - self).is_zero(), None
 
     def is_projector(self) -> bool:
@@ -347,6 +333,8 @@ class Operator:
         partial map, so its rows never repeat and `out[rows] += coeff * x[cols]`
         applies it exactly.  Budget and edge cover are checked before the first one.
         """
+        import numpy as np
+
         k = len(edges)
         dim = self.n ** k
         if dim > MATERIALIZE_DIM_BUDGET:
@@ -357,13 +345,21 @@ class Operator:
         digits, weights = config_digits(self.n, k)
 
         def entries(key):
-            rows, defined = _monomial_rows(key, pos, digits, weights)
+            rows = np.arange(dim, dtype=np.int64)
+            defined = np.ones(dim, dtype=bool)
+            for e, m in key:
+                col = digits[:, pos[e]]
+                tgt = np.array(m, dtype=np.int64)[col]
+                defined &= tgt >= 0
+                rows += (tgt - col) * weights[pos[e]]
             return rows[defined], np.flatnonzero(defined)
 
         return ((*entries(key), coeff) for key, coeff in self.terms.items())
 
     def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
         """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
+        import numpy as np
+
         entries = self.monomial_entries(edges)
         dim = self.n ** len(edges)
         mat = np.zeros((dim, dim))
@@ -557,23 +553,41 @@ class AuditReport:
         return out
 
 
-def _commutes_by_permutation(numerators: np.ndarray, edges: Sequence[int],
+def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int],
                              other: Operator) -> bool:
     """Sufficient test that a diagonal operator D commutes with `other`.
 
-    `numerators` is D's integer table over `edges` (D's support), as
-    returned by `Operator._diagonal_numerators`.  The test passes when
+    `numerators` is D's sparse integer table over `edges` (D's support),
+    as returned by `Operator._diagonal_numerators`.  The test passes when
     every monomial U of `other` is total on `edges` and D's table is
     invariant under the configuration map U induces there: then D U = U D
     column by column, so D commutes with every monomial and with their
     sum.  False means "not shown", not "does not commute".
+
+    Invariance is checked on the nonzero configurations alone, as
+    table[U c] == table[c] for each stored c.  That is enough: U is
+    injective and total on a finite set of configurations, so it is a
+    permutation of that set.  If it maps every nonzero configuration to
+    one with the same nonzero value, it maps the nonzero set into itself,
+    hence onto itself, hence also the zero set onto itself, so
+    table[U c] == table[c] for every c.  The converse is immediate.
     """
+    n, k = other.n, len(edges)
     pos = {e: i for i, e in enumerate(edges)}
-    digits, weights = config_digits(other.n, len(edges))
     for key in other.terms:
-        rows, defined = _monomial_rows(key, pos, digits, weights)
-        if not defined.all() or not np.array_equal(numerators[rows], numerators):
-            return False
+        # (weight, index shift per register value) for each map U has on `edges`
+        shifts = []
+        for e, m in key:
+            i = pos.get(e)
+            if i is None:
+                continue
+            if min(m) < 0:
+                return False
+            w = n ** (k - 1 - i)
+            shifts.append((w, [(y - x) * w for x, y in enumerate(m)]))
+        for c, v in numerators.items():
+            if numerators.get(c + sum(d[c // w % n] for w, d in shifts)) != v:
+                return False
     return True
 
 
@@ -590,8 +604,11 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     For an overlapping pair with one diagonal term D, the exact permutation
     pre-test `_commutes_by_permutation` runs first on D's table; when it
     does not pass, the commutator is expanded into matrix-unit atoms as for
-    every other pair.  Both routes record the pair as checked.  Residual
-    norms are materialized only for failing pairs on small supports.
+    every other pair.  Both routes record the pair as checked.  A failing
+    pair's residual Frobenius norm over the union of the two supports is
+    read from those atoms, n^(|union| - |support C|) times the sum of the
+    squared atom coefficients under the root, and reported only when the
+    union's dimension is within `MATERIALIZE_DIM_BUDGET`.
     """
     term_checks, tables = [], []
     for t in terms:
@@ -621,13 +638,13 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 pair_checks.append(PairCheck(ti.name, tj.name, True))
                 continue
             comm = ti.op.commutator(tj.op)
-            ok = comm.is_zero()
+            atoms = comm._atoms() if comm.terms else {}
             norm = None
-            if not ok:
-                union = tuple(sorted(set(ti.edges) | set(tj.edges)))
-                if n ** len(union) <= MATERIALIZE_DIM_BUDGET:
-                    norm = float(np.linalg.norm(comm.to_matrix(union)))
-            pair_checks.append(PairCheck(ti.name, tj.name, ok, norm))
+            union = len(set(ti.edges) | set(tj.edges))
+            if atoms and n ** union <= MATERIALIZE_DIM_BUDGET:
+                squares = sum(c * c for c in atoms.values())
+                norm = sqrt(n ** (union - len(comm.support)) * squares)
+            pair_checks.append(PairCheck(ti.name, tj.name, not atoms, norm))
     return AuditReport(term_checks, pair_checks, skipped)
 
 
@@ -688,44 +705,19 @@ def elimination_order(lat: Lattice, first: Sequence[int] = ()) -> list[Eliminati
     return steps
 
 
-def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]], values):
+def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]],
+              values: Sequence[int]) -> int:
     """Face-walk product of `cyc`: each letter left-multiplies the running value.
 
     The letter of an edge is its register value when walked along the
-    edge and the inverse when walked against it.  `values` maps edges to
-    register values, either ints or numpy columns (one row per
-    configuration); the result has the same shape.
+    edge and the inverse when walked against it.  `values` holds the
+    register value of each edge, indexed by edge.
     """
-    acc, inv = 0, _inverse_array(group)
+    acc, rows, inv = 0, group.rows, group.inv
     for e, along in cyc:
         x = values[e]
-        acc = group.table[x if along else inv[x], acc]
+        acc = rows[x if along else inv[x]][acc]
     return acc
-
-
-def _inverse_array(group: FiniteGroup) -> np.ndarray:
-    """`group.inv` as an int64 array, so that it can index register columns."""
-    if "inverse_array" not in group._cache:
-        group._cache["inverse_array"] = np.array(group.inv, dtype=np.int64)
-    return group._cache["inverse_array"]
-
-
-def _solve_edge(group: FiniteGroup, lat: Lattice, pi: int, target: int, values):
-    """Register value forced on `target` by trivial holonomy of face `pi`.
-
-    `values` holds the other registers of the face, as in `_holonomy`.
-    """
-    cyc = lat.plaquettes[pi]
-    idx = next(i for i, (e, _) in enumerate(cyc) if e == target)
-    low = _holonomy(group, cyc[:idx], values)
-    high = _holonomy(group, cyc[idx + 1:], values)
-    inv = _inverse_array(group)
-    t = group.table[inv[high], inv[low]]
-    return t if cyc[idx][1] else inv[t]
-
-
-def _holonomy_ok(group: FiniteGroup, lat: Lattice, pi: int, values):
-    return _holonomy(group, lat.plaquettes[pi], values) == 0
 
 
 def _gauge_domains(lat: Lattice, group: FiniteGroup,
@@ -784,65 +776,87 @@ def _transversal(group: FiniteGroup, allowed: Sequence[int], domain: Sequence[in
     from the left when w is the head and from the right when w is the
     tail (as in `_stabilizer_total`), so the orbits are D x and x D.
     """
+    rows = group.rows
     if child_is_head:
-        least = group.table[np.ix_(domain, allowed)].min(axis=0)
+        least = {min(rows[d][x] for d in domain) for x in allowed}
     else:
-        least = group.table[np.ix_(allowed, domain)].min(axis=1)
-    return tuple(sorted(set(least.tolist())))
+        least = {min(rows[x][d] for d in domain) for x in allowed}
+    return tuple(sorted(least))
 
 
-def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: np.ndarray,
+def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequence[int]],
                       domains: Sequence[Sequence[int]], roots: Sequence[int], tree) -> int:
     """Sum over `configs` of the number of vertex gauge transformations fixing each.
 
     On each tree of the forest a fixing transformation is determined by
-    its root label: labels propagate along tree edges, and must lie in
+    its root label g: labels propagate along tree edges, and must lie in
     their vertex domains and respect every non-tree edge of the tree.
-    Only dangling edges join trees, and their K x K translations absorb
-    both endpoint labels (see `_gsd_counting`), so their checks are
-    skipped and the trees' counts multiply.
+    The label of vertex w is Q_w g Q_w^-1, where Q_w multiplies the tree
+    edges' letters from the root to w, so g must lie in Q_w^-1 D_w Q_w
+    for every vertex w whose domain D_w is not the whole group, and
+    commute with Q_h^-1 x Q_t for every non-tree edge from t to h with
+    register value x.  Only dangling edges join trees, and their K x K
+    translations absorb both endpoint labels (see `_gsd_counting`), so
+    their checks are skipped and the trees' counts multiply.  `configs`
+    is consumed one configuration at a time; sets of root labels are
+    bit masks.
     """
-    nc = configs.shape[0]
-    inv = _inverse_array(group)
-    conj = group.table[group.table, inv[:, None]]  # conj[x, g] = x g x^-1
-    member = [np.isin(np.arange(group.order), d) for d in domains]
+    rows, inv, n = group.rows, group.inv, group.order
+    mask = [sum(1 << g for g in d) for d in domains]
+    whole = (1 << n) - 1
     comp = [0] * lat.n_vertices
     for ci, (root, edges) in enumerate(zip(roots, tree)):
         comp[root] = ci
         for _, child, _ in edges:
             comp[child] = ci
     tree_edges = {ei for edges in tree for ei, _, _ in edges}
-    nontree_by_comp: dict[int, list[int]] = {}
-    for ei, (t, _) in enumerate(lat.edges):
+    nontree_by_comp: dict[int, list[tuple[int, int, int]]] = {}
+    for ei, (t, h) in enumerate(lat.edges):
         if ei not in tree_edges and lat.edge_region.get(ei, ("", ""))[1] != "dangling":
-            nontree_by_comp.setdefault(comp[t], []).append(ei)
-    total = np.ones(nc, dtype=np.int64)
-    for ci, (root, edges) in enumerate(zip(roots, tree)):
-        count = np.zeros(nc, dtype=np.int64)
-        for label in domains[root]:
-            glabels = {root: np.full(nc, label, dtype=np.int64)}
-            ok = np.ones(nc, dtype=bool)
-            for ei, child, child_is_head in edges:
-                t, h = lat.edges[ei]
-                x = configs[:, ei]
-                glabels[child] = (conj[x, glabels[t]] if child_is_head
-                                  else conj[inv[x], glabels[h]])
-                ok &= member[child][glabels[child]]
-            for ei in nontree_by_comp.get(ci, ()):
-                t, h = lat.edges[ei]
-                ok &= glabels[h] == conj[configs[:, ei], glabels[t]]
-            count += ok
-        total *= count
-    return int(total.sum())
+            nontree_by_comp.setdefault(comp[t], []).append((ei, t, h))
+    centralizer = [sum(1 << g for g in range(n) if rows[g][x] == rows[x][g])
+                   for x in range(n)]
+    conjugated: dict[int, list[int]] = {}   # mask of D -> mask of Q^-1 D Q for each Q
+    for w, d in enumerate(domains):
+        if mask[w] != whole and mask[w] not in conjugated:
+            conjugated[mask[w]] = [sum(1 << rows[rows[inv[q]][x]][q] for x in d)
+                                   for q in range(n)]
+    # per tree: the root's labels, the tree edges as (edge, parent, child,
+    # child is head), the other vertices with a proper domain, and the
+    # non-tree edges
+    plans = [(mask[root],
+              [(ei, lat.edges[ei][0 if head else 1], child, head) for ei, child, head in edges],
+              [(child, conjugated[mask[child]]) for _, child, _ in edges
+               if mask[child] != whole],
+              nontree_by_comp.get(ci, ()))
+             for ci, (root, edges) in enumerate(zip(roots, tree))]
+    q = [0] * lat.n_vertices
+    total = 0
+    for values in configs:
+        fixing = 1
+        for alive, edges, proper, nontree in plans:
+            for ei, parent, child, head in edges:
+                x = values[ei]
+                q[child] = rows[x if head else inv[x]][q[parent]]
+            for w, masks in proper:
+                alive &= masks[q[w]]
+            for ei, t, h in nontree:
+                alive &= centralizer[rows[rows[inv[q[h]]][values[ei]]][q[t]]]
+            fixing *= alive.bit_count()
+            if not fixing:
+                break
+        total += fixing
+    return total
 
 
-def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
-                            allowed: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
-    """All register assignments with trivial holonomy on every face.
+def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup, allowed: Sequence[Sequence[int]]
+                            ) -> Optional[Iterator[tuple[int, ...]]]:
+    """All register assignments with trivial holonomy on every face, one at a time.
 
     Every edge with a single allowed value is assigned before any other
-    (see `elimination_order`).  Returns an (N, n_edges) int array, or None
-    when over budget.
+    (see `elimination_order`).  Returns an iterator over tuples of
+    register values indexed by edge, or None when the product of the
+    allowed-set sizes over the branch steps is over budget.
     """
     steps = elimination_order(lat, [e for e, a in enumerate(allowed) if len(a) == 1])
     budget = 1
@@ -851,48 +865,72 @@ def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup,
             budget *= len(allowed[st.edge])
             if budget > TRACE_PARTIAL_BUDGET:
                 return None
-    n = group.order
-    cols: dict[int, np.ndarray] = {}
-    count = 1
+    return _flat_configs(lat, group, allowed, steps)
 
-    allowed_masks = []
-    for e in range(lat.n_edges):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(allowed[e])] = True
-        allowed_masks.append(mask)
 
+def _flat_configs(lat: Lattice, group: FiniteGroup, allowed: Sequence[Sequence[int]],
+                  steps: Sequence[EliminationStep]) -> Iterator[tuple[int, ...]]:
+    """Depth-first walk of `steps`, one level per branch step.
+
+    A level tries each allowed value of its branch edge in increasing
+    order, then runs the solve steps up to the next branch step: each
+    takes the one value its face forces, if that value is allowed.  The
+    faces a step closes (its checkers) must have trivial holonomy.
+    """
+    if not steps:
+        yield ()
+        return
+    inv = group.inv
+    values = [0] * lat.n_edges
+    # per level: (branch edge, its values, its checker walks, solve steps);
+    # a solve step is (edge, its face walked from the edge's successor round
+    # to its predecessor, edge walked along, allowed values, checker walks).
+    # The face closes when the edge's letter times that walk's holonomy h
+    # is trivial, so the letter is h^-1.  The first step is a branch: every
+    # face has at least two edges.
+    levels: list[tuple[int, tuple[int, ...], tuple, list]] = []
     for st in steps:
-        e = st.edge
+        checks = tuple(lat.plaquettes[pc] for pc in st.checkers)
         if st.action == "branch":
-            vals = np.array(sorted(allowed[e]), dtype=np.int64)
-            k = len(vals)
-            for e2 in list(cols):
-                cols[e2] = np.repeat(cols[e2], k)
-            cols[e] = np.tile(vals, count)
-            count *= k
+            levels.append((st.edge, tuple(sorted(allowed[st.edge])), checks, []))
         else:
-            col = _solve_edge(group, lat, st.plaquette, e, cols)
-            keep = allowed_masks[e][col]
-            if not keep.all():
-                for e2 in list(cols):
-                    cols[e2] = cols[e2][keep]
-                col = col[keep]
-                count = int(keep.sum())
-            cols[e] = col
-        for pc in st.checkers:
-            keep = _holonomy_ok(group, lat, pc, cols)
-            if not keep.all():
-                for e2 in list(cols):
-                    cols[e2] = cols[e2][keep]
-                count = int(keep.sum())
-        if count == 0:
-            break
-    if count == 0:
-        return np.zeros((0, lat.n_edges), dtype=np.int64)
-    out = np.zeros((count, lat.n_edges), dtype=np.int64)
-    for e, col in cols.items():
-        out[:, e] = col
-    return out
+            cyc = lat.plaquettes[st.plaquette]
+            i = next(i for i, (e, _) in enumerate(cyc) if e == st.edge)
+            levels[-1][3].append((st.edge, cyc[i + 1:] + cyc[:i], cyc[i][1],
+                                  frozenset(allowed[st.edge]), checks))
+
+    def fits(level, x: int) -> bool:
+        edge, _, checks, solves = level
+        values[edge] = x
+        for walk in checks:
+            if _holonomy(group, walk, values):
+                return False
+        for e, walk, along, ok, checks in solves:
+            h = _holonomy(group, walk, values)
+            y = inv[h] if along else h
+            if y not in ok:
+                return False
+            values[e] = y
+            for walk in checks:
+                if _holonomy(group, walk, values):
+                    return False
+        return True
+
+    last = len(levels) - 1
+    pending = [iter(levels[0][1])]
+    while pending:
+        depth = len(pending) - 1
+        level = levels[depth]
+        for x in pending[-1]:
+            if fits(level, x):
+                break
+        else:
+            pending.pop()
+            continue
+        if depth == last:
+            yield tuple(values)
+        else:
+            pending.append(iter(levels[depth + 1][1]))
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +960,8 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     independent oracles for it.  With `gauge_fix` off no edge is
     restricted and the sum runs over every flat configuration of the
     other edges: that is the trace reference route, no independent
-    oracle, and far costlier in time and memory.
+    oracle, and far costlier in time (the configurations are streamed, so
+    not in memory).
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
     roots, tree = _spanning_forest(lat, dangling)
@@ -1018,13 +1057,21 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     dim = group.order ** lat.n_edges
     if dim > MATERIALIZE_DIM_BUDGET:
         return None
+    import numpy as np
+
     if terms is None:
         terms = build_terms(lat, group, subgroups)
+    n = group.order
     edges = range(lat.n_edges)
+    digits, _ = config_digits(n, lat.n_edges)
     diag = np.ones(dim)
     for t in (t for t in terms if t.diagonal):
-        table, den = t.op._diagonal_numerators(edges)
-        diag *= table / den
+        # the term's table over its own support, gathered at every configuration
+        own = list(t.op.support)
+        table, den = t.op._diagonal_numerators(own)
+        entries = np.zeros(n ** len(own))
+        entries[list(table)] = [v / den for v in table.values()]
+        diag *= entries[digits[:, own] @ n ** np.arange(len(own) - 1, -1, -1)]
     support = np.flatnonzero(diag)
     m = len(support)
     if m ** 2 > 40_000_000:

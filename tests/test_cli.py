@@ -498,21 +498,28 @@ S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "ful
     (["verify-all", "--group", "symmetric:4"], {"qdw.classify", "qdw.verify"}, False),
     (["verify-all", "--group", "cyclic:9"], {"qdw.classify", "qdw.verify"}, True),
     (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
-      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}, True),
+      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}, False),
     (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
      {"qdw.geometry", "qdw.lattice", "qdw.classify"}, True),
+    (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
+     {"qdw.geometry", "qdw.lattice", "qdw.classify"}, False),
     (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
      {"qdw.geometry", "qdw.logical"}, True),
     (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
      {"qdw.geometry", "qdw.classify", "qdw.logical"}, True),
+    (["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3", "--subgroup", "full",
+      "--subgroup2", "trivial", "--inject-literal-edge", "in0"],
+     {"qdw.geometry", "qdw.lattice"}, False),
 ], ids=["import", "group-info", "anyons", "subgroups", "lagrangian", "excitations",
-        "defects", "qudit-dim", "verify-all", "verify-all-cyclic9", "lattice-audit", "gsd",
-        "logical", "charge-project"])
+        "defects", "qudit-dim", "verify-all", "verify-all-cyclic9", "lattice-audit",
+        "gsd", "gsd-no-dense", "logical", "charge-project", "lattice-audit-sabotaged"])
 def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
-    """The census runs on Python integers; numpy loads only where matrices are."""
+    """The census, the audit and the counting and modular ground-state routes
+    run on Python integers; numpy loads only where matrices are."""
     statement = "import qdw.cli"
     if argv is not None:
-        statement += f"\nassert qdw.cli.main({argv!r}) == 0"
+        rc = 1 if "--inject-literal-edge" in argv else 0
+        statement += f"\nassert qdw.cli.main({argv!r}) == {rc}"
     modules = _loaded_after(statement)
     loaded = {m for m in modules if m.startswith("qdw")}
     assert loaded == {"qdw", "qdw.groups", "qdw.cli"} | loads

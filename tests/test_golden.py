@@ -59,6 +59,15 @@ GOLDEN = {
     "--subgroup2 trivial --inject-literal-edge in0":
         (EXIT_INVARIANT,
          "8c0a60466ef21b6dc3ae3aab1a4a29380188dbbff8ef3154b40378f6099766e8"),
+    # each prints the Frobenius norm of its one failing pair, [B(f0), L(in0)]
+    "lattice-audit --group symmetric:3 --lattice ring:3 --subgroup full "
+    "--subgroup2 trivial --inject-literal-edge in0":
+        (EXIT_INVARIANT,
+         "90744c02723e48a4d45f7974833f35561954ef6747a711bfcddff0888a3f20db"),
+    "lattice-audit --group quaternion8 --lattice ring:3 --subgroup 1,-1 "
+    "--subgroup2 1 --inject-literal-edge in0":
+        (EXIT_INVARIANT,
+         "b202d00dc6eee027c29537c8af7a5a96b59b352c0d31dbb01eccb7dc2190c309"),
     # the audit's permutation pre-test decides most pairs of these two;
     # both digests were taken with every pair expanded into atoms
     "lattice-audit --group symmetric:3 --lattice torus:2x2":

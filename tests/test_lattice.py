@@ -1,6 +1,7 @@
 """Geometry, exact operator algebra, audit, and ground-state counting."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -69,11 +70,11 @@ def loop_matrix(op, edges):
 
 
 def numerator_values(op, edges):
-    """Nonzero entries of `op._diagonal_numerators(edges)` as exact Fractions, by configuration."""
+    """Entries of `op._diagonal_numerators(edges)` as exact Fractions, by configuration."""
     table, den = op._diagonal_numerators(edges)
     digits, _ = config_digits(op.n, len(edges))
-    return {tuple(int(x) for x in digits[c]): Fraction(int(table[c]), den)
-            for c in np.flatnonzero(table)}
+    assert all(type(v) is int and v != 0 for v in table.values())
+    return {tuple(int(x) for x in digits[c]): Fraction(v, den) for c, v in table.items()}
 
 
 def loop_diagonal_values(op, edges):
@@ -708,6 +709,19 @@ class TestTermsAndAudit:
         norms = [p.residual_norm for p in rep.pair_checks if not p.commutes]
         assert all(x is not None and x > 0.1 for x in norms)
 
+    def test_residual_norm_spans_the_union_of_the_term_edges(self):
+        # the shift's term lists edge 1, which its operator leaves alone, so
+        # the commutator is the identity there: |[P, X]|_F = sqrt(2 * 3)
+        pin = boundary_edge_term(ring(3), Z3, 0, Z3.trivial_subgroup())
+        shift = Operator.monomial(3, Fraction(1), {0: (1, 2, 0)})
+        terms = [HamiltonianTerm("P", "edge-pin", pin, (0,), True),
+                 HamiltonianTerm("X", "literal", shift, (0, 1), False)]
+        [pair] = audit_commutation(terms, 3).pair_checks
+        assert not pair.commutes
+        assert pair.residual_norm == pytest.approx(6 ** 0.5, rel=1e-12)
+        assert pair.residual_norm == pytest.approx(
+            np.linalg.norm(pin.commutator(shift).to_matrix((0, 1))), rel=1e-12)
+
 
 # integer diagonal tables and the permutation pre-test ----------------------
 
@@ -769,11 +783,12 @@ class TestDiagonalFastPath:
             op._diagonal_numerators((5,))
 
     def test_numerators_guard_against_int64_overflow(self):
+        # the numerators sum past 2**62, which an int64 table would wrap
         big = Fraction(2 ** 61, 3)
         op = Operator.monomial(2, big, {0: (0, -1)}) + \
             Operator.monomial(2, big * 2, {0: (-1, 1)})
-        with pytest.raises(ValueError, match="2\\*\\*62"):
-            op.is_projector()
+        assert numerator_values(op, (0,)) == {(0,): big, (1,): big * 2}
+        assert op.is_projector() is False
 
     # The reference expands every overlapping pair into atoms, which takes
     # about a second per injected term for S3 and Q8.  So every injection
@@ -821,6 +836,15 @@ class TestDiagonalFastPath:
         if _commutes_by_permutation(table, edges, other):
             assert diag.commutator(other).is_zero()
         assert diag.is_projector() == ((diag * diag) - diag).is_zero()
+
+    def test_pre_test_refuses_a_partial_map(self):
+        # the map is undefined on register value 1 of edge 1; read as an
+        # index shift, that lands back on the one nonzero configuration
+        diag = diagonal_operator(2, [(Fraction(1), {0: {0}, 1: {1}})])
+        other = Operator.monomial(2, Fraction(1), {0: (1, 0), 1: (1, -1)})
+        table, _ = diag._diagonal_numerators((0, 1))
+        assert not _commutes_by_permutation(table, (0, 1), other)
+        assert not diag.commutator(other).is_zero()
 
 
 # elimination order ---------------------------------------------------------
@@ -1087,9 +1111,22 @@ class TestGroundStateCounts:
         lat = carve_hole(carve_hole(patch(5, 8), ["p(1,1)"], "hole0"), ["p(1,4)"], "hole1")
         sub = next(s for s in enumerate_subgroups(g) if s.order == k)
         assign = {reg.name: sub for reg in lat.regions}
-        assert len(_enumerate_flat_configs(lat, g, slice_allowed(lat, g, assign))) <= 36
+        assert sum(1 for _ in _enumerate_flat_configs(lat, g, slice_allowed(lat, g, assign))) <= 36
         rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
         assert rep.by_method == {"counting": 36, "modular": 36}
+
+    def test_trace_route_streams_its_configurations(self):
+        # 2**15 flat configurations; held as one array they peaked at 12.6 MB
+        lat = patch(3, 3)
+        assign = {"outer": Z2.full_subgroup()}
+        tracemalloc.start()
+        try:
+            value = _gsd_counting(lat, Z2, assign, gauge_fix=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1
+        assert peak < 2_000_000
 
     @pytest.mark.parametrize("spec,order", [("symmetric:4", 24),
                                             ("product:symmetric:4,cyclic:2", 48)])
