@@ -9,7 +9,8 @@ excitations of one K boundary are its K-K defects.  All censuses are
 validated against exact sum rules before they are returned, and every
 condensate against the modular rule W S = W, decided without building S
 from integer fixed-coset counts.  numpy is imported only where S is the
-result: `s_matrix` and `abelian_anyon_data`.
+result: `s_matrix`, and the float S and fusion table of `AbelianAnyonData`,
+whose exact S phases need no matrix.
 """
 
 from __future__ import annotations
@@ -404,42 +405,72 @@ def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
 
 @dataclass
 class AbelianAnyonData:
-    """Closed-form sector data for an abelian group: S matrix and fusion."""
+    """Closed-form sector data for an abelian group.
+
+    `s_phases` is exact.  The float `s_matrix` and the `fusion` table are
+    built on first access, so a caller that reads only the phases never
+    imports numpy.
+    """
     group: FiniteGroup
     table: AnyonTable
-    s_matrix: np.ndarray
-    fusion: np.ndarray  # fusion[a, b] = index of a x b
     charges: list[tuple[int, int]] = field(default_factory=list)  # (flux, irrep)
+
+    @cached_property
+    def s_phases(self) -> list[list[int]]:
+        """k[a][b] with S_ab = exp(-2 pi i k[a][b] / n) / n, from the exact spectra.
+
+        Every centralizer is G and every class one element g_a, so S_ab =
+        conj(chi_a(g_b) chi_b(g_a)) / n, as `s_matrix` sums it.  chi_a at an
+        element of order o is zeta_o^s, s its spectrum, which is w^(s n/o).
+        """
+        table, n = self.table, self.group.order
+        flux = [table.classes[ci].rep for ci, _ in self.charges]
+        chi = []   # chi[a][x]: the exponent of chi_a(x) in powers of w
+        for ci, irrep in self.charges:
+            centralizer, local = table.centralizer_tables[ci], table.local_class[ci]
+            chi.append([centralizer.spectra[irrep][local[x]][0]
+                        * (n // centralizer.orders[local[x]]) for x in range(n)])
+        return [[(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
+                for chi_a, g_a in zip(chi, flux)]
+
+    @cached_property
+    def s_matrix(self) -> np.ndarray:
+        return s_matrix(self.group)
+
+    @cached_property
+    def fusion(self) -> np.ndarray:
+        """fusion[a, b] = index of a x b."""
+        import numpy as np
+
+        group, table = self.group, self.table
+        ct = character_table(group)
+        # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
+        # every irrep is linear, so exponents add at each class
+        k = ct.n_irreps
+        row_index = {tuple(row): q for q, row in enumerate(ct.spectra)}
+        irrep_product = np.array([[row_index[tuple(
+            ((sa[0] + sb[0]) % o,) for sa, sb, o in zip(ct.spectra[qa], ct.spectra[qb], ct.orders))]
+            for qb in range(k)] for qa in range(k)], dtype=np.int64)
+        index = np.array([[table.index_of(g, q) for q in range(k)]
+                          for g in range(group.order)], dtype=np.int64)
+        flux = np.array([g for g, _ in self.charges], dtype=np.int64)
+        charge = np.array([q for _, q in self.charges], dtype=np.int64)
+        return index[group.table[flux[:, None], flux[None, :]],
+                     irrep_product[charge[:, None], charge[None, :]]]
 
 
 def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
-    """S matrix (from `s_matrix`) and fusion table of an abelian group's sectors."""
-    import numpy as np
-
+    """Exact S phases, float S matrix (from `s_matrix`) and fusion table of an
+    abelian group's sectors; the last two are built when first read."""
     if not group.is_abelian:
         raise ValueError("closed-form sector data needs an abelian group")
     table = anyon_table(group)
-    ct = character_table(group)
     charges = [(a.class_index, a.irrep_index) for a in table.anyons]
     # flux class i is the singleton {i} for abelian groups
     for g, q in charges:
         if table.classes[g].members != (g,):
             raise InvariantError("abelian conjugacy classes must be singletons")
-    # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
-    # every irrep is linear, so exponents add at each class
-    k = ct.n_irreps
-    row_index = {tuple(row): q for q, row in enumerate(ct.spectra)}
-    irrep_product = np.array([[row_index[tuple(
-        ((sa[0] + sb[0]) % o,) for sa, sb, o in zip(ct.spectra[qa], ct.spectra[qb], ct.orders))]
-        for qb in range(k)] for qa in range(k)], dtype=np.int64)
-    index = np.array([[table.index_of(g, q) for q in range(k)]
-                      for g in range(group.order)], dtype=np.int64)
-    flux = np.array([g for g, _ in charges], dtype=np.int64)
-    charge = np.array([q for _, q in charges], dtype=np.int64)
-    fusion = index[group.table[flux[:, None], flux[None, :]],
-                   irrep_product[charge[:, None], charge[None, :]]]
-    return AbelianAnyonData(group=group, table=table, s_matrix=s_matrix(group),
-                            fusion=fusion, charges=charges)
+    return AbelianAnyonData(group=group, table=table, charges=charges)
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,13 @@ from qdw.groups import (
     InvariantError,
     Subgroup,
     _is_json_int,
+    _root_of_unity,
     build_group,
     character_table,
     enumerate_subgroups,
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from qdw.geometry import Lattice
 
 __all__ = ["RunConfig", "Report", "main", "run"]
@@ -302,8 +301,8 @@ def _complex_pair(z: complex) -> list[float]:
     return [_round12(z.real), _round12(z.imag)]
 
 
-def _matrix_pairs(m: np.ndarray) -> list[list[float]]:
-    return [_complex_pair(z) for z in m.ravel()]
+def _matrix_pairs(m: Sequence[Sequence[complex]]) -> list[list[float]]:
+    return [_complex_pair(z) for row in m for z in row]
 
 
 def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat]:
@@ -544,36 +543,30 @@ def _hole_encoding(cfg: RunConfig):
 
 
 def _relation_rows(qud) -> list[dict]:
-    import numpy as np
-
     rows = []
     for lhs, rhs, turns in qud.relation_report():
-        phase = complex(np.exp(2j * np.pi * float(turns)))
+        phase = _root_of_unity(turns.numerator, turns.denominator)
         rows.append({"lhs": lhs, "rhs": rhs, "phase": _complex_pair(phase),
                      "turns": f"{turns.numerator}/{turns.denominator}"})
     return rows
 
 
 def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat]:
-    import numpy as np
-
     group, qud, holes = _hole_encoding(cfg)
-    ops = [("X", qud.x_action.matrix()), ("Z", qud.z_action.matrix())]
-    for name, m in ops:
-        if np.abs(m @ m.conj().T - np.eye(qud.d)).max() > cfg.tolerance:
+    ops = [("X", qud.x_action), ("Z", qud.z_action)]
+    for name, act in ops:
+        if not act.is_unitary():
             raise InvariantError(f"logical {name} is not unitary")
     results = {
         "encoding": {"group": group.label, "holes": holes, "d": qud.d},
-        "operators": [{"name": name, "matrix": _matrix_pairs(m)}
-                      for name, m in ops],
+        "operators": [{"name": name, "matrix": _matrix_pairs(act.matrix())}
+                      for name, act in ops],
         "relations": _relation_rows(qud),
     }
     return results, None
 
 
 def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
-    import numpy as np
-
     from qdw.logical import charge_projectors
 
     group, qud, holes = _hole_encoding(cfg)
@@ -583,8 +576,8 @@ def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
         "loop_region": holes[0],
         "labels": [[f, q] for f, q in fam.labels],
         "projectors": [{"label": [f, q],
-                        "trace": _round12(np.trace(p).real),
-                        "matrix": _matrix_pairs(p)}
+                        "trace": _round12(p.trace()),
+                        "matrix": _matrix_pairs(p.matrix())}
                        for (f, q), p in zip(fam.labels, fam.projectors)],
         "selected": [{"label": [f, q], "state": s}
                      for (f, q), s in sorted(fam.selected.items())],

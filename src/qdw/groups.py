@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import cos, gcd, isqrt, pi, sin, sqrt
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 MAX_TABLE_ORDER = 48
 MAX_SUBGROUP_ENUM_ORDER = 24
@@ -49,7 +49,6 @@ __all__ = [
     "enumerate_automorphisms",
     "is_automorphism",
     "inner_automorphism",
-    "permutation_character",
 ]
 
 
@@ -650,28 +649,20 @@ class CharacterTable:
         """Class values of sum_i weights[i] chi_i, which must be rational integers.
 
         At a representative g of order o the sum is x = sum_j m_j zeta^j,
-        with m_j the weighted count of exponent j.  The trace of x from
-        Q(zeta) to Q is T = sum_j m_j c_o(j), and the trace of |x|^2 is
-        Q = sum_j,k m_j m_k c_o(j - k), c_o being the Ramanujan sums.  The
-        trace of |x - T/phi(o)|^2 is Q - T^2/phi(o), a sum of squares of the
-        conjugates' moduli, so x is the integer T/phi(o) exactly when
-        Q phi(o) = T^2.
+        with m_j the weighted count of exponent j, decided by `_integer_sum`.
         """
         reps, images, _ = _rational_classes(self.group)
         at_rep = []
         for c in reps:
-            o = self.orders[c]
             count: dict[int, int] = {}
             for w, row in zip(weights, self.spectra):
                 if w:
                     for j in row[c]:
                         count[j] = count.get(j, 0) + w
-            ram = _ramanujan_sums(o)
-            tr = sum(m * ram[j] for j, m in count.items())
-            sq = sum(m * m2 * ram[j - j2] for j, m in count.items() for j2, m2 in count.items())
-            if tr % ram[0] or sq * ram[0] != tr * tr:
+            value = _integer_sum(count, self.orders[c])
+            if value is None:
                 raise InvariantError("weighted character sum is not integer-valued")
-            at_rep.append(tr // ram[0])
+            at_rep.append(value)
         return [at_rep[r] for r, _ in images]
 
     @cached_property
@@ -957,6 +948,23 @@ def _ramanujan_sums(o: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def _integer_sum(count: Mapping[int, int], o: int) -> Optional[int]:
+    """x = sum of m zeta_o^j over count {j: m}, if x is an integer, else None.
+
+    The trace of x from Q(zeta_o) to Q is T = sum_j m_j c_o(j), and the
+    trace of |x|^2 is Q = sum_j,k m_j m_k c_o(j - k), c_o being the
+    Ramanujan sums.  The trace of |x - T/phi(o)|^2 is Q - T^2/phi(o), a sum
+    of squares of the conjugates' moduli, so x is the integer T/phi(o)
+    exactly when Q phi(o) = T^2.
+    """
+    ram = _ramanujan_sums(o)
+    tr = sum(m * ram[j] for j, m in count.items())
+    sq = sum(m * m2 * ram[j - j2] for j, m in count.items() for j2, m2 in count.items())
+    if tr % ram[0] or sq * ram[0] != tr * tr:
+        return None
+    return tr // ram[0]
+
+
 @lru_cache(maxsize=None)
 def _root_of_unity(j: int, o: int) -> complex:
     """exp(2 pi i j / o), with cos and sin taken at an angle of at most pi/4.
@@ -1104,23 +1112,3 @@ def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     if not autos:
         raise InvariantError("automorphism search returned empty (identity must exist)")
     return autos
-
-
-# ---------------------------------------------------------------------------
-# permutation characters
-
-
-def permutation_character(group: FiniteGroup, action: Sequence[Sequence[int]]) -> list[int]:
-    """Fixed-point counts per conjugacy class for a permutation action.
-
-    `action[g]` lists the image of every point under group element g.
-    """
-    n_points = len(action[0]) if len(action) else 0
-    for g, perm in enumerate(action):
-        if sorted(perm) != list(range(n_points)):
-            raise ValueError(f"action of element {g} is not a permutation")
-    out = []
-    for cl in group.conjugacy_classes():
-        perm = action[cl.rep]
-        out.append(sum(1 for i, img in enumerate(perm) if img == i))
-    return out

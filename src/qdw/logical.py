@@ -14,10 +14,17 @@ admissible kernel is defined mod n.  The first normal form writes it as a
 sum of Z_{g_i}, g_i = gcd(d_i, n), one coordinate per edge, and in those
 free coordinates the gauge lattice contains diag(g_i) with g_i | n.  So
 the quotient (the second form) is the same over Z and over Z_n, and every
-matrix stays int64 with entries in [0, n): no coefficient swell.  The
-quotient needs only the free coordinates, g_i > 1: by the chain
-g_i | g_{i+1} the g_i = 1 ones come first, and over all E coordinates
-they are a prefix of unit rows whose pivots touch nothing else.
+entry stays in [0, n): no coefficient swell.  The quotient needs only the
+free coordinates, g_i > 1: by the chain g_i | g_{i+1} the g_i = 1 ones
+come first, and over all E coordinates they are a prefix of unit rows
+whose pivots touch nothing else.
+
+Everything runs on Python integers, with matrices as sparse rows: the face
+and rim rows have a few entries each, and the transforms stay sparse.
+Logical actions are permutations with root-of-unity phases, so their
+algebra and unitarity are exact, and charge projectors are sums of roots
+of unity decided exactly.  numpy is imported only by the materialized
+oracles `orbit_state_matrix` and `StringOperator.apply`.
 """
 
 from __future__ import annotations
@@ -27,14 +34,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        character_table, is_cyclic_presentation)
+                        _integer_sum, _root_of_unity, character_table,
+                        is_cyclic_presentation)
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
                           config_digits)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SmithForm",
@@ -52,13 +62,55 @@ __all__ = [
     "logical_action",
     "LogicalQudit",
     "logical_algebra",
+    "FrameProjector",
     "ChargeProjectors",
     "charge_projectors",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z_n: int64 entries in [0, n), so nothing swells
+# Smith normal form over Z_n: sparse rows of Python ints in [0, n)
+
+Rows = list[dict[int, int]]   # one {column: entry} per row, zero entries left out
+
+
+def _combine(terms, n: int) -> dict[int, int]:
+    """The sum of c * row over the (c, row) pairs in terms, mod n."""
+    out: dict[int, int] = {}
+    for c, row in terms:
+        for j, x in row.items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x % n for j, x in out.items() if x % n}
+
+
+def _times(a: Rows, b: Rows, n: int) -> Rows:
+    """a @ b mod n."""
+    return [_combine(((x, b[j]) for j, x in row.items()), n) for row in a]
+
+
+def _transpose(a: Rows, width: int) -> Rows:
+    out: Rows = [{} for _ in range(width)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _identity(m: int, n: int) -> Rows:
+    return [{i: 1} if n > 1 else {} for i in range(m)]
+
+
+def _sparse(a: Sequence[Sequence[int]], n: int) -> Rows:
+    return [{j: y for j, x in enumerate(row) if x and (y := int(x) % n)} for row in a]
+
+
+def _dense(a: Rows, width: int) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(width)] for row in a]
+
+
+def _dot(row: Mapping[int, int], x: Sequence[int]) -> int:
+    """A sparse row times a dense vector, over Z."""
+    return sum(map(mul, row.values(), map(x.__getitem__, row)))
 
 
 def _bezout(p: int, x: int) -> tuple[int, int, int]:
@@ -75,21 +127,26 @@ def _bezout(p: int, x: int) -> tuple[int, int, int]:
 class SmithForm:
     """u @ a @ v == d (mod n) with d diagonal and u, v invertible mod n.
 
-    Every matrix is int64 with entries in [0, n).
+    Every matrix is a list of sparse rows of Python ints in [1, n), zero
+    entries left out: d is m x k, u and uinv are m x m, v and vinv k x k.
     """
     n: int
-    d: np.ndarray
-    u: np.ndarray
-    uinv: np.ndarray
-    v: np.ndarray
-    vinv: np.ndarray
+    d: Rows
+    u: Rows
+    uinv: Rows
+    v: Rows
+    vinv: Rows
 
     def diagonal(self) -> list[int]:
         """gcd(d_ii, n) for each i, so a zero pivot reads n."""
-        return np.gcd(np.diagonal(self.d), self.n).tolist()
+        return [gcd(self.d[i].get(i, 0), self.n) for i in range(min(len(self.d), len(self.v)))]
+
+    def dense(self, name: str) -> list[list[int]]:
+        """The matrix called name ("d", "u", "uinv", "v" or "vinv") as dense rows."""
+        return _dense(getattr(self, name), len(self.u if name in ("u", "uinv") else self.v))
 
 
-def smith_normal_form(a: np.ndarray | Sequence[Sequence[int]], n: int) -> SmithForm:
+def smith_normal_form(a: Sequence[Sequence[int]], n: int) -> SmithForm:
     """Smith normal form of an integer matrix over Z_n, with both
     transforms and their inverses.
 
@@ -104,78 +161,127 @@ def smith_normal_form(a: np.ndarray | Sequence[Sequence[int]], n: int) -> SmithF
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    if not isinstance(a, np.ndarray):
-        k = len(a[0]) if len(a) else 0
-        for i, row in enumerate(a):
-            if len(row) != k:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
-        a = np.array(a, dtype=np.int64).reshape(len(a), k)
-    a = a.astype(np.int64) % n
-    m, k = a.shape
-    # every product below sums at most max(m, k, 2) terms under n^2 each
-    if max(m, k, 2) * n * n >= 2 ** 63:
-        raise ValueError(f"modulus {n} is too large for int64 at width {max(m, k)}")
-    d = a.copy()
-    u, uinv_t = np.eye(m, dtype=np.int64), np.eye(m, dtype=np.int64)
-    v_t, vinv = np.eye(k, dtype=np.int64), np.eye(k, dtype=np.int64)
+    k = len(a[0]) if len(a) else 0
+    for i, row in enumerate(a):
+        if len(row) != k:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
+    return _smith(_sparse(a, n), k, n)
 
-    # A column step on d is a row step on d^T that updates v^T as u and v^-1
-    # as uinv^T, so one pair of steps serves both sides.  Lines t.. are zero
-    # before position t, so each step touches d[t:, t:] only.
-    rows, cols = (d, u, uinv_t), (d.T, v_t, vinv)
 
-    def combine(side, i, s, r, b, c):
-        """Lines (t, i) <- [[s, r], [-b, c]] @ lines (t, i), determinant 1."""
-        dd, x, x_inv = side
-        dd[[t, i], t:] = np.array([[s, r], [-b, c]]) @ dd[[t, i], t:] % n
-        x[[t, i]] = np.array([[s, r], [-b, c]]) @ x[[t, i]] % n
-        x_inv[[t, i]] = np.array([[c, b], [-r, s]]) @ x_inv[[t, i]] % n
+def _smith(a: Rows, k: int, n: int) -> SmithForm:
+    """`smith_normal_form` of the m x k matrix a, given as sparse rows mod n."""
+    m = len(a)
+    d = [dict(row) for row in a]
+    u, uinv_t = _identity(m, n), _identity(m, n)
+    v_t, vinv = _identity(k, n), _identity(k, n)
 
-    def eliminate(side, lines, q):
-        """Line i -= q_i line t, for every i in lines."""
-        dd, x, x_inv = side
-        dd[lines, t:] = (dd[lines, t:] - np.outer(q, dd[t, t:])) % n
-        x[lines] = (x[lines] - np.outer(q, x[t])) % n
-        x_inv[t] = (x_inv[t] + q @ x_inv[lines]) % n
+    # A row step on d updates u the same way and uinv^T by the inverse step;
+    # a column step updates v^T the same way and vinv by the inverse step.  So
+    # every transform only gets row steps.  Lines t.. of d are zero before
+    # position t, so a column step touches rows t.. of d only.
 
-    def clear(side):
+    def pair(x: Rows, i: int, s: int, r: int, b: int, c: int) -> None:
+        """Rows (t, i) of x <- [[s, r], [-b, c]] @ rows (t, i)."""
+        x[t], x[i] = _combine(((s, x[t]), (r, x[i])), n), _combine(((-b, x[t]), (c, x[i])), n)
+
+    def subtract(x: Rows, x_inv: Rows, q: dict[int, int]) -> None:
+        """Row i of x -= q_i row t, for every i in q, and the inverse step on x_inv."""
+        for i, qi in q.items():
+            x[i] = _combine(((1, x[i]), (-qi, x[t])), n)
+        x_inv[t] = _combine([(1, x_inv[t])] + [(qi, x_inv[i]) for i, qi in q.items()], n)
+
+    def combine_rows(i, s, r, b, c):
+        """Rows (t, i) of d <- [[s, r], [-b, c]] @ rows (t, i), determinant 1."""
+        pair(d, i, s, r, b, c)
+        pair(u, i, s, r, b, c)
+        pair(uinv_t, i, c, b, r, s)
+
+    def eliminate_rows(q: dict[int, int]):
+        """Row i of d -= q_i row t, for every i in q."""
+        for i, qi in q.items():
+            d[i] = _combine(((1, d[i]), (-qi, d[t])), n)
+        subtract(u, uinv_t, q)
+
+    def combine_cols(j, s, r, b, c):
+        """Columns (t, j) of d <- columns (t, j) @ [[s, r], [-b, c]]^T."""
+        for row in d[t:]:
+            x, y = row.pop(t, 0), row.pop(j, 0)
+            for col, val in ((t, (s * x + r * y) % n), (j, (c * y - b * x) % n)):
+                if val:
+                    row[col] = val
+        pair(v_t, j, s, r, b, c)
+        pair(vinv, j, c, b, r, s)
+
+    def eliminate_cols(q: dict[int, int]):
+        """Column j of d -= q_j column t, for every j in q."""
+        for row in d[t:]:
+            x = row.get(t)
+            if x:
+                before = {j: row.pop(j, 0) for j in q}
+                row.update(_combine(((1, before), (-x, q)), n))
+        subtract(v_t, vinv, q)
+
+    def clear(line, combine, eliminate) -> int:
         """Zero position t of every later line; returns gcd(d_tt, n)."""
-        line = side[0][:, t]
-        p = int(line[t])
+        later = line()
+        p = d[t].get(t, 0)
         g = gcd(p, n)
-        for i in np.flatnonzero(line[t + 1:] % g) + t + 1 if g > 1 else ():
-            x = int(line[i])
-            if x % g:
-                h, s, r = _bezout(p, x)
-                combine(side, i, s, r, x // h, p // h)
-                p, g = h, gcd(h, n)
-        rest = np.flatnonzero(line[t + 1:]) + t + 1
-        if rest.size:
-            eliminate(side, rest, line[rest] // g * pow(p // g, -1, n // g) % (n // g))
+        if g > 1:
+            for i in sorted(i for i, x in later.items() if x % g):
+                x = later[i]
+                if x % g:
+                    h, s, r = _bezout(p, x)
+                    combine(i, s, r, x // h, p // h)
+                    p, g = h, gcd(h, n)
+            later = line()
+        if later:
+            inv = pow(p // g, -1, n // g)
+            eliminate({i: x // g * inv % (n // g) for i, x in later.items()})
         return g
 
+    def column_t():
+        return {i: row[t] for i, row in enumerate(d[t + 1:], t + 1) if t in row}
+
+    def row_t():
+        return {j: x for j, x in d[t].items() if j > t}
+
     for t in range(min(m, k)):
-        nonzero = np.flatnonzero(d[t:, t:])
-        if not nonzero.size:
+        best = None
+        for i in range(t, m):
+            if d[i]:
+                g, j = min((gcd(x, n), j) for j, x in d[i].items())
+                if best is None or g < best[0]:
+                    best = (g, i, j)
+                    if g == 1:
+                        break
+        if best is None:
             break
-        at = int(nonzero[np.gcd(d[t:, t:].flat[nonzero], n).argmin()])
-        for side, i in zip((rows, cols), divmod(at, k - t)):
-            for x in side:
-                x[[t, t + i]] = x[[t + i, t]]
+        _, i, j = best
+        for x in (d, u, uinv_t):
+            x[t], x[i] = x[i], x[t]
+        for row in d[t:]:
+            x, y = row.pop(t, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[t] = y
+        for x in (v_t, vinv):
+            x[t], x[j] = x[j], x[t]
         while True:
-            clear(rows)
-            g = clear(cols)
-            if d[t + 1:, t].any():
+            clear(column_t, combine_rows, eliminate_rows)
+            g = clear(row_t, combine_cols, eliminate_cols)
+            if column_t():
                 continue
-            offender = np.flatnonzero((d[t + 1:, t + 1:] % g).any(axis=1)) if g > 1 else ()
-            if not len(offender):
+            offender = next((i for i, row in enumerate(d[t + 1:], t + 1)
+                             if any(x % g for x in row.values())), None) if g > 1 else None
+            if offender is None:
                 break
-            combine(rows, offender[0] + t + 1, 1, 1, 0, 1)   # row t += that row
-    form = SmithForm(n, d, u, np.ascontiguousarray(uinv_t.T), np.ascontiguousarray(v_t.T), vinv)
-    if (u @ a % n @ form.v % n != d).any():
+            combine_rows(offender, 1, 1, 0, 1)   # row t += that row
+    form = SmithForm(n, d, u, _transpose(uinv_t, m), _transpose(v_t, k), vinv)
+    if _times(_times(u, a, n), form.v, n) != d:
         raise InvariantError("normal form transform bookkeeping failed")
-    if ((u @ form.uinv % n != np.eye(m)).any()
-            or (form.v @ vinv % n != np.eye(k)).any()):
+    if (_times(u, form.uinv, n) != _identity(m, n)
+            or _times(form.v, vinv, n) != _identity(k, n)):
         raise InvariantError("normal form transforms are not invertible mod n")
     diag = form.diagonal()
     if any(y % x for x, y in zip(diag, diag[1:])):
@@ -208,8 +314,7 @@ class AbelianGroundSpace:
     V^-1 (kernel coordinate i is (V^-1 x)_i / (n/g_i)), the live rows of the
     second form's U, and the lift from labels to representatives,
     V[:, free] . diag(n/g) . U^-1[:, live].  So a label, a representative
-    and every validation is one matmul, whose entries all lie below n, so
-    its int64 sums stay far from wrapping.
+    and every validation is one sparse product over Python integers.
     """
 
     def __init__(self, lat: Lattice, group: FiniteGroup,
@@ -237,7 +342,7 @@ class AbelianGroundSpace:
             if role == "rim":
                 shift_rows.append([n // step[reg] if j == e else 0 for j in range(ne)])
                 shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
-        self._shift = np.array(shift_rows, dtype=np.int64).reshape(len(shift_rows), ne) % n
+        self._shift = _sparse(shift_rows, n)
         self._shift_msgs = shift_msgs
         incidence = [[0] * ne for _ in range(lat.n_vertices)]
         for e, (t, h) in enumerate(lat.edges):
@@ -255,54 +360,64 @@ class AbelianGroundSpace:
                 phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
                 phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
         self._phase_rows = phase_rows
-        self._phase = np.array(phase_rows, dtype=np.int64).reshape(len(phase_rows), ne) % n
+        self._phase = _sparse(phase_rows, n)
         self._phase_msgs = phase_msgs
-        if (self._shift @ self._phase.T % n).any():
+        phase_t = _transpose(self._phase, ne)
+        if any(_times(self._shift, phase_t, n)):
             raise InvariantError("a gauge shift escapes the admissible kernel")
         # kernel of M mod n, parameterized through the first normal form
-        self._form1 = smith_normal_form(self._shift, n)
+        self._form1 = _smith(self._shift, ne, n)
         diag1 = self._form1.diagonal()
         self._g = diag1 + [n] * (ne - len(diag1))
         free = [i for i, g in enumerate(self._g) if g > 1]
-        g_free = np.array([self._g[i] for i in free], dtype=np.int64)
-        self._vinv = self._form1.vinv[free]
-        self._unit = n // g_free
-        # the quotient by the gauge generators, in free kernel coordinates
-        gens = self._coordinates(self._phase).T
-        self._form2 = smith_normal_form(np.hstack([np.diag(g_free), gens]), n)
+        self._vinv = [self._form1.vinv[i] for i in free]
+        self._unit = [n // self._g[i] for i in free]
+        # the quotient by the gauge generators, in free kernel coordinates:
+        # the columns of diag(g_free), then coordinate i of generator r,
+        # (V^-1 P^T)_ir / (n/g_i)
+        width = len(free)
+        quotient = []
+        for i, (f, row) in enumerate(zip(free, _times(self._vinv, phase_t, n))):
+            line = {i: self._g[f]} if self._g[f] < n else {}
+            line.update((width + r, x // self._unit[i])
+                        for r, x in row.items() if x // self._unit[i])
+            quotient.append(line)
+        self._form2 = _smith(quotient, width + len(phase_rows), n)
         s = self._form2.diagonal()
         live = [i for i, si in enumerate(s) if si > 1]
         self.invariant_factors = tuple(s[i] for i in live)
         self.dimension = prod(self.invariant_factors)
-        self._u = self._form2.u[live]
-        self._lift = (self._form1.v[:, free] * self._unit % n
-                      @ self._form2.uinv[:, live] % n)
+        self._u = [self._form2.u[i] for i in live]
+        position = {i: pos for pos, i in enumerate(live)}
+        uinv_live = [{position[j]: x for j, x in row.items() if j in position}
+                     for row in self._form2.uinv]
+        slot = {f: i for i, f in enumerate(free)}
+        self._lift = [_combine(((x * self._unit[slot[j]], uinv_live[slot[j]])
+                                for j, x in row.items() if j in slot), n)
+                      for row in self._form1.v]
 
     # -- admissibility and labels
 
-    def _registers(self, config: Sequence[int]) -> np.ndarray:
+    def _registers(self, config: Sequence[int]) -> list[int]:
         if len(config) != self.lattice.n_edges:
             raise ValueError(f"configuration has {len(config)} registers, "
                              f"expected {self.lattice.n_edges}")
-        return np.array([int(c) % self.n for c in config], dtype=np.int64)
+        return [int(c) % self.n for c in config]
 
-    def _coordinates(self, x: np.ndarray) -> np.ndarray:
-        """Free kernel coordinates of admissible rows x (one row per configuration)."""
-        return x @ self._vinv.T % self.n // self._unit
-
-    def _labels(self, x: np.ndarray) -> np.ndarray:
-        """Sector labels of admissible rows x (one row per configuration)."""
-        return self._coordinates(x) @ self._u.T % np.array(self.invariant_factors,
-                                                          dtype=np.int64)
+    def _coordinates(self, x: Sequence[int]) -> list[int]:
+        """Free kernel coordinates of an admissible configuration x."""
+        return [_dot(row, x) % self.n // unit for row, unit in zip(self._vinv, self._unit)]
 
     def is_admissible(self, config: Sequence[int]) -> bool:
-        return not (self._shift @ self._registers(config) % self.n).any()
+        x = self._registers(config)
+        return not any(_dot(row, x) % self.n for row in self._shift)
 
     def label(self, config: Sequence[int]) -> tuple[int, ...]:
         """Sector label of an admissible configuration."""
         if not self.is_admissible(config):
             raise ValueError("configuration violates a face or rim constraint")
-        return tuple(self._labels(self._registers(config)).tolist())
+        coords = self._coordinates(self._registers(config))
+        return tuple(_dot(row, coords) % s for row, s in zip(self._u, self.invariant_factors))
 
     def labels(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(s) for s in self.invariant_factors)))
@@ -312,7 +427,7 @@ class AbelianGroundSpace:
         if len(label) != len(self.invariant_factors):
             raise ValueError("label length does not match the sector rank")
         lab = tuple(int(l) % s for l, s in zip(label, self.invariant_factors))
-        x = tuple((self._lift @ np.array(lab, dtype=np.int64) % self.n).tolist())
+        x = tuple(_dot(row, lab) % self.n for row in self._lift)
         if self.label(x) != lab:
             raise InvariantError("sector representative does not map back")
         return x
@@ -325,9 +440,9 @@ class AbelianGroundSpace:
     def _string(self, what: str, vec: Sequence[int], shift: bool) -> "StringOperator":
         """The string with vec as its shift (or its phase), once every row holds."""
         rows, msgs = (self._shift, self._shift_msgs) if shift else (self._phase, self._phase_msgs)
-        bad = np.flatnonzero(rows @ np.array(vec, dtype=np.int64) % self.n)
-        if bad.size:
-            raise ValueError(f"{what} {msgs[bad[0]]}")
+        bad = next((i for i, row in enumerate(rows) if _dot(row, vec) % self.n), None)
+        if bad is not None:
+            raise ValueError(f"{what} {msgs[bad]}")
         zero = [0] * len(vec)
         return StringOperator.make(self.n, *((vec, zero) if shift else (zero, vec)))
 
@@ -336,14 +451,23 @@ class AbelianGroundSpace:
 
         Only for lattices small enough to enumerate every configuration.
         """
+        import numpy as np
+
         n, ne = self.n, self.lattice.n_edges
         dim = n ** ne
         if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("lattice too large to materialize orbit states")
+
+        def array(rows: Rows, width: int) -> np.ndarray:
+            return np.array(_dense(rows, width), dtype=np.int64).reshape(len(rows), width)
+
         digits, _ = config_digits(n, ne)
-        ok = np.flatnonzero(~(digits @ self._shift.T % n).any(axis=1))
+        ok = np.flatnonzero(~(digits @ array(self._shift, ne).T % n).any(axis=1))
+        coords = digits[ok] @ array(self._vinv, ne).T % n // np.array(self._unit, dtype=np.int64)
+        found = (coords @ array(self._u, len(self._unit)).T
+                 % np.array(self.invariant_factors, dtype=np.int64))
         idx_by_label: dict[tuple[int, ...], list[int]] = {}
-        for i, lab in zip(ok.tolist(), self._labels(digits[ok]).tolist()):
+        for i, lab in zip(ok.tolist(), found.tolist()):
             idx_by_label.setdefault(tuple(lab), []).append(i)
         labels = self.labels()
         if sorted(idx_by_label) != sorted(labels):
@@ -417,6 +541,8 @@ class StringOperator:
 
     def apply(self, states: np.ndarray) -> np.ndarray:
         """The operator applied to the rows of states (configurations, as in config_digits)."""
+        import numpy as np
+
         n, ne = self.n, len(self.shift)
         dim = n ** ne
         if dim > MATERIALIZE_DIM_BUDGET:
@@ -611,11 +737,16 @@ class LogicalAction:
         return all(p == j for j, p in enumerate(self.perm)) \
             and not any(self.phase_exp)
 
-    def matrix(self) -> np.ndarray:
+    def is_unitary(self) -> bool:
+        """Exact: with root-of-unity entries, unitary means perm is a permutation."""
+        return sorted(self.perm) == list(range(len(self.perm)))
+
+    def matrix(self) -> list[list[complex]]:
+        """Dense rows of Python complex, each phase rendered by `_root_of_unity`."""
         d = len(self.perm)
-        out = np.zeros((d, d), dtype=complex)
+        out = [[0j] * d for _ in range(d)]
         for j in range(d):
-            out[self.perm[j], j] = np.exp(2j * np.pi * self.phase_exp[j] / self.n)
+            out[self.perm[j]][j] = _root_of_unity(self.phase_exp[j], self.n)
         return out
 
 
@@ -628,11 +759,11 @@ def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction
     step = ags.label(op.shift)
     perm = [index[tuple((a + b) % s for a, b, s in zip(lab, step, ags.invariant_factors))]
             for lab in labels]
-    phase = (op.offset + np.array(ags.representatives, dtype=np.int64)
-             @ np.array(op.phase, dtype=np.int64)) % ags.n
+    phase = {e: p for e, p in enumerate(op.phase) if p}
     if sorted(perm) != list(range(len(labels))):
         raise InvariantError("sector action is not a permutation")
-    return LogicalAction(ags.n, tuple(perm), tuple(phase.tolist()))
+    return LogicalAction(ags.n, tuple(perm), tuple((op.offset + _dot(phase, rep)) % ags.n
+                                                   for rep in ags.representatives))
 
 
 # ---------------------------------------------------------------------------
@@ -764,15 +895,30 @@ def logical_algebra(ags: AbelianGroundSpace, tunnel: StringOperator,
 # charge readout
 
 
+@dataclass(frozen=True)
+class FrameProjector:
+    """A projector that is diagonal in the logical frame: diagonal[c] is 0 or 1."""
+    diagonal: tuple[int, ...]
+
+    def trace(self) -> Fraction:
+        return Fraction(sum(self.diagonal))
+
+    def matrix(self) -> list[list[complex]]:
+        """Dense rows of Python complex."""
+        d = len(self.diagonal)
+        return [[complex(x) if a == b else 0j for b in range(d)]
+                for a, x in enumerate(self.diagonal)]
+
+
 @dataclass
 class ChargeProjectors:
     """One projector per bulk anyon, measuring the charge behind a loop."""
     labels: list[tuple[int, int]]          # (flux, irrep) per projector
-    projectors: list[np.ndarray]
+    projectors: list[FrameProjector]
     transport_actions: dict[tuple[int, int], LogicalAction]
     selected: dict[tuple[int, int], int]   # rank-1 labels -> basis state
 
-    def projector(self, label: tuple[int, int]) -> np.ndarray:
+    def projector(self, label: tuple[int, int]) -> FrameProjector:
         return self.projectors[self.labels.index(label)]
 
 
@@ -795,9 +941,14 @@ def charge_projectors(qudit: LogicalQudit,
     """Fourier family of projectors onto the charge behind one hole.
 
     Transports of every bulk anyon around the region combine with weights
-    from the bulk S matrix.  On a charge-condensing hole only the pure
-    charge sectors survive; their projectors are diagonal in the loop
-    eigenbasis and pick out single logical states.
+    from the bulk S matrix: P_j = sum_i conj(S_ij / S_i,vac) T_i / n^2.  For
+    abelian G each weight is a root of unity and each transport is monomial,
+    so n^2 times an entry of P_j is a sum of roots of unity, kept as exponent
+    counts and decided exactly (`_integer_sum`).  Every projector must be
+    diagonal in the frame with entries 0 and 1 and rank at most one, their
+    supports disjoint and together the whole frame.  On a charge-condensing
+    hole only the pure charge sectors survive; their projectors pick out
+    single logical states.
     """
     from qdw.classify import abelian_anyon_data
 
@@ -819,40 +970,43 @@ def charge_projectors(qudit: LogicalQudit,
         op = flux_t.power(flux) @ charge_t.power(q)
         transports[(flux, irrep)] = qudit.frame_action(op)
     ivac = data.charges.index((0, irrep_of[0]))
-    mats = [transports[lab].matrix() for lab in data.charges]
+    # column b of each transport: where it sends frame state b, and its phase
+    columns = [[(transports[lab].perm[b], transports[lab].phase_exp[b])
+                for lab in data.charges] for b in range(n)]
+    s = data.s_phases
+    value: dict[tuple[int, ...], Optional[int]] = {}   # exponent counts -> integer sum
     projectors = []
-    for j in range(len(data.charges)):
-        p = np.zeros((n, n), dtype=complex)
-        for i, mat in enumerate(mats):
-            ratio = data.s_matrix[i, j] / data.s_matrix[i, ivac]
-            p += np.conj(ratio) * mat
-        p /= n * n
-        projectors.append(p)
-    total = sum(projectors)
-    if np.abs(total - np.eye(n)).max() > 1e-12:
-        raise InvariantError("charge projectors do not resolve the identity")
     selected: dict[tuple[int, int], int] = {}
-    seen = set()
-    for lab, p in zip(data.charges, projectors):
-        if np.abs(p @ p - p).max() > 1e-12:
-            raise InvariantError("charge projector is not idempotent")
-        if np.abs(p - np.diag(np.diag(p))).max() > 1e-12:
+    for j, lab in enumerate(data.charges):
+        # conj(S_ij / S_i,vac) = w^(s_ij - s_i,vac)
+        weights = [s_i[j] - s_i[ivac] for s_i in s]
+        diagonal, off_diagonal = [], False
+        for b, column in enumerate(columns):
+            counts = [[0] * n for _ in range(n)]   # counts[a][k]: terms w^k at (a, b)
+            for w, (a, phase) in zip(weights, column):
+                counts[a][(w + phase) % n] += 1
+            for a, row in enumerate(counts):
+                key = tuple(row)
+                if key not in value:
+                    value[key] = _integer_sum({k: c for k, c in enumerate(row) if c}, n)
+                if a == b:
+                    diagonal.append(value[key])
+                elif value[key] != 0:
+                    off_diagonal = True
+        if off_diagonal:
             raise InvariantError("charge projector is not diagonal in the frame")
-        tr = np.trace(p).real
-        if abs(tr) < 1e-12:
-            continue
-        if abs(tr - 1) > 1e-12:
+        if any(x not in (0, n * n) for x in diagonal):
+            raise InvariantError("charge projector is not idempotent")
+        diagonal = [x // (n * n) for x in diagonal]
+        if sum(diagonal) > 1:
             raise InvariantError("charge projector is not rank zero or one")
-        state = int(np.argmax(np.diag(p).real))
-        if state in seen:
-            raise InvariantError("two charge projectors select one state")
-        seen.add(state)
-        selected[lab] = state
-    if len(selected) != n:
-        raise InvariantError("charge projectors do not resolve every sector")
-    stack = np.array(projectors)
-    for i in range(len(stack) - 1):
-        if np.abs(stack[i] @ stack[i + 1:]).max() > 1e-12:
-            raise InvariantError("charge projectors are not orthogonal")
+        if 1 in diagonal:
+            if diagonal.index(1) in selected.values():
+                raise InvariantError("charge projectors are not orthogonal")
+            selected[lab] = diagonal.index(1)
+        projectors.append(FrameProjector(tuple(diagonal)))
+    # disjoint 0/1 diagonals sum to the identity exactly when every state is selected
+    if sorted(selected.values()) != list(range(n)):
+        raise InvariantError("charge projectors do not resolve the identity")
     return ChargeProjectors(labels=list(data.charges), projectors=projectors,
                             transport_actions=transports, selected=selected)

@@ -279,6 +279,18 @@ def test_abelian_data_matches_the_closed_form_loop(spec):
     assert np.array_equal(ab.fusion, fusion)
 
 
+@pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(1, 13)]
+                         + ["product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4"])
+def test_exact_s_phases_match_the_s_matrix(spec):
+    g = build_group(spec)
+    ab = abelian_anyon_data(g)
+    k = np.array(ab.s_phases)
+    assert "s_matrix" not in g._cache
+    n = g.order
+    assert ((0 <= k) & (k < n)).all()
+    assert np.abs(ab.s_matrix - np.exp(-2j * np.pi * k / n) / n).max() < 1e-12
+
+
 def relabelled(spec, seed):
     """The preset's table with its elements renamed by a seeded permutation."""
     g = build_group(spec)

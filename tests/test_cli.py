@@ -483,7 +483,30 @@ def test_cli_import_loads_no_scipy():
 
 
 CENSUS = {"qdw.classify"}
+TWO_HOLE_PATCH = ('{"kind":"patch","rows":4,"cols":6,"holes":['
+                  '{"name":"hole0","faces":["p(1,2)"]},{"name":"hole1","faces":["p(1,4)"]}],'
+                  '"subgroups":{"outer":"full"}}')
 S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "full"]
+
+
+def test_roots_of_unity_render_correctly_rounded():
+    """Every zeta_n^k with n <= 48 prints as its 50-digit value rounded to 12 places."""
+    mpmath = pytest.importorskip("mpmath")
+    from decimal import ROUND_HALF_EVEN, Decimal
+
+    from qdw.cli import _complex_pair
+    from qdw.groups import _root_of_unity
+
+    def rounded(x):
+        text = mpmath.nstr(x, 50, strip_zeros=False, min_fixed=-100, max_fixed=100)
+        return float(Decimal(text).quantize(Decimal("1e-12"), rounding=ROUND_HALF_EVEN)) + 0.0
+
+    with mpmath.workdps(50):
+        for n in range(1, 49):
+            for k in range(n):
+                angle = 2 * mpmath.pi * k / n
+                want = [rounded(mpmath.cos(angle)), rounded(mpmath.sin(angle))]
+                assert _complex_pair(_root_of_unity(k, n)) == want, (k, n)
 
 
 @pytest.mark.parametrize("argv,loads,numpy", [
@@ -504,18 +527,22 @@ S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "ful
     (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
      {"qdw.geometry", "qdw.lattice", "qdw.classify"}, False),
     (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.logical"}, True),
+     {"qdw.geometry", "qdw.logical"}, False),
     (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.classify", "qdw.logical"}, True),
+     {"qdw.geometry", "qdw.classify", "qdw.logical"}, False),
+    (["charge-project", "--group", "cyclic:5", "--lattice", TWO_HOLE_PATCH],
+     {"qdw.geometry", "qdw.classify", "qdw.logical"}, False),
     (["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3", "--subgroup", "full",
       "--subgroup2", "trivial", "--inject-literal-edge", "in0"],
      {"qdw.geometry", "qdw.lattice"}, False),
 ], ids=["import", "group-info", "anyons", "subgroups", "lagrangian", "excitations",
         "defects", "qudit-dim", "verify-all", "verify-all-cyclic9", "lattice-audit",
-        "gsd", "gsd-no-dense", "logical", "charge-project", "lattice-audit-sabotaged"])
+        "gsd", "gsd-no-dense", "logical", "charge-project", "charge-project-patch",
+        "lattice-audit-sabotaged"])
 def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
-    """The census, the audit and the counting and modular ground-state routes
-    run on Python integers; numpy loads only where matrices are."""
+    """The census, the audit, the counting and modular ground-state routes
+    and the logical layer run on Python integers; numpy loads only where
+    matrices are."""
     statement = "import qdw.cli"
     if argv is not None:
         rc = 1 if "--inject-literal-edge" in argv else 0

@@ -21,7 +21,6 @@ from qdw.groups import (
     enumerate_subgroups,
     inner_automorphism,
     is_automorphism,
-    permutation_character,
     subgroup_conjugacy_classes,
 )
 
@@ -394,15 +393,6 @@ def test_inner_automorphisms_are_automorphisms():
 def test_automorphism_rejects_non_hom():
     g = build_group("cyclic:4")
     assert not is_automorphism(g, (0, 2, 1, 3))
-
-
-def test_permutation_character_left_translation():
-    """Left translation on cosets of the trivial subgroup is the regular character."""
-    g = build_group("symmetric:3")
-    action = [[g.mul(x, y) for y in range(g.order)] for x in range(g.order)]
-    # left translation permutes columns: point y goes to x*y
-    chi = permutation_character(g, action)
-    assert chi == [g.order, 0, 0]
 
 
 def test_subgroup_as_group_roundtrip():

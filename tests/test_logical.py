@@ -94,10 +94,21 @@ class TestSmithNormalForm:
     def test_modulus_is_checked(self):
         with pytest.raises(ValueError, match="must be positive"):
             smith_normal_form([[1]], 0)
-        # int64 products of width 2 need 2 n^2 < 2^63
+        # Z_1 is the zero ring: every matrix is zero and every gcd reads 1
+        form = smith_normal_form([[1, 2], [3, 4]], 1)
+        assert form.diagonal() == [1, 1]
+        assert form.u == form.v == [{}, {}]
+        # Python ints cannot wrap: products of entries near n pass 2^63
         assert smith_normal_form([[3]], 2 ** 31 - 1).diagonal() == [1]
-        with pytest.raises(ValueError, match="too large for int64"):
-            smith_normal_form([[3]], 2 ** 31)
+        n = 2 ** 31
+        assert smith_normal_form([[3]], n).diagonal() == [1]
+        assert smith_normal_form([[2 ** 20, 6], [0, n - 4]], n).diagonal() == [2, 2 ** 21]
+        p = 2 ** 61 - 1
+        assert smith_normal_form([[p - 1, p - 2], [p - 3, p - 5]], p).diagonal() == [1, 1]
+        assert smith_normal_form([[p - 1, p - 2], [p - 2, p - 4]], p).diagonal() == [1, p]
+        form = smith_normal_form([[p - 1, 7, p - 12], [5, p - 3, 2]], p)
+        assert form.diagonal() == [1, 1]
+        assert max(x for row in form.v for x in row.values()) > 2 ** 32
 
     def test_transforms_on_random_matrices(self):
         rng = random.Random(5)
@@ -110,7 +121,7 @@ class TestSmithNormalForm:
             d = form.diagonal()
             for i in range(len(d) - 1):
                 assert d[i + 1] % d[i] == 0
-            for i, row in enumerate(form.d.tolist()):
+            for i, row in enumerate(form.dense("d")):
                 for j, val in enumerate(row):
                     if i != j:
                         assert val == 0
@@ -200,14 +211,14 @@ class TestSmithOracle:
     def check(self, a, n):
         m, k = len(a), len(a[0])
         form = smith_normal_form(a, n)
-        for mat in (form.d, form.u, form.uinv, form.v, form.vinv):
-            assert mat.dtype == np.int64
-            assert ((0 <= mat) & (mat < n)).all()
+        for rows in (form.d, form.u, form.uinv, form.v, form.vinv):
+            # sparse rows of Python ints, the zero entries left out
+            assert all(type(x) is int and 0 < x < n for row in rows for x in row.values())
         e = form.diagonal()
-        d = form.d.tolist()
+        d = form.dense("d")
         assert d == [[d[i][i] if i == j else 0 for j in range(k)] for i in range(m)]
         assert all(gcd(d[i][i], n) == e[i] for i in range(len(e)))
-        u, uinv, v, vinv = (x.tolist() for x in (form.u, form.uinv, form.v, form.vinv))
+        u, uinv, v, vinv = (form.dense(x) for x in ("u", "uinv", "v", "vinv"))
 
         def mod(x):
             return [[y % n for y in row] for row in x]
@@ -549,8 +560,8 @@ class TestWeylPair:
         # XZ = -ZX for a qubit
         assert qud.x_op.commutation_exponent(qud.z_op) == 1
         assert qud.z_action.phase_exp == (0, 1)
-        mx = qud.x_action.matrix()
-        mz = qud.z_action.matrix()
+        mx = np.array(qud.x_action.matrix())
+        mz = np.array(qud.z_action.matrix())
         assert np.abs(mx @ mz + mz @ mx).max() < 1e-15
 
     def test_winding_is_normalized(self):
@@ -906,6 +917,23 @@ def projector_case(make):
     return g, qud, "inner"
 
 
+def bench_qudit(g, lattice):
+    """The hole qudit of `charge-project` on ring:3, or on the 4x6 patch of the
+    benchmark with holes at p(1,2) and p(1,4)."""
+    if lattice == "ring:3":
+        lat, subs = rough_ring(g)
+        holes = ("inner", "outer")
+    else:
+        lat = carve_hole(patch(4, 6), ["p(1,2)"], "hole0")
+        lat = carve_hole(lat, ["p(1,4)"], "hole1")
+        subs = {"outer": g.full_subgroup(), "hole0": g.trivial_subgroup(),
+                "hole1": g.trivial_subgroup()}
+        holes = ("hole0", "hole1")
+    ags = AbelianGroundSpace(lat, g, subs)
+    qud = logical_algebra(ags, tunnel_operator(ags, *holes), loop_operator(ags, holes[0]))
+    return qud, holes[0]
+
+
 def additive_exponent(group, irrep):
     """The a with character(irrep, x) = w^(a x), read off at x = 1."""
     from qdw.groups import character_table
@@ -925,13 +953,14 @@ class TestChargeProjectors:
         assert len(fam.projectors) == n * n
         assert sorted(fam.labels) == sorted(
             (f, q) for f in range(n) for q in range(n))
-        total = sum(fam.projectors)
+        mats = [np.array(p.matrix()) for p in fam.projectors]
+        total = sum(mats)
         assert np.abs(total - np.eye(n)).max() < 1e-12
-        for i, p in enumerate(fam.projectors):
+        for i, p in enumerate(mats):
             assert np.abs(p @ p - p).max() < 1e-12
             assert np.abs(p - np.diag(np.diag(p))).max() < 1e-12
             for j in range(i + 1, n * n):
-                assert np.abs(p @ fam.projectors[j]).max() < 1e-12
+                assert np.abs(p @ mats[j]).max() < 1e-12
 
     @pytest.mark.parametrize("make", ["two_hole_z3", "ring_z2", "ring_z4"])
     def test_pure_charges_select_the_frame_states(self, make):
@@ -944,11 +973,11 @@ class TestChargeProjectors:
             assert state == additive_exponent(g, irrep)
             want = np.zeros((n, n))
             want[state, state] = 1.0
-            assert np.abs(fam.projector((flux, irrep)) - want).max() < 1e-12
+            assert np.abs(np.array(fam.projector((flux, irrep)).matrix()) - want).max() < 1e-12
         # members carrying flux see none of the ground space
         for lab in fam.labels:
             if lab not in fam.selected:
-                assert np.abs(fam.projector(lab)).max() < 1e-12
+                assert np.abs(np.array(fam.projector(lab).matrix())).max() < 1e-12
 
     def test_transports_follow_the_pairing(self):
         g, qud, region = projector_case("two_hole_z3")
@@ -957,6 +986,49 @@ class TestChargeProjectors:
         for (flux, irrep), act in fam.transport_actions.items():
             assert act.perm == (0, 1, 2)
             assert act.phase_exp == tuple((-flux * c) % 3 for c in range(3))
+
+    @pytest.mark.parametrize("lattice", ["ring:3", "bench-patch-4x6"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_float_family(self, n, lattice):
+        """Each exact projector equals sum_i conj(S_ij / S_i,vac) T_i / n^2,
+        rebuilt in floats from the transports and the S matrix."""
+        from qdw.classify import abelian_anyon_data
+
+        g = build_group(f"cyclic:{n}")
+        qud, region = bench_qudit(g, lattice)
+        fam = charge_projectors(qud, region)
+        s = abelian_anyon_data(g).s_matrix
+        mats = [np.array(fam.transport_actions[lab].matrix()) for lab in fam.labels]
+        assert len(fam.selected) == n
+        for j, p in enumerate(fam.projectors):
+            # sector 0 is the vacuum
+            want = sum(np.conj(s[i, j] / s[i, 0]) * m for i, m in enumerate(mats)) / n ** 2
+            assert np.abs(np.array(p.matrix()) - want).max() < 1e-12
+            assert p.trace() == round(np.trace(want).real)
+
+    def test_never_builds_the_s_matrix(self):
+        g = build_group("cyclic:5")
+        qud, region = bench_qudit(g, "ring:3")
+        charge_projectors(qud, region)
+        assert "s_matrix" not in g._cache
+
+    @pytest.mark.parametrize("which", [0, 1, 4, 8])
+    def test_sabotaged_transport_phase_is_caught(self, monkeypatch, which):
+        g = build_group("cyclic:3")
+        qud, region = bench_qudit(g, "bench-patch-4x6")
+        real = type(qud).frame_action
+        calls = []
+
+        def frame_action(self, op):
+            act = real(self, op)
+            calls.append(op)
+            if len(calls) - 1 != which:
+                return act
+            return LogicalAction(act.n, act.perm, (act.phase_exp[0] + 1,) + act.phase_exp[1:])
+
+        monkeypatch.setattr(type(qud), "frame_action", frame_action)
+        with pytest.raises(InvariantError, match="charge projector"):
+            charge_projectors(qud, region)
 
     def test_dual_encoding_refused(self):
         g = build_group("cyclic:3")
@@ -1034,7 +1106,7 @@ def full_width_labels(ags):
     coordinates, the pinned (g_i = 1) ones included."""
     n, g = ags.n, ags._g
     ne = len(g)
-    vinv, v = ags._form1.vinv.tolist(), ags._form1.v.tolist()
+    vinv, v = ags._form1.dense("vinv"), ags._form1.dense("v")
 
     def coords(x):
         y = [yi % n for yi in _matvec(vinv, [c % n for c in x])]
@@ -1046,7 +1118,7 @@ def full_width_labels(ags):
                               [t[i] for t in gens] for i in range(ne)], n)
     s = form.diagonal()
     live = [i for i, si in enumerate(s) if si > 1]
-    u, uinv = form.u.tolist(), form.uinv.tolist()
+    u, uinv = form.dense("u"), form.dense("uinv")
 
     def label(x):
         z = _matvec(u, coords(x))
@@ -1119,7 +1191,8 @@ class TestNarrowQuotient:
         pinned = [i for i in range(lat.n_edges) if i not in free]
         assert pinned == list(range(len(pinned)))
         assert ref.form.diagonal() == [1] * len(pinned) + ags._form2.diagonal()
-        assert ref.form.u[np.ix_(free, free)].tolist() == ags._form2.u.tolist()
+        ref_u = ref.form.dense("u")
+        assert [[ref_u[i][j] for j in free] for i in free] == ags._form2.dense("u")
         assert ags.invariant_factors == ref.invariant_factors
         assert ags.labels() == ref.labels
         assert ags.representatives == ref.representatives

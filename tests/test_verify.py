@@ -66,16 +66,83 @@ class TestGates:
         assert "9" in res.detail
 
 
-class TestToleranceThreading:
-    def test_impossible_tolerance_trips_the_float_checks(self):
-        g = build_group("cyclic:3")
-        assert run_check("hole-qudit", g, DEFAULT_TOLERANCE).status == "pass"
-        with pytest.raises(InvariantError):
-            run_check("hole-qudit", g, 1e-30)
+def _noisy_apply(monkeypatch):
+    """Each materialized string image comes out 1e-20 further off than the last."""
+    from qdw.logical import StringOperator
 
-    def test_verify_group_collects_instead_of_raising(self):
+    real = StringOperator.apply
+    calls = []
+
+    def apply(self, states):
+        calls.append(self)
+        return real(self, states) + 1e-20 * len(calls)
+
+    monkeypatch.setattr(StringOperator, "apply", apply)
+
+
+class TestToleranceThreading:
+    """hole-qudit and charge-readout are exact; the tolerance reaches the float
+    comparison of path-deformation's materialized oracle."""
+
+    def test_impossible_tolerance_trips_the_float_checks(self, monkeypatch):
+        g = build_group("cyclic:3")
+        for name in ("hole-qudit", "charge-readout", "path-deformation"):
+            assert run_check(name, g, 1e-30).status == "pass"
+        _noisy_apply(monkeypatch)
+        assert run_check("path-deformation", g, DEFAULT_TOLERANCE).status == "pass"
+        with pytest.raises(InvariantError, match="moved a ground state"):
+            run_check("path-deformation", g, 1e-30)
+
+    def test_verify_group_collects_instead_of_raising(self, monkeypatch):
+        _noisy_apply(monkeypatch)
         results = verify_group(build_group("cyclic:3"), 1e-30)
         failed = [r.name for r in results if r.status == "fail"]
-        assert "hole-qudit" in failed
+        assert failed == ["path-deformation"]
         passed = [r.name for r in results if r.status == "pass"]
         assert "sector-census" in passed
+        assert "hole-qudit" in passed
+
+
+class TestExactLogicalChecks:
+    """hole-qudit and charge-readout decide their facts in integers."""
+
+    def test_a_broken_weyl_phase_fails_hole_qudit(self, monkeypatch):
+        import qdw.logical as logical
+
+        real = logical.logical_algebra
+
+        def squared_z(ags, tunnel, loop):
+            # Z |c> = w^(2c) |c>, so XZ = w^2 ZX
+            qud = real(ags, tunnel, loop)
+            z = qud.z_action
+            qud.z_action = logical.LogicalAction(z.n, z.perm,
+                                                 tuple(2 * p % z.n for p in z.phase_exp))
+            return qud
+
+        monkeypatch.setattr(logical, "logical_algebra", squared_z)
+        with pytest.raises(InvariantError, match="Weyl commutation phase is off"):
+            run_check("hole-qudit", build_group("cyclic:3"))
+
+    def test_a_lost_projector_fails_charge_readout(self, monkeypatch):
+        import qdw.logical as logical
+
+        real = logical.charge_projectors
+
+        def drop_one(qudit, region):
+            fam = real(qudit, region)
+            k = fam.labels.index(next(iter(fam.selected)))
+            fam.projectors[k] = logical.FrameProjector((0,) * qudit.d)
+            return fam
+
+        monkeypatch.setattr(logical, "charge_projectors", drop_one)
+        with pytest.raises(InvariantError, match="does not resolve the identity"):
+            run_check("charge-readout", build_group("cyclic:3"))
+
+    @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:5"])
+    def test_details_are_unchanged(self, spec):
+        n = int(spec.split(":")[1])
+        g = build_group(spec)
+        assert run_check("hole-qudit", g).detail == \
+            f"rough-rim ring carries one exact {n}-state Weyl pair"
+        assert run_check("charge-readout", g).detail == \
+            f"{n * n} projectors resolve the identity; {n} select single frame states"
