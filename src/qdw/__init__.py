@@ -23,7 +23,8 @@ _EXPORTS = {
     "qdw.verify": ("check_names", "run_check", "verify_group"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("classify", "cli", "geometry", "groups", "lattice", "logical", "verify")
+_SUBMODULES = ("classify", "cli", "geometry", "groups", "lattice", "logical", "records",
+               "verify")
 
 __all__ = sorted(_SOURCE) + ["__version__"]
 

@@ -15,12 +15,11 @@ whose exact S phases need no matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from qdw.groups import (
     FiniteGroup,
@@ -31,6 +30,7 @@ from qdw.groups import (
     is_automorphism,
     subgroup_conjugacy_classes,
 )
+from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,14 +59,13 @@ __all__ = [
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AnyonLabel:
+class AnyonLabel(FrozenRecord):
     """One bulk sector: flux class index plus centralizer irrep index."""
-    class_index: int
-    irrep_index: int
-    name: str
-    dim: int
-    twist: complex
+    _fields = __slots__ = ("class_index", "irrep_index", "name", "dim", "twist")
+
+    def __init__(self, class_index: int, irrep_index: int, name: str, dim: int,
+                 twist: complex):
+        super().__init__(class_index, irrep_index, name, dim, twist)
 
     def key(self) -> tuple[int, int]:
         return (self.class_index, self.irrep_index)
@@ -209,11 +208,12 @@ def _build_s_matrix(table: AnyonTable) -> np.ndarray:
 # boundaries
 
 
-@dataclass(frozen=True)
-class BoundaryType:
+class BoundaryType(FrozenRecord):
     """A conjugacy class of subgroups; `rep` is the canonical representative."""
-    rep: Subgroup
-    members: tuple[Subgroup, ...]
+    _fields = __slots__ = ("rep", "members")
+
+    def __init__(self, rep: Subgroup, members: tuple[Subgroup, ...]):
+        super().__init__(rep, members)
 
     @property
     def order(self) -> int:
@@ -314,13 +314,12 @@ def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlge
 # boundary excitations and defects
 
 
-@dataclass(frozen=True)
-class BoundaryExcitation:
+class BoundaryExcitation(FrozenRecord):
     """Point excitation on a K boundary: double coset plus stabilizer irrep."""
-    coset_index: int
-    irrep_index: int
-    name: str
-    dim: int
+    _fields = __slots__ = ("coset_index", "irrep_index", "name", "dim")
+
+    def __init__(self, coset_index: int, irrep_index: int, name: str, dim: int):
+        super().__init__(coset_index, irrep_index, name, dim)
 
 
 def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
@@ -335,14 +334,13 @@ def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
     return out
 
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(FrozenRecord):
     """Domain-wall point defect between two boundary conditions."""
-    coset_index: int
-    irrep_index: int
-    name: str
-    dim_squared: Fraction
-    dim: float
+    _fields = __slots__ = ("coset_index", "irrep_index", "name", "dim_squared", "dim")
+
+    def __init__(self, coset_index: int, irrep_index: int, name: str,
+                 dim_squared: Fraction, dim: float):
+        super().__init__(coset_index, irrep_index, name, dim_squared, dim)
 
 
 def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:
@@ -403,17 +401,19 @@ def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
 # abelian shortcut data
 
 
-@dataclass
-class AbelianAnyonData:
+class AbelianAnyonData(Record):
     """Closed-form sector data for an abelian group.
 
     `s_phases` is exact.  The float `s_matrix` and the `fusion` table are
     built on first access, so a caller that reads only the phases never
-    imports numpy.
+    imports numpy.  `charges` lists (flux, irrep) per sector.  There are no
+    `__slots__`, because the cached properties live in the instance dict.
     """
-    group: FiniteGroup
-    table: AnyonTable
-    charges: list[tuple[int, int]] = field(default_factory=list)  # (flux, irrep)
+    _fields = ("group", "table", "charges")
+
+    def __init__(self, group: FiniteGroup, table: AnyonTable,
+                 charges: Optional[list[tuple[int, int]]] = None):
+        super().__init__(group, table, [] if charges is None else charges)
 
     @cached_property
     def s_phases(self) -> list[list[int]]:

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from qdw.groups import (
@@ -34,6 +33,7 @@ from qdw.groups import (
     character_table,
     enumerate_subgroups,
 )
+from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     from qdw.geometry import Lattice
@@ -93,25 +93,24 @@ class UsageError(ValueError):
 # run configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    group: Optional[str] = None
-    subgroup: Optional[str] = None
-    subgroup2: Optional[str] = None
-    lattice: Optional[str] = None
-    format: str = "json"
-    tolerance: float = DEFAULT_TOLERANCE
-    out: Optional[str] = None
-    inject_literal_edge: Optional[str] = None
+class RunConfig(FrozenRecord):
+    _fields = __slots__ = ("command", "group", "subgroup", "subgroup2", "lattice", "format",
+                           "tolerance", "out", "inject_literal_edge")
+
+    def __init__(self, command: str, group: Optional[str] = None,
+                 subgroup: Optional[str] = None, subgroup2: Optional[str] = None,
+                 lattice: Optional[str] = None, format: str = "json",
+                 tolerance: float = DEFAULT_TOLERANCE, out: Optional[str] = None,
+                 inject_literal_edge: Optional[str] = None):
+        super().__init__(command, group, subgroup, subgroup2, lattice, format, tolerance,
+                         out, inject_literal_edge)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._values()))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise UsageError(f"unknown config fields: {', '.join(unknown)}")
         cfg = cls(**data)
@@ -127,12 +126,13 @@ class RunConfig:
             raise UsageError("--tolerance must be positive")
 
 
-@dataclass
-class Report:
-    config: RunConfig
-    results: dict
-    checks: list[dict]       # [{"name": ..., "status": "pass"|"skip"|"fail"}]
-    elapsed_ms: float = 0.0
+class Report(Record):
+    """`checks` holds {"name": ..., "status": "pass" | "skip" | "fail"} per check."""
+    _fields = __slots__ = ("config", "results", "checks", "elapsed_ms")
+
+    def __init__(self, config: RunConfig, results: dict, checks: list[dict],
+                 elapsed_ms: float = 0.0):
+        super().__init__(config, results, checks, elapsed_ms)
 
     @property
     def ok(self) -> bool:

@@ -18,8 +18,9 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+
+from qdw.records import FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,13 +56,13 @@ def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return digits, weights
 
 
-@dataclass(frozen=True)
-class BoundaryRegion:
+class BoundaryRegion(FrozenRecord):
     """One boundary component: the retained cells that border removed faces."""
-    name: str
-    rim_vertices: tuple[int, ...]
-    rim_edges: tuple[int, ...]
-    dangling_edges: tuple[int, ...] = ()
+    _fields = __slots__ = ("name", "rim_vertices", "rim_edges", "dangling_edges")
+
+    def __init__(self, name: str, rim_vertices: tuple[int, ...], rim_edges: tuple[int, ...],
+                 dangling_edges: tuple[int, ...] = ()):
+        super().__init__(name, rim_vertices, rim_edges, dangling_edges)
 
 
 class Lattice:

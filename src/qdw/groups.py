@@ -22,12 +22,13 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import cos, gcd, isqrt, pi, sin, sqrt
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
+
+from qdw.records import FrozenRecord
 
 MAX_TABLE_ORDER = 48
 MAX_SUBGROUP_ENUM_ORDER = 24
@@ -247,11 +248,11 @@ class FiniteGroup:
         return self.subgroup(range(self.order))
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
-    rep: int
-    members: tuple[int, ...]
-    centralizer: "Subgroup"
+class ConjugacyClass(FrozenRecord):
+    _fields = __slots__ = ("rep", "members", "centralizer")
+
+    def __init__(self, rep: int, members: tuple[int, ...], centralizer: "Subgroup"):
+        super().__init__(rep, members, centralizer)
 
     @property
     def size(self) -> int:
@@ -1008,12 +1009,15 @@ def _primitive_root_of_unity(e: int, p: int) -> int:
 # double cosets
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
-    """One K1\\G/K2 double coset with its canonical representative."""
-    rep: int
-    members: tuple[int, ...]
-    stabilizer: Subgroup  # K1 intersect rep*K2*rep^-1
+class DoubleCoset(FrozenRecord):
+    """One K1\\G/K2 double coset with its canonical representative.
+
+    `stabilizer` is K1 intersect rep*K2*rep^-1.
+    """
+    _fields = __slots__ = ("rep", "members", "stabilizer")
+
+    def __init__(self, rep: int, members: tuple[int, ...], stabilizer: Subgroup):
+        super().__init__(rep, members, stabilizer)
 
     @property
     def size(self) -> int:

@@ -41,7 +41,6 @@ loads it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod, sqrt
@@ -60,6 +59,7 @@ from qdw.geometry import (
     torus,
 )
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
+from qdw.records import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -372,14 +372,13 @@ class Operator:
 # Hamiltonian terms
 
 
-@dataclass
-class HamiltonianTerm:
-    name: str
-    kind: str                 # gauge | flux | edge-pin | half-shift | literal
-    op: Operator
-    edges: tuple[int, ...]
-    diagonal: bool
-    region: Optional[str] = None
+class HamiltonianTerm(Record):
+    """`kind` is gauge, flux, edge-pin, half-shift or literal."""
+    _fields = __slots__ = ("name", "kind", "op", "edges", "diagonal", "region")
+
+    def __init__(self, name: str, kind: str, op: Operator, edges: tuple[int, ...],
+                 diagonal: bool, region: Optional[str] = None):
+        super().__init__(name, kind, op, edges, diagonal, region)
 
 
 def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
@@ -512,32 +511,34 @@ def build_terms(lat: Lattice, group: FiniteGroup,
 # exact commutation audit
 
 
-@dataclass
-class TermCheck:
-    name: str
-    is_projector: bool
-    is_hermitian: bool
+class TermCheck(Record):
+    _fields = __slots__ = ("name", "is_projector", "is_hermitian")
+
+    def __init__(self, name: str, is_projector: bool, is_hermitian: bool):
+        super().__init__(name, is_projector, is_hermitian)
 
 
-@dataclass
-class PairCheck:
-    left: str
-    right: str
-    commutes: bool
-    residual_norm: Optional[float] = None  # only materialized on failure
+class PairCheck(Record):
+    """`residual_norm` is only materialized on failure."""
+    _fields = __slots__ = ("left", "right", "commutes", "residual_norm")
+
+    def __init__(self, left: str, right: str, commutes: bool,
+                 residual_norm: Optional[float] = None):
+        super().__init__(left, right, commutes, residual_norm)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(Record):
     """Per-term and per-pair audit results.
 
     `skipped_pairs` (reported as `pairs_skipped_disjoint`) counts the pairs
     that commute without a check: disjoint pairs and overlapping pairs of
     two diagonal terms.
     """
-    term_checks: list[TermCheck]
-    pair_checks: list[PairCheck]
-    skipped_pairs: int
+    _fields = __slots__ = ("term_checks", "pair_checks", "skipped_pairs")
+
+    def __init__(self, term_checks: list[TermCheck], pair_checks: list[PairCheck],
+                 skipped_pairs: int):
+        super().__init__(term_checks, pair_checks, skipped_pairs)
 
     @property
     def ok(self) -> bool:
@@ -652,12 +653,14 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
 # elimination order shared by the counting and trace routes
 
 
-@dataclass
-class EliminationStep:
-    action: str                      # "branch" or "solve"
-    edge: int
-    plaquette: Optional[int] = None  # solver face for "solve"
-    checkers: tuple[int, ...] = ()   # faces fully assigned after this step
+class EliminationStep(Record):
+    """`action` is "branch" or "solve"; `plaquette` is the solver face of a
+    "solve"; `checkers` are the faces fully assigned after this step."""
+    _fields = __slots__ = ("action", "edge", "plaquette", "checkers")
+
+    def __init__(self, action: str, edge: int, plaquette: Optional[int] = None,
+                 checkers: tuple[int, ...] = ()):
+        super().__init__(action, edge, plaquette, checkers)
 
 
 def elimination_order(lat: Lattice, first: Sequence[int] = ()) -> list[EliminationStep]:
@@ -1113,11 +1116,11 @@ def _gsd_dense(lat: Lattice, group: FiniteGroup,
 # combined entry point
 
 
-@dataclass
-class GsdReport:
-    value: int
-    by_method: dict[str, int]
-    skipped: tuple[str, ...]
+class GsdReport(Record):
+    _fields = __slots__ = ("value", "by_method", "skipped")
+
+    def __init__(self, value: int, by_method: dict[str, int], skipped: tuple[str, ...]):
+        super().__init__(value, by_method, skipped)
 
 
 _METHODS = {

@@ -30,7 +30,6 @@ oracles `orbit_state_matrix` and `StringOperator.apply`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
@@ -42,6 +41,7 @@ from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
                         is_cyclic_presentation)
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
                           config_digits)
+from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,19 +123,16 @@ def _bezout(p: int, x: int) -> tuple[int, int, int]:
     return p, s0, r0
 
 
-@dataclass
-class SmithForm:
+class SmithForm(Record):
     """u @ a @ v == d (mod n) with d diagonal and u, v invertible mod n.
 
     Every matrix is a list of sparse rows of Python ints in [1, n), zero
     entries left out: d is m x k, u and uinv are m x m, v and vinv k x k.
     """
-    n: int
-    d: Rows
-    u: Rows
-    uinv: Rows
-    v: Rows
-    vinv: Rows
+    _fields = __slots__ = ("n", "d", "u", "uinv", "v", "vinv")
+
+    def __init__(self, n: int, d: Rows, u: Rows, uinv: Rows, v: Rows, vinv: Rows):
+        super().__init__(n, d, u, uinv, v, vinv)
 
     def diagonal(self) -> list[int]:
         """gcd(d_ii, n) for each i, so a zero pivot reads n."""
@@ -483,18 +480,16 @@ class AbelianGroundSpace:
 # string operators: a shift and a phase vector with a global phase
 
 
-@dataclass(frozen=True)
-class StringOperator:
+class StringOperator(FrozenRecord):
     """Acts as |x> -> w^(offset + phase.x) |x + shift>, w = exp(2 pi i / n)."""
-    n: int
-    shift: tuple[int, ...]
-    phase: tuple[int, ...]
-    offset: int = 0
+    _fields = __slots__ = ("n", "shift", "phase", "offset")
 
-    def __post_init__(self):
-        if len(self.phase) != len(self.shift):
-            raise ValueError(f"phase has {len(self.phase)} registers, "
-                             f"shift has {len(self.shift)}")
+    def __init__(self, n: int, shift: tuple[int, ...], phase: tuple[int, ...],
+                 offset: int = 0):
+        if len(phase) != len(shift):
+            raise ValueError(f"phase has {len(phase)} registers, "
+                             f"shift has {len(shift)}")
+        super().__init__(n, shift, phase, offset)
 
     @staticmethod
     def make(n: int, shift: Sequence[int], phase: Sequence[int],
@@ -720,12 +715,12 @@ def rim_loop(ags: AbelianGroundSpace, region_name: str,
 # action on the sector basis
 
 
-@dataclass(frozen=True)
-class LogicalAction:
+class LogicalAction(FrozenRecord):
     """Monomial action on sector states: |j> -> w^(phase[j]) |perm[j]>."""
-    n: int
-    perm: tuple[int, ...]
-    phase_exp: tuple[int, ...]
+    _fields = __slots__ = ("n", "perm", "phase_exp")
+
+    def __init__(self, n: int, perm: tuple[int, ...], phase_exp: tuple[int, ...]):
+        super().__init__(n, perm, phase_exp)
 
     def compose(self, other: "LogicalAction") -> "LogicalAction":
         perm = tuple(self.perm[other.perm[j]] for j in range(len(self.perm)))
@@ -776,16 +771,20 @@ def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction
 # orbits themselves are the eigenbasis, sorted by eigenvalue.
 
 
-@dataclass
-class LogicalQudit:
-    """One full qudit: X (tunnel) |c> = |c-1>, Z (loop) |c> = w^c |c>."""
-    sector: AbelianGroundSpace
-    x_op: StringOperator
-    z_op: StringOperator
-    orbit_cycle: tuple[tuple[int, ...], ...]  # sector labels in frame order
-    fourier: bool    # True: |c> = sum_k w^(-ck) |orbit_k> / sqrt(d)
-    x_action: LogicalAction
-    z_action: LogicalAction
+class LogicalQudit(Record):
+    """One full qudit: X (tunnel) |c> = |c-1>, Z (loop) |c> = w^c |c>.
+
+    `orbit_cycle` lists the sector labels in frame order.  With `fourier`
+    the frame is |c> = sum_k w^(-ck) |orbit_k> / sqrt(d); without it the
+    orbits themselves.
+    """
+    _fields = __slots__ = ("sector", "x_op", "z_op", "orbit_cycle", "fourier",
+                           "x_action", "z_action")
+
+    def __init__(self, sector: AbelianGroundSpace, x_op: StringOperator,
+                 z_op: StringOperator, orbit_cycle: tuple[tuple[int, ...], ...],
+                 fourier: bool, x_action: LogicalAction, z_action: LogicalAction):
+        super().__init__(sector, x_op, z_op, orbit_cycle, fourier, x_action, z_action)
 
     @property
     def d(self) -> int:
@@ -895,10 +894,12 @@ def logical_algebra(ags: AbelianGroundSpace, tunnel: StringOperator,
 # charge readout
 
 
-@dataclass(frozen=True)
-class FrameProjector:
+class FrameProjector(FrozenRecord):
     """A projector that is diagonal in the logical frame: diagonal[c] is 0 or 1."""
-    diagonal: tuple[int, ...]
+    _fields = __slots__ = ("diagonal",)
+
+    def __init__(self, diagonal: tuple[int, ...]):
+        super().__init__(diagonal)
 
     def trace(self) -> Fraction:
         return Fraction(sum(self.diagonal))
@@ -910,13 +911,18 @@ class FrameProjector:
                 for a, x in enumerate(self.diagonal)]
 
 
-@dataclass
-class ChargeProjectors:
-    """One projector per bulk anyon, measuring the charge behind a loop."""
-    labels: list[tuple[int, int]]          # (flux, irrep) per projector
-    projectors: list[FrameProjector]
-    transport_actions: dict[tuple[int, int], LogicalAction]
-    selected: dict[tuple[int, int], int]   # rank-1 labels -> basis state
+class ChargeProjectors(Record):
+    """One projector per bulk anyon, measuring the charge behind a loop.
+
+    `labels` gives each projector's (flux, irrep); `selected` maps each
+    rank-1 label to its basis state.
+    """
+    _fields = __slots__ = ("labels", "projectors", "transport_actions", "selected")
+
+    def __init__(self, labels: list[tuple[int, int]], projectors: list[FrameProjector],
+                 transport_actions: dict[tuple[int, int], LogicalAction],
+                 selected: dict[tuple[int, int], int]):
+        super().__init__(labels, projectors, transport_actions, selected)
 
     def projector(self, label: tuple[int, int]) -> FrameProjector:
         return self.projectors[self.labels.index(label)]

@@ -15,7 +15,6 @@ oracle of path-deformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from qdw.classify import (
@@ -36,6 +35,7 @@ from qdw.groups import (
     inner_automorphism,
     is_cyclic_presentation,
 )
+from qdw.records import Record
 
 if TYPE_CHECKING:
     from qdw.logical import AbelianGroundSpace
@@ -49,14 +49,18 @@ __all__ = [
 ]
 
 AUDIT_ORDER_CAP = 8     # torus/annulus audits stay desk-scale up to here
-LOGICAL_ORDER_CAP = 5   # charge-readout's cost grows steeply with the order
+# Not a cost bound: in process charge-readout takes 16 ms at cyclic:7 and
+# 22 ms at cyclic:9.  The cap stays at 5 so verify-all's stdout stays
+# stable until each check gets its own gate (ROADMAP item 1(d)).
+LOGICAL_ORDER_CAP = 5
 
 
-@dataclass
-class CheckResult:
-    name: str
-    status: str          # pass | skip | fail
-    detail: str
+class CheckResult(Record):
+    """`status` is pass, skip or fail."""
+    _fields = __slots__ = ("name", "status", "detail")
+
+    def __init__(self, name: str, status: str, detail: str):
+        super().__init__(name, status, detail)
 
 
 def _check_sector_census(group: FiniteGroup, tol: float) -> str:
@@ -261,7 +265,7 @@ def _audit_gate(group: FiniteGroup) -> Optional[str]:
 def _cyclic_gate(group: FiniteGroup) -> Optional[str]:
     if is_cyclic_presentation(group) and 2 <= group.order <= LOGICAL_ORDER_CAP:
         return None
-    return "needs a cyclic presentation of order 2..5"
+    return f"needs a cyclic presentation of order 2..{LOGICAL_ORDER_CAP}"
 
 
 _REGISTRY: list[tuple[str, Callable[[FiniteGroup], Optional[str]],

@@ -40,11 +40,21 @@ class TestRunConfig:
                         format="csv", tolerance=1e-8)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_to_dict_lists_every_field_in_order(self):
+        assert list(RunConfig("anyons").to_dict()) == [
+            "command", "group", "subgroup", "subgroup2", "lattice", "format", "tolerance",
+            "out", "inject_literal_edge"]
+        assert RunConfig.from_dict({"command": "anyons"}) == RunConfig("anyons")
+
     def test_unknown_field_rejected(self):
         data = RunConfig(command="anyons", group="cyclic:2").to_dict()
         data["frobs"] = 7
         with pytest.raises(UsageError, match="frobs"):
             RunConfig.from_dict(data)
+        data["alpha"] = 1
+        with pytest.raises(UsageError) as info:
+            RunConfig.from_dict(data)
+        assert str(info.value) == "unknown config fields: alpha, frobs"
 
     def test_bad_values_rejected(self):
         with pytest.raises(UsageError, match="command"):
@@ -487,6 +497,9 @@ TWO_HOLE_PATCH = ('{"kind":"patch","rows":4,"cols":6,"holes":['
                   '{"name":"hole0","faces":["p(1,2)"]},{"name":"hole1","faces":["p(1,4)"]}],'
                   '"subgroups":{"outer":"full"}}')
 S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "full"]
+# stdlib modules that generate or inspect code: each adds milliseconds to every
+# start-up.  numpy imports `inspect` itself, so only a run without numpy is free of it.
+CODEGEN_MODULES = {"dataclasses", "inspect"}
 
 
 def test_roots_of_unity_render_correctly_rounded():
@@ -549,8 +562,23 @@ def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
         statement += f"\nassert qdw.cli.main({argv!r}) == {rc}"
     modules = _loaded_after(statement)
     loaded = {m for m in modules if m.startswith("qdw")}
-    assert loaded == {"qdw", "qdw.groups", "qdw.cli"} | loads
+    assert loaded == {"qdw", "qdw.groups", "qdw.records", "qdw.cli"} | loads
     assert ("numpy" in modules) == numpy
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules or numpy
+
+
+def test_no_qdw_module_loads_dataclasses_or_inspect():
+    """Records are plain classes, so no layer pays for code generation at import."""
+    package = Path(qdw.__file__).parent
+    names = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert names == sorted(qdw._SUBMODULES)
+    modules = set(_loaded_after("\n".join(f"import qdw.{name}" for name in names)))
+    assert {f"qdw.{name}" for name in names} <= modules
+    assert not CODEGEN_MODULES & modules
+    assert "numpy" not in modules
+    for path in package.glob("*.py"):
+        assert "dataclasses" not in path.read_text(encoding="utf-8"), path.name
 
 
 def test_import_qdw_loads_no_layer_until_a_name_is_read():
