@@ -207,6 +207,9 @@ def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
         unknown = sorted(set(data) - {"kind", "rows", "cols", "holes", "subgroups"})
         if unknown:
             raise UsageError(f"unknown lattice fields: {', '.join(unknown)}")
+        holes = data.get("holes", [])
+        if not (isinstance(holes, list) and all(isinstance(h, dict) for h in holes)):
+            raise UsageError(f"lattice 'holes' must be a list of objects, got {holes}")
         kind = data.get("kind")
         try:
             if kind not in ("torus", "patch", "ring"):
@@ -215,7 +218,7 @@ def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
             if not all(_is_json_int(x) for x in sizes):
                 raise UsageError(f"lattice sizes must be integers, got {sizes}")
             lat = {"torus": torus, "patch": patch, "ring": ring}[kind](*sizes)
-            for hole in data.get("holes", ()):
+            for hole in holes:
                 extra = sorted(set(hole) - {"name", "faces"})
                 if extra:
                     raise UsageError(f"unknown hole fields: {', '.join(extra)}")

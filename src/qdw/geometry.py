@@ -5,15 +5,16 @@ boundary regions (rim vertices, rim edges and dangling edges) where a
 gapped boundary condition sits.  `torus`, `patch` and `ring` build the
 square lattices the commands take, `carve_hole` cuts a disk of faces out
 of a patch as one more boundary region, and `config_digits` numbers the
-configurations of a set of edge registers.  Both the Hamiltonian layer
+configurations of a set of edge registers, weighting each register by
+its `place_values` entry.  Both the Hamiltonian layer
 (`qdw.lattice`) and the logical layer (`qdw.logical`) read this module;
 it imports no group or operator code, so the logical layer never loads
 the Hamiltonian layer.  numpy is imported only inside `config_digits`,
 which only code that builds a matrix calls.  So the commands that load
-numpy are those that build one: `gsd` where its dense route fits,
-`logical`, `charge-project`, and those that need the S matrix.
-`lattice-audit` and the counting and modular `gsd` routes run on Python
-integers.
+numpy are those that build one: `gsd` where its dense route fits, and
+those that need the S matrix.  `lattice-audit`, `logical`,
+`charge-project` and the counting and modular `gsd` routes run on
+Python integers.
 """
 
 from __future__ import annotations
@@ -37,21 +38,28 @@ __all__ = [
     "ring",
     "carve_hole",
     "config_digits",
+    "place_values",
 ]
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
 MAX_LATTICE_EDGES = 10_000        # largest torus, patch or ring built
 
 
+def place_values(n: int, k: int) -> list[int]:
+    """The weight n^(k-1-i) of register i in a configuration index of k n-valued
+    registers: configuration c holds value c // w % n in the register of weight w."""
+    return [n ** (k - 1 - i) for i in range(k)]
+
+
 def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every configuration of k n-valued registers (row-major, register 0 slowest).
 
     Returns (digits, weights): digits[c] lists the register values of
-    configuration c, and c == digits[c] @ weights.
+    configuration c, weights is `place_values(n, k)`, and c == digits[c] @ weights.
     """
     import numpy as np
 
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    weights = np.array(place_values(n, k), dtype=np.int64)
     digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
     return digits, weights
 

@@ -4,14 +4,15 @@ Edges carry one group-valued register each.  Every Hamiltonian term is a
 sum of monomials with Fraction coefficients, where a monomial assigns an
 injective partial map of the register to each touched edge.  Products,
 adjoints, and commutators are therefore exact; the audit reports exact
-zeros, not small numbers.  A diagonal operator is also evaluated as a
-sparse integer table over the configurations of its support (its
-nonzero numerators over one common denominator, as Python ints), which
-decides whether it is a projector.  The audit first tries an exact
-permutation pre-test on that table for each pair of a diagonal and a
-non-diagonal term, and falls back to expanding the commutator into
-matrix-unit atoms when the pre-test does not pass; a failing pair's
-Frobenius norm is read from those atoms.
+zeros, not small numbers.  Every exact test reads one expansion of an
+operator over the configurations of its support (`Operator._expansion`):
+its nonzero matrix entries, as Python-int numerators over one common
+denominator, budgeted only by their number.  It decides `is_zero`, and
+whether a diagonal term is a projector.  For each pair of a diagonal and
+a non-diagonal term, the audit first tries an exact permutation pre-test
+on the diagonal term's expansion, and falls back to expanding the
+commutator when the pre-test does not pass; a failing pair's Frobenius
+norm is read from that expansion.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
@@ -55,6 +56,7 @@ from qdw.geometry import (
     carve_hole,
     config_digits,
     patch,
+    place_values,
     ring,
     torus,
 )
@@ -227,48 +229,49 @@ class Operator:
     def commutator(self, other: "Operator") -> "Operator":
         return (self * other) - (other * self)
 
-    def _atoms(self) -> dict[tuple, Fraction]:
-        """Expansion over per-edge matrix units; a genuine canonical form.
+    def _expansion(self) -> tuple[dict[int, int], int]:
+        """Exact nonzero matrix entries over the configurations of `support`.
 
-        Monomial keys are not unique as matrices (a sum of point maps can
-        equal an identity), so cancellation tests expand to single-entry
-        maps, which are linearly independent.
+        Returns (numerators, den).  With the k support registers indexed as
+        in `config_digits` (N = n^k configurations), the entry in row r and
+        column c is numerators.get(r * N + c, 0) / den, so the diagonal
+        entry of configuration c sits at key c * (N + 1).  den is the least
+        common multiple of the coefficient denominators; only nonzero
+        numerators are stored, as Python ints.  Matrix units are linearly
+        independent, so this is a canonical form, which monomial keys are
+        not (a sum of point maps can equal an identity).  Each monomial adds
+        its scaled numerator on the entries where every map of its key is
+        defined; their number is budgeted before any is added.
         """
         support = self.support
-        budget = 0
-        for key, _ in self.terms.items():
-            maps = dict(key)
-            size = 1
-            for e in support:
-                m = maps.get(e)
-                size *= self.n if m is None else sum(1 for y in m if y >= 0)
-            budget += size
-        if budget > 5_000_000:
-            raise ValueError(f"atom expansion of {budget} entries over budget")
-        out: dict[tuple, Fraction] = {}
-        for key, c in self.terms.items():
-            maps = dict(key)
-            choices = []
-            for e in support:
-                m = maps.get(e)
-                if m is None:
-                    choices.append([(x, x) for x in range(self.n)])
-                else:
-                    choices.append([(x, m[x]) for x in range(self.n) if m[x] >= 0])
-            for combo in itertools.product(*choices):
-                cur = out.get(combo)
-                total = c if cur is None else cur + c
-                if total == 0:
-                    out.pop(combo, None)
-                else:
-                    out[combo] = total
-        return out
+        n, k = self.n, len(support)
+        pos = {e: i for i, e in enumerate(support)}
+        places = place_values(n, k)
+        size = n ** k
+        # each register's share of the key: value x in the column and m[x]
+        # in the row, or x in both on an edge the monomial leaves alone
+        alone = [[x * w * (size + 1) for x in range(n)] for w in places]
+        hits = []
+        for key in self.terms:
+            hit = list(alone)
+            for e, m in key:
+                w = places[pos[e]]
+                hit[pos[e]] = [(y * size + x) * w for x, y in enumerate(m) if y >= 0]
+            hits.append(hit)
+        entries = sum(prod(map(len, hit)) for hit in hits)
+        if entries > 5_000_000:
+            raise ValueError(f"expansion of {entries} entries over budget")
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        table: dict[int, int] = {}
+        for hit, coeff in zip(hits, self.terms.values()):
+            num = coeff.numerator * (den // coeff.denominator)
+            for c in map(sum, itertools.product(*hit)):
+                table[c] = table.get(c, 0) + num
+        return {c: v for c, v in table.items() if v}, den
 
     def is_zero(self) -> bool:
-        """Exact zero test: syntactic cancellation, then atom expansion."""
-        if not self.terms:
-            return True
-        return not self._atoms()
+        """Exact zero test: syntactic cancellation, then the expansion."""
+        return not self.terms or not self._expansion()[0]
 
     def equals(self, other: "Operator") -> bool:
         return (self - other).is_zero()
@@ -286,39 +289,12 @@ class Operator:
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
 
-    def _diagonal_numerators(self, edges: Sequence[int]) -> tuple[dict[int, int], int]:
-        """Exact nonzero entries of a diagonal operator (unchecked) over one denominator.
-
-        Returns (numerators, den): the entry of configuration c of `edges`
-        (indexed as in `config_digits`) is numerators.get(c, 0) / den,
-        where den is the least common multiple of the coefficient
-        denominators; only nonzero numerators are stored, as Python ints.
-        Each monomial adds its scaled numerator on the configurations
-        where every map of its key is defined.
-        """
-        pos = {e: i for i, e in enumerate(edges)}
-        if not set(self.support) <= set(pos):
-            raise ValueError("edge list does not cover the operator support")
-        n, k = self.n, len(edges)
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        # each register value times its position's weight in the index
-        places = [[x * n ** (k - 1 - i) for x in range(n)] for i in range(k)]
-        table: dict[int, int] = {}
-        for key, coeff in self.terms.items():
-            num = coeff.numerator * (den // coeff.denominator)
-            hit = list(places)
-            for e, m in key:
-                i = pos[e]
-                hit[i] = [places[i][x] for x in range(n) if m[x] >= 0]
-            for c in map(sum, itertools.product(*hit)):
-                table[c] = table.get(c, 0) + num
-        return {c: v for c, v in table.items() if v}, den
-
     def _idempotent_table(self, diagonal: bool) -> tuple[bool, Optional[dict[int, int]]]:
-        """Exact idempotence, read from the diagonal table (`_diagonal_numerators`,
-        also returned) when `diagonal` and within budget, else from op*op - op."""
-        if diagonal and self.n ** len(self.support) <= MATERIALIZE_DIM_BUDGET:
-            table, den = self._diagonal_numerators(self.support)
+        """Exact idempotence.  When `diagonal`, it is read from the expansion
+        (`_expansion`, whose numerators are also returned): every nonzero
+        entry is 1.  Otherwise it is op*op - op == 0, and no table is returned."""
+        if diagonal:
+            table, den = self._expansion()
             return all(v == den for v in table.values()), table
         return ((self * self) - self).is_zero(), None
 
@@ -558,25 +534,29 @@ def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int]
                              other: Operator) -> bool:
     """Sufficient test that a diagonal operator D commutes with `other`.
 
-    `numerators` is D's sparse integer table over `edges` (D's support),
-    as returned by `Operator._diagonal_numerators`.  The test passes when
-    every monomial U of `other` is total on `edges` and D's table is
-    invariant under the configuration map U induces there: then D U = U D
-    column by column, so D commutes with every monomial and with their
-    sum.  False means "not shown", not "does not commute".
+    `numerators` is D's expansion over `edges` (D's support), as returned
+    by `Operator._expansion`: the diagonal entry of configuration c is
+    keyed c * (N + 1), N = n^|edges|.  The test passes when every monomial
+    U of `other` is total on `edges` and D's diagonal is invariant under
+    the configuration map U induces there: then D U = U D column by
+    column, so D commutes with every monomial and with their sum.  False
+    means "not shown", not "does not commute".
 
     Invariance is checked on the nonzero configurations alone, as
-    table[U c] == table[c] for each stored c.  That is enough: U is
-    injective and total on a finite set of configurations, so it is a
-    permutation of that set.  If it maps every nonzero configuration to
-    one with the same nonzero value, it maps the nonzero set into itself,
-    hence onto itself, hence also the zero set onto itself, so
-    table[U c] == table[c] for every c.  The converse is immediate.
+    D[U c] == D[c] for each stored c.  That is enough: U is injective and
+    total on a finite set of configurations, so it is a permutation of
+    that set.  If it maps every nonzero configuration to one with the
+    same nonzero value, it maps the nonzero set into itself, hence onto
+    itself, hence also the zero set onto itself, so D[U c] == D[c] for
+    every c.  The converse is immediate.
     """
     n, k = other.n, len(edges)
     pos = {e: i for i, e in enumerate(edges)}
+    places = place_values(n, k)
+    diagonal_step = n ** k + 1
     for key in other.terms:
-        # (weight, index shift per register value) for each map U has on `edges`
+        # (weight, key shift per register value) for each map U has on `edges`;
+        # key // weight % n reads the register's value in the column
         shifts = []
         for e, m in key:
             i = pos.get(e)
@@ -584,8 +564,8 @@ def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int]
                 continue
             if min(m) < 0:
                 return False
-            w = n ** (k - 1 - i)
-            shifts.append((w, [(y - x) * w for x, y in enumerate(m)]))
+            w = places[i]
+            shifts.append((w, [(y - x) * w * diagonal_step for x, y in enumerate(m)]))
         for c, v in numerators.items():
             if numerators.get(c + sum(d[c // w % n] for w, d in shifts)) != v:
                 return False
@@ -601,15 +581,16 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     in `skipped_pairs`.
 
     Each term's flag, hermiticity and idempotence are decided once, a
-    diagonal term's from its integer table (`Operator._idempotent_table`).
-    For an overlapping pair with one diagonal term D, the exact permutation
-    pre-test `_commutes_by_permutation` runs first on D's table; when it
-    does not pass, the commutator is expanded into matrix-unit atoms as for
-    every other pair.  Both routes record the pair as checked.  A failing
-    pair's residual Frobenius norm over the union of the two supports is
-    read from those atoms, n^(|union| - |support C|) times the sum of the
-    squared atom coefficients under the root, and reported only when the
-    union's dimension is within `MATERIALIZE_DIM_BUDGET`.
+    diagonal term's from its expansion (`Operator._idempotent_table`).
+    For an overlapping pair with one diagonal term D, the exact
+    permutation pre-test `_commutes_by_permutation` runs first on D's
+    expansion; when it does not pass, the commutator C is expanded
+    (`Operator._expansion`) as for every other pair.  Both routes record
+    the pair as checked.  A failing pair's residual Frobenius norm over
+    the union of the two terms' edges is read from C's expansion:
+    n^(|union| - |support C|) times the sum of the squared entries, under
+    the root.  Every exact test reads that one expansion, whose only
+    budget is its entry count.
     """
     term_checks, tables = [], []
     for t in terms:
@@ -639,13 +620,13 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 pair_checks.append(PairCheck(ti.name, tj.name, True))
                 continue
             comm = ti.op.commutator(tj.op)
-            atoms = comm._atoms() if comm.terms else {}
+            entries, den = comm._expansion()
             norm = None
-            union = len(set(ti.edges) | set(tj.edges))
-            if atoms and n ** union <= MATERIALIZE_DIM_BUDGET:
-                squares = sum(c * c for c in atoms.values())
-                norm = sqrt(n ** (union - len(comm.support)) * squares)
-            pair_checks.append(PairCheck(ti.name, tj.name, not atoms, norm))
+            if entries:
+                union = len(set(ti.edges) | set(tj.edges))
+                squares = sum(v * v for v in entries.values())
+                norm = sqrt(Fraction(n ** (union - len(comm.support)) * squares, den * den))
+            pair_checks.append(PairCheck(ti.name, tj.name, not entries, norm))
     return AuditReport(term_checks, pair_checks, skipped)
 
 
@@ -1069,12 +1050,13 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     digits, _ = config_digits(n, lat.n_edges)
     diag = np.ones(dim)
     for t in (t for t in terms if t.diagonal):
-        # the term's table over its own support, gathered at every configuration
+        # the term's diagonal over its own support, gathered at every configuration
         own = list(t.op.support)
-        table, den = t.op._diagonal_numerators(own)
-        entries = np.zeros(n ** len(own))
-        entries[list(table)] = [v / den for v in table.values()]
-        diag *= entries[digits[:, own] @ n ** np.arange(len(own) - 1, -1, -1)]
+        table, den = t.op._expansion()
+        size = n ** len(own)
+        entries = np.zeros(size)
+        entries[[c // (size + 1) for c in table]] = [v / den for v in table.values()]
+        diag *= entries[digits[:, own] @ np.array(place_values(n, len(own)), dtype=np.int64)]
     support = np.flatnonzero(diag)
     m = len(support)
     if m ** 2 > 40_000_000:

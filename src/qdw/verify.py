@@ -48,7 +48,12 @@ __all__ = [
     "check_names",
 ]
 
-AUDIT_ORDER_CAP = 8     # torus/annulus audits stay desk-scale up to here
+# Not a cost bound: in process, the lattice-audit check (torus 2x2
+# and ring 3) takes about 1.5 s at order 12 (D6, C12) and 18 s at order 24
+# (S4).  The cap stays at 8 until each check gets its own gate (ROADMAP
+# item 1(d)): raising it changes the golden digest of `verify-all --group
+# symmetric:4` and the benchmark's `algebra` job that runs the same command.
+AUDIT_ORDER_CAP = 8
 # Not a cost bound: in process charge-readout takes 16 ms at cyclic:7 and
 # 22 ms at cyclic:9.  The cap stays at 5 so verify-all's stdout stays
 # stable until each check gets its own gate (ROADMAP item 1(d)).

@@ -254,6 +254,18 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("holes", [
+        '{"name": "h", "faces": ["p(1,1)"]}',
+        '["p(1,1)"]',
+        '[5]',
+    ], ids=["object", "list-of-names", "list-of-ints"])
+    def test_holes_must_be_a_list_of_objects(self, capsys, holes):
+        spec = f'{{"kind": "patch", "rows": 3, "cols": 3, "holes": {holes}}}'
+        with pytest.raises(UsageError, match="^lattice 'holes' must be a list of objects"):
+            parse_lattice(spec)
+        assert main(["gsd", "--group", "cyclic:2", "--lattice", spec]) == EXIT_USAGE
+        assert "'holes' must be a list of objects" in capsys.readouterr().err
+
     def test_sabotaged_audit_fails_with_named_check(self, capsys):
         rc = main(["lattice-audit", "--group", "cyclic:2",
                    "--lattice", "patch:2x2", "--subgroup", "full",

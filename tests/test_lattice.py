@@ -1,10 +1,11 @@
 """Geometry, exact operator algebra, audit, and ground-state counting."""
 
 import itertools
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from qdw.lattice import (
     ring,
     torus,
 )
+from qdw.geometry import place_values
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
@@ -69,16 +71,71 @@ def loop_matrix(op, edges):
     return mat
 
 
-def numerator_values(op, edges):
-    """Entries of `op._diagonal_numerators(edges)` as exact Fractions, by configuration."""
-    table, den = op._diagonal_numerators(edges)
-    digits, _ = config_digits(op.n, len(edges))
+def reference_atoms(op):
+    """Expansion of `op` over per-edge matrix units, Fraction by Fraction.
+
+    Keys are tuples of (column value, row value) pairs, one per support
+    edge; only nonzero coefficients are kept.  A reference for
+    `Operator._expansion`, with its budget.
+    """
+    support = op.support
+    budget = 0
+    for key in op.terms:
+        maps = dict(key)
+        size = 1
+        for e in support:
+            m = maps.get(e)
+            size *= op.n if m is None else sum(1 for y in m if y >= 0)
+        budget += size
+    if budget > 5_000_000:
+        raise ValueError(f"atom expansion of {budget} entries over budget")
+    out = {}
+    for key, c in op.terms.items():
+        maps = dict(key)
+        choices = []
+        for e in support:
+            m = maps.get(e)
+            if m is None:
+                choices.append([(x, x) for x in range(op.n)])
+            else:
+                choices.append([(x, m[x]) for x in range(op.n) if m[x] >= 0])
+        for combo in itertools.product(*choices):
+            total = out.get(combo, 0) + c
+            if total == 0:
+                out.pop(combo, None)
+            else:
+                out[combo] = total
+    return out
+
+
+def expansion_atoms(op):
+    """`op._expansion()` decoded into the keys and Fractions of `reference_atoms`."""
+    table, den = op._expansion()
+    n, k = op.n, len(op.support)
+    size = n ** k
     assert all(type(v) is int and v != 0 for v in table.values())
-    return {tuple(int(x) for x in digits[c]): Fraction(v, den) for c, v in table.items()}
+    out = {}
+    for key, v in table.items():
+        row, col = divmod(key, size)
+        out[tuple((col // w % n, row // w % n) for w in place_values(n, k))] = Fraction(v, den)
+    return out
+
+
+def reference_norm(comm, n, union):
+    """The audit's residual norm formula, read from `reference_atoms`."""
+    squares = sum(c * c for c in reference_atoms(comm).values())
+    return sqrt(n ** (union - len(comm.support)) * squares)
+
+
+def numerator_values(op):
+    """Diagonal entries of `op._expansion()` as exact Fractions, by support configuration."""
+    atoms = expansion_atoms(op)
+    assert all(x == y for combo in atoms for x, y in combo)
+    return {tuple(x for x, _ in combo): v for combo, v in atoms.items()}
 
 
 def loop_diagonal_values(op, edges):
-    """Fraction-by-Fraction reference for Operator._diagonal_numerators."""
+    """Fraction-by-Fraction reference for a diagonal operator's expansion."""
     out = {}
     pos = {e: i for i, e in enumerate(edges)}
     for cfg in itertools.product(range(op.n), repeat=len(edges)):
@@ -154,7 +211,7 @@ def atom_path_audit(terms, n, memo):
                 ok = comm.is_zero()
                 norm = None
                 union = tuple(sorted(set(ti.edges) | set(tj.edges)))
-                if not ok and n ** len(union) <= MATERIALIZE_DIM_BUDGET:
+                if not ok:
                     norm = float(np.linalg.norm(comm.to_matrix(union)))
                 memo[ti.name, tj.name] = PairCheck(ti.name, tj.name, ok, norm)
             pair_checks.append(memo[ti.name, tj.name])
@@ -504,7 +561,7 @@ class TestOperatorAlgebra:
     def test_edge_pin_projector(self):
         op = boundary_edge_term(ring(3), S3, 0, S3.subgroup([0, 1]))
         assert op.is_diagonal() and op.is_projector()
-        vals = numerator_values(op, (0,))
+        vals = numerator_values(op)
         assert vals == {(0,): Fraction(1), (1,): Fraction(1)}
 
     def test_trivial_flux_is_base_independent(self):
@@ -772,22 +829,15 @@ class TestDiagonalFastPath:
         _, group, lat, subs = case
         for t in build_terms(lat, group, subs):
             if t.diagonal:
-                assert numerator_values(t.op, t.op.support) == \
+                assert numerator_values(t.op) == \
                     cached_loop_diagonal_values(t.op), t.name
-
-    def test_diagonal_values_on_a_wider_edge_list(self):
-        op = boundary_edge_term(torus(2, 2), S3, 3, S3.subgroup([0, 1]))
-        edges = (5, 3)
-        assert numerator_values(op, edges) == loop_diagonal_values(op, edges)
-        with pytest.raises(ValueError, match="cover"):
-            op._diagonal_numerators((5,))
 
     def test_numerators_guard_against_int64_overflow(self):
         # the numerators sum past 2**62, which an int64 table would wrap
         big = Fraction(2 ** 61, 3)
         op = Operator.monomial(2, big, {0: (0, -1)}) + \
             Operator.monomial(2, big * 2, {0: (-1, 1)})
-        assert numerator_values(op, (0,)) == {(0,): big, (1,): big * 2}
+        assert numerator_values(op) == {(0,): big, (1,): big * 2}
         assert op.is_projector() is False
 
     # The reference expands every overlapping pair into atoms, which takes
@@ -814,7 +864,7 @@ class TestDiagonalFastPath:
 
     def test_audit_decides_each_term_once(self, monkeypatch):
         calls = Counter()
-        for name in ("is_diagonal", "is_hermitian", "_diagonal_numerators"):
+        for name in ("is_diagonal", "is_hermitian", "_expansion"):
             def counted(op, *args, _name=name, _method=getattr(Operator, name)):
                 calls[_name, id(op)] += 1
                 return _method(op, *args)
@@ -824,16 +874,16 @@ class TestDiagonalFastPath:
         calls.clear()
         audit_commutation(terms, S3.order)
         assert set(calls.values()) == {1}
-        n_diagonal = sum(t.diagonal for t in terms)
-        assert sum(name == "_diagonal_numerators" for name, _ in calls) == n_diagonal
+        # besides commutators, only the diagonal terms are expanded
+        expanded = {key for name, key in calls if name == "_expansion"}
+        assert expanded & {id(t.op) for t in terms} == {id(t.op) for t in terms if t.diagonal}
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(diagonal_and_shifts())
     def test_pre_test_is_sound(self, ops):
         diag, other = ops
-        edges = diag.support
-        table, _ = diag._diagonal_numerators(edges)
-        if _commutes_by_permutation(table, edges, other):
+        table, _ = diag._expansion()
+        if _commutes_by_permutation(table, diag.support, other):
             assert diag.commutator(other).is_zero()
         assert diag.is_projector() == ((diag * diag) - diag).is_zero()
 
@@ -842,9 +892,125 @@ class TestDiagonalFastPath:
         # index shift, that lands back on the one nonzero configuration
         diag = diagonal_operator(2, [(Fraction(1), {0: {0}, 1: {1}})])
         other = Operator.monomial(2, Fraction(1), {0: (1, 0), 1: (1, -1)})
-        table, _ = diag._diagonal_numerators((0, 1))
+        assert diag.support == (0, 1)
+        table, _ = diag._expansion()
         assert not _commutes_by_permutation(table, (0, 1), other)
         assert not diag.commutator(other).is_zero()
+
+
+# the one expansion, and audits past order 8 ----------------------------------
+
+@st.composite
+def random_operators(draw):
+    """Sums of monomials of injective partial maps with Fraction coefficients,
+    sometimes plus a sum of point maps minus the identity it equals."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, 3))
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
+                              Fraction(5, 6), Fraction(7, 4)])
+
+    def partial_map():
+        image = draw(st.permutations(range(n)))
+        kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return tuple(y if keep else -1 for y, keep in zip(image, kept))
+
+    op = Operator(n)
+    for _ in range(draw(st.integers(0, 4))):
+        edges = draw(st.sets(st.integers(0, k - 1), min_size=1))
+        op += Operator.monomial(n, draw(coeffs), {e: partial_map() for e in edges})
+    if draw(st.booleans()):
+        # the point maps on edge e sum to the identity there, which the
+        # last monomial subtracts: the sum is zero, but not key by key
+        c, e = draw(coeffs), draw(st.integers(0, k - 1))
+        rest = {f: partial_map() for f in draw(st.sets(st.integers(0, k - 1))) - {e}}
+        for x in range(n):
+            op += Operator.monomial(n, c, {**rest, e: tuple(
+                x if y == x else -1 for y in range(n))})
+        op += Operator.monomial(n, -c, rest)
+    return op
+
+
+D6 = build_group("dihedral:6")
+S4 = build_group("symmetric:4")
+
+
+def timed_audit(group, lat, subs, budget_s):
+    """The audit of `lat`'s terms, asserted to finish within `budget_s` seconds."""
+    start = time.perf_counter()
+    rep = audit_commutation(build_terms(lat, group, subs), group.order)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_s, f"audit took {elapsed:.1f} s, budget {budget_s} s"
+    return rep
+
+
+class TestExpansion:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(random_operators())
+    def test_expansion_matches_the_atom_reference(self, op):
+        atoms = reference_atoms(op)
+        assert expansion_atoms(op) == atoms
+        assert op.is_zero() == (not atoms)
+
+    def test_expansion_budget(self):
+        op = Operator.monomial(S3.order, Fraction(1), {e: (1, 0, 2, 3, 4, 5) for e in range(9)})
+        with pytest.raises(ValueError, match="expansion of 10077696 entries over budget"):
+            op._expansion()
+
+
+class TestAuditPastOrderEight:
+    # Time budgets are at least 10x the in-process time measured on a
+    # shared 2-vCPU host: 0.35 s, 0.6 s and 4.3 s.  Past order 8 a square
+    # face has more than 20 000 configurations, where each flux term
+    # used to be squared as B*B - B and each vertex-flux pair expanded in full.
+
+    def test_d6_ring_trivial_full(self):
+        rep = timed_audit(D6, ring(3), {"inner": D6.trivial_subgroup(),
+                                        "outer": D6.full_subgroup()}, 10)
+        assert rep.ok and len(rep.pair_checks) == 15
+
+    def test_d6_torus(self):
+        rep = timed_audit(D6, torus(2, 2), {}, 15)
+        assert rep.ok and len(rep.pair_checks) == 20
+
+    def test_s4_ring_trivial_full(self):
+        rep = timed_audit(S4, ring(3), {"inner": S4.trivial_subgroup(),
+                                        "outer": S4.full_subgroup()}, 60)
+        assert rep.ok
+
+    def test_d6_torus_squares_no_diagonal_term(self, monkeypatch):
+        squared, commutators = [], []
+        mul, commutator = Operator.__mul__, Operator.commutator
+
+        def counted_mul(a, b):
+            if a is b:
+                squared.append(a)
+            return mul(a, b)
+
+        def counted_commutator(a, b):
+            commutators.append((a, b))
+            return commutator(a, b)
+
+        monkeypatch.setattr(Operator, "__mul__", counted_mul)
+        monkeypatch.setattr(Operator, "commutator", counted_commutator)
+        assert audit_commutation(build_terms(torus(2, 2), D6, {}), D6.order).ok
+        assert squared and not any(op.is_diagonal() for op in squared)
+        # every vertex-flux pair passes the pre-test: only the 4 vertex-vertex
+        # pairs form a commutator
+        assert len(commutators) == 4
+        assert not any(a.is_diagonal() or b.is_diagonal() for a, b in commutators)
+
+    def test_sabotaged_d6_ring_reports_the_residual_norm(self):
+        lat = ring(3)
+        subs = {"inner": D6.full_subgroup(), "outer": D6.trivial_subgroup()}
+        terms = with_literal_edge(lat, D6, subs, build_terms(lat, D6, subs),
+                                  lat.edge_index("in0"))
+        rep = audit_commutation(terms, D6.order)
+        assert rep.failures() == ["pair [B(f0), L(in0)] != 0 (|.|_F = 16.2481)"]
+        [pair] = [p for p in rep.pair_checks if not p.commutes]
+        face, literal = terms[[t.name for t in terms].index("B(f0)")], terms[-1]
+        union = len(set(face.edges) | set(literal.edges))
+        want = reference_norm(face.op.commutator(literal.op), D6.order, union)
+        assert pair.residual_norm == want == pytest.approx(16.24807680927192, rel=1e-14)
 
 
 # elimination order ---------------------------------------------------------
