@@ -63,28 +63,6 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 
-COMMANDS = ("group-info", "anyons", "subgroups", "lagrangian", "excitations",
-            "defects", "qudit-dim", "lattice-audit", "gsd", "logical",
-            "charge-project", "verify-all")
-
-
-# which validation suites stand behind each command's numbers
-VALIDATORS = {
-    "group-info": ("character-orthogonality",),
-    "anyons": ("sector-square-sum", "twist-unimodular"),
-    "subgroups": ("subgroup-closure",),
-    "lagrangian": ("condensate-dimension", "vacuum-multiplicity", "boson-support"),
-    "excitations": ("excitation-square-sum",),
-    "defects": ("defect-square-sum",),
-    "qudit-dim": ("strip-route-agreement",),
-    "lattice-audit": ("term-projector", "term-hermitian", "pairwise-commutation"),
-    "gsd": ("gsd-route-agreement",),
-    "logical": ("weyl-relations", "frame-transport", "operator-unitarity"),
-    "charge-project": ("projector-completeness", "projector-orthogonality",
-                       "projector-idempotence", "frame-diagonality"),
-}
-
-
 class UsageError(ValueError):
     """Bad flags or specs; maps to exit status 2."""
 
@@ -118,7 +96,7 @@ class RunConfig(FrozenRecord):
         return cfg
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in COMMAND_TABLE:
             raise UsageError(f"unknown command {self.command!r}")
         if self.format not in ("json", "csv", "pretty-table"):
             raise UsageError(f"unknown format {self.format!r}")
@@ -290,9 +268,11 @@ def _require(cfg: RunConfig, *flag_names: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (results, flat_table | None)
+# command handlers; each returns (results, flat_table | None, checks | None),
+# where checks None means every validator the command table names passed
 
 Flat = Optional[tuple[list[str], list[list]]]
+Checks = Optional[list[dict]]
 
 
 def _round12(x: float) -> float:
@@ -308,7 +288,7 @@ def _matrix_pairs(m: Sequence[Sequence[complex]]) -> list[list[float]]:
     return [_complex_pair(z) for row in m for z in row]
 
 
-def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     group = build_group(cfg.group)
     table = character_table(group)
     classes = [{
@@ -326,10 +306,10 @@ def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat]:
     }
     if group.order <= MAX_SUBGROUP_ENUM_ORDER:
         results["subgroup_count"] = len(enumerate_subgroups(group))
-    return results, None
+    return results, None, None
 
 
-def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import anyon_table
 
     group = build_group(cfg.group)
@@ -354,10 +334,10 @@ def _cmd_anyons(cfg: RunConfig) -> tuple[dict, Flat]:
         "anyons": rows,
     }
     header = ["name", "flux_class", "irrep", "dim", "twist_re", "twist_im"]
-    return results, (header, body)
+    return results, (header, body), None
 
 
-def _cmd_subgroups(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_subgroups(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import boundary_types
 
     group = build_group(cfg.group)
@@ -383,10 +363,10 @@ def _cmd_subgroups(cfg: RunConfig) -> tuple[dict, Flat]:
     results = {"group": group.label, "count": len(subs),
                "boundary_type_count": len(types), "subgroups": rows}
     header = ["index", "order", "elements", "normal", "boundary_type"]
-    return results, (header, body)
+    return results, (header, body), None
 
 
-def _cmd_lagrangian(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_lagrangian(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import lagrangian_algebra
 
     group = build_group(cfg.group)
@@ -405,10 +385,10 @@ def _cmd_lagrangian(cfg: RunConfig) -> tuple[dict, Flat]:
         "weighted_dimension": sum(m * a.dim for a, m in
                                   zip(la.table.anyons, la.multiplicities)),
     }
-    return results, (["sector", "multiplicity", "dim"], body)
+    return results, (["sector", "multiplicity", "dim"], body), None
 
 
-def _cmd_excitations(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_excitations(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import boundary_excitations
 
     group = build_group(cfg.group)
@@ -425,10 +405,10 @@ def _cmd_excitations(cfg: RunConfig) -> tuple[dict, Flat]:
         "total_dim_squared": sum(x.dim ** 2 for x in excs),
         "excitations": rows,
     }
-    return results, (["name", "coset", "irrep", "dim"], body)
+    return results, (["name", "coset", "irrep", "dim"], body), None
 
 
-def _cmd_defects(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_defects(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import defect_list
 
     group = build_group(cfg.group)
@@ -450,10 +430,10 @@ def _cmd_defects(cfg: RunConfig) -> tuple[dict, Flat]:
         "total_dim_squared": int(sum(x.dim_squared for x in defs)),
         "defects": rows,
     }
-    return results, (["name", "coset", "irrep", "dim_squared", "dim"], body)
+    return results, (["name", "coset", "irrep", "dim_squared", "dim"], body), None
 
 
-def _cmd_qudit_dim(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_qudit_dim(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.classify import qudit_dimension
 
     group = build_group(cfg.group)
@@ -467,7 +447,7 @@ def _cmd_qudit_dim(cfg: RunConfig) -> tuple[dict, Flat]:
         "subgroup2": [group.name_of(x) for x in k2.elements],
         "dimension": d,
     }
-    return results, (["dimension"], [[d]])
+    return results, (["dimension"], [[d]]), None
 
 
 def _lattice_context(cfg: RunConfig, default: Optional[str] = None):
@@ -478,7 +458,7 @@ def _lattice_context(cfg: RunConfig, default: Optional[str] = None):
     return group, lat, subs
 
 
-def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.lattice import (HamiltonianTerm, audit_commutation, build_terms,
                              literal_gauge_edge_term)
 
@@ -508,10 +488,16 @@ def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat]:
         "ok": rep.ok,
         "failures": rep.failures(),
     }
-    return results, None
+    verdicts = {
+        "term-projector": all(t.is_projector for t in rep.term_checks),
+        "term-hermitian": all(t.is_hermitian for t in rep.term_checks),
+        "pairwise-commutation": all(p.commutes for p in rep.pair_checks),
+    }
+    return results, None, [{"name": name, "status": "pass" if ok else "fail"}
+                           for name, ok in verdicts.items()]
 
 
-def _cmd_gsd(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_gsd(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.lattice import ground_space_dimension
 
     group, lat, subs = _lattice_context(cfg)
@@ -525,7 +511,10 @@ def _cmd_gsd(cfg: RunConfig) -> tuple[dict, Flat]:
         "by_method": dict(sorted(rep.by_method.items())),
         "skipped_methods": sorted(rep.skipped),
     }
-    return results, (["dimension"], [[rep.value]])
+    # one route has nothing to agree with
+    checks = None if len(rep.by_method) > 1 else [{"name": "gsd-route-agreement",
+                                                    "status": "skip"}]
+    return results, (["dimension"], [[rep.value]]), checks
 
 
 def _hole_encoding(cfg: RunConfig):
@@ -554,7 +543,7 @@ def _relation_rows(qud) -> list[dict]:
     return rows
 
 
-def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     group, qud, holes = _hole_encoding(cfg)
     ops = [("X", qud.x_action), ("Z", qud.z_action)]
     for name, act in ops:
@@ -566,10 +555,10 @@ def _cmd_logical(cfg: RunConfig) -> tuple[dict, Flat]:
                       for name, act in ops],
         "relations": _relation_rows(qud),
     }
-    return results, None
+    return results, None, None
 
 
-def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.logical import charge_projectors
 
     group, qud, holes = _hole_encoding(cfg)
@@ -585,10 +574,10 @@ def _cmd_charge_project(cfg: RunConfig) -> tuple[dict, Flat]:
         "selected": [{"label": [f, q], "state": s}
                      for (f, q), s in sorted(fam.selected.items())],
     }
-    return results, None
+    return results, None, None
 
 
-def _cmd_verify_all(cfg: RunConfig) -> tuple[dict, Flat]:
+def _cmd_verify_all(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
     from qdw.verify import verify_group
 
     group = build_group(cfg.group)
@@ -599,48 +588,50 @@ def _cmd_verify_all(cfg: RunConfig) -> tuple[dict, Flat]:
                    for r in outcomes],
         "failed": sorted(r.name for r in outcomes if r.status == "fail"),
     }
-    return results, None
+    return results, None, [{"name": r.name, "status": r.status}
+                           for r in outcomes if r.status != "skip"]
 
 
-_HANDLERS = {
-    "group-info": _cmd_group_info,
-    "anyons": _cmd_anyons,
-    "subgroups": _cmd_subgroups,
-    "lagrangian": _cmd_lagrangian,
-    "excitations": _cmd_excitations,
-    "defects": _cmd_defects,
-    "qudit-dim": _cmd_qudit_dim,
-    "lattice-audit": _cmd_lattice_audit,
-    "gsd": _cmd_gsd,
-    "logical": _cmd_logical,
-    "charge-project": _cmd_charge_project,
-    "verify-all": _cmd_verify_all,
+class Command(FrozenRecord):
+    """A command's handler, its help text, and the validations behind its numbers."""
+    _fields = __slots__ = ("handler", "help", "validators")
+
+    def __init__(self, handler, help: str, validators: tuple[str, ...] = ()):
+        super().__init__(handler, help, validators)
+
+
+COMMAND_TABLE = {
+    "group-info": Command(_cmd_group_info, "elements, classes, and irrep dimensions of a group",
+                          ("character-orthogonality",)),
+    "anyons": Command(_cmd_anyons, "bulk sector census of the chosen group",
+                      ("sector-square-sum", "twist-unimodular")),
+    "subgroups": Command(_cmd_subgroups, "all subgroups with normality and boundary type",
+                         ("subgroup-closure",)),
+    "lagrangian": Command(_cmd_lagrangian, "condensate multiplicities for one boundary subgroup",
+                          ("condensate-dimension", "vacuum-multiplicity", "boson-support")),
+    "excitations": Command(_cmd_excitations, "boundary excitation census for one subgroup",
+                           ("excitation-square-sum",)),
+    "defects": Command(_cmd_defects, "domain-wall defects between two boundary subgroups",
+                       ("defect-square-sum",)),
+    "qudit-dim": Command(_cmd_qudit_dim, "strip ground-state count between two boundaries",
+                         ("strip-route-agreement",)),
+    "lattice-audit": Command(_cmd_lattice_audit,
+                             "projector and commutation audit of all lattice terms",
+                             ("term-projector", "term-hermitian", "pairwise-commutation")),
+    "gsd": Command(_cmd_gsd, "ground-state count of a lattice, cross-checked routes",
+                   ("gsd-route-agreement",)),
+    "logical": Command(_cmd_logical, "Weyl pair report for a two-hole qudit encoding",
+                       ("weyl-relations", "frame-transport", "operator-unitarity")),
+    "charge-project": Command(_cmd_charge_project,
+                              "anyon charge projector family around one hole",
+                              ("projector-completeness", "projector-orthogonality",
+                               "projector-idempotence", "frame-diagonality")),
+    # its checks are the named cross-checks it runs
+    "verify-all": Command(_cmd_verify_all,
+                          "run every applicable named cross-check for a group"),
 }
-
-
-def _check_summary(cfg: RunConfig, results: dict) -> list[dict]:
-    """Pass/fail per named validation behind this command's numbers."""
-    if cfg.command == "verify-all":
-        return [{"name": c["name"], "status": c["status"]}
-                for c in results["checks"] if c["status"] != "skip"]
-    names = VALIDATORS.get(cfg.command, ())
-    if cfg.command == "lattice-audit":
-        failures = results["failures"]
-        return [
-            {"name": "term-projector",
-             "status": "fail" if any("projector=False" in f for f in failures)
-             else "pass"},
-            {"name": "term-hermitian",
-             "status": "fail" if any("hermitian=False" in f for f in failures)
-             else "pass"},
-            {"name": "pairwise-commutation",
-             "status": "fail" if any(f.startswith("pair ") for f in failures)
-             else "pass"},
-        ]
-    if cfg.command == "gsd" and len(results["by_method"]) < 2:
-        return [{"name": "gsd-route-agreement", "status": "skip"}]
-    # reaching here means every library-internal assertion already passed
-    return [{"name": n, "status": "pass"} for n in names]
+COMMANDS = tuple(COMMAND_TABLE)
+VALIDATORS = {name: c.validators for name, c in COMMAND_TABLE.items() if c.validators}
 
 
 # ---------------------------------------------------------------------------
@@ -740,22 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="numeric tolerance for report-level checks")
     common.add_argument("--out", help="write the report to this file")
-    descriptions = {
-        "group-info": "elements, classes, and irrep dimensions of a group",
-        "anyons": "bulk sector census of the chosen group",
-        "subgroups": "all subgroups with normality and boundary type",
-        "lagrangian": "condensate multiplicities for one boundary subgroup",
-        "excitations": "boundary excitation census for one subgroup",
-        "defects": "domain-wall defects between two boundary subgroups",
-        "qudit-dim": "strip ground-state count between two boundaries",
-        "lattice-audit": "projector and commutation audit of all lattice terms",
-        "gsd": "ground-state count of a lattice, cross-checked routes",
-        "logical": "Weyl pair report for a two-hole qudit encoding",
-        "charge-project": "anyon charge projector family around one hole",
-        "verify-all": "run every applicable named cross-check for a group",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], parents=[common])
+    for name, command in COMMAND_TABLE.items():
+        p = sub.add_parser(name, help=command.help, parents=[common])
         if name == "lattice-audit":
             p.add_argument("--inject-literal-edge", metavar="EDGE",
                            help="add the naive one-sided edge average on EDGE "
@@ -772,9 +749,12 @@ def parse_argv(argv: Sequence[str]) -> RunConfig:
 
 def run(cfg: RunConfig) -> tuple[Report, Flat]:
     t0 = time.perf_counter()
-    results, flat = _HANDLERS[cfg.command](cfg)
-    report = Report(config=cfg, results=results,
-                    checks=_check_summary(cfg, results),
+    command = COMMAND_TABLE[cfg.command]
+    results, flat, checks = command.handler(cfg)
+    if checks is None:
+        # reaching here means every library-internal assertion already passed
+        checks = [{"name": n, "status": "pass"} for n in command.validators]
+    report = Report(config=cfg, results=results, checks=checks,
                     elapsed_ms=(time.perf_counter() - t0) * 1e3)
     return report, flat
 
@@ -793,7 +773,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:
-        names = ", ".join(VALIDATORS.get(cfg.command, ())) or cfg.command
+        names = ", ".join(COMMAND_TABLE[cfg.command].validators) or cfg.command
         print(f"invariant failure [{names}]: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:

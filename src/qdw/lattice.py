@@ -7,12 +7,13 @@ adjoints, and commutators are therefore exact; the audit reports exact
 zeros, not small numbers.  Every exact test reads one expansion of an
 operator over the configurations of its support (`Operator._expansion`):
 its nonzero matrix entries, as Python-int numerators over one common
-denominator, budgeted only by their number.  It decides `is_zero`, and
-whether a diagonal term is a projector.  For each pair of a diagonal and
-a non-diagonal term, the audit first tries an exact permutation pre-test
-on the diagonal term's expansion, and falls back to expanding the
-commutator when the pre-test does not pass; a failing pair's Frobenius
-norm is read from that expansion.
+denominator, budgeted only by their number.  It decides `is_zero`; and
+for a term flagged diagonal, one expansion decides the flag, hermiticity
+and idempotence, and feeds the pre-test.  For each pair of a diagonal
+and a non-diagonal term, the audit first tries an exact permutation
+pre-test on the diagonal term's expansion, and falls back to expanding
+the commutator when the pre-test does not pass; a failing pair's
+Frobenius norm is read from that expansion.
 
 Ground-state counts come from up to three routes, which must agree on
 any lattice where more than one fits.  Counting evaluates the Burnside
@@ -289,18 +290,17 @@ class Operator:
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
 
-    def _idempotent_table(self, diagonal: bool) -> tuple[bool, Optional[dict[int, int]]]:
-        """Exact idempotence.  When `diagonal`, it is read from the expansion
-        (`_expansion`, whose numerators are also returned): every nonzero
-        entry is 1.  Otherwise it is op*op - op == 0, and no table is returned."""
-        if diagonal:
-            table, den = self._expansion()
-            return all(v == den for v in table.values()), table
-        return ((self * self) - self).is_zero(), None
-
     def is_projector(self) -> bool:
-        """Exact idempotence and self-adjointness."""
-        return self.is_hermitian() and self._idempotent_table(self.is_diagonal())[0]
+        """Exact idempotence and self-adjointness.
+
+        A diagonal operator is real, hence hermitian, and is read off its
+        expansion: a projector when every nonzero entry is 1.  Any other
+        operator must be hermitian with op*op - op == 0.
+        """
+        if self.is_diagonal():
+            table, den = self._expansion()
+            return all(v == den for v in table.values())
+        return self.is_hermitian() and ((self * self) - self).is_zero()
 
     def monomial_entries(self, edges: Sequence[int]):
         """(rows, cols, coeff) of each monomial over configurations of `edges`.
@@ -580,29 +580,46 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     two diagonal terms commute identically; both are skipped and counted
     in `skipped_pairs`.
 
-    Each term's flag, hermiticity and idempotence are decided once, a
-    diagonal term's from its expansion (`Operator._idempotent_table`).
+    Each term is decided once.  A term flagged diagonal is decided from
+    one expansion (`Operator._expansion`) over its support: the flag holds
+    when every stored entry lies on the diagonal, which is a fact about
+    the matrix, not about how its monomials are written; a real diagonal
+    matrix is hermitian; and it is a projector when every nonzero entry
+    is 1.  Any other term must not be diagonal monomial by monomial, and
+    its hermiticity and op*op - op == 0 are tested exactly.
     For an overlapping pair with one diagonal term D, the exact
     permutation pre-test `_commutes_by_permutation` runs first on D's
-    expansion; when it does not pass, the commutator C is expanded
-    (`Operator._expansion`) as for every other pair.  Both routes record
-    the pair as checked.  A failing pair's residual Frobenius norm over
-    the union of the two terms' edges is read from C's expansion:
-    n^(|union| - |support C|) times the sum of the squared entries, under
-    the root.  Every exact test reads that one expansion, whose only
-    budget is its entry count.
+    expansion and support; when it does not pass, the commutator C is
+    expanded as for every other pair.  Both routes record the pair as
+    checked.  A failing pair's residual Frobenius norm over the union of
+    the two terms' edges is read from C's expansion: n^(|union| -
+    |support C|) times the sum of the squared entries, under the root.
+    Every exact test reads one expansion, whose only budget is its entry
+    count.
     """
-    term_checks, tables = [], []
-    for t in terms:
-        if t.diagonal != t.op.is_diagonal():
+    term_checks = []
+    expansions: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
+    for i, t in enumerate(terms):
+        op = t.op
+        if t.diagonal:
+            table, den = op._expansion()
+            support = op.support
+            diagonal_step = op.n ** len(support) + 1
+            diagonal = all(c % diagonal_step == 0 for c in table)
+        else:
+            diagonal = op.is_diagonal()
+        if t.diagonal != diagonal:
             flag, actual = (("diagonal", "not diagonal") if t.diagonal
                             else ("non-diagonal", "diagonal"))
             raise InvariantError(
                 f"term {t.name} is flagged {flag}, but its operator is {actual}")
-        hermitian = t.op.is_hermitian()
-        projector, table = t.op._idempotent_table(t.diagonal) if hermitian else (False, None)
-        term_checks.append(TermCheck(t.name, projector, hermitian))
-        tables.append(table)
+        if t.diagonal:
+            term_checks.append(TermCheck(t.name, all(v == den for v in table.values()), True))
+            expansions[i] = table, support
+        else:
+            hermitian = op.is_hermitian()
+            projector = hermitian and ((op * op) - op).is_zero()
+            term_checks.append(TermCheck(t.name, projector, hermitian))
     pair_checks = []
     skipped = 0
     for i in range(len(terms)):
@@ -614,11 +631,11 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
             if ti.diagonal and tj.diagonal:
                 skipped += 1
                 continue
-            d, other = (i, tj) if ti.diagonal else (j, ti)
-            if tables[d] is not None and _commutes_by_permutation(
-                    tables[d], terms[d].op.support, other.op):
-                pair_checks.append(PairCheck(ti.name, tj.name, True))
-                continue
+            if ti.diagonal or tj.diagonal:
+                d, other = (i, tj) if ti.diagonal else (j, ti)
+                if _commutes_by_permutation(*expansions[d], other.op):
+                    pair_checks.append(PairCheck(ti.name, tj.name, True))
+                    continue
             comm = ti.op.commutator(tj.op)
             entries, den = comm._expansion()
             norm = None
@@ -1030,7 +1047,8 @@ def _gsd_modular(lat: Lattice, group: FiniteGroup,
 def _dense_projector(lat: Lattice, group: FiniteGroup,
                      subgroups: Mapping[str, Subgroup],
                      terms: Optional[Sequence[HamiltonianTerm]] = None):
-    """(support, P_S), or None over budget: the ground projector's dense S x S block.
+    """(support, P_S), or None when the configurations or the S x S block are over
+    budget: the ground projector's dense S x S block.
 
     S lists the configurations where the product of the diagonal terms is
     nonzero; P_S starts as that product, and each off-diagonal monomial is
@@ -1060,7 +1078,7 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     support = np.flatnonzero(diag)
     m = len(support)
     if m ** 2 > 40_000_000:
-        raise InvariantError("dense projector exceeded the sparsity guard")
+        return None
     index = np.full(dim, m, dtype=np.int64)
     index[support] = np.arange(m)
     proj = np.vstack([np.diag(diag[support]), np.zeros(m)])

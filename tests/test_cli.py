@@ -277,6 +277,16 @@ class TestExitCodes:
         failed = [c["name"] for c in out["checks"] if c["status"] == "fail"]
         assert "pairwise-commutation" in failed
 
+    def test_sabotaged_audit_fails_each_check_it_breaks(self, capsys):
+        # the literal term is hermitian but not idempotent, and fails to commute
+        rc = main(["lattice-audit", "--group", "symmetric:3", "--subgroup", "e,(23)",
+                   "--subgroup2", "e", "--lattice", "ring:3", "--inject-literal-edge", "in1"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_INVARIANT
+        assert out["checks"] == [{"name": "term-projector", "status": "fail"},
+                                 {"name": "term-hermitian", "status": "pass"},
+                                 {"name": "pairwise-commutation", "status": "fail"}]
+
     def test_sabotaged_ring_audit_names_the_failing_pair(self, capsys):
         rc = main(["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
                    "--subgroup", "full", "--subgroup2", "trivial",

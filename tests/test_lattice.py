@@ -766,6 +766,27 @@ class TestTermsAndAudit:
         norms = [p.residual_norm for p in rep.pair_checks if not p.commutes]
         assert all(x is not None and x > 0.1 for x in norms)
 
+    def test_diagonal_flag_is_read_off_the_matrix(self):
+        # a rim pin plus a partial swap minus its two halves: the same matrix,
+        # written with off-diagonal monomials that cancel
+        k2 = S3.subgroup([0, 1])
+        subs = {"inner": k2, "outer": S3.trivial_subgroup()}
+        lat = ring(3)
+        e = lat.edge_index("in1")
+        plain = with_literal_edge(lat, S3, subs, build_terms(lat, S3, subs), e)
+        i = [t.name for t in plain].index("T_K(in1)")
+        cancel = Operator(S3.order)
+        for coeff, m in ((1, (1, 0, -1, -1, -1, -1)), (-1, (1, -1, -1, -1, -1, -1)),
+                         (-1, (-1, 0, -1, -1, -1, -1))):
+            cancel += Operator.monomial(S3.order, Fraction(coeff), {e: m})
+        twin = list(plain)
+        twin[i] = HamiltonianTerm(plain[i].name, "edge-pin", plain[i].op + cancel, (e,),
+                                  True, "inner")
+        assert cancel.is_zero() and not twin[i].op.is_diagonal()
+        rep = audit_commutation(twin, S3.order)
+        assert rep == audit_commutation(plain, S3.order)
+        assert not rep.ok and rep.term_checks[i] == TermCheck("T_K(in1)", True, True)
+
     def test_residual_norm_spans_the_union_of_the_term_edges(self):
         # the shift's term lists edge 1, which its operator leaves alone, so
         # the commutator is the identity there: |[P, X]|_F = sqrt(2 * 3)
@@ -1348,6 +1369,14 @@ class TestDenseProjector:
         assert np.abs(ref[block] - proj).max() < 1e-12
         ref[block] = 0.0
         assert not ref.any()
+
+    def test_support_block_over_budget_is_skipped(self):
+        # no face, so no diagonal term: all 2^14 configurations fit the
+        # configuration budget and form the support, whose block does not fit
+        lat = Lattice(15, [(i, i + 1) for i in range(14)], [])
+        assert _dense_projector(lat, Z2, {}) is None
+        rep = ground_space_dimension(lat, Z2, {})
+        assert rep.value == 1 and "dense" in rep.skipped
 
     def test_literal_face_edge_breaks_the_support(self):
         lat = torus(2, 2)
