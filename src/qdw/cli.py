@@ -7,7 +7,8 @@ timing goes to stderr (and into the pretty format) only.
 Each run is one process, so start-up is part of every answer.  Only the
 group layer is imported here; the sector, check, geometry, lattice and
 logical layers are imported inside the handlers that reach them, and
-their names read off this module resolve through `__getattr__`.
+their names read off this module resolve through `__getattr__`, by the
+package's table of lazy exports (`qdw._EXPORTS`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import sys
 import time
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from qdw import _SOURCE
 from qdw.groups import (
     DEFAULT_TOLERANCE,
     MAX_SUBGROUP_ENUM_ORDER,
@@ -40,23 +42,14 @@ if TYPE_CHECKING:
 
 __all__ = ["RunConfig", "Report", "main", "run"]
 
-# Layer names that callers, such as the benchmark's traced handlers, read
-# off this module.  Each resolves, when read, to the object its layer
-# module holds, so reading one imports that layer.
-_LAYER_NAMES = {
-    "qdw.classify": ("anyon_table", "boundary_excitations", "boundary_types",
-                     "defect_list", "lagrangian_algebra", "qudit_dimension"),
-    "qdw.lattice": ("audit_commutation", "build_terms"),
-    "qdw.logical": ("charge_projectors", "logical_algebra", "loop_operator",
-                    "tunnel_operator"),
-}
-_LAYER_OF = {name: module for module, names in _LAYER_NAMES.items() for name in names}
-
 
 def __getattr__(name: str):
-    if name not in _LAYER_OF:
+    """A package export read off this module, such as `cli.build_terms` in the
+    benchmark's traced handlers, resolves through the package's own table,
+    so reading one imports its layer."""
+    if name not in _SOURCE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAYER_OF[name]), name)
+    return getattr(importlib.import_module(_SOURCE[name]), name)
 
 
 EXIT_OK = 0

@@ -1077,16 +1077,19 @@ def inner_automorphism(group: FiniteGroup, g: int) -> tuple[int, ...]:
     return tuple(group.conj(g, x) for x in range(group.order))
 
 
-def _generating_sequence(group: FiniteGroup) -> list[int]:
-    """Each generator the smallest element the earlier ones do not reach.
+def _generating_sequence(group: FiniteGroup,
+                         elements: Optional[Sequence[int]] = None) -> list[int]:
+    """Each generator the smallest of `elements` (by default the whole
+    group) that the earlier ones do not reach; `elements` must be a subgroup.
 
     Reach is closure of the identity under right multiplication, so this
     also runs on a table not yet known to be a group.
     """
+    elements = range(group.order) if elements is None else elements
     gens: list[int] = []
     have = {0}
-    while len(have) < group.order:
-        gens.append(min(x for x in range(group.order) if x not in have))
+    while len(have) < len(elements):
+        gens.append(min(x for x in elements if x not in have))
         have = {x for x, _, _ in _breadth_first(
             [0], lambda x: ((group.mul(x, g), g) for g in gens))}
     return gens

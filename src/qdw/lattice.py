@@ -31,7 +31,10 @@ of the edges that are not dangling: a reference route that runs only
 when named.
 
 The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
-`qdw.geometry` and is re-exported here.  The modular route imports the
+`qdw.geometry` and is re-exported here.  So does the gauge-fixed slice
+that counting enumerates (`_gauge_domains`, `_spanning_forest`,
+`_transversal`, `_enumerate_flat_configs`), which the logical layer
+reads its sectors off as well.  The modular route imports the
 sector layer (`qdw.classify`) where it runs, so an audit never loads it.
 The audit and the counting, trace and modular routes run on Python
 integers; numpy is imported only where a matrix is built
@@ -46,14 +49,18 @@ import itertools
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod, sqrt
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (
     MATERIALIZE_DIM_BUDGET,
     MAX_LATTICE_EDGES,
     BoundaryRegion,
     Lattice,
+    _enumerate_flat_configs,
+    _gauge_domains,
     _region_assignment,
+    _spanning_forest,
+    _transversal,
     carve_hole,
     config_digits,
     patch,
@@ -91,9 +98,6 @@ __all__ = [
     "GsdReport",
     "ground_space_dimension",
 ]
-
-TRACE_PARTIAL_BUDGET = 20_000_000
-
 
 # ---------------------------------------------------------------------------
 # injective partial maps on one register, encoded as tuples with -1 for
@@ -230,19 +234,21 @@ class Operator:
     def commutator(self, other: "Operator") -> "Operator":
         return (self * other) - (other * self)
 
-    def _expansion(self) -> tuple[dict[int, int], int]:
+    def _expansion(self) -> tuple[dict[int, int], int, tuple[int, ...]]:
         """Exact nonzero matrix entries over the configurations of `support`.
 
-        Returns (numerators, den).  With the k support registers indexed as
-        in `config_digits` (N = n^k configurations), the entry in row r and
-        column c is numerators.get(r * N + c, 0) / den, so the diagonal
-        entry of configuration c sits at key c * (N + 1).  den is the least
-        common multiple of the coefficient denominators; only nonzero
-        numerators are stored, as Python ints.  Matrix units are linearly
-        independent, so this is a canonical form, which monomial keys are
-        not (a sum of point maps can equal an identity).  Each monomial adds
-        its scaled numerator on the entries where every map of its key is
-        defined; their number is budgeted before any is added.
+        Returns (numerators, den, support).  With the k registers of
+        support indexed as in `config_digits` (N = n^k configurations), the
+        entry in row r and column c is numerators.get(r * N + c, 0) / den,
+        so the diagonal entry of configuration c sits at key c * (N + 1).
+        den is the least common multiple of the coefficient denominators;
+        only nonzero numerators are stored, as Python ints.  Matrix units
+        are linearly independent, so this is a canonical form, which
+        monomial keys are not (a sum of point maps can equal an identity).
+        Each monomial adds its scaled numerator on the entries where every
+        map of its key is defined; their number is budgeted before any is
+        added.  The support is returned so that no caller walks the
+        monomials for it again.
         """
         support = self.support
         n, k = self.n, len(support)
@@ -268,7 +274,7 @@ class Operator:
             num = coeff.numerator * (den // coeff.denominator)
             for c in map(sum, itertools.product(*hit)):
                 table[c] = table.get(c, 0) + num
-        return {c: v for c, v in table.items() if v}, den
+        return {c: v for c, v in table.items() if v}, den, support
 
     def is_zero(self) -> bool:
         """Exact zero test: syntactic cancellation, then the expansion."""
@@ -298,7 +304,7 @@ class Operator:
         operator must be hermitian with op*op - op == 0.
         """
         if self.is_diagonal():
-            table, den = self._expansion()
+            table, den, _ = self._expansion()
             return all(v == den for v in table.values())
         return self.is_hermitian() and ((self * self) - self).is_zero()
 
@@ -602,8 +608,7 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     for i, t in enumerate(terms):
         op = t.op
         if t.diagonal:
-            table, den = op._expansion()
-            support = op.support
+            table, den, support = op._expansion()
             diagonal_step = op.n ** len(support) + 1
             diagonal = all(c % diagonal_step == 0 for c in table)
         else:
@@ -637,152 +642,22 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                     pair_checks.append(PairCheck(ti.name, tj.name, True))
                     continue
             comm = ti.op.commutator(tj.op)
-            entries, den = comm._expansion()
+            entries, den, support = comm._expansion()
             norm = None
             if entries:
                 union = len(set(ti.edges) | set(tj.edges))
                 squares = sum(v * v for v in entries.values())
-                norm = sqrt(Fraction(n ** (union - len(comm.support)) * squares, den * den))
+                norm = sqrt(Fraction(n ** (union - len(support)) * squares, den * den))
             pair_checks.append(PairCheck(ti.name, tj.name, not entries, norm))
     return AuditReport(term_checks, pair_checks, skipped)
 
 
 # ---------------------------------------------------------------------------
-# elimination order shared by the counting and trace routes
-
-
-class EliminationStep(Record):
-    """`action` is "branch" or "solve"; `plaquette` is the solver face of a
-    "solve"; `checkers` are the faces fully assigned after this step."""
-    _fields = __slots__ = ("action", "edge", "plaquette", "checkers")
-
-    def __init__(self, action: str, edge: int, plaquette: Optional[int] = None,
-                 checkers: tuple[int, ...] = ()):
-        super().__init__(action, edge, plaquette, checkers)
-
-
-def elimination_order(lat: Lattice, first: Sequence[int] = ()) -> list[EliminationStep]:
-    """Assign edges so faces fix registers as early as possible.
-
-    The edges in `first` are branched on before any other, in that order.
-    The rest is greedy: a face with one free edge solves it; otherwise
-    branch on an edge inside the face closest to completion (lowest
-    indices break ties).
-    """
-    remaining = [set(e for e, _ in cyc) for cyc in lat.plaquettes]
-    solved_by: set[int] = set()
-    unassigned = set(range(lat.n_edges))
-    steps: list[EliminationStep] = []
-
-    def assign(e: int, action: str, solver: Optional[int]) -> None:
-        unassigned.discard(e)
-        checkers = []
-        for pi, rem in enumerate(remaining):
-            if e in rem:
-                rem.discard(e)
-                if not rem and pi != solver and pi not in solved_by:
-                    checkers.append(pi)
-        steps.append(EliminationStep(action=action, edge=e, plaquette=solver,
-                                     checkers=tuple(checkers)))
-
-    for e in first:
-        assign(e, "branch", None)
-    while unassigned:
-        ready = [(len(rem), pi) for pi, rem in enumerate(remaining)
-                 if len(rem) == 1 and pi not in solved_by]
-        if ready:
-            _, pi = min(ready)
-            e = next(iter(remaining[pi]))
-            solved_by.add(pi)
-            assign(e, "solve", pi)
-            continue
-        candidates = [(len(rem), pi) for pi, rem in enumerate(remaining) if rem]
-        if candidates:
-            _, pi = min(candidates)
-            e = min(remaining[pi] & unassigned)
-        else:
-            e = min(unassigned)
-        assign(e, "branch", None)
-    return steps
-
-
-def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]],
-              values: Sequence[int]) -> int:
-    """Face-walk product of `cyc`: each letter left-multiplies the running value.
-
-    The letter of an edge is its register value when walked along the
-    edge and the inverse when walked against it.  `values` holds the
-    register value of each edge, indexed by edge.
-    """
-    acc, rows, inv = 0, group.rows, group.inv
-    for e, along in cyc:
-        x = values[e]
-        acc = rows[x if along else inv[x]][acc]
-    return acc
-
-
-def _gauge_domains(lat: Lattice, group: FiniteGroup,
-                   subgroups: Mapping[str, Subgroup]):
-    """Admissible register values per edge, gauge labels per vertex, and
-    the boundary subgroup of each dangling edge."""
-    vertex_region, edge_region = _region_assignment(lat, group, subgroups)
-    full = tuple(range(group.order))
-    domains = [subgroups[vertex_region[v]].elements if v in vertex_region else full
-               for v in range(lat.n_vertices)]
-    allowed = []
-    dangling: dict[int, Subgroup] = {}
-    for e in range(lat.n_edges):
-        reg = edge_region.get(e)
-        if reg is not None and reg[1] == "rim":
-            allowed.append(subgroups[reg[0]].elements)
-        else:
-            allowed.append(full)
-            if reg is not None:
-                dangling[e] = subgroups[reg[0]]
-    return allowed, domains, dangling
-
-
-def _spanning_forest(lat: Lattice, dangling: Mapping[int, Subgroup]):
-    """Breadth-first spanning forest over the non-dangling edges, rim roots first.
-
-    Returns (roots, tree).  tree[c] lists the edges of the tree rooted at
-    roots[c] as (edge, child, child_is_head), parents before children.
-    """
-    adj: list[list[tuple[int, tuple[int, bool]]]] = [[] for _ in range(lat.n_vertices)]
-    for ei, (t, h) in enumerate(lat.edges):
-        if ei not in dangling:
-            adj[t].append((h, (ei, True)))
-            adj[h].append((t, (ei, False)))
-    seen = [False] * lat.n_vertices
-    roots: list[int] = []
-    tree: list[list[tuple[int, int, bool]]] = []
-    for root in sorted(range(lat.n_vertices), key=lambda v: v not in lat.vertex_region):
-        if seen[root]:
-            continue
-        roots.append(root)
-        edges: list[tuple[int, int, bool]] = []
-        for w, v, step in _breadth_first([root], adj.__getitem__):
-            seen[w] = True
-            if v is not None:
-                edges.append((step[0], w, step[1]))
-        tree.append(edges)
-    return roots, tree
-
-
-def _transversal(group: FiniteGroup, allowed: Sequence[int], domain: Sequence[int],
-                 child_is_head: bool) -> tuple[int, ...]:
-    """The least element of each orbit of `domain` on `allowed`.
-
-    The gauge label of a tree edge's child w acts on the edge's register
-    from the left when w is the head and from the right when w is the
-    tail (as in `_stabilizer_total`), so the orbits are D x and x D.
-    """
-    rows = group.rows
-    if child_is_head:
-        least = {min(rows[d][x] for d in domain) for x in allowed}
-    else:
-        least = {min(rows[x][d] for d in domain) for x in allowed}
-    return tuple(sorted(least))
+# route 1, and the trace reference route without its gauge fix: the Burnside sum
+#
+# The ground states are the gauge orbits of flat connections, with
+# K-restricted gauge on the rims, so their number is the gauge-group
+# average of the stabilizer orders of the flat configurations.
 
 
 def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequence[int]],
@@ -850,98 +725,6 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequen
     return total
 
 
-def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup, allowed: Sequence[Sequence[int]]
-                            ) -> Optional[Iterator[tuple[int, ...]]]:
-    """All register assignments with trivial holonomy on every face, one at a time.
-
-    Every edge with a single allowed value is assigned before any other
-    (see `elimination_order`).  Returns an iterator over tuples of
-    register values indexed by edge, or None when the product of the
-    allowed-set sizes over the branch steps is over budget.
-    """
-    steps = elimination_order(lat, [e for e, a in enumerate(allowed) if len(a) == 1])
-    budget = 1
-    for st in steps:
-        if st.action == "branch":
-            budget *= len(allowed[st.edge])
-            if budget > TRACE_PARTIAL_BUDGET:
-                return None
-    return _flat_configs(lat, group, allowed, steps)
-
-
-def _flat_configs(lat: Lattice, group: FiniteGroup, allowed: Sequence[Sequence[int]],
-                  steps: Sequence[EliminationStep]) -> Iterator[tuple[int, ...]]:
-    """Depth-first walk of `steps`, one level per branch step.
-
-    A level tries each allowed value of its branch edge in increasing
-    order, then runs the solve steps up to the next branch step: each
-    takes the one value its face forces, if that value is allowed.  The
-    faces a step closes (its checkers) must have trivial holonomy.
-    """
-    if not steps:
-        yield ()
-        return
-    inv = group.inv
-    values = [0] * lat.n_edges
-    # per level: (branch edge, its values, its checker walks, solve steps);
-    # a solve step is (edge, its face walked from the edge's successor round
-    # to its predecessor, edge walked along, allowed values, checker walks).
-    # The face closes when the edge's letter times that walk's holonomy h
-    # is trivial, so the letter is h^-1.  The first step is a branch: every
-    # face has at least two edges.
-    levels: list[tuple[int, tuple[int, ...], tuple, list]] = []
-    for st in steps:
-        checks = tuple(lat.plaquettes[pc] for pc in st.checkers)
-        if st.action == "branch":
-            levels.append((st.edge, tuple(sorted(allowed[st.edge])), checks, []))
-        else:
-            cyc = lat.plaquettes[st.plaquette]
-            i = next(i for i, (e, _) in enumerate(cyc) if e == st.edge)
-            levels[-1][3].append((st.edge, cyc[i + 1:] + cyc[:i], cyc[i][1],
-                                  frozenset(allowed[st.edge]), checks))
-
-    def fits(level, x: int) -> bool:
-        edge, _, checks, solves = level
-        values[edge] = x
-        for walk in checks:
-            if _holonomy(group, walk, values):
-                return False
-        for e, walk, along, ok, checks in solves:
-            h = _holonomy(group, walk, values)
-            y = inv[h] if along else h
-            if y not in ok:
-                return False
-            values[e] = y
-            for walk in checks:
-                if _holonomy(group, walk, values):
-                    return False
-        return True
-
-    last = len(levels) - 1
-    pending = [iter(levels[0][1])]
-    while pending:
-        depth = len(pending) - 1
-        level = levels[depth]
-        for x in pending[-1]:
-            if fits(level, x):
-                break
-        else:
-            pending.pop()
-            continue
-        if depth == last:
-            yield tuple(values)
-        else:
-            pending.append(iter(levels[depth + 1][1]))
-
-
-# ---------------------------------------------------------------------------
-# route 1, and the trace reference route without its gauge fix: the Burnside sum
-#
-# The ground states are the gauge orbits of flat connections, with
-# K-restricted gauge on the rims, so their number is the gauge-group
-# average of the stabilizer orders of the flat configurations.
-
-
 def _gsd_counting(lat: Lattice, group: FiniteGroup,
                   subgroups: Mapping[str, Subgroup],
                   gauge_fix: bool = True) -> Optional[int]:
@@ -965,7 +748,7 @@ def _gsd_counting(lat: Lattice, group: FiniteGroup,
     not in memory).
     """
     allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-    roots, tree = _spanning_forest(lat, dangling)
+    roots, tree = _spanning_forest(lat, domains, dangling)
     allowed = [(0,) if e in dangling else a for e, a in enumerate(allowed)]
     if gauge_fix:
         for ei, child, child_is_head in itertools.chain.from_iterable(tree):
@@ -1069,12 +852,11 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     diag = np.ones(dim)
     for t in (t for t in terms if t.diagonal):
         # the term's diagonal over its own support, gathered at every configuration
-        own = list(t.op.support)
-        table, den = t.op._expansion()
+        table, den, own = t.op._expansion()
         size = n ** len(own)
         entries = np.zeros(size)
         entries[[c // (size + 1) for c in table]] = [v / den for v in table.values()]
-        diag *= entries[digits[:, own] @ np.array(place_values(n, len(own)), dtype=np.int64)]
+        diag *= entries[digits[:, list(own)] @ np.array(place_values(n, len(own)), dtype=np.int64)]
     support = np.flatnonzero(diag)
     m = len(support)
     if m ** 2 > 40_000_000:

@@ -1,26 +1,18 @@
 """Exact logical operators for cyclic groups on boundary lattices.
 
-For a cyclic group the whole ground problem is linear algebra over Z_n:
-admissible configurations are a kernel mod n, gauge shifts are a
-sublattice, and ground sectors are the quotient.  Smith normal forms over
-Z_n with tracked invertible transforms make every step exact, so logical
-string operators come out with integer shift and phase data and their
-algebra can be certified without any floating point.  The sector label is
-a homomorphism on the admissible kernel, so a string acts on sectors by
-translation: it adds the label of its shift to every sector's label.
+The ground sectors of a boundary assignment are the gauge orbits of its
+admissible configurations: flat connections whose rim edges lie in the
+rim's subgroup K, with K-restricted gauge on rim vertices and K x K
+translations on dangling edges.  `AbelianGroundSpace` finds them on the
+gauge-fixed slice that the counting route enumerates (`qdw.geometry`),
+and numbers them in the slice's order.  Its `sector` gauge-fixes any
+admissible configuration onto that slice in one pass along the spanning
+forest, so a string acts on sectors by moving one representative per
+sector and reading off where it lands.  The slice and `sector` use only
+the group's multiplication table; G must be cyclic for the rest: the
+face, rim and gauge rows over Z_n that validate strings, and the string
+operators themselves, whose shift and phase data are integers mod n.
 
-Working mod n loses nothing, because both lattices contain nZ^E.  The
-admissible kernel is defined mod n.  The first normal form writes it as a
-sum of Z_{g_i}, g_i = gcd(d_i, n), one coordinate per edge, and in those
-free coordinates the gauge lattice contains diag(g_i) with g_i | n.  So
-the quotient (the second form) is the same over Z and over Z_n, and every
-entry stays in [0, n): no coefficient swell.  The quotient needs only the
-free coordinates, g_i > 1: by the chain g_i | g_{i+1} the g_i = 1 ones
-come first, and over all E coordinates they are a prefix of unit rows
-whose pivots touch nothing else.
-
-Everything runs on Python integers, with matrices as sparse rows: the face
-and rim rows have a few entries each, and the transforms stay sparse.
 Logical actions are permutations with root-of-unity phases, so their
 algebra and unitarity are exact, and charge projectors are sums of roots
 of unity decided exactly.  numpy is imported only by the materialized
@@ -31,24 +23,22 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, prod
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        _integer_sum, _root_of_unity, character_table,
-                        is_cyclic_presentation)
-from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment,
-                          config_digits)
+                        _generating_sequence, _integer_sum, _root_of_unity,
+                        character_table, double_cosets, is_cyclic_presentation)
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _enumerate_flat_configs,
+                          _gauge_domains, _region_assignment, _spanning_forest,
+                          _transversal, config_digits)
 from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "SmithForm",
-    "smith_normal_form",
     "AbelianGroundSpace",
     "StringOperator",
     "shift_string",
@@ -69,225 +59,18 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z_n: sparse rows of Python ints in [0, n)
+# ground sectors of a cyclic-group lattice
 
 Rows = list[dict[int, int]]   # one {column: entry} per row, zero entries left out
-
-
-def _combine(terms, n: int) -> dict[int, int]:
-    """The sum of c * row over the (c, row) pairs in terms, mod n."""
-    out: dict[int, int] = {}
-    for c, row in terms:
-        for j, x in row.items():
-            out[j] = out.get(j, 0) + c * x
-    return {j: x % n for j, x in out.items() if x % n}
-
-
-def _times(a: Rows, b: Rows, n: int) -> Rows:
-    """a @ b mod n."""
-    return [_combine(((x, b[j]) for j, x in row.items()), n) for row in a]
-
-
-def _transpose(a: Rows, width: int) -> Rows:
-    out: Rows = [{} for _ in range(width)]
-    for i, row in enumerate(a):
-        for j, x in row.items():
-            out[j][i] = x
-    return out
-
-
-def _identity(m: int, n: int) -> Rows:
-    return [{i: 1} if n > 1 else {} for i in range(m)]
 
 
 def _sparse(a: Sequence[Sequence[int]], n: int) -> Rows:
     return [{j: y for j, x in enumerate(row) if x and (y := int(x) % n)} for row in a]
 
 
-def _dense(a: Rows, width: int) -> list[list[int]]:
-    return [[row.get(j, 0) for j in range(width)] for row in a]
-
-
 def _dot(row: Mapping[int, int], x: Sequence[int]) -> int:
     """A sparse row times a dense vector, over Z."""
     return sum(map(mul, row.values(), map(x.__getitem__, row)))
-
-
-def _bezout(p: int, x: int) -> tuple[int, int, int]:
-    """(h, s, r) with s p + r x = h = gcd(p, x)."""
-    s0, s1, r0, r1 = 1, 0, 0, 1
-    while x:
-        q, rem = divmod(p, x)
-        p, x = x, rem
-        s0, s1, r0, r1 = s1, s0 - q * s1, r1, r0 - q * r1
-    return p, s0, r0
-
-
-class SmithForm(Record):
-    """u @ a @ v == d (mod n) with d diagonal and u, v invertible mod n.
-
-    Every matrix is a list of sparse rows of Python ints in [1, n), zero
-    entries left out: d is m x k, u and uinv are m x m, v and vinv k x k.
-    """
-    _fields = __slots__ = ("n", "d", "u", "uinv", "v", "vinv")
-
-    def __init__(self, n: int, d: Rows, u: Rows, uinv: Rows, v: Rows, vinv: Rows):
-        super().__init__(n, d, u, uinv, v, vinv)
-
-    def diagonal(self) -> list[int]:
-        """gcd(d_ii, n) for each i, so a zero pivot reads n."""
-        return [gcd(self.d[i].get(i, 0), self.n) for i in range(min(len(self.d), len(self.v)))]
-
-    def dense(self, name: str) -> list[list[int]]:
-        """The matrix called name ("d", "u", "uinv", "v" or "vinv") as dense rows."""
-        return _dense(getattr(self, name), len(self.u if name in ("u", "uinv") else self.v))
-
-
-def smith_normal_form(a: Sequence[Sequence[int]], n: int) -> SmithForm:
-    """Smith normal form of an integer matrix over Z_n, with both
-    transforms and their inverses.
-
-    Pivot t is the trailing entry with the smallest gcd(x, n), the first in
-    row-major order, so a unit is taken whenever there is one.  The pivot p
-    divides an entry x in Z_n exactly when g = gcd(p, n) divides x; all such
-    entries of column t (then of row t) go in one rank-one update.  Any other
-    entry meets the pivot in a 2x2 Bezout step of determinant 1, which puts
-    gcd(p, x) on the pivot: gcd(d_tt, n) strictly shrinks, so the loop ends.
-    A cleared pivot that does not divide some trailing entry takes in that
-    entry's row and goes round again.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    k = len(a[0]) if len(a) else 0
-    for i, row in enumerate(a):
-        if len(row) != k:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {k}")
-    return _smith(_sparse(a, n), k, n)
-
-
-def _smith(a: Rows, k: int, n: int) -> SmithForm:
-    """`smith_normal_form` of the m x k matrix a, given as sparse rows mod n."""
-    m = len(a)
-    d = [dict(row) for row in a]
-    u, uinv_t = _identity(m, n), _identity(m, n)
-    v_t, vinv = _identity(k, n), _identity(k, n)
-
-    # A row step on d updates u the same way and uinv^T by the inverse step;
-    # a column step updates v^T the same way and vinv by the inverse step.  So
-    # every transform only gets row steps.  Lines t.. of d are zero before
-    # position t, so a column step touches rows t.. of d only.
-
-    def pair(x: Rows, i: int, s: int, r: int, b: int, c: int) -> None:
-        """Rows (t, i) of x <- [[s, r], [-b, c]] @ rows (t, i)."""
-        x[t], x[i] = _combine(((s, x[t]), (r, x[i])), n), _combine(((-b, x[t]), (c, x[i])), n)
-
-    def subtract(x: Rows, x_inv: Rows, q: dict[int, int]) -> None:
-        """Row i of x -= q_i row t, for every i in q, and the inverse step on x_inv."""
-        for i, qi in q.items():
-            x[i] = _combine(((1, x[i]), (-qi, x[t])), n)
-        x_inv[t] = _combine([(1, x_inv[t])] + [(qi, x_inv[i]) for i, qi in q.items()], n)
-
-    def combine_rows(i, s, r, b, c):
-        """Rows (t, i) of d <- [[s, r], [-b, c]] @ rows (t, i), determinant 1."""
-        pair(d, i, s, r, b, c)
-        pair(u, i, s, r, b, c)
-        pair(uinv_t, i, c, b, r, s)
-
-    def eliminate_rows(q: dict[int, int]):
-        """Row i of d -= q_i row t, for every i in q."""
-        for i, qi in q.items():
-            d[i] = _combine(((1, d[i]), (-qi, d[t])), n)
-        subtract(u, uinv_t, q)
-
-    def combine_cols(j, s, r, b, c):
-        """Columns (t, j) of d <- columns (t, j) @ [[s, r], [-b, c]]^T."""
-        for row in d[t:]:
-            x, y = row.pop(t, 0), row.pop(j, 0)
-            for col, val in ((t, (s * x + r * y) % n), (j, (c * y - b * x) % n)):
-                if val:
-                    row[col] = val
-        pair(v_t, j, s, r, b, c)
-        pair(vinv, j, c, b, r, s)
-
-    def eliminate_cols(q: dict[int, int]):
-        """Column j of d -= q_j column t, for every j in q."""
-        for row in d[t:]:
-            x = row.get(t)
-            if x:
-                before = {j: row.pop(j, 0) for j in q}
-                row.update(_combine(((1, before), (-x, q)), n))
-        subtract(v_t, vinv, q)
-
-    def clear(line, combine, eliminate) -> int:
-        """Zero position t of every later line; returns gcd(d_tt, n)."""
-        later = line()
-        p = d[t].get(t, 0)
-        g = gcd(p, n)
-        if g > 1:
-            for i in sorted(i for i, x in later.items() if x % g):
-                x = later[i]
-                if x % g:
-                    h, s, r = _bezout(p, x)
-                    combine(i, s, r, x // h, p // h)
-                    p, g = h, gcd(h, n)
-            later = line()
-        if later:
-            inv = pow(p // g, -1, n // g)
-            eliminate({i: x // g * inv % (n // g) for i, x in later.items()})
-        return g
-
-    def column_t():
-        return {i: row[t] for i, row in enumerate(d[t + 1:], t + 1) if t in row}
-
-    def row_t():
-        return {j: x for j, x in d[t].items() if j > t}
-
-    for t in range(min(m, k)):
-        best = None
-        for i in range(t, m):
-            if d[i]:
-                g, j = min((gcd(x, n), j) for j, x in d[i].items())
-                if best is None or g < best[0]:
-                    best = (g, i, j)
-                    if g == 1:
-                        break
-        if best is None:
-            break
-        _, i, j = best
-        for x in (d, u, uinv_t):
-            x[t], x[i] = x[i], x[t]
-        for row in d[t:]:
-            x, y = row.pop(t, 0), row.pop(j, 0)
-            if x:
-                row[j] = x
-            if y:
-                row[t] = y
-        for x in (v_t, vinv):
-            x[t], x[j] = x[j], x[t]
-        while True:
-            clear(column_t, combine_rows, eliminate_rows)
-            g = clear(row_t, combine_cols, eliminate_cols)
-            if column_t():
-                continue
-            offender = next((i for i, row in enumerate(d[t + 1:], t + 1)
-                             if any(x % g for x in row.values())), None) if g > 1 else None
-            if offender is None:
-                break
-            combine_rows(offender, 1, 1, 0, 1)   # row t += that row
-    form = SmithForm(n, d, u, _transpose(uinv_t, m), _transpose(v_t, k), vinv)
-    if _times(_times(u, a, n), form.v, n) != d:
-        raise InvariantError("normal form transform bookkeeping failed")
-    if (_times(u, form.uinv, n) != _identity(m, n)
-            or _times(form.v, vinv, n) != _identity(k, n)):
-        raise InvariantError("normal form transforms are not invertible mod n")
-    diag = form.diagonal()
-    if any(y % x for x, y in zip(diag, diag[1:])):
-        raise InvariantError("normal form lost the divisibility chain")
-    return form
-
-
-# ---------------------------------------------------------------------------
-# ground sectors of a cyclic-group lattice
 
 
 def _cyclic_step(n: int, sub: Subgroup) -> int:
@@ -299,19 +82,23 @@ def _cyclic_step(n: int, sub: Subgroup) -> int:
 
 
 class AbelianGroundSpace:
-    """Ground sectors, orbit labels, and representatives over Z_n.
+    """Ground sectors, their representatives, and the rows that validate strings.
 
     Admissible configurations solve M x = 0 (mod n), where M stacks one
-    signed row per face and one pinning row per rim edge.  Gauge shifts
-    span a sublattice of that kernel; sectors are the finite quotient,
-    presented through two normal forms over Z_n as a product of cyclic
-    factors.
+    signed row per face and one pinning row per rim edge; the gauge rows
+    are one per vertex (K-restricted on rims) and one per dangling edge.
 
-    Each map is read straight off the forms, all mod n: the free rows of
-    V^-1 (kernel coordinate i is (V^-1 x)_i / (n/g_i)), the live rows of the
-    second form's U, and the lift from labels to representatives,
-    V[:, free] . diag(n/g) . U^-1[:, live].  So a label, a representative
-    and every validation is one sparse product over Python integers.
+    The sectors come from the counting route's slice: each spanning-forest
+    edge keeps the least value of each orbit of its child's gauge domain,
+    and each dangling edge the least member of each double coset K x K.
+    `sector` gauge-fixes a configuration onto the slice in one pass down
+    the forest, each forest edge looking up the child label that moves it
+    to its least value, then moves each dangling edge to its double
+    coset's least member.  That leaves the gauge of the forest roots,
+    whose generators merge slice configurations into sectors; a root with
+    a trivial domain leaves nothing to merge.  Sectors are numbered in the
+    slice's enumeration order, and `representatives` holds the first slice
+    configuration of each.
     """
 
     def __init__(self, lat: Lattice, group: FiniteGroup,
@@ -356,44 +143,70 @@ class AbelianGroundSpace:
             if role == "dangling":
                 phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
                 phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
-        self._phase_rows = phase_rows
         self._phase = _sparse(phase_rows, n)
         self._phase_msgs = phase_msgs
-        phase_t = _transpose(self._phase, ne)
-        if any(_times(self._shift, phase_t, n)):
-            raise InvariantError("a gauge shift escapes the admissible kernel")
-        # kernel of M mod n, parameterized through the first normal form
-        self._form1 = _smith(self._shift, ne, n)
-        diag1 = self._form1.diagonal()
-        self._g = diag1 + [n] * (ne - len(diag1))
-        free = [i for i, g in enumerate(self._g) if g > 1]
-        self._vinv = [self._form1.vinv[i] for i in free]
-        self._unit = [n // self._g[i] for i in free]
-        # the quotient by the gauge generators, in free kernel coordinates:
-        # the columns of diag(g_free), then coordinate i of generator r,
-        # (V^-1 P^T)_ir / (n/g_i)
-        width = len(free)
-        quotient = []
-        for i, (f, row) in enumerate(zip(free, _times(self._vinv, phase_t, n))):
-            line = {i: self._g[f]} if self._g[f] < n else {}
-            line.update((width + r, x // self._unit[i])
-                        for r, x in row.items() if x // self._unit[i])
-            quotient.append(line)
-        self._form2 = _smith(quotient, width + len(phase_rows), n)
-        s = self._form2.diagonal()
-        live = [i for i, si in enumerate(s) if si > 1]
-        self.invariant_factors = tuple(s[i] for i in live)
-        self.dimension = prod(self.invariant_factors)
-        self._u = [self._form2.u[i] for i in live]
-        position = {i: pos for pos, i in enumerate(live)}
-        uinv_live = [{position[j]: x for j, x in row.items() if j in position}
-                     for row in self._form2.uinv]
-        slot = {f: i for i, f in enumerate(free)}
-        self._lift = [_combine(((x * self._unit[slot[j]], uinv_live[slot[j]])
-                                for j, x in row.items() if j in slot), n)
-                      for row in self._form1.v]
+        # every gauge row must keep every face and rim row that shares an edge with it
+        shift_at: list[Rows] = [[] for _ in range(ne)]
+        for row in self._shift:
+            for e in row:
+                shift_at[e].append(row)
+        for sparse, dense in zip(self._phase, phase_rows):
+            if any(_dot(row, dense) % n for e in sparse for row in shift_at[e]):
+                raise InvariantError("a gauge shift escapes the admissible kernel")
 
-    # -- admissibility and labels
+        allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
+        roots, tree = _spanning_forest(lat, domains, dangling)
+        rows, inv = group.rows, group.inv
+        # per forest edge: (edge, child, the child label that moves each value
+        # to the least of its orbit, d x at a head child and x d^-1 at a tail)
+        tables: dict[tuple[tuple[int, ...], bool], list[int]] = {}
+        self._steps: list[tuple[int, int, list[int]]] = []
+        for ei, child, head in itertools.chain.from_iterable(tree):
+            dom = domains[child]
+            allowed[ei] = _transversal(group, allowed[ei], dom, head)
+            if (dom, head) not in tables:
+                tables[dom, head] = [min(dom, key=(lambda d: rows[d][x]) if head
+                                         else (lambda d: rows[x][inv[d]]))
+                                     for x in range(n)]
+            self._steps.append((ei, child, tables[dom, head]))
+        # per dangling edge: the least member of each value's double coset
+        self._least: list[tuple[int, list[int]]] = []
+        for e, sub in dangling.items():
+            cosets = double_cosets(sub, sub)
+            allowed[e] = tuple(dc.rep for dc in cosets)
+            least = [0] * n
+            for dc in cosets:
+                for m in dc.members:
+                    least[m] = dc.rep
+            self._least.append((e, least))
+        configs = _enumerate_flat_configs(lat, group, allowed)
+        if configs is None:
+            raise ValueError("gauge-fixed slice enumeration over budget")
+        on_slice = dict.fromkeys(configs)   # in enumeration order
+        # the residual gauge: generators of each root's domain, then the fix
+        moves = [(r, g) for r in roots for g in _generating_sequence(group, domains[r])]
+
+        def neighbours(config: tuple[int, ...]):
+            for r, g in moves:
+                values = list(config)
+                self._relabel(values, r, g)
+                yield self._gauge_fix(values), None
+
+        self._sector: dict[tuple[int, ...], int] = {}
+        reps: list[tuple[int, ...]] = []
+        for config in on_slice:
+            if config in self._sector:
+                continue
+            for member, _, _ in _breadth_first([config], neighbours):
+                if member not in on_slice:
+                    raise InvariantError("residual gauge leaves the slice")
+                self._sector[member] = len(reps)
+            reps.append(config)
+        self.representatives: tuple[tuple[int, ...], ...] = tuple(reps)
+        self.dimension = len(reps)
+        self._moved: dict[tuple[int, ...], tuple[int, ...]] = {}   # shift -> permutation
+
+    # -- admissibility and sectors
 
     def _registers(self, config: Sequence[int]) -> list[int]:
         if len(config) != self.lattice.n_edges:
@@ -401,38 +214,35 @@ class AbelianGroundSpace:
                              f"expected {self.lattice.n_edges}")
         return [int(c) % self.n for c in config]
 
-    def _coordinates(self, x: Sequence[int]) -> list[int]:
-        """Free kernel coordinates of an admissible configuration x."""
-        return [_dot(row, x) % self.n // unit for row, unit in zip(self._vinv, self._unit)]
-
     def is_admissible(self, config: Sequence[int]) -> bool:
         x = self._registers(config)
         return not any(_dot(row, x) % self.n for row in self._shift)
 
-    def label(self, config: Sequence[int]) -> tuple[int, ...]:
-        """Sector label of an admissible configuration."""
+    def _relabel(self, values: list[int], v: int, g: int) -> None:
+        """Gauge label g at vertex v, in place: x -> g x on the edges into v,
+        x -> x g^-1 on the edges out of it."""
+        rows, gi = self.group.rows, self.group.inv[g]
+        for e, at_head in self.lattice.star[v]:
+            values[e] = rows[g][values[e]] if at_head else rows[values[e]][gi]
+
+    def _gauge_fix(self, values: list[int]) -> tuple[int, ...]:
+        """The configuration moved onto the slice, up to the roots' gauge."""
+        for e, child, labels in self._steps:
+            g = labels[values[e]]
+            if g:
+                self._relabel(values, child, g)
+        for e, least in self._least:
+            values[e] = least[values[e]]
+        return tuple(values)
+
+    def sector(self, config: Sequence[int]) -> int:
+        """Index of the sector of an admissible configuration."""
         if not self.is_admissible(config):
             raise ValueError("configuration violates a face or rim constraint")
-        coords = self._coordinates(self._registers(config))
-        return tuple(_dot(row, coords) % s for row, s in zip(self._u, self.invariant_factors))
-
-    def labels(self) -> list[tuple[int, ...]]:
-        return list(itertools.product(*(range(s) for s in self.invariant_factors)))
-
-    def representative(self, label: Sequence[int]) -> tuple[int, ...]:
-        """One admissible configuration in the given sector."""
-        if len(label) != len(self.invariant_factors):
-            raise ValueError("label length does not match the sector rank")
-        lab = tuple(int(l) % s for l, s in zip(label, self.invariant_factors))
-        x = tuple(_dot(row, lab) % self.n for row in self._lift)
-        if self.label(x) != lab:
-            raise InvariantError("sector representative does not map back")
-        return x
-
-    @cached_property
-    def representatives(self) -> tuple[tuple[int, ...], ...]:
-        """One round-trip-checked representative per sector, in labels() order."""
-        return tuple(self.representative(lab) for lab in self.labels())
+        found = self._sector.get(self._gauge_fix(self._registers(config)))
+        if found is None:
+            raise InvariantError("gauge-fixed configuration is not on the slice")
+        return found
 
     def _string(self, what: str, vec: Sequence[int], shift: bool) -> "StringOperator":
         """The string with vec as its shift (or its phase), once every row holds."""
@@ -444,7 +254,7 @@ class AbelianGroundSpace:
         return StringOperator.make(self.n, *((vec, zero) if shift else (zero, vec)))
 
     def orbit_state_matrix(self) -> np.ndarray:
-        """Columns are normalized gauge-orbit superpositions, in label order.
+        """Columns are normalized gauge-orbit superpositions, in sector order.
 
         Only for lattices small enough to enumerate every configuration.
         """
@@ -454,25 +264,17 @@ class AbelianGroundSpace:
         dim = n ** ne
         if dim > MATERIALIZE_DIM_BUDGET:
             raise ValueError("lattice too large to materialize orbit states")
-
-        def array(rows: Rows, width: int) -> np.ndarray:
-            return np.array(_dense(rows, width), dtype=np.int64).reshape(len(rows), width)
-
         digits, _ = config_digits(n, ne)
-        ok = np.flatnonzero(~(digits @ array(self._shift, ne).T % n).any(axis=1))
-        coords = digits[ok] @ array(self._vinv, ne).T % n // np.array(self._unit, dtype=np.int64)
-        found = (coords @ array(self._u, len(self._unit)).T
-                 % np.array(self.invariant_factors, dtype=np.int64))
-        idx_by_label: dict[tuple[int, ...], list[int]] = {}
-        for i, lab in zip(ok.tolist(), found.tolist()):
-            idx_by_label.setdefault(tuple(lab), []).append(i)
-        labels = self.labels()
-        if sorted(idx_by_label) != sorted(labels):
+        face_rim = np.array([[row.get(j, 0) for j in range(ne)] for row in self._shift],
+                            dtype=np.int64).reshape(len(self._shift), ne)
+        members: list[list[int]] = [[] for _ in range(self.dimension)]
+        for c in np.flatnonzero(~(digits @ face_rim.T % n).any(axis=1)).tolist():
+            members[self.sector(digits[c].tolist())].append(c)
+        if not all(members):
             raise InvariantError("orbit census does not match the sector count")
-        out = np.zeros((dim, len(labels)))
-        for j, lab in enumerate(labels):
-            members = idx_by_label[lab]
-            out[members, j] = 1.0 / np.sqrt(len(members))
+        out = np.zeros((dim, self.dimension))
+        for j, idx in enumerate(members):
+            out[idx, j] = 1.0 / np.sqrt(len(idx))
         return out
 
 
@@ -746,19 +548,23 @@ class LogicalAction(FrozenRecord):
 
 
 def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction:
-    """Sector j goes to label_j + label(shift), with phase offset + phase.rep_j."""
+    """Sector j goes to the sector of rep_j + shift, with phase offset + phase.rep_j.
+
+    The permutation depends on the shift alone, so each shift's is computed
+    once per ground space.
+    """
     if op.n != ags.n or len(op.shift) != ags.lattice.n_edges:
         raise ValueError("operator does not match the sector data")
-    labels = ags.labels()
-    index = {lab: j for j, lab in enumerate(labels)}
-    step = ags.label(op.shift)
-    perm = [index[tuple((a + b) % s for a, b, s in zip(lab, step, ags.invariant_factors))]
-            for lab in labels]
+    perm = ags._moved.get(op.shift)
+    if perm is None:
+        perm = tuple(ags.sector([a + b for a, b in zip(rep, op.shift)])
+                     for rep in ags.representatives)
+        if sorted(perm) != list(range(ags.dimension)):
+            raise InvariantError("sector action is not a permutation")
+        ags._moved[op.shift] = perm
     phase = {e: p for e, p in enumerate(op.phase) if p}
-    if sorted(perm) != list(range(len(labels))):
-        raise InvariantError("sector action is not a permutation")
-    return LogicalAction(ags.n, tuple(perm), tuple((op.offset + _dot(phase, rep)) % ags.n
-                                                   for rep in ags.representatives))
+    return LogicalAction(ags.n, perm, tuple((op.offset + _dot(phase, rep)) % ags.n
+                                            for rep in ags.representatives))
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +580,7 @@ def logical_action(ags: AbelianGroundSpace, op: StringOperator) -> LogicalAction
 class LogicalQudit(Record):
     """One full qudit: X (tunnel) |c> = |c-1>, Z (loop) |c> = w^c |c>.
 
-    `orbit_cycle` lists the sector labels in frame order.  With `fourier`
+    `orbit_cycle` lists the sector indices in frame order.  With `fourier`
     the frame is |c> = sum_k w^(-ck) |orbit_k> / sqrt(d); without it the
     orbits themselves.
     """
@@ -782,7 +588,7 @@ class LogicalQudit(Record):
                            "x_action", "z_action")
 
     def __init__(self, sector: AbelianGroundSpace, x_op: StringOperator,
-                 z_op: StringOperator, orbit_cycle: tuple[tuple[int, ...], ...],
+                 z_op: StringOperator, orbit_cycle: tuple[int, ...],
                  fourier: bool, x_action: LogicalAction, z_action: LogicalAction):
         super().__init__(sector, x_op, z_op, orbit_cycle, fourier, x_action, z_action)
 
@@ -798,9 +604,9 @@ class LogicalQudit(Record):
         """
         n = self.sector.n
         act = logical_action(self.sector, op)
-        pos = {lab: k for k, lab in enumerate(self.orbit_cycle)}
-        labels = self.sector.labels()
-        cyc = [pos[lab] for lab in labels]   # label index -> frame coordinate
+        cyc = [0] * n   # sector index -> frame coordinate
+        for k, j in enumerate(self.orbit_cycle):
+            cyc[j] = k
         perm, phases = [0] * n, [0] * n
         for j in range(n):
             perm[cyc[j]] = cyc[act.perm[j]]
@@ -841,9 +647,8 @@ def logical_algebra(ags: AbelianGroundSpace, tunnel: StringOperator,
     neighbouring basis states exactly one.
     """
     n = ags.n
-    if ags.invariant_factors != (n,):
-        raise ValueError(
-            f"sector factors {ags.invariant_factors} are not one full qudit")
+    if ags.dimension != n:
+        raise ValueError(f"{ags.dimension} sectors are not one full qudit (need {n})")
     kappa = tunnel.commutation_exponent(loop)
     if gcd(kappa, n) != 1:
         raise ValueError(
@@ -879,11 +684,10 @@ def logical_algebra(ags: AbelianGroundSpace, tunnel: StringOperator,
         for c in range(n):
             if t_act.perm[order[c]] != order[(c - 1) % n]:
                 raise InvariantError("the pair does not close the Weyl algebra")
-    labels = ags.labels()
     x_final = LogicalAction(n, tuple((c - 1) % n for c in range(n)), (0,) * n)
     z_final = LogicalAction(n, tuple(range(n)), tuple(range(n)))
     qud = LogicalQudit(sector=ags, x_op=tunnel, z_op=loop,
-                       orbit_cycle=tuple(labels[j] for j in order),
+                       orbit_cycle=tuple(order),
                        fourier=t_diag, x_action=x_final, z_action=z_final)
     if qud.frame_action(tunnel) != x_final or qud.frame_action(loop) != z_final:
         raise InvariantError("frame transport disagrees with the normal form")

@@ -165,18 +165,18 @@ class TestWorkedExamples:
             "counting": 4, "dense": 4, "modular": 4}
 
     def test_single_route_count_skips_route_agreement(self, capsys):
-        # six one-face holes in an S4 patch: counting and dense are over
+        # seven one-face holes in an S4 patch: counting and dense are over
         # budget, so only the modular route runs
-        faces = ["p(1,1)", "p(1,3)", "p(1,5)", "p(3,1)", "p(3,3)", "p(3,5)"]
-        lattice = {"kind": "patch", "rows": 5, "cols": 7,
+        faces = ["p(1,1)", "p(1,3)", "p(1,5)", "p(1,7)", "p(3,1)", "p(3,3)", "p(3,5)"]
+        lattice = {"kind": "patch", "rows": 5, "cols": 9,
                    "holes": [{"name": f"hole{i}", "faces": [f]}
                              for i, f in enumerate(faces)],
                    "subgroups": {"outer": "full",
-                                 **{f"hole{i}": "trivial" for i in range(6)}}}
+                                 **{f"hole{i}": "trivial" for i in range(7)}}}
         out = run_json(capsys, ["gsd", "--group", "symmetric:4",
                                 "--lattice", json.dumps(lattice)])
-        assert out["results"]["dimension"] == 24 ** 5
-        assert out["results"]["by_method"] == {"modular": 24 ** 5}
+        assert out["results"]["dimension"] == 24 ** 6
+        assert out["results"]["by_method"] == {"modular": 24 ** 6}
         assert out["checks"] == [{"name": "gsd-route-agreement",
                                   "status": "skip"}]
 

@@ -1,17 +1,18 @@
-"""Sector labels, string operators, and Weyl pairs on cyclic groups."""
+"""Ground sectors, string operators, and Weyl pairs on cyclic groups."""
 
 import itertools
 import random
-from fractions import Fraction
-from math import gcd, lcm, prod
-from types import SimpleNamespace
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qdw.cli
+import qdw.geometry
+import qdw.logical
 from qdw.classify import qudit_dimension
-from qdw.groups import InvariantError, build_group, enumerate_subgroups
+from qdw.groups import InvariantError, build_group, double_cosets, enumerate_subgroups
 from qdw.lattice import (
     BoundaryRegion,
     Lattice,
@@ -37,7 +38,6 @@ from qdw.logical import (
     phase_string,
     rim_loop,
     shift_string,
-    smith_normal_form,
     tunnel_operator,
 )
 
@@ -70,191 +70,12 @@ def spur_lattice():
     )
 
 
-class TestSmithNormalForm:
-    def test_known_diagonal(self):
-        # over Z the diagonal is 2, 2, 156; over Z_n each entry is its gcd with n
-        a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-        for n, diagonal in ((12, [2, 2, 12]), (156, [2, 2, 156]), (8, [2, 2, 4]),
-                            (7, [1, 1, 1])):
-            assert smith_normal_form(a, n).diagonal() == diagonal
-
-    def test_rectangular_and_deficient(self):
-        assert smith_normal_form([[1, 2], [3, 4], [5, 6]], 6).diagonal() == [1, 2]
-        assert smith_normal_form([[1, 2], [3, 4], [5, 6]], 5).diagonal() == [1, 1]
-        # a zero pivot reads n
-        assert smith_normal_form([[1, 2], [2, 4]], 6).diagonal() == [1, 6]
-        assert smith_normal_form([[0, 0], [0, 0]], 6).diagonal() == [6, 6]
-
-    @pytest.mark.parametrize("ragged, row", [([[1], [2, 3]], 1), ([[1, 2], [3]], 1),
-                                             ([[1, 2], [3, 4], []], 2)])
-    def test_ragged_rows_are_refused_by_index(self, ragged, row):
-        with pytest.raises(ValueError, match=f"row {row} has"):
-            smith_normal_form(ragged, 6)
-
-    def test_modulus_is_checked(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            smith_normal_form([[1]], 0)
-        # Z_1 is the zero ring: every matrix is zero and every gcd reads 1
-        form = smith_normal_form([[1, 2], [3, 4]], 1)
-        assert form.diagonal() == [1, 1]
-        assert form.u == form.v == [{}, {}]
-        # Python ints cannot wrap: products of entries near n pass 2^63
-        assert smith_normal_form([[3]], 2 ** 31 - 1).diagonal() == [1]
-        n = 2 ** 31
-        assert smith_normal_form([[3]], n).diagonal() == [1]
-        assert smith_normal_form([[2 ** 20, 6], [0, n - 4]], n).diagonal() == [2, 2 ** 21]
-        p = 2 ** 61 - 1
-        assert smith_normal_form([[p - 1, p - 2], [p - 3, p - 5]], p).diagonal() == [1, 1]
-        assert smith_normal_form([[p - 1, p - 2], [p - 2, p - 4]], p).diagonal() == [1, p]
-        form = smith_normal_form([[p - 1, 7, p - 12], [5, p - 3, 2]], p)
-        assert form.diagonal() == [1, 1]
-        assert max(x for row in form.v for x in row.values()) > 2 ** 32
-
-    def test_transforms_on_random_matrices(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            m = rng.randrange(1, 6)
-            k = rng.randrange(1, 6)
-            n = rng.randrange(2, 49)
-            a = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(m)]
-            form = smith_normal_form(a, n)
-            d = form.diagonal()
-            for i in range(len(d) - 1):
-                assert d[i + 1] % d[i] == 0
-            for i, row in enumerate(form.dense("d")):
-                for j, val in enumerate(row):
-                    if i != j:
-                        assert val == 0
-
-
-def _product(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
-
-
-def _det(a):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [row[:] for row in a]
-    n, sign, prev = len(a), 1, 1
-    for t in range(n - 1):
-        if a[t][t] == 0:
-            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
-            if swap is None:
-                return 0
-            a[t], a[swap] = a[swap], a[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // prev
-        prev = a[t][t]
-    return sign * a[-1][-1]
-
-
-def _rank(a):
-    rows = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / rows[rank][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _minor_gcd(a, k, n):
-    """gcd of every k x k minor, stopping once its gcd with n reaches 1.
-    A minor through a zero row or column vanishes, so those are left out."""
-    live_rows = [row for row in a if any(row)]
-    live_cols = [c for c in range(len(a[0])) if any(row[c] for row in a)]
-    g = 0
-    for rows in itertools.combinations(live_rows, k):
-        for cols in itertools.combinations(live_cols, k):
-            g = gcd(g, _det([[row[c] for c in cols] for row in rows]))
-            if gcd(g, n) == 1:
-                return 1
-    return g
-
-
-@st.composite
-def dense_matrices(draw):
-    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    return draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
-                         min_size=m, max_size=m))
-
-
-@st.composite
-def incidence_matrices(draw):
-    """Each column has at most two +-1 entries, like an edge between faces."""
-    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 12))
-    cols = []
-    for _ in range(k):
-        col = [0] * m
-        for r in draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True)):
-            col[r] = draw(st.sampled_from((1, -1)))
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
-
-
-# dense entries in [-30, 30]: over Z its elimination swells past a million bits
-SWELLING_6X5 = [[25, -23, 0, 13, 0], [22, 0, 27, 0, -20], [26, 0, -29, 0, -22],
-                [-20, 16, 20, 0, -5], [-12, 0, -3, 12, -4], [12, 0, 27, 0, 22]]
-
-
-class TestSmithOracle:
-    """gcd(e_1 ... e_i, n) = gcd(D_i, n), with D_i the gcd of the i x i minors
-    over Z, and the transforms are inverses mod n that carry a to d."""
-
-    def check(self, a, n):
-        m, k = len(a), len(a[0])
-        form = smith_normal_form(a, n)
-        for rows in (form.d, form.u, form.uinv, form.v, form.vinv):
-            # sparse rows of Python ints, the zero entries left out
-            assert all(type(x) is int and 0 < x < n for row in rows for x in row.values())
-        e = form.diagonal()
-        d = form.dense("d")
-        assert d == [[d[i][i] if i == j else 0 for j in range(k)] for i in range(m)]
-        assert all(gcd(d[i][i], n) == e[i] for i in range(len(e)))
-        u, uinv, v, vinv = (form.dense(x) for x in ("u", "uinv", "v", "vinv"))
-
-        def mod(x):
-            return [[y % n for y in row] for row in x]
-
-        assert mod(_product(_product(u, a), v)) == d
-        assert mod(_product(u, uinv)) == [[int(i == j) for j in range(m)] for i in range(m)]
-        assert mod(_product(v, vinv)) == [[int(i == j) for j in range(k)] for i in range(k)]
-        assert all(y % x == 0 for x, y in zip(e, e[1:]))
-        rank = _rank(a)
-        for i in range(1, len(e) + 1):
-            # past the rank every minor vanishes, so D_i = 0
-            minors = _minor_gcd(a, i, n) if i <= rank else 0
-            assert gcd(prod(e[:i]), n) == gcd(minors, n)
-
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(dense_matrices(), st.integers(2, 48))
-    def test_dense_integer_matrices(self, a, n):
-        self.check(a, n)
-
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(incidence_matrices(), st.integers(2, 48))
-    def test_sparse_incidence_matrices(self, a, n):
-        self.check(a, n)
-
-    @pytest.mark.parametrize("n", [2, 6, 12, 48])
-    def test_dense_matrix_that_swells_over_z(self, n):
-        self.check(SWELLING_6X5, n)
-
-
 class TestSectors:
     def test_rough_ring_qutrit(self):
         g = build_group("cyclic:3")
         ags = AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
         assert ags.dimension == 3
-        assert ags.invariant_factors == (3,)
-        assert ags.labels() == [(0,), (1,), (2,)]
+        assert [ags.sector(x) for x in ags.representatives] == [0, 1, 2]
 
     @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3", "cyclic:4",
                                       "cyclic:6"])
@@ -271,32 +92,32 @@ class TestSectors:
         lat, subs = two_hole(g2)
         ags = AbelianGroundSpace(lat, g2, subs)
         assert ags.dimension == 2
-        report = ground_space_dimension(lat, g2, subs,
-                                        methods=("counting", "trace"))
+        report = ground_space_dimension(lat, g2, subs, methods=("modular",))
         assert report.value == ags.dimension
         g3 = build_group("cyclic:3")
         lat3, subs3 = two_hole(g3)
         ags3 = AbelianGroundSpace(lat3, g3, subs3)
         assert ags3.dimension == 3
-        assert ags3.invariant_factors == (3,)
+        # a trivial-K root leaves no residual gauge: one slice configuration per sector
+        assert len(ags3._sector) == 3
 
     def test_torus_sectors(self):
         g2 = build_group("cyclic:2")
         ags = AbelianGroundSpace(torus(2, 3), g2, {})
         assert ags.dimension == 4
-        assert ags.invariant_factors == (2, 2)
         g3 = build_group("cyclic:3")
         ags3 = AbelianGroundSpace(torus(2, 2), g3, {})
         assert ags3.dimension == 9
-        assert ags3.invariant_factors == (3, 3)
+        assert ags3.dimension == ground_space_dimension(torus(2, 2), g3, {},
+                                                        methods=("modular",)).value
 
     def test_mixed_ring_is_unique(self):
         g = build_group("cyclic:3")
         ags = AbelianGroundSpace(ring(3), g, {"inner": g.full_subgroup(),
                                               "outer": g.trivial_subgroup()})
         assert ags.dimension == 1
-        assert ags.labels() == [()]
-        assert ags.representative(()) == (0,) * 9
+        assert ags.representatives == ((0,) * 9,)
+        assert ags.sector((0,) * 9) == 0
 
     def test_dangling_spur_sectors_match_enumeration(self):
         g = build_group("cyclic:3")
@@ -304,7 +125,9 @@ class TestSectors:
         for sub, want in ((g.full_subgroup(), 1), (g.trivial_subgroup(), 3)):
             ags = AbelianGroundSpace(lat, g, {"bdry": sub})
             assert ags.dimension == want
-            assert ground_space_dimension(lat, g, {"bdry": sub}).value == want
+            # the dense trace is the oracle that reads no slice
+            assert ground_space_dimension(lat, g, {"bdry": sub},
+                                          methods=("dense",)).value == want
 
     def test_needs_cyclic_presentation(self):
         with pytest.raises(ValueError, match="cyclic"):
@@ -317,22 +140,23 @@ class TestSectors:
         g = build_group("cyclic:3")
         lat, subs = two_hole(g)
         ags = AbelianGroundSpace(lat, g, subs)
-        for lab in ags.labels():
-            rep = ags.representative(lab)
+        for j, rep in enumerate(ags.representatives):
             assert ags.is_admissible(rep)
-            assert ags.label(rep) == lab
+            assert ags.sector(rep) == j
         assert ags.is_admissible((0,) * lat.n_edges)
         bad = [0] * lat.n_edges
         bad[lat.edge_index("h(0,0)")] = 1
         assert not ags.is_admissible(bad)
         with pytest.raises(ValueError, match="violates"):
-            ags.label(bad)
+            ags.sector(bad)
 
-    def test_label_length_checked(self):
+    def test_over_budget_slice_is_refused(self, monkeypatch):
         g = build_group("cyclic:3")
-        ags = AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
-        with pytest.raises(ValueError, match="label length"):
-            ags.representative((0, 0))
+        monkeypatch.setattr(qdw.geometry, "TRACE_PARTIAL_BUDGET", 1)
+        with pytest.raises(ValueError, match="over budget"):
+            AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
+        for command in ("logical", "charge-project"):
+            assert qdw.cli.main([command, "--group", "cyclic:3", "--lattice", "ring:3"]) == 2
 
 
 class TestStringOperators:
@@ -543,11 +367,10 @@ class TestWeylPair:
         assert qud.x_op.commutation_exponent(qud.z_op) == 1
         assert qud.x_op.power(3).is_identity()
         assert qud.z_op.power(3).is_identity()
-        assert sorted(qud.orbit_cycle) == ags.labels()
+        assert sorted(qud.orbit_cycle) == [0, 1, 2]
         # cycle starts where the tunnel phase vanishes and climbs by one
         raw = logical_action(ags, qud.x_op)
-        labels = ags.labels()
-        zeta = [raw.phase_exp[labels.index(lab)] for lab in qud.orbit_cycle]
+        zeta = [raw.phase_exp[j] for j in qud.orbit_cycle]
         assert zeta == [0, 1, 2]
 
     def test_two_hole_qubit_anticommutes(self):
@@ -642,16 +465,13 @@ class TestWeylPair:
 
 
 def loop_logical_action(ags, op):
-    """Reference action: rebuild, relabel and phase one representative per sector."""
-    labels = ags.labels()
-    index = {lab: j for j, lab in enumerate(labels)}
+    """Reference action, never memoized: move and phase one representative per sector."""
     perm, phase = [], []
-    for lab in labels:
-        x = ags.representative(lab)
+    for x in ags.representatives:
         moved = tuple((a + b) % ags.n for a, b in zip(x, op.shift))
-        perm.append(index[ags.label(moved)])
+        perm.append(ags.sector(moved))
         phase.append((op.offset + sum(p * a for p, a in zip(op.phase, x))) % ags.n)
-    if sorted(perm) != list(range(len(labels))):
+    if sorted(perm) != list(range(ags.dimension)):
         raise InvariantError("sector action is not a permutation")
     return LogicalAction(ags.n, tuple(perm), tuple(phase))
 
@@ -704,8 +524,8 @@ def label_map_cases():
 
 
 class TestLabelMap:
-    """logical_action moves sectors by the label of the shift; that must agree
-    with relabelling a shifted representative of every sector."""
+    """logical_action moves sectors by a memoized permutation per shift; that
+    must agree with recomputing the sector of every shifted representative."""
 
     @pytest.mark.parametrize("case", list(label_map_cases()), ids=lambda c: c[0])
     def test_matches_per_sector_recomputation(self, case):
@@ -726,7 +546,7 @@ class TestLabelMap:
         ags = AbelianGroundSpace(torus(2, 2), g, {})
         reps = ags.representatives
         assert reps is ags.representatives
-        assert [ags.label(x) for x in reps] == ags.labels()
+        assert [ags.sector(x) for x in reps] == list(range(ags.dimension))
 
     def test_face_violating_shift_is_refused(self):
         g = build_group("cyclic:4")
@@ -760,35 +580,106 @@ def holed_patches(draw):
     return g, lat, {reg.name: draw(st.sampled_from(subs)) for reg in lat.regions}
 
 
+def gauge_moved(lat, group, subs, config, rng):
+    """config after a random gauge transformation, built from the group table:
+    a label from each vertex's domain (its rim's K, else G) acting as g x on
+    the edges into the vertex and x g^-1 on those out of it, and K
+    translations on both sides of each dangling edge."""
+    x = [int(c) % group.order for c in config]
+    for v in range(lat.n_vertices):
+        reg = lat.vertex_region.get(v)
+        g = rng.choice(subs[reg].elements if reg else range(group.order))
+        for e, at_head in lat.star[v]:
+            x[e] = group.mul(g, x[e]) if at_head else group.mul(x[e], group.inv[g])
+    for e, (reg, role) in lat.edge_region.items():
+        if role == "dangling":
+            k1, k2 = rng.choice(subs[reg].elements), rng.choice(subs[reg].elements)
+            x[e] = group.mul(group.mul(k1, x[e]), k2)
+    return x
+
+
 class TestLabelHomomorphism:
-    """label is additive on admissible configurations and constant on gauge
-    orbits, which is what lets logical_action move sectors by label(shift)."""
+    """The sector of a configuration forgets gauge moves, and the sector of a
+    sum depends only on the summands' sectors: sector labels add, which is
+    what lets logical_action move every sector by one permutation per shift."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(holed_patches(), st.data())
     def test_label_adds_and_forgets_gauge_shifts(self, case, data):
         g, lat, subs = case
         ags = AbelianGroundSpace(lat, g, subs)
-        n = g.order
-        assert [ags.label(ags.representative(lab)) for lab in ags.labels()] == ags.labels()
+        reps = ags.representatives
+        assert [ags.sector(x) for x in reps] == list(range(ags.dimension))
         rng = data.draw(st.randoms(use_true_random=False))
-        l1, l2 = rng.choice(ags.labels()), rng.choice(ags.labels())
-        x = np.add(ags.representative(l1), ags.representative(l2))
-        for row in ags._phase_rows:
-            x += rng.randrange(n) * np.array(row)
-        want = tuple((a + b) % s for a, b, s in zip(l1, l2, ags.invariant_factors))
-        assert ags.label(x % n) == want
+        i, j = rng.randrange(ags.dimension), rng.randrange(ags.dimension)
+        plain = ags.sector(np.add(reps[i], reps[j]))
+        moved = np.add(gauge_moved(lat, g, subs, reps[i], rng),
+                       gauge_moved(lat, g, subs, reps[j], rng))
+        assert ags.sector(moved) == plain
+        assert ags.sector(gauge_moved(lat, g, subs, moved, rng)) == plain
         assert ags.dimension == ground_space_dimension(lat, g, subs,
                                                        methods=("modular",)).value
+
+
+@st.composite
+def sector_cases(draw):
+    """C2-C8 on a torus, a ring, a patch, a one- or two-hole patch or the
+    dangling spur, a random boundary subgroup on every region, and the
+    sector count from an oracle that reads no slice: `modular`,
+    `qudit_dimension` on rings, and |K\\G/K| on the spur, whose square is a
+    disk with one ground state."""
+    g = build_group(f"cyclic:{draw(st.integers(2, 8))}")
+    kind = draw(st.sampled_from(["torus", "ring", "patch", "one-hole", "two-hole", "spur"]))
+    if kind == "torus":
+        lat = torus(2, draw(st.integers(2, 3)))
+    elif kind == "ring":
+        lat = ring(draw(st.integers(3, 4)))
+    elif kind == "patch":
+        lat = patch(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif kind == "one-hole":
+        lat = carve_hole(patch(3, 3), ["p(1,1)"], "hole0")
+    elif kind == "two-hole":
+        lat = two_hole(g)[0]
+    else:
+        lat = spur_lattice()
+    subs = enumerate_subgroups(g)
+    assign = {reg.name: draw(st.sampled_from(subs)) for reg in lat.regions}
+    if kind == "ring":
+        want = qudit_dimension(g, assign["inner"], assign["outer"])
+    elif kind == "spur":
+        want = len(double_cosets(assign["bdry"], assign["bdry"]))
+    else:
+        want = ground_space_dimension(lat, g, assign, methods=("modular",)).value
+    return g, lat, assign, want
+
+
+class TestSliceSectors:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(sector_cases(), st.data())
+    def test_sectors_match_the_oracle_and_forget_gauge_moves(self, case, data):
+        g, lat, subs, want = case
+        ags = AbelianGroundSpace(lat, g, subs)
+        assert ags.dimension == want
+        reps = ags.representatives
+        # distinct representatives lie in distinct sectors
+        assert [ags.sector(x) for x in reps] == list(range(want))
+        rng = data.draw(st.randoms(use_true_random=False))
+        for j, x in enumerate(reps):
+            assert ags.sector(gauge_moved(lat, g, subs, x, rng)) == j
+        # a memoized permutation equals a freshly computed one
+        op = shift_string(ags, dict(enumerate(rng.choice(reps))))
+        first = logical_action(ags, op)
+        assert ags._moved[op.shift] == first.perm
+        fresh = AbelianGroundSpace(lat, g, subs)
+        assert logical_action(ags, op) == first == logical_action(fresh, op)
+        assert first == loop_logical_action(ags, op)
 
 
 def frame_matrix(qud):
     """Materialized ground basis: column c is the frame state |c>."""
     ags = qud.sector
     q = ags.orbit_state_matrix()
-    labels = ags.labels()
-    cols = [labels.index(lab) for lab in qud.orbit_cycle]
-    q = q[:, cols]
+    q = q[:, list(qud.orbit_cycle)]
     if not qud.fourier:
         return q.astype(complex)
     n = qud.d
@@ -1094,47 +985,27 @@ class TestTunnelPaths:
 
 
 # ---------------------------------------------------------------------------
-# the sector quotient over free kernel coordinates equals the full-width one
+# the narrow slice and the full-width one give the same sectors
+#
+# Rooting each forest tree at its smallest gauge domain keeps the slice
+# narrow: under a trivial-K root every sector meets it once.  Rooting each
+# tree at its largest domain instead widens the slice by the residual
+# gauge, which the roots' generators must then merge.  Both must cut the
+# admissible configurations into the same sectors.
 
 
-def _matvec(a, x):
-    return [sum(p * q for p, q in zip(row, x)) for row in a]
+def full_width_space(lat, group, subs):
+    """AbelianGroundSpace on a forest rooted at each tree's largest gauge domain."""
+    real = qdw.logical._spanning_forest
 
+    def widest(lat, domains, dangling):
+        # the forest ranks roots by domain size alone, so inverted sizes
+        # root each tree at its largest domain
+        return real(lat, [(0,) * (group.order + 1 - len(d)) for d in domains], dangling)
 
-def full_width_labels(ags):
-    """Reference sector data from a second normal form over all E kernel
-    coordinates, the pinned (g_i = 1) ones included."""
-    n, g = ags.n, ags._g
-    ne = len(g)
-    vinv, v = ags._form1.dense("vinv"), ags._form1.dense("v")
-
-    def coords(x):
-        y = [yi % n for yi in _matvec(vinv, [c % n for c in x])]
-        assert all(yi % (n // gi) == 0 for yi, gi in zip(y, g))
-        return [(yi // (n // gi)) % gi for yi, gi in zip(y, g)]
-
-    gens = [coords(row) for row in ags._phase_rows]
-    form = smith_normal_form([[g[i] if j == i else 0 for j in range(ne)] +
-                              [t[i] for t in gens] for i in range(ne)], n)
-    s = form.diagonal()
-    live = [i for i, si in enumerate(s) if si > 1]
-    u, uinv = form.dense("u"), form.dense("uinv")
-
-    def label(x):
-        z = _matvec(u, coords(x))
-        return tuple(z[i] % s[i] for i in live)
-
-    labels = list(itertools.product(*(range(s[i]) for i in live)))
-    reps = []
-    for lab in labels:
-        full = [0] * ne
-        for pos, i in enumerate(live):
-            full[i] = lab[pos]
-        t = _matvec(uinv, full)
-        y = [(n // gi) * ti for gi, ti in zip(g, t)]
-        reps.append(tuple(xi % n for xi in _matvec(v, y)))
-    return SimpleNamespace(form=form, invariant_factors=tuple(s[i] for i in live),
-                           labels=labels, representatives=tuple(reps), label=label)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qdw.logical, "_spanning_forest", widest)
+        return AbelianGroundSpace(lat, group, subs)
 
 
 def wide_patch(group):
@@ -1183,29 +1054,18 @@ class TestNarrowQuotient:
     def test_matches_the_full_width_quotient(self, case):
         _, g, lat, subs = case
         ags = AbelianGroundSpace(lat, g, subs)
-        ref = full_width_labels(ags)
-        free = [i for i, gi in enumerate(ags._g) if gi > 1]
-        # one row per free coordinate; the full-width form is the identity on
-        # the pinned coordinates and the narrow form on the free ones
-        assert len(ags._form2.u) == len(free)
-        pinned = [i for i in range(lat.n_edges) if i not in free]
-        assert pinned == list(range(len(pinned)))
-        assert ref.form.diagonal() == [1] * len(pinned) + ags._form2.diagonal()
-        ref_u = ref.form.dense("u")
-        assert [[ref_u[i][j] for j in free] for i in free] == ags._form2.dense("u")
-        assert ags.invariant_factors == ref.invariant_factors
-        assert ags.labels() == ref.labels
-        assert ags.representatives == ref.representatives
+        ref = full_width_space(lat, g, subs)
+        assert ref.dimension == ags.dimension
+        assert len(ref._sector) >= len(ags._sector)
+        # the two numberings differ by one bijection
+        sigma = [ref.sector(x) for x in ags.representatives]
+        assert sorted(sigma) == list(range(ags.dimension))
         rng = random.Random(lat.n_edges * g.order)
-        for lab, rep in zip(ags.labels(), ags.representatives):
-            assert ags.label(rep) == ref.label(rep) == lab
+        for rep in ags.representatives:
             for _ in range(3):
-                x = list(rep)
-                for row in rng.sample(ags._phase_rows, min(4, len(ags._phase_rows))):
-                    c = rng.randrange(g.order)
-                    x = [(a + c * b) % g.order for a, b in zip(x, row)]
+                x = gauge_moved(lat, g, subs, np.add(rep, rng.choice(ags.representatives)), rng)
                 assert ags.is_admissible(x)
-                assert ags.label(x) == ref.label(x) == lab
+                assert ref.sector(x) == sigma[ags.sector(x)]
 
     @pytest.mark.parametrize("rims", list(C6_WIDE_RIMS))
     def test_c6_wide_patch_matches_the_modular_count(self, rims):
@@ -1214,15 +1074,15 @@ class TestNarrowQuotient:
         modular = ground_space_dimension(lat, g, subs, methods=("modular",)).value
         assert ags.dimension == modular == C6_WIDE_RIMS[rims]
 
-    def test_wide_patch_drops_the_pinned_coordinates(self):
+    def test_wide_patch_slice_holds_one_configuration_per_sector(self):
         g = build_group("cyclic:2")
         lat = carve_hole(patch(6, 10), ["p(1,1)"], "hole0")
         lat = carve_hole(lat, ["p(1,3)"], "hole1")
         ags = AbelianGroundSpace(lat, g, {"outer": g.full_subgroup(),
                                           "hole0": g.trivial_subgroup(),
                                           "hole1": g.trivial_subgroup()})
-        assert (lat.n_edges, len(ags._form2.u)) == (136, 70)
-        assert ags.invariant_factors == (2,)
+        assert lat.n_edges == 136
+        assert ags.dimension == len(ags._sector) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1252,7 +1112,7 @@ class TestCellIndices:
     @pytest.mark.parametrize("length", [3, 8, 10, 12])
     def test_configurations_need_one_register_per_edge(self, ags, length):
         with pytest.raises(ValueError, match=f"has {length} registers, expected 9"):
-            ags.label([0] * length)
+            ags.sector([0] * length)
         with pytest.raises(ValueError, match="registers"):
             ags.is_admissible([0] * length)
-        assert ags.label([0] * 9) == (0,)
+        assert ags.sector([0] * 9) == 0
