@@ -21,11 +21,11 @@ from math import isqrt, lcm
 from operator import mul
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from qdw.characters import character_table
 from qdw.groups import (
     FiniteGroup,
     InvariantError,
     Subgroup,
-    character_table,
     double_cosets,
     is_automorphism,
     subgroup_conjugacy_classes,

@@ -5,15 +5,18 @@ produce the same bytes on stdout, so runs can be diffed.  Wall-clock
 timing goes to stderr (and into the pretty format) only.
 
 Each run is one process, so start-up is part of every answer.  Only the
-group layer is imported here; the sector, check, geometry, lattice and
-logical layers are imported inside the handlers that reach them, and
-their names read off this module resolve through `__getattr__`, by the
-package's table of lazy exports (`qdw._EXPORTS`).
+group layer is imported here; the character-table, sector, check,
+geometry, slice, lattice, ground-state and logical layers are imported
+inside the handlers that reach them, and their names read off this
+module resolve through `__getattr__`, by the package's table of lazy
+exports (`qdw._EXPORTS`).  Run as a script, the process skips the
+collector's passes at exit (`gc.freeze` under `__main__`).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import io
 import json
@@ -32,7 +35,6 @@ from qdw.groups import (
     _is_json_int,
     _root_of_unity,
     build_group,
-    character_table,
     enumerate_subgroups,
 )
 from qdw.records import FrozenRecord, Record
@@ -282,6 +284,8 @@ def _matrix_pairs(m: Sequence[Sequence[complex]]) -> list[list[float]]:
 
 
 def _cmd_group_info(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
+    from qdw.characters import character_table
+
     group = build_group(cfg.group)
     table = character_table(group)
     classes = [{
@@ -491,7 +495,7 @@ def _cmd_lattice_audit(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
 
 
 def _cmd_gsd(cfg: RunConfig) -> tuple[dict, Flat, Checks]:
-    from qdw.lattice import ground_space_dimension
+    from qdw.gsd import ground_space_dimension
 
     group, lat, subs = _lattice_context(cfg)
     rep = ground_space_dimension(lat, group, subs)
@@ -786,4 +790,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    status = main()
+    # Every object is about to be freed anyway.  Frozen, they are out of the
+    # collector's reach, so interpreter teardown skips its passes over them;
+    # unlike os._exit, this keeps finalization and atexit hooks.
+    gc.freeze()
+    sys.exit(status)

@@ -1,0 +1,330 @@
+"""Ground-state counts of a lattice, from up to three routes that must agree.
+
+Counting evaluates the Burnside sum over gauge orbits of flat connections
+on a slice that keeps, on each spanning-forest edge, one value per orbit
+of its child's gauge domain (`qdw.flat`); a dangling edge with boundary
+subgroup K stays out of the slice and contributes one factor |K\\G/K|.
+Modular is one exact sum over the boundary condensates, without the
+lattice's configurations, on any connected surface whose boundary
+circles are its regions.  Dense takes the trace of the projector built
+on the support of the diagonal terms, and raises when a term maps that
+support outside itself, which commuting projectors never do.  Trace is
+the counting route with its gauge fix switched off, the Burnside sum
+over every flat configuration of the edges that are not dangling: a
+reference route that runs only when named.
+
+The modular route imports the sector layer (`qdw.classify`) and the
+dense route the Hamiltonian terms (`qdw.lattice`) and numpy, each where
+it runs, so a `gsd` run whose dense route is over budget loads no
+operator code.  The counting, trace and modular routes run on Python
+integers.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import partial
+from math import prod
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+
+from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment, config_digits,
+                          place_values)
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
+from qdw.records import Record
+
+if TYPE_CHECKING:
+    from qdw.lattice import HamiltonianTerm
+
+__all__ = ["GsdReport", "ground_space_dimension"]
+
+
+# ---------------------------------------------------------------------------
+# route 1, and the trace reference route without its gauge fix: the Burnside sum
+#
+# The ground states are the gauge orbits of flat connections, with
+# K-restricted gauge on the rims, so their number is the gauge-group
+# average of the stabilizer orders of the flat configurations.
+
+
+def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequence[int]],
+                      domains: Sequence[Sequence[int]], roots: Sequence[int], tree) -> int:
+    """Sum over `configs` of the number of vertex gauge transformations fixing each.
+
+    On each tree of the forest a fixing transformation is determined by
+    its root label g: labels propagate along tree edges, and must lie in
+    their vertex domains and respect every non-tree edge of the tree.
+    The label of vertex w is Q_w g Q_w^-1, where Q_w multiplies the tree
+    edges' letters from the root to w, so g must lie in Q_w^-1 D_w Q_w
+    for every vertex w whose domain D_w is not the whole group, and
+    commute with Q_h^-1 x Q_t for every non-tree edge from t to h with
+    register value x.  Only dangling edges join trees, and their K x K
+    translations absorb both endpoint labels (see `_gsd_counting`), so
+    their checks are skipped and the trees' counts multiply.  `configs`
+    is consumed one configuration at a time; sets of root labels are
+    bit masks.
+    """
+    rows, inv, n = group.rows, group.inv, group.order
+    mask = [sum(1 << g for g in d) for d in domains]
+    whole = (1 << n) - 1
+    comp = [0] * lat.n_vertices
+    for ci, (root, edges) in enumerate(zip(roots, tree)):
+        comp[root] = ci
+        for _, child, _ in edges:
+            comp[child] = ci
+    tree_edges = {ei for edges in tree for ei, _, _ in edges}
+    nontree_by_comp: dict[int, list[tuple[int, int, int]]] = {}
+    for ei, (t, h) in enumerate(lat.edges):
+        if ei not in tree_edges and lat.edge_region.get(ei, ("", ""))[1] != "dangling":
+            nontree_by_comp.setdefault(comp[t], []).append((ei, t, h))
+    centralizer = [sum(1 << g for g in range(n) if rows[g][x] == rows[x][g])
+                   for x in range(n)]
+    conjugated: dict[int, list[int]] = {}   # mask of D -> mask of Q^-1 D Q for each Q
+    for w, d in enumerate(domains):
+        if mask[w] != whole and mask[w] not in conjugated:
+            conjugated[mask[w]] = [sum(1 << rows[rows[inv[q]][x]][q] for x in d)
+                                   for q in range(n)]
+    # per tree: the root's labels, the tree edges as (edge, parent, child,
+    # child is head), the other vertices with a proper domain, and the
+    # non-tree edges
+    plans = [(mask[root],
+              [(ei, lat.edges[ei][0 if head else 1], child, head) for ei, child, head in edges],
+              [(child, conjugated[mask[child]]) for _, child, _ in edges
+               if mask[child] != whole],
+              nontree_by_comp.get(ci, ()))
+             for ci, (root, edges) in enumerate(zip(roots, tree))]
+    q = [0] * lat.n_vertices
+    total = 0
+    for values in configs:
+        fixing = 1
+        for alive, edges, proper, nontree in plans:
+            for ei, parent, child, head in edges:
+                x = values[ei]
+                q[child] = rows[x if head else inv[x]][q[parent]]
+            for w, masks in proper:
+                alive &= masks[q[w]]
+            for ei, t, h in nontree:
+                alive &= centralizer[rows[rows[inv[q[h]]][values[ei]]][q[t]]]
+            fixing *= alive.bit_count()
+            if not fixing:
+                break
+        total += fixing
+    return total
+
+
+def _gsd_counting(lat: Lattice, group: FiniteGroup,
+                  subgroups: Mapping[str, Subgroup],
+                  gauge_fix: bool = True) -> Optional[int]:
+    """Route 1: the Burnside sum on a gauge-fixed slice.
+
+    Each tree edge of the spanning forest (see `_spanning_forest`) keeps
+    only `_transversal` of its allowed values under its child's gauge
+    domain.  Taking the children in forest order, every configuration is
+    then one gauge transformation of the children away from exactly one
+    configuration of the slice, so each gauge orbit contributes the order
+    of the residual gauge group, the product of the root domains, to the
+    slice's stabilizer total.  A dangling edge borders no face, and its
+    K x K translations absorb both endpoint labels, so every orbit is an
+    orbit of the other edges times one double coset K x K: the dangling
+    edges are left out of the slice (set to the identity) and the count
+    is multiplied by |K\\G/K| for each.  The modular and dense routes are
+    independent oracles for it.  With `gauge_fix` off no edge is
+    restricted and the sum runs over every flat configuration of the
+    other edges: that is the trace reference route, no independent
+    oracle, and far costlier in time (the configurations are streamed, so
+    not in memory).
+    """
+    allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
+    roots, tree = _spanning_forest(lat, domains, dangling)
+    allowed = [(0,) if e in dangling else a for e, a in enumerate(allowed)]
+    if gauge_fix:
+        for ei, child, child_is_head in itertools.chain.from_iterable(tree):
+            allowed[ei] = _transversal(group, allowed[ei], domains[child], child_is_head)
+    configs = _enumerate_flat_configs(lat, group, allowed)
+    if configs is None:
+        return None
+    total = _stabilizer_total(lat, group, configs, domains, roots, tree)
+    # residual gauge: the root labels, or every label without the gauge fix
+    residual = prod(len(domains[v]) for v in (roots if gauge_fix else range(lat.n_vertices)))
+    if total % residual != 0:
+        raise InvariantError("orbit count is not divisible by the residual gauge volume")
+    return total // residual * prod(len(double_cosets(k, k)) for k in dangling.values())
+
+
+# ---------------------------------------------------------------------------
+# route 2: modular data
+
+
+def _is_connected(vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether `edges` join `vertices` into one piece and touch no other vertex."""
+    adj: dict[int, list[tuple[int, None]]] = {v: [] for v in vertices}
+    for t, h in edges:
+        if t not in adj or h not in adj:
+            return False
+        adj[t].append((h, None))
+        adj[h].append((t, None))
+    if not adj:
+        return False
+    return sum(1 for _ in _breadth_first([next(iter(adj))], adj.__getitem__)) == len(adj)
+
+
+def _is_bounded_surface(lat: Lattice) -> bool:
+    """Whether `lat` is a connected oriented surface whose boundary circles are its regions.
+
+    Every edge borders two faces that traverse it in opposite directions,
+    or is a rim edge and borders one face; no region has a dangling edge;
+    and each region's rim edges join its rim vertices into one piece.
+    """
+    sides: list[list[bool]] = [[] for _ in lat.edges]
+    for cyc in lat.plaquettes:
+        for e, along in cyc:
+            sides[e].append(along)
+    rim = {e for reg in lat.regions for e in reg.rim_edges}
+    if any(reg.dangling_edges for reg in lat.regions) or any(
+            len(sd) != (1 if e in rim else 2) or len(set(sd)) != len(sd)
+            for e, sd in enumerate(sides)):
+        return False
+    return _is_connected(range(lat.n_vertices), lat.edges) and all(
+        _is_connected(reg.rim_vertices, [lat.edges[e] for e in reg.rim_edges])
+        for reg in lat.regions)
+
+
+def _gsd_modular(lat: Lattice, group: FiniteGroup,
+                 subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+    """Route 2: the ground-state count from the condensates of D(G).
+
+    A surface with Euler characteristic chi and boundary regions i has
+    GSD = sum over sectors x of (d_x/|G|)^chi prod_i W_{i,x}, with W_i the
+    condensate of region i, summed exactly by `condensate_count`.  It
+    enumerates no configuration, so it is an independent oracle for route 1.
+    Returns None on a lattice that is no such surface (`_is_bounded_surface`):
+    one with dangling edges, where the count is a double-coset count, or one
+    with a one-face edge that is no region's rim edge.
+    """
+    from qdw.classify import condensate_count
+
+    _region_assignment(lat, group, subgroups)
+    if not _is_bounded_surface(lat):
+        return None
+    return condensate_count(group, lat.euler_characteristic,
+                            [subgroups[reg.name] for reg in lat.regions])
+
+
+# ---------------------------------------------------------------------------
+# route 3: dense matrix trace
+
+
+def _dense_projector(lat: Lattice, group: FiniteGroup,
+                     subgroups: Mapping[str, Subgroup],
+                     terms: Optional[Sequence[HamiltonianTerm]] = None):
+    """(support, P_S), or None when the configurations or the S x S block are over
+    budget: the ground projector's dense S x S block.
+
+    S lists the configurations where the product of the diagonal terms is
+    nonzero; P_S starts as that product, and each off-diagonal monomial is
+    applied as one gather through its inverse map (row m, kept zero, means
+    no preimage).  Commuting projectors keep S invariant, so the projector
+    vanishes outside the block; a monomial that maps S outside S raises.
+    """
+    dim = group.order ** lat.n_edges
+    if dim > MATERIALIZE_DIM_BUDGET:
+        return None
+    import numpy as np
+
+    if terms is None:
+        from qdw.lattice import build_terms
+
+        terms = build_terms(lat, group, subgroups)
+    n = group.order
+    edges = range(lat.n_edges)
+    digits, _ = config_digits(n, lat.n_edges)
+    diag = np.ones(dim)
+    for t in (t for t in terms if t.diagonal):
+        # the term's diagonal over its own support, gathered at every configuration
+        table, den, own = t.op._expansion()
+        size = n ** len(own)
+        entries = np.zeros(size)
+        entries[[c // (size + 1) for c in table]] = [v / den for v in table.values()]
+        diag *= entries[digits[:, list(own)] @ np.array(place_values(n, len(own)), dtype=np.int64)]
+    support = np.flatnonzero(diag)
+    m = len(support)
+    if m ** 2 > 40_000_000:
+        return None
+    index = np.full(dim, m, dtype=np.int64)
+    index[support] = np.arange(m)
+    proj = np.vstack([np.diag(diag[support]), np.zeros(m)])
+    for t in (t for t in terms if not t.diagonal):
+        out = np.zeros_like(proj)
+        for rows, cols, coeff in t.op.monomial_entries(edges):
+            inside = index[cols] < m
+            rows, cols = index[rows[inside]], index[cols[inside]]
+            if (rows == m).any():
+                raise InvariantError(f"{t.name} maps a configuration out of the support")
+            preimage = np.full(m, m)
+            preimage[rows] = cols
+            out[:m] += float(coeff) * proj[preimage]
+        proj = out
+    return support, proj[:m]
+
+
+def _projector_rank(proj) -> int:
+    """Rank of a projector matrix, read from its trace, which must be an integer."""
+    tr = float(proj.diagonal().sum())
+    val = int(round(tr))
+    if abs(tr - val) > 1e-6 * max(1.0, abs(tr)):
+        raise InvariantError(f"projector trace {tr} is not close to an integer")
+    return val
+
+
+def _gsd_dense(lat: Lattice, group: FiniteGroup,
+               subgroups: Mapping[str, Subgroup]) -> Optional[int]:
+    """Route 3: the trace of the explicit projector's support block, an independent oracle."""
+    dense = _dense_projector(lat, group, subgroups)
+    return None if dense is None else _projector_rank(dense[1])
+
+
+# ---------------------------------------------------------------------------
+# combined entry point
+
+
+class GsdReport(Record):
+    _fields = __slots__ = ("value", "by_method", "skipped")
+
+    def __init__(self, value: int, by_method: dict[str, int], skipped: tuple[str, ...]):
+        super().__init__(value, by_method, skipped)
+
+
+_METHODS = {
+    "counting": _gsd_counting,
+    "modular": _gsd_modular,
+    "dense": _gsd_dense,
+    "trace": partial(_gsd_counting, gauge_fix=False),
+}
+
+
+def ground_space_dimension(lat: Lattice, group: FiniteGroup,
+                           subgroups: Mapping[str, Subgroup],
+                           methods: Sequence[str] = ("counting", "modular", "dense"),
+                           ) -> GsdReport:
+    """Ground-state count, cross-checked across every route within budget.
+
+    A route that does not fit the lattice or its budget is listed in
+    `skipped`.  The trace reference route runs only when named.
+    """
+    results: dict[str, int] = {}
+    skipped: list[str] = []
+    for m in methods:
+        if m not in _METHODS:
+            raise ValueError(f"unknown method {m!r}")
+        val = _METHODS[m](lat, group, subgroups)
+        if val is None:
+            skipped.append(m)
+        else:
+            results[m] = val
+    if not results:
+        raise ValueError("no ground-state counting route fits its budget here")
+    vals = set(results.values())
+    if len(vals) != 1:
+        raise InvariantError(f"counting routes disagree: {results}")
+    return GsdReport(value=vals.pop(), by_method=results, skipped=tuple(skipped))
+

@@ -4,7 +4,7 @@ The ground sectors of a boundary assignment are the gauge orbits of its
 admissible configurations: flat connections whose rim edges lie in the
 rim's subgroup K, with K-restricted gauge on rim vertices and K x K
 translations on dangling edges.  `AbelianGroundSpace` finds them on the
-gauge-fixed slice that the counting route enumerates (`qdw.geometry`),
+gauge-fixed slice that the counting route enumerates (`qdw.flat`),
 and numbers them in the slice's order.  Its `sector` gauge-fixes any
 admissible configuration onto that slice in one pass along the spanning
 forest, so a string acts on sectors by moving one representative per
@@ -16,7 +16,8 @@ operators themselves, whose shift and phase data are integers mod n.
 Logical actions are permutations with root-of-unity phases, so their
 algebra and unitarity are exact, and charge projectors are sums of roots
 of unity decided exactly.  numpy is imported only by the materialized
-oracles `orbit_state_matrix` and `StringOperator.apply`.
+oracles `orbit_state_matrix` and `StringOperator.apply`, and the
+character tables (`qdw.characters`) only by `charge_projectors`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment, config_digits
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        _generating_sequence, _integer_sum, _root_of_unity,
-                        character_table, double_cosets, is_cyclic_presentation)
-from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _enumerate_flat_configs,
-                          _gauge_domains, _region_assignment, _spanning_forest,
-                          _transversal, config_digits)
+                        _generating_sequence, _root_of_unity, double_cosets,
+                        is_cyclic_presentation)
 from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -738,6 +738,8 @@ def _additive_irrep_map(group: FiniteGroup) -> dict[int, int]:
     At x of order o = n/gcd(x, n), w^(a x) = zeta_o^(a x/gcd(x, n)), so each
     character is matched to its row on exact spectra.
     """
+    from qdw.characters import character_table
+
     n = group.order
     table = character_table(group)
     row = {tuple(spectra): i for i, spectra in enumerate(table.spectra)}
@@ -760,6 +762,7 @@ def charge_projectors(qudit: LogicalQudit,
     hole only the pure charge sectors survive; their projectors pick out
     single logical states.
     """
+    from qdw.characters import _integer_sum
     from qdw.classify import abelian_anyon_data
 
     ags = qudit.sector

@@ -168,7 +168,7 @@ def _check_lattice_audit(group: FiniteGroup, tol: float) -> str:
 
 def _check_gsd_census(group: FiniteGroup, tol: float) -> str:
     from qdw.geometry import torus
-    from qdw.lattice import ground_space_dimension
+    from qdw.gsd import ground_space_dimension
 
     want = len(anyon_table(group))
     rep = ground_space_dimension(torus(2, 2), group, {})

@@ -26,11 +26,11 @@ from qdw.groups import (
     enumerate_subgroups,
     inner_automorphism,
 )
+from qdw.gsd import ground_space_dimension
 from qdw.lattice import (
     audit_commutation,
     build_terms,
     carve_hole,
-    ground_space_dimension,
     patch,
     ring,
     torus,

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdw.characters import character_table
 from qdw.groups import (
     DoubleCoset,
     build_group,
-    character_table,
     double_cosets,
     enumerate_automorphisms,
     enumerate_subgroups,
@@ -31,7 +31,8 @@ from qdw.classify import (
     symmetry_action,
 )
 from qdw.groups import InvariantError
-from qdw.lattice import ground_space_dimension, ring
+from qdw.gsd import ground_space_dimension
+from qdw.lattice import ring
 from qdw.verify import verify_group
 
 OMEGA = complex(-0.5, 3 ** 0.5 / 2)

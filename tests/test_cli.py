@@ -514,7 +514,6 @@ def test_cli_import_loads_no_scipy():
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
-CENSUS = {"qdw.classify"}
 TWO_HOLE_PATCH = ('{"kind":"patch","rows":4,"cols":6,"holes":['
                   '{"name":"hole0","faces":["p(1,2)"]},{"name":"hole1","faces":["p(1,4)"]}],'
                   '"subgroups":{"outer":"full"}}')
@@ -544,40 +543,57 @@ def test_roots_of_unity_render_correctly_rounded():
                 assert _complex_pair(_root_of_unity(k, n)) == want, (k, n)
 
 
-@pytest.mark.parametrize("argv,loads,numpy", [
-    (None, set(), False),
-    (["group-info", "--group", "dihedral:5"], set(), False),
-    (["anyons", "--group", "dihedral:5"], CENSUS, False),
-    (["subgroups", "--group", "symmetric:3"], CENSUS, False),
-    (["lagrangian", "--group", "cyclic:4", "--subgroup", "full"], CENSUS, False),
-    (["excitations", "--group", "symmetric:3", "--subgroup", "e,(12)"], CENSUS, False),
-    (["defects"] + S3_PAIR, CENSUS, False),
-    (["qudit-dim"] + S3_PAIR, CENSUS, False),
-    (["verify-all", "--group", "symmetric:4"], {"qdw.classify", "qdw.verify"}, False),
-    (["verify-all", "--group", "cyclic:9"], {"qdw.classify", "qdw.verify"}, True),
-    (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
-      "--subgroup", "full", "--subgroup2", "trivial"], {"qdw.geometry", "qdw.lattice"}, False),
-    (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
-     {"qdw.geometry", "qdw.lattice", "qdw.classify"}, True),
-    (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
-     {"qdw.geometry", "qdw.lattice", "qdw.classify"}, False),
-    (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.logical"}, False),
-    (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
-     {"qdw.geometry", "qdw.classify", "qdw.logical"}, False),
-    (["charge-project", "--group", "cyclic:5", "--lattice", TWO_HOLE_PATCH],
-     {"qdw.geometry", "qdw.classify", "qdw.logical"}, False),
-    (["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3", "--subgroup", "full",
-      "--subgroup2", "trivial", "--inject-literal-edge", "in0"],
-     {"qdw.geometry", "qdw.lattice"}, False),
-], ids=["import", "group-info", "anyons", "subgroups", "lagrangian", "excitations",
-        "defects", "qudit-dim", "verify-all", "verify-all-cyclic9", "lattice-audit",
-        "gsd", "gsd-no-dense", "logical", "charge-project", "charge-project-patch",
-        "lattice-audit-sabotaged"])
-def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
+SECTORS = {"qdw.classify", "qdw.characters"}
+SLICE = {"qdw.geometry", "qdw.flat"}
+# run id: (argv, the qdw modules it loads past the cli's own, whether numpy loads)
+RUNS = {
+    "import": (None, set(), False),
+    "group-info": (["group-info", "--group", "dihedral:5"], {"qdw.characters"}, False),
+    "anyons": (["anyons", "--group", "dihedral:5"], SECTORS, False),
+    "subgroups": (["subgroups", "--group", "symmetric:3"], SECTORS, False),
+    "lagrangian": (["lagrangian", "--group", "cyclic:4", "--subgroup", "full"], SECTORS, False),
+    "excitations": (["excitations", "--group", "symmetric:3", "--subgroup", "e,(12)"],
+                    SECTORS, False),
+    "defects": (["defects"] + S3_PAIR, SECTORS, False),
+    "qudit-dim": (["qudit-dim"] + S3_PAIR, SECTORS, False),
+    "verify-all": (["verify-all", "--group", "symmetric:4"], SECTORS | {"qdw.verify"}, False),
+    "verify-all-cyclic9": (["verify-all", "--group", "cyclic:9"], SECTORS | {"qdw.verify"},
+                           True),
+    "lattice-audit": (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
+                       "--subgroup", "full", "--subgroup2", "trivial"],
+                      {"qdw.geometry", "qdw.lattice"}, False),
+    "gsd": (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
+            SLICE | SECTORS | {"qdw.gsd", "qdw.lattice"}, True),
+    "gsd-no-dense": (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
+                     SLICE | SECTORS | {"qdw.gsd"}, False),
+    "logical": (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
+                SLICE | {"qdw.logical"}, False),
+    "charge-project": (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
+                       SLICE | SECTORS | {"qdw.logical"}, False),
+    "charge-project-patch": (["charge-project", "--group", "cyclic:5", "--lattice",
+                              TWO_HOLE_PATCH], SLICE | SECTORS | {"qdw.logical"}, False),
+    "lattice-audit-sabotaged": (["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
+                                 "--subgroup", "full", "--subgroup2", "trivial",
+                                 "--inject-literal-edge", "in0"],
+                                {"qdw.geometry", "qdw.lattice"}, False),
+}
+# the module boundaries each of these runs must not cross: an audit reads no
+# character table, ground-state route or slice; a gsd run whose dense route
+# is over budget builds no operator; `logical` reads no character table
+NEVER_LOADED = {
+    "lattice-audit": {"qdw.characters", "qdw.gsd", "qdw.flat"},
+    "lattice-audit-sabotaged": {"qdw.characters", "qdw.gsd", "qdw.flat"},
+    "gsd-no-dense": {"qdw.lattice"},
+    "logical": {"qdw.characters"},
+}
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_each_run_loads_only_the_layers_it_reaches(run):
     """The census, the audit, the counting and modular ground-state routes
     and the logical layer run on Python integers; numpy loads only where
     matrices are."""
+    argv, loads, numpy = RUNS[run]
     statement = "import qdw.cli"
     if argv is not None:
         rc = 1 if "--inject-literal-edge" in argv else 0
@@ -585,6 +601,7 @@ def test_each_run_loads_only_the_layers_it_reaches(argv, loads, numpy):
     modules = _loaded_after(statement)
     loaded = {m for m in modules if m.startswith("qdw")}
     assert loaded == {"qdw", "qdw.groups", "qdw.records", "qdw.cli"} | loads
+    assert not loaded & NEVER_LOADED.get(run, set())
     assert ("numpy" in modules) == numpy
     assert "dataclasses" not in modules
     assert "inspect" not in modules or numpy
@@ -650,3 +667,71 @@ def test_every_layer_name_the_tracer_reads_off_the_cli_is_the_library_object():
         assert _home_object(obj, name) is obj, name
     assert cli.build_terms is qdw.lattice.build_terms
     assert cli.charge_projectors is qdw.logical.charge_projectors
+
+
+def test_every_name_the_tracer_reaches_resolves_to_its_defining_module():
+    """`--trace 1` wraps each `TRACED` function and calls the `lattice`, `logical`
+    and `verify` names its handlers read; a name left behind by a moved
+    function must still resolve, to the one object the library calls."""
+    import importlib
+
+    tree = ast.parse((REPO / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    pairs = {(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts}
+    pairs |= {(f"qdw.{node.value.id}", node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("lattice", "logical", "verify")}
+    assert {("qdw.groups", "character_table"), ("qdw.lattice", "ground_space_dimension"),
+            ("qdw.lattice", "HamiltonianTerm"), ("qdw.verify", "run_check")} <= pairs
+    for module, name in sorted(pairs):
+        obj = getattr(importlib.import_module(module), name)
+        assert _home_object(obj, name) is obj, (module, name)
+    assert qdw.groups.character_table is sys.modules["qdw.characters"].character_table
+    assert qdw.lattice.ground_space_dimension is sys.modules["qdw.gsd"].ground_space_dimension
+
+
+class TestModuleEntryPoint:
+    """`python -m qdw.cli`, the path each benchmark job takes, and the one that
+    freezes the collector before exit."""
+
+    GSD = ["gsd", "--group", "cyclic:3", "--lattice", "torus:2x2"]
+
+    @staticmethod
+    def spawn(argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
+        return subprocess.run([sys.executable, "-m", "qdw.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+
+    def test_stdout_bytes_equal_the_in_process_report(self, capsys):
+        assert main(self.GSD) == EXIT_OK
+        want = capsys.readouterr().out.encode("utf-8")
+        proc = self.spawn(self.GSD)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == want
+        assert b"elapsed:" in proc.stderr
+
+    def test_out_file_gets_the_same_bytes_and_stdout_stays_empty(self, tmp_path):
+        # the report's config names the --out path, so both runs write to one path
+        target = tmp_path / "report.json"
+        argv = self.GSD + ["--out", str(target)]
+        assert main(argv) == EXIT_OK
+        want = target.read_bytes()
+        target.unlink()
+        proc = self.spawn(argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == b""
+        assert target.read_bytes() == want
+
+    def test_sabotaged_audit_exits_one(self):
+        proc = self.spawn(["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
+                           "--subgroup", "full", "--subgroup2", "trivial",
+                           "--inject-literal-edge", "in0"])
+        assert proc.returncode == EXIT_INVARIANT, proc.stderr
+        assert json.loads(proc.stdout)["results"]["ok"] is False
+
+    def test_bad_lattice_exits_two(self):
+        proc = self.spawn(["gsd", "--group", "cyclic:2", "--lattice", "moebius:2"])
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == b""
+        assert b"usage error" in proc.stderr

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qdw.groups as groups
+import qdw.characters as characters
+from qdw.characters import CharacterTable, character_table
 from qdw.groups import (
-    CharacterTable,
     FiniteGroup,
     InvariantError,
     Subgroup,
     _breadth_first,
     build_group,
-    character_table,
     double_cosets,
     enumerate_automorphisms,
     enumerate_subgroups,
@@ -201,15 +200,14 @@ def test_one_subgroup_object_per_element_set():
 
 
 def test_defect_sum_rule_builds_one_character_table_per_subgroup(monkeypatch):
-    import qdw.groups as groups
     from qdw.verify import run_check
     built = []
-    real = groups.CharacterTable.__init__
+    real = characters.CharacterTable.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         real(self, *args, **kwargs)
-    monkeypatch.setattr(groups.CharacterTable, "__init__", counted)
+    monkeypatch.setattr(characters.CharacterTable, "__init__", counted)
     g = build_group("symmetric:4")
     assert run_check("defect-sum-rule", g).status == "pass"
     assert 0 < len(built) <= len(enumerate_subgroups(g))
@@ -541,7 +539,7 @@ def test_exact_table_check_rejects_swapped_rows():
     t = character_table(build_group("symmetric:4"))
     broken = CharacterTable(t.group, [t.spectra[1], t.spectra[0]] + t.spectra[2:])
     with pytest.raises(InvariantError, match="canonical order"):
-        groups._check_table(broken)
+        characters._check_table(broken)
 
 
 def test_exact_table_check_rejects_rows_swapped_at_one_class():
@@ -551,16 +549,16 @@ def test_exact_table_check_rejects_rows_swapped_at_one_class():
     spectra = [list(row) for row in t.spectra]
     spectra[3][4], spectra[4][4] = spectra[4][4], spectra[3][4]
     with pytest.raises(InvariantError, match="orthonormal"):
-        groups._check_table(CharacterTable(t.group, spectra))
+        characters._check_table(CharacterTable(t.group, spectra))
 
 
 def test_exact_table_rejects_a_wrong_lift(monkeypatch):
-    real = groups._lift
+    real = characters._lift
 
     def shifted(powers, dim, dft, p):
         spectrum = real(powers, dim, dft, p)
         return tuple(sorted((j + 1) % len(dft) for j in spectrum))
-    monkeypatch.setattr(groups, "_lift", shifted)
+    monkeypatch.setattr(characters, "_lift", shifted)
     with pytest.raises(InvariantError, match="does not reduce"):
         character_table(build_group("symmetric:3"))
 

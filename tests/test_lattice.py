@@ -25,8 +25,6 @@ from qdw.lattice import (
     PairCheck,
     TermCheck,
     _commutes_by_permutation,
-    _dense_projector,
-    _gsd_counting,
     audit_commutation,
     boundary_edge_term,
     build_terms,
@@ -35,21 +33,21 @@ from qdw.lattice import (
     flux_sector_term,
     flux_term,
     gauge_vertex_term,
-    ground_space_dimension,
     half_translation_term,
     literal_gauge_edge_term,
     patch,
     ring,
     torus,
 )
-from qdw.geometry import (
+from qdw.flat import (
     _enumerate_flat_configs,
     _gauge_domains,
     _spanning_forest,
     _transversal,
     elimination_order,
-    place_values,
 )
+from qdw.geometry import place_values
+from qdw.gsd import _dense_projector, _gsd_counting, ground_space_dimension
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")

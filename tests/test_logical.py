@@ -9,18 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qdw.cli
-import qdw.geometry
+import qdw.flat
 import qdw.logical
 from qdw.classify import qudit_dimension
 from qdw.groups import InvariantError, build_group, double_cosets, enumerate_subgroups
+from qdw.gsd import _dense_projector, ground_space_dimension
 from qdw.lattice import (
     BoundaryRegion,
     Lattice,
-    _dense_projector,
     build_terms,
     carve_hole,
     config_digits,
-    ground_space_dimension,
     patch,
     ring,
     torus,
@@ -152,7 +151,7 @@ class TestSectors:
 
     def test_over_budget_slice_is_refused(self, monkeypatch):
         g = build_group("cyclic:3")
-        monkeypatch.setattr(qdw.geometry, "TRACE_PARTIAL_BUDGET", 1)
+        monkeypatch.setattr(qdw.flat, "TRACE_PARTIAL_BUDGET", 1)
         with pytest.raises(ValueError, match="over budget"):
             AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
         for command in ("logical", "charge-project"):
@@ -827,7 +826,7 @@ def bench_qudit(g, lattice):
 
 def additive_exponent(group, irrep):
     """The a with character(irrep, x) = w^(a x), read off at x = 1."""
-    from qdw.groups import character_table
+    from qdw.characters import character_table
     n = group.order
     val = character_table(group).value(irrep, 1 % n)
     a = round(np.angle(val) * n / (2 * np.pi)) % n
