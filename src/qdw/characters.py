@@ -6,9 +6,10 @@ lifted to integers, so multiplicities and orthogonality are checked in
 integers; the complex values are derived from them.  numpy is imported
 only to build the array view `CharacterTable.chars`, on first access.
 
-The sector layer (`qdw.classify`) imports this module; `group-info`,
-`logical` and `charge-project` import it where they read a table, so a
-lattice audit and the `logical` command never load it.
+The sector table (`qdw.sectors`) and the census import this module, and
+the `group-info` command's handler lives here; `logical` and
+`charge-project` import it where they read a table, so a lattice audit
+and the `logical` command never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from qdw.groups import ConjugacyClass, FiniteGroup, InvariantError, Subgroup, _root_of_unity
+from qdw.groups import (MAX_SUBGROUP_ENUM_ORDER, ConjugacyClass, FiniteGroup, InvariantError,
+                        Subgroup, _root_of_unity, build_group, enumerate_subgroups)
 
 __all__ = ["CharacterTable", "character_table"]
 
@@ -416,3 +418,28 @@ def _primitive_root_of_unity(e: int, p: int) -> int:
         if all(pow(z, e // q, p) != 1 for q in primes):
             return z
     raise InvariantError(f"F_{p} has no element of order {e}")
+
+
+# ---------------------------------------------------------------------------
+# the `group-info` command
+
+
+def _cmd_group_info(cfg) -> tuple:
+    group = build_group(cfg.group)
+    table = character_table(group)
+    classes = [{
+        "representative": group.name_of(c.rep),
+        "size": len(c.members),
+        "members": [group.name_of(m) for m in c.members],
+    } for c in group.conjugacy_classes()]
+    results = {
+        "label": group.label,
+        "order": group.order,
+        "abelian": group.is_abelian,
+        "elements": list(group.names),
+        "conjugacy_classes": classes,
+        "irrep_dims": [int(d) for d in table.dims],
+    }
+    if group.order <= MAX_SUBGROUP_ENUM_ORDER:
+        results["subgroup_count"] = len(enumerate_subgroups(group))
+    return results, None, None

@@ -1,149 +1,39 @@
-"""Superselection-sector bookkeeping for finite-group double models.
+"""Superselection-sector census for finite-group double models, and the
+census commands that print it.
 
-Bulk sectors are (conjugacy class, centralizer irrep) pairs.  A boundary
-is a subgroup K up to conjugation; its condensate is the set of bulk
-sectors that terminate on it, with multiplicities read off from the left
-translation action on admissible cosets.  Point defects between two
-boundaries are (double coset, stabilizer irrep) pairs, and the point
-excitations of one K boundary are its K-K defects.  All censuses are
-validated against exact sum rules before they are returned, and every
-condensate against the modular rule W S = W, decided without building S
-from integer fixed-coset counts.  numpy is imported only where S is the
-result: `s_matrix`, and the float S and fusion table of `AbelianAnyonData`,
-whose exact S phases need no matrix.
+Bulk sectors, condensates and the condensate sum live in `qdw.sectors`
+and are re-exported here.  A boundary is a subgroup K up to conjugation.
+Point defects between two boundaries are (double coset, stabilizer
+irrep) pairs, and the point excitations of one K boundary are its K-K
+defects.  All censuses are validated against exact sum rules before they
+are returned.  numpy is imported only where S is the result: `s_matrix`,
+and the float S and fusion table of `AbelianAnyonData`, whose exact S
+phases need no matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
-from operator import mul
+from math import isqrt
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from qdw.characters import character_table
-from qdw.groups import (
-    FiniteGroup,
-    InvariantError,
-    Subgroup,
-    double_cosets,
-    is_automorphism,
-    subgroup_conjugacy_classes,
-)
+from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
+                        build_group, double_cosets, enumerate_subgroups, is_automorphism,
+                        parse_subgroup, subgroup_conjugacy_classes)
 from qdw.records import FrozenRecord, Record
+from qdw.sectors import (TOL, AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
+                         condensate_count, lagrangian_algebra)
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "AnyonLabel",
-    "AnyonTable",
-    "anyon_table",
-    "s_matrix",
-    "BoundaryType",
-    "boundary_types",
-    "LagrangianAlgebra",
-    "lagrangian_algebra",
-    "BoundaryExcitation",
-    "boundary_excitations",
-    "Defect",
-    "defect_list",
-    "qudit_dimension",
-    "condensate_count",
-    "AbelianAnyonData",
-    "abelian_anyon_data",
-    "SymmetryAction",
-    "symmetry_action",
-]
-
-TOL = 1e-9
-
-
-class AnyonLabel(FrozenRecord):
-    """One bulk sector: flux class index plus centralizer irrep index."""
-    _fields = __slots__ = ("class_index", "irrep_index", "name", "dim", "twist")
-
-    def __init__(self, class_index: int, irrep_index: int, name: str, dim: int,
-                 twist: complex):
-        super().__init__(class_index, irrep_index, name, dim, twist)
-
-    def key(self) -> tuple[int, int]:
-        return (self.class_index, self.irrep_index)
-
-
-class AnyonTable:
-    """Complete bulk sector census for one group, in canonical order.
-
-    Order: conjugacy classes by smallest member, then centralizer irreps
-    in character-table row order.  Index 0 is always the vacuum.
-    """
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.classes = group.conjugacy_classes()
-        self.centralizer_tables = []
-        self.anyons: list[AnyonLabel] = []
-        self._index: dict[tuple[int, int], int] = {}
-        for ci, cl in enumerate(self.classes):
-            sub, to_parent = cl.centralizer.as_group()
-            table = character_table(cl.centralizer)
-            self.centralizer_tables.append(table)
-            r_local = to_parent.index(cl.rep)
-            for pi in range(table.n_irreps):
-                d = cl.size * table.dims[pi]
-                theta = complex(table.value(pi, r_local)) / table.dims[pi]
-                if abs(abs(theta) - 1.0) > 1e-6:
-                    raise InvariantError(f"twist of sector C{ci}-pi{pi} is not unimodular")
-                label = AnyonLabel(class_index=ci, irrep_index=pi,
-                                   name=f"C{ci}-pi{pi}", dim=d, twist=theta)
-                self._index[label.key()] = len(self.anyons)
-                self.anyons.append(label)
-        total = sum(a.dim ** 2 for a in self.anyons)
-        if total != group.order ** 2:
-            raise InvariantError(
-                f"sector dimensions sum to {total}, expected {group.order ** 2}")
-
-    def __len__(self) -> int:
-        return len(self.anyons)
-
-    def index_of(self, class_index: int, irrep_index: int) -> int:
-        return self._index[(class_index, irrep_index)]
-
-    @cached_property
-    def transporter(self) -> list[int]:
-        """x_g for each element g: the first x with x r x^-1 = g, r the rep of g's class."""
-        group = self.group
-        out: list = [None] * group.order
-        for cl in self.classes:
-            for x in range(group.order):
-                g = group.conj(x, cl.rep)
-                if out[g] is None:
-                    out[g] = x
-        return out
-
-    @cached_property
-    def centralizer_reps(self) -> list[list[int]]:
-        """Per flux class: the representative of each class of its centralizer."""
-        out = []
-        for cl in self.classes:
-            sub, to_parent = cl.centralizer.as_group()
-            out.append([to_parent[scl.rep] for scl in sub.conjugacy_classes()])
-        return out
-
-    @cached_property
-    def local_class(self) -> list[dict[int, int]]:
-        """Per flux class: each centralizer element's class index in the centralizer."""
-        out = []
-        for cl in self.classes:
-            sub, to_parent = cl.centralizer.as_group()
-            out.append({x: sub.class_index_of(i) for i, x in enumerate(to_parent)})
-        return out
-
-
-def anyon_table(group: FiniteGroup) -> AnyonTable:
-    if "anyon_table" not in group._cache:
-        group._cache["anyon_table"] = AnyonTable(group)
-    return group._cache["anyon_table"]
+__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "s_matrix", "BoundaryType",
+           "boundary_types", "LagrangianAlgebra", "lagrangian_algebra", "BoundaryExcitation",
+           "boundary_excitations", "Defect", "defect_list", "qudit_dimension",
+           "condensate_count", "AbelianAnyonData", "abelian_anyon_data", "SymmetryAction",
+           "symmetry_action"]
 
 
 def s_matrix(group: FiniteGroup) -> np.ndarray:
@@ -227,88 +117,6 @@ def boundary_types(group: FiniteGroup) -> list[BoundaryType]:
             for members in subgroup_conjugacy_classes(group)]
 
 
-class LagrangianAlgebra:
-    """Condensate of one boundary: per-sector multiplicities.
-
-    The multiplicity of sector (C, pi) counts copies of pi inside the
-    permutation action of the flux centralizer on cosets xK whose
-    base-point flux x^-1 r x lands in K.
-    """
-
-    def __init__(self, table: AnyonTable, boundary: Subgroup):
-        self.table = table
-        self.boundary = boundary
-        self.multiplicities: list[int] = []
-        psi = _fixed_coset_counts(table, boundary)
-        for ct, counts in zip(table.centralizer_tables, psi):
-            self.multiplicities.extend(ct.multiplicities(counts))
-        self._validate(psi)
-
-    def _validate(self, psi: Sequence[Sequence[int]]) -> None:
-        """The condensate rules; `psi` holds the class functions of the
-        multiplicities, one per flux class (`_fixed_by_s`)."""
-        anyons = self.table.anyons
-        if self.multiplicities[0] != 1:
-            raise InvariantError("vacuum multiplicity in a condensate must be 1")
-        weighted = sum(m * a.dim for m, a in zip(self.multiplicities, anyons))
-        if weighted != self.table.group.order:
-            raise InvariantError(
-                f"condensate dimension {weighted} != group order {self.table.group.order}")
-        for m, a in zip(self.multiplicities, anyons):
-            if m > 0 and abs(a.twist - 1.0) > TOL:
-                raise InvariantError(f"condensed sector {a.name} has twist {a.twist}")
-        if not _fixed_by_s(self.table, psi):
-            raise InvariantError("condensate is not fixed by S: W S != W")
-
-
-def _fixed_coset_counts(table: AnyonTable, boundary: Subgroup) -> list[list[int]]:
-    """psi_A for each flux class A: on each class of Z(r_A), the number of
-    admissible cosets xK (those with x^-1 r_A x in K) its representative fixes."""
-    group = table.group
-    cosets = boundary.left_cosets()
-    member_to_coset = {}
-    for idx, c in enumerate(cosets):
-        for m in c:
-            member_to_coset[m] = idx
-    out = []
-    for cl, reps in zip(table.classes, table.centralizer_reps):
-        admissible = [idx for idx, c in enumerate(cosets)
-                      if group.conj(group.inv[c[0]], cl.rep) in boundary]
-        out.append([sum(1 for idx in admissible
-                        if member_to_coset[group.mul(g, cosets[idx][0])] == idx)
-                    for g in reps])
-    return out
-
-
-def _fixed_by_s(table: AnyonTable, psi: Sequence[Sequence[int]]) -> bool:
-    """Whether W S = W, decided without S, from the class functions psi_A.
-
-    psi_A = sum_a W_(A,a) chi_a is a class function of Z(r_A), given by
-    its values on the classes of Z(r_A).  Let phi_B(g) = psi_[g](x_g^-1 r_B x_g)
-    for g in Z(r_B), with x_g as in `s_matrix`.  Summing S of `s_matrix`
-    against W gives (W S)_(B,b) = <phi_B, chi_b> over Z(r_B), so W S = W
-    exactly when phi_B = psi_B on every class of every Z(r_B).  For a
-    condensate psi_A is the count of fixed admissible cosets, so this
-    compares integers.
-    """
-    group = table.group
-    for b, cl in enumerate(table.classes):
-        for g, value in zip(table.centralizer_reps[b], psi[b]):
-            a = group.class_index_of(g)
-            y = group.conj(group.inv[table.transporter[g]], cl.rep)
-            if psi[a][table.local_class[a][y]] != value:
-                return False
-    return True
-
-
-def lagrangian_algebra(group: FiniteGroup, boundary: Subgroup) -> LagrangianAlgebra:
-    """The condensate of a K boundary, built once and kept on the subgroup K."""
-    if boundary.group is not group:
-        raise ValueError("boundary subgroup belongs to a different group")
-    if "lagrangian" not in boundary._cache:
-        boundary._cache["lagrangian"] = LagrangianAlgebra(anyon_table(group), boundary)
-    return boundary._cache["lagrangian"]
-
 
 # ---------------------------------------------------------------------------
 # boundary excitations and defects
@@ -361,25 +169,6 @@ def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:
     return out
 
 
-def condensate_count(group: FiniteGroup, chi: int, boundaries: Sequence[Subgroup]) -> int:
-    """Ground states of a surface of Euler characteristic chi with one boundary
-    circle per K in `boundaries`: sum over sectors x of (d_x/|G|)^chi prod_K W_{K,x}.
-
-    That is the modular sum of S_0x^chi prod_K (W_K S)_x (Cong, Cheng and Wang,
-    arXiv 1707.04564), as S_0x = d_x/|G| and every condensate has W S = W.  Summed
-    exactly, in integers over one denominator; InvariantError unless integral."""
-    n, anyons = group.order, anyon_table(group).anyons
-    if chi >= 0:
-        den, terms = n ** chi, [a.dim ** chi for a in anyons]
-    else:   # (|G|/d_x)^-chi over the lcm of the d_x^-chi
-        den = lcm(*(a.dim ** -chi for a in anyons))
-        terms = [n ** -chi * den // a.dim ** -chi for a in anyons]
-    for k in boundaries:
-        terms = map(mul, terms, lagrangian_algebra(group, k).multiplicities)
-    total = sum(terms)
-    if total % den:
-        raise InvariantError(f"condensate sum {total}/{den} is not an integer")
-    return total // den
 
 
 def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
@@ -549,3 +338,136 @@ class SymmetryAction:
 
 def symmetry_action(group: FiniteGroup, phi: Sequence[int]) -> SymmetryAction:
     return SymmetryAction(anyon_table(group), phi)
+
+
+# ---------------------------------------------------------------------------
+# the census commands
+
+
+def _cmd_anyons(cfg) -> tuple:
+    group = build_group(cfg.group)
+    table = anyon_table(group)
+    rows = []
+    body = []
+    for a in table.anyons:
+        flux = group.name_of(table.classes[a.class_index].rep)
+        rows.append({
+            "name": a.name,
+            "flux_class": flux,
+            "irrep": a.irrep_index,
+            "dim": a.dim,
+            "twist": _complex_pair(a.twist),
+        })
+        body.append([a.name, flux, a.irrep_index, a.dim,
+                     _round12(a.twist.real), _round12(a.twist.imag)])
+    results = {
+        "group": group.label,
+        "count": len(table),
+        "total_dim_squared": sum(a.dim ** 2 for a in table.anyons),
+        "anyons": rows,
+    }
+    header = ["name", "flux_class", "irrep", "dim", "twist_re", "twist_im"]
+    return results, (header, body), None
+
+
+def _cmd_subgroups(cfg) -> tuple:
+    group = build_group(cfg.group)
+    subs = enumerate_subgroups(group)
+    types = boundary_types(group)
+    class_of = {}
+    for ti, bt in enumerate(types):
+        for member in bt.members:
+            class_of[member.elements] = ti
+    rows = []
+    body = []
+    for i, sub in enumerate(subs):
+        names = [group.name_of(x) for x in sub.elements]
+        rows.append({
+            "index": i,
+            "order": sub.order,
+            "elements": names,
+            "normal": sub.is_normal(),
+            "boundary_type": class_of[sub.elements],
+        })
+        body.append([i, sub.order, ";".join(names), sub.is_normal(),
+                     class_of[sub.elements]])
+    results = {"group": group.label, "count": len(subs),
+               "boundary_type_count": len(types), "subgroups": rows}
+    header = ["index", "order", "elements", "normal", "boundary_type"]
+    return results, (header, body), None
+
+
+def _cmd_lagrangian(cfg) -> tuple:
+    group = build_group(cfg.group)
+    _require(cfg, "subgroup")
+    sub = parse_subgroup(group, cfg.subgroup)
+    la = lagrangian_algebra(group, sub)
+    body = [[a.name, m, a.dim]
+            for a, m in zip(la.table.anyons, la.multiplicities)]
+    results = {
+        "group": group.label,
+        "subgroup": [group.name_of(x) for x in sub.elements],
+        "multiplicities": list(la.multiplicities),
+        "sectors": [a.name for a in la.table.anyons],
+        "condensed": [{"sector": a.name, "multiplicity": m, "dim": a.dim}
+                      for a, m in zip(la.table.anyons, la.multiplicities) if m],
+        "weighted_dimension": sum(m * a.dim for a, m in
+                                  zip(la.table.anyons, la.multiplicities)),
+    }
+    return results, (["sector", "multiplicity", "dim"], body), None
+
+
+def _cmd_excitations(cfg) -> tuple:
+    group = build_group(cfg.group)
+    _require(cfg, "subgroup")
+    sub = parse_subgroup(group, cfg.subgroup)
+    excs = boundary_excitations(sub)
+    rows = [{"name": x.name, "coset": x.coset_index, "irrep": x.irrep_index,
+             "dim": x.dim} for x in excs]
+    body = [[x.name, x.coset_index, x.irrep_index, x.dim] for x in excs]
+    results = {
+        "group": group.label,
+        "subgroup": [group.name_of(x) for x in sub.elements],
+        "count": len(excs),
+        "total_dim_squared": sum(x.dim ** 2 for x in excs),
+        "excitations": rows,
+    }
+    return results, (["name", "coset", "irrep", "dim"], body), None
+
+
+def _cmd_defects(cfg) -> tuple:
+    group = build_group(cfg.group)
+    _require(cfg, "subgroup", "subgroup2")
+    k1 = parse_subgroup(group, cfg.subgroup)
+    k2 = parse_subgroup(group, cfg.subgroup2)
+    defs = defect_list(k1, k2)
+    rows = [{"name": x.name, "coset": x.coset_index, "irrep": x.irrep_index,
+             "dim_squared": [x.dim_squared.numerator, x.dim_squared.denominator],
+             "dim": x.dim} for x in defs]
+    body = [[x.name, x.coset_index, x.irrep_index,
+             f"{x.dim_squared.numerator}/{x.dim_squared.denominator}", x.dim]
+            for x in defs]
+    results = {
+        "group": group.label,
+        "subgroup": [group.name_of(x) for x in k1.elements],
+        "subgroup2": [group.name_of(x) for x in k2.elements],
+        "count": len(defs),
+        "total_dim_squared": int(sum(x.dim_squared for x in defs)),
+        "defects": rows,
+    }
+    return results, (["name", "coset", "irrep", "dim_squared", "dim"], body), None
+
+
+def _cmd_qudit_dim(cfg) -> tuple:
+    group = build_group(cfg.group)
+    _require(cfg, "subgroup", "subgroup2")
+    k1 = parse_subgroup(group, cfg.subgroup)
+    k2 = parse_subgroup(group, cfg.subgroup2)
+    d = qudit_dimension(group, k1, k2)
+    results = {
+        "group": group.label,
+        "subgroup": [group.name_of(x) for x in k1.elements],
+        "subgroup2": [group.name_of(x) for x in k2.elements],
+        "dimension": d,
+    }
+    return results, (["dimension"], [[d]]), None

@@ -11,7 +11,10 @@ its `place_values` entry.
 The flat connections on a lattice, up to gauge, are enumerated in
 `qdw.flat`, which the ground-state routes and the logical layer import;
 the Hamiltonian terms and their audit (`qdw.lattice`) read only this
-module.  This module imports no other layer at run time.  numpy is
+module.  The lattice specs of the command line (`parse_lattice`, and
+`resolve_region_subgroups` for the boundary subgroup of each region)
+are parsed here; past `groups`, which reads the subgroup specs, this
+module imports no other layer at run time.  numpy is
 imported only inside `config_digits`, which only code that builds a
 matrix calls.  So the commands that load numpy are those that build
 one: `gsd` where its dense route fits, and those that need the S
@@ -21,14 +24,16 @@ and modular `gsd` routes run on Python integers.
 
 from __future__ import annotations
 
+import json
+import re
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from qdw.groups import (FiniteGroup, Subgroup, UsageError, _is_json_int, _require,
+                        build_group, parse_subgroup)
 from qdw.records import FrozenRecord
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from qdw.groups import FiniteGroup, Subgroup
 
 __all__ = [
     "MATERIALIZE_DIM_BUDGET",
@@ -41,6 +46,8 @@ __all__ = [
     "carve_hole",
     "config_digits",
     "place_values",
+    "parse_lattice",
+    "resolve_region_subgroups",
 ]
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
@@ -378,3 +385,110 @@ def _region_assignment(lat: Lattice, group: FiniteGroup,
         if sub.group is not group:
             raise ValueError(f"subgroup for region {name!r} lives in the wrong group")
     return lat.vertex_region, lat.edge_region
+
+
+# ---------------------------------------------------------------------------
+# command-line lattice specs
+
+
+_LATTICE_RE = re.compile(r"^(torus|patch):(\d+)x(\d+)$|^ring:(\d+)$")
+
+
+def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
+    """Lattice spec plus any per-region subgroup presets it carries.
+
+    Accepts "torus:RxC", "patch:RxC", "ring:C", or a JSON object
+    {"kind", "rows"/"cols", "holes": [{"name", "faces"}], "subgroups"}.
+    """
+    text = spec.strip()
+    if text.startswith("{"):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"bad lattice JSON: {exc}") from None
+        unknown = sorted(set(data) - {"kind", "rows", "cols", "holes", "subgroups"})
+        if unknown:
+            raise UsageError(f"unknown lattice fields: {', '.join(unknown)}")
+        holes = data.get("holes", [])
+        if not (isinstance(holes, list) and all(isinstance(h, dict) for h in holes)):
+            raise UsageError(f"lattice 'holes' must be a list of objects, got {holes}")
+        kind = data.get("kind")
+        try:
+            if kind not in ("torus", "patch", "ring"):
+                raise UsageError(f"unknown lattice kind {kind!r}")
+            sizes = [data[k] for k in (("cols",) if kind == "ring" else ("rows", "cols"))]
+            if not all(_is_json_int(x) for x in sizes):
+                raise UsageError(f"lattice sizes must be integers, got {sizes}")
+            lat = {"torus": torus, "patch": patch, "ring": ring}[kind](*sizes)
+            for hole in holes:
+                extra = sorted(set(hole) - {"name", "faces"})
+                if extra:
+                    raise UsageError(f"unknown hole fields: {', '.join(extra)}")
+                faces = hole["faces"]
+                if not (isinstance(faces, list)
+                        and all(isinstance(f, str) or _is_json_int(f) for f in faces)):
+                    raise UsageError(f"hole faces must be a list of face names or "
+                                     f"indices, got {faces}")
+                lat = carve_hole(lat, faces, str(hole["name"]))
+        except (KeyError, TypeError) as exc:
+            raise UsageError(f"bad lattice JSON: {exc}") from None
+        except ValueError as exc:
+            raise UsageError(f"bad lattice spec: {exc}") from None
+        subs = data.get("subgroups", {})
+        if not isinstance(subs, dict):
+            raise UsageError("lattice 'subgroups' must map region names to specs")
+        return lat, {str(k): str(v) for k, v in subs.items()}
+    m = _LATTICE_RE.match(text)
+    if not m:
+        raise UsageError(
+            f"bad lattice spec {spec!r}; use torus:RxC, patch:RxC, ring:C, or JSON")
+    try:
+        if m.group(4) is not None:
+            return ring(int(m.group(4))), {}
+        rows, cols = int(m.group(2)), int(m.group(3))
+        return (torus if m.group(1) == "torus" else patch)(rows, cols), {}
+    except ValueError as exc:
+        raise UsageError(f"bad lattice spec: {exc}") from None
+
+
+def resolve_region_subgroups(group: FiniteGroup, lat: Lattice, cfg,
+                             json_specs: dict[str, str],
+                             default: Optional[str] = None) -> dict[str, Subgroup]:
+    """Assign one subgroup per boundary region.
+
+    JSON lattice entries win; --subgroup/--subgroup2 fill the remaining
+    regions in lattice order; `default` (if given) covers the rest.
+    """
+    names = [r.name for r in lat.regions]
+    for key in json_specs:
+        if key not in names:
+            raise UsageError(f"lattice has no region named {key!r}")
+    specs = dict(json_specs)
+    flags = iter(f for f in (cfg.subgroup, cfg.subgroup2) if f is not None)
+    for name in names:
+        if name not in specs:
+            nxt = next(flags, None)
+            if nxt is None:
+                break
+            specs[name] = nxt
+    if next(flags, None) is not None:
+        raise UsageError("more subgroup flags than unassigned boundary regions")
+    missing = [n for n in names if n not in specs]
+    if missing and default is not None:
+        for n in missing:
+            specs[n] = default
+        missing = []
+    if missing:
+        raise UsageError(
+            f"no subgroup given for region(s) {', '.join(missing)}; "
+            "use --subgroup/--subgroup2 or a lattice JSON 'subgroups' map")
+    return {n: parse_subgroup(group, specs[n]) for n in names}
+
+
+def _lattice_context(cfg, default: Optional[str] = None):
+    """The group, lattice and region subgroups a lattice command's `cfg` names."""
+    group = build_group(cfg.group)
+    _require(cfg, "lattice")
+    lat, json_specs = parse_lattice(cfg.lattice)
+    subs = resolve_region_subgroups(group, lat, cfg, json_specs, default)
+    return group, lat, subs

@@ -10,7 +10,9 @@ access.
 Character tables live in `qdw.characters`, which only the layers that
 read one import.  `character_table` read off this module resolves there,
 through `__getattr__`, for callers that name it here (the benchmark's
-traced runs, `bench/tracing.py`).
+traced runs, `bench/tracing.py`).  The subgroup specs of the command
+line (`parse_subgroup`) and the 12-digit rounding of reported numbers
+live here too, because every command reads them.
 
 Supported presets: cyclic:n, dihedral:n, symmetric:n (n <= 4),
 quaternion8, and product:<spec>,<spec>.  Explicit tables up to order 48
@@ -39,6 +41,7 @@ __all__ = [
     "DoubleCoset",
     "build_group",
     "canonical_group_spec",
+    "parse_subgroup",
     "is_cyclic_presentation",
     "enumerate_subgroups",
     "subgroup_conjugacy_classes",
@@ -59,6 +62,10 @@ def __getattr__(name: str):
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed; results cannot be trusted."""
+
+
+class UsageError(ValueError):
+    """Bad flags or specs; maps to exit status 2."""
 
 
 def _breadth_first(roots, neighbours):
@@ -539,6 +546,52 @@ def _group_from_table_dict(data: dict) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# command-line specs
+
+
+def _require(cfg, *flag_names: str) -> None:
+    """UsageError unless the run configuration `cfg` sets every named flag."""
+    for flag in flag_names:
+        if getattr(cfg, flag.replace("-", "_")) is None:
+            raise UsageError(f"{cfg.command} needs --{flag}")
+
+
+def _split_outside_parens(text: str) -> list[str]:
+    parts, cur, depth = [], [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    parts.append("".join(cur))
+    return [p.strip() for p in parts if p.strip()]
+
+
+def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
+    """Preset ("trivial", "full", "cyclic:<element>") or an element list."""
+    text = spec.strip()
+    if not text:
+        raise UsageError("empty subgroup spec")
+    if text == "trivial":
+        return group.trivial_subgroup()
+    if text == "full":
+        return group.full_subgroup()
+    if text.startswith("cyclic:"):
+        name = text[len("cyclic:"):].strip()
+        return group.generated_subgroup({group.index_of(name)})
+    try:
+        members = [group.index_of(nm) for nm in _split_outside_parens(text)]
+        return group.subgroup(members)
+    except ValueError as exc:
+        raise UsageError(f"bad subgroup spec {spec!r}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # subgroup enumeration
 
 
@@ -613,6 +666,15 @@ def _root_of_unity(j: int, o: int) -> complex:
         return complex(sqrt(0.75), 0.5)
     a = 2 * pi * j / o
     return complex(cos(a), sin(a))
+
+
+def _round12(x: float) -> float:
+    """12 digits of display rounding, as reports print numbers; + 0.0 folds -0.0 into 0.0."""
+    return round(float(x), 12) + 0.0
+
+
+def _complex_pair(z: complex) -> list[float]:
+    return [_round12(z.real), _round12(z.imag)]
 
 
 # ---------------------------------------------------------------------------

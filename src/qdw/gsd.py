@@ -13,11 +13,11 @@ the counting route with its gauge fix switched off, the Burnside sum
 over every flat configuration of the edges that are not dangling: a
 reference route that runs only when named.
 
-The modular route imports the sector layer (`qdw.classify`) and the
-dense route the Hamiltonian terms (`qdw.lattice`) and numpy, each where
-it runs, so a `gsd` run whose dense route is over budget loads no
-operator code.  The counting, trace and modular routes run on Python
-integers.
+The modular route imports the sector table and condensates
+(`qdw.sectors`), not the rest of the census, and the dense route the
+Hamiltonian terms (`qdw.lattice`) and numpy, each where it runs, so a
+`gsd` run whose dense route is over budget loads no operator code.  The
+counting, trace and modular routes run on Python integers.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
-from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment, config_digits,
-                          place_values)
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
+                          config_digits, place_values)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
 from qdw.records import Record
 
@@ -201,7 +201,7 @@ def _gsd_modular(lat: Lattice, group: FiniteGroup,
     one with dangling edges, where the count is a double-coset count, or one
     with a one-face edge that is no region's rim edge.
     """
-    from qdw.classify import condensate_count
+    from qdw.sectors import condensate_count
 
     _region_assignment(lat, group, subgroups)
     if not _is_bounded_surface(lat):
@@ -328,3 +328,24 @@ def ground_space_dimension(lat: Lattice, group: FiniteGroup,
         raise InvariantError(f"counting routes disagree: {results}")
     return GsdReport(value=vals.pop(), by_method=results, skipped=tuple(skipped))
 
+
+# ---------------------------------------------------------------------------
+# the `gsd` command
+
+
+def _cmd_gsd(cfg) -> tuple:
+    group, lat, subs = _lattice_context(cfg)
+    rep = ground_space_dimension(lat, group, subs)
+    results = {
+        "group": group.label,
+        "lattice": cfg.lattice,
+        "regions": {r.name: [group.name_of(x) for x in subs[r.name].elements]
+                    for r in lat.regions},
+        "dimension": rep.value,
+        "by_method": dict(sorted(rep.by_method.items())),
+        "skipped_methods": sorted(rep.skipped),
+    }
+    # one route has nothing to agree with
+    checks = None if len(rep.by_method) > 1 else [{"name": "gsd-route-agreement",
+                                                    "status": "skip"}]
+    return results, (["dimension"], [[rep.value]]), checks

@@ -33,20 +33,10 @@ from fractions import Fraction
 from math import lcm, prod, sqrt
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from qdw.geometry import (
-    MATERIALIZE_DIM_BUDGET,
-    MAX_LATTICE_EDGES,
-    BoundaryRegion,
-    Lattice,
-    _region_assignment,
-    carve_hole,
-    config_digits,
-    patch,
-    place_values,
-    ring,
-    torus,
-)
-from qdw.groups import FiniteGroup, InvariantError, Subgroup
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
+                          _lattice_context, _region_assignment, carve_hole, config_digits, patch,
+                          place_values, ring, torus)
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Record
 
 if TYPE_CHECKING:
@@ -379,21 +369,22 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
         raise ValueError("base vertex is not a corner of the face")
     shift = corners.index(base_vertex)
     cyc = cyc[shift:] + cyc[:shift]
-    k = len(cyc)
     n = group.order
-    out = Operator(n)
-    for prefix in itertools.product(range(n), repeat=k - 1):
-        letters = []
-        for (e, along), x in zip(cyc[:-1], prefix):
-            letters.append(group.inv[x] if along else x)
-        partial = group.product(letters)
+    if n == 1:      # the one point map is the identity
+        return Operator.identity(n)
+    points = [_map_point(n, x) for x in range(n)]
+    # a face repeats no edge, so each prefix gives its own monomial key,
+    # which lists the point maps by edge
+    order = sorted(range(len(cyc)), key=lambda i: cyc[i][0])
+    along_last, one = cyc[-1][1], Fraction(1)
+    terms = {}
+    for prefix in itertools.product(range(n), repeat=len(cyc) - 1):
+        partial = group.product([group.inv[x] if along else x
+                                 for (_, along), x in zip(cyc, prefix)])
         last = group.mul(group.inv[partial], h)
-        e_last, along_last = cyc[-1]
-        x_last = group.inv[last] if along_last else last
-        maps = {e: _map_point(n, x) for (e, _), x in zip(cyc[:-1], prefix)}
-        maps[e_last] = _map_point(n, x_last)
-        out += Operator.monomial(n, Fraction(1), maps)
-    return out
+        values = prefix + (group.inv[last] if along_last else last,)
+        terms[tuple((cyc[i][0], points[values[i]]) for i in order)] = one
+    return Operator(n, terms)
 
 
 def flux_term(lat: Lattice, group: FiniteGroup, pi: int) -> Operator:
@@ -540,26 +531,41 @@ def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int]
     same nonzero value, it maps the nonzero set into itself, hence onto
     itself, hence also the zero set onto itself, so D[U c] == D[c] for
     every c.  The converse is immediate.
+
+    D is invariant under a composition of maps it is invariant under, so
+    the nonzero configurations are walked only for a map outside the
+    closure of the maps already shown: those form a group, which each
+    such map at least doubles, so a gauge term over G walks them at
+    most log2 |G| + 1 times, not |G|.
     """
     n, k = other.n, len(edges)
     pos = {e: i for i, e in enumerate(edges)}
     places = place_values(n, k)
     diagonal_step = n ** k + 1
+    identity = (tuple(range(n)),) * k
+    shown, closure = [], {identity}
     for key in other.terms:
-        # (weight, key shift per register value) for each map U has on `edges`;
-        # key // weight % n reads the register's value in the column
-        shifts = []
+        # the map U has on `edges`, one register map per edge
+        u = list(identity)
         for e, m in key:
             i = pos.get(e)
-            if i is None:
-                continue
-            if min(m) < 0:
-                return False
-            w = places[i]
-            shifts.append((w, [(y - x) * w * diagonal_step for x, y in enumerate(m)]))
+            if i is not None:
+                if min(m) < 0:
+                    return False
+                u[i] = m
+        u = tuple(u)
+        if u in closure:
+            continue
+        # (weight, key shift per register value) for each register U moves;
+        # key // weight % n reads the register's value in the column
+        shifts = [(w, [(y - x) * w * diagonal_step for x, y in enumerate(m)])
+                  for w, m, m0 in zip(places, u, identity) if m != m0]
         for c, v in numerators.items():
             if numerators.get(c + sum(d[c // w % n] for w, d in shifts)) != v:
                 return False
+        shown.append(u)
+        closure = {x for x, _, _ in _breadth_first(
+            [identity], lambda x: ((tuple(map(_map_compose, x, g)), g) for g in shown))}
     return True
 
 
@@ -635,3 +641,43 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 norm = sqrt(Fraction(n ** (union - len(support)) * squares, den * den))
             pair_checks.append(PairCheck(ti.name, tj.name, not entries, norm))
     return AuditReport(term_checks, pair_checks, skipped)
+
+
+# ---------------------------------------------------------------------------
+# the `lattice-audit` command
+
+
+def _cmd_lattice_audit(cfg) -> tuple:
+    group, lat, subs = _lattice_context(cfg)
+    terms = build_terms(lat, group, subs)
+    if cfg.inject_literal_edge is not None:
+        e = lat.edge_index(cfg.inject_literal_edge)
+        region = lat.edge_region[e][0] if e in lat.edge_region else None
+        sub = subs[region] if region is not None else group.full_subgroup()
+        if sub.order == 1:
+            where = "the bulk" if region is None else f"region {region!r}"
+            raise ValueError(f"--inject-literal-edge {lat.edge_names[e]}: {where} has "
+                             "trivial K, so the literal term is the identity")
+        terms = terms + [HamiltonianTerm(
+            name=f"L({lat.edge_names[e]})", kind="literal",
+            op=literal_gauge_edge_term(group, e, sub), edges=(e,),
+            diagonal=False, region=region)]
+    rep = audit_commutation(terms, group.order)
+    results = {
+        "group": group.label,
+        "lattice": cfg.lattice,
+        "regions": {r.name: [group.name_of(x) for x in subs[r.name].elements]
+                    for r in lat.regions},
+        "term_count": len(terms),
+        "pairs_checked": len(rep.pair_checks),
+        "pairs_skipped_disjoint": rep.skipped_pairs,
+        "ok": rep.ok,
+        "failures": rep.failures(),
+    }
+    verdicts = {
+        "term-projector": all(t.is_projector for t in rep.term_checks),
+        "term-hermitian": all(t.is_hermitian for t in rep.term_checks),
+        "pairwise-commutation": all(p.commutes for p in rep.pair_checks),
+    }
+    return results, None, [{"name": name, "status": "pass" if ok else "fail"}
+                           for name, ok in verdicts.items()]

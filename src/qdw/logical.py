@@ -29,10 +29,11 @@ from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
-from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _region_assignment, config_digits
-from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        _generating_sequence, _root_of_unity, double_cosets,
-                        is_cyclic_presentation)
+from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
+                          config_digits)
+from qdw.groups import (FiniteGroup, InvariantError, Subgroup, UsageError, _breadth_first,
+                        _complex_pair, _generating_sequence, _root_of_unity, _round12,
+                        double_cosets, is_cyclic_presentation)
 from qdw.records import FrozenRecord, Record
 
 if TYPE_CHECKING:
@@ -823,3 +824,66 @@ def charge_projectors(qudit: LogicalQudit,
         raise InvariantError("charge projectors do not resolve the identity")
     return ChargeProjectors(labels=list(data.charges), projectors=projectors,
                             transport_actions=transports, selected=selected)
+
+
+# ---------------------------------------------------------------------------
+# the `logical` and `charge-project` commands
+
+
+def _hole_encoding(cfg):
+    """Qudit on the first two charge-condensing regions, loop on the first."""
+    group, lat, subs = _lattice_context(cfg, default="trivial")
+    condensing = [r.name for r in lat.regions if subs[r.name].order == 1]
+    if len(condensing) < 2:
+        raise UsageError(
+            "the hole encoding needs two regions with the trivial subgroup")
+    ags = AbelianGroundSpace(lat, group, subs)
+    x = tunnel_operator(ags, condensing[0], condensing[1])
+    z = loop_operator(ags, condensing[0])
+    qud = logical_algebra(ags, x, z)
+    return group, qud, condensing[:2]
+
+
+def _matrix_pairs(m: Sequence[Sequence[complex]]) -> list[list[float]]:
+    return [_complex_pair(z) for row in m for z in row]
+
+
+def _relation_rows(qud) -> list[dict]:
+    rows = []
+    for lhs, rhs, turns in qud.relation_report():
+        phase = _root_of_unity(turns.numerator, turns.denominator)
+        rows.append({"lhs": lhs, "rhs": rhs, "phase": _complex_pair(phase),
+                     "turns": f"{turns.numerator}/{turns.denominator}"})
+    return rows
+
+
+def _cmd_logical(cfg) -> tuple:
+    group, qud, holes = _hole_encoding(cfg)
+    ops = [("X", qud.x_action), ("Z", qud.z_action)]
+    for name, act in ops:
+        if not act.is_unitary():
+            raise InvariantError(f"logical {name} is not unitary")
+    results = {
+        "encoding": {"group": group.label, "holes": holes, "d": qud.d},
+        "operators": [{"name": name, "matrix": _matrix_pairs(act.matrix())}
+                      for name, act in ops],
+        "relations": _relation_rows(qud),
+    }
+    return results, None, None
+
+
+def _cmd_charge_project(cfg) -> tuple:
+    group, qud, holes = _hole_encoding(cfg)
+    fam = charge_projectors(qud, holes[0])
+    results = {
+        "encoding": {"group": group.label, "holes": holes, "d": qud.d},
+        "loop_region": holes[0],
+        "labels": [[f, q] for f, q in fam.labels],
+        "projectors": [{"label": [f, q],
+                        "trace": _round12(p.trace()),
+                        "matrix": _matrix_pairs(p.matrix())}
+                       for (f, q), p in zip(fam.labels, fam.projectors)],
+        "selected": [{"label": [f, q], "state": s}
+                     for (f, q), s in sorted(fam.selected.items())],
+    }
+    return results, None, None

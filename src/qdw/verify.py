@@ -30,6 +30,7 @@ from qdw.groups import (
     DEFAULT_TOLERANCE,
     FiniteGroup,
     InvariantError,
+    build_group,
     enumerate_automorphisms,
     enumerate_subgroups,
     inner_automorphism,
@@ -319,3 +320,20 @@ def verify_group(group: FiniteGroup,
         except InvariantError as exc:
             out.append(CheckResult(name, "fail", str(exc)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the `verify-all` command
+
+
+def _cmd_verify_all(cfg) -> tuple:
+    group = build_group(cfg.group)
+    outcomes = verify_group(group, cfg.tolerance)
+    results = {
+        "group": group.label,
+        "checks": [{"name": r.name, "status": r.status, "detail": r.detail}
+                   for r in outcomes],
+        "failed": sorted(r.name for r in outcomes if r.status == "fail"),
+    }
+    return results, None, [{"name": r.name, "status": r.status}
+                           for r in outcomes if r.status != "skip"]

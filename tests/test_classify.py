@@ -16,7 +16,7 @@ from qdw.groups import (
     enumerate_subgroups,
     inner_automorphism,
 )
-import qdw.classify as classify
+import qdw.sectors as sectors
 from qdw.classify import (
     LagrangianAlgebra,
     abelian_anyon_data,
@@ -373,7 +373,7 @@ def test_condensate_check_rejects_perturbed_fixed_coset_counts(monkeypatch):
     """
     g = build_group("cyclic:3")
     fake = [[1, 1, 1], [2, 2, 2], [0, 0, 0]]     # per flux class: 0, 1, 2
-    monkeypatch.setattr(classify, "_fixed_coset_counts", lambda table, boundary: fake)
+    monkeypatch.setattr(sectors, "_fixed_coset_counts", lambda table, boundary: fake)
     with pytest.raises(InvariantError, match="not fixed by S"):
         lagrangian_algebra(g, g.trivial_subgroup())
     w = np.array([1, 0, 0, 2, 0, 0, 0, 0, 0])
@@ -407,14 +407,14 @@ def test_fixed_point_rule_agrees_with_the_s_matrix(spec):
     for i, sub in enumerate(enumerate_subgroups(g)):
         w = lagrangian_algebra(g, sub).multiplicities
         assert np.abs(np.array(w) @ s - w).max() < 1e-9
-        assert classify._fixed_by_s(table, class_functions(table, w))
+        assert sectors._fixed_by_s(table, class_functions(table, w))
         if len(w) == 1:
             continue
         more = list(w)
         more[1 + i % (len(w) - 1)] += 1
         assert np.abs(np.array(more) @ s - more).max() > 1e-6
         try:
-            fixed = classify._fixed_by_s(table, class_functions(table, more))
+            fixed = sectors._fixed_by_s(table, class_functions(table, more))
         except InvariantError as exc:       # the counts are no longer integers
             assert "not integer-valued" in str(exc)
             fixed = False

@@ -528,8 +528,7 @@ def test_roots_of_unity_render_correctly_rounded():
     mpmath = pytest.importorskip("mpmath")
     from decimal import ROUND_HALF_EVEN, Decimal
 
-    from qdw.cli import _complex_pair
-    from qdw.groups import _root_of_unity
+    from qdw.groups import _complex_pair, _root_of_unity
 
     def rounded(x):
         text = mpmath.nstr(x, 50, strip_zeros=False, min_fixed=-100, max_fixed=100)
@@ -543,7 +542,9 @@ def test_roots_of_unity_render_correctly_rounded():
                 assert _complex_pair(_root_of_unity(k, n)) == want, (k, n)
 
 
-SECTORS = {"qdw.classify", "qdw.characters"}
+# the modular ground-state route reads the sector table and condensates alone
+CONDENSATES = {"qdw.sectors", "qdw.characters"}
+SECTORS = CONDENSATES | {"qdw.classify"}
 SLICE = {"qdw.geometry", "qdw.flat"}
 # run id: (argv, the qdw modules it loads past the cli's own, whether numpy loads)
 RUNS = {
@@ -563,9 +564,9 @@ RUNS = {
                        "--subgroup", "full", "--subgroup2", "trivial"],
                       {"qdw.geometry", "qdw.lattice"}, False),
     "gsd": (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
-            SLICE | SECTORS | {"qdw.gsd", "qdw.lattice"}, True),
+            SLICE | CONDENSATES | {"qdw.gsd", "qdw.lattice"}, True),
     "gsd-no-dense": (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
-                     SLICE | SECTORS | {"qdw.gsd"}, False),
+                     SLICE | CONDENSATES | {"qdw.gsd"}, False),
     "logical": (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
                 SLICE | {"qdw.logical"}, False),
     "charge-project": (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
@@ -578,12 +579,14 @@ RUNS = {
                                 {"qdw.geometry", "qdw.lattice"}, False),
 }
 # the module boundaries each of these runs must not cross: an audit reads no
-# character table, ground-state route or slice; a gsd run whose dense route
-# is over budget builds no operator; `logical` reads no character table
+# character table, sector, ground-state route or slice; a gsd run whose dense
+# route is over budget builds no operator and no census past the condensates;
+# `logical` reads no character table
 NEVER_LOADED = {
-    "lattice-audit": {"qdw.characters", "qdw.gsd", "qdw.flat"},
-    "lattice-audit-sabotaged": {"qdw.characters", "qdw.gsd", "qdw.flat"},
-    "gsd-no-dense": {"qdw.lattice"},
+    "lattice-audit": {"qdw.characters", "qdw.sectors", "qdw.classify", "qdw.gsd", "qdw.flat"},
+    "lattice-audit-sabotaged": {"qdw.characters", "qdw.sectors", "qdw.classify", "qdw.gsd",
+                                "qdw.flat"},
+    "gsd-no-dense": {"qdw.lattice", "qdw.classify"},
     "logical": {"qdw.characters"},
 }
 
@@ -681,14 +684,25 @@ def test_every_name_the_tracer_reaches_resolves_to_its_defining_module():
     pairs = {(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts}
     pairs |= {(f"qdw.{node.value.id}", node.attr) for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in ("lattice", "logical", "verify")}
+              and node.value.id in ("cli", "lattice", "logical", "verify")}
     assert {("qdw.groups", "character_table"), ("qdw.lattice", "ground_space_dimension"),
             ("qdw.lattice", "HamiltonianTerm"), ("qdw.verify", "run_check")} <= pairs
+    # the handlers moved out of the cli; the names the tracer reads off it did not
+    read_off_cli = {name for module, name in pairs if module == "qdw.cli"}
+    assert read_off_cli == {
+        "build_group", "parse_lattice", "resolve_region_subgroups", "parse_subgroup",
+        "parse_argv", "anyon_table", "enumerate_subgroups", "boundary_types",
+        "lagrangian_algebra", "boundary_excitations", "defect_list", "qudit_dimension",
+        "build_terms", "audit_commutation", "tunnel_operator", "loop_operator",
+        "logical_algebra", "charge_projectors"}
     for module, name in sorted(pairs):
         obj = getattr(importlib.import_module(module), name)
         assert _home_object(obj, name) is obj, (module, name)
     assert qdw.groups.character_table is sys.modules["qdw.characters"].character_table
     assert qdw.lattice.ground_space_dimension is sys.modules["qdw.gsd"].ground_space_dimension
+    assert qdw.cli.parse_subgroup is sys.modules["qdw.groups"].parse_subgroup
+    assert qdw.cli.parse_lattice is sys.modules["qdw.geometry"].parse_lattice
+    assert qdw.classify.anyon_table is sys.modules["qdw.sectors"].anyon_table
 
 
 class TestModuleEntryPoint:
@@ -729,6 +743,37 @@ class TestModuleEntryPoint:
                            "--inject-literal-edge", "in0"])
         assert proc.returncode == EXIT_INVARIANT, proc.stderr
         assert json.loads(proc.stdout)["results"]["ok"] is False
+
+    # one command of each handler's layer
+    @pytest.mark.parametrize("argv", [
+        ["group-info", "--group", "cyclic:3"],
+        ["anyons", "--group", "cyclic:3"],
+        ["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
+         "--subgroup", "full", "--subgroup2", "trivial"],
+        GSD,
+        ["logical", "--group", "cyclic:2", "--lattice", "ring:3"],
+        ["charge-project", "--group", "cyclic:2", "--lattice", "ring:3"],
+        ["verify-all", "--group", "cyclic:2"],
+    ], ids=lambda argv: argv[0])
+    def test_the_cli_module_is_compiled_once(self, argv):
+        """Run as `__main__`, the dispatcher is not imported a second time as
+        `qdw.cli`: no handler imports it."""
+        code = ("import json, runpy, sys\n"
+                f"sys.argv = ['qdw', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('qdw.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    status = exc.code\n"
+                "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('qdw'))]),\n"
+                "      file=sys.stderr)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(qdw.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        status, modules = json.loads(proc.stderr.splitlines()[-1])
+        assert status == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["command"] == argv[0]
+        assert "qdw.cli" not in modules
+        assert {"qdw", "qdw.groups"} <= set(modules)
 
     def test_bad_lattice_exits_two(self):
         proc = self.spawn(["gsd", "--group", "cyclic:2", "--lattice", "moebius:2"])
