@@ -16,10 +16,11 @@ module.  The lattice specs of the command line (`parse_lattice`, and
 are parsed here; past `groups`, which reads the subgroup specs, this
 module imports no other layer at run time.  numpy is
 imported only inside `config_digits`, which only code that builds a
-matrix calls.  So the commands that load numpy are those that build
-one: `gsd` where its dense route fits, and those that need the S
-matrix.  `lattice-audit`, `logical`, `charge-project` and the counting
-and modular `gsd` routes run on Python integers.
+float matrix of states calls: the materialized oracles of `qdw.logical`,
+which the tests and `verify`'s `path-deformation` check run.
+`lattice-audit`, `logical`, `charge-project` and every `gsd` route, the
+dense one included, index configurations by `place_values` and run on
+Python integers.
 """
 
 from __future__ import annotations

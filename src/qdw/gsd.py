@@ -6,30 +6,35 @@ of its child's gauge domain (`qdw.flat`); a dangling edge with boundary
 subgroup K stays out of the slice and contributes one factor |K\\G/K|.
 Modular is one exact sum over the boundary condensates, without the
 lattice's configurations, on any connected surface whose boundary
-circles are its regions.  Dense takes the trace of the projector built
-on the support of the diagonal terms, and raises when a term maps that
-support outside itself, which commuting projectors never do.  Trace is
-the counting route with its gauge fix switched off, the Burnside sum
-over every flat configuration of the edges that are not dangling: a
-reference route that runs only when named.
+circles are its regions.  Dense reads only the Hamiltonian terms: it
+takes the trace of the projector built on the support of the diagonal
+terms, and raises when a term maps that support outside itself, which
+commuting projectors never do.  Trace is the counting route with its
+gauge fix switched off, the Burnside sum over every flat configuration
+of the edges that are not dangling: a reference route that runs only
+when named.
 
 The modular route imports the sector table and condensates
 (`qdw.sectors`), not the rest of the census, and the dense route the
-Hamiltonian terms (`qdw.lattice`) and numpy, each where it runs, so a
-`gsd` run whose dense route is over budget loads no operator code.  The
-counting, trace and modular routes run on Python integers.
+Hamiltonian terms (`qdw.lattice`), each where it runs, so a `gsd` run
+whose dense route is over budget loads no operator code.  Every route
+runs on Python integers, so no `gsd` run imports numpy; the dense
+route's trace is one integer over the product of the terms'
+denominators, decided by exact division.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import partial
 from math import prod
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
-                          config_digits, place_values)
+                          place_values)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
 from qdw.records import Record
 
@@ -211,76 +216,163 @@ def _gsd_modular(lat: Lattice, group: FiniteGroup,
 
 
 # ---------------------------------------------------------------------------
-# route 3: dense matrix trace
+# route 3: the trace of the explicit projector, on Python integers
+
+
+def _reader(n: int, own: Sequence[int]):
+    """(read, keys) for the edges `own`: `read` takes a configuration's edge
+    values to a key, and keys[c] is the key of the configuration of `own`
+    with index c (`place_values` order)."""
+    keys = range(n) if len(own) == 1 else list(itertools.product(range(n), repeat=len(own)))
+    return (itemgetter(*own) if own else lambda values: ()), keys
 
 
 def _dense_projector(lat: Lattice, group: FiniteGroup,
                      subgroups: Mapping[str, Subgroup],
                      terms: Optional[Sequence[HamiltonianTerm]] = None):
-    """(support, P_S), or None when the configurations or the S x S block are over
-    budget: the ground projector's dense S x S block.
+    """The ground projector's S x S block in exact integers, or None when the
+    configurations or the block are over budget.
 
-    S lists the configurations where the product of the diagonal terms is
-    nonzero; P_S starts as that product, and each off-diagonal monomial is
-    applied as one gather through its inverse map (row m, kept zero, means
-    no preimage).  Commuting projectors keep S invariant, so the projector
-    vanishes outside the block; a monomial that maps S outside S raises.
+    Returns (support, diagonal, columns, den).  S (`support`, ascending)
+    lists the configurations, indexed by `place_values`, where the product
+    D of the diagonal terms is nonzero, and `diagonal` holds D's
+    numerators there.  It is found by a depth-first walk over edge values
+    that reads each diagonal term from its expansion as soon as the term's
+    last edge is set, and prunes the branch where the term vanishes.  Each
+    off-diagonal term M, in order, becomes one column map on S read from
+    its expansion: columns[t][i] lists (j, numerator) for each nonzero
+    M[S_j, S_i].  The block is P_S = M_k ... M_1 diag(diagonal) / den,
+    with den the product of every term's denominator.  Commuting
+    projectors keep S invariant, so the projector vanishes outside the
+    block; a term that maps S outside S raises.
     """
-    dim = group.order ** lat.n_edges
-    if dim > MATERIALIZE_DIM_BUDGET:
+    n, n_edges = group.order, lat.n_edges
+    if n ** n_edges > MATERIALIZE_DIM_BUDGET:
         return None
-    import numpy as np
-
     if terms is None:
         from qdw.lattice import build_terms
 
         terms = build_terms(lat, group, subgroups)
-    n = group.order
-    edges = range(lat.n_edges)
-    digits, _ = config_digits(n, lat.n_edges)
-    diag = np.ones(dim)
-    for t in (t for t in terms if t.diagonal):
-        # the term's diagonal over its own support, gathered at every configuration
-        table, den, own = t.op._expansion()
-        size = n ** len(own)
-        entries = np.zeros(size)
-        entries[[c // (size + 1) for c in table]] = [v / den for v in table.values()]
-        diag *= entries[digits[:, list(own)] @ np.array(place_values(n, len(own)), dtype=np.int64)]
-    support = np.flatnonzero(diag)
-    m = len(support)
-    if m ** 2 > 40_000_000:
+    weights = place_values(n, n_edges)
+    den, scale = 1, 1
+    # per edge, the diagonal terms whose last edge it is, each as its
+    # reader and its nonzero diagonal numerators by the reader's key
+    checks: list[list[tuple]] = [[] for _ in range(n_edges)]
+    for t in terms:
+        if t.diagonal:
+            table, d, own = t.op._expansion()
+            den *= d
+            if not own:
+                scale *= table.get(0, 0)
+                continue
+            read, keys = _reader(n, own)
+            step = len(keys) + 1
+            checks[own[-1]].append((read, {keys[c // step]: v for c, v in table.items()}))
+    support, diagonal, configs = [], [], []
+    digits = [0] * n_edges
+    # (number of edges set, their index, D's numerator on them); each value
+    # is checked before it is pushed, in reverse, so the support comes out
+    # ascending
+    stack = [(0, 0, scale)] if scale else []
+    while stack:
+        e, c, w = stack.pop()
+        if e:
+            digits[e - 1] = c % n
+        if e == n_edges:
+            support.append(c)
+            diagonal.append(w)
+            configs.append(tuple(digits))
+            continue
+        for x in range(n - 1, -1, -1):
+            digits[e] = x
+            v = w
+            for read, values in checks[e]:
+                v *= values.get(read(digits), 0)
+                if not v:
+                    break
+            if v:
+                stack.append((e + 1, c * n + x, v))
+    if len(support) ** 2 > 40_000_000:
         return None
-    index = np.full(dim, m, dtype=np.int64)
-    index[support] = np.arange(m)
-    proj = np.vstack([np.diag(diag[support]), np.zeros(m)])
-    for t in (t for t in terms if not t.diagonal):
-        out = np.zeros_like(proj)
-        for rows, cols, coeff in t.op.monomial_entries(edges):
-            inside = index[cols] < m
-            rows, cols = index[rows[inside]], index[cols[inside]]
-            if (rows == m).any():
-                raise InvariantError(f"{t.name} maps a configuration out of the support")
-            preimage = np.full(m, m)
-            preimage[rows] = cols
-            out[:m] += float(coeff) * proj[preimage]
-        proj = out
-    return support, proj[:m]
+    index = {s: i for i, s in enumerate(support)}
+    columns = []
+    for t in terms:
+        if t.diagonal:
+            continue
+        table, d, own = t.op._expansion()
+        den *= d
+        read, keys = _reader(n, own)
+        size = len(keys)
+        places = list(zip([weights[f] for f in own], place_values(n, len(own))))
+        # each column of the term's own matrix: (shift of the whole
+        # configuration index, numerator) per nonzero entry
+        shifts: dict = {}
+        for key, v in table.items():
+            r, c = divmod(key, size)
+            shift = sum((r // p % n - c // p % n) * w for w, p in places)
+            shifts.setdefault(keys[c], []).append((shift, v))
+        cols = []
+        for s, config in zip(support, configs):
+            col = []
+            for shift, v in shifts.get(read(config), ()):
+                j = index.get(s + shift)
+                if j is None:
+                    raise InvariantError(f"{t.name} maps a configuration out of the support")
+                col.append((j, v))
+            cols.append(col)
+        columns.append(cols)
+    return support, diagonal, columns, den
 
 
-def _projector_rank(proj) -> int:
-    """Rank of a projector matrix, read from its trace, which must be an integer."""
-    tr = float(proj.diagonal().sum())
-    val = int(round(tr))
-    if abs(tr - val) > 1e-6 * max(1.0, abs(tr)):
-        raise InvariantError(f"projector trace {tr} is not close to an integer")
-    return val
+def _propagate(vector: dict[int, int], maps: Iterable[Sequence]) -> dict[int, int]:
+    """`vector` (position -> integer) sent through each sparse map in turn;
+    maps[i] lists (j, a) for each entry a that takes position i to j."""
+    for m in maps:
+        out: dict[int, int] = {}
+        for i, v in vector.items():
+            for j, a in m[i]:
+                out[j] = out.get(j, 0) + v * a
+        vector = out
+    return vector
+
+
+def _projector_rank(block) -> int:
+    """Rank of the projector block from `_dense_projector`, read off its trace,
+    which must be an integer.
+
+    With R = M_h ... M_1 diag(diagonal) and L = M_k ... M_(h+1), h = k // 2,
+    the trace of L R sums, over the support, the dot product of L's row i
+    and R's column i: the column is propagated through the first h maps,
+    the row back through the transposes of the others, so no S x S matrix
+    is formed.  The numerator total is divided exactly by den.
+    """
+    support, diagonal, columns, den = block
+    half = len(columns) // 2
+    transposes = []
+    for cols in reversed(columns[half:]):
+        rows: list[list[tuple[int, int]]] = [[] for _ in support]
+        for i, col in enumerate(cols):
+            for j, v in col:
+                rows[j].append((i, v))
+        transposes.append(rows)
+    total = 0
+    for i, d in enumerate(diagonal):
+        right = _propagate({i: d}, columns[:half])
+        left = _propagate({i: 1}, transposes)
+        if len(left) < len(right):
+            left, right = right, left
+        total += sum(v * left.get(j, 0) for j, v in right.items())
+    rank, rest = divmod(total, den)
+    if rest:
+        raise InvariantError(f"projector trace {Fraction(total, den)} is not an integer")
+    return rank
 
 
 def _gsd_dense(lat: Lattice, group: FiniteGroup,
                subgroups: Mapping[str, Subgroup]) -> Optional[int]:
     """Route 3: the trace of the explicit projector's support block, an independent oracle."""
-    dense = _dense_projector(lat, group, subgroups)
-    return None if dense is None else _projector_rank(dense[1])
+    block = _dense_projector(lat, group, subgroups)
+    return None if block is None else _projector_rank(block)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
 `qdw.gsd`, which imports this module only where its dense route builds
 the terms; `ground_space_dimension` read off this module resolves there,
 through `__getattr__`, for callers that name it here (the benchmark's
-traced runs, `bench/tracing.py`).  The audit runs on Python integers;
-numpy is imported only where a matrix is built
-(`Operator.monomial_entries` and `Operator.to_matrix`), so an audit does
-not load it.
+traced runs, `bench/tracing.py`).  The operators, the terms and the
+audit run on Python integers, and this module imports no numpy: no
+command builds a float matrix of an operator.
 """
 
 from __future__ import annotations
@@ -31,16 +30,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod, sqrt
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
                           _lattice_context, _region_assignment, carve_hole, config_digits, patch,
                           place_values, ring, torus)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MATERIALIZE_DIM_BUDGET",
@@ -213,7 +209,7 @@ class Operator:
         """Exact nonzero matrix entries over the configurations of `support`.
 
         Returns (numerators, den, support).  With the k registers of
-        support indexed as in `config_digits` (N = n^k configurations), the
+        support weighted by `place_values` (N = n^k configurations), the
         entry in row r and column c is numerators.get(r * N + c, 0) / den,
         so the diagonal entry of configuration c sits at key c * (N + 1).
         den is the least common multiple of the coefficient denominators;
@@ -282,47 +278,6 @@ class Operator:
             table, den, _ = self._expansion()
             return all(v == den for v in table.values())
         return self.is_hermitian() and ((self * self) - self).is_zero()
-
-    def monomial_entries(self, edges: Sequence[int]):
-        """(rows, cols, coeff) of each monomial over configurations of `edges`.
-
-        Configurations are indexed as in `config_digits`.  A monomial is an injective
-        partial map, so its rows never repeat and `out[rows] += coeff * x[cols]`
-        applies it exactly.  Budget and edge cover are checked before the first one.
-        """
-        import numpy as np
-
-        k = len(edges)
-        dim = self.n ** k
-        if dim > MATERIALIZE_DIM_BUDGET:
-            raise ValueError(f"materialization dimension {dim} over budget")
-        pos = {e: i for i, e in enumerate(edges)}
-        if not set(self.support) <= set(pos):
-            raise ValueError("edge list does not cover the operator support")
-        digits, weights = config_digits(self.n, k)
-
-        def entries(key):
-            rows = np.arange(dim, dtype=np.int64)
-            defined = np.ones(dim, dtype=bool)
-            for e, m in key:
-                col = digits[:, pos[e]]
-                tgt = np.array(m, dtype=np.int64)[col]
-                defined &= tgt >= 0
-                rows += (tgt - col) * weights[pos[e]]
-            return rows[defined], np.flatnonzero(defined)
-
-        return ((*entries(key), coeff) for key, coeff in self.terms.items())
-
-    def to_matrix(self, edges: Sequence[int]) -> np.ndarray:
-        """Dense matrix over configurations of `edges` (row-major, edge 0 slowest)."""
-        import numpy as np
-
-        entries = self.monomial_entries(edges)
-        dim = self.n ** len(edges)
-        mat = np.zeros((dim, dim))
-        for rows, cols, coeff in entries:
-            mat[rows, cols] += float(coeff)
-        return mat
 
 
 # ---------------------------------------------------------------------------

@@ -564,7 +564,11 @@ RUNS = {
                        "--subgroup", "full", "--subgroup2", "trivial"],
                       {"qdw.geometry", "qdw.lattice"}, False),
     "gsd": (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2"],
-            SLICE | CONDENSATES | {"qdw.gsd", "qdw.lattice"}, True),
+            SLICE | CONDENSATES | {"qdw.gsd", "qdw.lattice"}, False),
+    # 3^9 = 19 683 configurations, the largest state space the dense route takes
+    "gsd-dense-c3-ring": (["gsd", "--group", "cyclic:3", "--lattice", "ring:3",
+                           "--subgroup", "trivial", "--subgroup2", "full"],
+                          SLICE | CONDENSATES | {"qdw.gsd", "qdw.lattice"}, False),
     "gsd-no-dense": (["gsd", "--group", "cyclic:2", "--lattice", "torus:3x3"],
                      SLICE | CONDENSATES | {"qdw.gsd"}, False),
     "logical": (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
@@ -593,9 +597,9 @@ NEVER_LOADED = {
 
 @pytest.mark.parametrize("run", RUNS)
 def test_each_run_loads_only_the_layers_it_reaches(run):
-    """The census, the audit, the counting and modular ground-state routes
-    and the logical layer run on Python integers; numpy loads only where
-    matrices are."""
+    """The census, the audit, every ground-state route and the logical
+    layer run on Python integers; numpy loads only where float matrices
+    are."""
     argv, loads, numpy = RUNS[run]
     statement = "import qdw.cli"
     if argv is not None:

@@ -47,7 +47,9 @@ from qdw.flat import (
     elimination_order,
 )
 from qdw.geometry import place_values
-from qdw.gsd import _dense_projector, _gsd_counting, ground_space_dimension
+from qdw.gsd import _dense_projector, _gsd_counting, _projector_rank, ground_space_dimension
+
+from matrices import block_matrix, to_matrix
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
@@ -56,7 +58,7 @@ Q8 = build_group("quaternion8")
 
 
 def loop_matrix(op, edges):
-    """Entry-by-entry reference for Operator.to_matrix (register 0 slowest)."""
+    """Entry-by-entry reference for `to_matrix` (register 0 slowest)."""
     n, k = op.n, len(edges)
     pos = {e: i for i, e in enumerate(edges)}
     index = lambda cfg: sum(x * n ** (k - 1 - i) for i, x in enumerate(cfg))
@@ -212,7 +214,7 @@ def atom_path_audit(terms, n, memo):
                 norm = None
                 union = tuple(sorted(set(ti.edges) | set(tj.edges)))
                 if not ok:
-                    norm = float(np.linalg.norm(comm.to_matrix(union)))
+                    norm = float(np.linalg.norm(to_matrix(comm, union)))
                 memo[ti.name, tj.name] = PairCheck(ti.name, tj.name, ok, norm)
             pair_checks.append(memo[ti.name, tj.name])
     return AuditReport(term_checks, pair_checks, skipped)
@@ -667,7 +669,7 @@ class TestOperatorAlgebra:
         g = 1
         op = Operator.monomial(n, Fraction(1), {0: tuple(
             int(Z3.table[g, x]) for x in range(n))})
-        mat = op.to_matrix((0,))
+        mat = to_matrix(op, (0,))
         expect = np.zeros((3, 3))
         for x in range(3):
             expect[(x + 1) % 3, x] = 1.0
@@ -676,7 +678,7 @@ class TestOperatorAlgebra:
     def test_matrix_respects_identity_padding(self):
         n = Z2.order
         op = boundary_edge_term(ring(3), Z2, 1, Z2.trivial_subgroup())
-        mat = op.to_matrix((0, 1))
+        mat = to_matrix(op, (0, 1))
         # acts on the second register only; first register untouched
         expect = np.kron(np.eye(2), np.diag([1.0, 0.0]))
         assert np.array_equal(mat, expect)
@@ -687,12 +689,12 @@ class TestOperatorAlgebra:
     ], ids=["C2-torus2x2", "S3-ring3"])
     def test_term_matrices_match_the_entry_loop(self, group, lat, subs):
         for t in build_terms(lat, group, subs):
-            assert np.array_equal(t.op.to_matrix(t.edges), loop_matrix(t.op, t.edges))
+            assert np.array_equal(to_matrix(t.op, t.edges), loop_matrix(t.op, t.edges))
 
     def test_matrix_budget_guard(self):
         op = Operator.identity(S3.order)
         with pytest.raises(ValueError, match="budget"):
-            op.to_matrix(tuple(range(8)))
+            to_matrix(op, tuple(range(8)))
 
 
 # term assembly and audit ---------------------------------------------------
@@ -826,7 +828,7 @@ class TestTermsAndAudit:
         assert not pair.commutes
         assert pair.residual_norm == pytest.approx(6 ** 0.5, rel=1e-12)
         assert pair.residual_norm == pytest.approx(
-            np.linalg.norm(pin.commutator(shift).to_matrix((0, 1))), rel=1e-12)
+            np.linalg.norm(to_matrix(pin.commutator(shift), (0, 1))), rel=1e-12)
 
 
 # integer diagonal tables and the permutation pre-test ----------------------
@@ -1451,11 +1453,19 @@ class TestDenseProjector:
         terms = build_terms(lat, group, subs)
         ref = np.eye(group.order ** lat.n_edges)
         for t in terms:
-            ref = t.op.to_matrix(full) @ ref
-        support, proj = _dense_projector(lat, group, subs, terms)
-        block = np.ix_(support, support)
-        assert np.abs(ref[block] - proj).max() < 1e-12
-        ref[block] = 0.0
+            ref = to_matrix(t.op, full) @ ref
+        block = _dense_projector(lat, group, subs, terms)
+        support, diagonal, columns, den = block
+        assert support == sorted(set(support))
+        assert all(type(v) is int for v in diagonal) and type(den) is int
+        assert all(type(j) is int and type(v) is int
+                   for cols in columns for col in cols for j, v in col)
+        rank = _projector_rank(block)
+        assert rank == round(np.trace(ref)) == ground_space_dimension(
+            lat, group, subs, methods=("counting",)).value
+        idx = np.ix_(support, support)
+        assert np.abs(ref[idx] - block_matrix(block)).max() < 1e-12
+        ref[idx] = 0.0
         assert not ref.any()
 
     def test_support_block_over_budget_is_skipped(self):
@@ -1472,3 +1482,31 @@ class TestDenseProjector:
         with pytest.raises(InvariantError, match=r"^L\(h\(0,0\)\) maps a configuration"):
             _dense_projector(lat, Z2, {}, terms)
 
+    @pytest.mark.parametrize("kind", ["gauge", "flux"])
+    def test_fractional_trace_is_refused(self, kind):
+        # a third of one term is no projector: the trace is 4/3, not the
+        # ground-state count 4, and exact division must catch it
+        lat = torus(2, 2)
+        terms = build_terms(lat, Z2, {})
+        i = next(i for i, t in enumerate(terms) if t.kind == kind)
+        t = terms[i]
+        terms[i] = HamiltonianTerm(t.name, t.kind, t.op.scale(Fraction(1, 3)), t.edges,
+                                   t.diagonal, t.region)
+        with pytest.raises(InvariantError, match=r"^projector trace 4/3 is not an integer"):
+            _projector_rank(_dense_projector(lat, Z2, {}, terms))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_dense_equals_counting_on_random_lattices(self, data):
+        group = data.draw(st.sampled_from([Z2, Z3, S3]))
+        shapes = [lat for lat in (patch(1, 1), dangling_lattice(), patch(1, 2), patch(2, 1),
+                                  torus(2, 2), ring(3), patch(1, 3), patch(2, 2), torus(2, 3),
+                                  ring(4), two_squares_joined_by_dangling_edge())
+                  if group.order ** lat.n_edges <= MATERIALIZE_DIM_BUDGET]
+        lat = data.draw(st.sampled_from(shapes))
+        subs = enumerate_subgroups(group)
+        assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
+        rep = ground_space_dimension(lat, group, assign)
+        assert "dense" in rep.by_method
+        # the modular route, where the lattice is a bounded surface, agrees too
+        assert set(rep.by_method.values()) == {rep.by_method["counting"]}

@@ -40,6 +40,8 @@ from qdw.logical import (
     tunnel_operator,
 )
 
+from matrices import block_matrix, monomial_entries
+
 
 def two_hole(group):
     lat = carve_hole(patch(3, 5), ["p(1,1)"], "hole0")
@@ -711,7 +713,7 @@ def commutes_exactly(string, term, n_edges):
     assert all(c > 0 for c in coeffs)
     den = lcm(*(c.denominator for c in coeffs))
     rows, cols, nums = [], [], []
-    for r, c, coeff in term.op.monomial_entries(range(n_edges)):
+    for r, c, coeff in monomial_entries(term.op, range(n_edges)):
         if ((expo[r] - expo[c]) % n).any():
             return False
         rows.append(r)
@@ -742,7 +744,8 @@ class TestDenseCrossChecks:
         ags = AbelianGroundSpace(lat, g, subs)
         q = ags.orbit_state_matrix()
         assert np.abs(q.T @ q - np.eye(ags.dimension)).max() == 0.0
-        support, proj = _dense_projector(lat, g, subs)
+        block = _dense_projector(lat, g, subs)
+        support, proj = block[0], block_matrix(block)
         assert np.abs(proj @ q[support] - q[support]).max() < 1e-12
         assert not np.delete(q, support, axis=0).any()
         qud = logical_algebra(ags, tunnel_operator(ags, "inner", "outer"),
