@@ -14,7 +14,6 @@ and the `logical` command never load it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt
 from operator import mul
@@ -22,6 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from qdw.groups import (MAX_SUBGROUP_ENUM_ORDER, ConjugacyClass, FiniteGroup, InvariantError,
                         Subgroup, _root_of_unity, build_group, enumerate_subgroups)
+from qdw.records import Ratio
 
 __all__ = ["CharacterTable", "character_table"]
 
@@ -79,7 +79,7 @@ class CharacterTable:
         for traces in self._traces:
             num = sum(map(mul, map(mul, at_rep, cyclic), traces))
             if num % n or num < 0:
-                raise InvariantError(f"character multiplicity {Fraction(num, n)} "
+                raise InvariantError(f"character multiplicity {Ratio(num, n)} "
                                      "is not a non-negative integer")
             out.append(num // n)
         if self.character(out) != vals:

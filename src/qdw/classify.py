@@ -6,14 +6,15 @@ and are re-exported here.  A boundary is a subgroup K up to conjugation.
 Point defects between two boundaries are (double coset, stabilizer
 irrep) pairs, and the point excitations of one K boundary are its K-K
 defects.  All censuses are validated against exact sum rules before they
-are returned.  numpy is imported only where S is the result: `s_matrix`,
-and the float S and fusion table of `AbelianAnyonData`, whose exact S
-phases need no matrix.
+are returned, in Python integers: a defect's d^2 is an integer, divided
+exactly, and this module imports no `fractions`.  numpy is imported
+only where S is the result: `s_matrix`, and the float S and fusion
+table of `AbelianAnyonData`, whose exact S phases and charge rows need
+no matrix; `verify`'s abelian-modular-data check reads those.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -22,7 +23,7 @@ from qdw.characters import character_table
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
                         build_group, double_cosets, enumerate_subgroups, is_automorphism,
                         parse_subgroup, subgroup_conjugacy_classes)
-from qdw.records import FrozenRecord, Record
+from qdw.records import FrozenRecord, Ratio, Record
 from qdw.sectors import (TOL, AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
                          condensate_count, lagrangian_algebra)
 
@@ -134,7 +135,7 @@ def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
     """Excitations of one K boundary: its K-K defects, whose quantum dimensions are integers."""
     out = []
     for d in defect_list(boundary, boundary):
-        dim = isqrt(d.dim_squared.numerator)
+        dim = isqrt(d.dim_squared)
         if d.dim_squared != dim * dim:
             raise InvariantError("boundary excitation dimension is not an integer")
         out.append(BoundaryExcitation(coset_index=d.coset_index, irrep_index=d.irrep_index,
@@ -143,23 +144,33 @@ def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
 
 
 class Defect(FrozenRecord):
-    """Domain-wall point defect between two boundary conditions."""
+    """Domain-wall point defect between two boundary conditions; d^2 is an integer."""
     _fields = __slots__ = ("coset_index", "irrep_index", "name", "dim_squared", "dim")
 
     def __init__(self, coset_index: int, irrep_index: int, name: str,
-                 dim_squared: Fraction, dim: float):
+                 dim_squared: int, dim: float):
         super().__init__(coset_index, irrep_index, name, dim_squared, dim)
 
 
 def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:
-    """Defects between a K1 and a K2 boundary; sum of dim^2 is exactly |G|."""
+    """Defects between a K1 and a K2 boundary; sum of dim^2 is exactly |G|.
+
+    d^2 = dim^2 |D|^2 / (|K1| |K2|) for the double coset D and a stabilizer
+    irrep of dimension dim.  |D| = |K1| |K2| / |stab|, so d^2 = dim^2
+    (|K1| / |stab|) (|K2| / |stab|) is an integer; the division is exact or
+    raises InvariantError.
+    """
     group = k1.group
     out = []
     denom = k1.order * k2.order
     for ti, dc in enumerate(double_cosets(k1, k2)):
         ct = character_table(dc.stabilizer)
         for ri in range(ct.n_irreps):
-            d2 = Fraction(ct.dims[ri] ** 2 * dc.size ** 2, denom)
+            num = ct.dims[ri] ** 2 * dc.size ** 2
+            d2, rest = divmod(num, denom)
+            if rest:
+                raise InvariantError(
+                    f"defect T{ti}-R{ri} has d^2 = {Ratio(num, denom)}, not an integer")
             out.append(Defect(coset_index=ti, irrep_index=ri,
                               name=f"T{ti}-R{ri}", dim_squared=d2,
                               dim=float(d2) ** 0.5))
@@ -204,21 +215,32 @@ class AbelianAnyonData(Record):
                  charges: Optional[list[tuple[int, int]]] = None):
         super().__init__(group, table, [] if charges is None else charges)
 
+    @property
+    def fluxes(self) -> list[int]:
+        """The flux g_a of each sector: the one element of its class."""
+        return [self.table.classes[ci].rep for ci, _ in self.charges]
+
+    @cached_property
+    def charge_exponents(self) -> list[list[int]]:
+        """chi[a][x] with chi_a(x) = w^chi[a][x], w = exp(2 pi i / n), from
+        the exact spectra: chi_a at an element of order o is zeta_o^s, s
+        its spectrum, which is w^(s n/o)."""
+        table, n = self.table, self.group.order
+        chi = []
+        for ci, irrep in self.charges:
+            centralizer, local = table.centralizer_tables[ci], table.local_class[ci]
+            chi.append([centralizer.spectra[irrep][local[x]][0]
+                        * (n // centralizer.orders[local[x]]) for x in range(n)])
+        return chi
+
     @cached_property
     def s_phases(self) -> list[list[int]]:
         """k[a][b] with S_ab = exp(-2 pi i k[a][b] / n) / n, from the exact spectra.
 
         Every centralizer is G and every class one element g_a, so S_ab =
-        conj(chi_a(g_b) chi_b(g_a)) / n, as `s_matrix` sums it.  chi_a at an
-        element of order o is zeta_o^s, s its spectrum, which is w^(s n/o).
+        conj(chi_a(g_b) chi_b(g_a)) / n, as `s_matrix` sums it.
         """
-        table, n = self.table, self.group.order
-        flux = [table.classes[ci].rep for ci, _ in self.charges]
-        chi = []   # chi[a][x]: the exponent of chi_a(x) in powers of w
-        for ci, irrep in self.charges:
-            centralizer, local = table.centralizer_tables[ci], table.local_class[ci]
-            chi.append([centralizer.spectra[irrep][local[x]][0]
-                        * (n // centralizer.orders[local[x]]) for x in range(n)])
+        chi, flux, n = self.charge_exponents, self.fluxes, self.group.order
         return [[(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
                 for chi_a, g_a in zip(chi, flux)]
 
@@ -442,17 +464,17 @@ def _cmd_defects(cfg) -> tuple:
     k2 = parse_subgroup(group, cfg.subgroup2)
     defs = defect_list(k1, k2)
     rows = [{"name": x.name, "coset": x.coset_index, "irrep": x.irrep_index,
-             "dim_squared": [x.dim_squared.numerator, x.dim_squared.denominator],
+             "dim_squared": [x.dim_squared, 1],
              "dim": x.dim} for x in defs]
     body = [[x.name, x.coset_index, x.irrep_index,
-             f"{x.dim_squared.numerator}/{x.dim_squared.denominator}", x.dim]
+             f"{x.dim_squared}/1", x.dim]
             for x in defs]
     results = {
         "group": group.label,
         "subgroup": [group.name_of(x) for x in k1.elements],
         "subgroup2": [group.name_of(x) for x in k2.elements],
         "count": len(defs),
-        "total_dim_squared": int(sum(x.dim_squared for x in defs)),
+        "total_dim_squared": sum(x.dim_squared for x in defs),
         "defects": rows,
     }
     return results, (["name", "coset", "irrep", "dim_squared", "dim"], body), None

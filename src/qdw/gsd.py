@@ -26,7 +26,6 @@ denominators, decided by exact division.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import partial
 from math import prod
 from operator import itemgetter
@@ -36,7 +35,7 @@ from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
                           place_values)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
-from qdw.records import Record
+from qdw.records import Ratio, Record
 
 if TYPE_CHECKING:
     from qdw.lattice import HamiltonianTerm
@@ -364,7 +363,7 @@ def _projector_rank(block) -> int:
         total += sum(v * left.get(j, 0) for j, v in right.items())
     rank, rest = divmod(total, den)
     if rest:
-        raise InvariantError(f"projector trace {Fraction(total, den)} is not an integer")
+        raise InvariantError(f"projector trace {Ratio(total, den)} is not an integer")
     return rank
 
 

@@ -1,10 +1,11 @@
 """Exact operator algebra, Hamiltonian terms, and their audit.
 
 Edges carry one group-valued register each.  Every Hamiltonian term is a
-sum of monomials with Fraction coefficients, where a monomial assigns an
-injective partial map of the register to each touched edge.  Products,
-adjoints, and commutators are therefore exact; the audit reports exact
-zeros, not small numbers.  Every exact test reads one expansion of an
+sum of monomials with rational coefficients, held as Python-int
+numerators over one denominator, where a monomial assigns an injective
+partial map of the register to each touched edge.  Products, adjoints,
+and commutators are therefore exact; the audit reports exact zeros, not
+small numbers.  Every exact test reads one expansion of an
 operator over the configurations of its support (`Operator._expansion`):
 its nonzero matrix entries, as Python-int numerators over one common
 denominator, budgeted only by their number.  It decides `is_zero`; and
@@ -21,22 +22,23 @@ The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
 the terms; `ground_space_dimension` read off this module resolves there,
 through `__getattr__`, for callers that name it here (the benchmark's
 traced runs, `bench/tracing.py`).  The operators, the terms and the
-audit run on Python integers, and this module imports no numpy: no
-command builds a float matrix of an operator.
+audit run on Python integers, and this module imports neither numpy nor
+`fractions`: no command builds a float matrix of an operator, and a
+failing pair's norm is one correctly rounded int / int division under
+the root.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import lcm, prod, sqrt
+from math import gcd, lcm, prod, sqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
                           _lattice_context, _region_assignment, carve_hole, config_digits, patch,
                           place_values, ring, torus)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
-from qdw.records import Record
+from qdw.records import Ratio, Record
 
 __all__ = [
     "MATERIALIZE_DIM_BUDGET",
@@ -117,59 +119,85 @@ def _map_adjoint(m: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Operator:
-    """Exact linear operator: monomials over edge registers, Fraction coefficients."""
+    """Exact linear operator: monomials over edge registers, rational coefficients.
 
-    __slots__ = ("n", "terms")
+    `terms` maps each monomial key to a nonzero Python-int numerator over
+    the one positive denominator `den`, kept in lowest terms: the gcd of
+    `den` and every numerator is 1.
+    """
 
-    def __init__(self, n: int, terms: Optional[dict] = None):
+    __slots__ = ("n", "terms", "den")
+
+    def __init__(self, n: int, terms: Optional[dict] = None, den: int = 1):
         self.n = n
-        self.terms: dict[tuple, Fraction] = terms if terms is not None else {}
+        self.terms: dict[tuple, int] = terms if terms is not None else {}
+        self.den = den
 
     @staticmethod
     def identity(n: int) -> "Operator":
-        return Operator(n, {(): Fraction(1)})
+        return Operator(n, {(): 1})
 
     @staticmethod
-    def monomial(n: int, coeff: Fraction, maps: Mapping[int, tuple[int, ...]]) -> "Operator":
+    def monomial(n: int, coeff, maps: Mapping[int, tuple[int, ...]]) -> "Operator":
+        """`coeff` is an exact rational in lowest terms: anything with
+        `.numerator` and a positive `.denominator`, such as an int."""
         clean = []
         for e, m in maps.items():
             if max(m) < 0:
                 return Operator(n)
             if not _map_is_identity(m):
                 clean.append((e, m))
-        if coeff == 0:
+        if not coeff.numerator:
             return Operator(n)
-        return Operator(n, {tuple(sorted(clean)): Fraction(coeff)})
+        return Operator(n, {tuple(sorted(clean)): coeff.numerator}, coeff.denominator)
 
-    def _accumulate(self, key: tuple, coeff: Fraction) -> None:
-        cur = self.terms.get(key)
-        total = coeff if cur is None else cur + coeff
+    def _lowest(self) -> "Operator":
+        """Divide `den` and every numerator by their gcd, in place."""
+        if self.den != 1:
+            g = gcd(self.den, *self.terms.values())
+            if g != 1:
+                self.terms = {k: v // g for k, v in self.terms.items()}
+                self.den //= g
+        return self
+
+    def _accumulate(self, key: tuple, num: int) -> None:
+        total = self.terms.get(key, 0) + num
         if total == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = total
 
     def __iadd__(self, other: "Operator") -> "Operator":
-        """In place, so a sum built term by term copies no dict."""
+        """In place, so a sum built term by term copies no dict.  The sum
+        is taken over the lcm of the two denominators."""
+        den = lcm(self.den, other.den)
+        if den != self.den:
+            f = den // self.den
+            self.terms = {k: v * f for k, v in self.terms.items()}
+            self.den = den
+        f = den // other.den
         for key, c in other.terms.items():
-            self._accumulate(key, c)
-        return self
+            self._accumulate(key, c * f)
+        return self._lowest()
 
     def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.n, dict(self.terms)).__iadd__(other)
+        return Operator(self.n, dict(self.terms), self.den).__iadd__(other)
 
     def __sub__(self, other: "Operator") -> "Operator":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Operator":
-        c = Fraction(c)
-        if c == 0:
+        """`c` is an exact rational, as in `monomial`."""
+        num = c.numerator
+        if not num:
             return Operator(self.n)
-        return Operator(self.n, {k: v * c for k, v in self.terms.items()})
+        return Operator(self.n, {k: v * num for k, v in self.terms.items()},
+                        self.den * c.denominator)._lowest()
 
     def __mul__(self, other: "Operator") -> "Operator":
-        """Operator product; self acts after other."""
-        out = Operator(self.n)
+        """Operator product; self acts after other, over the product of the
+        two denominators."""
+        out = Operator(self.n, den=self.den * other.den)
         for k1, c1 in self.terms.items():
             m1 = dict(k1)
             for k2, c2 in other.terms.items():
@@ -193,10 +221,10 @@ class Operator:
                 if dead:
                     continue
                 out._accumulate(tuple(sorted(combined)), c1 * c2)
-        return out
+        return out._lowest()
 
     def adjoint(self) -> "Operator":
-        out = Operator(self.n)
+        out = Operator(self.n, den=self.den)
         for key, c in self.terms.items():
             new_key = tuple(sorted((e, _map_adjoint(m)) for e, m in key))
             out._accumulate(new_key, c)
@@ -212,10 +240,11 @@ class Operator:
         support weighted by `place_values` (N = n^k configurations), the
         entry in row r and column c is numerators.get(r * N + c, 0) / den,
         so the diagonal entry of configuration c sits at key c * (N + 1).
-        den is the least common multiple of the coefficient denominators;
-        only nonzero numerators are stored, as Python ints.  Matrix units
-        are linearly independent, so this is a canonical form, which
-        monomial keys are not (a sum of point maps can equal an identity).
+        den is the operator's own `den`, the least common multiple of the
+        coefficient denominators; only nonzero numerators are stored, as
+        Python ints.  Matrix units are linearly independent, so this is a
+        canonical form, which monomial keys are not (a sum of point maps
+        can equal an identity).
         Each monomial adds its scaled numerator on the entries where every
         map of its key is defined; their number is budgeted before any is
         added.  The support is returned so that no caller walks the
@@ -239,13 +268,11 @@ class Operator:
         entries = sum(prod(map(len, hit)) for hit in hits)
         if entries > 5_000_000:
             raise ValueError(f"expansion of {entries} entries over budget")
-        den = lcm(*(c.denominator for c in self.terms.values()))
         table: dict[int, int] = {}
-        for hit, coeff in zip(hits, self.terms.values()):
-            num = coeff.numerator * (den // coeff.denominator)
+        for hit, num in zip(hits, self.terms.values()):
             for c in map(sum, itertools.product(*hit)):
                 table[c] = table.get(c, 0) + num
-        return {c: v for c, v in table.items() if v}, den, support
+        return {c: v for c, v in table.items() if v}, self.den, support
 
     def is_zero(self) -> bool:
         """Exact zero test: syntactic cancellation, then the expansion."""
@@ -304,8 +331,8 @@ def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
     for g in elems:
         maps = {e: _map_left(group, g) if at_head else _map_right_inv(group, g)
                 for e, at_head in star}
-        out += Operator.monomial(group.order, Fraction(1, len(elems)), maps)
-    return out
+        out += Operator.monomial(group.order, 1, maps)
+    return out.scale(Ratio(1, len(elems)))
 
 
 def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
@@ -331,14 +358,14 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
     # a face repeats no edge, so each prefix gives its own monomial key,
     # which lists the point maps by edge
     order = sorted(range(len(cyc)), key=lambda i: cyc[i][0])
-    along_last, one = cyc[-1][1], Fraction(1)
+    along_last = cyc[-1][1]
     terms = {}
     for prefix in itertools.product(range(n), repeat=len(cyc) - 1):
         partial = group.product([group.inv[x] if along else x
                                  for (_, along), x in zip(cyc, prefix)])
         last = group.mul(group.inv[partial], h)
         values = prefix + (group.inv[last] if along_last else last,)
-        terms[tuple((cyc[i][0], points[values[i]]) for i in order)] = one
+        terms[tuple((cyc[i][0], points[values[i]]) for i in order)] = 1
     return Operator(n, terms)
 
 
@@ -350,7 +377,7 @@ def flux_term(lat: Lattice, group: FiniteGroup, pi: int) -> Operator:
 def boundary_edge_term(lat: Lattice, group: FiniteGroup, edge: int,
                        sub: Subgroup) -> Operator:
     """Projector pinning an edge register into the boundary subgroup."""
-    return Operator.monomial(group.order, Fraction(1),
+    return Operator.monomial(group.order, 1,
                              {edge: _map_indicator(group.order, sub.elements)})
 
 
@@ -362,8 +389,8 @@ def half_translation_term(group: FiniteGroup, edge: int, sub: Subgroup,
     out = Operator(group.order)
     for k in sub.elements:
         m = _map_left(group, k) if side == "left" else _map_right_inv(group, k)
-        out += Operator.monomial(group.order, Fraction(1, sub.order), {edge: m})
-    return out
+        out += Operator.monomial(group.order, 1, {edge: m})
+    return out.scale(Ratio(1, sub.order))
 
 
 def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Operator:
@@ -376,8 +403,8 @@ def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Ope
     out = Operator(group.order)
     for k in sub.elements:
         for m in (_map_left(group, k), _map_right_inv(group, k)):
-            out += Operator.monomial(group.order, Fraction(1, 2 * sub.order), {edge: m})
-    return out
+            out += Operator.monomial(group.order, 1, {edge: m})
+    return out.scale(Ratio(1, 2 * sub.order))
 
 
 def build_terms(lat: Lattice, group: FiniteGroup,
@@ -593,7 +620,8 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
             if entries:
                 union = len(set(ti.edges) | set(tj.edges))
                 squares = sum(v * v for v in entries.values())
-                norm = sqrt(Fraction(n ** (union - len(support)) * squares, den * den))
+                # int / int is correctly rounded, as Fraction.__float__ is
+                norm = sqrt(n ** (union - len(support)) * squares / (den * den))
             pair_checks.append(PairCheck(ti.name, tj.name, not entries, norm))
     return AuditReport(term_checks, pair_checks, skipped)
 

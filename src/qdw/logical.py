@@ -23,7 +23,6 @@ character tables (`qdw.characters`) only by `charge_projectors`.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
@@ -34,7 +33,7 @@ from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _re
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, UsageError, _breadth_first,
                         _complex_pair, _generating_sequence, _root_of_unity, _round12,
                         double_cosets, is_cyclic_presentation)
-from qdw.records import FrozenRecord, Record
+from qdw.records import FrozenRecord, Ratio, Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -627,14 +626,14 @@ class LogicalQudit(Record):
         phase = tuple((phi0 + ((c - r) % n) * m) % n for c in range(n))
         return LogicalAction(n, perm, phase)
 
-    def relation_report(self) -> list[tuple[str, str, Fraction]]:
-        """Exact relations as (lhs, rhs, phase in turns)."""
+    def relation_report(self) -> list[tuple[str, str, Ratio]]:
+        """Exact relations as (lhs, rhs, phase in turns), each turn in lowest terms."""
         n = self.sector.n
-        out = [("X.Z", "Z.X", Fraction(self.x_op.commutation_exponent(self.z_op), n))]
+        out = [("X.Z", "Z.X", Ratio(self.x_op.commutation_exponent(self.z_op), n))]
         for name, op in (("X", self.x_op), ("Z", self.z_op)):
             if not op.power(n).is_identity():
                 raise InvariantError(f"{name}^{n} is not the identity")
-            out.append((f"{name}^{n}", "I", Fraction(0)))
+            out.append((f"{name}^{n}", "I", Ratio(0)))
         return out
 
 
@@ -706,8 +705,8 @@ class FrameProjector(FrozenRecord):
     def __init__(self, diagonal: tuple[int, ...]):
         super().__init__(diagonal)
 
-    def trace(self) -> Fraction:
-        return Fraction(sum(self.diagonal))
+    def trace(self) -> int:
+        return sum(self.diagonal)
 
     def matrix(self) -> list[list[complex]]:
         """Dense rows of Python complex."""

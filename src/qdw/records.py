@@ -6,10 +6,14 @@ reads `Name(field=value, ...)`.  A `Record` is mutable and unhashable; a
 `FrozenRecord` rejects attribute assignment and hashes its field tuple.
 Each subclass writes its own `__init__`, which passes every field to
 `Record.__init__`, and keeps `__slots__ = _fields` unless a
-`cached_property` needs an instance `__dict__`.
+`cached_property` needs an instance `__dict__`.  `Ratio` is the one
+exact rational a report or an error text prints, so no layer imports
+`fractions`.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 class Record:
@@ -47,3 +51,24 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ratio(FrozenRecord):
+    """An exact rational in lowest terms with a positive denominator.
+
+    It prints as `fractions.Fraction` prints: "p/q", or "p" when q is 1.
+    """
+    _fields = __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        if not denominator:
+            raise ZeroDivisionError("Ratio with denominator 0")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        super().__init__(numerator // g, denominator // g)
+
+    def __str__(self) -> str:
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"

@@ -8,9 +8,11 @@ raises InvariantError naming the broken rule.
 
 The geometry, lattice and logical layers, and numpy, are imported inside
 the checks that use them, so a group whose gates skip those checks never
-loads them.  The hole-qudit and charge-readout checks are exact; numpy is
-loaded by the S matrix of abelian-modular-data and by the materialized
-oracle of path-deformation.
+loads them.  Every check but path-deformation is exact; the
+abelian-modular-data check decides S from its integer phases and builds
+no matrix.  numpy is loaded only by path-deformation's materialized
+oracle, which runs where the ring's configurations fit the budget
+(cyclic:2 and cyclic:3), and no check imports `fractions`.
 """
 
 from __future__ import annotations
@@ -232,8 +234,6 @@ def _check_charge_readout(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
-    import numpy as np
-
     from qdw.geometry import MATERIALIZE_DIM_BUDGET
     from qdw.logical import charge_string, logical_action
 
@@ -248,6 +248,8 @@ def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
     if any(a != acts[0] for a in acts[1:]):
         raise InvariantError("rerouted tunnel changed its ground-space action")
     if ags.n ** ags.lattice.n_edges <= MATERIALIZE_DIM_BUDGET:
+        import numpy as np
+
         q = ags.orbit_state_matrix()
         imgs = [op.apply(q) for op in ops]
         for img in imgs[1:]:
@@ -257,8 +259,35 @@ def _check_path_deformation(group: FiniteGroup, tol: float) -> str:
 
 
 def _check_abelian_modular_data(group: FiniteGroup, tol: float) -> str:
+    """S_ab = exp(-2 pi i k[a][b] / n) / n, k = `s_phases`, decided exactly
+    as unitary and symmetric with S_00 = 1/n, the rules `s_matrix` checks.
+
+    The charge rows chi_a (`charge_exponents`) must be n distinct
+    homomorphisms G -> Z_n, checked on the multiplication table, so they
+    are all of G^; the sectors must pair each row with every flux once, so
+    they are G x G^; and k[a][b] must be chi_a(g_b) + chi_b(g_a) mod n.
+    Then sum_b S_ab conj(S_cb) factors into a row and a column
+    orthogonality sum of the characters, which is delta_ac.  S is
+    symmetric when k is, and S_00 = 1/n when k[0][0] = 0.
+    """
     data = abelian_anyon_data(group)
-    data.s_matrix   # built and checked unitary and symmetric on first access
+    n, k = group.order, data.s_phases
+    if [tuple(row) for row in k] != list(zip(*k)):
+        raise InvariantError("sector S matrix is not symmetric")
+    if k[0][0]:
+        raise InvariantError(
+            f"sector S matrix has S00 = exp(-2 pi i {k[0][0]}/{n})/{n}, expected 1/{n}")
+    chi, flux = data.charge_exponents, data.fluxes
+    rows = set(map(tuple, chi))
+    unitary = (
+        len(rows) == n
+        and all(row[gx] == (row[g] + row[x]) % n
+                for row in rows for g in range(n) for x, gx in enumerate(group.rows[g]))
+        and len(set(zip(flux, map(tuple, chi)))) == len(chi) == n * n
+        and all(k_a == [(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
+                for k_a, chi_a, g_a in zip(k, chi, flux)))
+    if not unitary:
+        raise InvariantError("sector S matrix is not unitary")
     return f"S matrix over {len(data.charges)} sectors is unitary and symmetric"
 
 

@@ -5,13 +5,21 @@ Python integers.  Configurations are indexed as in `config_digits`
 (register 0 slowest).
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from qdw.geometry import MATERIALIZE_DIM_BUDGET, config_digits
 
 
+def coefficients(op):
+    """Each monomial key of `op` with its coefficient, as a Fraction."""
+    return {key: Fraction(num, op.den) for key, num in op.terms.items()}
+
+
 def monomial_entries(op, edges):
-    """(rows, cols, coeff) of each monomial of `op` over configurations of `edges`.
+    """(rows, cols, coeff) of each monomial of `op` over configurations of `edges`,
+    with coeff a Fraction.
 
     A monomial is an injective partial map, so its rows never repeat and
     `out[rows] += coeff * x[cols]` applies it exactly.  Budget and edge
@@ -36,7 +44,7 @@ def monomial_entries(op, edges):
             rows += (tgt - col) * weights[pos[e]]
         return rows[defined], np.flatnonzero(defined)
 
-    return ((*entries(key), coeff) for key, coeff in op.terms.items())
+    return ((*entries(key), coeff) for key, coeff in coefficients(op).items())
 
 
 def to_matrix(op, edges):
@@ -46,6 +54,15 @@ def to_matrix(op, edges):
     for rows, cols, coeff in entries:
         mat[rows, cols] += float(coeff)
     return mat
+
+
+def apply(op, edges, states):
+    """`to_matrix(op, edges) @ states`, one monomial's entries at a time, so
+    no matrix of `op` is formed."""
+    out = np.zeros_like(states)
+    for rows, cols, coeff in monomial_entries(op, edges):
+        out[rows] += float(coeff) * states[cols]
+    return out
 
 
 def block_matrix(block):

@@ -33,7 +33,7 @@ from qdw.classify import (
 from qdw.groups import InvariantError
 from qdw.gsd import ground_space_dimension
 from qdw.lattice import ring
-from qdw.verify import verify_group
+from qdw.verify import CheckResult, run_check, verify_group
 
 OMEGA = complex(-0.5, 3 ** 0.5 / 2)
 
@@ -154,6 +154,24 @@ def test_defect_sum_rule_all_pairs():
         for k1, k2 in itertools.product(subs, subs):
             ds = defect_list(k1, k2)
             assert sum(d.dim_squared for d in ds) == g.order
+
+
+def test_a_fractional_defect_dimension_is_refused(monkeypatch):
+    """d^2 = dim^2 |D|^2 / (|K1| |K2|) is divided exactly: a double coset
+    whose size no longer matches its stabilizer gives 9/4 and raises."""
+    import qdw.classify as classify
+
+    g, _, k2, _, _ = _s3_with_subgroups()
+    real = classify.double_cosets
+
+    def shrunk(a, b):
+        first, second = real(a, b)
+        assert (first.size, second.size) == (2, 4)
+        return first, DoubleCoset(second.rep, second.members[:3], second.stabilizer)
+
+    monkeypatch.setattr(classify, "double_cosets", shrunk)
+    with pytest.raises(InvariantError, match=r"^defect T1-R0 has d\^2 = 9/4, not an integer$"):
+        defect_list(k2, k2)
 
 
 def test_defects_reduce_to_boundary_excitations():
@@ -283,13 +301,28 @@ def test_abelian_data_matches_the_closed_form_loop(spec):
 @pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(1, 13)]
                          + ["product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4"])
 def test_exact_s_phases_match_the_s_matrix(spec):
-    g = build_group(spec)
+    assert_s_phases_match_the_s_matrix(build_group(spec))
+
+
+def assert_s_phases_match_the_s_matrix(g):
     ab = abelian_anyon_data(g)
     k = np.array(ab.s_phases)
     assert "s_matrix" not in g._cache
     n = g.order
     assert ((0 <= k) & (k < n)).all()
     assert np.abs(ab.s_matrix - np.exp(-2j * np.pi * k / n) / n).max() < 1e-12
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda a: st.tuples(st.just(a), st.integers(1, 24 // a))))
+def test_exact_modular_check_passes_on_products_of_two_cyclic_groups(orders):
+    """abelian-modular-data decides S from its phases, and those phases are
+    the float S matrix's."""
+    g = build_group("product:cyclic:{},cyclic:{}".format(*orders))
+    res = run_check("abelian-modular-data", g)
+    assert res == CheckResult("abelian-modular-data", "pass",
+                              f"S matrix over {g.order ** 2} sectors is unitary and symmetric")
+    assert_s_phases_match_the_s_matrix(g)
 
 
 def relabelled(spec, seed):

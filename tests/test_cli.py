@@ -521,6 +521,8 @@ S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "ful
 # stdlib modules that generate or inspect code: each adds milliseconds to every
 # start-up.  numpy imports `inspect` itself, so only a run without numpy is free of it.
 CODEGEN_MODULES = {"dataclasses", "inspect"}
+# `fractions` and what it loads: exact values are Python ints, or `qdw.records.Ratio`
+FRACTION_MODULES = {"fractions", "decimal", "numbers"}
 
 
 def test_roots_of_unity_render_correctly_rounded():
@@ -558,8 +560,13 @@ RUNS = {
     "defects": (["defects"] + S3_PAIR, SECTORS, False),
     "qudit-dim": (["qudit-dim"] + S3_PAIR, SECTORS, False),
     "verify-all": (["verify-all", "--group", "symmetric:4"], SECTORS | {"qdw.verify"}, False),
+    # abelian-modular-data decides S from its integer phases
     "verify-all-cyclic9": (["verify-all", "--group", "cyclic:9"], SECTORS | {"qdw.verify"},
-                           True),
+                           False),
+    # 4^9 = 262 144 ring configurations: path-deformation's oracle does not run
+    "verify-all-cyclic4": (["verify-all", "--group", "cyclic:4"],
+                           SECTORS | SLICE | {"qdw.verify", "qdw.lattice", "qdw.gsd",
+                                              "qdw.logical"}, False),
     "lattice-audit": (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
                        "--subgroup", "full", "--subgroup2", "trivial"],
                       {"qdw.geometry", "qdw.lattice"}, False),
@@ -612,6 +619,7 @@ def test_each_run_loads_only_the_layers_it_reaches(run):
     assert ("numpy" in modules) == numpy
     assert "dataclasses" not in modules
     assert "inspect" not in modules or numpy
+    assert not FRACTION_MODULES & set(modules)
 
 
 def test_no_qdw_module_loads_dataclasses_or_inspect():

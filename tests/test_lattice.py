@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import prod, sqrt
+from math import gcd, prod, sqrt
 
 import numpy as np
 import pytest
@@ -49,7 +49,7 @@ from qdw.flat import (
 from qdw.geometry import place_values
 from qdw.gsd import _dense_projector, _gsd_counting, _projector_rank, ground_space_dimension
 
-from matrices import block_matrix, to_matrix
+from matrices import apply, block_matrix, coefficients, to_matrix
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
@@ -63,7 +63,7 @@ def loop_matrix(op, edges):
     pos = {e: i for i, e in enumerate(edges)}
     index = lambda cfg: sum(x * n ** (k - 1 - i) for i, x in enumerate(cfg))
     mat = np.zeros((n ** k, n ** k))
-    for key, c in op.terms.items():
+    for key, c in coefficients(op).items():
         for cfg in itertools.product(range(n), repeat=k):
             tgt = list(cfg)
             for e, m in key:
@@ -92,7 +92,7 @@ def reference_atoms(op):
     if budget > 5_000_000:
         raise ValueError(f"atom expansion of {budget} entries over budget")
     out = {}
-    for key, c in op.terms.items():
+    for key, c in coefficients(op).items():
         maps = dict(key)
         choices = []
         for e in support:
@@ -140,9 +140,10 @@ def loop_diagonal_values(op, edges):
     """Fraction-by-Fraction reference for a diagonal operator's expansion."""
     out = {}
     pos = {e: i for i, e in enumerate(edges)}
+    coeffs = coefficients(op)
     for cfg in itertools.product(range(op.n), repeat=len(edges)):
         total = Fraction(0)
-        for key, c in op.terms.items():
+        for key, c in coeffs.items():
             hit = all(m[cfg[pos[e]]] >= 0 for e, m in key)
             if hit:
                 total += c
@@ -170,7 +171,7 @@ def cached_loop_diagonal_values(op):
                                    for key, c in op.terms.items())), perm))
     form, perm = min(forms)
     if (op.n, form) not in _LOOP_TABLES:
-        canonical = Operator(op.n, dict(form))
+        canonical = Operator(op.n, dict(form), op.den)
         _LOOP_TABLES[op.n, form] = loop_diagonal_values(canonical, range(len(support)))
     out = {}
     for cfg, v in _LOOP_TABLES[op.n, form].items():
@@ -628,6 +629,7 @@ class TestOperatorAlgebra:
                     got = flux_sector_term(lat, group, pi, h, base_vertex=base)
                     assert list(got.terms.items()) == list(want.terms.items()), \
                         (lat.kind, pi, h)
+                    assert got.den == want.den == 1
 
     def test_flux_base_must_be_a_corner(self):
         lat = torus(2, 3)
@@ -1010,10 +1012,10 @@ class TestDiagonalFastPath:
 # the one expansion, and audits past order 8 ----------------------------------
 
 @st.composite
-def random_operators(draw):
+def random_operators(draw, registers=(2, 3)):
     """Sums of monomials of injective partial maps with Fraction coefficients,
     sometimes plus a sum of point maps minus the identity it equals."""
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from(registers))
     k = draw(st.integers(1, 3))
     coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
                               Fraction(5, 6), Fraction(7, 4)])
@@ -1052,6 +1054,27 @@ def timed_audit(group, lat, subs, budget_s):
     return rep
 
 
+def fraction_entries(op, edges):
+    """Nonzero matrix entries of `op` over the configurations of `edges`,
+    Fraction by Fraction: {(row configuration, column configuration): value}."""
+    pos = {e: i for i, e in enumerate(edges)}
+    out = {}
+    for key, c in coefficients(op).items():
+        for cfg in itertools.product(range(op.n), repeat=len(edges)):
+            row = list(cfg)
+            for e, m in key:
+                row[pos[e]] = m[cfg[pos[e]]]
+            if min(row, default=0) >= 0:
+                out[tuple(row), cfg] = out.get((tuple(row), cfg), 0) + c
+    return {rc: v for rc, v in out.items() if v}
+
+
+def in_lowest_terms(op):
+    return (type(op.den) is int and op.den > 0
+            and all(type(v) is int and v for v in op.terms.values())
+            and gcd(op.den, *op.terms.values()) == 1)
+
+
 class TestExpansion:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(random_operators())
@@ -1059,6 +1082,39 @@ class TestExpansion:
         atoms = reference_atoms(op)
         assert expansion_atoms(op) == atoms
         assert op.is_zero() == (not atoms)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.sampled_from([2, 3]).flatmap(
+        lambda n: st.tuples(random_operators((n,)), random_operators((n,)))))
+    def test_integer_algebra_matches_the_fraction_reference(self, ops):
+        """Sums, differences, scalings, products and adjoints on integer
+        numerators over one denominator are the matrix algebra of the
+        Fraction coefficients, and stay in lowest terms."""
+        a, b = ops
+        edges = tuple(sorted(set(a.support) | set(b.support)))
+        ea, eb = fraction_entries(a, edges), fraction_entries(b, edges)
+
+        def plus(x, y):
+            out = dict(x)
+            for rc, v in y.items():
+                out[rc] = out.get(rc, 0) + v
+            return {rc: v for rc, v in out.items() if v}
+
+        product = {}
+        for (row, j), u in ea.items():
+            for (j2, col), v in eb.items():
+                if j == j2:
+                    product[row, col] = product.get((row, col), 0) + u * v
+        ratio = Fraction(-2, 3)
+        cases = [(a + b, plus(ea, eb)),
+                 (a - b, plus(ea, {rc: -v for rc, v in eb.items()})),
+                 (a.scale(ratio), {rc: ratio * v for rc, v in ea.items()}),
+                 (a * b, {rc: v for rc, v in product.items() if v}),
+                 (a.adjoint(), {(col, row): v for (row, col), v in ea.items()})]
+        for op, want in cases:
+            assert fraction_entries(op, edges) == want
+            assert in_lowest_terms(op)
+            assert expansion_atoms(op) == reference_atoms(op)
 
     def test_expansion_budget(self):
         op = Operator.monomial(S3.order, Fraction(1), {e: (1, 0, 2, 3, 4, 5) for e in range(9)})
@@ -1453,7 +1509,7 @@ class TestDenseProjector:
         terms = build_terms(lat, group, subs)
         ref = np.eye(group.order ** lat.n_edges)
         for t in terms:
-            ref = to_matrix(t.op, full) @ ref
+            ref = apply(t.op, full, ref)
         block = _dense_projector(lat, group, subs, terms)
         support, diagonal, columns, den = block
         assert support == sorted(set(support))

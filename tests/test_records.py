@@ -5,6 +5,8 @@ defaults, compared field by field within one class, and, when frozen,
 hashable by their fields and closed to attribute assignment.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from qdw.classify import AnyonLabel, abelian_anyon_data, anyon_table
@@ -13,7 +15,7 @@ from qdw.geometry import BoundaryRegion
 from qdw.groups import ConjugacyClass, DoubleCoset, build_group, double_cosets
 from qdw.lattice import PairCheck
 from qdw.logical import FrameProjector, LogicalAction, StringOperator
-from qdw.records import FrozenRecord, Record
+from qdw.records import FrozenRecord, Ratio, Record
 from qdw.verify import CheckResult
 
 S3 = build_group("symmetric:3")
@@ -132,3 +134,14 @@ def test_abelian_anyon_data_caches_its_derived_tables():
     for name in ("s_phases", "s_matrix", "fusion"):
         assert getattr(data, name) is getattr(data, name)
         assert name in vars(data)
+
+
+def test_ratio_reduces_and_prints_as_fraction_does():
+    for num in range(-13, 14):
+        for den in (-12, -7, -3, -1, 1, 2, 3, 4, 9, 12):
+            r, f = Ratio(num, den), Fraction(num, den)
+            assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+            assert str(r) == str(f)
+    assert Ratio(4, 3) == Ratio(8, 6) and hash(Ratio(4, 3)) == hash(Ratio(-8, -6))
+    with pytest.raises(ZeroDivisionError):
+        Ratio(1, 0)

@@ -1,8 +1,11 @@
 """Registry behavior: gates, details, tolerance threading, coverage map."""
 
+import json
+
 import pytest
 
-from qdw.cli import COMMANDS, VALIDATORS
+from qdw.classify import AbelianAnyonData
+from qdw.cli import COMMANDS, EXIT_INVARIANT, VALIDATORS, main
 from qdw.groups import InvariantError, build_group
 from qdw.verify import (
     DEFAULT_TOLERANCE,
@@ -146,3 +149,40 @@ class TestExactLogicalChecks:
             f"rough-rim ring carries one exact {n}-state Weyl pair"
         assert run_check("charge-readout", g).detail == \
             f"{n * n} projectors resolve the identity; {n} select single frame states"
+
+
+class TestExactModularData:
+    """abelian-modular-data decides S from `s_phases` and the charge rows it
+    is built from.  cyclic:9 is past the lattice and logical caps, so no
+    other check reads them."""
+
+    def _failed_verify_all(self, capsys):
+        assert main(["verify-all", "--group", "cyclic:9"]) == EXIT_INVARIANT
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["failed"] == ["abelian-modular-data"]
+        return next(c["detail"] for c in res["checks"] if c["name"] == "abelian-modular-data")
+
+    def test_a_charge_row_that_is_no_homomorphism_fails(self, monkeypatch, capsys):
+        real = AbelianAnyonData.charge_exponents.func
+
+        def broken(self):
+            # one of the n distinct rows, moved off a homomorphism at one
+            # element in every sector that carries it
+            chi, n = real(self), self.group.order
+            bad = chi[1]
+            return [[row[0], (row[1] + 1) % n, *row[2:]] if row == bad else row
+                    for row in chi]
+
+        monkeypatch.setattr(AbelianAnyonData, "charge_exponents", property(broken))
+        assert self._failed_verify_all(capsys) == "sector S matrix is not unitary"
+
+    def test_an_asymmetric_phase_fails(self, monkeypatch, capsys):
+        real = AbelianAnyonData.s_phases.func
+
+        def skewed(self):
+            k = [list(row) for row in real(self)]
+            k[1][2] = (k[1][2] + 1) % self.group.order
+            return k
+
+        monkeypatch.setattr(AbelianAnyonData, "s_phases", property(skewed))
+        assert self._failed_verify_all(capsys) == "sector S matrix is not symmetric"
