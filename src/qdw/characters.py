@@ -3,8 +3,8 @@
 Each character value is kept as the eigenvalue exponents of its irrep at
 the class representative, found over a prime field by Dixon's method and
 lifted to integers, so multiplicities and orthogonality are checked in
-integers; the complex values are derived from them.  numpy is imported
-only to build the array view `CharacterTable.chars`, on first access.
+integers; the complex values are derived from them, for reports and for
+the canonical row order.
 
 The sector table (`qdw.sectors`) and the census import this module, and
 the `group-info` command's handler lives here; `logical` and
@@ -34,8 +34,7 @@ class CharacterTable:
     `spectra[i][c]` is the sorted tuple of exponents j for which the
     eigenvalues of irrep i at the representative of class c are the
     zeta^j, zeta = exp(2 pi i / orders[c]); the character value there is
-    their sum.  `values` holds those sums as complex numbers, and `chars`
-    the same as a complex array, built on first access.
+    their sum.  `values` holds those sums as complex numbers.
     """
 
     def __init__(self, group: FiniteGroup, spectra: list[list[tuple[int, ...]]]):
@@ -45,12 +44,6 @@ class CharacterTable:
         self.spectra = spectra
         self.dims = [len(row[0]) for row in spectra]
         self.values = [_complex_row(row, self.orders) for row in spectra]
-
-    @cached_property
-    def chars(self):
-        import numpy as np
-
-        return np.array(self.values, dtype=complex)
 
     @property
     def n_irreps(self) -> int:

@@ -7,92 +7,32 @@ Point defects between two boundaries are (double coset, stabilizer
 irrep) pairs, and the point excitations of one K boundary are its K-K
 defects.  All censuses are validated against exact sum rules before they
 are returned, in Python integers: a defect's d^2 is an integer, divided
-exactly, and this module imports no `fractions`.  numpy is imported
-only where S is the result: `s_matrix`, and the float S and fusion
-table of `AbelianAnyonData`, whose exact S phases and charge rows need
-no matrix; `verify`'s abelian-modular-data check reads those.
+exactly, and this module imports no `fractions`.  Sector transport
+under an automorphism matches characters as eigenvalue exponents and
+spins as exact ratios, and the abelian S matrix is kept as its integer
+phases (`AbelianAnyonData.s_phases`), which `verify`'s
+abelian-modular-data check decides without building a matrix.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import isqrt
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from qdw.characters import character_table
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
                         build_group, double_cosets, enumerate_subgroups, is_automorphism,
                         parse_subgroup, subgroup_conjugacy_classes)
 from qdw.records import FrozenRecord, Ratio, Record
-from qdw.sectors import (TOL, AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
+from qdw.sectors import (AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
                          condensate_count, lagrangian_algebra)
 
-if TYPE_CHECKING:
-    import numpy as np
-
-__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "s_matrix", "BoundaryType",
+__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "BoundaryType",
            "boundary_types", "LagrangianAlgebra", "lagrangian_algebra", "BoundaryExcitation",
            "boundary_excitations", "Defect", "defect_list", "qudit_dimension",
            "condensate_count", "AbelianAnyonData", "abelian_anyon_data", "SymmetryAction",
            "symmetry_action"]
-
-
-def s_matrix(group: FiniteGroup) -> np.ndarray:
-    """The modular S matrix of D(G) over `anyon_table(group)`, cached per group.
-
-    Built only where S is itself the result; the condensate rule W S = W
-    is decided without it (`_fixed_by_s`).
-
-    S[(A,a),(B,b)] = 1/|G| sum over commuting g in A, h in B of
-    conj chi_a(x_g^-1 h x_g) conj chi_b(x_h^-1 g x_h), where x_g r_A x_g^-1 = g
-    for the class representative r_A (Coste, Gannon and Ruelle, "Finite
-    group modular data", 2000).  The value does not depend on the choice
-    of x_g, because chi_a is a class function of the centralizer of r_A.
-    Raises InvariantError unless S is unitary and symmetric with
-    S[0, 0] = 1/|G|.
-    """
-    if "s_matrix" not in group._cache:
-        group._cache["s_matrix"] = _build_s_matrix(anyon_table(group))
-    return group._cache["s_matrix"]
-
-
-def _build_s_matrix(table: AnyonTable) -> np.ndarray:
-    import numpy as np
-
-    group = table.group
-    n = group.order
-    class_of = [group.class_index_of(g) for g in range(n)]
-    transporter, columns = table.transporter, table.local_class
-    # character columns of every commuting pair, grouped by class pair
-    pairs: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for g in range(n):
-        for h in range(n):
-            if group.mul(g, h) != group.mul(h, g):
-                continue
-            a, b = class_of[g], class_of[h]
-            cols_a, cols_b = pairs.setdefault((a, b), ([], []))
-            cols_a.append(columns[a][group.conj(group.inv[transporter[g]], h)])
-            cols_b.append(columns[b][group.conj(group.inv[transporter[h]], g)])
-    start = [table.index_of(ci, 0) for ci in range(len(table.classes))]
-    m = len(table)
-    s = np.zeros((m, m), dtype=complex)
-    for (a, b), (cols_a, cols_b) in pairs.items():
-        x = table.centralizer_tables[a].chars[:, None, cols_a]
-        y = table.centralizer_tables[b].chars[None, :, cols_b]
-        # conj(x y), each real product rounded on its own as in Python's
-        # complex product, so an abelian S is the closed form to the bit
-        block = np.empty((x.shape[0], y.shape[1], len(cols_a)), dtype=complex)
-        block.real = x.real * y.real - x.imag * y.imag
-        block.imag = -(x.real * y.imag + x.imag * y.real)
-        s[start[a]:start[a] + x.shape[0], start[b]:start[b] + y.shape[1]] = \
-            block.sum(axis=2) / n
-    if not np.allclose(s @ np.conj(s.T), np.eye(m), rtol=0, atol=TOL):
-        raise InvariantError("sector S matrix is not unitary")
-    if not np.allclose(s, s.T, rtol=0, atol=TOL):
-        raise InvariantError("sector S matrix is not symmetric")
-    if abs(s[0, 0] - 1 / n) > TOL:
-        raise InvariantError(f"sector S matrix has S00 = {s[0, 0]}, expected 1/{n}")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +144,8 @@ def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
 class AbelianAnyonData(Record):
     """Closed-form sector data for an abelian group.
 
-    `s_phases` is exact.  The float `s_matrix` and the `fusion` table are
-    built on first access, so a caller that reads only the phases never
-    imports numpy.  `charges` lists (flux, irrep) per sector.  There are no
+    `charges` lists (flux, irrep) per sector.  `charge_exponents` and
+    `s_phases` are exact and built on first access.  There are no
     `__slots__`, because the cached properties live in the instance dict.
     """
     _fields = ("group", "table", "charges")
@@ -237,42 +176,17 @@ class AbelianAnyonData(Record):
     def s_phases(self) -> list[list[int]]:
         """k[a][b] with S_ab = exp(-2 pi i k[a][b] / n) / n, from the exact spectra.
 
-        Every centralizer is G and every class one element g_a, so S_ab =
-        conj(chi_a(g_b) chi_b(g_a)) / n, as `s_matrix` sums it.
+        Every centralizer is G and every class one element g_a, so the
+        modular S_ab = conj(chi_a(g_b) chi_b(g_a)) / n (Coste, Gannon and
+        Ruelle, "Finite group modular data", 2000).
         """
         chi, flux, n = self.charge_exponents, self.fluxes, self.group.order
         return [[(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
                 for chi_a, g_a in zip(chi, flux)]
 
-    @cached_property
-    def s_matrix(self) -> np.ndarray:
-        return s_matrix(self.group)
-
-    @cached_property
-    def fusion(self) -> np.ndarray:
-        """fusion[a, b] = index of a x b."""
-        import numpy as np
-
-        group, table = self.group, self.table
-        ct = character_table(group)
-        # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
-        # every irrep is linear, so exponents add at each class
-        k = ct.n_irreps
-        row_index = {tuple(row): q for q, row in enumerate(ct.spectra)}
-        irrep_product = np.array([[row_index[tuple(
-            ((sa[0] + sb[0]) % o,) for sa, sb, o in zip(ct.spectra[qa], ct.spectra[qb], ct.orders))]
-            for qb in range(k)] for qa in range(k)], dtype=np.int64)
-        index = np.array([[table.index_of(g, q) for q in range(k)]
-                          for g in range(group.order)], dtype=np.int64)
-        flux = np.array([g for g, _ in self.charges], dtype=np.int64)
-        charge = np.array([q for _, q in self.charges], dtype=np.int64)
-        return index[group.table[flux[:, None], flux[None, :]],
-                     irrep_product[charge[:, None], charge[None, :]]]
-
 
 def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
-    """Exact S phases, float S matrix (from `s_matrix`) and fusion table of an
-    abelian group's sectors; the last two are built when first read."""
+    """Exact charge rows and S phases of an abelian group's sectors, built when first read."""
     if not group.is_abelian:
         raise ValueError("closed-form sector data needs an abelian group")
     table = anyon_table(group)
@@ -305,7 +219,7 @@ class SymmetryAction:
         self.anyon_permutation = self._permute_anyons()
         for a, b in enumerate(self.anyon_permutation):
             src, dst = table.anyons[a], table.anyons[b]
-            if src.dim != dst.dim or abs(src.twist - dst.twist) > 1e-6:
+            if src.dim != dst.dim or src.spin != dst.spin:
                 raise InvariantError("sector transport must preserve dimension and twist")
 
     def _permute_anyons(self) -> list[int]:

@@ -4,9 +4,8 @@ A `Lattice` is vertices, directed edges and oriented faces, plus the
 boundary regions (rim vertices, rim edges and dangling edges) where a
 gapped boundary condition sits.  `torus`, `patch` and `ring` build the
 square lattices the commands take, `carve_hole` cuts a disk of faces out
-of a patch as one more boundary region, and `config_digits` numbers the
-configurations of a set of edge registers, weighting each register by
-its `place_values` entry.
+of a patch as one more boundary region, and `place_values` weights each
+edge register in the index of a configuration.
 
 The flat connections on a lattice, up to gauge, are enumerated in
 `qdw.flat`, which the ground-state routes and the logical layer import;
@@ -14,27 +13,20 @@ the Hamiltonian terms and their audit (`qdw.lattice`) read only this
 module.  The lattice specs of the command line (`parse_lattice`, and
 `resolve_region_subgroups` for the boundary subgroup of each region)
 are parsed here; past `groups`, which reads the subgroup specs, this
-module imports no other layer at run time.  numpy is
-imported only inside `config_digits`, which only code that builds a
-float matrix of states calls: the materialized oracles of `qdw.logical`,
-which the tests and `verify`'s `path-deformation` check run.
-`lattice-audit`, `logical`, `charge-project` and every `gsd` route, the
-dense one included, index configurations by `place_values` and run on
-Python integers.
+module imports no other layer at run time.  `lattice-audit`, `logical`,
+`charge-project` and every `gsd` route, the dense one included, index
+configurations by `place_values` and run on Python integers.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from qdw.groups import (FiniteGroup, Subgroup, UsageError, _is_json_int, _require,
                         build_group, parse_subgroup)
 from qdw.records import FrozenRecord
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MATERIALIZE_DIM_BUDGET",
@@ -45,13 +37,12 @@ __all__ = [
     "patch",
     "ring",
     "carve_hole",
-    "config_digits",
     "place_values",
     "parse_lattice",
     "resolve_region_subgroups",
 ]
 
-MATERIALIZE_DIM_BUDGET = 20_000   # largest state space built as a matrix
+MATERIALIZE_DIM_BUDGET = 20_000   # largest state space enumerated in full
 MAX_LATTICE_EDGES = 10_000        # largest torus, patch or ring built
 
 
@@ -59,19 +50,6 @@ def place_values(n: int, k: int) -> list[int]:
     """The weight n^(k-1-i) of register i in a configuration index of k n-valued
     registers: configuration c holds value c // w % n in the register of weight w."""
     return [n ** (k - 1 - i) for i in range(k)]
-
-
-def config_digits(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every configuration of k n-valued registers (row-major, register 0 slowest).
-
-    Returns (digits, weights): digits[c] lists the register values of
-    configuration c, weights is `place_values(n, k)`, and c == digits[c] @ weights.
-    """
-    import numpy as np
-
-    weights = np.array(place_values(n, k), dtype=np.int64)
-    digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
-    return digits, weights
 
 
 class BoundaryRegion(FrozenRecord):

@@ -3,9 +3,9 @@
 A group is a validated Cayley table over 0-based element indices with the
 identity pinned at index 0.  Everything downstream (conjugacy classes,
 subgroups, character tables, double cosets) works with plain integer
-indices so results are deterministic and cheap to compare.  numpy is
-imported only to build the array view `FiniteGroup.table`, on first
-access.
+indices so results are deterministic and cheap to compare.  No
+command imports numpy: only the array view `FiniteGroup.table` does,
+and only the benchmark reads it.
 
 Character tables live in `qdw.characters`, which only the layers that
 read one import.  `character_table` read off this module resolves there,
@@ -32,7 +32,6 @@ from qdw.records import FrozenRecord
 
 MAX_TABLE_ORDER = 48
 MAX_SUBGROUP_ENUM_ORDER = 24
-DEFAULT_TOLERANCE = 1e-10   # report-level numeric checks (`--tolerance`)
 
 __all__ = [
     "FiniteGroup",
@@ -91,8 +90,7 @@ class FiniteGroup:
     """Finite group given by an explicit, validated multiplication table.
 
     `rows[a][b]` is the index of a*b and `inv[a]` that of a^-1, both
-    tuples of ints; `table` is the same table as an int64 array, built on
-    first access for the callers that index it with arrays.
+    tuples of ints.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None,
@@ -151,6 +149,9 @@ class FiniteGroup:
 
     @cached_property
     def table(self):
+        """`rows` as an int64 numpy array, built on first access.  Its one
+        reader is the benchmark's job generator (`bench/workloads.py`); no
+        command reads it."""
         import numpy as np
 
         return np.array(self.rows, dtype=np.int64)

@@ -35,8 +35,8 @@ from math import gcd, lcm, prod, sqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
-                          _lattice_context, _region_assignment, carve_hole, config_digits, patch,
-                          place_values, ring, torus)
+                          _lattice_context, _region_assignment, carve_hole, patch, place_values,
+                          ring, torus)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Ratio, Record
 
@@ -50,7 +50,6 @@ __all__ = [
     "patch",
     "ring",
     "carve_hole",
-    "config_digits",
     "HamiltonianTerm",
     "build_terms",
     "gauge_vertex_term",

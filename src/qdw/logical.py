@@ -15,9 +15,11 @@ operators themselves, whose shift and phase data are integers mod n.
 
 Logical actions are permutations with root-of-unity phases, so their
 algebra and unitarity are exact, and charge projectors are sums of roots
-of unity decided exactly.  numpy is imported only by the materialized
-oracles `orbit_state_matrix` and `StringOperator.apply`, and the
-character tables (`qdw.characters`) only by `charge_projectors`.
+of unity decided exactly.  On a lattice small enough to enumerate,
+`orbits` lists every admissible configuration of each sector, and
+`StringOperator.image` moves them exactly, as configurations with
+root-of-unity exponents.  The character tables (`qdw.characters`) are
+imported only by `charge_projectors`.
 """
 
 from __future__ import annotations
@@ -25,18 +27,14 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from operator import mul
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
-from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
-                          config_digits)
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, UsageError, _breadth_first,
                         _complex_pair, _generating_sequence, _root_of_unity, _round12,
                         double_cosets, is_cyclic_presentation)
 from qdw.records import FrozenRecord, Ratio, Record
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AbelianGroundSpace",
@@ -253,29 +251,29 @@ class AbelianGroundSpace:
         zero = [0] * len(vec)
         return StringOperator.make(self.n, *((vec, zero) if shift else (zero, vec)))
 
-    def orbit_state_matrix(self) -> np.ndarray:
-        """Columns are normalized gauge-orbit superpositions, in sector order.
+    def orbits(self) -> list[list[tuple[int, ...]]]:
+        """The admissible configurations of each sector, in sector order.
 
-        Only for lattices small enough to enumerate every configuration.
+        Every one of the n^E configurations is decided, in the order
+        `place_values` numbers them: each face and rim row is tested once
+        its last register is set, so a failing prefix rules out every
+        configuration that extends it.  No orbit is read off the slice.
+        Only for lattices within `MATERIALIZE_DIM_BUDGET`.
         """
-        import numpy as np
-
         n, ne = self.n, self.lattice.n_edges
-        dim = n ** ne
-        if dim > MATERIALIZE_DIM_BUDGET:
-            raise ValueError("lattice too large to materialize orbit states")
-        digits, _ = config_digits(n, ne)
-        face_rim = np.array([[row.get(j, 0) for j in range(ne)] for row in self._shift],
-                            dtype=np.int64).reshape(len(self._shift), ne)
-        members: list[list[int]] = [[] for _ in range(self.dimension)]
-        for c in np.flatnonzero(~(digits @ face_rim.T % n).any(axis=1)).tolist():
-            members[self.sector(digits[c].tolist())].append(c)
+        if n ** ne > MATERIALIZE_DIM_BUDGET:
+            raise ValueError("lattice too large to enumerate its orbits")
+        prefixes: list[tuple[int, ...]] = [()]
+        for e in range(ne):
+            rows = [row for row in self._shift if max(row, default=0) == e]
+            prefixes = [c for p in prefixes for x in range(n) for c in (p + (x,),)
+                        if not any(_dot(row, c) % n for row in rows)]
+        members: list[list[tuple[int, ...]]] = [[] for _ in range(self.dimension)]
+        for config in prefixes:
+            members[self.sector(config)].append(config)
         if not all(members):
             raise InvariantError("orbit census does not match the sector count")
-        out = np.zeros((dim, self.dimension))
-        for j, idx in enumerate(members):
-            out[idx, j] = 1.0 / np.sqrt(len(idx))
-        return out
+        return members
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +334,12 @@ class StringOperator(FrozenRecord):
     def is_identity(self) -> bool:
         return (not any(self.shift)) and (not any(self.phase)) and self.offset == 0
 
-    def apply(self, states: np.ndarray) -> np.ndarray:
-        """The operator applied to the rows of states (configurations, as in config_digits)."""
-        import numpy as np
-
-        n, ne = self.n, len(self.shift)
-        dim = n ** ne
-        if dim > MATERIALIZE_DIM_BUDGET:
-            raise ValueError("string operator too large to materialize")
-        digits, weights = config_digits(n, ne)
-        rows = ((digits + np.array(self.shift, dtype=np.int64)[None, :]) % n) @ weights
-        expo = (self.offset + digits @ np.array(self.phase, dtype=np.int64)) % n
-        out = np.empty(states.shape, dtype=complex)
-        out[rows] = (np.exp(2j * np.pi * expo / n) * states.T).T
-        return out
+    def image(self, configs: Iterable[Sequence[int]]) -> dict[tuple[int, ...], int]:
+        """Where the operator sends each configuration c: {c + shift: k}, the
+        phase being w^k with k = offset + phase.c mod n."""
+        n = self.n
+        return {tuple([(x + s) % n for x, s in zip(c, self.shift)]):
+                (self.offset + self._dot(self.phase, c)) % n for c in configs}
 
 
 def _edge_vector(ags: AbelianGroundSpace, amounts: Mapping) -> list[int]:

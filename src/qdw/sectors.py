@@ -1,43 +1,55 @@
 """Bulk sectors and condensates: the part of the census a ground-state count reads.
 
 Bulk sectors are (conjugacy class, centralizer irrep) pairs, listed by
-`anyon_table`.  A boundary is a subgroup K; its condensate
-(`lagrangian_algebra`) holds the multiplicity of each bulk sector that
-terminates on it, read off from the left translation action on
-admissible cosets and validated against the modular rule W S = W,
-decided without building S from integer fixed-coset counts.
-`condensate_count` sums the condensates into the ground-state count of a
-surface with boundaries.  The modular ground-state route imports this
-module alone; the rest of the census (`qdw.classify`) re-exports it.
+`anyon_table`.  Each sector's twist is one root of unity, kept exactly
+as its spin in turns: the class representative r_A is central in its
+centralizer, so by Schur's lemma every irrep acts on it as a scalar, and
+the one exponent of the irrep's spectrum there is the spin (Coste,
+Gannon and Ruelle, "Finite group modular data", 2000).  A boundary is a
+subgroup K; its condensate (`lagrangian_algebra`) holds the multiplicity
+of each bulk sector that terminates on it, read off from the left
+translation action on admissible cosets and validated against the
+modular rule W S = W, decided without building S from integer
+fixed-coset counts.  `condensate_count` sums the condensates into the
+ground-state count of a surface with boundaries.  The modular
+ground-state route imports this module alone; the rest of the census
+(`qdw.classify`) re-exports it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
 
 from qdw.characters import character_table
-from qdw.groups import FiniteGroup, InvariantError, Subgroup
-from qdw.records import FrozenRecord
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _root_of_unity
+from qdw.records import FrozenRecord, Ratio
 
 __all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra",
            "lagrangian_algebra", "condensate_count"]
 
-TOL = 1e-9
-
+_spin = lru_cache(maxsize=None)(Ratio)   # few spins recur; a frozen Ratio can be shared
 
 class AnyonLabel(FrozenRecord):
-    """One bulk sector: flux class index plus centralizer irrep index."""
-    _fields = __slots__ = ("class_index", "irrep_index", "name", "dim", "twist")
+    """One bulk sector: flux class index plus centralizer irrep index.
+
+    `spin` is the twist in turns, exact: theta = exp(2 pi i spin).
+    """
+    _fields = __slots__ = ("class_index", "irrep_index", "name", "dim", "spin")
 
     def __init__(self, class_index: int, irrep_index: int, name: str, dim: int,
-                 twist: complex):
-        super().__init__(class_index, irrep_index, name, dim, twist)
+                 spin: Ratio):
+        super().__init__(class_index, irrep_index, name, dim, spin)
 
     def key(self) -> tuple[int, int]:
         return (self.class_index, self.irrep_index)
+
+    @property
+    def twist(self) -> complex:
+        """The twist exp(2 pi i spin) as a complex number, for reports."""
+        return _root_of_unity(self.spin.numerator, self.spin.denominator)
 
 
 class AnyonTable:
@@ -54,17 +66,18 @@ class AnyonTable:
         self.anyons: list[AnyonLabel] = []
         self._index: dict[tuple[int, int], int] = {}
         for ci, cl in enumerate(self.classes):
-            sub, to_parent = cl.centralizer.as_group()
+            to_parent = cl.centralizer.as_group()[1]
             table = character_table(cl.centralizer)
             self.centralizer_tables.append(table)
-            r_local = to_parent.index(cl.rep)
+            r_class = table.group.class_index_of(to_parent.index(cl.rep))
             for pi in range(table.n_irreps):
                 d = cl.size * table.dims[pi]
-                theta = complex(table.value(pi, r_local)) / table.dims[pi]
-                if abs(abs(theta) - 1.0) > 1e-6:
-                    raise InvariantError(f"twist of sector C{ci}-pi{pi} is not unimodular")
-                label = AnyonLabel(class_index=ci, irrep_index=pi,
-                                   name=f"C{ci}-pi{pi}", dim=d, twist=theta)
+                spectrum = table.spectra[pi][r_class]
+                if len(set(spectrum)) != 1:
+                    raise InvariantError(f"sector C{ci}-pi{pi} has no single twist: its irrep "
+                                         f"has exponents {spectrum} at the central flux")
+                label = AnyonLabel(class_index=ci, irrep_index=pi, name=f"C{ci}-pi{pi}", dim=d,
+                                   spin=_spin(spectrum[0], table.orders[r_class]))
                 self._index[label.key()] = len(self.anyons)
                 self.anyons.append(label)
         total = sum(a.dim ** 2 for a in self.anyons)
@@ -143,8 +156,8 @@ class LagrangianAlgebra:
             raise InvariantError(
                 f"condensate dimension {weighted} != group order {self.table.group.order}")
         for m, a in zip(self.multiplicities, anyons):
-            if m > 0 and abs(a.twist - 1.0) > TOL:
-                raise InvariantError(f"condensed sector {a.name} has twist {a.twist}")
+            if m > 0 and a.spin != Ratio(0):
+                raise InvariantError(f"condensed sector {a.name} has spin {a.spin}, not 0")
         if not _fixed_by_s(self.table, psi):
             raise InvariantError("condensate is not fixed by S: W S != W")
 
@@ -173,7 +186,9 @@ def _fixed_by_s(table: AnyonTable, psi: Sequence[Sequence[int]]) -> bool:
 
     psi_A = sum_a W_(A,a) chi_a is a class function of Z(r_A), given by
     its values on the classes of Z(r_A).  Let phi_B(g) = psi_[g](x_g^-1 r_B x_g)
-    for g in Z(r_B), with x_g as in `s_matrix`.  Summing S of `s_matrix`
+    for g in Z(r_B), with x_g the `transporter` of g.  S[(A,a),(B,b)] =
+    1/|G| sum over commuting g in A, h in B of conj chi_a(x_g^-1 h x_g)
+    conj chi_b(x_h^-1 g x_h) (Coste, Gannon and Ruelle), and summing it
     against W gives (W S)_(B,b) = <phi_B, chi_b> over Z(r_B), so W S = W
     exactly when phi_B = psi_B on every class of every Z(r_B).  For a
     condensate psi_A is the count of fixed admissible cosets, so this

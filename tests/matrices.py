@@ -1,15 +1,37 @@
-"""Float matrices of exact operators, for the tests that keep numpy as an oracle.
+"""Float matrices of exact data, for the tests that keep numpy as an oracle.
 
-No command builds these: the audit and every ground-state route run on
-Python integers.  Configurations are indexed as in `config_digits`
-(register 0 slowest).
+No command builds these: every check, the audit, every ground-state
+route and the logical layer run on Python integers, and no `qdw` module
+imports numpy but `FiniteGroup.table`.  Configurations are indexed as in
+`config_digits` (register 0 slowest).
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from qdw.geometry import MATERIALIZE_DIM_BUDGET, config_digits
+from qdw.characters import character_table
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, place_values
+from qdw.groups import InvariantError
+from qdw.sectors import anyon_table
+
+TOL = 1e-9
+
+
+def config_digits(n, k):
+    """Every configuration of k n-valued registers (row-major, register 0 slowest).
+
+    Returns (digits, weights): digits[c] lists the register values of
+    configuration c, weights is `place_values(n, k)`, and c == digits[c] @ weights.
+    """
+    weights = np.array(place_values(n, k), dtype=np.int64)
+    digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
+    return digits, weights
+
+
+def chars(table):
+    """A character table's `values` as a complex array."""
+    return np.array(table.values, dtype=complex)
 
 
 def coefficients(op):
@@ -77,3 +99,112 @@ def block_matrix(block):
                 mat[j, i] = v
         proj = mat @ proj
     return proj / den
+
+
+def s_matrix(group):
+    """The modular S matrix of D(G) over `anyon_table(group)`, cached per group.
+
+    S[(A,a),(B,b)] = 1/|G| sum over commuting g in A, h in B of
+    conj chi_a(x_g^-1 h x_g) conj chi_b(x_h^-1 g x_h), where x_g r_A x_g^-1 = g
+    for the class representative r_A (Coste, Gannon and Ruelle, "Finite
+    group modular data", 2000).  The value does not depend on the choice
+    of x_g, because chi_a is a class function of the centralizer of r_A.
+    Raises InvariantError unless S is unitary and symmetric with
+    S[0, 0] = 1/|G|.
+    """
+    if "s_matrix" not in group._cache:
+        group._cache["s_matrix"] = _build_s_matrix(anyon_table(group))
+    return group._cache["s_matrix"]
+
+
+def _build_s_matrix(table):
+    group = table.group
+    n = group.order
+    class_of = [group.class_index_of(g) for g in range(n)]
+    transporter, columns = table.transporter, table.local_class
+    # character columns of every commuting pair, grouped by class pair
+    pairs = {}
+    for g in range(n):
+        for h in range(n):
+            if group.mul(g, h) != group.mul(h, g):
+                continue
+            a, b = class_of[g], class_of[h]
+            cols_a, cols_b = pairs.setdefault((a, b), ([], []))
+            cols_a.append(columns[a][group.conj(group.inv[transporter[g]], h)])
+            cols_b.append(columns[b][group.conj(group.inv[transporter[h]], g)])
+    start = [table.index_of(ci, 0) for ci in range(len(table.classes))]
+    m = len(table)
+    s = np.zeros((m, m), dtype=complex)
+    for (a, b), (cols_a, cols_b) in pairs.items():
+        x = chars(table.centralizer_tables[a])[:, None, cols_a]
+        y = chars(table.centralizer_tables[b])[None, :, cols_b]
+        # conj(x y), each real product rounded on its own as in Python's
+        # complex product, so an abelian S is the closed form to the bit
+        block = np.empty((x.shape[0], y.shape[1], len(cols_a)), dtype=complex)
+        block.real = x.real * y.real - x.imag * y.imag
+        block.imag = -(x.real * y.imag + x.imag * y.real)
+        s[start[a]:start[a] + x.shape[0], start[b]:start[b] + y.shape[1]] = \
+            block.sum(axis=2) / n
+    if not np.allclose(s @ np.conj(s.T), np.eye(m), rtol=0, atol=TOL):
+        raise InvariantError("sector S matrix is not unitary")
+    if not np.allclose(s, s.T, rtol=0, atol=TOL):
+        raise InvariantError("sector S matrix is not symmetric")
+    if abs(s[0, 0] - 1 / n) > TOL:
+        raise InvariantError(f"sector S matrix has S00 = {s[0, 0]}, expected 1/{n}")
+    return s
+
+
+def fusion(data):
+    """fusion[a, b] = index of a x b, over the sectors of `abelian_anyon_data`."""
+    group, table = data.group, data.table
+    ct = character_table(group)
+    # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
+    # every irrep is linear, so exponents add at each class
+    k = ct.n_irreps
+    row_index = {tuple(row): q for q, row in enumerate(ct.spectra)}
+    irrep_product = np.array([[row_index[tuple(
+        ((sa[0] + sb[0]) % o,) for sa, sb, o in zip(ct.spectra[qa], ct.spectra[qb], ct.orders))]
+        for qb in range(k)] for qa in range(k)], dtype=np.int64)
+    index = np.array([[table.index_of(g, q) for q in range(k)]
+                      for g in range(group.order)], dtype=np.int64)
+    flux = np.array([g for g, _ in data.charges], dtype=np.int64)
+    charge = np.array([q for _, q in data.charges], dtype=np.int64)
+    return index[group.table[flux[:, None], flux[None, :]],
+                 irrep_product[charge[:, None], charge[None, :]]]
+
+
+def orbit_state_matrix(ags):
+    """Columns are the normalized gauge-orbit superpositions of an
+    `AbelianGroundSpace`, in sector order; admissibility is decided here
+    on the digit array, apart from `AbelianGroundSpace.orbits`."""
+    n, ne = ags.n, ags.lattice.n_edges
+    dim = n ** ne
+    if dim > MATERIALIZE_DIM_BUDGET:
+        raise ValueError("lattice too large to materialize orbit states")
+    digits, _ = config_digits(n, ne)
+    face_rim = np.array([[row.get(j, 0) for j in range(ne)] for row in ags._shift],
+                        dtype=np.int64).reshape(len(ags._shift), ne)
+    members = [[] for _ in range(ags.dimension)]
+    for c in np.flatnonzero(~(digits @ face_rim.T % n).any(axis=1)).tolist():
+        members[ags.sector(digits[c].tolist())].append(c)
+    if not all(members):
+        raise InvariantError("orbit census does not match the sector count")
+    out = np.zeros((dim, ags.dimension))
+    for j, idx in enumerate(members):
+        out[idx, j] = 1.0 / np.sqrt(len(idx))
+    return out
+
+
+def apply_string(op, states):
+    """A `StringOperator` applied to the rows of states (configurations, as in
+    `config_digits`)."""
+    n, ne = op.n, len(op.shift)
+    dim = n ** ne
+    if dim > MATERIALIZE_DIM_BUDGET:
+        raise ValueError("string operator too large to materialize")
+    digits, weights = config_digits(n, ne)
+    rows = ((digits + np.array(op.shift, dtype=np.int64)[None, :]) % n) @ weights
+    expo = (op.offset + digits @ np.array(op.phase, dtype=np.int64)) % n
+    out = np.empty(states.shape, dtype=complex)
+    out[rows] = (np.exp(2j * np.pi * expo / n) * states.T).T
+    return out

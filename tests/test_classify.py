@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdw.characters import character_table
+from qdw.characters import CharacterTable, character_table
 from qdw.groups import (
     DoubleCoset,
     build_group,
@@ -18,6 +18,7 @@ from qdw.groups import (
 )
 import qdw.sectors as sectors
 from qdw.classify import (
+    AnyonLabel,
     LagrangianAlgebra,
     abelian_anyon_data,
     anyon_table,
@@ -27,13 +28,15 @@ from qdw.classify import (
     defect_list,
     lagrangian_algebra,
     qudit_dimension,
-    s_matrix,
     symmetry_action,
 )
-from qdw.groups import InvariantError
+from qdw.groups import MAX_TABLE_ORDER, InvariantError
+from qdw.records import Ratio
 from qdw.gsd import ground_space_dimension
 from qdw.lattice import ring
 from qdw.verify import CheckResult, run_check, verify_group
+
+from matrices import chars, fusion, s_matrix
 
 OMEGA = complex(-0.5, 3 ** 0.5 / 2)
 
@@ -241,8 +244,8 @@ FROZEN_TORIC_S = 0.5 * np.array([
 def test_abelian_data_z2_frozen():
     g = build_group("cyclic:2")
     ab = abelian_anyon_data(g)
-    assert np.allclose(ab.s_matrix, FROZEN_TORIC_S, atol=1e-9)
-    assert ab.fusion.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    assert np.allclose(s_matrix(g), FROZEN_TORIC_S, atol=1e-9)
+    assert fusion(ab).tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 
 @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6",
@@ -252,18 +255,19 @@ def test_abelian_data_invariants(spec):
     ab = abelian_anyon_data(g)
     m = len(ab.charges)
     assert m == g.order ** 2
-    assert np.allclose(ab.s_matrix @ np.conj(ab.s_matrix.T), np.eye(m), atol=1e-9)
-    assert np.allclose(ab.s_matrix, ab.s_matrix.T, atol=1e-9)
+    s, fus = s_matrix(g), fusion(ab)
+    assert np.allclose(s @ np.conj(s.T), np.eye(m), atol=1e-9)
+    assert np.allclose(s, s.T, atol=1e-9)
     # fusion is an abelian group law on sector labels with the vacuum as unit
-    assert ab.fusion[0].tolist() == list(range(m))
-    assert np.array_equal(ab.fusion, ab.fusion.T)
+    assert fus[0].tolist() == list(range(m))
+    assert np.array_equal(fus, fus.T)
     for a in range(m):
-        assert sorted(ab.fusion[a].tolist()) == list(range(m))
+        assert sorted(fus[a].tolist()) == list(range(m))
 
 
 def loop_abelian_anyon_data(group):
-    """Reference: the closed-form loop `abelian_anyon_data` ran before it read
-    `s_matrix`.  Its fusion lookup is memoized on the charge pair; the loop
+    """Reference: the closed-form loop `abelian_anyon_data` ran before its S
+    matrix was read from `s_matrix`.  Its fusion lookup is memoized on the charge pair; the loop
     it comes from repeated it for every flux pair."""
     table = anyon_table(group)
     ct = character_table(group)
@@ -274,8 +278,8 @@ def loop_abelian_anyon_data(group):
     for a, (ga, qa) in enumerate(charges):
         for b, (gb, qb) in enumerate(charges):
             s[a, b] = np.conj(ct.value(qb, ga) * ct.value(qa, gb)) / n
-    fusion = np.zeros((m, m), dtype=np.int64)
-    rows = ct.chars
+    fus = np.zeros((m, m), dtype=np.int64)
+    rows = chars(ct)
     lookup = {}
     for a, (ga, qa) in enumerate(charges):
         for b, (gb, qb) in enumerate(charges):
@@ -285,17 +289,17 @@ def loop_abelian_anyon_data(group):
                                   if np.allclose(rows[q], prod, atol=1e-6)]
             hits = lookup[qa, qb]
             assert len(hits) == 1
-            fusion[a, b] = charges.index((group.mul(ga, gb), hits[0]))
-    return s, fusion
+            fus[a, b] = charges.index((group.mul(ga, gb), hits[0]))
+    return s, fus
 
 
 @pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(2, 13)]
                          + ["product:cyclic:2,cyclic:4"])
 def test_abelian_data_matches_the_closed_form_loop(spec):
     ab = abelian_anyon_data(build_group(spec))
-    s, fusion = loop_abelian_anyon_data(build_group(spec))
-    assert np.array_equal(ab.s_matrix, s)
-    assert np.array_equal(ab.fusion, fusion)
+    s, fus = loop_abelian_anyon_data(build_group(spec))
+    assert np.array_equal(s_matrix(ab.group), s)
+    assert np.array_equal(fusion(ab), fus)
 
 
 @pytest.mark.parametrize("spec", [f"cyclic:{n}" for n in range(1, 13)]
@@ -310,7 +314,7 @@ def assert_s_phases_match_the_s_matrix(g):
     assert "s_matrix" not in g._cache
     n = g.order
     assert ((0 <= k) & (k < n)).all()
-    assert np.abs(ab.s_matrix - np.exp(-2j * np.pi * k / n) / n).max() < 1e-12
+    assert np.abs(s_matrix(g) - np.exp(-2j * np.pi * k / n) / n).max() < 1e-12
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -372,10 +376,11 @@ def test_s_matrix_invariants(group):
     assert np.abs(st_ @ st_ @ st_ - sq).max() < 1e-9
 
 
-def test_s_matrix_check_rejects_a_broken_character_table():
+def test_s_matrix_check_rejects_a_broken_character_table(monkeypatch):
     g = build_group("symmetric:3")
     table = anyon_table(g)
-    table.centralizer_tables[0].chars = table.centralizer_tables[0].chars[::-1]
+    ct = table.centralizer_tables[0]
+    monkeypatch.setattr(ct, "values", ct.values[::-1])
     with pytest.raises(InvariantError, match="S matrix"):
         s_matrix(g)
 
@@ -526,6 +531,68 @@ def test_twist_is_charge_pairing_for_abelian():
         assert abs(a.twist - ct.value(a.irrep_index, a.class_index)) < 1e-9
 
 
+PRODUCT_FACTORS = ([f"cyclic:{n}" for n in range(2, 9)]
+                   + ["dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "quaternion8",
+                      "symmetric:3", "symmetric:4"])
+# every preset, and every product of two factors, of order at most MAX_TABLE_ORDER
+CAPPED_PRESETS = ([f"cyclic:{n}" for n in range(1, MAX_TABLE_ORDER + 1)]
+                  + [f"dihedral:{n}" for n in range(1, MAX_TABLE_ORDER // 2 + 1)]
+                  + [f"symmetric:{n}" for n in range(1, 5)] + ["quaternion8"]
+                  + [f"product:{a},{b}"
+                     for a, b in itertools.combinations_with_replacement(PRODUCT_FACTORS, 2)
+                     if build_group(a).order * build_group(b).order <= MAX_TABLE_ORDER])
+
+
+@pytest.mark.parametrize("spec", CAPPED_PRESETS)
+def test_spin_is_the_character_ratio_at_the_flux(spec):
+    """theta_(A,a) = chi_a(r_A) / chi_a(e), in floats from the character
+    table, is exp(2 pi i spin) with spin an exact fraction of a turn whose
+    denominator divides the order of r_A."""
+    g = build_group(spec)
+    table = anyon_table(g)
+    for a in table.anyons:
+        cl, ct = table.classes[a.class_index], table.centralizer_tables[a.class_index]
+        r_local = cl.centralizer.as_group()[1].index(cl.rep)
+        theta = complex(ct.value(a.irrep_index, r_local)) / ct.dims[a.irrep_index]
+        assert g.element_order(cl.rep) % a.spin.denominator == 0, (spec, a.name)
+        assert 0 <= a.spin.numerator < a.spin.denominator
+        assert abs(theta - np.exp(2j * np.pi * a.spin.numerator / a.spin.denominator)) < 1e-12
+
+
+def test_a_condensed_sector_with_a_nonzero_spin_is_refused(monkeypatch):
+    """The boson rule reads the exact spin: C1-pi0 of D(S3) condenses on the
+    Z2 boundary, and a spin of 1/2 there is refused by name."""
+    g = build_group("symmetric:3")
+    table = anyon_table(g)
+    k2 = g.generated_subgroup([g.index_of("(12)")])
+    i = table.index_of(1, 0)
+    assert lagrangian_algebra(g, k2).multiplicities[i] == 1
+    a = table.anyons[i]
+    anyons = list(table.anyons)
+    anyons[i] = AnyonLabel(a.class_index, a.irrep_index, a.name, a.dim, Ratio(1, 2))
+    monkeypatch.setattr(table, "anyons", anyons)
+    with pytest.raises(InvariantError, match="condensed sector C1-pi0 has spin 1/2"):
+        LagrangianAlgebra(table, k2)
+
+
+def test_an_irrep_not_scalar_at_its_flux_fails_the_schur_check(monkeypatch):
+    """A spectrum with two exponents at the central flux r_A has no single twist."""
+    g = build_group("cyclic:4")
+    real = sectors.character_table
+
+    def split(target):
+        ct = real(target)
+        spectra = [list(row) for row in ct.spectra]
+        spectra[1][1] = (0, 1)      # the class of the element 1 of Z4
+        fake = CharacterTable.__new__(CharacterTable)
+        fake.__dict__.update(vars(ct), spectra=spectra)
+        return fake
+
+    monkeypatch.setattr(sectors, "character_table", split)
+    with pytest.raises(InvariantError, match=r"sector C1-pi1 has no single twist"):
+        sectors.AnyonTable(g)
+
+
 def test_inner_automorphisms_act_trivially():
     for spec in ["symmetric:3", "dihedral:4"]:
         g = build_group(spec)
@@ -548,8 +615,9 @@ def test_swap_symmetry_of_two_layer_code():
     expect = []
     for a in t.anyons:
         g2 = swap[a.class_index]
-        row = [ct.chars[a.irrep_index][swap.index(x)] for x in range(4)]
-        hits = [q for q in range(4) if np.allclose(ct.chars[q], row, atol=1e-9)]
+        rows = chars(ct)
+        row = [rows[a.irrep_index][swap.index(x)] for x in range(4)]
+        hits = [q for q in range(4) if np.allclose(rows[q], row, atol=1e-9)]
         assert len(hits) == 1
         expect.append(t.index_of(g2, hits[0]))
     assert act.anyon_permutation == expect
@@ -589,6 +657,23 @@ def test_symmetry_rejects_non_automorphism():
     g = build_group("cyclic:4")
     with pytest.raises(ValueError):
         symmetry_action(g, (0, 2, 1, 3))
+
+
+def test_symmetry_rejects_a_transport_that_changes_a_spin(monkeypatch):
+    """Inversion on Z3 carries the spin-1/3 sector C1-pi1 to C2-pi2, whose
+    spin is exactly 1/3 too; a spin of 0 there is refused."""
+    g = build_group("cyclic:3")
+    table = anyon_table(g)
+    inversion = (0, 2, 1)
+    i, j = table.index_of(1, 1), table.index_of(2, 2)
+    assert symmetry_action(g, inversion).anyon_permutation[i] == j
+    assert table.anyons[i].spin == table.anyons[j].spin == Ratio(1, 3)
+    b = table.anyons[j]
+    anyons = list(table.anyons)
+    anyons[j] = AnyonLabel(b.class_index, b.irrep_index, b.name, b.dim, Ratio(0))
+    monkeypatch.setattr(table, "anyons", anyons)
+    with pytest.raises(InvariantError, match="preserve dimension and twist"):
+        symmetry_action(g, inversion)
 
 
 # one condensate and one double-coset list per input

@@ -548,6 +548,8 @@ def test_roots_of_unity_render_correctly_rounded():
 CONDENSATES = {"qdw.sectors", "qdw.characters"}
 SECTORS = CONDENSATES | {"qdw.classify"}
 SLICE = {"qdw.geometry", "qdw.flat"}
+# what verify-all loads on a cyclic group whose gates admit every check
+VERIFY_LATTICE = SECTORS | SLICE | {"qdw.verify", "qdw.lattice", "qdw.gsd", "qdw.logical"}
 # run id: (argv, the qdw modules it loads past the cli's own, whether numpy loads)
 RUNS = {
     "import": (None, set(), False),
@@ -563,10 +565,11 @@ RUNS = {
     # abelian-modular-data decides S from its integer phases
     "verify-all-cyclic9": (["verify-all", "--group", "cyclic:9"], SECTORS | {"qdw.verify"},
                            False),
-    # 4^9 = 262 144 ring configurations: path-deformation's oracle does not run
-    "verify-all-cyclic4": (["verify-all", "--group", "cyclic:4"],
-                           SECTORS | SLICE | {"qdw.verify", "qdw.lattice", "qdw.gsd",
-                                              "qdw.logical"}, False),
+    # path-deformation compares exact images where the ring's 2^9 and 3^9
+    # configurations fit the budget; at 4^9 = 262 144 it compares actions only
+    "verify-all-cyclic2": (["verify-all", "--group", "cyclic:2"], VERIFY_LATTICE, False),
+    "verify-all-cyclic3": (["verify-all", "--group", "cyclic:3"], VERIFY_LATTICE, False),
+    "verify-all-cyclic4": (["verify-all", "--group", "cyclic:4"], VERIFY_LATTICE, False),
     "lattice-audit": (["lattice-audit", "--group", "cyclic:2", "--lattice", "ring:3",
                        "--subgroup", "full", "--subgroup2", "trivial"],
                       {"qdw.geometry", "qdw.lattice"}, False),
@@ -604,9 +607,8 @@ NEVER_LOADED = {
 
 @pytest.mark.parametrize("run", RUNS)
 def test_each_run_loads_only_the_layers_it_reaches(run):
-    """The census, the audit, every ground-state route and the logical
-    layer run on Python integers; numpy loads only where float matrices
-    are."""
+    """The census, every check, the audit, every ground-state route and the
+    logical layer run on Python integers, so no run loads numpy."""
     argv, loads, numpy = RUNS[run]
     statement = "import qdw.cli"
     if argv is not None:
@@ -620,6 +622,30 @@ def test_each_run_loads_only_the_layers_it_reaches(run):
     assert "dataclasses" not in modules
     assert "inspect" not in modules or numpy
     assert not FRACTION_MODULES & set(modules)
+
+
+def test_numpy_is_imported_only_inside_the_group_table_view():
+    """`FiniteGroup.table`, which only the benchmark reads, is the one place
+    in the package that imports numpy."""
+    package = Path(qdw.__file__).parent
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                scopes[child] = node
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n == "numpy" or (n or "").startswith("numpy.") for n in names):
+                chain, up = [], scopes.get(node)
+                while up is not None:
+                    if isinstance(up, (ast.ClassDef, ast.FunctionDef)):
+                        chain.append(up.name)
+                    up = scopes.get(up)
+                sites.append((path.name, tuple(reversed(chain))))
+    assert sites == [("groups.py", ("FiniteGroup", "table"))]
 
 
 def test_no_qdw_module_loads_dataclasses_or_inspect():

@@ -29,7 +29,6 @@ from qdw.lattice import (
     boundary_edge_term,
     build_terms,
     carve_hole,
-    config_digits,
     flux_sector_term,
     flux_term,
     gauge_vertex_term,

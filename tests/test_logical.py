@@ -18,7 +18,6 @@ from qdw.lattice import (
     Lattice,
     build_terms,
     carve_hole,
-    config_digits,
     patch,
     ring,
     torus,
@@ -40,7 +39,8 @@ from qdw.logical import (
 )
 from qdw.records import Ratio
 
-from matrices import block_matrix, monomial_entries
+from matrices import (apply_string, block_matrix, config_digits, monomial_entries,
+                      orbit_state_matrix, s_matrix)
 
 
 def two_hole(group):
@@ -187,11 +187,11 @@ class TestStringOperators:
 
     def test_matrix_is_unitary_and_bounded(self):
         op = StringOperator.make(3, (1, 0, 2), (0, 2, 1), 1)
-        m = op.apply(np.eye(27))
+        m = apply_string(op, np.eye(27))
         assert np.abs(m @ m.conj().T - np.eye(27)).max() < 1e-12
         big = StringOperator.make(5, (0,) * 8, (0,) * 8)
         with pytest.raises(ValueError, match="too large"):
-            big.apply(np.eye(1))
+            apply_string(big, np.eye(1))
 
     def test_mismatched_composition_rejected(self):
         a = StringOperator.make(3, (1,), (0,))
@@ -678,7 +678,7 @@ class TestSliceSectors:
 def frame_matrix(qud):
     """Materialized ground basis: column c is the frame state |c>."""
     ags = qud.sector
-    q = ags.orbit_state_matrix()
+    q = orbit_state_matrix(ags)
     q = q[:, list(qud.orbit_cycle)]
     if not qud.fourier:
         return q.astype(complex)
@@ -740,7 +740,7 @@ class TestDenseCrossChecks:
         g = build_group(spec)
         lat, subs = rough_ring(g)
         ags = AbelianGroundSpace(lat, g, subs)
-        q = ags.orbit_state_matrix()
+        q = orbit_state_matrix(ags)
         assert np.abs(q.T @ q - np.eye(ags.dimension)).max() == 0.0
         block = _dense_projector(lat, g, subs)
         support, proj = block[0], block_matrix(block)
@@ -750,14 +750,14 @@ class TestDenseCrossChecks:
                               loop_operator(ags, "inner"))
         for op in (qud.x_op, qud.z_op):
             act = logical_action(ags, op)
-            assert np.abs(op.apply(q) - q @ act.matrix()).max() < 1e-12
+            assert np.abs(apply_string(op, q) - q @ act.matrix()).max() < 1e-12
         qf = frame_matrix(qud)
         assert np.abs(qf.conj().T @ qf - np.eye(n)).max() < 1e-12
         for op in (qud.x_op, qud.z_op, qud.x_op @ qud.z_op):
             act = qud.frame_action(op)
-            assert np.abs(op.apply(qf) - qf @ act.matrix()).max() < 1e-12
-        mx = qf.conj().T @ qud.x_op.apply(qf)
-        mz = qf.conj().T @ qud.z_op.apply(qf)
+            assert np.abs(apply_string(op, qf) - qf @ act.matrix()).max() < 1e-12
+        mx = qf.conj().T @ apply_string(qud.x_op, qf)
+        mz = qf.conj().T @ apply_string(qud.z_op, qf)
         omega = np.exp(2j * np.pi / n)
         # loop diagonal with ascending eigenvalues, tunnel lowering with
         # unit entries, so the first-pair tunnel entry is real positive
@@ -779,15 +779,50 @@ class TestDenseCrossChecks:
         omega = np.exp(2j * np.pi / 3)
         for op in (qud.x_op, qud.z_op, qud.z_op @ qud.x_op):
             act = qud.frame_action(op)
-            assert np.abs(op.apply(qf) - qf @ act.matrix()).max() < 1e-12
-        mz = qf.conj().T @ qud.z_op.apply(qf)
+            assert np.abs(apply_string(op, qf) - qf @ act.matrix()).max() < 1e-12
+        mz = qf.conj().T @ apply_string(qud.z_op, qf)
         assert np.abs(mz - np.diag(omega ** np.arange(3))).max() < 1e-12
 
     def test_orbit_matrix_budget(self):
         g = build_group("cyclic:2")
         ags = AbelianGroundSpace(torus(3, 4), g, {})
         with pytest.raises(ValueError, match="too large"):
-            ags.orbit_state_matrix()
+            orbit_state_matrix(ags)
+        with pytest.raises(ValueError, match="too large"):
+            ags.orbits()
+
+    @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3"])
+    @pytest.mark.parametrize("rims", [("trivial", "trivial"), ("trivial", "full"),
+                                      ("full", "full"), None])
+    def test_exact_orbits_and_images_match_the_float_states(self, spec, rims):
+        """`orbits` lists the support of each column of `orbit_state_matrix`,
+        and `StringOperator.image` of an orbit is that column moved by the
+        float operator: w^k / sqrt(|orbit|) at each image configuration."""
+        g = build_group(spec)
+        n = g.order
+        if rims is None:
+            lat, subs = torus(2, 2), {}
+        else:
+            lat = ring(3)
+            subs = {"inner": getattr(g, f"{rims[0]}_subgroup")(),
+                    "outer": getattr(g, f"{rims[1]}_subgroup")()}
+        ags = AbelianGroundSpace(lat, g, subs)
+        orbits, q = ags.orbits(), orbit_state_matrix(ags)
+        digits, weights = config_digits(n, lat.n_edges)
+        index = {tuple(d): c for c, d in enumerate(digits.tolist())}
+        assert [sorted(index[c] for c in orbit) for orbit in orbits] == \
+            [np.flatnonzero(q[:, j]).tolist() for j in range(ags.dimension)]
+        rng = random.Random(n)
+        for _ in range(5):
+            op = StringOperator.make(n, [rng.randrange(n) for _ in range(lat.n_edges)],
+                                     [rng.randrange(n) for _ in range(lat.n_edges)],
+                                     rng.randrange(n))
+            moved = apply_string(op, q)
+            for j, orbit in enumerate(orbits):
+                want = np.zeros(n ** lat.n_edges, dtype=complex)
+                for c, k in op.image(orbit).items():
+                    want[index[c]] = np.exp(2j * np.pi * k / n) / np.sqrt(len(orbit))
+                assert np.abs(moved[:, j] - want).max() < 1e-12
 
 
 def projector_case(make):
@@ -883,12 +918,10 @@ class TestChargeProjectors:
     def test_matches_the_float_family(self, n, lattice):
         """Each exact projector equals sum_i conj(S_ij / S_i,vac) T_i / n^2,
         rebuilt in floats from the transports and the S matrix."""
-        from qdw.classify import abelian_anyon_data
-
         g = build_group(f"cyclic:{n}")
         qud, region = bench_qudit(g, lattice)
         fam = charge_projectors(qud, region)
-        s = abelian_anyon_data(g).s_matrix
+        s = s_matrix(g)
         mats = [np.array(fam.transport_actions[lab].matrix()) for lab in fam.labels]
         assert len(fam.selected) == n
         for j, p in enumerate(fam.projectors):

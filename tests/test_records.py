@@ -36,9 +36,9 @@ FROZEN = [
      {"rep": 0, "members": (0,), "centralizer": CENTRALIZER}, ("members", (0, 1))),
     (DoubleCoset, (0, (0,), CENTRALIZER),
      {"rep": 0, "members": (0,), "stabilizer": CENTRALIZER}, ("rep", 1)),
-    (AnyonLabel, (0, 1, "A1", 1, 1 + 0j),
-     {"class_index": 0, "irrep_index": 1, "name": "A1", "dim": 1, "twist": 1 + 0j},
-     ("twist", -1 + 0j)),
+    (AnyonLabel, (0, 1, "A1", 1, Ratio(0)),
+     {"class_index": 0, "irrep_index": 1, "name": "A1", "dim": 1, "spin": Ratio(0)},
+     ("spin", Ratio(1, 2))),
 ]
 IDS = [cls.__name__ for cls, *_ in FROZEN]
 
@@ -131,7 +131,7 @@ def test_group_records_built_by_the_library_compare_equal_across_calls():
 def test_abelian_anyon_data_caches_its_derived_tables():
     data = abelian_anyon_data(build_group("cyclic:3"))
     assert "s_phases" not in vars(data)
-    for name in ("s_phases", "s_matrix", "fusion"):
+    for name in ("charge_exponents", "s_phases"):
         assert getattr(data, name) is getattr(data, name)
         assert name in vars(data)
 

@@ -1,4 +1,4 @@
-"""Registry behavior: gates, details, tolerance threading, coverage map."""
+"""Registry behavior: gates, details, exact sabotages, coverage map."""
 
 import json
 
@@ -8,7 +8,7 @@ from qdw.classify import AbelianAnyonData
 from qdw.cli import COMMANDS, EXIT_INVARIANT, VALIDATORS, main
 from qdw.groups import InvariantError, build_group
 from qdw.verify import (
-    DEFAULT_TOLERANCE,
+    CheckResult,
     check_names,
     run_check,
     verify_group,
@@ -69,41 +69,79 @@ class TestGates:
         assert "9" in res.detail
 
 
-def _noisy_apply(monkeypatch):
-    """Each materialized string image comes out 1e-20 further off than the last."""
-    from qdw.logical import StringOperator
+def _sabotaged_reroute(monkeypatch, edge_of):
+    """path-deformation's reroute i0-i1-o1-o0 gets one more unit of phase on
+    the edge `edge_of(lattice)`, and `logical_action` reports the honest
+    reroute's action for it, so only the exact image comparison can see it.
+    Every other string, and every other check, is left as it is."""
+    import qdw.logical as logical
 
-    real = StringOperator.apply
-    calls = []
+    real_string, real_action = logical.charge_string, logical.logical_action
+    honest = {}
 
-    def apply(self, states):
-        calls.append(self)
-        return real(self, states) + 1e-20 * len(calls)
+    def charge_string(ags, vertices, charge=1):
+        op = real_string(ags, vertices, charge)
+        if list(vertices) != ["i0", "i1", "o1", "o0"]:
+            return op
+        phase = list(op.phase)
+        phase[edge_of(ags.lattice)] += 1
+        bad = logical.StringOperator.make(op.n, op.shift, phase, op.offset)
+        honest[bad] = op
+        return bad
 
-    monkeypatch.setattr(StringOperator, "apply", apply)
+    def logical_action(ags, op):
+        return real_action(ags, honest.get(op, op))
+
+    monkeypatch.setattr(logical, "charge_string", charge_string)
+    monkeypatch.setattr(logical, "logical_action", logical_action)
 
 
-class TestToleranceThreading:
-    """hole-qudit and charge-readout are exact; the tolerance reaches the float
-    comparison of path-deformation's materialized oracle."""
+def _radial_edge(lat):
+    """An edge on no rim: the ring's ground states differ on it."""
+    rims = {e for r in lat.regions for e in r.rim_edges}
+    return next(e for e in range(lat.n_edges) if e not in rims)
 
-    def test_impossible_tolerance_trips_the_float_checks(self, monkeypatch):
-        g = build_group("cyclic:3")
-        for name in ("hole-qudit", "charge-readout", "path-deformation"):
-            assert run_check(name, g, 1e-30).status == "pass"
-        _noisy_apply(monkeypatch)
-        assert run_check("path-deformation", g, DEFAULT_TOLERANCE).status == "pass"
+
+def _rim_edge(lat):
+    """A rim edge, pinned to 0 in every admissible configuration."""
+    return lat.region_by_name("inner").rim_edges[0]
+
+
+class TestPathDeformationOracle:
+    """path-deformation compares the rerouted images of every gauge orbit
+    exactly, as configurations with root-of-unity exponents, apart from
+    `logical_action`; no tolerance is read."""
+
+    @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3"])
+    def test_exact_images_pass_on_the_groups_whose_ring_fits(self, spec):
+        res = run_check("path-deformation", build_group(spec))
+        assert res == CheckResult("path-deformation", "pass",
+                                  "3 homotopic reroutes act identically on the sectors")
+
+    @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:3"])
+    def test_a_reroute_that_moves_a_ground_state_fails(self, monkeypatch, spec):
+        _sabotaged_reroute(monkeypatch, _radial_edge)
         with pytest.raises(InvariantError, match="moved a ground state"):
-            run_check("path-deformation", g, 1e-30)
+            run_check("path-deformation", build_group(spec))
 
-    def test_verify_group_collects_instead_of_raising(self, monkeypatch):
-        _noisy_apply(monkeypatch)
-        results = verify_group(build_group("cyclic:3"), 1e-30)
-        failed = [r.name for r in results if r.status == "fail"]
-        assert failed == ["path-deformation"]
-        passed = [r.name for r in results if r.status == "pass"]
-        assert "sector-census" in passed
-        assert "hole-qudit" in passed
+    def test_verify_group_collects_exactly_that_failure(self, monkeypatch):
+        _sabotaged_reroute(monkeypatch, _radial_edge)
+        results = verify_group(build_group("cyclic:3"))
+        failed = [r for r in results if r.status == "fail"]
+        assert failed == [CheckResult("path-deformation", "fail",
+                                      "rerouted tunnel moved a ground state")]
+        assert [r.status for r in results if r.name != "path-deformation"] == ["pass"] * 12
+
+    def test_a_phase_off_every_admissible_configuration_passes(self, monkeypatch):
+        """A rim edge is 0 on every admissible configuration, so one more unit
+        of phase there acts as the identity on the ground space."""
+        _sabotaged_reroute(monkeypatch, _rim_edge)
+        assert run_check("path-deformation", build_group("cyclic:3")).status == "pass"
+
+    def test_the_tolerance_argument_is_read_by_no_check(self):
+        g = build_group("cyclic:3")
+        for name in check_names():
+            assert run_check(name, g, 1e-30) == run_check(name, g)
 
 
 class TestExactLogicalChecks:
