@@ -11,23 +11,23 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "qdw.characters": ("character_table",),
-    "qdw.classify": ("boundary_excitations", "boundary_types", "defect_list", "qudit_dimension",
-                     "symmetry_action"),
+    "qdw.classify": ("boundary_excitations", "defect_list", "qudit_dimension", "symmetry_action"),
     "qdw.geometry": ("Lattice", "carve_hole", "parse_lattice", "patch",
                      "resolve_region_subgroups", "ring", "torus"),
     "qdw.groups": ("FiniteGroup", "InvariantError", "Subgroup", "build_group",
-                   "double_cosets", "enumerate_subgroups", "parse_subgroup"),
+                   "double_cosets", "parse_subgroup"),
     "qdw.gsd": ("ground_space_dimension",),
     "qdw.lattice": ("audit_commutation", "build_terms"),
     "qdw.logical": ("AbelianGroundSpace", "StringOperator", "charge_projectors",
                     "charge_string", "flux_string", "logical_action", "logical_algebra",
                     "loop_operator", "rim_loop", "tunnel_operator"),
     "qdw.sectors": ("anyon_table", "lagrangian_algebra"),
+    "qdw.subgroups": ("boundary_types", "enumerate_subgroups"),
     "qdw.verify": ("check_names", "run_check", "verify_group"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("characters", "classify", "cli", "flat", "geometry", "groups", "gsd", "lattice",
-               "logical", "records", "sectors", "verify")
+_SUBMODULES = ("characters", "classify", "cli", "flat", "formats", "geometry", "groups", "gsd",
+               "lattice", "logical", "records", "sectors", "subgroups", "verify")
 
 __all__ = sorted(_SOURCE) + ["__version__"]
 

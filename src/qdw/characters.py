@@ -19,8 +19,8 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from qdw.groups import (MAX_SUBGROUP_ENUM_ORDER, ConjugacyClass, FiniteGroup, InvariantError,
-                        Subgroup, _root_of_unity, build_group, enumerate_subgroups)
+from qdw.groups import (ConjugacyClass, FiniteGroup, InvariantError, Subgroup, _root_of_unity,
+                        build_group)
 from qdw.records import Ratio
 
 __all__ = ["CharacterTable", "character_table"]
@@ -418,6 +418,8 @@ def _primitive_root_of_unity(e: int, p: int) -> int:
 
 
 def _cmd_group_info(cfg) -> tuple:
+    from qdw.subgroups import MAX_SUBGROUP_ENUM_ORDER, enumerate_subgroups
+
     group = build_group(cfg.group)
     table = character_table(group)
     classes = [{

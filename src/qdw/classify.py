@@ -2,7 +2,8 @@
 census commands that print it.
 
 Bulk sectors, condensates and the condensate sum live in `qdw.sectors`
-and are re-exported here.  A boundary is a subgroup K up to conjugation.
+and are re-exported here.  A boundary is a subgroup K up to conjugation;
+the boundary types, and the `subgroups` command, live in `qdw.subgroups`.
 Point defects between two boundaries are (double coset, stabilizer
 irrep) pairs, and the point excitations of one K boundary are its K-K
 defects.  All censuses are validated against exact sum rules before they
@@ -22,41 +23,24 @@ from typing import Optional, Sequence
 
 from qdw.characters import character_table
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
-                        build_group, double_cosets, enumerate_subgroups, is_automorphism,
-                        parse_subgroup, subgroup_conjugacy_classes)
+                        build_group, double_cosets, parse_subgroup)
 from qdw.records import FrozenRecord, Ratio, Record
 from qdw.sectors import (AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
                          condensate_count, lagrangian_algebra)
 
-__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "BoundaryType",
-           "boundary_types", "LagrangianAlgebra", "lagrangian_algebra", "BoundaryExcitation",
-           "boundary_excitations", "Defect", "defect_list", "qudit_dimension",
-           "condensate_count", "AbelianAnyonData", "abelian_anyon_data", "SymmetryAction",
-           "symmetry_action"]
+__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra", "lagrangian_algebra",
+           "BoundaryExcitation", "boundary_excitations", "Defect", "defect_list",
+           "qudit_dimension", "condensate_count", "AbelianAnyonData", "abelian_anyon_data",
+           "SymmetryAction", "symmetry_action"]
 
 
-# ---------------------------------------------------------------------------
-# boundaries
+def __getattr__(name: str):
+    # the benchmark's traced runs read `boundary_types` by this module's name
+    if name == "boundary_types":
+        from qdw.subgroups import boundary_types
 
-
-class BoundaryType(FrozenRecord):
-    """A conjugacy class of subgroups; `rep` is the canonical representative."""
-    _fields = __slots__ = ("rep", "members")
-
-    def __init__(self, rep: Subgroup, members: tuple[Subgroup, ...]):
-        super().__init__(rep, members)
-
-    @property
-    def order(self) -> int:
-        return self.rep.order
-
-
-def boundary_types(group: FiniteGroup) -> list[BoundaryType]:
-    """Distinct boundary types, one per subgroup conjugacy class."""
-    # each class is sorted by elements, so its first member is the canonical key
-    return [BoundaryType(rep=members[0], members=tuple(members))
-            for members in subgroup_conjugacy_classes(group)]
-
+        return boundary_types
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +190,8 @@ class SymmetryAction:
     """How a group automorphism permutes bulk sectors and boundaries."""
 
     def __init__(self, table: AnyonTable, phi: Sequence[int]):
+        from qdw.subgroups import is_automorphism
+
         group = table.group
         p = tuple(int(x) for x in phi)
         if not is_automorphism(group, p):
@@ -303,33 +289,6 @@ def _cmd_anyons(cfg) -> tuple:
         "anyons": rows,
     }
     header = ["name", "flux_class", "irrep", "dim", "twist_re", "twist_im"]
-    return results, (header, body), None
-
-
-def _cmd_subgroups(cfg) -> tuple:
-    group = build_group(cfg.group)
-    subs = enumerate_subgroups(group)
-    types = boundary_types(group)
-    class_of = {}
-    for ti, bt in enumerate(types):
-        for member in bt.members:
-            class_of[member.elements] = ti
-    rows = []
-    body = []
-    for i, sub in enumerate(subs):
-        names = [group.name_of(x) for x in sub.elements]
-        rows.append({
-            "index": i,
-            "order": sub.order,
-            "elements": names,
-            "normal": sub.is_normal(),
-            "boundary_type": class_of[sub.elements],
-        })
-        body.append([i, sub.order, ";".join(names), sub.is_normal(),
-                     class_of[sub.elements]])
-    results = {"group": group.label, "count": len(subs),
-               "boundary_type_count": len(types), "subgroups": rows}
-    header = ["index", "order", "elements", "normal", "boundary_type"]
     return results, (header, body), None
 
 

@@ -6,9 +6,16 @@ timing goes to stderr (and into the pretty format) only.
 
 Each run is one process, so start-up is part of every answer.  This
 module is the dispatcher alone: the run configuration, the report, the
-parser, rendering and `main`.  Each command's handler lives in the layer
-it drives, which `COMMAND_TABLE` names and which is imported only when
-the command runs, and only the named command's subparser is built.
+command-line reader, json rendering and `main`.  Each command's handler
+lives in the layer it drives, which `COMMAND_TABLE` names and which is
+imported only when the command runs; the csv and pretty-table renderers
+live in `qdw.formats`, imported only for those formats.  `parse_argv`
+reads argv straight from one table of flags, `FLAGS`, and imports no
+option-parsing library (the standard one, with the translation and
+locale lookups it loads, cost each run about 7 ms).  It takes a flag as
+`--flag value` or `--flag=value`, by its name or a unique prefix, lets
+the last of a repeated flag win, and words every refusal as the standard
+library's parser does, so scripts that match on those lines keep working.
 Package names read off this module (the benchmark's traced handlers read
 `cli.build_terms`, `cli.parse_lattice` and others) resolve through
 `__getattr__`, by the package's table of lazy exports (`qdw._EXPORTS`).
@@ -20,11 +27,10 @@ process skips the collector's passes at exit (`gc.freeze` under
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib
-import io
 import json
+import re
 import sys
 import time
 from typing import Optional, Sequence
@@ -48,6 +54,7 @@ def __getattr__(name: str):
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_USAGE = 2
+FORMATS = ("json", "csv", "pretty-table")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +88,7 @@ class RunConfig(FrozenRecord):
     def validate(self) -> None:
         if self.command not in COMMAND_TABLE:
             raise UsageError(f"unknown command {self.command!r}")
-        if self.format not in ("json", "csv", "pretty-table"):
+        if self.format not in FORMATS:
             raise UsageError(f"unknown format {self.format!r}")
         if not self.tolerance > 0:
             raise UsageError("--tolerance must be positive")
@@ -135,7 +142,7 @@ COMMAND_TABLE = {
                           ("character-orthogonality",)),
     "anyons": Command("qdw.classify", "bulk sector census of the chosen group",
                       ("sector-square-sum", "twist-unimodular")),
-    "subgroups": Command("qdw.classify", "all subgroups with normality and boundary type",
+    "subgroups": Command("qdw.subgroups", "all subgroups with normality and boundary type",
                          ("subgroup-closure",)),
     "lagrangian": Command("qdw.classify", "condensate multiplicities for one boundary subgroup",
                           ("condensate-dimension", "vacuum-multiplicity", "boson-support")),
@@ -172,60 +179,16 @@ def render_json(report: Report) -> str:
     return json.dumps(report.to_payload(), indent=2, sort_keys=True) + "\n"
 
 
-def render_csv(flat: tuple[list[str], list[list]]) -> str:
-    import csv
-
-    header, rows = flat
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    if isinstance(x, bool):
-        return "yes" if x else "no"
-    return str(x)
-
-
-def render_pretty(report: Report, flat: Flat) -> str:
-    lines = [f"command: {report.config.command}"]
-    cfg = report.config
-    for key in ("group", "subgroup", "subgroup2", "lattice"):
-        val = getattr(cfg, key)
-        if val is not None:
-            lines.append(f"{key}: {val}")
-    lines.append("")
-    if flat is not None:
-        header, rows = flat
-        cells = [header] + [[_format_cell(x) for x in row] for row in rows]
-        widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-        for ri, row in enumerate(cells):
-            lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-            if ri == 0:
-                lines.append("  ".join("-" * w for w in widths))
-    else:
-        lines.append(json.dumps(report.results, indent=2, sort_keys=True))
-    lines.append("")
-    status = "ok" if report.ok else "FAILED"
-    names = ", ".join(c["name"] + (" (skip)" if c["status"] == "skip" else "")
-                      for c in report.checks) or "none"
-    lines.append(f"checks ({status}): {names}")
-    lines.append(f"elapsed: {report.elapsed_ms:.1f} ms")
-    return "\n".join(lines) + "\n"
-
-
 def render(report: Report, flat: Flat) -> str:
     if report.config.format == "json":
         return render_json(report)
+    if report.config.format == "csv" and flat is None:
+        raise UsageError(
+            f"{report.config.command} results are nested; csv needs a flat "
+            "table (use json or pretty-table)")
+    from qdw.formats import render_csv, render_pretty
+
     if report.config.format == "csv":
-        if flat is None:
-            raise UsageError(
-                f"{report.config.command} results are nested; csv needs a flat "
-                "table (use json or pretty-table)")
         return render_csv(flat)
     return render_pretty(report, flat)
 
@@ -234,55 +197,158 @@ def render(report: Report, flat: Flat) -> str:
 # argument parsing and entry point
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):   # argparse default exits; route through UsageError
-        raise UsageError(message)
-
-
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every command's subparser, or only `command`'s when one is named."""
-    parser = _Parser(
-        prog="qdw",
-        description="Exact workbench for finite-group lattice models "
-                    "with gapped boundaries.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-    # the flags every command takes, declared once and copied into each subparser
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--group", required=True,
-                        help="group spec, e.g. cyclic:3, symmetric:3, "
-                             "product:cyclic:2,cyclic:2, or a JSON table")
-    common.add_argument("--subgroup",
-                        help="subgroup spec: element list like \"e,(12)\", or "
-                             "trivial | full | cyclic:<element>")
-    common.add_argument("--subgroup2", help="second subgroup spec")
-    common.add_argument("--lattice",
-                        help="torus:RxC | patch:RxC | ring:C | JSON with holes")
-    common.add_argument("--format", default="json",
-                        choices=("json", "csv", "pretty-table"))
+# Every flag, in help order: flag -> (metavar, help, the one command that
+# takes it, or None where every command does).  Each takes one value.
+FLAGS = {
+    "--group": ("GROUP", "group spec, e.g. cyclic:3, symmetric:3, "
+                         "product:cyclic:2,cyclic:2, or a JSON table (required)", None),
+    "--subgroup": ("SUBGROUP", 'subgroup spec: element list like "e,(12)", or '
+                               "trivial | full | cyclic:<element>", None),
+    "--subgroup2": ("SUBGROUP2", "second subgroup spec", None),
+    "--lattice": ("LATTICE", "torus:RxC | patch:RxC | ring:C | JSON with holes", None),
+    "--format": ("FORMAT", "json (default), csv or pretty-table", None),
     # read by no check, since every check is exact; kept while the
     # benchmark's traced run passes it to `verify.run_check`
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="unused: every check is exact")
-    common.add_argument("--out", help="write the report to this file")
-    for name, spec in COMMAND_TABLE.items():
-        if command not in (None, name):
-            continue
-        p = sub.add_parser(name, help=spec.help, parents=[common])
-        if name == "lattice-audit":
-            p.add_argument("--inject-literal-edge", metavar="EDGE",
-                           help="add the naive one-sided edge average on EDGE "
-                                "so the audit demonstrably fails")
-    return parser
+    "--tolerance": ("TOLERANCE", "unused: every check is exact", None),
+    "--out": ("OUT", "write the report to this file", None),
+    "--inject-literal-edge": ("EDGE", "add the naive one-sided edge average on EDGE "
+                                      "so the audit demonstrably fails", "lattice-audit"),
+}
+HELP_FLAGS = ("-h", "--help")
+_SEPARATOR = "--"      # every token after it is a value
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _read(token: str, names: Sequence[str]) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """What `token` is among the option strings `names`: None for a value,
+    else (the flag it names, None if it names none; its `=value`, None if
+    it has none).
+
+    A unique prefix names its flag, and `-hX` is `-h` with X attached.  A
+    token that starts with `-` is a value only when it is `-` alone, a
+    negative number, or holds a space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    flag, eq, attached = token.partition("=")
+    if eq and flag in names:
+        return flag, attached
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(flag)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], attached if eq else None
+    elif token.startswith("-h"):
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.fullmatch(token) or " " in token:
+        return None
+    return None, None
+
+
+def _scan(tokens: Sequence[str], names: Sequence[str]) -> list:
+    """`_read` of each token, the separator as itself and every token after it a value."""
+    kinds = []
+    for token in tokens:
+        if token == _SEPARATOR:
+            return kinds + [_SEPARATOR] + [None] * (len(tokens) - len(kinds) - 1)
+        kinds.append(_read(token, names))
+    return kinds
+
+
+def _help(command: Optional[str], flag: str, attached: Optional[str]):
+    """Print the help of `command`, or of qdw when None, and exit 0.
+
+    Help takes no value: `-hh` reads as `-h -h`, and other attached text is refused.
+    """
+    if attached is not None and (flag != "-h" or not attached or attached.lstrip("h")):
+        ignored = attached.lstrip("h") if flag == "-h" else attached
+        raise UsageError(f"argument -h/--help: ignored explicit argument {ignored!r}")
+    if command is None:
+        width = max(map(len, COMMAND_TABLE)) + 2
+        lines = ["usage: qdw <command> --group GROUP [flags]", "",
+                 "Exact workbench for finite-group lattice models with gapped boundaries.",
+                 "", "commands:"]
+        lines += [f"  {name:<{width}}{spec.help}" for name, spec in COMMAND_TABLE.items()]
+        lines += ["", "`qdw <command> --help` lists the command's flags."]
+    else:
+        flags = [("-h, --help", "show this help and exit")]
+        flags += [(f"{flag} {metavar}", text) for flag, (metavar, text, only) in FLAGS.items()
+                  if only in (None, command)]
+        width = max(len(name) for name, _ in flags) + 2
+        lines = [f"usage: qdw {command} --group GROUP [flags]", "",
+                 COMMAND_TABLE[command].help, "", "flags:"]
+        lines += [f"  {name:<{width}}{text}" for name, text in flags]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
+
+
+def _value(flag: str, text: str):
+    if flag == "--format" and text not in FORMATS:
+        raise UsageError(f"argument --format: invalid choice: {text!r} "
+                         f"(choose from {', '.join(map(repr, FORMATS))})")
+    if flag == "--tolerance":
+        try:
+            return float(text)
+        except ValueError:
+            raise UsageError(f"argument --tolerance: invalid float value: {text!r}") from None
+    return text
+
+
+def _read_flags(command: str, tokens: list[str]) -> tuple[dict, list[str]]:
+    """The value of each flag `command` was given (the last one wins), and the
+    tokens that are none of its flags or their values."""
+    names = HELP_FLAGS + tuple(f for f, (_, _, only) in FLAGS.items() if only in (None, command))
+    kinds = _scan(tokens, names)
+    values, extras = {}, []
+    i = 0
+    while i < len(tokens):
+        kind = kinds[i]
+        if kind is None or kind is _SEPARATOR or kind[0] is None:
+            extras.append(tokens[i])
+        else:
+            flag, value = kind
+            if flag in HELP_FLAGS:
+                _help(command, flag, value)
+            if value is None:
+                if i + 1 == len(tokens) or kinds[i + 1] is not None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                i += 1
+                value = tokens[i]
+            values[flag] = _value(flag, value)
+        i += 1
+    if "--group" not in values:
+        raise UsageError("the following arguments are required: --group")
+    return values, extras
 
 
 def parse_argv(argv: Sequence[str]) -> RunConfig:
+    """The run configuration of a command line: the command, then its flags
+    as `--flag value` or `--flag=value`, each by its name or a unique
+    prefix of it, the last of a repeated flag winning."""
     argv = list(argv)
-    # a known command needs its own subparser only; --help, a missing
-    # command and an unknown one need them all
-    ns = build_parser(argv[0] if argv and argv[0] in COMMAND_TABLE else None).parse_args(argv)
-    if ns.command is None:
+    command, values, extras = None, {}, []
+    for i, (token, kind) in enumerate(zip(argv, _scan(argv, HELP_FLAGS))):
+        # the first value names the command; so does a separator with tokens after it
+        if kind is None or (kind is _SEPARATOR and i + 1 < len(argv)):
+            if token not in COMMAND_TABLE:
+                raise UsageError(f"argument command: invalid choice: {token!r} "
+                                 f"(choose from {', '.join(map(repr, COMMAND_TABLE))})")
+            command = token
+            values, rest = _read_flags(command, argv[i + 1:])
+            extras += rest
+            break
+        if kind is not _SEPARATOR and kind[0] is not None:
+            _help(None, *kind)
+        extras.append(token)
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    if command is None:
         raise UsageError("missing command")
-    return RunConfig.from_dict(vars(ns))
+    return RunConfig.from_dict({"command": command, **{flag[2:].replace("-", "_"): value
+                                                       for flag, value in values.items()}})
 
 
 def run(cfg: RunConfig) -> tuple[Report, Flat]:

@@ -409,7 +409,9 @@ def parse_lattice(spec: str) -> tuple[Lattice, dict[str, str]]:
                     raise UsageError(f"hole faces must be a list of face names or "
                                      f"indices, got {faces}")
                 lat = carve_hole(lat, faces, str(hole["name"]))
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise UsageError(f"bad lattice JSON: missing key {exc}") from None
+        except TypeError as exc:
             raise UsageError(f"bad lattice JSON: {exc}") from None
         except ValueError as exc:
             raise UsageError(f"bad lattice spec: {exc}") from None

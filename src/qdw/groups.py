@@ -7,12 +7,15 @@ indices so results are deterministic and cheap to compare.  No
 command imports numpy: only the array view `FiniteGroup.table` does,
 and only the benchmark reads it.
 
-Character tables live in `qdw.characters`, which only the layers that
-read one import.  `character_table` read off this module resolves there,
-through `__getattr__`, for callers that name it here (the benchmark's
-traced runs, `bench/tracing.py`).  The subgroup specs of the command
-line (`parse_subgroup`) and the 12-digit rounding of reported numbers
-live here too, because every command reads them.
+Every run imports this module, so it holds only what every command
+reads: the group, its presets, the subgroup specs of the command line
+(`parse_subgroup`), double cosets and the 12-digit rounding of reported
+numbers.  Character tables live in `qdw.characters`, and the subgroup
+lattice and the automorphisms in `qdw.subgroups`, which only the layers
+that read them import.  `character_table`, `enumerate_subgroups` and
+`enumerate_automorphisms` read off this module resolve there, through
+`__getattr__`, for callers that name them here (the benchmark's traced
+runs, `bench/tracing.py`).
 
 Supported presets: cyclic:n, dihedral:n, symmetric:n (n <= 4),
 quaternion8, and product:<spec>,<spec>.  Explicit tables up to order 48
@@ -31,7 +34,6 @@ from typing import Iterable, Optional, Sequence
 from qdw.records import FrozenRecord
 
 MAX_TABLE_ORDER = 48
-MAX_SUBGROUP_ENUM_ORDER = 24
 
 __all__ = [
     "FiniteGroup",
@@ -42,20 +44,19 @@ __all__ = [
     "canonical_group_spec",
     "parse_subgroup",
     "is_cyclic_presentation",
-    "enumerate_subgroups",
-    "subgroup_conjugacy_classes",
     "double_cosets",
-    "enumerate_automorphisms",
-    "is_automorphism",
-    "inner_automorphism",
 ]
+
+# names that moved to the layers only some commands import
+_MOVED = {"character_table": "qdw.characters", "enumerate_subgroups": "qdw.subgroups",
+          "enumerate_automorphisms": "qdw.subgroups"}
 
 
 def __getattr__(name: str):
-    if name == "character_table":
-        from qdw.characters import character_table
+    if name in _MOVED:
+        import importlib
 
-        return character_table
+        return getattr(importlib.import_module(_MOVED[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -521,7 +522,8 @@ def _group_from_table_dict(data: dict) -> FiniteGroup:
     if not (_is_json_int(n) and n > 0):
         raise ValueError("explicit group 'order' must be a positive integer")
     if len(flat) != n * n:
-        raise ValueError(f"table length {len(flat)} does not match order {n}")
+        raise ValueError(f"explicit group 'table' must be a flat row-major list of "
+                         f"order^2 = {n * n} entries, got {len(flat)}")
     if not all(_is_json_int(x) and 0 <= x < n for x in flat):
         raise ValueError(f"explicit group 'table' entries must be integers from 0 to {n - 1}")
     tbl = [flat[i * n:(i + 1) * n] for i in range(n)]
@@ -590,54 +592,6 @@ def parse_subgroup(group: FiniteGroup, spec: str) -> Subgroup:
         return group.subgroup(members)
     except ValueError as exc:
         raise UsageError(f"bad subgroup spec {spec!r}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# subgroup enumeration
-
-
-def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """All subgroups, ordered by (order, element tuple).
-
-    Exhaustive closure search, run once per group and kept in its cache;
-    each call returns a fresh list.  Refuses groups of order above
-    MAX_SUBGROUP_ENUM_ORDER to keep the blowup desk-scale.
-    """
-    if group.order > MAX_SUBGROUP_ENUM_ORDER:
-        raise ValueError(
-            f"subgroup enumeration is capped at order {MAX_SUBGROUP_ENUM_ORDER}; "
-            f"got {group.order} (use generated_subgroup with explicit generators)")
-    if "subgroup_list" in group._cache:
-        return list(group._cache["subgroup_list"])
-    found: set[tuple[int, ...]] = set()
-    queue: list[tuple[int, ...]] = []
-    triv = (0,)
-    found.add(triv)
-    queue.append(triv)
-    while queue:
-        elems = queue.pop()
-        for g in range(1, group.order):
-            if g in elems:
-                continue
-            ext = group.generated_subgroup(set(elems) | {g}).elements
-            if ext not in found:
-                found.add(ext)
-                queue.append(ext)
-    group._cache["subgroup_list"] = tuple(
-        group.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e)))
-    return list(group._cache["subgroup_list"])
-
-
-def subgroup_conjugacy_classes(group: FiniteGroup) -> list[list[Subgroup]]:
-    """Subgroups grouped under conjugation, classes keyed by smallest member."""
-    classes: dict[tuple[int, ...], list[Subgroup]] = {}
-    for sub in enumerate_subgroups(group):
-        classes.setdefault(sub.canonical_key(), []).append(sub)
-    out = []
-    for key in sorted(classes, key=lambda k: (len(k), k)):
-        members = sorted(classes[key], key=lambda s: s.elements)
-        out.append(members)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -730,24 +684,7 @@ def double_cosets(k1: Subgroup, k2: Subgroup) -> tuple[DoubleCoset, ...]:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms
-
-
-def is_automorphism(group: FiniteGroup, phi: Sequence[int]) -> bool:
-    p = list(phi)
-    if sorted(p) != list(range(group.order)) or p[0] != 0:
-        return False
-    rows = group.rows
-    for a in range(group.order):
-        row, image = rows[a], rows[p[a]]
-        for b in range(group.order):
-            if p[row[b]] != image[p[b]]:
-                return False
-    return True
-
-
-def inner_automorphism(group: FiniteGroup, g: int) -> tuple[int, ...]:
-    return tuple(group.conj(g, x) for x in range(group.order))
+# generators
 
 
 def _generating_sequence(group: FiniteGroup,
@@ -766,29 +703,3 @@ def _generating_sequence(group: FiniteGroup,
         have = {x for x, _, _ in _breadth_first(
             [0], lambda x: ((group.mul(x, g), g) for g in gens))}
     return gens
-
-
-def enumerate_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms as permutation tuples, sorted lexicographically."""
-    if group.order > MAX_SUBGROUP_ENUM_ORDER:
-        raise ValueError(f"automorphism enumeration is capped at order {MAX_SUBGROUP_ENUM_ORDER}")
-    gens = _generating_sequence(group)
-    if not gens:
-        return [(0,)]
-    # express every element as a fixed word in the generators; reach order
-    # maps each prefix before it is extended
-    word = list(_breadth_first(
-        [0], lambda x: ((group.mul(x, g), gi) for gi, g in enumerate(gens))))[1:]
-    orders = [group.element_order(g) for g in gens]
-    candidates = [[x for x in range(group.order) if group.element_order(x) == o] for o in orders]
-    autos = []
-    for images in itertools.product(*candidates):
-        phi = [0] * group.order
-        for y, prev, gi in word:
-            phi[y] = group.mul(phi[prev], images[gi])
-        if len(set(phi)) == group.order and is_automorphism(group, phi):
-            autos.append(tuple(phi))
-    autos.sort()
-    if not autos:
-        raise InvariantError("automorphism search returned empty (identity must exist)")
-    return autos

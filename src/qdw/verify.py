@@ -29,16 +29,9 @@ from qdw.classify import (
     qudit_dimension,
     symmetry_action,
 )
-from qdw.groups import (
-    FiniteGroup,
-    InvariantError,
-    build_group,
-    enumerate_automorphisms,
-    enumerate_subgroups,
-    inner_automorphism,
-    is_cyclic_presentation,
-)
+from qdw.groups import FiniteGroup, InvariantError, build_group, is_cyclic_presentation
 from qdw.records import Record
+from qdw.subgroups import enumerate_automorphisms, enumerate_subgroups, inner_automorphism
 
 if TYPE_CHECKING:
     from qdw.logical import AbelianGroundSpace

@@ -20,12 +20,7 @@ from qdw.classify import (
     qudit_dimension,
     symmetry_action,
 )
-from qdw.groups import (
-    build_group,
-    enumerate_automorphisms,
-    enumerate_subgroups,
-    inner_automorphism,
-)
+from qdw.groups import build_group
 from qdw.gsd import ground_space_dimension
 from qdw.lattice import (
     audit_commutation,
@@ -44,6 +39,7 @@ from qdw.logical import (
     loop_operator,
     tunnel_operator,
 )
+from qdw.subgroups import enumerate_automorphisms, enumerate_subgroups, inner_automorphism
 
 TOL_MATRIX = 1e-10
 TOL_SUM = 1e-12

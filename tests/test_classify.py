@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdw.characters import CharacterTable, character_table
-from qdw.groups import (
-    DoubleCoset,
-    build_group,
-    double_cosets,
-    enumerate_automorphisms,
-    enumerate_subgroups,
-    inner_automorphism,
-)
+from qdw.groups import DoubleCoset, build_group, double_cosets
 import qdw.sectors as sectors
 from qdw.classify import (
     AnyonLabel,
@@ -23,7 +16,6 @@ from qdw.classify import (
     abelian_anyon_data,
     anyon_table,
     boundary_excitations,
-    boundary_types,
     condensate_count,
     defect_list,
     lagrangian_algebra,
@@ -32,6 +24,12 @@ from qdw.classify import (
 )
 from qdw.groups import MAX_TABLE_ORDER, InvariantError
 from qdw.records import Ratio
+from qdw.subgroups import (
+    boundary_types,
+    enumerate_automorphisms,
+    enumerate_subgroups,
+    inner_automorphism,
+)
 from qdw.gsd import ground_space_dimension
 from qdw.lattice import ring
 from qdw.verify import CheckResult, run_check, verify_group

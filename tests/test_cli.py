@@ -13,6 +13,7 @@ import pytest
 
 import qdw
 from qdw.cli import (
+    COMMAND_TABLE,
     COMMANDS,
     EXIT_INVARIANT,
     EXIT_OK,
@@ -254,6 +255,16 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["group-info", "--group", '{"order": 2, "table": [[0, 1], [1, 0]]}'],
+         "explicit group 'table' must be a flat row-major list of order^2 = 4 entries, got 2"),
+        (["gsd", "--group", "cyclic:2", "--lattice", '{"kind": "torus", "cols": 2}'],
+         "bad lattice JSON: missing key 'rows'"),
+    ], ids=["nested-group-table", "lattice-without-rows"])
+    def test_malformed_json_names_what_is_wrong(self, capsys, argv, line):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {line}\n"
+
     @pytest.mark.parametrize("holes", [
         '{"name": "h", "faces": ["p(1,1)"]}',
         '["p(1,1)"]',
@@ -453,6 +464,117 @@ class TestParser:
                 capsys.readouterr().err
 
 
+Z2_TABLE = '{"order": 2, "table": [0, 1, 1, 0], "names": ["e", "a"]}'
+RING_JSON = '{"kind": "ring", "cols": 3, "subgroups": {"inner": "trivial", "outer": "full"}}'
+# argv -> the fields it sets past its command, every other field at its default
+ACCEPTED = {
+    "full-names": (["gsd", "--group", "cyclic:2", "--lattice", "torus:2x2", "--subgroup",
+                    "full", "--subgroup2", "trivial", "--format", "csv", "--tolerance",
+                    "1e-3", "--out", "r.csv"],
+                   {"group": "cyclic:2", "lattice": "torus:2x2", "subgroup": "full",
+                    "subgroup2": "trivial", "format": "csv", "tolerance": 1e-3, "out": "r.csv"}),
+    "equals": (["defects", "--group=symmetric:3", "--subgroup=e,(12)", "--subgroup2=full",
+                "--format=pretty-table", "--tolerance=2"],
+               {"group": "symmetric:3", "subgroup": "e,(12)", "subgroup2": "full",
+                "format": "pretty-table", "tolerance": 2.0}),
+    "equals-in-value": (["anyons", "--group=a=b"], {"group": "a=b"}),
+    "empty-value": (["anyons", "--group="], {"group": ""}),
+    # a flag's full name wins over the longer flag it prefixes
+    "prefixes": (["lattice-audit", "--gr", "cyclic:2", "--lat", "ring:3", "--subgroup", "full",
+                  "--subgroup2", "trivial", "--f", "json", "--tol", "0.5", "--o", "a.json",
+                  "--inj", "in0"],
+                 {"group": "cyclic:2", "lattice": "ring:3", "subgroup": "full",
+                  "subgroup2": "trivial", "format": "json", "tolerance": 0.5, "out": "a.json",
+                  "inject_literal_edge": "in0"}),
+    "prefix-equals": (["anyons", "--gro=cyclic:3", "--form=csv"],
+                      {"group": "cyclic:3", "format": "csv"}),
+    "last-wins": (["anyons", "--group", "cyclic:2", "--format", "csv", "--group", "cyclic:3",
+                   "--format=json"], {"group": "cyclic:3", "format": "json"}),
+    "json-group": (["group-info", "--group", Z2_TABLE], {"group": Z2_TABLE}),
+    "json-lattice": (["gsd", "--group", "cyclic:2", "--lattice", RING_JSON],
+                     {"group": "cyclic:2", "lattice": RING_JSON}),
+    "negative-element": (["lagrangian", "--group", "cyclic:4", "--subgroup", "1,-1"],
+                         {"group": "cyclic:4", "subgroup": "1,-1"}),
+    # a negative number is a value; a token with a space is never a flag
+    "negative-number": (["anyons", "--group", "-1"], {"group": "-1"}),
+    "spaced-dash-value": (["anyons", "--group", "-x y"], {"group": "-x y"}),
+    "flags-before-group": (["anyons", "--out", "o.json", "--group", "cyclic:2"],
+                           {"out": "o.json", "group": "cyclic:2"}),
+}
+COMMAND_CHOICES = ", ".join(repr(name) for name in COMMANDS)
+# argv -> the one line a refused command line prints, as `usage error: <line>`
+REFUSED = {
+    "missing-command": ([], "missing command"),
+    "unknown-command": (["nope", "--group", "cyclic:2"],
+                        f"argument command: invalid choice: 'nope' (choose from {COMMAND_CHOICES})"),
+    "flag-before-command": (["--group", "cyclic:2", "anyons"],
+                            "argument command: invalid choice: 'cyclic:2' "
+                            f"(choose from {COMMAND_CHOICES})"),
+    "missing-group": (["anyons", "--format", "csv"],
+                      "the following arguments are required: --group"),
+    "group-without-value": (["anyons", "--group"], "argument --group: expected one argument"),
+    # a token that starts with `--` is never taken as a value
+    "flag-as-value": (["anyons", "--group", "--format", "csv"],
+                      "argument --group: expected one argument"),
+    "separator-as-value": (["anyons", "--group", "--", "cyclic:2"],
+                           "argument --group: expected one argument"),
+    "bad-format": (["anyons", "--group", "cyclic:2", "--format", "xml"],
+                   "argument --format: invalid choice: 'xml' "
+                   "(choose from 'json', 'csv', 'pretty-table')"),
+    "bad-tolerance": (["anyons", "--group", "cyclic:2", "--tolerance", "x"],
+                      "argument --tolerance: invalid float value: 'x'"),
+    "ambiguous-prefix": (["defects", "--group", "cyclic:2", "--sub", "full"],
+                         "ambiguous option: --sub could match --subgroup, --subgroup2"),
+    "ambiguous-prefix-equals": (["defects", "--group", "cyclic:2", "--sub=full"],
+                                "ambiguous option: --sub=full could match --subgroup, --subgroup2"),
+    "unknown-flag": (["anyons", "--group", "cyclic:2", "--threads", "0"],
+                     "unrecognized arguments: --threads 0"),
+    "after-separator": (["anyons", "--group", "cyclic:2", "--", "--format", "csv"],
+                        "unrecognized arguments: -- --format csv"),
+    "unknown-flag-before-command": (["-v", "anyons", "--group", "cyclic:2", "x"],
+                                    "unrecognized arguments: -v x"),
+    "help-with-a-value": (["anyons", "--help=x"],
+                          "argument -h/--help: ignored explicit argument 'x'"),
+    "nonpositive-tolerance": (["anyons", "--group", "cyclic:2", "--tolerance", "0"],
+                              "--tolerance must be positive"),
+}
+
+
+class TestArgvReading:
+    """The command line is read without the standard option parser, to the
+    same configurations and the same error lines."""
+
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepted_argv_reads_as_its_config(self, case):
+        argv, fields = ACCEPTED[case]
+        assert parse_argv(argv).to_dict() == RunConfig(argv[0], **fields).to_dict()
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refused_argv_exits_two_with_its_line(self, case, capsys):
+        argv, line = REFUSED[case]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"usage error: {line}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["-x", "--help", "nope"]])
+    def test_qdw_help_lists_every_command_with_its_help(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = dict(re.findall(r"^  ([a-z-]+) +(.+)$", out, flags=re.M))
+        assert listed == {name: spec.help for name, spec in COMMAND_TABLE.items()}
+
+    @pytest.mark.parametrize("argv", [["anyons", "-h"], ["anyons", "--h"],
+                                      ["anyons", "--threads", "--help"],
+                                      ["anyons", "--group", "cyclic:2", "--help", "--format", "xml"]])
+    def test_command_help_wins_over_later_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "--group GROUP" in capsys.readouterr().out
+
+
 class TestRegionAssignment:
     def test_flags_fill_regions_in_lattice_order(self, capsys):
         out = run_json(capsys, ["gsd", "--group", "cyclic:3",
@@ -523,6 +645,9 @@ S3_PAIR = ["--group", "symmetric:3", "--subgroup", "e,(12)", "--subgroup2", "ful
 CODEGEN_MODULES = {"dataclasses", "inspect"}
 # `fractions` and what it loads: exact values are Python ints, or `qdw.records.Ratio`
 FRACTION_MODULES = {"fractions", "decimal", "numbers"}
+# the standard option parser and the translation and locale lookups it loads;
+# `qdw.cli.parse_argv` reads argv itself
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def test_roots_of_unity_render_correctly_rounded():
@@ -548,23 +673,29 @@ def test_roots_of_unity_render_correctly_rounded():
 CONDENSATES = {"qdw.sectors", "qdw.characters"}
 SECTORS = CONDENSATES | {"qdw.classify"}
 SLICE = {"qdw.geometry", "qdw.flat"}
+# verify enumerates subgroups and automorphisms
+VERIFY = SECTORS | {"qdw.verify", "qdw.subgroups"}
 # what verify-all loads on a cyclic group whose gates admit every check
-VERIFY_LATTICE = SECTORS | SLICE | {"qdw.verify", "qdw.lattice", "qdw.gsd", "qdw.logical"}
+VERIFY_LATTICE = VERIFY | SLICE | {"qdw.lattice", "qdw.gsd", "qdw.logical"}
 # run id: (argv, the qdw modules it loads past the cli's own, whether numpy loads)
 RUNS = {
     "import": (None, set(), False),
-    "group-info": (["group-info", "--group", "dihedral:5"], {"qdw.characters"}, False),
+    # a group of order at most 24 reports its subgroup count
+    "group-info": (["group-info", "--group", "dihedral:5"], {"qdw.characters", "qdw.subgroups"},
+                   False),
     "anyons": (["anyons", "--group", "dihedral:5"], SECTORS, False),
-    "subgroups": (["subgroups", "--group", "symmetric:3"], SECTORS, False),
+    # only csv and pretty-table compile their renderers
+    "anyons-csv": (["anyons", "--group", "dihedral:5", "--format", "csv"],
+                   SECTORS | {"qdw.formats"}, False),
+    "subgroups": (["subgroups", "--group", "symmetric:3"], {"qdw.subgroups"}, False),
     "lagrangian": (["lagrangian", "--group", "cyclic:4", "--subgroup", "full"], SECTORS, False),
     "excitations": (["excitations", "--group", "symmetric:3", "--subgroup", "e,(12)"],
                     SECTORS, False),
     "defects": (["defects"] + S3_PAIR, SECTORS, False),
     "qudit-dim": (["qudit-dim"] + S3_PAIR, SECTORS, False),
-    "verify-all": (["verify-all", "--group", "symmetric:4"], SECTORS | {"qdw.verify"}, False),
+    "verify-all": (["verify-all", "--group", "symmetric:4"], VERIFY, False),
     # abelian-modular-data decides S from its integer phases
-    "verify-all-cyclic9": (["verify-all", "--group", "cyclic:9"], SECTORS | {"qdw.verify"},
-                           False),
+    "verify-all-cyclic9": (["verify-all", "--group", "cyclic:9"], VERIFY, False),
     # path-deformation compares exact images where the ring's 2^9 and 3^9
     # configurations fit the budget; at 4^9 = 262 144 it compares actions only
     "verify-all-cyclic2": (["verify-all", "--group", "cyclic:2"], VERIFY_LATTICE, False),
@@ -595,8 +726,9 @@ RUNS = {
 # the module boundaries each of these runs must not cross: an audit reads no
 # character table, sector, ground-state route or slice; a gsd run whose dense
 # route is over budget builds no operator and no census past the condensates;
-# `logical` reads no character table
+# `logical` reads no character table; `subgroups` reads no sector or character
 NEVER_LOADED = {
+    "subgroups": {"qdw.classify", "qdw.sectors", "qdw.characters"},
     "lattice-audit": {"qdw.characters", "qdw.sectors", "qdw.classify", "qdw.gsd", "qdw.flat"},
     "lattice-audit-sabotaged": {"qdw.characters", "qdw.sectors", "qdw.classify", "qdw.gsd",
                                 "qdw.flat"},
@@ -622,6 +754,7 @@ def test_each_run_loads_only_the_layers_it_reaches(run):
     assert "dataclasses" not in modules
     assert "inspect" not in modules or numpy
     assert not FRACTION_MODULES & set(modules)
+    assert not PARSER_MODULES & set(modules)
 
 
 def test_numpy_is_imported_only_inside_the_group_table_view():

@@ -16,6 +16,8 @@ from qdw.groups import (
     _breadth_first,
     build_group,
     double_cosets,
+)
+from qdw.subgroups import (
     enumerate_automorphisms,
     enumerate_subgroups,
     inner_automorphism,

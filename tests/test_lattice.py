@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qdw.groups import InvariantError, build_group, enumerate_subgroups
+from qdw.groups import InvariantError, build_group
 from qdw.classify import anyon_table, qudit_dimension
 from qdw.groups import double_cosets
 from qdw.lattice import (
@@ -47,6 +47,7 @@ from qdw.flat import (
 )
 from qdw.geometry import place_values
 from qdw.gsd import _dense_projector, _gsd_counting, _projector_rank, ground_space_dimension
+from qdw.subgroups import enumerate_subgroups
 
 from matrices import apply, block_matrix, coefficients, to_matrix
 

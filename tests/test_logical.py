@@ -11,7 +11,7 @@ import qdw.cli
 import qdw.flat
 import qdw.logical
 from qdw.classify import qudit_dimension
-from qdw.groups import InvariantError, build_group, double_cosets, enumerate_subgroups
+from qdw.groups import InvariantError, build_group, double_cosets
 from qdw.gsd import _dense_projector, ground_space_dimension
 from qdw.lattice import (
     BoundaryRegion,
@@ -38,6 +38,7 @@ from qdw.logical import (
     tunnel_operator,
 )
 from qdw.records import Ratio
+from qdw.subgroups import enumerate_subgroups
 
 from matrices import (apply_string, block_matrix, config_digits, monomial_entries,
                       orbit_state_matrix, s_matrix)
