@@ -475,9 +475,12 @@ def build_group(spec) -> FiniteGroup:
             raise ValueError(f"product spec needs at least two factors: {spec!r}")
         g = build_group(parts[0])
         for p in parts[1:]:
-            g = _direct_product(g, build_group(p))
-        if g.order > MAX_TABLE_ORDER:
-            raise ValueError(f"product order {g.order} exceeds maximum {MAX_TABLE_ORDER}")
+            h = build_group(p)
+            # refused before its table is built, as FiniteGroup would refuse it
+            if g.order * h.order > MAX_TABLE_ORDER:
+                raise ValueError(f"group order {g.order * h.order} exceeds supported "
+                                 f"maximum {MAX_TABLE_ORDER}")
+            g = _direct_product(g, h)
         return g
     m = _SPEC_RE.match(text)
     if not m:

@@ -8,18 +8,20 @@ gauge-fixed slice that the counting route enumerates (`qdw.flat`),
 and numbers them in the slice's order.  Its `sector` gauge-fixes any
 admissible configuration onto that slice in one pass along the spanning
 forest, so a string acts on sectors by moving one representative per
-sector and reading off where it lands.  The slice and `sector` use only
-the group's multiplication table; G must be cyclic for the rest: the
-face, rim and gauge rows over Z_n that validate strings, and the string
-operators themselves, whose shift and phase data are integers mod n.
+sector and reading off where it lands.  The slice, `sector` and the
+admissibility of a configuration or shift (`qdw.flat`'s face holonomy,
+and each rim value in its K) use only the group's multiplication table;
+G must be cyclic for the rest: the test that a phase string is blind to
+every gauge move, and the string operators themselves, whose shift and
+phase data are integers mod n.
 
 Logical actions are permutations with root-of-unity phases, so their
 algebra and unitarity are exact, and charge projectors are sums of roots
 of unity decided exactly.  On a lattice small enough to enumerate,
 `orbits` lists every admissible configuration of each sector, and
 `StringOperator.image` moves them exactly, as configurations with
-root-of-unity exponents.  The character tables (`qdw.characters`) are
-imported only by `charge_projectors`.
+root-of-unity exponents.  Only `charge_projectors` reads sector data
+(`qdw.classify`) and exact root-of-unity sums (`qdw.characters`).
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
-from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment
+from qdw.flat import (_enumerate_flat_configs, _gauge_domains, _holonomy, _spanning_forest,
+                      _transversal)
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, UsageError, _breadth_first,
                         _complex_pair, _generating_sequence, _root_of_unity, _round12,
                         double_cosets, is_cyclic_presentation)
@@ -59,32 +62,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # ground sectors of a cyclic-group lattice
 
-Rows = list[dict[int, int]]   # one {column: entry} per row, zero entries left out
-
-
-def _sparse(a: Sequence[Sequence[int]], n: int) -> Rows:
-    return [{j: y for j, x in enumerate(row) if x and (y := int(x) % n)} for row in a]
-
 
 def _dot(row: Mapping[int, int], x: Sequence[int]) -> int:
     """A sparse row times a dense vector, over Z."""
     return sum(map(mul, row.values(), map(x.__getitem__, row)))
 
 
-def _cyclic_step(n: int, sub: Subgroup) -> int:
-    """Write a subgroup of Z_n as step * Z_n; the trivial subgroup gets n."""
-    step = n // sub.order
-    if tuple(sub.elements) != tuple(range(0, n, step)):
-        raise InvariantError("subgroup of a cyclic group must be a stride")
-    return step
-
-
 class AbelianGroundSpace:
-    """Ground sectors, their representatives, and the rows that validate strings.
+    """Ground sectors, their representatives, and the tests that validate strings.
 
-    Admissible configurations solve M x = 0 (mod n), where M stacks one
-    signed row per face and one pinning row per rim edge; the gauge rows
-    are one per vertex (K-restricted on rims) and one per dangling edge.
+    A configuration, or a shift string, is admissible when every face has
+    trivial holonomy and every rim value lies in its K.  A phase string is
+    valid when its dot product with every gauge move vanishes mod n: one
+    move per generator of each vertex's gauge domain (K on rims, G
+    elsewhere) and of each dangling edge's K.
 
     The sectors come from the counting route's slice: each spanning-forest
     edge keeps the least value of each orbit of its child's gauge domain,
@@ -108,51 +99,24 @@ class AbelianGroundSpace:
         self.lattice = lat
         self.group = group
         self.n = n
-        vertex_region, edge_region = _region_assignment(lat, group, subgroups)
         ne = lat.n_edges
-        step = {reg: _cyclic_step(n, sub) for reg, sub in subgroups.items()}
-        edge_roles = sorted(edge_region.items())
-        shift_rows: list[list[int]] = []
-        shift_msgs: list[str] = []
-        for pi, cyc in enumerate(lat.plaquettes):
-            row = [0] * ne
-            for e, along in cyc:
-                row[e] += 1 if along else -1
-            shift_rows.append(row)
-            shift_msgs.append(f"changes the holonomy of {lat.plaquette_names[pi]}")
-        for e, (reg, role) in edge_roles:
-            if role == "rim":
-                shift_rows.append([n // step[reg] if j == e else 0 for j in range(ne)])
-                shift_msgs.append(f"leaves the pinned subgroup on {lat.edge_names[e]}")
-        self._shift = _sparse(shift_rows, n)
-        self._shift_msgs = shift_msgs
-        incidence = [[0] * ne for _ in range(lat.n_vertices)]
-        for e, (t, h) in enumerate(lat.edges):
-            incidence[h][e] += 1
-            incidence[t][e] -= 1
-        self._incidence = incidence
-        phase_rows: list[list[int]] = []
-        phase_msgs: list[str] = []
-        for v in range(lat.n_vertices):
-            k = step[vertex_region[v]] if v in vertex_region else 1
-            phase_rows.append([k * x for x in incidence[v]])
-            phase_msgs.append(f"creates unabsorbed charge at {lat.vertex_names[v]}")
-        for e, (reg, role) in edge_roles:
-            if role == "dangling":
-                phase_rows.append([step[reg] if j == e else 0 for j in range(ne)])
-                phase_msgs.append(f"is not translation invariant on {lat.edge_names[e]}")
-        self._phase = _sparse(phase_rows, n)
-        self._phase_msgs = phase_msgs
-        # every gauge row must keep every face and rim row that shares an edge with it
-        shift_at: list[Rows] = [[] for _ in range(ne)]
-        for row in self._shift:
-            for e in row:
-                shift_at[e].append(row)
-        for sparse, dense in zip(self._phase, phase_rows):
-            if any(_dot(row, dense) % n for e in sparse for row in shift_at[e]):
-                raise InvariantError("a gauge shift escapes the admissible kernel")
-
         allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
+        self._allowed = [frozenset(a) for a in allowed]   # K on rim edges, G elsewhere
+        # each gauge move as a configuration; every one must be admissible
+        moves: list[tuple[str, list[int]]] = []
+        for v in range(lat.n_vertices):
+            for g in _generating_sequence(group, domains[v]):
+                move = [0] * ne
+                self._relabel(move, v, g)
+                moves.append((f"creates unabsorbed charge at {lat.vertex_names[v]}", move))
+        for e, sub in dangling.items():
+            for k in _generating_sequence(group, sub.elements):
+                moves.append((f"is not translation invariant on {lat.edge_names[e]}",
+                              [k if j == e else 0 for j in range(ne)]))
+        if any(self._fault(move) for _, move in moves):
+            raise InvariantError("a gauge shift escapes the admissible kernel")
+        self._moves = [(text, {e: x for e, x in enumerate(move) if x}) for text, move in moves]
+
         roots, tree = _spanning_forest(lat, domains, dangling)
         rows, inv = group.rows, group.inv
         # per forest edge: (edge, child, the child label that moves each value
@@ -212,9 +176,20 @@ class AbelianGroundSpace:
                              f"expected {self.lattice.n_edges}")
         return [int(c) % self.n for c in config]
 
+    def _fault(self, x: Sequence[int]) -> Optional[str]:
+        """What keeps x from being admissible: its first face with nontrivial
+        holonomy, else its first rim edge outside K; None if nothing does."""
+        lat = self.lattice
+        for pi, cyc in enumerate(lat.plaquettes):
+            if _holonomy(self.group, cyc, x):
+                return f"changes the holonomy of {lat.plaquette_names[pi]}"
+        for e, ok in enumerate(self._allowed):
+            if x[e] not in ok:
+                return f"leaves the pinned subgroup on {lat.edge_names[e]}"
+        return None
+
     def is_admissible(self, config: Sequence[int]) -> bool:
-        x = self._registers(config)
-        return not any(_dot(row, x) % self.n for row in self._shift)
+        return self._fault(self._registers(config)) is None
 
     def _relabel(self, values: list[int], v: int, g: int) -> None:
         """Gauge label g at vertex v, in place: x -> g x on the edges into v,
@@ -243,33 +218,28 @@ class AbelianGroundSpace:
         return found
 
     def _string(self, what: str, vec: Sequence[int], shift: bool) -> "StringOperator":
-        """The string with vec as its shift (or its phase), once every row holds."""
-        rows, msgs = (self._shift, self._shift_msgs) if shift else (self._phase, self._phase_msgs)
-        bad = next((i for i, row in enumerate(rows) if _dot(row, vec) % self.n), None)
-        if bad is not None:
-            raise ValueError(f"{what} {msgs[bad]}")
+        """The string with vec as its shift (or its phase), once vec passes its test."""
+        if shift:
+            fault = self._fault(vec)
+        else:
+            fault = next((text for text, move in self._moves if _dot(move, vec) % self.n), None)
+        if fault is not None:
+            raise ValueError(f"{what} {fault}")
         zero = [0] * len(vec)
         return StringOperator.make(self.n, *((vec, zero) if shift else (zero, vec)))
 
     def orbits(self) -> list[list[tuple[int, ...]]]:
         """The admissible configurations of each sector, in sector order.
 
-        Every one of the n^E configurations is decided, in the order
-        `place_values` numbers them: each face and rim row is tested once
-        its last register is set, so a failing prefix rules out every
-        configuration that extends it.  No orbit is read off the slice.
-        Only for lattices within `MATERIALIZE_DIM_BUDGET`.
+        They are the flat configurations with every rim value in its K,
+        enumerated in full (not on the slice) and taken in the order
+        `place_values` numbers them.  Only for lattices within
+        `MATERIALIZE_DIM_BUDGET`.
         """
-        n, ne = self.n, self.lattice.n_edges
-        if n ** ne > MATERIALIZE_DIM_BUDGET:
+        if self.n ** self.lattice.n_edges > MATERIALIZE_DIM_BUDGET:
             raise ValueError("lattice too large to enumerate its orbits")
-        prefixes: list[tuple[int, ...]] = [()]
-        for e in range(ne):
-            rows = [row for row in self._shift if max(row, default=0) == e]
-            prefixes = [c for p in prefixes for x in range(n) for c in (p + (x,),)
-                        if not any(_dot(row, c) % n for row in rows)]
         members: list[list[tuple[int, ...]]] = [[] for _ in range(self.dimension)]
-        for config in prefixes:
+        for config in sorted(_enumerate_flat_configs(self.lattice, self.group, self._allowed)):
             members[self.sector(config)].append(config)
         if not all(members):
             raise InvariantError("orbit census does not match the sector count")
@@ -722,35 +692,23 @@ class ChargeProjectors(Record):
         return self.projectors[self.labels.index(label)]
 
 
-def _additive_irrep_map(group: FiniteGroup) -> dict[int, int]:
-    """Irrep index of the character x -> w^(a x), w = exp(2 pi i / n), for each a.
-
-    At x of order o = n/gcd(x, n), w^(a x) = zeta_o^(a x/gcd(x, n)), so each
-    character is matched to its row on exact spectra.
-    """
-    from qdw.characters import character_table
-
-    n = group.order
-    table = character_table(group)
-    row = {tuple(spectra): i for i, spectra in enumerate(table.spectra)}
-    return {a: row[tuple(((a * cl.rep // gcd(cl.rep, n)) % o,)
-                         for cl, o in zip(table.classes, table.orders))]
-            for a in range(n)}
-
-
 def charge_projectors(qudit: LogicalQudit,
                       region_name: str) -> ChargeProjectors:
     """Fourier family of projectors onto the charge behind one hole.
 
     Transports of every bulk anyon around the region combine with weights
-    from the bulk S matrix: P_j = sum_i conj(S_ij / S_i,vac) T_i / n^2.  For
-    abelian G each weight is a root of unity and each transport is monomial,
-    so n^2 times an entry of P_j is a sum of roots of unity, kept as exponent
-    counts and decided exactly (`_integer_sum`).  Every projector must be
-    diagonal in the frame with entries 0 and 1 and rank at most one, their
-    supports disjoint and together the whole frame.  On a charge-condensing
-    hole only the pure charge sectors survive; their projectors pick out
-    single logical states.
+    from the bulk S matrix: P_j = sum_i conj(S_ij / S_i0) T_i / n^2, sector
+    0 being the vacuum.  Sector i, with flux f and additive charge q (its
+    character is x -> w^(q x), so q is `charge_exponents` at x = 1), is
+    transported by the inverse flux loop to the f and the inverse rim loop
+    to the q.  For abelian G, S_i0 = 1/n, so each weight is w^(s_ij)
+    (`s_phases`), and each transport is monomial, so n^2 times an entry of
+    P_j is a sum of roots of unity, kept as exponent counts and decided
+    exactly (`_integer_sum`).  Every projector must be diagonal in the
+    frame with entries 0 and 1 and rank at most one, their supports
+    disjoint and together the whole frame.  On a charge-condensing hole
+    only the pure charge sectors survive; their projectors pick out single
+    logical states.
     """
     from qdw.characters import _integer_sum
     from qdw.classify import abelian_anyon_data
@@ -761,18 +719,14 @@ def charge_projectors(qudit: LogicalQudit,
         raise ValueError(
             "charge readout needs a flux loop; this encoding's loop is diagonal")
     data = abelian_anyon_data(ags.group)
-    irrep_of = _additive_irrep_map(ags.group)
-    charge_of = {q: a for a, q in irrep_of.items()}
     # transport orientation: the inverse loops align the family with the
     # labels measured by the tunnel direction of the qudit
     flux_t = qudit.z_op.inverse()
     charge_t = rim_loop(ags, region_name).inverse()
     transports: dict[tuple[int, int], LogicalAction] = {}
-    for flux, irrep in data.charges:
-        q = charge_of[irrep]
-        op = flux_t.power(flux) @ charge_t.power(q)
+    for (flux, irrep), chi in zip(data.charges, data.charge_exponents):
+        op = flux_t.power(flux) @ charge_t.power(chi[1 % n])
         transports[(flux, irrep)] = qudit.frame_action(op)
-    ivac = data.charges.index((0, irrep_of[0]))
     # column b of each transport: where it sends frame state b, and its phase
     columns = [[(transports[lab].perm[b], transports[lab].phase_exp[b])
                 for lab in data.charges] for b in range(n)]
@@ -781,8 +735,8 @@ def charge_projectors(qudit: LogicalQudit,
     projectors = []
     selected: dict[tuple[int, int], int] = {}
     for j, lab in enumerate(data.charges):
-        # conj(S_ij / S_i,vac) = w^(s_ij - s_i,vac)
-        weights = [s_i[j] - s_i[ivac] for s_i in s]
+        # conj(S_ij / S_i0) = w^(s_ij), as s_i0 = 0
+        weights = [s_i[j] for s_i in s]
         diagonal, off_diagonal = [], False
         for b, column in enumerate(columns):
             counts = [[0] * n for _ in range(n)]   # counts[a][k]: terms w^k at (a, b)

@@ -173,17 +173,72 @@ def fusion(data):
                  irrep_product[charge[:, None], charge[None, :]]]
 
 
-def orbit_state_matrix(ags):
+def constraint_rows(lat, group, subgroups):
+    """The Z_n-linear description of admissibility and of valid phase
+    strings, built from the lattice and the boundary subgroups alone.
+
+    Returns (shift_rows, phase_rows), each a list of (text, row), row a
+    list of ints mod n and text what a refusal names.  A configuration or
+    shift x is admissible when row.x = 0 mod n for every shift row: one
+    per face (+1 along an edge, -1 against), then one per rim edge with
+    |K| there.  A phase vector p is valid when row.p = 0 mod n for every
+    phase row: step * incidence per vertex (+1 at a head, -1 at a tail),
+    where step Z_n is the vertex's K and step is 1 off the rims, then one
+    per dangling edge with K's step there.  Rows follow cell order.
+    """
+    n, ne = group.order, lat.n_edges
+
+    def step(name):
+        sub = subgroups[name]
+        k = n // sub.order
+        assert tuple(sub.elements) == tuple(range(0, n, k)), "K must be a stride of Z_n"
+        return k
+
+    def unit(e, value):
+        return [value % n if j == e else 0 for j in range(ne)]
+
+    shift_rows, phase_rows = [], []
+    for pi, cyc in enumerate(lat.plaquettes):
+        row = [0] * ne
+        for e, along in cyc:
+            row[e] = (row[e] + (1 if along else -1)) % n
+        shift_rows.append((f"changes the holonomy of {lat.plaquette_names[pi]}", row))
+    roles = sorted(lat.edge_region.items())
+    for e, (name, role) in roles:
+        if role == "rim":
+            shift_rows.append((f"leaves the pinned subgroup on {lat.edge_names[e]}",
+                               unit(e, subgroups[name].order)))
+    for v in range(lat.n_vertices):
+        k = step(lat.vertex_region[v]) if v in lat.vertex_region else 1
+        row = [0] * ne
+        for e, at_head in lat.star[v]:
+            row[e] = (row[e] + (k if at_head else -k)) % n
+        phase_rows.append((f"creates unabsorbed charge at {lat.vertex_names[v]}", row))
+    for e, (name, role) in roles:
+        if role == "dangling":
+            phase_rows.append((f"is not translation invariant on {lat.edge_names[e]}",
+                               unit(e, step(name))))
+    return shift_rows, phase_rows
+
+
+def first_failing_row(rows, x, n):
+    """The text of the first row with row.x != 0 mod n, or None."""
+    return next((text for text, row in rows
+                 if sum(a * b for a, b in zip(row, x)) % n), None)
+
+
+def orbit_state_matrix(ags, subgroups):
     """Columns are the normalized gauge-orbit superpositions of an
-    `AbelianGroundSpace`, in sector order; admissibility is decided here
-    on the digit array, apart from `AbelianGroundSpace.orbits`."""
+    `AbelianGroundSpace` built with `subgroups`, in sector order;
+    admissibility is decided here, on the digit array and the
+    `constraint_rows`, apart from `AbelianGroundSpace.orbits`."""
     n, ne = ags.n, ags.lattice.n_edges
     dim = n ** ne
     if dim > MATERIALIZE_DIM_BUDGET:
         raise ValueError("lattice too large to materialize orbit states")
     digits, _ = config_digits(n, ne)
-    face_rim = np.array([[row.get(j, 0) for j in range(ne)] for row in ags._shift],
-                        dtype=np.int64).reshape(len(ags._shift), ne)
+    shift_rows, _ = constraint_rows(ags.lattice, ags.group, subgroups)
+    face_rim = np.array([row for _, row in shift_rows], dtype=np.int64).reshape(-1, ne)
     members = [[] for _ in range(ags.dimension)]
     for c in np.flatnonzero(~(digits @ face_rim.T % n).any(axis=1)).tolist():
         members[ags.sector(digits[c].tolist())].append(c)

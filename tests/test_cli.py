@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,14 @@ class TestExitCodes:
     def test_malformed_json_names_what_is_wrong(self, capsys, argv, line):
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {line}\n"
+
+    def test_oversized_product_is_refused_before_its_table(self, capsys):
+        # its 2304 x 2304 table would take seconds to build
+        start = time.perf_counter()
+        assert main(["anyons", "--group", "product:cyclic:48,cyclic:48"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == \
+            "usage error: group order 2304 exceeds supported maximum 48\n"
 
     @pytest.mark.parametrize("holes", [
         '{"name": "h", "faces": ["p(1,1)"]}',

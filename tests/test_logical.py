@@ -40,8 +40,8 @@ from qdw.logical import (
 from qdw.records import Ratio
 from qdw.subgroups import enumerate_subgroups
 
-from matrices import (apply_string, block_matrix, config_digits, monomial_entries,
-                      orbit_state_matrix, s_matrix)
+from matrices import (apply_string, block_matrix, config_digits, constraint_rows,
+                      first_failing_row, monomial_entries, orbit_state_matrix, s_matrix)
 
 
 def two_hole(group):
@@ -275,6 +275,32 @@ class TestStringBuilders:
         with pytest.raises(ValueError, match="unabsorbed charge"):
             phase_string(ags, {"h(0,0)": 1})
 
+    def test_flat_shift_leaving_k_is_refused(self):
+        # a gauge label outside K at a rim vertex keeps every face flat
+        g = build_group("cyclic:4")
+        lat = ring(3)
+        ags = AbelianGroundSpace(lat, g, {"inner": g.subgroup([0, 2]),
+                                          "outer": g.full_subgroup()})
+        star = {e: 1 if at_head else -1 for e, at_head in lat.star[lat.vertex_index("i1")]}
+        with pytest.raises(ValueError, match=r"^shift leaves the pinned subgroup on in0$"):
+            shift_string(ags, star)
+
+    def test_charge_loop_through_a_dangling_edge_is_refused(self):
+        # the loop absorbs its charge at every vertex, but K = {0, 2}
+        # translates the dangling edge d by 2
+        g = build_group("cyclic:4")
+        sq = patch(1, 1)
+        outer = sq.region_by_name("outer")
+        lat = Lattice(sq.n_vertices, sq.edges + [(0, 3)], sq.plaquettes,
+                      regions=(BoundaryRegion("outer", outer.rim_vertices, outer.rim_edges,
+                                              dangling_edges=(4,)),),
+                      vertex_names=sq.vertex_names, edge_names=sq.edge_names + ["d"],
+                      plaquette_names=sq.plaquette_names)
+        ags = AbelianGroundSpace(lat, g, {"outer": g.subgroup([0, 2])})
+        with pytest.raises(ValueError,
+                           match=r"^charge string is not translation invariant on d$"):
+            charge_string(ags, ["(0,0)", "(1,1)", "(0,1)", "(0,0)"])
+
     def test_flux_walk_needs_adjacent_faces(self):
         g = build_group("cyclic:3")
         lat, subs = two_hole(g)
@@ -303,7 +329,7 @@ class TestStringBuilders:
         square = ["(1,2)", "(1,3)", "(2,3)", "(2,2)", "(1,2)"]
         assert logical_action(ags, charge_string(ags, square)).is_identity()
         v = lat.vertex_index("(0,1)")
-        star = {e: w for e, w in enumerate(ags._incidence[v]) if w}
+        star = {e: 1 if at_head else -1 for e, at_head in lat.star[v]}
         assert logical_action(ags, shift_string(ags, star)).is_identity()
 
     def test_loops_around_charge_condensing_holes_act_trivially(self):
@@ -676,10 +702,58 @@ class TestSliceSectors:
         assert first == loop_logical_action(ags, op)
 
 
-def frame_matrix(qud):
+def shifted_vectors(lat, ags, subs, rng):
+    """A gauge-moved admissible configuration, maybe moved by a label outside
+    K at one vertex (faces stay flat, rims may leave K), then maybe with up
+    to two registers redrawn; and a phase vector that sums random face
+    loops, which every gauge move sees as zero, maybe with up to two
+    registers redrawn."""
+    n, ne = ags.n, lat.n_edges
+    x = gauge_moved(lat, ags.group, subs, rng.choice(ags.representatives), rng)
+    if rng.random() < 0.5:
+        a = rng.randrange(n)
+        for e, at_head in lat.star[rng.randrange(lat.n_vertices)]:
+            x[e] = (x[e] + (a if at_head else -a)) % n
+    p = [0] * ne
+    for cyc in lat.plaquettes:
+        a = rng.randrange(n)
+        for e, along in cyc:
+            p[e] = (p[e] + (a if along else -a)) % n
+    for vec in (x, p):
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            vec[rng.randrange(ne)] = rng.randrange(n)
+    return x, p
+
+
+class TestLinearOracle:
+    """Admissibility and string validation accept exactly what the Z_n rows
+    of `constraint_rows` accept, and a refusal names the first failing row."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(sector_cases(), st.data())
+    def test_refusals_name_the_first_failing_row(self, case, data):
+        g, lat, subs, _ = case
+        ags = AbelianGroundSpace(lat, g, subs)
+        shift_rows, phase_rows = constraint_rows(lat, g, subs)
+        rng = data.draw(st.randoms(use_true_random=False))
+        for _ in range(8):
+            x, p = shifted_vectors(lat, ags, subs, rng)
+            assert ags.is_admissible(x) == (first_failing_row(shift_rows, x, g.order) is None)
+            for vec, rows, build, what in ((x, shift_rows, shift_string, "shift"),
+                                           (p, phase_rows, phase_string, "phase")):
+                want = first_failing_row(rows, vec, g.order)
+                if want is None:
+                    build(ags, dict(enumerate(vec)))
+                    continue
+                with pytest.raises(ValueError) as refusal:
+                    build(ags, dict(enumerate(vec)))
+                assert str(refusal.value) == f"{what} {want}"
+
+
+def frame_matrix(qud, subs):
     """Materialized ground basis: column c is the frame state |c>."""
     ags = qud.sector
-    q = orbit_state_matrix(ags)
+    q = orbit_state_matrix(ags, subs)
     q = q[:, list(qud.orbit_cycle)]
     if not qud.fourier:
         return q.astype(complex)
@@ -741,7 +815,7 @@ class TestDenseCrossChecks:
         g = build_group(spec)
         lat, subs = rough_ring(g)
         ags = AbelianGroundSpace(lat, g, subs)
-        q = orbit_state_matrix(ags)
+        q = orbit_state_matrix(ags, subs)
         assert np.abs(q.T @ q - np.eye(ags.dimension)).max() == 0.0
         block = _dense_projector(lat, g, subs)
         support, proj = block[0], block_matrix(block)
@@ -752,7 +826,7 @@ class TestDenseCrossChecks:
         for op in (qud.x_op, qud.z_op):
             act = logical_action(ags, op)
             assert np.abs(apply_string(op, q) - q @ act.matrix()).max() < 1e-12
-        qf = frame_matrix(qud)
+        qf = frame_matrix(qud, subs)
         assert np.abs(qf.conj().T @ qf - np.eye(n)).max() < 1e-12
         for op in (qud.x_op, qud.z_op, qud.x_op @ qud.z_op):
             act = qud.frame_action(op)
@@ -772,11 +846,11 @@ class TestDenseCrossChecks:
     def test_dual_frame_matches_materialized_strings(self):
         g = build_group("cyclic:3")
         lat = ring(3)
-        ags = AbelianGroundSpace(lat, g, {"inner": g.full_subgroup(),
-                                          "outer": g.full_subgroup()})
+        subs = {"inner": g.full_subgroup(), "outer": g.full_subgroup()}
+        ags = AbelianGroundSpace(lat, g, subs)
         qud = logical_algebra(ags, flux_string(ags, ["inner", "f0", "outer"]),
                               charge_string(ags, ["i0", "i1", "i2", "i0"]))
-        qf = frame_matrix(qud)
+        qf = frame_matrix(qud, subs)
         omega = np.exp(2j * np.pi / 3)
         for op in (qud.x_op, qud.z_op, qud.z_op @ qud.x_op):
             act = qud.frame_action(op)
@@ -788,7 +862,7 @@ class TestDenseCrossChecks:
         g = build_group("cyclic:2")
         ags = AbelianGroundSpace(torus(3, 4), g, {})
         with pytest.raises(ValueError, match="too large"):
-            orbit_state_matrix(ags)
+            orbit_state_matrix(ags, {})
         with pytest.raises(ValueError, match="too large"):
             ags.orbits()
 
@@ -808,7 +882,7 @@ class TestDenseCrossChecks:
             subs = {"inner": getattr(g, f"{rims[0]}_subgroup")(),
                     "outer": getattr(g, f"{rims[1]}_subgroup")()}
         ags = AbelianGroundSpace(lat, g, subs)
-        orbits, q = ags.orbits(), orbit_state_matrix(ags)
+        orbits, q = ags.orbits(), orbit_state_matrix(ags, subs)
         digits, weights = config_digits(n, lat.n_edges)
         index = {tuple(d): c for c, d in enumerate(digits.tolist())}
         assert [sorted(index[c] for c in orbit) for orbit in orbits] == \
@@ -954,6 +1028,23 @@ class TestChargeProjectors:
         monkeypatch.setattr(type(qud), "frame_action", frame_action)
         with pytest.raises(InvariantError, match="charge projector"):
             charge_projectors(qud, region)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_charge_exponent_at_one_is_the_additive_charge(self, n):
+        """The charge that transports a sector, `charge_exponents` at x = 1, is
+        the q whose character x -> w^(q x) is the sector's row of the group's
+        character table; sector 0 is the vacuum, so every s_i0 is 0."""
+        from qdw.characters import character_table
+        from qdw.classify import abelian_anyon_data
+        g = build_group(f"cyclic:{n}")
+        table, data = character_table(g), abelian_anyon_data(g)
+        for (flux, irrep), chi in zip(data.charges, data.charge_exponents):
+            q = chi[1]
+            assert max(abs(table.value(irrep, x) - np.exp(2j * np.pi * q * x / n))
+                       for x in range(n)) < 1e-9
+        assert data.charges[0] == (0, 0)
+        assert all(table.value(0, x) == 1 for x in range(n))
+        assert all(s_i[0] == 0 for s_i in data.s_phases)
 
     def test_dual_encoding_refused(self):
         g = build_group("cyclic:3")
