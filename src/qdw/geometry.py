@@ -5,7 +5,9 @@ boundary regions (rim vertices, rim edges and dangling edges) where a
 gapped boundary condition sits.  `torus`, `patch` and `ring` build the
 square lattices the commands take, `carve_hole` cuts a disk of faces out
 of a patch as one more boundary region, and `place_values` weights each
-edge register in the index of a configuration.
+edge register in the index of a configuration.  `_holonomy` is the one
+face-holonomy convention: the flux terms (`qdw.lattice`) and the flat
+connections (`qdw.flat`) both read it.
 
 The flat connections on a lattice, up to gauge, are enumerated in
 `qdw.flat`, which the ground-state routes and the logical layer import;
@@ -50,6 +52,21 @@ def place_values(n: int, k: int) -> list[int]:
     """The weight n^(k-1-i) of register i in a configuration index of k n-valued
     registers: configuration c holds value c // w % n in the register of weight w."""
     return [n ** (k - 1 - i) for i in range(k)]
+
+
+def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]],
+              values: Sequence[int]) -> int:
+    """Face-walk product of `cyc`: each letter left-multiplies the running value.
+
+    The letter of an edge is its register value when walked along the
+    edge and the inverse when walked against it.  `values` holds the
+    register value of each edge, indexed by edge.
+    """
+    acc, rows, inv = 0, group.rows, group.inv
+    for e, along in cyc:
+        x = values[e]
+        acc = rows[x if along else inv[x]][acc]
+    return acc
 
 
 class BoundaryRegion(FrozenRecord):

@@ -1,9 +1,9 @@
 """Ground-state counts of a lattice, from up to three routes that must agree.
 
 Counting evaluates the Burnside sum over gauge orbits of flat connections
-on a slice that keeps, on each spanning-forest edge, one value per orbit
-of its child's gauge domain (`qdw.flat`); a dangling edge with boundary
-subgroup K stays out of the slice and contributes one factor |K\\G/K|.
+on the one gauge-fixed slice (`qdw.flat.GaugeSlice`), which keeps one
+value per gauge orbit on each spanning-forest edge and one double-coset
+representative on each dangling edge.
 Modular is one exact sum over the boundary condensates, without the
 lattice's configurations, on any connected surface whose boundary
 circles are its regions.  Dense reads only the Hamiltonian terms: it
@@ -11,8 +11,8 @@ takes the trace of the projector built on the support of the diagonal
 terms, and raises when a term maps that support outside itself, which
 commuting projectors never do.  Trace is the counting route with its
 gauge fix switched off, the Burnside sum over every flat configuration
-of the edges that are not dangling: a reference route that runs only
-when named.
+of the edges that are not dangling, each dangling edge still on its
+representatives: a reference route that runs only when named.
 
 The modular route imports the sector table and condensates
 (`qdw.sectors`), not the rest of the census, and the dense route the
@@ -31,10 +31,10 @@ from math import prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
-from qdw.flat import _enumerate_flat_configs, _gauge_domains, _spanning_forest, _transversal
+from qdw.flat import GaugeSlice
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
                           place_values)
-from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first, double_cosets
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Ratio, Record
 
 if TYPE_CHECKING:
@@ -51,35 +51,36 @@ __all__ = ["GsdReport", "ground_space_dimension"]
 # average of the stabilizer orders of the flat configurations.
 
 
-def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequence[int]],
-                      domains: Sequence[Sequence[int]], roots: Sequence[int], tree) -> int:
+def _stabilizer_total(sl: GaugeSlice, configs: Iterable[Sequence[int]]) -> int:
     """Sum over `configs` of the number of vertex gauge transformations fixing each.
 
-    On each tree of the forest a fixing transformation is determined by
-    its root label g: labels propagate along tree edges, and must lie in
-    their vertex domains and respect every non-tree edge of the tree.
-    The label of vertex w is Q_w g Q_w^-1, where Q_w multiplies the tree
-    edges' letters from the root to w, so g must lie in Q_w^-1 D_w Q_w
-    for every vertex w whose domain D_w is not the whole group, and
-    commute with Q_h^-1 x Q_t for every non-tree edge from t to h with
-    register value x.  Only dangling edges join trees, and their K x K
-    translations absorb both endpoint labels (see `_gsd_counting`), so
-    their checks are skipped and the trees' counts multiply.  `configs`
-    is consumed one configuration at a time; sets of root labels are
-    bit masks.
+    On each tree of the slice's forest a fixing transformation is
+    determined by its root label g: labels propagate along tree edges, and
+    must lie in their vertex domains and respect every non-tree edge of
+    the tree.  The label of vertex w is Q_w g Q_w^-1, where Q_w multiplies
+    the tree edges' letters from the root to w, so g must lie in
+    Q_w^-1 D_w Q_w for every vertex w whose domain D_w is not the whole
+    group, and commute with Q_h^-1 x Q_t for every non-tree edge from t to
+    h with register value x.  Only dangling edges join trees.  A dangling
+    edge follows the slice's one rule, riding on it as the least member
+    of each double coset K x K, whose translations absorb both endpoint
+    labels, so its checks are skipped and the trees' counts multiply.
+    `configs` is consumed one configuration at a time; sets of root
+    labels are bit masks.
     """
+    lat, group, domains = sl.lattice, sl.group, sl.domains
     rows, inv, n = group.rows, group.inv, group.order
     mask = [sum(1 << g for g in d) for d in domains]
     whole = (1 << n) - 1
     comp = [0] * lat.n_vertices
-    for ci, (root, edges) in enumerate(zip(roots, tree)):
+    for ci, (root, edges) in enumerate(zip(sl.roots, sl.tree)):
         comp[root] = ci
         for _, child, _ in edges:
             comp[child] = ci
-    tree_edges = {ei for edges in tree for ei, _, _ in edges}
+    tree_edges = {ei for edges in sl.tree for ei, _, _ in edges}
     nontree_by_comp: dict[int, list[tuple[int, int, int]]] = {}
     for ei, (t, h) in enumerate(lat.edges):
-        if ei not in tree_edges and lat.edge_region.get(ei, ("", ""))[1] != "dangling":
+        if ei not in tree_edges and ei not in sl.dangling:
             nontree_by_comp.setdefault(comp[t], []).append((ei, t, h))
     centralizer = [sum(1 << g for g in range(n) if rows[g][x] == rows[x][g])
                    for x in range(n)]
@@ -96,7 +97,7 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequen
               [(child, conjugated[mask[child]]) for _, child, _ in edges
                if mask[child] != whole],
               nontree_by_comp.get(ci, ()))
-             for ci, (root, edges) in enumerate(zip(roots, tree))]
+             for ci, (root, edges) in enumerate(zip(sl.roots, sl.tree))]
     q = [0] * lat.n_vertices
     total = 0
     for values in configs:
@@ -119,40 +120,29 @@ def _stabilizer_total(lat: Lattice, group: FiniteGroup, configs: Iterable[Sequen
 def _gsd_counting(lat: Lattice, group: FiniteGroup,
                   subgroups: Mapping[str, Subgroup],
                   gauge_fix: bool = True) -> Optional[int]:
-    """Route 1: the Burnside sum on a gauge-fixed slice.
+    """Route 1: the Burnside sum on the gauge-fixed slice (`GaugeSlice`).
 
-    Each tree edge of the spanning forest (see `_spanning_forest`) keeps
-    only `_transversal` of its allowed values under its child's gauge
-    domain.  Taking the children in forest order, every configuration is
-    then one gauge transformation of the children away from exactly one
-    configuration of the slice, so each gauge orbit contributes the order
-    of the residual gauge group, the product of the root domains, to the
-    slice's stabilizer total.  A dangling edge borders no face, and its
-    K x K translations absorb both endpoint labels, so every orbit is an
-    orbit of the other edges times one double coset K x K: the dangling
-    edges are left out of the slice (set to the identity) and the count
-    is multiplied by |K\\G/K| for each.  The modular and dense routes are
-    independent oracles for it.  With `gauge_fix` off no edge is
-    restricted and the sum runs over every flat configuration of the
-    other edges: that is the trace reference route, no independent
-    oracle, and far costlier in time (the configurations are streamed, so
-    not in memory).
+    Every configuration is one gauge transformation of the non-root
+    vertices and one translation of the dangling edges away from exactly
+    one configuration of the slice, so each gauge orbit contributes the
+    order of the residual gauge group, the product of the root domains,
+    to the slice's stabilizer total.  The modular and dense routes are
+    independent oracles for it.  With `gauge_fix` off only the dangling
+    edges keep to the slice, and the sum runs over every flat
+    configuration of the other edges: that is the trace reference route,
+    no independent oracle, and far costlier in time (the configurations
+    are streamed, so not in memory).
     """
-    allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-    roots, tree = _spanning_forest(lat, domains, dangling)
-    allowed = [(0,) if e in dangling else a for e, a in enumerate(allowed)]
-    if gauge_fix:
-        for ei, child, child_is_head in itertools.chain.from_iterable(tree):
-            allowed[ei] = _transversal(group, allowed[ei], domains[child], child_is_head)
-    configs = _enumerate_flat_configs(lat, group, allowed)
+    sl = GaugeSlice(lat, group, subgroups)
+    configs = sl.configs(gauge_fix)
     if configs is None:
         return None
-    total = _stabilizer_total(lat, group, configs, domains, roots, tree)
+    total = _stabilizer_total(sl, configs)
     # residual gauge: the root labels, or every label without the gauge fix
-    residual = prod(len(domains[v]) for v in (roots if gauge_fix else range(lat.n_vertices)))
+    residual = prod(len(sl.domains[v]) for v in (sl.roots if gauge_fix else range(lat.n_vertices)))
     if total % residual != 0:
         raise InvariantError("orbit count is not divisible by the residual gauge volume")
-    return total // residual * prod(len(double_cosets(k, k)) for k in dangling.values())
+    return total // residual
 
 
 # ---------------------------------------------------------------------------

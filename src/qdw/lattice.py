@@ -35,8 +35,8 @@ from math import gcd, lcm, prod, sqrt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
-                          _lattice_context, _region_assignment, carve_hole, patch, place_values,
-                          ring, torus)
+                          _holonomy, _lattice_context, _region_assignment, carve_hole, patch,
+                          place_values, ring, torus)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Ratio, Record
 
@@ -338,9 +338,9 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
                      base_vertex: Optional[int] = None) -> Operator:
     """Projector onto face holonomy h, read from the base corner.
 
-    With the face on the left of a traversed-along edge, the letter for
-    that edge is the inverse register value; traversed-against edges
-    contribute the register value itself.
+    The holonomy is `_holonomy`'s, walked round the face from the base
+    corner: the letter of an edge is its register value when the face
+    walks along it and the inverse when the face walks against it.
     """
     cyc = list(lat.plaquettes[pi])
     corners = lat.plaquette_base_vertices(pi)
@@ -357,13 +357,15 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
     # a face repeats no edge, so each prefix gives its own monomial key,
     # which lists the point maps by edge
     order = sorted(range(len(cyc)), key=lambda i: cyc[i][0])
-    along_last = cyc[-1][1]
+    # the last letter is h times the inverse of the holonomy of the others
+    head, along_last = cyc[:-1], cyc[-1][1]
+    registers = [0] * lat.n_edges
     terms = {}
-    for prefix in itertools.product(range(n), repeat=len(cyc) - 1):
-        partial = group.product([group.inv[x] if along else x
-                                 for (_, along), x in zip(cyc, prefix)])
-        last = group.mul(group.inv[partial], h)
-        values = prefix + (group.inv[last] if along_last else last,)
+    for prefix in itertools.product(range(n), repeat=len(head)):
+        for (e, _), x in zip(head, prefix):
+            registers[e] = x
+        letter = group.mul(h, group.inv[_holonomy(group, head, registers)])
+        values = prefix + (letter if along_last else group.inv[letter],)
         terms[tuple((cyc[i][0], points[values[i]]) for i in order)] = 1
     return Operator(n, terms)
 

@@ -3,17 +3,18 @@
 The ground sectors of a boundary assignment are the gauge orbits of its
 admissible configurations: flat connections whose rim edges lie in the
 rim's subgroup K, with K-restricted gauge on rim vertices and K x K
-translations on dangling edges.  `AbelianGroundSpace` finds them on the
-gauge-fixed slice that the counting route enumerates (`qdw.flat`),
-and numbers them in the slice's order.  Its `sector` gauge-fixes any
-admissible configuration onto that slice in one pass along the spanning
-forest, so a string acts on sectors by moving one representative per
-sector and reading off where it lands.  The slice, `sector` and the
-admissibility of a configuration or shift (`qdw.flat`'s face holonomy,
-and each rim value in its K) use only the group's multiplication table;
-G must be cyclic for the rest: the test that a phase string is blind to
-every gauge move, and the string operators themselves, whose shift and
-phase data are integers mod n.
+translations on dangling edges.  `AbelianGroundSpace` reads them off the
+one gauge-fixed slice that the counting route enumerates
+(`qdw.flat.GaugeSlice`), which also owns the one-pass gauge fix and the
+merge of slice configurations into sectors under the roots' gauge; a
+dangling edge rides on the slice as its double cosets' least members, as
+it does in counting.  A string acts on sectors by moving one
+representative per sector and reading off where it lands.  The slice,
+`sector` and the admissibility of a configuration or shift (face
+holonomy, and each rim value in its K) use only the group's
+multiplication table; G must be cyclic for the rest: the test that a
+phase string is blind to every gauge move, and the string operators
+themselves, whose shift and phase data are integers mod n.
 
 Logical actions are permutations with root-of-unity phases, so their
 algebra and unitarity are exact, and charge projectors are sums of roots
@@ -26,17 +27,15 @@ root-of-unity exponents.  Only `charge_projectors` reads sector data
 
 from __future__ import annotations
 
-import itertools
 from math import gcd
 from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from qdw.flat import (_enumerate_flat_configs, _gauge_domains, _holonomy, _spanning_forest,
-                      _transversal)
-from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context
+from qdw.flat import GaugeSlice, _enumerate_flat_configs
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _holonomy, _lattice_context
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, UsageError, _breadth_first,
                         _complex_pair, _generating_sequence, _root_of_unity, _round12,
-                        double_cosets, is_cyclic_presentation)
+                        is_cyclic_presentation)
 from qdw.records import FrozenRecord, Ratio, Record
 
 __all__ = [
@@ -77,93 +76,40 @@ class AbelianGroundSpace:
     move per generator of each vertex's gauge domain (K on rims, G
     elsewhere) and of each dangling edge's K.
 
-    The sectors come from the counting route's slice: each spanning-forest
-    edge keeps the least value of each orbit of its child's gauge domain,
-    and each dangling edge the least member of each double coset K x K.
-    `sector` gauge-fixes a configuration onto the slice in one pass down
-    the forest, each forest edge looking up the child label that moves it
-    to its least value, then moves each dangling edge to its double
-    coset's least member.  That leaves the gauge of the forest roots,
-    whose generators merge slice configurations into sectors; a root with
-    a trivial domain leaves nothing to merge.  Sectors are numbered in the
-    slice's enumeration order, and `representatives` holds the first slice
-    configuration of each.
+    The sectors are the gauge orbits on the one gauge-fixed slice
+    (`qdw.flat.GaugeSlice`, kept as `slice`), numbered in the slice's
+    enumeration order, and `representatives` holds the first slice
+    configuration of each.  `sector` moves a configuration onto the slice
+    with the slice's one-pass gauge fix and looks it up.
     """
 
     def __init__(self, lat: Lattice, group: FiniteGroup,
                  subgroups: Mapping[str, Subgroup]):
-        n = group.order
         if not is_cyclic_presentation(group):
             raise ValueError("logical analysis needs an explicitly cyclic "
                              "presentation (use build_group('cyclic:n'))")
-        self.lattice = lat
-        self.group = group
-        self.n = n
+        self.lattice, self.group, self.n = lat, group, group.order
         ne = lat.n_edges
-        allowed, domains, dangling = _gauge_domains(lat, group, subgroups)
-        self._allowed = [frozenset(a) for a in allowed]   # K on rim edges, G elsewhere
+        self.slice = sl = GaugeSlice(lat, group, subgroups)
+        self._allowed = [frozenset(a) for a in sl.allowed]   # K on rim edges, G elsewhere
         # each gauge move as a configuration; every one must be admissible
         moves: list[tuple[str, list[int]]] = []
         for v in range(lat.n_vertices):
-            for g in _generating_sequence(group, domains[v]):
+            for g in _generating_sequence(group, sl.domains[v]):
                 move = [0] * ne
-                self._relabel(move, v, g)
+                sl.relabel(move, v, g)
                 moves.append((f"creates unabsorbed charge at {lat.vertex_names[v]}", move))
-        for e, sub in dangling.items():
+        for e, sub in sl.dangling.items():
             for k in _generating_sequence(group, sub.elements):
                 moves.append((f"is not translation invariant on {lat.edge_names[e]}",
                               [k if j == e else 0 for j in range(ne)]))
         if any(self._fault(move) for _, move in moves):
             raise InvariantError("a gauge shift escapes the admissible kernel")
         self._moves = [(text, {e: x for e, x in enumerate(move) if x}) for text, move in moves]
-
-        roots, tree = _spanning_forest(lat, domains, dangling)
-        rows, inv = group.rows, group.inv
-        # per forest edge: (edge, child, the child label that moves each value
-        # to the least of its orbit, d x at a head child and x d^-1 at a tail)
-        tables: dict[tuple[tuple[int, ...], bool], list[int]] = {}
-        self._steps: list[tuple[int, int, list[int]]] = []
-        for ei, child, head in itertools.chain.from_iterable(tree):
-            dom = domains[child]
-            allowed[ei] = _transversal(group, allowed[ei], dom, head)
-            if (dom, head) not in tables:
-                tables[dom, head] = [min(dom, key=(lambda d: rows[d][x]) if head
-                                         else (lambda d: rows[x][inv[d]]))
-                                     for x in range(n)]
-            self._steps.append((ei, child, tables[dom, head]))
-        # per dangling edge: the least member of each value's double coset
-        self._least: list[tuple[int, list[int]]] = []
-        for e, sub in dangling.items():
-            cosets = double_cosets(sub, sub)
-            allowed[e] = tuple(dc.rep for dc in cosets)
-            least = [0] * n
-            for dc in cosets:
-                for m in dc.members:
-                    least[m] = dc.rep
-            self._least.append((e, least))
-        configs = _enumerate_flat_configs(lat, group, allowed)
-        if configs is None:
+        merged = sl.sectors()
+        if merged is None:
             raise ValueError("gauge-fixed slice enumeration over budget")
-        on_slice = dict.fromkeys(configs)   # in enumeration order
-        # the residual gauge: generators of each root's domain, then the fix
-        moves = [(r, g) for r in roots for g in _generating_sequence(group, domains[r])]
-
-        def neighbours(config: tuple[int, ...]):
-            for r, g in moves:
-                values = list(config)
-                self._relabel(values, r, g)
-                yield self._gauge_fix(values), None
-
-        self._sector: dict[tuple[int, ...], int] = {}
-        reps: list[tuple[int, ...]] = []
-        for config in on_slice:
-            if config in self._sector:
-                continue
-            for member, _, _ in _breadth_first([config], neighbours):
-                if member not in on_slice:
-                    raise InvariantError("residual gauge leaves the slice")
-                self._sector[member] = len(reps)
-            reps.append(config)
+        self._sector, reps = merged
         self.representatives: tuple[tuple[int, ...], ...] = tuple(reps)
         self.dimension = len(reps)
         self._moved: dict[tuple[int, ...], tuple[int, ...]] = {}   # shift -> permutation
@@ -191,28 +137,11 @@ class AbelianGroundSpace:
     def is_admissible(self, config: Sequence[int]) -> bool:
         return self._fault(self._registers(config)) is None
 
-    def _relabel(self, values: list[int], v: int, g: int) -> None:
-        """Gauge label g at vertex v, in place: x -> g x on the edges into v,
-        x -> x g^-1 on the edges out of it."""
-        rows, gi = self.group.rows, self.group.inv[g]
-        for e, at_head in self.lattice.star[v]:
-            values[e] = rows[g][values[e]] if at_head else rows[values[e]][gi]
-
-    def _gauge_fix(self, values: list[int]) -> tuple[int, ...]:
-        """The configuration moved onto the slice, up to the roots' gauge."""
-        for e, child, labels in self._steps:
-            g = labels[values[e]]
-            if g:
-                self._relabel(values, child, g)
-        for e, least in self._least:
-            values[e] = least[values[e]]
-        return tuple(values)
-
     def sector(self, config: Sequence[int]) -> int:
         """Index of the sector of an admissible configuration."""
         if not self.is_admissible(config):
             raise ValueError("configuration violates a face or rim constraint")
-        found = self._sector.get(self._gauge_fix(self._registers(config)))
+        found = self._sector.get(self.slice.gauge_fix(self._registers(config)))
         if found is None:
             raise InvariantError("gauge-fixed configuration is not on the slice")
         return found
@@ -607,6 +536,8 @@ def logical_algebra(ags: AbelianGroundSpace, tunnel: StringOperator,
     neighbouring basis states exactly one.
     """
     n = ags.n
+    if n < 2:
+        raise ValueError(f"a group of order {n} encodes no logical qudit (need order 2 or more)")
     if ags.dimension != n:
         raise ValueError(f"{ags.dimension} sectors are not one full qudit (need {n})")
     kappa = tunnel.commutation_exponent(loop)

@@ -266,6 +266,14 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {line}\n"
 
+    @pytest.mark.parametrize("command", ["logical", "charge-project"])
+    def test_one_state_code_is_refused(self, capsys, command):
+        # a group of order 1 once reached the winding normalization, where
+        # pow(0, -1, 1) is 0, and failed it as an invariant
+        assert main([command, "--group", "cyclic:1", "--lattice", "ring:3"]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("usage error: a group of order 1 encodes no "
+                                           "logical qudit (need order 2 or more)\n")
+
     def test_oversized_product_is_refused_before_its_table(self, capsys):
         # its 2304 x 2304 table would take seconds to build
         start = time.perf_counter()

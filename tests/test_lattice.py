@@ -38,15 +38,10 @@ from qdw.lattice import (
     ring,
     torus,
 )
-from qdw.flat import (
-    _enumerate_flat_configs,
-    _gauge_domains,
-    _spanning_forest,
-    _transversal,
-    elimination_order,
-)
-from qdw.geometry import place_values
-from qdw.gsd import _dense_projector, _gsd_counting, _projector_rank, ground_space_dimension
+from qdw.flat import GaugeSlice, elimination_order
+from qdw.geometry import _holonomy, place_values
+from qdw.gsd import (_dense_projector, _gsd_counting, _gsd_modular, _projector_rank,
+                     ground_space_dimension)
 from qdw.subgroups import enumerate_subgroups
 
 from matrices import apply, block_matrix, coefficients, to_matrix
@@ -267,29 +262,15 @@ def audit_cases():
     return cases
 
 
-def slice_allowed(lat, group, assign, gauge_fix=True):
-    """The register values the counting route's slice allows on each edge."""
-    allowed, domains, dangling = _gauge_domains(lat, group, assign)
-    allowed = [(0,) if e in dangling else a for e, a in enumerate(allowed)]
-    if gauge_fix:
-        for edges in _spanning_forest(lat, domains, dangling)[1]:
-            for ei, child, child_is_head in edges:
-                allowed[ei] = _transversal(group, allowed[ei], domains[child], child_is_head)
-    return allowed
-
-
 def pinned_edges(lat):
     """The edges the counting route's slice pins to one value, each region given Z2 itself."""
     subs = {reg.name: Z2.full_subgroup() for reg in lat.regions}
-    return [e for e, a in enumerate(slice_allowed(lat, Z2, subs)) if len(a) == 1]
+    return [e for e, a in enumerate(GaugeSlice(lat, Z2, subs).values) if len(a) == 1]
 
 
 def slice_branch_product(lat, group, assign, gauge_fix=True):
     """Configurations the counting route's enumeration branches over."""
-    allowed = slice_allowed(lat, group, assign, gauge_fix)
-    first = [e for e, a in enumerate(allowed) if len(a) == 1]
-    return prod(len(allowed[s.edge]) for s in elimination_order(lat, first)
-                if s.action == "branch")
+    return elimination_order(lat, GaugeSlice(lat, group, assign).walk_values(gauge_fix))[1]
 
 
 def two_squares_joined_by_dangling_edge():
@@ -619,10 +600,11 @@ class TestOperatorAlgebra:
                     cyc = cyc[shift:] + cyc[:shift]
                     want = Operator(n)
                     for prefix in itertools.product(range(n), repeat=len(cyc) - 1):
-                        partial = group.product([group.inv[x] if along else x
-                                                 for (_, along), x in zip(cyc, prefix)])
-                        last = group.mul(group.inv[partial], h)
-                        values = prefix + (group.inv[last] if cyc[-1][1] else last,)
+                        # the letters, walked from the base corner, multiply to h
+                        partial = group.product([x if along else group.inv[x]
+                                                 for (_, along), x in zip(cyc, prefix)][::-1])
+                        last = group.mul(h, group.inv[partial])
+                        values = prefix + (last if cyc[-1][1] else group.inv[last],)
                         want += Operator.monomial(n, Fraction(1), {
                             e: tuple(x if y == x else -1 for y in range(n))
                             for (e, _), x in zip(cyc, values)})
@@ -630,6 +612,25 @@ class TestOperatorAlgebra:
                     assert list(got.terms.items()) == list(want.terms.items()), \
                         (lat.kind, pi, h)
                     assert got.den == want.den == 1
+
+    @pytest.mark.parametrize("group", [S3, Q8], ids=["symmetric:3", "quaternion8"])
+    def test_flux_sector_term_selects_its_holonomy(self, group):
+        """B^h keeps exactly the configurations whose face holonomy, walked
+        from the base corner as `_holonomy` walks it, is h."""
+        lat = torus(2, 2)
+        for pi in (0, 3):
+            corners = lat.plaquette_base_vertices(pi)
+            for base in (corners[0], corners[1]):
+                shift = corners.index(base)
+                cyc = lat.plaquettes[pi][shift:] + lat.plaquettes[pi][:shift]
+                for h in range(group.order):
+                    op = flux_sector_term(lat, group, pi, h, base_vertex=base)
+                    assert len(op.terms) == group.order ** (len(cyc) - 1)
+                    for key in op.terms:
+                        registers = [0] * lat.n_edges
+                        for e, m in key:
+                            [registers[e]] = [x for x in range(group.order) if m[x] == x]
+                        assert _holonomy(group, cyc, registers) == h
 
     def test_flux_base_must_be_a_corner(self):
         lat = torus(2, 3)
@@ -1180,33 +1181,53 @@ class TestAuditPastOrderEight:
 
 # elimination order ---------------------------------------------------------
 
+def walk_domains(lat):
+    """Register values to walk over: Z2 on every edge, then the slice with
+    each region given Z2 itself, which pins some edges."""
+    subs = {reg.name: Z2.full_subgroup() for reg in lat.regions}
+    return [[(0, 1)] * lat.n_edges, GaugeSlice(lat, Z2, subs).values]
+
+
+def closed_faces(lat, levels):
+    """(solver faces, checked faces) of a walk, each face by index."""
+    index = {frozenset(e for e, _ in cyc): pi for pi, cyc in enumerate(lat.plaquettes)}
+    face = lambda walk, *edges: index[frozenset([e for e, _ in walk] + list(edges))]
+    solves = [step for level in levels for step in level[3]]
+    checks = [walk for level in levels for walk in level[2]]
+    checks += [walk for step in solves for walk in step[4]]
+    return [face(walk, e) for e, walk, *_ in solves], [face(walk) for walk in checks]
+
+
 class TestEliminationOrder:
     @pytest.mark.parametrize("lat", [torus(2, 2), torus(3, 2), patch(2, 3),
                                      ring(4), two_hole_lattice()])
     def test_each_edge_assigned_once(self, lat):
-        for first in ([], pinned_edges(lat)):
-            steps = elimination_order(lat, first)
-            assert [s.edge for s in steps[:len(first)]] == first
-            assert all(s.action == "branch" for s in steps[:len(first)])
-            assert sorted(s.edge for s in steps) == list(range(lat.n_edges))
+        for allowed in walk_domains(lat):
+            levels, branches = elimination_order(lat, allowed)
+            pinned = [e for e, a in enumerate(allowed) if len(a) == 1]
+            assert [level[0] for level in levels[:len(pinned)]] == pinned
+            edges = [e for level in levels for e in [level[0]] + [s[0] for s in level[3]]]
+            assert sorted(edges) == list(range(lat.n_edges))
+            assert all(level[1] == tuple(sorted(allowed[level[0]])) for level in levels)
+            assert branches == prod(len(level[1]) for level in levels)
 
     @pytest.mark.parametrize("lat", [torus(2, 2), patch(2, 3), ring(4),
                                      two_hole_lattice()])
     def test_faces_solve_or_check(self, lat):
-        for first in ([], pinned_edges(lat)):
-            steps = elimination_order(lat, first)
-            solvers = [s.plaquette for s in steps if s.action == "solve"]
-            checkers = [p for s in steps for p in s.checkers]
+        for allowed in walk_domains(lat):
+            solvers, checkers = closed_faces(lat, elimination_order(lat, allowed)[0])
             assert sorted(solvers + checkers) == list(range(lat.n_plaquettes))
 
     def test_torus_has_one_redundant_face(self):
         # on a closed surface the face constraints have one relation
-        steps = elimination_order(torus(2, 2))
-        assert sum(len(s.checkers) for s in steps) == 1
+        lat = torus(2, 2)
+        levels, _ = elimination_order(lat, [(0, 1)] * lat.n_edges)
+        assert len(closed_faces(lat, levels)[1]) == 1
 
     def test_disk_faces_all_solve(self):
-        steps = elimination_order(patch(2, 3))
-        assert sum(len(s.checkers) for s in steps) == 0
+        lat = patch(2, 3)
+        levels, _ = elimination_order(lat, [(0, 1)] * lat.n_edges)
+        assert closed_faces(lat, levels)[1] == []
 
 
 # ground-state counting -----------------------------------------------------
@@ -1424,17 +1445,51 @@ class TestGroundStateCounts:
             lat = carve_hole(lat, [face], f"hole{i}")
         subs = enumerate_subgroups(g)
         assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
-        allowed, domains, dangling = _gauge_domains(lat, g, assign)
-        for edges in _spanning_forest(lat, domains, dangling)[1]:
-            for ei, child, child_is_head in edges:
-                reps = set(_transversal(g, allowed[ei], domains[child], child_is_head))
-                orbits = {frozenset(g.mul(d, x) if child_is_head else g.mul(x, d)
-                                    for d in domains[child]) for x in allowed[ei]}
-                assert set().union(*orbits) == set(allowed[ei])
-                assert all(len(orbit & reps) == 1 for orbit in orbits)
-                assert reps <= set(allowed[ei])
+        sl = GaugeSlice(lat, g, assign)
+        for ei, child, labels in sl.fixes:
+            head = lat.edges[ei][1] == child
+            reps = set(sl.values[ei])
+            orbits = {frozenset(g.mul(d, x) if head else g.mul(x, d)
+                                for d in sl.domains[child]) for x in sl.allowed[ei]}
+            assert set().union(*orbits) == set(sl.allowed[ei])
+            assert all(len(orbit & reps) == 1 for orbit in orbits)
+            assert reps <= set(sl.allowed[ei])
+            # the label moves each value to its orbit's representative
+            for x in sl.allowed[ei]:
+                d = labels[x]
+                assert d in sl.domains[child]
+                assert (g.mul(d, x) if head else g.mul(x, g.inv[d])) in reps
         rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
         assert rep.by_method["counting"] == rep.by_method["modular"]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_slice_merge_counts_the_ground_states(self, data):
+        """The slice's sector merge reads only the multiplication table, so
+        its orbit count is every route's ground-state count for any G."""
+        g = data.draw(st.sampled_from([Z2, Z3, S3, Q8, build_group("dihedral:4")]))
+        kind = data.draw(st.sampled_from(["torus", "patch", "ring", "hole", "dangling"]))
+        if kind == "torus":
+            lat = torus(data.draw(st.integers(2, 3)), 2)
+        elif kind == "patch":
+            lat = patch(data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)))
+        elif kind == "ring":
+            lat = ring(3)
+        elif kind == "hole":
+            holes = data.draw(st.integers(1, 2))
+            lat = patch(3, 3 if holes == 1 else 5)
+            for i, face in enumerate(["p(1,1)", "p(1,3)"][:holes]):
+                lat = carve_hole(lat, [face], f"hole{i}")
+        else:
+            lat = data.draw(st.sampled_from([dangling_lattice(),
+                                             two_squares_joined_by_dangling_edge()]))
+        subs = enumerate_subgroups(g)
+        assign = {reg.name: data.draw(st.sampled_from(subs)) for reg in lat.regions}
+        _, reps = GaugeSlice(lat, g, assign).sectors()
+        assert len(reps) == _gsd_counting(lat, g, assign)
+        if slice_branch_product(lat, g, assign, gauge_fix=False) <= 20_000:
+            assert len(reps) == _gsd_counting(lat, g, assign, gauge_fix=False)
+        assert _gsd_modular(lat, g, assign) in (None, len(reps))
 
     @pytest.mark.parametrize("k", [3, 2])
     def test_c6_rims_entered_from_the_bulk_are_pinned(self, k):
@@ -1444,7 +1499,7 @@ class TestGroundStateCounts:
         lat = carve_hole(carve_hole(patch(5, 8), ["p(1,1)"], "hole0"), ["p(1,4)"], "hole1")
         sub = next(s for s in enumerate_subgroups(g) if s.order == k)
         assign = {reg.name: sub for reg in lat.regions}
-        assert sum(1 for _ in _enumerate_flat_configs(lat, g, slice_allowed(lat, g, assign))) <= 36
+        assert sum(1 for _ in GaugeSlice(lat, g, assign).configs()) <= 36
         rep = ground_space_dimension(lat, g, assign, methods=("counting", "modular"))
         assert rep.by_method == {"counting": 36, "modular": 36}
 

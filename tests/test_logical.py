@@ -1121,7 +1121,7 @@ class TestTunnelPaths:
 
 def full_width_space(lat, group, subs):
     """AbelianGroundSpace on a forest rooted at each tree's largest gauge domain."""
-    real = qdw.logical._spanning_forest
+    real = qdw.flat._spanning_forest
 
     def widest(lat, domains, dangling):
         # the forest ranks roots by domain size alone, so inverted sizes
@@ -1129,7 +1129,7 @@ def full_width_space(lat, group, subs):
         return real(lat, [(0,) * (group.order + 1 - len(d)) for d in domains], dangling)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qdw.logical, "_spanning_forest", widest)
+        mp.setattr(qdw.flat, "_spanning_forest", widest)
         return AbelianGroundSpace(lat, group, subs)
 
 
