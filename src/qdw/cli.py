@@ -375,14 +375,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         report, flat = run(cfg)
         text = render(report, flat)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvariantError as exc:
         names = ", ".join(COMMAND_TABLE[cfg.command].validators) or cfg.command
         print(f"invariant failure [{names}]: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except ValueError as exc:   # a UsageError too
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if cfg.out:

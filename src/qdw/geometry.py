@@ -3,11 +3,12 @@
 A `Lattice` is vertices, directed edges and oriented faces, plus the
 boundary regions (rim vertices, rim edges and dangling edges) where a
 gapped boundary condition sits.  `torus`, `patch` and `ring` build the
-square lattices the commands take, `carve_hole` cuts a disk of faces out
-of a patch as one more boundary region, and `place_values` weights each
-edge register in the index of a configuration.  `_holonomy` is the one
-face-holonomy convention: the flux terms (`qdw.lattice`) and the flat
-connections (`qdw.flat`) both read it.
+square lattices the commands take, and `carve_hole` cuts a disk of faces
+out of a patch as one more boundary region.  A configuration of a set of
+edges is the tuple of their register values, in edge order; no module
+packs it into one index.  `_holonomy` is the one face-holonomy
+convention: the flux terms (`qdw.lattice`) and the flat connections
+(`qdw.flat`) both read it.
 
 The flat connections on a lattice, up to gauge, are enumerated in
 `qdw.flat`, which the ground-state routes and the logical layer import;
@@ -16,8 +17,8 @@ module.  The lattice specs of the command line (`parse_lattice`, and
 `resolve_region_subgroups` for the boundary subgroup of each region)
 are parsed here; past `groups`, which reads the subgroup specs, this
 module imports no other layer at run time.  `lattice-audit`, `logical`,
-`charge-project` and every `gsd` route, the dense one included, index
-configurations by `place_values` and run on Python integers.
+`charge-project` and every `gsd` route, the dense one included, hold
+configurations as such tuples and run on Python integers.
 """
 
 from __future__ import annotations
@@ -39,19 +40,12 @@ __all__ = [
     "patch",
     "ring",
     "carve_hole",
-    "place_values",
     "parse_lattice",
     "resolve_region_subgroups",
 ]
 
 MATERIALIZE_DIM_BUDGET = 20_000   # largest state space enumerated in full
 MAX_LATTICE_EDGES = 10_000        # largest torus, patch or ring built
-
-
-def place_values(n: int, k: int) -> list[int]:
-    """The weight n^(k-1-i) of register i in a configuration index of k n-valued
-    registers: configuration c holds value c // w % n in the register of weight w."""
-    return [n ** (k - 1 - i) for i in range(k)]
 
 
 def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]],

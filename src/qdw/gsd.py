@@ -9,10 +9,14 @@ lattice's configurations, on any connected surface whose boundary
 circles are its regions.  Dense reads only the Hamiltonian terms: it
 takes the trace of the projector built on the support of the diagonal
 terms, and raises when a term maps that support outside itself, which
-commuting projectors never do.  Trace is the counting route with its
-gauge fix switched off, the Burnside sum over every flat configuration
-of the edges that are not dangling, each dangling edge still on its
-representatives: a reference route that runs only when named.
+commuting projectors never do.  Its configurations are tuples of every
+edge's register value, and it reads each term's expansion by the
+(row, column) tuples of the term's own edges, substituting a row's
+values into a configuration to find the image.  Trace is the counting
+route with its gauge fix switched off, the Burnside sum over every flat
+configuration of the edges that are not dangling, each dangling edge
+still on its representatives: a reference route that runs only when
+named.
 
 The modular route imports the sector table and condensates
 (`qdw.sectors`), not the rest of the census, and the dense route the
@@ -25,15 +29,12 @@ denominators, decided by exact division.
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 from math import prod
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from qdw.flat import GaugeSlice
-from qdw.geometry import (MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment,
-                          place_values)
+from qdw.geometry import MATERIALIZE_DIM_BUDGET, Lattice, _lattice_context, _region_assignment
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Ratio, Record
 
@@ -208,32 +209,26 @@ def _gsd_modular(lat: Lattice, group: FiniteGroup,
 # route 3: the trace of the explicit projector, on Python integers
 
 
-def _reader(n: int, own: Sequence[int]):
-    """(read, keys) for the edges `own`: `read` takes a configuration's edge
-    values to a key, and keys[c] is the key of the configuration of `own`
-    with index c (`place_values` order)."""
-    keys = range(n) if len(own) == 1 else list(itertools.product(range(n), repeat=len(own)))
-    return (itemgetter(*own) if own else lambda values: ()), keys
-
-
 def _dense_projector(lat: Lattice, group: FiniteGroup,
                      subgroups: Mapping[str, Subgroup],
                      terms: Optional[Sequence[HamiltonianTerm]] = None):
     """The ground projector's S x S block in exact integers, or None when the
     configurations or the block are over budget.
 
-    Returns (support, diagonal, columns, den).  S (`support`, ascending)
-    lists the configurations, indexed by `place_values`, where the product
-    D of the diagonal terms is nonzero, and `diagonal` holds D's
-    numerators there.  It is found by a depth-first walk over edge values
-    that reads each diagonal term from its expansion as soon as the term's
-    last edge is set, and prunes the branch where the term vanishes.  Each
-    off-diagonal term M, in order, becomes one column map on S read from
-    its expansion: columns[t][i] lists (j, numerator) for each nonzero
-    M[S_j, S_i].  The block is P_S = M_k ... M_1 diag(diagonal) / den,
-    with den the product of every term's denominator.  Commuting
-    projectors keep S invariant, so the projector vanishes outside the
-    block; a term that maps S outside S raises.
+    Returns (support, diagonal, columns, den).  S (`support`, sorted)
+    lists the configurations, as tuples of every edge's register value,
+    where the product D of the diagonal terms is nonzero, and `diagonal`
+    holds D's numerators there.  It is found by a depth-first walk over
+    edge values that reads each diagonal term from its diagonal values
+    (`Operator.diagonal`) as soon as the term's last edge is set, and
+    prunes the branch where the term vanishes.  Each off-diagonal term M,
+    in order, becomes one column map on S read from its expansion:
+    columns[t][i] lists (j, numerator) for each nonzero M[S_j, S_i], S_j
+    being S_i with M's row values put on M's edges.  The block is
+    P_S = M_k ... M_1 diag(diagonal) / den, with den the product of every
+    term's denominator.  Commuting projectors keep S invariant, so the
+    projector vanishes outside the block; a term that maps S outside S
+    raises.
     """
     n, n_edges = group.order, lat.n_edges
     if n ** n_edges > MATERIALIZE_DIM_BUDGET:
@@ -242,45 +237,41 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
         from qdw.lattice import build_terms
 
         terms = build_terms(lat, group, subgroups)
-    weights = place_values(n, n_edges)
     den, scale = 1, 1
     # per edge, the diagonal terms whose last edge it is, each as its
-    # reader and its nonzero diagonal numerators by the reader's key
+    # edges and its nonzero diagonal numerators by configuration
     checks: list[list[tuple]] = [[] for _ in range(n_edges)]
     for t in terms:
         if t.diagonal:
-            table, d, own = t.op._expansion()
-            den *= d
-            if not own:
-                scale *= table.get(0, 0)
-                continue
-            read, keys = _reader(n, own)
-            step = len(keys) + 1
-            checks[own[-1]].append((read, {keys[c // step]: v for c, v in table.items()}))
-    support, diagonal, configs = [], [], []
+            values, own = t.op.diagonal()
+            den *= t.op.den
+            if own:
+                checks[own[-1]].append((own, values))
+            else:
+                scale *= values.get((), 0)
+    support, diagonal = [], []
     digits = [0] * n_edges
-    # (number of edges set, their index, D's numerator on them); each value
-    # is checked before it is pushed, in reverse, so the support comes out
-    # ascending
+    # (number of edges set, the last one's value, D's numerator on them);
+    # each value is checked before it is pushed, in reverse, so the
+    # support comes out sorted
     stack = [(0, 0, scale)] if scale else []
     while stack:
-        e, c, w = stack.pop()
+        e, x, w = stack.pop()
         if e:
-            digits[e - 1] = c % n
+            digits[e - 1] = x
         if e == n_edges:
-            support.append(c)
+            support.append(tuple(digits))
             diagonal.append(w)
-            configs.append(tuple(digits))
             continue
         for x in range(n - 1, -1, -1):
             digits[e] = x
             v = w
-            for read, values in checks[e]:
-                v *= values.get(read(digits), 0)
+            for own, values in checks[e]:
+                v *= values.get(tuple(map(digits.__getitem__, own)), 0)
                 if not v:
                     break
             if v:
-                stack.append((e + 1, c * n + x, v))
+                stack.append((e + 1, x, v))
     if len(support) ** 2 > 40_000_000:
         return None
     index = {s: i for i, s in enumerate(support)}
@@ -290,21 +281,18 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
             continue
         table, d, own = t.op._expansion()
         den *= d
-        read, keys = _reader(n, own)
-        size = len(keys)
-        places = list(zip([weights[f] for f in own], place_values(n, len(own))))
-        # each column of the term's own matrix: (shift of the whole
-        # configuration index, numerator) per nonzero entry
-        shifts: dict = {}
-        for key, v in table.items():
-            r, c = divmod(key, size)
-            shift = sum((r // p % n - c // p % n) * w for w, p in places)
-            shifts.setdefault(keys[c], []).append((shift, v))
+        # each column of the term's own matrix: its (row, numerator) entries
+        rows: dict = {}
+        for (r, c), v in table.items():
+            rows.setdefault(c, []).append((r, v))
         cols = []
-        for s, config in zip(support, configs):
+        for config in support:
             col = []
-            for shift, v in shifts.get(read(config), ()):
-                j = index.get(s + shift)
+            for r, v in rows.get(tuple(map(config.__getitem__, own)), ()):
+                image = list(config)
+                for e, x in zip(own, r):
+                    image[e] = x
+                j = index.get(tuple(image))
                 if j is None:
                     raise InvariantError(f"{t.name} maps a configuration out of the support")
                 col.append((j, v))

@@ -7,12 +7,15 @@ partial map of the register to each touched edge.  Products, adjoints,
 and commutators are therefore exact; the audit reports exact zeros, not
 small numbers.  Every exact test reads one expansion of an
 operator over the configurations of its support (`Operator._expansion`):
-its nonzero matrix entries, as Python-int numerators over one common
-denominator, budgeted only by their number.  It decides `is_zero`; and
-for a term flagged diagonal, one expansion decides the flag, hermiticity
-and idempotence, and feeds the pre-test.  For each pair of a diagonal
-and a non-diagonal term, the audit first tries an exact permutation
-pre-test on the diagonal term's expansion, and falls back to expanding
+its nonzero matrix entries, each keyed by its (row, column) pair of
+configurations, a configuration being the tuple of the support's
+register values, as Python-int numerators over one common denominator,
+budgeted only by their number.  It decides `is_zero`; and for a term
+flagged diagonal, one expansion read by `Operator.diagonal` decides the
+flag, hermiticity and idempotence, and feeds the pre-test.  For each
+pair of a diagonal and a non-diagonal term, the audit first tries an
+exact permutation pre-test on the diagonal term's values, which maps
+each configuration register by register, and falls back to expanding
 the commutator when the pre-test does not pass; a failing pair's
 Frobenius norm is read from that expansion.
 
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm, prod, sqrt
+from operator import getitem
 from typing import Iterable, Mapping, Optional, Sequence
 
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
                           _holonomy, _lattice_context, _region_assignment, carve_hole, patch,
-                          place_values, ring, torus)
+                          ring, torus)
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _breadth_first
 from qdw.records import Ratio, Record
 
@@ -232,13 +236,12 @@ class Operator:
     def commutator(self, other: "Operator") -> "Operator":
         return (self * other) - (other * self)
 
-    def _expansion(self) -> tuple[dict[int, int], int, tuple[int, ...]]:
+    def _expansion(self) -> tuple[dict[tuple, int], int, tuple[int, ...]]:
         """Exact nonzero matrix entries over the configurations of `support`.
 
-        Returns (numerators, den, support).  With the k registers of
-        support weighted by `place_values` (N = n^k configurations), the
-        entry in row r and column c is numerators.get(r * N + c, 0) / den,
-        so the diagonal entry of configuration c sits at key c * (N + 1).
+        Returns (numerators, den, support).  A configuration is the tuple
+        of register values of the support's edges, in support order, and
+        the entry in row r and column c is numerators.get((r, c), 0) / den.
         den is the operator's own `den`, the least common multiple of the
         coefficient denominators; only nonzero numerators are stored, as
         Python ints.  Matrix units are linearly independent, so this is a
@@ -250,28 +253,42 @@ class Operator:
         monomials for it again.
         """
         support = self.support
-        n, k = self.n, len(support)
         pos = {e: i for i, e in enumerate(support)}
-        places = place_values(n, k)
-        size = n ** k
-        # each register's share of the key: value x in the column and m[x]
-        # in the row, or x in both on an edge the monomial leaves alone
-        alone = [[x * w * (size + 1) for x in range(n)] for w in places]
+        alone = range(self.n)
+        # per monomial, each register's row values and column values, in
+        # step: a register the monomial leaves alone keeps every value.
+        # Monomials share their maps, so each map is split once.
+        split: dict[tuple, tuple] = {}
         hits = []
         for key in self.terms:
-            hit = list(alone)
+            rows, cols = [alone] * len(support), [alone] * len(support)
             for e, m in key:
-                w = places[pos[e]]
-                hit[pos[e]] = [(y * size + x) * w for x, y in enumerate(m) if y >= 0]
-            hits.append(hit)
-        entries = sum(prod(map(len, hit)) for hit in hits)
+                if m not in split:
+                    split[m] = [y for y in m if y >= 0], [x for x, y in enumerate(m) if y >= 0]
+                rows[pos[e]], cols[pos[e]] = split[m]
+            hits.append((rows, cols))
+        entries = sum(prod(map(len, cols)) for _, cols in hits)
         if entries > 5_000_000:
             raise ValueError(f"expansion of {entries} entries over budget")
-        table: dict[int, int] = {}
-        for hit, num in zip(hits, self.terms.values()):
-            for c in map(sum, itertools.product(*hit)):
-                table[c] = table.get(c, 0) + num
-        return {c: v for c, v in table.items() if v}, self.den, support
+        table: dict[tuple, int] = {}
+        for (rows, cols), num in zip(hits, self.terms.values()):
+            # both products walk the registers' values in the same order
+            for rc in zip(itertools.product(*rows), itertools.product(*cols)):
+                table[rc] = table.get(rc, 0) + num
+        return {rc: v for rc, v in table.items() if v}, self.den, support
+
+    def diagonal(self) -> Optional[tuple[dict[tuple, int], tuple[int, ...]]]:
+        """(values, support) when the operator's matrix is diagonal, else None.
+
+        values maps each configuration of `support` whose diagonal entry is
+        nonzero to that entry's numerator over `den`.  Diagonal is a fact
+        about the matrix, read off `_expansion`, not about how the
+        monomials are written.
+        """
+        table, _, support = self._expansion()
+        if any(r != c for r, c in table):
+            return None
+        return {c: v for (_, c), v in table.items()}, support
 
     def is_zero(self) -> bool:
         """Exact zero test: syntactic cancellation, then the expansion."""
@@ -301,8 +318,7 @@ class Operator:
         operator must be hermitian with op*op - op == 0.
         """
         if self.is_diagonal():
-            table, den, _ = self._expansion()
-            return all(v == den for v in table.values())
+            return all(v == self.den for v in self.diagonal()[0].values())
         return self.is_hermitian() and ((self * self) - self).is_zero()
 
 
@@ -495,17 +511,17 @@ class AuditReport(Record):
         return out
 
 
-def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int],
+def _commutes_by_permutation(values: Mapping[tuple, int], edges: Sequence[int],
                              other: Operator) -> bool:
     """Sufficient test that a diagonal operator D commutes with `other`.
 
-    `numerators` is D's expansion over `edges` (D's support), as returned
-    by `Operator._expansion`: the diagonal entry of configuration c is
-    keyed c * (N + 1), N = n^|edges|.  The test passes when every monomial
-    U of `other` is total on `edges` and D's diagonal is invariant under
-    the configuration map U induces there: then D U = U D column by
-    column, so D commutes with every monomial and with their sum.  False
-    means "not shown", not "does not commute".
+    `values` is D's diagonal over `edges` (D's support), as returned by
+    `Operator.diagonal`: each nonzero configuration with its numerator.
+    The test passes when every monomial U of `other` is total on `edges`
+    and D's diagonal is invariant under the configuration map U induces
+    there: then D U = U D column by column, so D commutes with every
+    monomial and with their sum.  False means "not shown", not "does not
+    commute".
 
     Invariance is checked on the nonzero configurations alone, as
     D[U c] == D[c] for each stored c.  That is enough: U is injective and
@@ -521,11 +537,9 @@ def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int]
     such map at least doubles, so a gauge term over G walks them at
     most log2 |G| + 1 times, not |G|.
     """
-    n, k = other.n, len(edges)
+    n = other.n
     pos = {e: i for i, e in enumerate(edges)}
-    places = place_values(n, k)
-    diagonal_step = n ** k + 1
-    identity = (tuple(range(n)),) * k
+    identity = (tuple(range(n)),) * len(edges)
     shown, closure = [], {identity}
     for key in other.terms:
         # the map U has on `edges`, one register map per edge
@@ -539,12 +553,9 @@ def _commutes_by_permutation(numerators: Mapping[int, int], edges: Sequence[int]
         u = tuple(u)
         if u in closure:
             continue
-        # (weight, key shift per register value) for each register U moves;
-        # key // weight % n reads the register's value in the column
-        shifts = [(w, [(y - x) * w * diagonal_step for x, y in enumerate(m)])
-                  for w, m, m0 in zip(places, u, identity) if m != m0]
-        for c, v in numerators.items():
-            if numerators.get(c + sum(d[c // w % n] for w, d in shifts)) != v:
+        for c, v in values.items():
+            # the image of c: each register's value sent through its map
+            if values.get(tuple(map(getitem, u, c))) != v:
                 return False
         shown.append(u)
         closure = {x for x, _, _ in _breadth_first(
@@ -561,15 +572,15 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     in `skipped_pairs`.
 
     Each term is decided once.  A term flagged diagonal is decided from
-    one expansion (`Operator._expansion`) over its support: the flag holds
-    when every stored entry lies on the diagonal, which is a fact about
-    the matrix, not about how its monomials are written; a real diagonal
+    its diagonal (`Operator.diagonal`, one expansion over its support):
+    the flag holds when the matrix is diagonal, which is a fact about the
+    matrix, not about how its monomials are written; a real diagonal
     matrix is hermitian; and it is a projector when every nonzero entry
     is 1.  Any other term must not be diagonal monomial by monomial, and
     its hermiticity and op*op - op == 0 are tested exactly.
     For an overlapping pair with one diagonal term D, the exact
     permutation pre-test `_commutes_by_permutation` runs first on D's
-    expansion and support; when it does not pass, the commutator C is
+    diagonal and support; when it does not pass, the commutator C is
     expanded as for every other pair.  Both routes record the pair as
     checked.  A failing pair's residual Frobenius norm over the union of
     the two terms' edges is read from C's expansion: n^(|union| -
@@ -578,13 +589,12 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     count.
     """
     term_checks = []
-    expansions: dict[int, tuple[dict[int, int], tuple[int, ...]]] = {}
+    diagonals: dict[int, tuple[dict[tuple, int], tuple[int, ...]]] = {}
     for i, t in enumerate(terms):
         op = t.op
         if t.diagonal:
-            table, den, support = op._expansion()
-            diagonal_step = op.n ** len(support) + 1
-            diagonal = all(c % diagonal_step == 0 for c in table)
+            diagonals[i] = op.diagonal()
+            diagonal = diagonals[i] is not None
         else:
             diagonal = op.is_diagonal()
         if t.diagonal != diagonal:
@@ -593,8 +603,8 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
             raise InvariantError(
                 f"term {t.name} is flagged {flag}, but its operator is {actual}")
         if t.diagonal:
-            term_checks.append(TermCheck(t.name, all(v == den for v in table.values()), True))
-            expansions[i] = table, support
+            values = diagonals[i][0].values()
+            term_checks.append(TermCheck(t.name, all(v == op.den for v in values), True))
         else:
             hermitian = op.is_hermitian()
             projector = hermitian and ((op * op) - op).is_zero()
@@ -612,7 +622,7 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
                 continue
             if ti.diagonal or tj.diagonal:
                 d, other = (i, tj) if ti.diagonal else (j, ti)
-                if _commutes_by_permutation(*expansions[d], other.op):
+                if _commutes_by_permutation(*diagonals[d], other.op):
                     pair_checks.append(PairCheck(ti.name, tj.name, True))
                     continue
             comm = ti.op.commutator(tj.op)

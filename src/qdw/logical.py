@@ -161,8 +161,8 @@ class AbelianGroundSpace:
         """The admissible configurations of each sector, in sector order.
 
         They are the flat configurations with every rim value in its K,
-        enumerated in full (not on the slice) and taken in the order
-        `place_values` numbers them.  Only for lattices within
+        enumerated in full (not on the slice), each a tuple of every edge's
+        register value, in sorted order.  Only for lattices within
         `MATERIALIZE_DIM_BUDGET`.
         """
         if self.n ** self.lattice.n_edges > MATERIALIZE_DIM_BUDGET:

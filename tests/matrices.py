@@ -11,20 +11,26 @@ from fractions import Fraction
 import numpy as np
 
 from qdw.characters import character_table
-from qdw.geometry import MATERIALIZE_DIM_BUDGET, place_values
+from qdw.geometry import MATERIALIZE_DIM_BUDGET
 from qdw.groups import InvariantError
 from qdw.sectors import anyon_table
 
 TOL = 1e-9
 
 
+def register_weights(n, k):
+    """The weight n^(k-1-i) of register i in the row-major index of k n-valued
+    registers (register 0 slowest)."""
+    return [n ** (k - 1 - i) for i in range(k)]
+
+
 def config_digits(n, k):
     """Every configuration of k n-valued registers (row-major, register 0 slowest).
 
     Returns (digits, weights): digits[c] lists the register values of
-    configuration c, weights is `place_values(n, k)`, and c == digits[c] @ weights.
+    configuration c, weights is `register_weights(n, k)`, and c == digits[c] @ weights.
     """
-    weights = np.array(place_values(n, k), dtype=np.int64)
+    weights = np.array(register_weights(n, k), dtype=np.int64)
     digits = (np.arange(n ** k, dtype=np.int64)[:, None] // weights[None, :]) % n
     return digits, weights
 
@@ -85,6 +91,12 @@ def apply(op, edges, states):
     for rows, cols, coeff in monomial_entries(op, edges):
         out[rows] += float(coeff) * states[cols]
     return out
+
+
+def config_indices(configs, n):
+    """The row-major index (as in `config_digits`) of each configuration, a
+    tuple of register values, such as the support of a dense block."""
+    return [sum(x * w for x, w in zip(c, register_weights(n, len(c)))) for c in configs]
 
 
 def block_matrix(block):

@@ -41,6 +41,11 @@ TWELVE_HOLE_PATCH = json.dumps({
 GOLDEN = {
     "gsd --group cyclic:2 --lattice torus:2x2":
         (EXIT_OK, "7b35fc682c76a5a862a5ec76412aa6e16920b706f51d2717d9fc522f81297153"),
+    # the dense route on pinned rims: both regions of a ring, and a patch's one
+    "gsd --group cyclic:3 --lattice ring:3 --subgroup full --subgroup2 full":
+        (EXIT_OK, "24b93abf0ca7431009831a55738d0f0015870c45bb77a03d6593b28f3a34e82f"),
+    "gsd --group cyclic:2 --lattice patch:2x2 --subgroup full":
+        (EXIT_OK, "139b368b3b5c11c6b2fa19e163b569984ad7d19c7f0a1a8d580d4516dcb28f68"),
     # counting and modular agree; dense is over budget
     "gsd --group symmetric:3 --lattice torus:3x3":
         (EXIT_OK, "214ce20249ef80cf6e8c31040a6f30a85d95db7c9826362a46e4ac46989f3708"),

@@ -39,12 +39,12 @@ from qdw.lattice import (
     torus,
 )
 from qdw.flat import GaugeSlice, elimination_order
-from qdw.geometry import _holonomy, place_values
+from qdw.geometry import _holonomy
 from qdw.gsd import (_dense_projector, _gsd_counting, _gsd_modular, _projector_rank,
                      ground_space_dimension)
 from qdw.subgroups import enumerate_subgroups
 
-from matrices import apply, block_matrix, coefficients, to_matrix
+from matrices import apply, block_matrix, coefficients, config_indices, to_matrix
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
@@ -106,16 +106,12 @@ def reference_atoms(op):
 
 
 def expansion_atoms(op):
-    """`op._expansion()` decoded into the keys and Fractions of `reference_atoms`."""
+    """`op._expansion()` read into the keys and Fractions of `reference_atoms`."""
     table, den, support = op._expansion()
-    n, k = op.n, len(support)
-    size = n ** k
+    k = len(support)
     assert all(type(v) is int and v != 0 for v in table.values())
-    out = {}
-    for key, v in table.items():
-        row, col = divmod(key, size)
-        out[tuple((col // w % n, row // w % n) for w in place_values(n, k))] = Fraction(v, den)
-    return out
+    assert all(len(row) == len(col) == k for row, col in table)
+    return {tuple(zip(col, row)): Fraction(v, den) for (row, col), v in table.items()}
 
 
 def reference_norm(comm, n, union):
@@ -125,10 +121,15 @@ def reference_norm(comm, n, union):
 
 
 def numerator_values(op):
-    """Diagonal entries of `op._expansion()` as exact Fractions, by support configuration."""
+    """Diagonal entries of `op.diagonal()` as exact Fractions, by support
+    configuration; they must be the diagonal of `op._expansion()`."""
     atoms = expansion_atoms(op)
     assert all(x == y for combo in atoms for x, y in combo)
-    return {tuple(x for x, _ in combo): v for combo, v in atoms.items()}
+    values, support = op.diagonal()
+    assert support == op.support
+    out = {c: Fraction(v, op.den) for c, v in values.items()}
+    assert out == {tuple(x for x, _ in combo): v for combo, v in atoms.items()}
+    return out
 
 
 def loop_diagonal_values(op, edges):
@@ -846,20 +847,16 @@ def diagonal_operator(n, monomials):
     return out
 
 
-def plain_permutation_walk(numerators, edges, other):
+def plain_permutation_walk(values, edges, other):
     """`_commutes_by_permutation` without the closure: one walk per monomial."""
-    n, k = other.n, len(edges)
     pos = {e: i for i, e in enumerate(edges)}
-    size = n ** k
     for key in other.terms:
         maps = {pos[e]: m for e, m in key if e in pos}
         if any(min(m) < 0 for m in maps.values()):
             return False
-        for c, v in numerators.items():
-            digits = [c // (size + 1) // n ** (k - 1 - i) % n for i in range(k)]
-            image = sum(maps.get(i, range(n))[x] * n ** (k - 1 - i)
-                        for i, x in enumerate(digits))
-            if numerators.get(image * (size + 1)) != v:
+        for c, v in values.items():
+            image = tuple(maps.get(i, range(other.n))[x] for i, x in enumerate(c))
+            if values.get(image) != v:
                 return False
     return True
 
@@ -963,7 +960,7 @@ class TestDiagonalFastPath:
     @given(diagonal_and_shifts())
     def test_pre_test_is_sound(self, ops):
         diag, other = ops
-        table, _, support = diag._expansion()
+        table, support = diag.diagonal()
         if _commutes_by_permutation(table, support, other):
             assert diag.commutator(other).is_zero()
         assert diag.is_projector() == ((diag * diag) - diag).is_zero()
@@ -984,7 +981,7 @@ class TestDiagonalFastPath:
             terms = with_literal_edge(lat, group, subs, terms,
                                       data.draw(st.integers(0, lat.n_edges - 1)))
         for d in (t for t in terms if t.diagonal):
-            table, _, support = d.op._expansion()
+            table, support = d.op.diagonal()
             for other in terms:
                 if not other.diagonal and set(d.edges) & set(other.edges):
                     assert _commutes_by_permutation(table, support, other.op) == \
@@ -995,16 +992,16 @@ class TestDiagonalFastPath:
     def test_pre_test_closure_agrees_with_the_plain_walk_on_random_shifts(self, ops):
         # here some monomials of one operator keep the diagonal and others do not
         diag, other = ops
-        table, _, support = diag._expansion()
+        table, support = diag.diagonal()
         assert _commutes_by_permutation(table, support, other) == \
             plain_permutation_walk(table, support, other)
 
     def test_pre_test_refuses_a_partial_map(self):
-        # the map is undefined on register value 1 of edge 1; read as an
-        # index shift, that lands back on the one nonzero configuration
+        # the map is undefined on register value 1 of edge 1, the value the
+        # diagonal's one nonzero configuration holds there
         diag = diagonal_operator(2, [(Fraction(1), {0: {0}, 1: {1}})])
         other = Operator.monomial(2, Fraction(1), {0: (1, 0), 1: (1, -1)})
-        table, _, support = diag._expansion()
+        table, support = diag.diagonal()
         assert support == (0, 1)
         assert not _commutes_by_permutation(table, support, other)
         assert not diag.commutator(other).is_zero()
@@ -1568,13 +1565,16 @@ class TestDenseProjector:
         block = _dense_projector(lat, group, subs, terms)
         support, diagonal, columns, den = block
         assert support == sorted(set(support))
+        assert all(type(s) is tuple and len(s) == lat.n_edges for s in support)
         assert all(type(v) is int for v in diagonal) and type(den) is int
         assert all(type(j) is int and type(v) is int
                    for cols in columns for col in cols for j, v in col)
         rank = _projector_rank(block)
         assert rank == round(np.trace(ref)) == ground_space_dimension(
             lat, group, subs, methods=("counting",)).value
-        idx = np.ix_(support, support)
+        indices = config_indices(support, group.order)
+        assert indices == sorted(set(indices))
+        idx = np.ix_(indices, indices)
         assert np.abs(ref[idx] - block_matrix(block)).max() < 1e-12
         ref[idx] = 0.0
         assert not ref.any()

@@ -40,7 +40,7 @@ from qdw.logical import (
 from qdw.records import Ratio
 from qdw.subgroups import enumerate_subgroups
 
-from matrices import (apply_string, block_matrix, config_digits, constraint_rows,
+from matrices import (apply_string, block_matrix, config_digits, config_indices, constraint_rows,
                       first_failing_row, monomial_entries, orbit_state_matrix, s_matrix)
 
 
@@ -818,7 +818,7 @@ class TestDenseCrossChecks:
         q = orbit_state_matrix(ags, subs)
         assert np.abs(q.T @ q - np.eye(ags.dimension)).max() == 0.0
         block = _dense_projector(lat, g, subs)
-        support, proj = block[0], block_matrix(block)
+        support, proj = config_indices(block[0], n), block_matrix(block)
         assert np.abs(proj @ q[support] - q[support]).max() < 1e-12
         assert not np.delete(q, support, axis=0).any()
         qud = logical_algebra(ags, tunnel_operator(ags, "inner", "outer"),
