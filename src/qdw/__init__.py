@@ -22,7 +22,7 @@ _EXPORTS = {
                     "charge_string", "flux_string", "logical_action", "logical_algebra",
                     "loop_operator", "rim_loop", "tunnel_operator"),
     "qdw.sectors": ("anyon_table", "lagrangian_algebra"),
-    "qdw.subgroups": ("boundary_types", "enumerate_subgroups"),
+    "qdw.subgroups": ("boundary_types", "enumerate_automorphisms", "enumerate_subgroups"),
     "qdw.verify": ("check_names", "run_check", "verify_group"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -32,12 +32,24 @@ _SUBMODULES = ("characters", "classify", "cli", "flat", "formats", "geometry", "
 __all__ = sorted(_SOURCE) + ["__version__"]
 
 
-def __getattr__(name: str):
-    if name in _SOURCE:
+def _resolver(module: str):
+    """The `__getattr__` of a module that names are read off after they
+    moved out of it: a package export resolves through `_EXPORTS`, so
+    reading one imports its layer, and any other name raises."""
+    def __getattr__(name: str):
+        if name not in _SOURCE:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
         return getattr(importlib.import_module(_SOURCE[name]), name)
+    return __getattr__
+
+
+_resolve_export = _resolver(__name__)
+
+
+def __getattr__(name: str):
     if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve_export(name)
 
 
 def __dir__() -> list[str]:

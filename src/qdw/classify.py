@@ -21,6 +21,7 @@ from functools import cached_property
 from math import isqrt
 from typing import Optional, Sequence
 
+from qdw import _resolver
 from qdw.characters import character_table
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
                         build_group, double_cosets, parse_subgroup)
@@ -34,13 +35,8 @@ __all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra", "lagr
            "SymmetryAction", "symmetry_action"]
 
 
-def __getattr__(name: str):
-    # the benchmark's traced runs read `boundary_types` by this module's name
-    if name == "boundary_types":
-        from qdw.subgroups import boundary_types
-
-        return boundary_types
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# the benchmark's traced runs read `boundary_types` by this module's name
+__getattr__ = _resolver(__name__)
 
 
 # ---------------------------------------------------------------------------

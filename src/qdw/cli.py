@@ -17,8 +17,8 @@ locale lookups it loads, cost each run about 7 ms).  It takes a flag as
 the last of a repeated flag win, and words every refusal as the standard
 library's parser does, so scripts that match on those lines keep working.
 Package names read off this module (the benchmark's traced handlers read
-`cli.build_terms`, `cli.parse_lattice` and others) resolve through
-`__getattr__`, by the package's table of lazy exports (`qdw._EXPORTS`).
+`cli.build_terms`, `cli.parse_lattice` and others) resolve through the
+package's table of lazy exports (`qdw._EXPORTS`, by `qdw._resolver`).
 No handler imports this module, which under `python -m qdw.cli` is
 `__main__` and would be compiled a second time.  Run as a script, the
 process skips the collector's passes at exit (`gc.freeze` under
@@ -35,20 +35,16 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from qdw import _SOURCE
+from qdw import _resolver
 from qdw.groups import InvariantError, UsageError
 from qdw.records import FrozenRecord, Record
 
 __all__ = ["RunConfig", "Report", "main", "run"]
 
 
-def __getattr__(name: str):
-    """A package export read off this module, such as `cli.build_terms` in the
-    benchmark's traced handlers, resolves through the package's own table,
-    so reading one imports its layer."""
-    if name not in _SOURCE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_SOURCE[name]), name)
+# a package export read off this module, such as `cli.build_terms` in the
+# benchmark's traced handlers, imports its layer
+__getattr__ = _resolver(__name__)
 
 
 EXIT_OK = 0

@@ -14,8 +14,8 @@ numbers.  Character tables live in `qdw.characters`, and the subgroup
 lattice and the automorphisms in `qdw.subgroups`, which only the layers
 that read them import.  `character_table`, `enumerate_subgroups` and
 `enumerate_automorphisms` read off this module resolve there, through
-`__getattr__`, for callers that name them here (the benchmark's traced
-runs, `bench/tracing.py`).
+the package's table of exports (`qdw._resolver`), for callers that name
+them here (the benchmark's traced runs, `bench/tracing.py`).
 
 Supported presets: cyclic:n, dihedral:n, symmetric:n (n <= 4),
 quaternion8, and product:<spec>,<spec>.  Explicit tables up to order 48
@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 from math import cos, pi, sin, sqrt
 from typing import Iterable, Optional, Sequence
 
+from qdw import _resolver
 from qdw.records import FrozenRecord
 
 MAX_TABLE_ORDER = 48
@@ -48,16 +49,7 @@ __all__ = [
 ]
 
 # names that moved to the layers only some commands import
-_MOVED = {"character_table": "qdw.characters", "enumerate_subgroups": "qdw.subgroups",
-          "enumerate_automorphisms": "qdw.subgroups"}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        import importlib
-
-        return getattr(importlib.import_module(_MOVED[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _resolver(__name__)
 
 
 class InvariantError(RuntimeError):

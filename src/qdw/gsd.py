@@ -10,13 +10,14 @@ circles are its regions.  Dense reads only the Hamiltonian terms: it
 takes the trace of the projector built on the support of the diagonal
 terms, and raises when a term maps that support outside itself, which
 commuting projectors never do.  Its configurations are tuples of every
-edge's register value, and it reads each term's expansion by the
-(row, column) tuples of the term's own edges, substituting a row's
-values into a configuration to find the image.  Trace is the counting
-route with its gauge fix switched off, the Burnside sum over every flat
-configuration of the edges that are not dangling, each dangling edge
-still on its representatives: a reference route that runs only when
-named.
+edge's register value.  It reads each diagonal term's table
+(`lattice.DiagonalTable`) by the values on the term's own edges, and
+each other term's expansion by the (row, column) tuples of the term's
+own edges, substituting a row's values into a configuration to find the
+image.  Trace is the counting route with its gauge fix switched off, the
+Burnside sum over every flat configuration of the edges that are not
+dangling, each dangling edge still on its representatives: a reference
+route that runs only when named.
 
 The modular route imports the sector table and condensates
 (`qdw.sectors`), not the rest of the census, and the dense route the
@@ -219,9 +220,9 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
     lists the configurations, as tuples of every edge's register value,
     where the product D of the diagonal terms is nonzero, and `diagonal`
     holds D's numerators there.  It is found by a depth-first walk over
-    edge values that reads each diagonal term from its diagonal values
-    (`Operator.diagonal`) as soon as the term's last edge is set, and
-    prunes the branch where the term vanishes.  Each off-diagonal term M,
+    edge values that reads each diagonal term from its table
+    (`DiagonalTable`) as soon as the term's last edge is set, and prunes
+    the branch where the term vanishes.  Each off-diagonal term M,
     in order, becomes one column map on S read from its expansion:
     columns[t][i] lists (j, numerator) for each nonzero M[S_j, S_i], S_j
     being S_i with M's row values put on M's edges.  The block is
@@ -237,24 +238,20 @@ def _dense_projector(lat: Lattice, group: FiniteGroup,
         from qdw.lattice import build_terms
 
         terms = build_terms(lat, group, subgroups)
-    den, scale = 1, 1
+    den = 1
     # per edge, the diagonal terms whose last edge it is, each as its
-    # edges and its nonzero diagonal numerators by configuration
+    # edges and its nonzero numerators by configuration
     checks: list[list[tuple]] = [[] for _ in range(n_edges)]
     for t in terms:
         if t.diagonal:
-            values, own = t.op.diagonal()
             den *= t.op.den
-            if own:
-                checks[own[-1]].append((own, values))
-            else:
-                scale *= values.get((), 0)
+            checks[t.op.edges[-1]].append((t.op.edges, t.op.values))
     support, diagonal = [], []
     digits = [0] * n_edges
     # (number of edges set, the last one's value, D's numerator on them);
     # each value is checked before it is pushed, in reverse, so the
     # support comes out sorted
-    stack = [(0, 0, scale)] if scale else []
+    stack = [(0, 0, 1)]
     while stack:
         e, x, w = stack.pop()
         if e:

@@ -1,34 +1,36 @@
 """Exact operator algebra, Hamiltonian terms, and their audit.
 
-Edges carry one group-valued register each.  Every Hamiltonian term is a
-sum of monomials with rational coefficients, held as Python-int
-numerators over one denominator, where a monomial assigns an injective
-partial map of the register to each touched edge.  Products, adjoints,
-and commutators are therefore exact; the audit reports exact zeros, not
-small numbers.  Every exact test reads one expansion of an
-operator over the configurations of its support (`Operator._expansion`):
-its nonzero matrix entries, each keyed by its (row, column) pair of
-configurations, a configuration being the tuple of the support's
-register values, as Python-int numerators over one common denominator,
-budgeted only by their number.  It decides `is_zero`; and for a term
-flagged diagonal, one expansion read by `Operator.diagonal` decides the
-flag, hermiticity and idempotence, and feeds the pre-test.  For each
-pair of a diagonal and a non-diagonal term, the audit first tries an
-exact permutation pre-test on the diagonal term's values, which maps
-each configuration register by register, and falls back to expanding
-the commutator when the pre-test does not pass; a failing pair's
-Frobenius norm is read from that expansion.
+Edges carry one group-valued register each.  A diagonal term (a flux
+term B(f) or a rim pin T_K(e)) is held as its table (`DiagonalTable`):
+each configuration of its sorted edges, a tuple of register values,
+whose entry is nonzero, with that entry's Python-int numerator over one
+denominator.  Every other term is an `Operator`, a sum of monomials
+with rational coefficients, held as Python-int numerators over one
+denominator, where a monomial assigns an injective partial map of the
+register to each touched edge.  Products, adjoints, and commutators are
+therefore exact; the audit reports exact zeros, not small numbers.
+Every exact test of an `Operator` reads one expansion over the
+configurations of its support (`Operator._expansion`): its nonzero
+matrix entries, each keyed by its (row, column) pair of configurations,
+as Python-int numerators over one common denominator, budgeted only by
+their number.  A table is its own diagonal, so it decides a diagonal
+term's checks and feeds the pre-test as it stands.  For each pair of a
+diagonal and a non-diagonal term, the audit first tries an exact
+permutation pre-test on the table, which maps each configuration
+register by register; when the pre-test does not pass, the residual
+(D[r] - D[c]) M[r, c] is read from the table and the other term's
+expansion, and a failing pair's Frobenius norm from that residual.
 
 The geometry (`Lattice`, `torus`, `patch`, `ring`, `carve_hole`) lives in
 `qdw.geometry` and is re-exported here.  The ground-state routes live in
 `qdw.gsd`, which imports this module only where its dense route builds
 the terms; `ground_space_dimension` read off this module resolves there,
-through `__getattr__`, for callers that name it here (the benchmark's
-traced runs, `bench/tracing.py`).  The operators, the terms and the
-audit run on Python integers, and this module imports neither numpy nor
-`fractions`: no command builds a float matrix of an operator, and a
-failing pair's norm is one correctly rounded int / int division under
-the root.
+through the package's table of exports (`qdw._resolver`), for callers
+that name it here (the benchmark's traced runs, `bench/tracing.py`).
+The operators, the terms and the audit run on Python integers, and this
+module imports neither numpy nor `fractions`: no command builds a float
+matrix of an operator, and a failing pair's norm is one correctly
+rounded int / int division under the root.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from __future__ import annotations
 import itertools
 from math import gcd, lcm, prod, sqrt
 from operator import getitem
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from qdw import _resolver
 from qdw.geometry import (MATERIALIZE_DIM_BUDGET, MAX_LATTICE_EDGES, BoundaryRegion, Lattice,
                           _holonomy, _lattice_context, _region_assignment, carve_hole, patch,
                           ring, torus)
@@ -48,6 +51,7 @@ __all__ = [
     "MATERIALIZE_DIM_BUDGET",
     "MAX_LATTICE_EDGES",
     "Operator",
+    "DiagonalTable",
     "BoundaryRegion",
     "Lattice",
     "torus",
@@ -67,12 +71,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    if name == "ground_space_dimension":
-        from qdw.gsd import ground_space_dimension
-
-        return ground_space_dimension
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _resolver(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +88,8 @@ def _map_right_inv(group: FiniteGroup, g: int) -> tuple[int, ...]:
     return tuple(row[gi] for row in group.rows)
 
 
-def _map_indicator(n: int, allowed: Iterable[int]) -> tuple[int, ...]:
-    s = set(allowed)
-    return tuple(x if x in s else -1 for x in range(n))
-
-
-def _map_point(n: int, value: int) -> tuple[int, ...]:
-    return tuple(value if x == value else -1 for x in range(n))
-
-
 def _map_is_identity(m: tuple[int, ...]) -> bool:
     return all(v == i for i, v in enumerate(m))
-
-
-def _map_is_partial_identity(m: tuple[int, ...]) -> bool:
-    return all(v == i or v == -1 for i, v in enumerate(m))
 
 
 def _map_compose(m1: tuple[int, ...], m2: tuple[int, ...]) -> tuple[int, ...]:
@@ -277,19 +263,6 @@ class Operator:
                 table[rc] = table.get(rc, 0) + num
         return {rc: v for rc, v in table.items() if v}, self.den, support
 
-    def diagonal(self) -> Optional[tuple[dict[tuple, int], tuple[int, ...]]]:
-        """(values, support) when the operator's matrix is diagonal, else None.
-
-        values maps each configuration of `support` whose diagonal entry is
-        nonzero to that entry's numerator over `den`.  Diagonal is a fact
-        about the matrix, read off `_expansion`, not about how the
-        monomials are written.
-        """
-        table, _, support = self._expansion()
-        if any(r != c for r, c in table):
-            return None
-        return {c: v for (_, c), v in table.items()}, support
-
     def is_zero(self) -> bool:
         """Exact zero test: syntactic cancellation, then the expansion."""
         return not self.terms or not self._expansion()[0]
@@ -304,22 +277,27 @@ class Operator:
             edges.update(e for e, _ in key)
         return tuple(sorted(edges))
 
-    def is_diagonal(self) -> bool:
-        return all(_map_is_partial_identity(m) for key in self.terms for _, m in key)
-
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
 
     def is_projector(self) -> bool:
-        """Exact idempotence and self-adjointness.
-
-        A diagonal operator is real, hence hermitian, and is read off its
-        expansion: a projector when every nonzero entry is 1.  Any other
-        operator must be hermitian with op*op - op == 0.
-        """
-        if self.is_diagonal():
-            return all(v == self.den for v in self.diagonal()[0].values())
+        """Exact self-adjointness and idempotence: op*op - op == 0."""
         return self.is_hermitian() and ((self * self) - self).is_zero()
+
+
+class DiagonalTable(Record):
+    """A diagonal term as its table.
+
+    `values` maps each configuration of the sorted `edges` (a tuple of
+    their register values) whose diagonal entry is nonzero to that
+    entry's Python-int numerator over the one positive denominator `den`.
+    A real diagonal matrix is hermitian, and it is a projector exactly
+    when every stored numerator equals `den`.
+    """
+    _fields = __slots__ = ("edges", "values", "den")
+
+    def __init__(self, edges: tuple[int, ...], values: dict[tuple, int], den: int = 1):
+        super().__init__(edges, values, den)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +305,12 @@ class Operator:
 
 
 class HamiltonianTerm(Record):
-    """`kind` is gauge, flux, edge-pin, half-shift or literal."""
+    """`kind` is gauge, flux, edge-pin, half-shift or literal.  `diagonal`
+    says that `op` is a `DiagonalTable`, which the audit checks."""
     _fields = __slots__ = ("name", "kind", "op", "edges", "diagonal", "region")
 
-    def __init__(self, name: str, kind: str, op: Operator, edges: tuple[int, ...],
-                 diagonal: bool, region: Optional[str] = None):
+    def __init__(self, name: str, kind: str, op: Operator | DiagonalTable,
+                 edges: tuple[int, ...], diagonal: bool, region: Optional[str] = None):
         super().__init__(name, kind, op, edges, diagonal, region)
 
 
@@ -351,12 +330,14 @@ def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
 
 
 def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
-                     base_vertex: Optional[int] = None) -> Operator:
+                     base_vertex: Optional[int] = None) -> DiagonalTable:
     """Projector onto face holonomy h, read from the base corner.
 
     The holonomy is `_holonomy`'s, walked round the face from the base
     corner: the letter of an edge is its register value when the face
-    walks along it and the inverse when the face walks against it.
+    walks along it and the inverse when the face walks against it.  The
+    table holds one configuration per choice of every letter but the
+    last, which the holonomy solves for.
     """
     cyc = list(lat.plaquettes[pi])
     corners = lat.plaquette_base_vertices(pi)
@@ -366,36 +347,30 @@ def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
         raise ValueError("base vertex is not a corner of the face")
     shift = corners.index(base_vertex)
     cyc = cyc[shift:] + cyc[:shift]
-    n = group.order
-    if n == 1:      # the one point map is the identity
-        return Operator.identity(n)
-    points = [_map_point(n, x) for x in range(n)]
-    # a face repeats no edge, so each prefix gives its own monomial key,
-    # which lists the point maps by edge
+    # a face repeats no edge; each configuration lists the values by edge
     order = sorted(range(len(cyc)), key=lambda i: cyc[i][0])
     # the last letter is h times the inverse of the holonomy of the others
     head, along_last = cyc[:-1], cyc[-1][1]
     registers = [0] * lat.n_edges
-    terms = {}
-    for prefix in itertools.product(range(n), repeat=len(head)):
+    values = {}
+    for prefix in itertools.product(range(group.order), repeat=len(head)):
         for (e, _), x in zip(head, prefix):
             registers[e] = x
         letter = group.mul(h, group.inv[_holonomy(group, head, registers)])
-        values = prefix + (letter if along_last else group.inv[letter],)
-        terms[tuple((cyc[i][0], points[values[i]]) for i in order)] = 1
-    return Operator(n, terms)
+        walked = prefix + (letter if along_last else group.inv[letter],)
+        values[tuple(walked[i] for i in order)] = 1
+    return DiagonalTable(tuple(cyc[i][0] for i in order), values)
 
 
-def flux_term(lat: Lattice, group: FiniteGroup, pi: int) -> Operator:
+def flux_term(lat: Lattice, group: FiniteGroup, pi: int) -> DiagonalTable:
     """Projector onto trivial face holonomy (base-independent)."""
     return flux_sector_term(lat, group, pi, 0)
 
 
 def boundary_edge_term(lat: Lattice, group: FiniteGroup, edge: int,
-                       sub: Subgroup) -> Operator:
+                       sub: Subgroup) -> DiagonalTable:
     """Projector pinning an edge register into the boundary subgroup."""
-    return Operator.monomial(group.order, 1,
-                             {edge: _map_indicator(group.order, sub.elements)})
+    return DiagonalTable((edge,), {(k,): 1 for k in sub.elements})
 
 
 def half_translation_term(group: FiniteGroup, edge: int, sub: Subgroup,
@@ -413,9 +388,11 @@ def half_translation_term(group: FiniteGroup, edge: int, sub: Subgroup,
 def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Operator:
     """Naive single-term edge average: both translation sides summed.
 
-    Kept deliberately: it is hermitian but not idempotent, and fails to
-    commute with face terms when the edge borders a retained face.  The
-    audit must flag it.
+    Kept deliberately: it is hermitian, and fails to commute with face
+    terms when the edge borders a retained face, which the audit must
+    flag.  It is idempotent only when K = G, where the left and the
+    right averages are one projector P_L = P_R; for a proper K it is no
+    projector either.
     """
     out = Operator(group.order)
     for k in sub.elements:
@@ -431,36 +408,30 @@ def build_terms(lat: Lattice, group: FiniteGroup,
     terms: list[HamiltonianTerm] = []
     for v in range(lat.n_vertices):
         reg = vertex_region.get(v)
-        if reg is None:
-            op = gauge_vertex_term(lat, group, v)
-            terms.append(HamiltonianTerm(
-                name=f"A({lat.vertex_names[v]})", kind="gauge", op=op,
-                edges=op.support, diagonal=op.is_diagonal()))
-        else:
-            sub = subgroups[reg]
-            op = gauge_vertex_term(lat, group, v, sub)
-            terms.append(HamiltonianTerm(
-                name=f"A_K({lat.vertex_names[v]})", kind="gauge", op=op,
-                edges=op.support, diagonal=op.is_diagonal(), region=reg))
+        name = f"A({lat.vertex_names[v]})" if reg is None else f"A_K({lat.vertex_names[v]})"
+        op = gauge_vertex_term(lat, group, v, None if reg is None else subgroups[reg])
+        terms.append(HamiltonianTerm(name=name, kind="gauge", op=op, edges=op.support,
+                                     diagonal=False, region=reg))
     for pi in range(lat.n_plaquettes):
         op = flux_term(lat, group, pi)
         terms.append(HamiltonianTerm(
             name=f"B({lat.plaquette_names[pi]})", kind="flux", op=op,
-            edges=op.support, diagonal=True))
+            edges=op.edges, diagonal=True))
     for e in sorted(edge_region):
         reg, role = edge_region[e]
         sub = subgroups[reg]
         if role == "rim":
-            op = boundary_edge_term(lat, group, e, sub)
             terms.append(HamiltonianTerm(
-                name=f"T_K({lat.edge_names[e]})", kind="edge-pin", op=op,
-                edges=(e,), diagonal=True, region=reg))
+                name=f"T_K({lat.edge_names[e]})", kind="edge-pin",
+                op=boundary_edge_term(lat, group, e, sub), edges=(e,), diagonal=True,
+                region=reg))
         else:
             for side, tag in (("left", "P+"), ("right", "P-")):
+                # with K trivial the term is the identity, with no edges
                 op = half_translation_term(group, e, sub, side)
                 terms.append(HamiltonianTerm(
                     name=f"{tag}({lat.edge_names[e]})", kind="half-shift", op=op,
-                    edges=(e,), diagonal=op.is_diagonal(), region=reg))
+                    edges=op.support, diagonal=False, region=reg))
     return terms
 
 
@@ -515,8 +486,8 @@ def _commutes_by_permutation(values: Mapping[tuple, int], edges: Sequence[int],
                              other: Operator) -> bool:
     """Sufficient test that a diagonal operator D commutes with `other`.
 
-    `values` is D's diagonal over `edges` (D's support), as returned by
-    `Operator.diagonal`: each nonzero configuration with its numerator.
+    `values` and `edges` are D's table (`DiagonalTable`): each nonzero
+    configuration of D's edges with its numerator.
     The test passes when every monomial U of `other` is total on `edges`
     and D's diagonal is invariant under the configuration map U induces
     there: then D U = U D column by column, so D commutes with every
@@ -563,48 +534,69 @@ def _commutes_by_permutation(values: Mapping[tuple, int], edges: Sequence[int],
     return True
 
 
+def _residual(d: DiagonalTable, m: Operator) -> tuple[int, int, int]:
+    """The commutator [D, M] of a table and an operator, without forming it.
+
+    Returns (squares, den, edges): the sum of the squared numerators of
+    [D, M] over the configurations of D's edges and M's support, their
+    common denominator, and the number of those edges.  Entry (r, c) of
+    [D, M] is (D[r] - D[c]) M[r, c], read from D's table and M's
+    expansion.  On the edges outside M's support r and c agree, so D's
+    table is split by its values on the shared edges s: the sum over the
+    rest x of (D[s_r, x] - D[s_c, x])^2 is |D_{s_r}|^2 + |D_{s_c}|^2 -
+    2 D_{s_r}.D_{s_c}, once per pair (s_r, s_c).
+    """
+    entries, den, support = m._expansion()
+    shared = [(support.index(e), i) for i, e in enumerate(d.edges) if e in support]
+    rest = [i for i, e in enumerate(d.edges) if e not in support]
+    parts: dict[tuple, dict[tuple, int]] = {}
+    for c, v in d.values.items():
+        parts.setdefault(tuple(c[i] for _, i in shared), {})[tuple(c[i] for i in rest)] = v
+    norms = {s: sum(v * v for v in part.values()) for s, part in parts.items()}
+    gaps: dict[tuple, int] = {}
+    squares = 0
+    for (r, c), v in entries.items():
+        sr, sc = tuple(r[j] for j, _ in shared), tuple(c[j] for j, _ in shared)
+        if sr == sc:
+            continue
+        if (sr, sc) not in gaps:
+            a, b = parts.get(sr, {}), parts.get(sc, {})
+            gaps[sr, sc] = (norms.get(sr, 0) + norms.get(sc, 0)
+                            - 2 * sum(x * b.get(k, 0) for k, x in a.items()))
+        squares += v * v * gaps[sr, sc]
+    return squares, d.den * den, len(set(d.edges) | set(support))
+
+
 def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     """Exact projector, hermiticity, and pairwise commutation checks.
 
-    A term's `diagonal` flag must say whether its operator is diagonal,
-    because the pair loop trusts the flag.  Disjoint pairs and pairs of
-    two diagonal terms commute identically; both are skipped and counted
-    in `skipped_pairs`.
+    A term is diagonal exactly when its operator is a `DiagonalTable`,
+    and its `diagonal` flag must say so.  Disjoint pairs and pairs of two
+    diagonal terms commute identically; both are skipped and counted in
+    `skipped_pairs`.
 
-    Each term is decided once.  A term flagged diagonal is decided from
-    its diagonal (`Operator.diagonal`, one expansion over its support):
-    the flag holds when the matrix is diagonal, which is a fact about the
-    matrix, not about how its monomials are written; a real diagonal
-    matrix is hermitian; and it is a projector when every nonzero entry
-    is 1.  Any other term must not be diagonal monomial by monomial, and
-    its hermiticity and op*op - op == 0 are tested exactly.
+    Each term is decided once.  A table is real, hence hermitian, and a
+    projector when every stored numerator equals its denominator.  Any
+    other term's hermiticity and op*op - op == 0 are tested exactly.
     For an overlapping pair with one diagonal term D, the exact
     permutation pre-test `_commutes_by_permutation` runs first on D's
-    diagonal and support; when it does not pass, the commutator C is
-    expanded as for every other pair.  Both routes record the pair as
-    checked.  A failing pair's residual Frobenius norm over the union of
-    the two terms' edges is read from C's expansion: n^(|union| -
-    |support C|) times the sum of the squared entries, under the root.
-    Every exact test reads one expansion, whose only budget is its entry
-    count.
+    table; when it does not pass, the commutator's squared entries are
+    read from D's table and the other term's expansion (`_residual`).  A
+    pair of two non-diagonal terms expands its commutator C.  Every
+    overlapping pair is recorded as checked.  A failing pair's residual
+    Frobenius norm over the union of the two terms' edges is n^(|union|
+    - |edges|) times the sum of the squared entries over the edges they
+    were read on, under the root.
     """
     term_checks = []
-    diagonals: dict[int, tuple[dict[tuple, int], tuple[int, ...]]] = {}
-    for i, t in enumerate(terms):
+    for t in terms:
         op = t.op
+        if t.diagonal != isinstance(op, DiagonalTable):
+            raise InvariantError(f"term {t.name} is flagged diagonal={t.diagonal}, "
+                                 f"but its operator is a {type(op).__name__}")
         if t.diagonal:
-            diagonals[i] = op.diagonal()
-            diagonal = diagonals[i] is not None
-        else:
-            diagonal = op.is_diagonal()
-        if t.diagonal != diagonal:
-            flag, actual = (("diagonal", "not diagonal") if t.diagonal
-                            else ("non-diagonal", "diagonal"))
-            raise InvariantError(
-                f"term {t.name} is flagged {flag}, but its operator is {actual}")
-        if t.diagonal:
-            values = diagonals[i][0].values()
-            term_checks.append(TermCheck(t.name, all(v == op.den for v in values), True))
+            term_checks.append(TermCheck(
+                t.name, all(v == op.den for v in op.values.values()), True))
         else:
             hermitian = op.is_hermitian()
             projector = hermitian and ((op * op) - op).is_zero()
@@ -614,26 +606,24 @@ def audit_commutation(terms: Sequence[HamiltonianTerm], n: int) -> AuditReport:
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             ti, tj = terms[i], terms[j]
-            if not set(ti.edges) & set(tj.edges):
-                skipped += 1
-                continue
-            if ti.diagonal and tj.diagonal:
+            if not set(ti.edges) & set(tj.edges) or (ti.diagonal and tj.diagonal):
                 skipped += 1
                 continue
             if ti.diagonal or tj.diagonal:
-                d, other = (i, tj) if ti.diagonal else (j, ti)
-                if _commutes_by_permutation(*diagonals[d], other.op):
+                d, m = (ti.op, tj.op) if ti.diagonal else (tj.op, ti.op)
+                if _commutes_by_permutation(d.values, d.edges, m):
                     pair_checks.append(PairCheck(ti.name, tj.name, True))
                     continue
-            comm = ti.op.commutator(tj.op)
-            entries, den, support = comm._expansion()
+                squares, den, edges = _residual(d, m)
+            else:
+                entries, den, support = ti.op.commutator(tj.op)._expansion()
+                squares, edges = sum(v * v for v in entries.values()), len(support)
             norm = None
-            if entries:
+            if squares:
                 union = len(set(ti.edges) | set(tj.edges))
-                squares = sum(v * v for v in entries.values())
                 # int / int is correctly rounded, as Fraction.__float__ is
-                norm = sqrt(n ** (union - len(support)) * squares / (den * den))
-            pair_checks.append(PairCheck(ti.name, tj.name, not entries, norm))
+                norm = sqrt(n ** (union - edges) * squares / (den * den))
+            pair_checks.append(PairCheck(ti.name, tj.name, not squares, norm))
     return AuditReport(term_checks, pair_checks, skipped)
 
 

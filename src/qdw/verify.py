@@ -44,8 +44,8 @@ __all__ = [
 ]
 
 # Not a cost bound: in process, the lattice-audit check (torus 2x2
-# and ring 3) takes about 0.2 s at order 12 (D6, C12) and 1.4 s at order 24
-# (S4).  The cap stays at 8 until each check gets its own gate (ROADMAP
+# and ring 3) takes about 0.08 s at order 12 (D6, C12) and 0.66 s at order
+# 24 (S4).  The cap stays at 8 until each check gets its own gate (ROADMAP
 # item 1(d)): raising it changes the golden digest of `verify-all --group
 # symmetric:4` and the benchmark's `algebra` job that runs the same command.
 AUDIT_ORDER_CAP = 8

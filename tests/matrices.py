@@ -13,6 +13,7 @@ import numpy as np
 from qdw.characters import character_table
 from qdw.geometry import MATERIALIZE_DIM_BUDGET
 from qdw.groups import InvariantError
+from qdw.lattice import DiagonalTable, Operator
 from qdw.sectors import anyon_table
 
 TOL = 1e-9
@@ -38,6 +39,19 @@ def config_digits(n, k):
 def chars(table):
     """A character table's `values` as a complex array."""
     return np.array(table.values, dtype=complex)
+
+
+def point_operator(op, n):
+    """`op` itself, or a `DiagonalTable` as the reference form of a diagonal
+    term: the sum of one point-map monomial per stored configuration, with
+    the configuration's value as its coefficient."""
+    if not isinstance(op, DiagonalTable):
+        return op
+    out = Operator(n)
+    for config, num in op.values.items():
+        out += Operator.monomial(n, Fraction(num, op.den), {
+            e: tuple(x if y == x else -1 for y in range(n)) for e, x in zip(op.edges, config)})
+    return out
 
 
 def coefficients(op):

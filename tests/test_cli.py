@@ -315,6 +315,18 @@ class TestExitCodes:
                                  {"name": "term-hermitian", "status": "pass"},
                                  {"name": "pairwise-commutation", "status": "fail"}]
 
+    def test_literal_edge_with_k_equal_to_g_is_a_projector_that_fails_to_commute(self, capsys):
+        # with K = G the left and right averages are one projector P_L = P_R
+        rc = main(["lattice-audit", "--group", "symmetric:3", "--lattice", "ring:3",
+                   "--subgroup", "full", "--subgroup2", "trivial",
+                   "--inject-literal-edge", "in0"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == EXIT_INVARIANT
+        assert out["checks"] == [{"name": "term-projector", "status": "pass"},
+                                 {"name": "term-hermitian", "status": "pass"},
+                                 {"name": "pairwise-commutation", "status": "fail"}]
+        assert out["results"]["failures"] == ["pair [B(f0), L(in0)] != 0 (|.|_F = 7.74597)"]
+
     def test_sabotaged_ring_audit_names_the_failing_pair(self, capsys):
         rc = main(["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
                    "--subgroup", "full", "--subgroup2", "trivial",
@@ -837,8 +849,11 @@ def test_every_package_export_is_the_defining_module_object():
 
 
 def test_unknown_attributes_raise_naming_the_attribute():
+    import qdw.classify
     import qdw.cli as cli
-    for module in (qdw, cli):
+    import qdw.groups
+    import qdw.lattice
+    for module in (qdw, cli, qdw.groups, qdw.classify, qdw.lattice):
         with pytest.raises(AttributeError, match="no_such_layer_name"):
             module.no_such_layer_name
 

@@ -19,12 +19,14 @@ from qdw.lattice import (
     MAX_LATTICE_EDGES,
     AuditReport,
     BoundaryRegion,
+    DiagonalTable,
     HamiltonianTerm,
     Lattice,
     Operator,
     PairCheck,
     TermCheck,
     _commutes_by_permutation,
+    _residual,
     audit_commutation,
     boundary_edge_term,
     build_terms,
@@ -44,7 +46,8 @@ from qdw.gsd import (_dense_projector, _gsd_counting, _gsd_modular, _projector_r
                      ground_space_dimension)
 from qdw.subgroups import enumerate_subgroups
 
-from matrices import apply, block_matrix, coefficients, config_indices, to_matrix
+from matrices import (apply, block_matrix, coefficients, config_indices, point_operator,
+                      to_matrix)
 
 S3 = build_group("symmetric:3")
 Z2 = build_group("cyclic:2")
@@ -120,16 +123,18 @@ def reference_norm(comm, n, union):
     return sqrt(n ** (union - len(comm.support)) * squares)
 
 
-def numerator_values(op):
-    """Diagonal entries of `op.diagonal()` as exact Fractions, by support
-    configuration; they must be the diagonal of `op._expansion()`."""
-    atoms = expansion_atoms(op)
-    assert all(x == y for combo in atoms for x, y in combo)
-    values, support = op.diagonal()
-    assert support == op.support
-    out = {c: Fraction(v, op.den) for c, v in values.items()}
-    assert out == {tuple(x for x, _ in combo): v for combo, v in atoms.items()}
-    return out
+def table_of(op):
+    """The `DiagonalTable` of a diagonal operator, read off `op._expansion()`."""
+    entries, den, support = op._expansion()
+    assert all(r == c for r, c in entries)
+    return DiagonalTable(support, {c: v for (_, c), v in entries.items()}, den)
+
+
+def numerator_values(table):
+    """A table's entries as exact Fractions, by configuration of its edges."""
+    assert list(table.edges) == sorted(set(table.edges))
+    assert all(type(v) is int and v for v in table.values.values())
+    return {c: Fraction(v, table.den) for c, v in table.values.items()}
 
 
 def loop_diagonal_values(op, edges):
@@ -181,6 +186,8 @@ def cached_loop_diagonal_values(op):
 def atom_path_audit(terms, n, memo):
     """Reference audit: the Fraction loop for diagonal projector checks and
     atom expansion for every overlapping pair that is not diagonal-diagonal.
+    A diagonal term's table is expanded into its point-map monomials
+    (`point_operator`), so no check reads the table itself.
 
     `memo` maps term and pair names to their results, so audits of one
     lattice with different injected terms share the work.
@@ -188,11 +195,11 @@ def atom_path_audit(terms, n, memo):
     term_checks = []
     for t in terms:
         if t.name not in memo:
-            op = t.op
+            op = point_operator(t.op, n)
             herm = op.is_hermitian()
             if not herm:
                 proj = False
-            elif op.is_diagonal() and n ** len(op.support) <= MATERIALIZE_DIM_BUDGET:
+            elif t.diagonal and n ** len(op.support) <= MATERIALIZE_DIM_BUDGET:
                 proj = all(v in (0, 1) for v in cached_loop_diagonal_values(op).values())
             else:
                 proj = ((op * op) - op).is_zero()
@@ -206,7 +213,7 @@ def atom_path_audit(terms, n, memo):
                 skipped += 1
                 continue
             if (ti.name, tj.name) not in memo:
-                comm = ti.op.commutator(tj.op)
+                comm = point_operator(ti.op, n).commutator(point_operator(tj.op, n))
                 ok = comm.is_zero()
                 norm = None
                 union = tuple(sorted(set(ti.edges) | set(tj.edges)))
@@ -222,11 +229,9 @@ def with_literal_edge(lat, group, subs, terms, e):
     region = next((r.name for r in lat.regions
                    if e in r.rim_edges or e in r.dangling_edges), None)
     sub = subs[region] if region is not None else group.full_subgroup()
-    op = literal_gauge_edge_term(group, e, sub)
-    # with K trivial the literal term is the identity, flagged diagonal
     return list(terms) + [HamiltonianTerm(
-        name=f"L({lat.edge_names[e]})", kind="literal", op=op, edges=(e,),
-        diagonal=op.is_diagonal(), region=region)]
+        name=f"L({lat.edge_names[e]})", kind="literal",
+        op=literal_gauge_edge_term(group, e, sub), edges=(e,), diagonal=False, region=region)]
 
 
 def two_hole_lattice(rows=3, cols=5):
@@ -527,7 +532,6 @@ class TestOperatorAlgebra:
         op = gauge_vertex_term(lat, S3, 0)
         assert op.is_hermitian()
         assert op.is_projector()
-        assert not op.is_diagonal()
         assert len(op.support) == 4
 
     def test_restricted_vertex_average_is_a_projector(self):
@@ -539,22 +543,23 @@ class TestOperatorAlgebra:
     def test_face_projector_properties(self):
         lat = torus(2, 2)
         op = flux_term(lat, S3, 0)
-        assert op.is_diagonal()
-        assert op.is_projector()
-        assert len(op.terms) == S3.order ** 3
+        assert op.edges == tuple(sorted(e for e, _ in lat.plaquettes[0]))
+        assert len(op.values) == S3.order ** 3
+        assert op.den == 1 and set(op.values.values()) == {1}
+        assert point_operator(op, S3.order).is_projector()
 
     def test_edge_pin_projector(self):
         op = boundary_edge_term(ring(3), S3, 0, S3.subgroup([0, 1]))
-        assert op.is_diagonal() and op.is_projector()
-        vals = numerator_values(op)
-        assert vals == {(0,): Fraction(1), (1,): Fraction(1)}
+        assert op.edges == (0,)
+        assert numerator_values(op) == {(0,): Fraction(1), (1,): Fraction(1)}
+        assert point_operator(op, S3.order).is_projector()
 
     def test_trivial_flux_is_base_independent(self):
         lat = torus(2, 2)
         corners = lat.plaquette_base_vertices(0)
         ops = [flux_sector_term(lat, S3, 0, 0, base_vertex=v) for v in corners]
         for other in ops[1:]:
-            assert ops[0].equals(other)
+            assert ops[0] == other
 
     def test_nontrivial_flux_depends_on_base(self):
         lat = torus(2, 2)
@@ -562,7 +567,7 @@ class TestOperatorAlgebra:
         h = S3.index_of("(12)")
         a = flux_sector_term(lat, S3, 0, h, base_vertex=corners[0])
         b = flux_sector_term(lat, S3, 0, h, base_vertex=corners[2])
-        assert not a.equals(b)
+        assert a.edges == b.edges and a.values != b.values
 
     def test_class_summed_flux_is_base_independent(self):
         lat = torus(2, 2)
@@ -570,26 +575,32 @@ class TestOperatorAlgebra:
         cls = S3.conjugacy_classes()[1].members  # the transpositions
         sums = []
         for v in corners:
-            acc = Operator(S3.order)
-            for h in cls:
-                acc = acc + flux_sector_term(lat, S3, 0, h, base_vertex=v)
-            sums.append(acc)
+            # sectors of distinct h hold disjoint configurations, so their
+            # sum is the union of their tables
+            tables = [flux_sector_term(lat, S3, 0, h, base_vertex=v).values for h in cls]
+            assert sum(map(len, tables)) == len(set().union(*tables))
+            sums.append(set().union(*tables))
         for other in sums[1:]:
-            assert sums[0].equals(other)
+            assert sums[0] == other
 
     def test_flux_sectors_partition_unity(self):
+        # the sectors' tables cover every configuration of the face's edges once
         lat = torus(2, 2)
-        acc = Operator(S3.order)
-        for h in range(S3.order):
-            acc = acc + flux_sector_term(lat, S3, 0, h)
-        assert acc.equals(Operator.identity(S3.order))
+        tables = [flux_sector_term(lat, S3, 0, h) for h in range(S3.order)]
+        assert {t.edges for t in tables} == {tables[0].edges}
+        assert all(t.den == 1 and set(t.values.values()) == {1} for t in tables)
+        configs = Counter(c for t in tables for c in t.values)
+        assert set(configs.values()) == {1}
+        assert set(configs) == set(itertools.product(range(S3.order),
+                                                     repeat=len(tables[0].edges)))
 
     # every lattice and group the benchmark builds terms on, and the trivial group
     @pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:2", "cyclic:3", "symmetric:3",
                                       "dihedral:4", "quaternion8"])
     def test_flux_terms_match_the_monomial_sum(self, spec):
-        """Each flux term's monomials, keys, coefficients and order, are those of
-        the sum of one point-map monomial per prefix of the face's letters."""
+        """Each flux term's table, expanded into point-map monomials, is the
+        sum of one point-map monomial per prefix of the face's letters: keys,
+        coefficients and order."""
         group = build_group(spec)
         n = group.order
         for lat in (torus(2, 2), torus(3, 2), torus(3, 3), patch(2, 2), ring(3)):
@@ -610,8 +621,9 @@ class TestOperatorAlgebra:
                             e: tuple(x if y == x else -1 for y in range(n))
                             for (e, _), x in zip(cyc, values)})
                     got = flux_sector_term(lat, group, pi, h, base_vertex=base)
-                    assert list(got.terms.items()) == list(want.terms.items()), \
-                        (lat.kind, pi, h)
+                    assert got.edges == tuple(sorted(e for e, _ in cyc))
+                    assert list(point_operator(got, n).terms.items()) == \
+                        list(want.terms.items()), (lat.kind, pi, h)
                     assert got.den == want.den == 1
 
     @pytest.mark.parametrize("group", [S3, Q8], ids=["symmetric:3", "quaternion8"])
@@ -626,11 +638,11 @@ class TestOperatorAlgebra:
                 cyc = lat.plaquettes[pi][shift:] + lat.plaquettes[pi][:shift]
                 for h in range(group.order):
                     op = flux_sector_term(lat, group, pi, h, base_vertex=base)
-                    assert len(op.terms) == group.order ** (len(cyc) - 1)
-                    for key in op.terms:
+                    assert len(op.values) == group.order ** (len(cyc) - 1)
+                    for config in op.values:
                         registers = [0] * lat.n_edges
-                        for e, m in key:
-                            [registers[e]] = [x for x in range(group.order) if m[x] == x]
+                        for e, x in zip(op.edges, config):
+                            registers[e] = x
                         assert _holonomy(group, cyc, registers) == h
 
     def test_flux_base_must_be_a_corner(self):
@@ -642,8 +654,9 @@ class TestOperatorAlgebra:
         lat = torus(2, 2)
         a = gauge_vertex_term(lat, S3, 0)
         b = flux_term(lat, S3, 0)
-        assert set(a.support) & set(b.support)
-        assert a.commutator(b).is_zero()
+        assert set(a.support) & set(b.edges)
+        assert a.commutator(point_operator(b, S3.order)).is_zero()
+        assert _residual(b, a)[0] == 0
 
     def test_half_shift_commutation_depends_on_vertex_restriction(self):
         # head-side average vs left half-shift on the same edge: the full
@@ -663,10 +676,12 @@ class TestOperatorAlgebra:
         assert p_left.commutator(p_right).is_zero()
 
     def test_literal_edge_average_is_not_idempotent(self):
-        k = S3.subgroup([0, 1])
-        lit = literal_gauge_edge_term(S3, 0, k)
-        assert lit.is_hermitian()
-        assert not lit.is_projector()
+        # for a proper K it is no projector; with K = G the left and right
+        # averages are one projector P_L = P_R, and so is their mean
+        for k, projector in ((S3.subgroup([0, 1]), False), (S3.full_subgroup(), True)):
+            lit = literal_gauge_edge_term(S3, 0, k)
+            assert lit.is_hermitian()
+            assert lit.is_projector() is projector
 
     def test_matrix_of_shift_is_a_permutation(self):
         n = Z3.order
@@ -681,7 +696,7 @@ class TestOperatorAlgebra:
 
     def test_matrix_respects_identity_padding(self):
         n = Z2.order
-        op = boundary_edge_term(ring(3), Z2, 1, Z2.trivial_subgroup())
+        op = point_operator(boundary_edge_term(ring(3), Z2, 1, Z2.trivial_subgroup()), Z2.order)
         mat = to_matrix(op, (0, 1))
         # acts on the second register only; first register untouched
         expect = np.kron(np.eye(2), np.diag([1.0, 0.0]))
@@ -693,7 +708,8 @@ class TestOperatorAlgebra:
     ], ids=["C2-torus2x2", "S3-ring3"])
     def test_term_matrices_match_the_entry_loop(self, group, lat, subs):
         for t in build_terms(lat, group, subs):
-            assert np.array_equal(to_matrix(t.op, t.edges), loop_matrix(t.op, t.edges))
+            op = point_operator(t.op, group.order)
+            assert np.array_equal(to_matrix(op, t.edges), loop_matrix(op, t.edges))
 
     def test_matrix_budget_guard(self):
         op = Operator.identity(S3.order)
@@ -764,6 +780,16 @@ class TestTermsAndAudit:
             rep = audit_commutation(build_terms(lat, S3, {"bdry": sub}), S3.order)
             assert rep.ok
 
+    def test_identity_terms_have_no_edges(self):
+        # with K trivial the rim's gauge terms and the spur's half-shifts are
+        # identities: operators with no edges, so they meet no term
+        terms = build_terms(dangling_lattice(), S3, {"bdry": S3.trivial_subgroup()})
+        identities = [t for t in terms if t.kind in ("gauge", "half-shift")]
+        assert [t.name for t in identities if t.kind == "half-shift"] == ["P+(am)", "P-(am)"]
+        assert all(t.edges == () and not t.diagonal for t in identities)
+        rep = audit_commutation(terms, S3.order)
+        assert rep.ok and (len(rep.pair_checks), rep.skipped_pairs) == (0, 66)
+
     def test_misflagged_diagonal_term_is_an_invariant_error(self):
         lat = torus(2, 2)
         op = gauge_vertex_term(lat, S3, 0)
@@ -772,17 +798,22 @@ class TestTermsAndAudit:
         with pytest.raises(InvariantError, match="flagged diagonal"):
             audit_commutation(build_terms(lat, S3, {}) + [fake], S3.order)
 
-    def test_misflagged_identity_term_is_an_invariant_error(self):
+    def test_misflagged_table_term_is_an_invariant_error(self):
+        # a term is diagonal exactly when its operator is a table; an
+        # identity gauge term (trivial K) is an operator, flagged non-diagonal
         lat = ring(3)
         trivial = Z3.trivial_subgroup()
         terms = build_terms(lat, Z3, {"inner": trivial, "outer": trivial})
         rim_terms = [t for t in terms if t.name.startswith("A_K")]
-        assert rim_terms and all(t.diagonal for t in rim_terms)
+        assert rim_terms and not any(t.diagonal for t in rim_terms)
+        assert all(t.diagonal == isinstance(t.op, DiagonalTable) for t in terms)
         assert audit_commutation(terms, Z3.order).ok
-        op = gauge_vertex_term(lat, Z3, 0, trivial)
-        fake = HamiltonianTerm(name="A_K*", kind="gauge", op=op, edges=op.support,
+        pin = boundary_edge_term(lat, Z3, 0, trivial)
+        fake = HamiltonianTerm(name="T*", kind="edge-pin", op=pin, edges=pin.edges,
                                diagonal=False)
-        with pytest.raises(InvariantError, match="flagged non-diagonal"):
+        with pytest.raises(InvariantError,
+                           match=r"term T\* is flagged diagonal=False, but its operator "
+                                 "is a DiagonalTable"):
             audit_commutation(terms + [fake], Z3.order)
 
     def test_literal_term_fails_the_audit(self):
@@ -800,27 +831,6 @@ class TestTermsAndAudit:
         norms = [p.residual_norm for p in rep.pair_checks if not p.commutes]
         assert all(x is not None and x > 0.1 for x in norms)
 
-    def test_diagonal_flag_is_read_off_the_matrix(self):
-        # a rim pin plus a partial swap minus its two halves: the same matrix,
-        # written with off-diagonal monomials that cancel
-        k2 = S3.subgroup([0, 1])
-        subs = {"inner": k2, "outer": S3.trivial_subgroup()}
-        lat = ring(3)
-        e = lat.edge_index("in1")
-        plain = with_literal_edge(lat, S3, subs, build_terms(lat, S3, subs), e)
-        i = [t.name for t in plain].index("T_K(in1)")
-        cancel = Operator(S3.order)
-        for coeff, m in ((1, (1, 0, -1, -1, -1, -1)), (-1, (1, -1, -1, -1, -1, -1)),
-                         (-1, (-1, 0, -1, -1, -1, -1))):
-            cancel += Operator.monomial(S3.order, Fraction(coeff), {e: m})
-        twin = list(plain)
-        twin[i] = HamiltonianTerm(plain[i].name, "edge-pin", plain[i].op + cancel, (e,),
-                                  True, "inner")
-        assert cancel.is_zero() and not twin[i].op.is_diagonal()
-        rep = audit_commutation(twin, S3.order)
-        assert rep == audit_commutation(plain, S3.order)
-        assert not rep.ok and rep.term_checks[i] == TermCheck("T_K(in1)", True, True)
-
     def test_residual_norm_spans_the_union_of_the_term_edges(self):
         # the shift's term lists edge 1, which its operator leaves alone, so
         # the commutator is the identity there: |[P, X]|_F = sqrt(2 * 3)
@@ -831,8 +841,8 @@ class TestTermsAndAudit:
         [pair] = audit_commutation(terms, 3).pair_checks
         assert not pair.commutes
         assert pair.residual_norm == pytest.approx(6 ** 0.5, rel=1e-12)
-        assert pair.residual_norm == pytest.approx(
-            np.linalg.norm(to_matrix(pin.commutator(shift), (0, 1))), rel=1e-12)
+        assert pair.residual_norm == pytest.approx(np.linalg.norm(
+            to_matrix(point_operator(pin, 3).commutator(shift), (0, 1))), rel=1e-12)
 
 
 # integer diagonal tables and the permutation pre-test ----------------------
@@ -895,18 +905,19 @@ def diagonal_and_shifts(draw):
 class TestDiagonalFastPath:
     @pytest.mark.parametrize("case", audit_cases(), ids=lambda c: c[0])
     def test_diagonal_values_match_the_loop(self, case):
+        """Each table is the Fraction loop over its point-map monomials."""
         _, group, lat, subs = case
         for t in build_terms(lat, group, subs):
             if t.diagonal:
                 assert numerator_values(t.op) == \
-                    cached_loop_diagonal_values(t.op), t.name
+                    cached_loop_diagonal_values(point_operator(t.op, group.order)), t.name
 
     def test_numerators_guard_against_int64_overflow(self):
         # the numerators sum past 2**62, which an int64 table would wrap
         big = Fraction(2 ** 61, 3)
         op = Operator.monomial(2, big, {0: (0, -1)}) + \
             Operator.monomial(2, big * 2, {0: (-1, 1)})
-        assert numerator_values(op) == {(0,): big, (1,): big * 2}
+        assert numerator_values(table_of(op)) == {(0,): big, (1,): big * 2}
         assert op.is_projector() is False
 
     # The reference expands every overlapping pair into atoms, which takes
@@ -933,7 +944,7 @@ class TestDiagonalFastPath:
 
     def test_audit_decides_each_term_once(self, monkeypatch):
         calls = Counter()
-        for name in ("is_diagonal", "is_hermitian", "_expansion"):
+        for name in ("is_hermitian", "_expansion"):
             def counted(op, *args, _name=name, _method=getattr(Operator, name)):
                 calls[_name, id(op)] += 1
                 return _method(op, *args)
@@ -949,21 +960,24 @@ class TestDiagonalFastPath:
         calls.clear()
         audit_commutation(terms, S3.order)
         assert set(calls.values()) == {1}
-        # besides commutators, only the diagonal terms are expanded, and each
-        # walks its monomials for its support only inside that expansion
-        diagonal = {id(t.op) for t in terms if t.diagonal}
+        # each operator term's hermiticity is tested once; no term is
+        # expanded or walked for its support, as the tables are read as held
+        operators = {id(t.op) for t in terms if not t.diagonal}
+        assert {key for name, key in calls if name == "is_hermitian"} == operators
         for walked in ("_expansion", "support"):
             ops = {key for name, key in calls if name == walked}
-            assert ops & {id(t.op) for t in terms} == diagonal
+            assert not ops & {id(t.op) for t in terms}
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(diagonal_and_shifts())
     def test_pre_test_is_sound(self, ops):
         diag, other = ops
-        table, support = diag.diagonal()
-        if _commutes_by_permutation(table, support, other):
+        table = table_of(diag)
+        if _commutes_by_permutation(table.values, table.edges, other):
             assert diag.commutator(other).is_zero()
-        assert diag.is_projector() == ((diag * diag) - diag).is_zero()
+        # the audit's projector rule for a table
+        assert all(v == table.den for v in table.values.values()) == \
+            ((diag * diag) - diag).is_zero()
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(st.data())
@@ -981,7 +995,7 @@ class TestDiagonalFastPath:
             terms = with_literal_edge(lat, group, subs, terms,
                                       data.draw(st.integers(0, lat.n_edges - 1)))
         for d in (t for t in terms if t.diagonal):
-            table, support = d.op.diagonal()
+            table, support = d.op.values, d.op.edges
             for other in terms:
                 if not other.diagonal and set(d.edges) & set(other.edges):
                     assert _commutes_by_permutation(table, support, other.op) == \
@@ -992,19 +1006,45 @@ class TestDiagonalFastPath:
     def test_pre_test_closure_agrees_with_the_plain_walk_on_random_shifts(self, ops):
         # here some monomials of one operator keep the diagonal and others do not
         diag, other = ops
-        table, support = diag.diagonal()
-        assert _commutes_by_permutation(table, support, other) == \
-            plain_permutation_walk(table, support, other)
+        table = table_of(diag)
+        assert _commutes_by_permutation(table.values, table.edges, other) == \
+            plain_permutation_walk(table.values, table.edges, other)
 
     def test_pre_test_refuses_a_partial_map(self):
         # the map is undefined on register value 1 of edge 1, the value the
         # diagonal's one nonzero configuration holds there
         diag = diagonal_operator(2, [(Fraction(1), {0: {0}, 1: {1}})])
         other = Operator.monomial(2, Fraction(1), {0: (1, 0), 1: (1, -1)})
-        table, support = diag.diagonal()
-        assert support == (0, 1)
-        assert not _commutes_by_permutation(table, support, other)
+        table = table_of(diag)
+        assert table.edges == (0, 1)
+        assert not _commutes_by_permutation(table.values, table.edges, other)
         assert not diag.commutator(other).is_zero()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(diagonal_and_shifts())
+    def test_table_residual_matches_the_commutator(self, ops):
+        """The residual read from the table and the other operator's expansion
+        is the commutator of the table's point-map monomials with it: its sum
+        of squares over its denominator squared, spread over its edges, is
+        the reference's, read from `commutator()._expansion()`."""
+        diag, other = ops
+        n = other.n
+        table = table_of(diag)
+        point = Operator(n)
+        for config, num in table.values.items():
+            point += Operator.monomial(n, Fraction(num, table.den), {
+                e: tuple(x if y == x else -1 for y in range(n))
+                for e, x in zip(table.edges, config)})
+        assert point.equals(diag)
+        squares, den, edges = _residual(table, other)
+        entries, ref_den, support = point.commutator(other)._expansion()
+        ref_squares = sum(v * v for v in entries.values())
+        assert type(squares) is int and squares >= 0 and den > 0
+        assert edges == len(set(table.edges) | set(other.support)) >= len(support)
+        # both sums run over their own edges: each extra edge repeats every entry n times
+        assert Fraction(squares, den * den) == \
+            Fraction(ref_squares * n ** (edges - len(support)), ref_den * ref_den)
+        assert (squares == 0) == (not entries)
 
 
 # the one expansion, and audits past order 8 ----------------------------------
@@ -1155,12 +1195,14 @@ class TestAuditPastOrderEight:
 
         monkeypatch.setattr(Operator, "__mul__", counted_mul)
         monkeypatch.setattr(Operator, "commutator", counted_commutator)
-        assert audit_commutation(build_terms(torus(2, 2), D6, {}), D6.order).ok
-        assert squared and not any(op.is_diagonal() for op in squared)
+        terms = build_terms(torus(2, 2), D6, {})
+        assert audit_commutation(terms, D6.order).ok
+        gauge = {id(t.op) for t in terms if t.kind == "gauge"}
+        assert {id(op) for op in squared} == gauge
         # every vertex-flux pair passes the pre-test: only the 4 vertex-vertex
         # pairs form a commutator
         assert len(commutators) == 4
-        assert not any(a.is_diagonal() or b.is_diagonal() for a, b in commutators)
+        assert all(id(a) in gauge and id(b) in gauge for a, b in commutators)
 
     def test_sabotaged_d6_ring_reports_the_residual_norm(self):
         lat = ring(3)
@@ -1172,7 +1214,8 @@ class TestAuditPastOrderEight:
         [pair] = [p for p in rep.pair_checks if not p.commutes]
         face, literal = terms[[t.name for t in terms].index("B(f0)")], terms[-1]
         union = len(set(face.edges) | set(literal.edges))
-        want = reference_norm(face.op.commutator(literal.op), D6.order, union)
+        want = reference_norm(point_operator(face.op, D6.order).commutator(literal.op),
+                              D6.order, union)
         assert pair.residual_norm == want == pytest.approx(16.24807680927192, rel=1e-14)
 
 
@@ -1561,7 +1604,7 @@ class TestDenseProjector:
         terms = build_terms(lat, group, subs)
         ref = np.eye(group.order ** lat.n_edges)
         for t in terms:
-            ref = apply(t.op, full, ref)
+            ref = apply(point_operator(t.op, group.order), full, ref)
         block = _dense_projector(lat, group, subs, terms)
         support, diagonal, columns, den = block
         assert support == sorted(set(support))
@@ -1601,8 +1644,9 @@ class TestDenseProjector:
         terms = build_terms(lat, Z2, {})
         i = next(i for i, t in enumerate(terms) if t.kind == kind)
         t = terms[i]
-        terms[i] = HamiltonianTerm(t.name, t.kind, t.op.scale(Fraction(1, 3)), t.edges,
-                                   t.diagonal, t.region)
+        third = (DiagonalTable(t.op.edges, t.op.values, 3 * t.op.den) if t.diagonal
+                 else t.op.scale(Fraction(1, 3)))
+        terms[i] = HamiltonianTerm(t.name, t.kind, third, t.edges, t.diagonal, t.region)
         with pytest.raises(InvariantError, match=r"^projector trace 4/3 is not an integer"):
             _projector_rank(_dense_projector(lat, Z2, {}, terms))
 

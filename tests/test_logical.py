@@ -41,7 +41,8 @@ from qdw.records import Ratio
 from qdw.subgroups import enumerate_subgroups
 
 from matrices import (apply_string, block_matrix, config_digits, config_indices, constraint_rows,
-                      first_failing_row, monomial_entries, orbit_state_matrix, s_matrix)
+                      first_failing_row, monomial_entries, orbit_state_matrix, point_operator,
+                      s_matrix)
 
 
 def two_hole(group):
@@ -783,10 +784,10 @@ def commutes_exactly(string, term, n_edges):
     digits, weights = config_digits(n, n_edges)
     perm = ((digits + np.array(string.shift)) % n) @ weights
     expo = digits @ np.array(string.phase)
-    assert all(c > 0 for c in term.op.terms.values())
+    op = point_operator(term.op, n)
+    assert all(c > 0 for c in op.terms.values())
     rows, cols, nums = [], [], []
-    for (r, c, _), num in zip(monomial_entries(term.op, range(n_edges)),
-                              term.op.terms.values()):
+    for (r, c, _), num in zip(monomial_entries(op, range(n_edges)), op.terms.values()):
         if ((expo[r] - expo[c]) % n).any():
             return False
         rows.append(r)
