@@ -9,13 +9,16 @@ slice of them.  It keeps one value per gauge orbit on each edge of a
 spanning forest (`_spanning_forest`), and has one rule for a dangling
 edge: it rides on the slice as the least member of each double coset
 K x K.  It moves any configuration onto the slice in one pass down the
-forest (`gauge_fix`), and merges slice configurations into sectors under
-the gauge left at the forest roots (`sectors`).  The counting routes
-(`qdw.gsd`) and the logical layer (`qdw.logical`) both read it.  A streamed, budgeted depth-first walk over the face
-constraints (`elimination_order`, `_enumerate_flat_configs`) lists the
-flat configurations of any per-edge value sets.  This module imports the
-geometry and group layers and no operator code, so reading the slice
-loads no Hamiltonian code.
+forest (`gauge_fix`), and merges slice configurations into sectors, the
+orbits of the gauge left at the forest roots (`sectors`), with the one
+orbit routine that also splits a group into element and subgroup
+classes (`qdw.groups._orbits`).  The counting routes (`qdw.gsd`) and
+the logical layer (`qdw.logical`) both read it.  A streamed, budgeted
+depth-first walk over the face constraints (`elimination_order`,
+`_enumerate_flat_configs`) lists the flat configurations of any
+per-edge value sets.  This module imports the geometry and group
+layers and no operator code, so reading the slice loads no Hamiltonian
+code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from math import prod
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Sequence
 
 from qdw.geometry import _holonomy, _region_assignment
-from qdw.groups import InvariantError, _breadth_first, _generating_sequence, double_cosets
+from qdw.groups import (InvariantError, _breadth_first, _generating_sequence, _orbits,
+                        double_cosets)
 
 if TYPE_CHECKING:
     from qdw.geometry import Lattice
@@ -210,11 +214,12 @@ class GaugeSlice:
     def sectors(self) -> Optional[tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]]:
         """The gauge orbits on the slice, or None when the slice is over budget.
 
-        The generators of each root's domain, each followed by the gauge
-        fix, merge slice configurations into orbits; a root with a trivial
-        domain leaves nothing to merge.  Returns (sector, representatives):
-        the sector of each slice configuration, numbered in enumeration
-        order, and the first slice configuration of each sector.
+        The orbits are walked by `qdw.groups._orbits` under the generators
+        of each root's domain, each followed by the gauge fix; a root with
+        a trivial domain leaves nothing to merge.  Returns (sector,
+        representatives): the sector of each slice configuration, numbered
+        by orbit in enumeration order, and each orbit's first configuration.
+        An orbit that leaves the slice is an `InvariantError`.
         """
         configs = self.configs()
         if configs is None:
@@ -223,23 +228,18 @@ class GaugeSlice:
         moves = [(r, g) for r in self.roots
                  for g in _generating_sequence(self.group, self.domains[r])]
 
-        def neighbours(config: tuple[int, ...]):
+        def images(config: tuple[int, ...]):
             for r, g in moves:
                 values = list(config)
                 self.relabel(values, r, g)
-                yield self.gauge_fix(values), None
+                yield self.gauge_fix(values)
 
-        sector: dict[tuple[int, ...], int] = {}
-        reps: list[tuple[int, ...]] = []
-        for config in on_slice:
-            if config in sector:
-                continue
-            for member, _, _ in _breadth_first([config], neighbours):
-                if member not in on_slice:
-                    raise InvariantError("residual gauge leaves the slice")
-                sector[member] = len(reps)
-            reps.append(config)
-        return sector, reps
+        orbits = _orbits(on_slice, images)
+        # the orbits cover the slice, so they add up to it when none leaves it
+        if sum(map(len, orbits)) != len(on_slice):
+            raise InvariantError("residual gauge leaves the slice")
+        sector = {member: s for s, orbit in enumerate(orbits) for member in orbit}
+        return sector, [orbit[0] for orbit in orbits]
 
 
 def _enumerate_flat_configs(lat: Lattice, group: FiniteGroup, allowed: Sequence[Sequence[int]]

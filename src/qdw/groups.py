@@ -79,6 +79,30 @@ def _breadth_first(roots, neighbours):
                 yield w, v, step
 
 
+def _orbits(points, images):
+    """The orbits of a group acting on `points`, each a list.
+
+    `images(p)` gives the images of p under the group's generators.  The
+    orbits come in the order of their first point, and each is listed in
+    reach order from that point.  The walk keeps its own queue: setting
+    up a `_breadth_first` per orbit tripled the cost of the one-point
+    element classes of small groups.
+    """
+    orbits: list[list] = []
+    seen: set = set()
+    for p in points:
+        if p not in seen:
+            seen.add(p)
+            orbit = [p]
+            for v in orbit:             # the orbit grows while it is walked
+                for w in images(v):
+                    if w not in seen:
+                        seen.add(w)
+                        orbit.append(w)
+            orbits.append(orbit)
+    return orbits
+
+
 class FiniteGroup:
     """Finite group given by an explicit, validated multiplication table.
 
@@ -209,17 +233,13 @@ class FiniteGroup:
         """Classes ordered by smallest member index; the identity class first."""
         if "classes" in self._cache:
             return self._cache["classes"]
-        n = self.order
-        seen = [False] * n
+        n, rows, inv = self.order, self.rows, self.inv
+        gens = _generating_sequence(self)
         classes: list[ConjugacyClass] = []
-        for a in range(n):
-            if seen[a]:
-                continue
-            members = sorted({self.conj(g, a) for g in range(n)})
-            for m in members:
-                seen[m] = True
-            cent = self.subgroup(g for g in range(n) if self.rows[g][a] == self.rows[a][g])
-            classes.append(ConjugacyClass(rep=a, members=tuple(members), centralizer=cent))
+        for orbit in _orbits(range(n), lambda a: (rows[rows[g][a]][inv[g]] for g in gens)):
+            a = orbit[0]
+            cent = self.subgroup(g for g in range(n) if rows[g][a] == rows[a][g])
+            classes.append(ConjugacyClass(rep=a, members=tuple(sorted(orbit)), centralizer=cent))
         self._cache["classes"] = classes
         return classes
 
@@ -305,13 +325,6 @@ class Subgroup:
 
     def conjugate_by(self, g: int) -> "Subgroup":
         return self.group.subgroup(self.group.conj(g, x) for x in self.elements)
-
-    def is_normal(self) -> bool:
-        return all(self.conjugate_by(g).elements == self.elements for g in range(len(self.group)))
-
-    def canonical_key(self) -> tuple[int, ...]:
-        """Lexicographically smallest conjugate; identifies the conjugacy class."""
-        return min(self.conjugate_by(g).elements for g in range(len(self.group)))
 
     def as_group(self) -> tuple[FiniteGroup, list[int]]:
         """Abstract copy of this subgroup plus the local-to-parent index map."""

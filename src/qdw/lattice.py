@@ -123,10 +123,6 @@ class Operator:
         self.den = den
 
     @staticmethod
-    def identity(n: int) -> "Operator":
-        return Operator(n, {(): 1})
-
-    @staticmethod
     def monomial(n: int, coeff, maps: Mapping[int, tuple[int, ...]]) -> "Operator":
         """`coeff` is an exact rational in lowest terms: anything with
         `.numerator` and a positive `.denominator`, such as an int."""
@@ -267,9 +263,6 @@ class Operator:
         """Exact zero test: syntactic cancellation, then the expansion."""
         return not self.terms or not self._expansion()[0]
 
-    def equals(self, other: "Operator") -> bool:
-        return (self - other).is_zero()
-
     @property
     def support(self) -> tuple[int, ...]:
         edges = set()
@@ -279,10 +272,6 @@ class Operator:
 
     def is_hermitian(self) -> bool:
         return (self - self.adjoint()).is_zero()
-
-    def is_projector(self) -> bool:
-        """Exact self-adjointness and idempotence: op*op - op == 0."""
-        return self.is_hermitian() and ((self * self) - self).is_zero()
 
 
 class DiagonalTable(Record):
@@ -314,6 +303,18 @@ class HamiltonianTerm(Record):
         super().__init__(name, kind, op, edges, diagonal, region)
 
 
+def _translation_average(group: FiniteGroup, elements: Sequence[int],
+                         star: Sequence[tuple[int, bool]]) -> Operator:
+    """Average over g in `elements` of g acting on each (edge, at_head) of
+    `star`: x -> g x at a head, x -> x g^-1 at a tail."""
+    out = Operator(group.order)
+    for g in elements:
+        maps = {e: _map_left(group, g) if at_head else _map_right_inv(group, g)
+                for e, at_head in star}
+        out += Operator.monomial(group.order, 1, maps)
+    return out.scale(Ratio(1, len(elements)))
+
+
 def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
                       sub: Optional[Subgroup] = None) -> Operator:
     """Average over star rotations at a vertex; restricted to `sub` if given."""
@@ -321,12 +322,7 @@ def gauge_vertex_term(lat: Lattice, group: FiniteGroup, vertex: int,
     star = lat.star[vertex]
     if len({e for e, _ in star}) != len(star):
         raise ValueError("vertex star contains a repeated edge")
-    out = Operator(group.order)
-    for g in elems:
-        maps = {e: _map_left(group, g) if at_head else _map_right_inv(group, g)
-                for e, at_head in star}
-        out += Operator.monomial(group.order, 1, maps)
-    return out.scale(Ratio(1, len(elems)))
+    return _translation_average(group, elems, star)
 
 
 def flux_sector_term(lat: Lattice, group: FiniteGroup, pi: int, h: int,
@@ -378,15 +374,12 @@ def half_translation_term(group: FiniteGroup, edge: int, sub: Subgroup,
     """Average of one-sided subgroup translations on a dangling edge."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    out = Operator(group.order)
-    for k in sub.elements:
-        m = _map_left(group, k) if side == "left" else _map_right_inv(group, k)
-        out += Operator.monomial(group.order, 1, {edge: m})
-    return out.scale(Ratio(1, sub.order))
+    return _translation_average(group, sub.elements, [(edge, side == "left")])
 
 
 def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Operator:
-    """Naive single-term edge average: both translation sides summed.
+    """Naive single-term edge average: the mean of the left and the right
+    translation averages.
 
     Kept deliberately: it is hermitian, and fails to commute with face
     terms when the edge borders a retained face, which the audit must
@@ -394,11 +387,9 @@ def literal_gauge_edge_term(group: FiniteGroup, edge: int, sub: Subgroup) -> Ope
     right averages are one projector P_L = P_R; for a proper K it is no
     projector either.
     """
-    out = Operator(group.order)
-    for k in sub.elements:
-        for m in (_map_left(group, k), _map_right_inv(group, k)):
-            out += Operator.monomial(group.order, 1, {edge: m})
-    return out.scale(Ratio(1, 2 * sub.order))
+    left = _translation_average(group, sub.elements, [(edge, True)])
+    right = _translation_average(group, sub.elements, [(edge, False)])
+    return (left + right).scale(Ratio(1, 2))
 
 
 def build_terms(lat: Lattice, group: FiniteGroup,

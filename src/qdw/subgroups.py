@@ -2,7 +2,9 @@
 `subgroups` command that prints the lattice.
 
 A boundary of the double model is a subgroup K up to conjugation, so the
-boundary types are the subgroup conjugacy classes.  Only the code that
+boundary types are the subgroup conjugacy classes: the orbits of
+conjugation that `boundary_types` walks with `qdw.groups._orbits`.  A
+subgroup is normal when it is alone in its class.  Only the code that
 enumerates subgroups or checks automorphisms imports this module (the
 `subgroups` command, `group-info` for a group of order at most 24,
 `verify`, and `classify.SymmetryAction`), so the other runs compile
@@ -17,12 +19,12 @@ import itertools
 from typing import Sequence
 
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        _generating_sequence, build_group)
+                        _generating_sequence, _orbits, build_group)
 from qdw.records import FrozenRecord
 
 MAX_SUBGROUP_ENUM_ORDER = 24
 
-__all__ = ["BoundaryType", "boundary_types", "enumerate_subgroups", "subgroup_conjugacy_classes",
+__all__ = ["BoundaryType", "boundary_types", "enumerate_subgroups",
            "enumerate_automorphisms", "is_automorphism", "inner_automorphism"]
 
 
@@ -62,18 +64,6 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     return list(group._cache["subgroup_list"])
 
 
-def subgroup_conjugacy_classes(group: FiniteGroup) -> list[list[Subgroup]]:
-    """Subgroups grouped under conjugation, classes keyed by smallest member."""
-    classes: dict[tuple[int, ...], list[Subgroup]] = {}
-    for sub in enumerate_subgroups(group):
-        classes.setdefault(sub.canonical_key(), []).append(sub)
-    out = []
-    for key in sorted(classes, key=lambda k: (len(k), k)):
-        members = sorted(classes[key], key=lambda s: s.elements)
-        out.append(members)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # boundaries
 
@@ -91,10 +81,21 @@ class BoundaryType(FrozenRecord):
 
 
 def boundary_types(group: FiniteGroup) -> list[BoundaryType]:
-    """Distinct boundary types, one per subgroup conjugacy class."""
-    # each class is sorted by elements, so its first member is the canonical key
-    return [BoundaryType(rep=members[0], members=tuple(members))
-            for members in subgroup_conjugacy_classes(group)]
+    """Distinct boundary types, one per subgroup conjugacy class, built once
+    per group and kept in its cache; each call returns a fresh list.
+
+    Conjugation by the generators walks `enumerate_subgroups`, whose
+    (order, elements) order leads each class with its least member, the
+    representative.  Members are sorted by elements.
+    """
+    if "boundary_types" not in group._cache:
+        gens = _generating_sequence(group)
+        orbits = _orbits(enumerate_subgroups(group),
+                         lambda sub: (sub.conjugate_by(g) for g in gens))
+        group._cache["boundary_types"] = tuple(
+            BoundaryType(rep=orbit[0], members=tuple(sorted(orbit, key=lambda s: s.elements)))
+            for orbit in orbits)
+    return list(group._cache["boundary_types"])
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +153,16 @@ def _cmd_subgroups(cfg) -> tuple:
     group = build_group(cfg.group)
     subs = enumerate_subgroups(group)
     types = boundary_types(group)
-    class_of = {}
-    for ti, bt in enumerate(types):
-        for member in bt.members:
-            class_of[member.elements] = ti
+    class_of = {member: ti for ti, bt in enumerate(types) for member in bt.members}
     rows = []
     body = []
     for i, sub in enumerate(subs):
         names = [group.name_of(x) for x in sub.elements]
-        rows.append({
-            "index": i,
-            "order": sub.order,
-            "elements": names,
-            "normal": sub.is_normal(),
-            "boundary_type": class_of[sub.elements],
-        })
-        body.append([i, sub.order, ";".join(names), sub.is_normal(),
-                     class_of[sub.elements]])
+        ti = class_of[sub]
+        normal = len(types[ti].members) == 1     # alone in its conjugacy class
+        rows.append({"index": i, "order": sub.order, "elements": names,
+                     "normal": normal, "boundary_type": ti})
+        body.append([i, sub.order, ";".join(names), normal, ti])
     results = {"group": group.label, "count": len(subs),
                "boundary_type_count": len(types), "subgroups": rows}
     header = ["index", "order", "elements", "normal", "boundary_type"]

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from qdw.groups import (
     double_cosets,
 )
 from qdw.subgroups import (
+    MAX_SUBGROUP_ENUM_ORDER,
+    _cmd_subgroups,
+    boundary_types,
     enumerate_automorphisms,
     enumerate_subgroups,
     inner_automorphism,
     is_automorphism,
-    subgroup_conjugacy_classes,
 )
 
 from matrices import chars
@@ -141,13 +144,6 @@ def test_subgroup_census_is_deterministic():
     a = [s.elements for s in enumerate_subgroups(build_group("dihedral:4"))]
     b = [s.elements for s in enumerate_subgroups(build_group("dihedral:4"))]
     assert a == b
-
-
-def test_subgroup_conjugacy_classes_s3():
-    g = build_group("symmetric:3")
-    classes = subgroup_conjugacy_classes(g)
-    sizes = [[s.order for s in cl] for cl in classes]
-    assert sizes == [[1], [2, 2, 2], [3], [6]]
 
 
 def test_subgroup_rejects_unclosed_subset():
@@ -407,14 +403,6 @@ def test_subgroup_as_group_roundtrip():
             assert to_parent[sub.mul(i, j)] == g.mul(to_parent[i], to_parent[j])
 
 
-def test_canonical_key_identifies_conjugates():
-    g = build_group("symmetric:3")
-    a = g.generated_subgroup([g.index_of("(12)")])
-    b = g.generated_subgroup([g.index_of("(13)")])
-    assert a.elements != b.elements
-    assert a.canonical_key() == b.canonical_key()
-
-
 def test_subgroup_enumeration_cap():
     with pytest.raises(ValueError, match="capped"):
         enumerate_subgroups(build_group("cyclic:30"))
@@ -499,8 +487,8 @@ ORACLE_PRESETS = ([f"cyclic:{n}" for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 24, 4
                      "product:cyclic:4,cyclic:12"])
 
 
-def relabelled_group(spec, perm):
-    """The preset's table with element a renamed perm[a]."""
+def relabelled_table(spec, perm):
+    """The preset's table spec with element a renamed perm[a]."""
     g = build_group(spec)
     n = g.order
     table = [0] * (n * n)
@@ -509,7 +497,12 @@ def relabelled_group(spec, perm):
         names[perm[a]] = g.names[a]
         for b in range(n):
             table[perm[a] * n + perm[b]] = perm[g.mul(a, b)]
-    return build_group({"order": n, "table": table, "names": names})
+    return {"order": n, "table": table, "names": names}
+
+
+def relabelled_group(spec, perm):
+    """The preset's table with element a renamed perm[a]."""
+    return build_group(relabelled_table(spec, perm))
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -581,3 +574,50 @@ def test_multiplicities_are_exact_and_checked():
     with pytest.raises(InvariantError, match="not integer-valued"):
         c3.character([0, 1, 0])
     assert c3.character([0, 1, 1]) == [2, -1, -1]
+
+
+# ---------------------------------------------------------------------------
+# the orbit partitions against brute-force conjugation
+
+SUBGROUP_PRESETS = [s for s in ORACLE_PRESETS
+                    if build_group(s).order <= MAX_SUBGROUP_ENUM_ORDER]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_partitions_are_the_conjugation_orbits(data):
+    """Boundary types, the `normal` column of the `subgroups` report and
+    the element classes are the orbits of conjugation by every element,
+    each led by its least member, on presets and relabellings."""
+    spec = data.draw(st.sampled_from(SUBGROUP_PRESETS))
+    if data.draw(st.booleans()):
+        spec = relabelled_table(spec, data.draw(st.permutations(range(build_group(spec).order))))
+    group = build_group(spec)
+    everyone = range(group.order)
+    subs = enumerate_subgroups(group)
+    types = boundary_types(group)
+    assert sorted((m for bt in types for m in bt.members), key=lambda s: s.elements) == \
+        sorted(subs, key=lambda s: s.elements)
+    for bt in types:
+        for sub in bt.members:
+            assert set(bt.members) == {sub.conjugate_by(g) for g in everyone}
+        assert list(bt.members) == sorted(bt.members, key=lambda s: s.elements)
+        assert bt.rep is bt.members[0]
+    # a fresh list on each call, as enumerate_subgroups gives
+    again = boundary_types(group)
+    assert again == types and again is not types
+    types.pop()
+    assert len(boundary_types(group)) == len(again)
+
+    results, _, _ = _cmd_subgroups(SimpleNamespace(group=spec))   # `qdw subgroups --group`
+    assert len(results["subgroups"]) == len(subs)
+    for row, sub in zip(results["subgroups"], subs):
+        assert row["elements"] == [group.name_of(x) for x in sub.elements]
+        assert row["normal"] == all(sub.conjugate_by(g) == sub for g in everyone)
+
+    classes = group.conjugacy_classes()
+    assert sorted(m for cl in classes for m in cl.members) == list(everyone)
+    for cl in classes:
+        orbit = {group.conj(g, cl.rep) for g in everyone}
+        assert cl.members == tuple(sorted(orbit))
+        assert cl.rep == min(orbit)
