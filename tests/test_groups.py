@@ -146,6 +146,12 @@ def test_subgroup_census_is_deterministic():
     assert a == b
 
 
+def test_subgroup_conjugacy_classes_s3():
+    g = build_group("symmetric:3")
+    sizes = [[s.order for s in bt.members] for bt in boundary_types(g)]
+    assert sizes == [[1], [2, 2, 2], [3], [6]]
+
+
 def test_subgroup_rejects_unclosed_subset():
     g = build_group("symmetric:3")
     with pytest.raises(ValueError):
@@ -401,6 +407,16 @@ def test_subgroup_as_group_roundtrip():
     for i in range(sub.order):
         for j in range(sub.order):
             assert to_parent[sub.mul(i, j)] == g.mul(to_parent[i], to_parent[j])
+
+
+def test_canonical_key_identifies_conjugates():
+    g = build_group("symmetric:3")
+    a = g.generated_subgroup([g.index_of("(12)")])
+    b = g.generated_subgroup([g.index_of("(13)")])
+    assert a.elements != b.elements
+    [bt] = [bt for bt in boundary_types(g) if a in bt.members]
+    assert b in bt.members
+    assert bt.rep is min(bt.members, key=lambda s: s.elements)
 
 
 def test_subgroup_enumeration_cap():
