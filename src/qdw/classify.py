@@ -47,9 +47,6 @@ class BoundaryExcitation(FrozenRecord):
     """Point excitation on a K boundary: double coset plus stabilizer irrep."""
     _fields = __slots__ = ("coset_index", "irrep_index", "name", "dim")
 
-    def __init__(self, coset_index: int, irrep_index: int, name: str, dim: int):
-        super().__init__(coset_index, irrep_index, name, dim)
-
 
 def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
     """Excitations of one K boundary: its K-K defects, whose quantum dimensions are integers."""
@@ -66,10 +63,6 @@ def boundary_excitations(boundary: Subgroup) -> list[BoundaryExcitation]:
 class Defect(FrozenRecord):
     """Domain-wall point defect between two boundary conditions; d^2 is an integer."""
     _fields = __slots__ = ("coset_index", "irrep_index", "name", "dim_squared", "dim")
-
-    def __init__(self, coset_index: int, irrep_index: int, name: str,
-                 dim_squared: int, dim: float):
-        super().__init__(coset_index, irrep_index, name, dim_squared, dim)
 
 
 def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:

@@ -60,14 +60,8 @@ FORMATS = ("json", "csv", "pretty-table")
 class RunConfig(FrozenRecord):
     _fields = __slots__ = ("command", "group", "subgroup", "subgroup2", "lattice", "format",
                            "tolerance", "out", "inject_literal_edge")
-
-    def __init__(self, command: str, group: Optional[str] = None,
-                 subgroup: Optional[str] = None, subgroup2: Optional[str] = None,
-                 lattice: Optional[str] = None, format: str = "json",
-                 tolerance: float = 1e-10, out: Optional[str] = None,
-                 inject_literal_edge: Optional[str] = None):
-        super().__init__(command, group, subgroup, subgroup2, lattice, format, tolerance,
-                         out, inject_literal_edge)
+    _defaults = {"group": None, "subgroup": None, "subgroup2": None, "lattice": None,
+                 "format": "json", "tolerance": 1e-10, "out": None, "inject_literal_edge": None}
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -93,10 +87,7 @@ class RunConfig(FrozenRecord):
 class Report(Record):
     """`checks` holds {"name": ..., "status": "pass" | "skip" | "fail"} per check."""
     _fields = __slots__ = ("config", "results", "checks", "elapsed_ms")
-
-    def __init__(self, config: RunConfig, results: dict, checks: list[dict],
-                 elapsed_ms: float = 0.0):
-        super().__init__(config, results, checks, elapsed_ms)
+    _defaults = {"elapsed_ms": 0.0}
 
     @property
     def ok(self) -> bool:
@@ -128,9 +119,7 @@ class Command(FrozenRecord):
     checks None means every validator named here passed.
     """
     _fields = __slots__ = ("module", "help", "validators")
-
-    def __init__(self, module: str, help: str, validators: tuple[str, ...] = ()):
-        super().__init__(module, help, validators)
+    _defaults = {"validators": ()}
 
 
 COMMAND_TABLE = {
@@ -164,7 +153,6 @@ COMMAND_TABLE = {
                           "run every applicable named cross-check for a group"),
 }
 COMMANDS = tuple(COMMAND_TABLE)
-VALIDATORS = {name: c.validators for name, c in COMMAND_TABLE.items() if c.validators}
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,7 @@ def _holonomy(group: FiniteGroup, cyc: Sequence[tuple[int, bool]],
 class BoundaryRegion(FrozenRecord):
     """One boundary component: the retained cells that border removed faces."""
     _fields = __slots__ = ("name", "rim_vertices", "rim_edges", "dangling_edges")
-
-    def __init__(self, name: str, rim_vertices: tuple[int, ...], rim_edges: tuple[int, ...],
-                 dangling_edges: tuple[int, ...] = ()):
-        super().__init__(name, rim_vertices, rim_edges, dangling_edges)
+    _defaults = {"dangling_edges": ()}
 
 
 class Lattice:

@@ -276,9 +276,6 @@ class FiniteGroup:
 class ConjugacyClass(FrozenRecord):
     _fields = __slots__ = ("rep", "members", "centralizer")
 
-    def __init__(self, rep: int, members: tuple[int, ...], centralizer: "Subgroup"):
-        super().__init__(rep, members, centralizer)
-
     @property
     def size(self) -> int:
         return len(self.members)
@@ -339,18 +336,6 @@ class Subgroup:
                               validate=False)
             self._cache["as_group"] = (sub, to_parent)
         return self._cache["as_group"]
-
-    def left_cosets(self) -> list[tuple[int, ...]]:
-        """Left cosets g*K, each as a sorted tuple, ordered by smallest member."""
-        seen = set()
-        cosets = []
-        for g in range(len(self.group)):
-            if g in seen:
-                continue
-            c = tuple(sorted(self.group.mul(g, k) for k in self.elements))
-            seen.update(c)
-            cosets.append(c)
-        return cosets
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +635,6 @@ class DoubleCoset(FrozenRecord):
     `stabilizer` is K1 intersect rep*K2*rep^-1.
     """
     _fields = __slots__ = ("rep", "members", "stabilizer")
-
-    def __init__(self, rep: int, members: tuple[int, ...], stabilizer: Subgroup):
-        super().__init__(rep, members, stabilizer)
 
     @property
     def size(self) -> int:

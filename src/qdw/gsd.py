@@ -356,9 +356,6 @@ def _gsd_dense(lat: Lattice, group: FiniteGroup,
 class GsdReport(Record):
     _fields = __slots__ = ("value", "by_method", "skipped")
 
-    def __init__(self, value: int, by_method: dict[str, int], skipped: tuple[str, ...]):
-        super().__init__(value, by_method, skipped)
-
 
 _METHODS = {
     "counting": _gsd_counting,

@@ -284,9 +284,7 @@ class DiagonalTable(Record):
     when every stored numerator equals `den`.
     """
     _fields = __slots__ = ("edges", "values", "den")
-
-    def __init__(self, edges: tuple[int, ...], values: dict[tuple, int], den: int = 1):
-        super().__init__(edges, values, den)
+    _defaults = {"den": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +295,7 @@ class HamiltonianTerm(Record):
     """`kind` is gauge, flux, edge-pin, half-shift or literal.  `diagonal`
     says that `op` is a `DiagonalTable`, which the audit checks."""
     _fields = __slots__ = ("name", "kind", "op", "edges", "diagonal", "region")
-
-    def __init__(self, name: str, kind: str, op: Operator | DiagonalTable,
-                 edges: tuple[int, ...], diagonal: bool, region: Optional[str] = None):
-        super().__init__(name, kind, op, edges, diagonal, region)
+    _defaults = {"region": None}
 
 
 def _translation_average(group: FiniteGroup, elements: Sequence[int],
@@ -433,17 +428,11 @@ def build_terms(lat: Lattice, group: FiniteGroup,
 class TermCheck(Record):
     _fields = __slots__ = ("name", "is_projector", "is_hermitian")
 
-    def __init__(self, name: str, is_projector: bool, is_hermitian: bool):
-        super().__init__(name, is_projector, is_hermitian)
-
 
 class PairCheck(Record):
     """`residual_norm` is only materialized on failure."""
     _fields = __slots__ = ("left", "right", "commutes", "residual_norm")
-
-    def __init__(self, left: str, right: str, commutes: bool,
-                 residual_norm: Optional[float] = None):
-        super().__init__(left, right, commutes, residual_norm)
+    _defaults = {"residual_norm": None}
 
 
 class AuditReport(Record):
@@ -454,10 +443,6 @@ class AuditReport(Record):
     two diagonal terms.
     """
     _fields = __slots__ = ("term_checks", "pair_checks", "skipped_pairs")
-
-    def __init__(self, term_checks: list[TermCheck], pair_checks: list[PairCheck],
-                 skipped_pairs: int):
-        super().__init__(term_checks, pair_checks, skipped_pairs)
 
     @property
     def ok(self) -> bool:

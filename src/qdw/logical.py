@@ -410,9 +410,6 @@ class LogicalAction(FrozenRecord):
     """Monomial action on sector states: |j> -> w^(phase[j]) |perm[j]>."""
     _fields = __slots__ = ("n", "perm", "phase_exp")
 
-    def __init__(self, n: int, perm: tuple[int, ...], phase_exp: tuple[int, ...]):
-        super().__init__(n, perm, phase_exp)
-
     def compose(self, other: "LogicalAction") -> "LogicalAction":
         perm = tuple(self.perm[other.perm[j]] for j in range(len(self.perm)))
         ph = tuple((other.phase_exp[j] + self.phase_exp[other.perm[j]]) % self.n
@@ -475,11 +472,6 @@ class LogicalQudit(Record):
     """
     _fields = __slots__ = ("sector", "x_op", "z_op", "orbit_cycle", "fourier",
                            "x_action", "z_action")
-
-    def __init__(self, sector: AbelianGroundSpace, x_op: StringOperator,
-                 z_op: StringOperator, orbit_cycle: tuple[int, ...],
-                 fourier: bool, x_action: LogicalAction, z_action: LogicalAction):
-        super().__init__(sector, x_op, z_op, orbit_cycle, fourier, x_action, z_action)
 
     @property
     def d(self) -> int:
@@ -593,9 +585,6 @@ class FrameProjector(FrozenRecord):
     """A projector that is diagonal in the logical frame: diagonal[c] is 0 or 1."""
     _fields = __slots__ = ("diagonal",)
 
-    def __init__(self, diagonal: tuple[int, ...]):
-        super().__init__(diagonal)
-
     def trace(self) -> int:
         return sum(self.diagonal)
 
@@ -613,11 +602,6 @@ class ChargeProjectors(Record):
     rank-1 label to its basis state.
     """
     _fields = __slots__ = ("labels", "projectors", "transport_actions", "selected")
-
-    def __init__(self, labels: list[tuple[int, int]], projectors: list[FrameProjector],
-                 transport_actions: dict[tuple[int, int], LogicalAction],
-                 selected: dict[tuple[int, int], int]):
-        super().__init__(labels, projectors, transport_actions, selected)
 
     def projector(self, label: tuple[int, int]) -> FrameProjector:
         return self.projectors[self.labels.index(label)]

@@ -1,12 +1,14 @@
 """Plain record classes: equality, repr and (when frozen) hashing over fields.
 
-A record names its fields in `_fields`.  Two records are equal when they
-are of the same class and their fields are equal in order, and the repr
-reads `Name(field=value, ...)`.  A `Record` is mutable and unhashable; a
-`FrozenRecord` rejects attribute assignment and hashes its field tuple.
-Each subclass writes its own `__init__`, which passes every field to
-`Record.__init__`, and keeps `__slots__ = _fields` unless a
-`cached_property` needs an instance `__dict__`.  `Ratio` is the one
+A record declares its fields once, in `_fields`, and their defaults in
+`_defaults`.  `Record.__init__` binds them by position, then by keyword,
+then by default; a missing, repeated or unknown field raises TypeError.
+A subclass writes an `__init__` only to compute or check something, and
+keeps `__slots__ = _fields` unless a `cached_property` needs an instance
+`__dict__`.  Two records are equal when they are of the same class and
+their fields are equal in order, and the repr reads `Name(field=value,
+...)`.  A `Record` is mutable and unhashable; a `FrozenRecord` rejects
+attribute assignment and hashes its field tuple.  `Ratio` is the one
 exact rational a report or an error text prints, so no layer imports
 `fractions`.
 """
@@ -15,15 +17,42 @@ from __future__ import annotations
 
 from math import gcd
 
+_set = object.__setattr__   # a frozen record's own __setattr__ refuses
+
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
-    def __init__(self, *values):
-        """Set each field, in `_fields` order; subclasses pass every field."""
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            if values or len(named) != len(fields):
+                named = self._bind(values, named)
+            try:
+                for name in fields:
+                    _set(self, name, named[name])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__qualname__} is missing field {missing}") from None
+        else:
+            for name, value in zip(fields, values):
+                _set(self, name, value)
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> dict:
+        """{field: value} for a call not all by position nor all by keyword,
+        `_defaults` filling the rest; `__init__` reports a field still missing."""
+        fields = cls._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__qualname__} takes {len(fields)} fields, got {len(values)}")
+        given = dict(zip(fields, values))
+        for name in named:
+            if name in given:
+                raise TypeError(f"{cls.__qualname__} got field {name!r} twice")
+            if name not in fields:
+                raise TypeError(f"{cls.__qualname__} has no field {name!r}")
+        return {**cls._defaults, **given, **named}
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

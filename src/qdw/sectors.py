@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from qdw.characters import character_table
-from qdw.groups import FiniteGroup, InvariantError, Subgroup, _root_of_unity
+from qdw.groups import FiniteGroup, InvariantError, Subgroup, _root_of_unity, double_cosets
 from qdw.records import FrozenRecord, Ratio
 
 __all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra",
@@ -38,10 +38,6 @@ class AnyonLabel(FrozenRecord):
     `spin` is the twist in turns, exact: theta = exp(2 pi i spin).
     """
     _fields = __slots__ = ("class_index", "irrep_index", "name", "dim", "spin")
-
-    def __init__(self, class_index: int, irrep_index: int, name: str, dim: int,
-                 spin: Ratio):
-        super().__init__(class_index, irrep_index, name, dim, spin)
 
     def key(self) -> tuple[int, int]:
         return (self.class_index, self.irrep_index)
@@ -164,19 +160,21 @@ class LagrangianAlgebra:
 
 def _fixed_coset_counts(table: AnyonTable, boundary: Subgroup) -> list[list[int]]:
     """psi_A for each flux class A: on each class of Z(r_A), the number of
-    admissible cosets xK (those with x^-1 r_A x in K) its representative fixes."""
+    admissible cosets xK (those with x^-1 r_A x in K) its representative fixes.
+
+    The cosets xK are the double cosets {e}\\G/K, each led by its least member."""
     group = table.group
-    cosets = boundary.left_cosets()
+    cosets = double_cosets(group.trivial_subgroup(), boundary)
     member_to_coset = {}
     for idx, c in enumerate(cosets):
-        for m in c:
+        for m in c.members:
             member_to_coset[m] = idx
     out = []
     for cl, reps in zip(table.classes, table.centralizer_reps):
         admissible = [idx for idx, c in enumerate(cosets)
-                      if group.conj(group.inv[c[0]], cl.rep) in boundary]
+                      if group.conj(group.inv[c.rep], cl.rep) in boundary]
         out.append([sum(1 for idx in admissible
-                        if member_to_coset[group.mul(g, cosets[idx][0])] == idx)
+                        if member_to_coset[group.mul(g, cosets[idx].rep)] == idx)
                     for g in reps])
     return out
 

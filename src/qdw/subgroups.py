@@ -72,9 +72,6 @@ class BoundaryType(FrozenRecord):
     """A conjugacy class of subgroups; `rep` is the canonical representative."""
     _fields = __slots__ = ("rep", "members")
 
-    def __init__(self, rep: Subgroup, members: tuple[Subgroup, ...]):
-        super().__init__(rep, members)
-
     @property
     def order(self) -> int:
         return self.rep.order

@@ -59,9 +59,6 @@ class CheckResult(Record):
     """`status` is pass, skip or fail."""
     _fields = __slots__ = ("name", "status", "detail")
 
-    def __init__(self, name: str, status: str, detail: str):
-        super().__init__(name, status, detail)
-
 
 def _check_sector_census(group: FiniteGroup) -> str:
     table = anyon_table(group)

@@ -5,10 +5,16 @@ defaults, compared field by field within one class, and, when frozen,
 hashable by their fields and closed to attribute assignment.
 """
 
+import ast
+import importlib
+import inspect
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qdw
 from qdw.classify import AnyonLabel, abelian_anyon_data, anyon_table
 from qdw.cli import RunConfig
 from qdw.geometry import BoundaryRegion
@@ -145,3 +151,120 @@ def test_ratio_reduces_and_prints_as_fraction_does():
     assert Ratio(4, 3) == Ratio(8, 6) and hash(Ratio(4, 3)) == hash(Ratio(-8, -6))
     with pytest.raises(ZeroDivisionError):
         Ratio(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# every record class in qdw, found by walking its modules
+
+SOURCES = sorted(Path(qdw.__file__).parent.glob("*.py"))
+
+
+def _record_classes() -> list[type]:
+    found = {}
+    for info in pkgutil.iter_modules(qdw.__path__):
+        module = importlib.import_module(f"qdw.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, Record) and obj._fields
+                    and obj.__module__ == module.__name__):
+                found[obj.__qualname__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+RECORDS = _record_classes()
+# field values for the classes whose constructor computes or checks them
+SAMPLES = {"Ratio": (3, 4), "StringOperator": (3, (1, 0), (0, 2), 1)}
+
+
+def _sample(cls) -> tuple:
+    return SAMPLES.get(cls.__qualname__, tuple(f"<{name}>" for name in cls._fields))
+
+
+def _declared_defaults(cls) -> dict:
+    """`_defaults`, or the signature's defaults where the class keeps its own `__init__`."""
+    if "__init__" not in vars(cls):
+        return cls._defaults
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+def _classes_assigning_fields(tree: ast.Module) -> list[ast.ClassDef]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "_fields" for t in stmt.targets)
+                    for stmt in node.body)]
+
+
+def test_discovery_finds_every_class_that_declares_fields():
+    declared = sorted(cls.name for path in SOURCES
+                      for cls in _classes_assigning_fields(ast.parse(path.read_text())))
+    assert [cls.__qualname__ for cls in RECORDS] == declared
+    assert {"HamiltonianTerm", "PairCheck", "CheckResult", *IDS} <= set(declared)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_builds_alike_by_position_and_keyword(cls):
+    args = _sample(cls)
+    by_position, by_keyword = cls(*args), cls(**dict(zip(cls._fields, args)))
+    assert by_position == by_keyword
+    assert tuple(getattr(by_keyword, name) for name in cls._fields) == args
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_fills_the_fields_left_out_from_its_defaults(cls):
+    defaults = _declared_defaults(cls)
+    assert set(defaults) <= set(cls._fields)
+    given = {name: value for name, value in zip(cls._fields, _sample(cls))
+             if name not in defaults}
+    rec = cls(**given)
+    assert rec == cls(**given, **defaults)
+    if "__init__" not in vars(cls):
+        assert all(getattr(rec, name) == value for name, value in defaults.items())
+    # every default trails the fields without one, so a call by position may stop early
+    assert cls._fields[:len(given)] == tuple(given)
+    assert cls(*given.values()) == rec
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_rejects_missing_repeated_and_unknown_fields(cls):
+    args = _sample(cls)
+    named = dict(zip(cls._fields, args))
+    defaults = _declared_defaults(cls)
+    # none, one too many, unknown by keyword, the first field twice
+    calls = [((), {}), (args + (None,), {}), (args, {"unlisted": 1}),
+             ((), {**named, "unlisted": 1}), (args, {cls._fields[0]: args[0]})]
+    for name in cls._fields:   # each field without a default left out, or swapped out
+        if name not in defaults:
+            rest = {k: v for k, v in named.items() if k != name}
+            calls += [((), rest), ((), {**rest, "unlisted": 1})]
+    for values, kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*values, **kwargs)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_record_repr_names_every_field(cls):
+    rec = cls(*_sample(cls))
+    fields = ", ".join(f"{name}={getattr(rec, name)!r}" for name in cls._fields)
+    assert repr(rec) == f"{cls.__qualname__}({fields})"
+
+
+def _only_forwards(init: ast.FunctionDef) -> bool:
+    """Whether the whole body is `super().__init__(<its own parameters>)`."""
+    params = [arg.arg for arg in init.args.args[1:]]
+    if len(init.body) != 1 or not isinstance(init.body[0], ast.Expr):
+        return False
+    call = init.body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "__init__" and isinstance(call.func.value, ast.Call)
+            and getattr(call.func.value.func, "id", None) == "super"
+            and not call.keywords
+            and [getattr(arg, "id", None) for arg in call.args] == params)
+
+
+def test_no_record_class_keeps_a_constructor_that_only_forwards():
+    forwarding = [f"{path.name}:{cls.name}" for path in SOURCES
+                  for cls in _classes_assigning_fields(ast.parse(path.read_text()))
+                  for init in cls.body
+                  if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                  and _only_forwards(init)]
+    assert forwarding == []
