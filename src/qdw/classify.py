@@ -1,8 +1,9 @@
 """Superselection-sector census for finite-group double models, and the
 census commands that print it.
 
-Bulk sectors, condensates and the condensate sum live in `qdw.sectors`
-and are re-exported here.  A boundary is a subgroup K up to conjugation;
+Bulk sectors, condensates, the condensate sum and the closed-form data
+of an abelian group (`abelian_anyon_data`) live in `qdw.sectors` and are
+re-exported here.  A boundary is a subgroup K up to conjugation;
 the boundary types, and the `subgroups` command, live in `qdw.subgroups`.
 Point defects between two boundaries are (double coset, stabilizer
 irrep) pairs, and the point excitations of one K boundary are its K-K
@@ -10,28 +11,25 @@ defects.  All censuses are validated against exact sum rules before they
 are returned, in Python integers: a defect's d^2 is an integer, divided
 exactly, and this module imports no `fractions`.  Sector transport
 under an automorphism matches characters as eigenvalue exponents and
-spins as exact ratios, and the abelian S matrix is kept as its integer
-phases (`AbelianAnyonData.s_phases`), which `verify`'s
-abelian-modular-data check decides without building a matrix.
+spins as exact ratios.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 from qdw import _resolver
 from qdw.characters import character_table
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _complex_pair, _require, _round12,
                         build_group, double_cosets, parse_subgroup)
-from qdw.records import FrozenRecord, Ratio, Record
-from qdw.sectors import (AnyonLabel, AnyonTable, LagrangianAlgebra, anyon_table,
-                         condensate_count, lagrangian_algebra)
+from qdw.records import FrozenRecord, Ratio
+from qdw.sectors import (AnyonLabel, AnyonTable, LagrangianAlgebra, abelian_anyon_data,
+                         anyon_table, condensate_count, lagrangian_algebra)
 
 __all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra", "lagrangian_algebra",
            "BoundaryExcitation", "boundary_excitations", "Defect", "defect_list",
-           "qudit_dimension", "condensate_count", "AbelianAnyonData", "abelian_anyon_data",
+           "qudit_dimension", "condensate_count", "abelian_anyon_data",
            "SymmetryAction", "symmetry_action"]
 
 
@@ -93,8 +91,6 @@ def defect_list(k1: Subgroup, k2: Subgroup) -> list[Defect]:
     return out
 
 
-
-
 def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
     """Ground-state count of a strip with boundary K1 on one side, K2 on the other.
 
@@ -108,67 +104,6 @@ def qudit_dimension(group: FiniteGroup, k1: Subgroup, k2: Subgroup) -> int:
         raise InvariantError(
             f"strip count mismatch: condensate overlap {overlap}, coset route {by_cosets}")
     return overlap
-
-
-# ---------------------------------------------------------------------------
-# abelian shortcut data
-
-
-class AbelianAnyonData(Record):
-    """Closed-form sector data for an abelian group.
-
-    `charges` lists (flux, irrep) per sector.  `charge_exponents` and
-    `s_phases` are exact and built on first access.  There are no
-    `__slots__`, because the cached properties live in the instance dict.
-    """
-    _fields = ("group", "table", "charges")
-
-    def __init__(self, group: FiniteGroup, table: AnyonTable,
-                 charges: Optional[list[tuple[int, int]]] = None):
-        super().__init__(group, table, [] if charges is None else charges)
-
-    @property
-    def fluxes(self) -> list[int]:
-        """The flux g_a of each sector: the one element of its class."""
-        return [self.table.classes[ci].rep for ci, _ in self.charges]
-
-    @cached_property
-    def charge_exponents(self) -> list[list[int]]:
-        """chi[a][x] with chi_a(x) = w^chi[a][x], w = exp(2 pi i / n), from
-        the exact spectra: chi_a at an element of order o is zeta_o^s, s
-        its spectrum, which is w^(s n/o)."""
-        table, n = self.table, self.group.order
-        chi = []
-        for ci, irrep in self.charges:
-            centralizer, local = table.centralizer_tables[ci], table.local_class[ci]
-            chi.append([centralizer.spectra[irrep][local[x]][0]
-                        * (n // centralizer.orders[local[x]]) for x in range(n)])
-        return chi
-
-    @cached_property
-    def s_phases(self) -> list[list[int]]:
-        """k[a][b] with S_ab = exp(-2 pi i k[a][b] / n) / n, from the exact spectra.
-
-        Every centralizer is G and every class one element g_a, so the
-        modular S_ab = conj(chi_a(g_b) chi_b(g_a)) / n (Coste, Gannon and
-        Ruelle, "Finite group modular data", 2000).
-        """
-        chi, flux, n = self.charge_exponents, self.fluxes, self.group.order
-        return [[(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
-                for chi_a, g_a in zip(chi, flux)]
-
-
-def abelian_anyon_data(group: FiniteGroup) -> AbelianAnyonData:
-    """Exact charge rows and S phases of an abelian group's sectors, built when first read."""
-    if not group.is_abelian:
-        raise ValueError("closed-form sector data needs an abelian group")
-    table = anyon_table(group)
-    charges = [(a.class_index, a.irrep_index) for a in table.anyons]
-    # flux class i is the singleton {i} for abelian groups
-    for g, q in charges:
-        if table.classes[g].members != (g,):
-            raise InvariantError("abelian conjugacy classes must be singletons")
-    return AbelianAnyonData(group=group, table=table, charges=charges)
 
 
 # ---------------------------------------------------------------------------

@@ -651,14 +651,14 @@ def double_cosets(k1: Subgroup, k2: Subgroup) -> tuple[DoubleCoset, ...]:
     key = ("double_cosets", k2.elements)
     if key in k1._cache:
         return k1._cache[key]
-    group = k1.group
+    group, rows = k1.group, k1.group.rows
     seen = [False] * group.order
     out = []
     for g in range(group.order):
         if seen[g]:
             continue
-        members = sorted({group.mul(group.mul(a, g), b)
-                          for a in k1.elements for b in k2.elements})
+        members = sorted({rows[ag][b] for ag in {rows[a][g] for a in k1.elements}
+                          for b in k2.elements})
         for m in members:
             seen[m] = True
         conj_k2 = {group.conj(g, x) for x in k2.elements}
@@ -690,6 +690,15 @@ def _generating_sequence(group: FiniteGroup,
     have = {0}
     while len(have) < len(elements):
         gens.append(min(x for x in elements if x not in have))
-        have = {x for x, _, _ in _breadth_first(
-            [0], lambda x: ((group.mul(x, g), g) for g in gens))}
+        have = _extend_closure(group, have, gens)
     return gens
+
+
+def _extend_closure(group: FiniteGroup, have: set[int], gens: Sequence[int]) -> set[int]:
+    """The closure of `have` under right multiplication by `gens`, where
+    `have` is already closed under all but the last generator: the walk
+    starts from x g for each member x, and takes every generator only on
+    the elements it adds."""
+    rows, last = group.rows, gens[-1:]
+    return {x for x, _, _ in _breadth_first(
+        have, lambda x: ((rows[x][g], g) for g in (last if x in have else gens)))}

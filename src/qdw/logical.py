@@ -22,7 +22,8 @@ of unity decided exactly.  On a lattice small enough to enumerate,
 `orbits` lists every admissible configuration of each sector, and
 `StringOperator.image` moves them exactly, as configurations with
 root-of-unity exponents.  Only `charge_projectors` reads sector data
-(`qdw.classify`) and exact root-of-unity sums (`qdw.characters`).
+(`qdw.sectors`) and exact root-of-unity sums (`qdw.characters`).
+`hole_qudit` builds the hole qudit for the commands and for `verify`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "FrameProjector",
     "ChargeProjectors",
     "charge_projectors",
+    "hole_qudit",
 ]
 
 
@@ -103,9 +105,16 @@ class AbelianGroundSpace:
             for k in _generating_sequence(group, sub.elements):
                 moves.append((f"is not translation invariant on {lat.edge_names[e]}",
                               [k if j == e else 0 for j in range(ne)]))
-        if any(self._fault(move) for _, move in moves):
-            raise InvariantError("a gauge shift escapes the admissible kernel")
-        self._moves = [(text, {e: x for e, x in enumerate(move) if x}) for text, move in moves]
+        self._moves: list[tuple[str, dict[int, int]]] = []
+        for text, move in moves:
+            support = {e: x for e, x in enumerate(move) if x}
+            # a move is the identity off its support, so only the faces and
+            # rim edges it touches can make it inadmissible
+            faces = {pi for e in support for pi in lat.edge_faces[e]}
+            if any(x not in self._allowed[e] for e, x in support.items()) or any(
+                    _holonomy(group, lat.plaquettes[pi], move) for pi in faces):
+                raise InvariantError("a gauge shift escapes the admissible kernel")
+            self._moves.append((text, support))
         merged = sl.sectors()
         if merged is None:
             raise ValueError("gauge-fixed slice enumeration over budget")
@@ -626,30 +635,30 @@ def charge_projectors(qudit: LogicalQudit,
     logical states.
     """
     from qdw.characters import _integer_sum
-    from qdw.classify import abelian_anyon_data
+    from qdw.sectors import abelian_anyon_data
 
     ags = qudit.sector
     n = ags.n
     if not qudit.fourier:
         raise ValueError(
             "charge readout needs a flux loop; this encoding's loop is diagonal")
-    data = abelian_anyon_data(ags.group)
+    table = abelian_anyon_data(ags.group)
     # transport orientation: the inverse loops align the family with the
     # labels measured by the tunnel direction of the qudit
     flux_t = qudit.z_op.inverse()
     charge_t = rim_loop(ags, region_name).inverse()
     transports: dict[tuple[int, int], LogicalAction] = {}
-    for (flux, irrep), chi in zip(data.charges, data.charge_exponents):
+    for (flux, irrep), chi in zip(table.charges, table.charge_exponents):
         op = flux_t.power(flux) @ charge_t.power(chi[1 % n])
         transports[(flux, irrep)] = qudit.frame_action(op)
     # column b of each transport: where it sends frame state b, and its phase
     columns = [[(transports[lab].perm[b], transports[lab].phase_exp[b])
-                for lab in data.charges] for b in range(n)]
-    s = data.s_phases
+                for lab in table.charges] for b in range(n)]
+    s = table.s_phases
     value: dict[tuple[int, ...], Optional[int]] = {}   # exponent counts -> integer sum
     projectors = []
     selected: dict[tuple[int, int], int] = {}
-    for j, lab in enumerate(data.charges):
+    for j, lab in enumerate(table.charges):
         # conj(S_ij / S_i0) = w^(s_ij), as s_i0 = 0
         weights = [s_i[j] for s_i in s]
         diagonal, off_diagonal = [], False
@@ -680,7 +689,7 @@ def charge_projectors(qudit: LogicalQudit,
     # disjoint 0/1 diagonals sum to the identity exactly when every state is selected
     if sorted(selected.values()) != list(range(n)):
         raise InvariantError("charge projectors do not resolve the identity")
-    return ChargeProjectors(labels=list(data.charges), projectors=projectors,
+    return ChargeProjectors(labels=list(table.charges), projectors=projectors,
                             transport_actions=transports, selected=selected)
 
 
@@ -688,18 +697,21 @@ def charge_projectors(qudit: LogicalQudit,
 # the `logical` and `charge-project` commands
 
 
+def hole_qudit(lat: Lattice, group: FiniteGroup,
+               subgroups: Mapping[str, Subgroup]) -> tuple[LogicalQudit, list[str]]:
+    """The qudit on the first two charge-condensing regions, and their names:
+    X tunnels between them and Z is the flux loop around the first."""
+    holes = [r.name for r in lat.regions if subgroups[r.name].order == 1][:2]
+    if len(holes) < 2:
+        raise UsageError("the hole encoding needs two regions with the trivial subgroup")
+    ags = AbelianGroundSpace(lat, group, subgroups)
+    return logical_algebra(ags, tunnel_operator(ags, *holes), loop_operator(ags, holes[0])), holes
+
+
 def _hole_encoding(cfg):
-    """Qudit on the first two charge-condensing regions, loop on the first."""
+    """The hole qudit of a run's lattice, regions left unset rough."""
     group, lat, subs = _lattice_context(cfg, default="trivial")
-    condensing = [r.name for r in lat.regions if subs[r.name].order == 1]
-    if len(condensing) < 2:
-        raise UsageError(
-            "the hole encoding needs two regions with the trivial subgroup")
-    ags = AbelianGroundSpace(lat, group, subs)
-    x = tunnel_operator(ags, condensing[0], condensing[1])
-    z = loop_operator(ags, condensing[0])
-    qud = logical_algebra(ags, x, z)
-    return group, qud, condensing[:2]
+    return (group, *hole_qudit(lat, group, subs))
 
 
 def _matrix_pairs(m: Sequence[Sequence[complex]]) -> list[list[float]]:

@@ -5,14 +5,17 @@ Bulk sectors are (conjugacy class, centralizer irrep) pairs, listed by
 as its spin in turns: the class representative r_A is central in its
 centralizer, so by Schur's lemma every irrep acts on it as a scalar, and
 the one exponent of the irrep's spectrum there is the spin (Coste,
-Gannon and Ruelle, "Finite group modular data", 2000).  A boundary is a
-subgroup K; its condensate (`lagrangian_algebra`) holds the multiplicity
-of each bulk sector that terminates on it, read off from the left
-translation action on admissible cosets and validated against the
-modular rule W S = W, decided without building S from integer
-fixed-coset counts.  `condensate_count` sums the condensates into the
-ground-state count of a surface with boundaries.  The modular
-ground-state route imports this module alone; the rest of the census
+Gannon and Ruelle, "Finite group modular data", 2000).  For an abelian
+group the table also holds the charge rows and S as integer phases
+(`abelian_anyon_data`): the weights of the hole qudit's charge readout,
+checked by `verify`'s abelian-modular-data.  A boundary is a subgroup K;
+its condensate (`lagrangian_algebra`) holds the multiplicity of each
+bulk sector that terminates on it, read off from the left translation
+action on admissible cosets and validated against the modular rule
+W S = W, decided without building S from integer fixed-coset counts.
+`condensate_count` sums the condensates into the ground-state count of a
+surface with boundaries.  The modular ground-state route and the charge
+readout import this module alone; the rest of the census
 (`qdw.classify`) re-exports it.
 """
 
@@ -27,8 +30,8 @@ from qdw.characters import character_table
 from qdw.groups import FiniteGroup, InvariantError, Subgroup, _root_of_unity, double_cosets
 from qdw.records import FrozenRecord, Ratio
 
-__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "LagrangianAlgebra",
-           "lagrangian_algebra", "condensate_count"]
+__all__ = ["AnyonLabel", "AnyonTable", "anyon_table", "abelian_anyon_data",
+           "LagrangianAlgebra", "lagrangian_algebra", "condensate_count"]
 
 _spin = lru_cache(maxsize=None)(Ratio)   # few spins recur; a frozen Ratio can be shared
 
@@ -117,11 +120,61 @@ class AnyonTable:
             out.append({x: sub.class_index_of(i) for i, x in enumerate(to_parent)})
         return out
 
+    # -- closed-form data of an abelian group, read through `abelian_anyon_data`
+
+    @cached_property
+    def charges(self) -> list[tuple[int, int]]:
+        """(flux class, irrep) of each sector."""
+        return [a.key() for a in self.anyons]
+
+    @cached_property
+    def fluxes(self) -> list[int]:
+        """Each sector's flux class representative: its flux, for an abelian group."""
+        return [self.classes[ci].rep for ci, _ in self.charges]
+
+    @cached_property
+    def charge_exponents(self) -> list[list[int]]:
+        """chi[a][x] with chi_a(x) = w^chi[a][x], w = exp(2 pi i / n), from
+        the exact spectra: chi_a at an element of order o is zeta_o^s, s
+        its spectrum, which is w^(s n/o)."""
+        if not self.group.is_abelian:
+            raise ValueError("closed-form sector data needs an abelian group")
+        n = self.group.order
+        chi = []
+        for ci, irrep in self.charges:
+            centralizer, local = self.centralizer_tables[ci], self.local_class[ci]
+            chi.append([centralizer.spectra[irrep][local[x]][0]
+                        * (n // centralizer.orders[local[x]]) for x in range(n)])
+        return chi
+
+    @cached_property
+    def s_phases(self) -> list[list[int]]:
+        """k[a][b] with S_ab = exp(-2 pi i k[a][b] / n) / n, from the exact spectra.
+
+        Every centralizer is G and every class one element g_a, so the
+        modular S_ab = conj(chi_a(g_b) chi_b(g_a)) / n (Coste, Gannon and
+        Ruelle, "Finite group modular data", 2000).
+        """
+        chi, flux, n = self.charge_exponents, self.fluxes, self.group.order
+        return [[(chi_a[g_b] + chi_b[g_a]) % n for chi_b, g_b in zip(chi, flux)]
+                for chi_a, g_a in zip(chi, flux)]
+
 
 def anyon_table(group: FiniteGroup) -> AnyonTable:
     if "anyon_table" not in group._cache:
         group._cache["anyon_table"] = AnyonTable(group)
     return group._cache["anyon_table"]
+
+
+def abelian_anyon_data(group: FiniteGroup) -> AnyonTable:
+    """The sector table of an abelian group, checked to have flux class i = {i},
+    so that its `charges`, `charge_exponents` and `s_phases` are in closed form."""
+    if not group.is_abelian:
+        raise ValueError("closed-form sector data needs an abelian group")
+    table = anyon_table(group)
+    if any(cl.members != (ci,) for ci, cl in enumerate(table.classes)):
+        raise InvariantError("abelian conjugacy classes must be singletons")
+    return table
 
 
 class LagrangianAlgebra:

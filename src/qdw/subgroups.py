@@ -19,7 +19,7 @@ import itertools
 from typing import Sequence
 
 from qdw.groups import (FiniteGroup, InvariantError, Subgroup, _breadth_first,
-                        _generating_sequence, _orbits, build_group)
+                        _extend_closure, _generating_sequence, _orbits, build_group)
 from qdw.records import FrozenRecord
 
 MAX_SUBGROUP_ENUM_ORDER = 24
@@ -35,9 +35,11 @@ __all__ = ["BoundaryType", "boundary_types", "enumerate_subgroups",
 def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, ordered by (order, element tuple).
 
-    Exhaustive closure search, run once per group and kept in its cache;
-    each call returns a fresh list.  Refuses groups of order above
-    MAX_SUBGROUP_ENUM_ORDER to keep the blowup desk-scale.
+    Closure search, run once per group and kept in its cache; each call
+    returns a fresh list.  Each subgroup H found is extended by one g per
+    right coset Hg outside H, as <H, g> = <H, hg> for every h in H.
+    Refuses groups of order above MAX_SUBGROUP_ENUM_ORDER to keep the
+    blowup desk-scale.
     """
     if group.order > MAX_SUBGROUP_ENUM_ORDER:
         raise ValueError(
@@ -45,19 +47,19 @@ def enumerate_subgroups(group: FiniteGroup) -> list[Subgroup]:
             f"got {group.order} (use generated_subgroup with explicit generators)")
     if "subgroup_list" in group._cache:
         return list(group._cache["subgroup_list"])
-    found: set[tuple[int, ...]] = set()
-    queue: list[tuple[int, ...]] = []
-    triv = (0,)
-    found.add(triv)
-    queue.append(triv)
+    found: dict[tuple[int, ...], list[int]] = {(0,): []}   # elements -> generators
+    queue = [(0,)]
     while queue:
         elems = queue.pop()
+        covered = set(elems)
         for g in range(1, group.order):
-            if g in elems:
+            if g in covered:
                 continue
-            ext = group.generated_subgroup(set(elems) | {g}).elements
+            covered.update(group.rows[h][g] for h in elems)
+            gens = found[elems] + [g]
+            ext = tuple(sorted(_extend_closure(group, set(elems), gens)))
             if ext not in found:
-                found.add(ext)
+                found[ext] = gens
                 queue.append(ext)
     group._cache["subgroup_list"] = tuple(
         group.subgroup(e) for e in sorted(found, key=lambda e: (len(e), e)))

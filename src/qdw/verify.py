@@ -13,28 +13,22 @@ abelian-modular-data check decides S from its integer phases and builds
 no matrix, and path-deformation compares the rerouted images of every
 orbit as configurations with root-of-unity exponents, where the ring's
 configurations fit the budget (cyclic:2 and cyclic:3).  No check
-imports numpy or `fractions`.
+imports numpy or `fractions`.  The checks on the rough `ring:3` hole
+qudit take it from the builder the commands use (`logical.hole_qudit`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional
 
-from qdw.classify import (
-    abelian_anyon_data,
-    anyon_table,
-    boundary_excitations,
-    defect_list,
-    lagrangian_algebra,
-    qudit_dimension,
-    symmetry_action,
-)
+from qdw.classify import boundary_excitations, defect_list, qudit_dimension, symmetry_action
 from qdw.groups import FiniteGroup, InvariantError, build_group, is_cyclic_presentation
 from qdw.records import Record
+from qdw.sectors import abelian_anyon_data, anyon_table, lagrangian_algebra
 from qdw.subgroups import enumerate_automorphisms, enumerate_subgroups, inner_automorphism
 
 if TYPE_CHECKING:
-    from qdw.logical import AbelianGroundSpace
+    from qdw.logical import LogicalQudit
 
 __all__ = [
     "CheckResult",
@@ -171,25 +165,22 @@ def _check_gsd_census(group: FiniteGroup) -> str:
     return f"torus 2x2 count {rep.value} matches the sector census ({routes})"
 
 
-def _rough_ring_sector(group: FiniteGroup) -> AbelianGroundSpace:
+def _rough_ring_qudit(group: FiniteGroup) -> tuple[LogicalQudit, list[str]]:
     from qdw.geometry import ring
-    from qdw.logical import AbelianGroundSpace
+    from qdw.logical import hole_qudit
 
-    subs = {"inner": group.trivial_subgroup(), "outer": group.trivial_subgroup()}
-    return AbelianGroundSpace(ring(3), group, subs)
+    return hole_qudit(ring(3), group, dict.fromkeys(("inner", "outer"), group.trivial_subgroup()))
 
 
 def _check_hole_qudit(group: FiniteGroup) -> str:
-    from qdw.logical import LogicalAction, logical_algebra, loop_operator, tunnel_operator
+    from qdw.logical import LogicalAction
 
     n = group.order
-    ags = _rough_ring_sector(group)
+    qud, _ = _rough_ring_qudit(group)
     want = qudit_dimension(group, group.trivial_subgroup(), group.trivial_subgroup())
-    if ags.dimension != want:
+    if qud.sector.dimension != want:
         raise InvariantError(
-            f"lattice sector count {ags.dimension} != strip count {want}")
-    qud = logical_algebra(ags, tunnel_operator(ags, "inner", "outer"),
-                          loop_operator(ags, "inner"))
+            f"lattice sector count {qud.sector.dimension} != strip count {want}")
     x, z = qud.x_action, qud.z_action
     zx = z.compose(x)
     if x.compose(z) != LogicalAction(n, zx.perm, tuple((p + 1) % n for p in zx.phase_exp)):
@@ -207,14 +198,11 @@ def _check_hole_qudit(group: FiniteGroup) -> str:
 
 
 def _check_charge_readout(group: FiniteGroup) -> str:
-    from qdw.logical import (charge_projectors, logical_algebra, loop_operator,
-                             tunnel_operator)
+    from qdw.logical import charge_projectors
 
-    ags = _rough_ring_sector(group)
-    qud = logical_algebra(ags, tunnel_operator(ags, "inner", "outer"),
-                          loop_operator(ags, "inner"))
-    fam = charge_projectors(qud, "inner")
-    n = ags.n
+    qud, holes = _rough_ring_qudit(group)
+    fam = charge_projectors(qud, holes[0])
+    n = group.order
     # each projector is diagonal in the frame, so the family sums to its diagonals' sum
     if [sum(col) for col in zip(*(p.diagonal for p in fam.projectors))] != [1] * n:
         raise InvariantError("projector family does not resolve the identity")
@@ -231,7 +219,7 @@ def _check_path_deformation(group: FiniteGroup) -> str:
     from qdw.geometry import MATERIALIZE_DIM_BUDGET
     from qdw.logical import charge_string, logical_action
 
-    ags = _rough_ring_sector(group)
+    ags = _rough_ring_qudit(group)[0].sector
     routes = [
         ["i0", "o0"],
         ["i0", "i1", "o1", "o0"],
@@ -261,14 +249,14 @@ def _check_abelian_modular_data(group: FiniteGroup) -> str:
     orthogonality sum of the characters, which is delta_ac.  S is
     symmetric when k is, and S_00 = 1/n when k[0][0] = 0.
     """
-    data = abelian_anyon_data(group)
-    n, k = group.order, data.s_phases
+    table = abelian_anyon_data(group)
+    n, k = group.order, table.s_phases
     if [tuple(row) for row in k] != list(zip(*k)):
         raise InvariantError("sector S matrix is not symmetric")
     if k[0][0]:
         raise InvariantError(
             f"sector S matrix has S00 = exp(-2 pi i {k[0][0]}/{n})/{n}, expected 1/{n}")
-    chi, flux = data.charge_exponents, data.fluxes
+    chi, flux = table.charge_exponents, table.fluxes
     rows = set(map(tuple, chi))
     unitary = (
         len(rows) == n
@@ -279,7 +267,7 @@ def _check_abelian_modular_data(group: FiniteGroup) -> str:
                 for k_a, chi_a, g_a in zip(k, chi, flux)))
     if not unitary:
         raise InvariantError("sector S matrix is not unitary")
-    return f"S matrix over {len(data.charges)} sectors is unitary and symmetric"
+    return f"S matrix over {len(table.charges)} sectors is unitary and symmetric"
 
 
 def _audit_gate(group: FiniteGroup) -> Optional[str]:

@@ -180,9 +180,9 @@ def _build_s_matrix(table):
     return s
 
 
-def fusion(data):
+def fusion(table):
     """fusion[a, b] = index of a x b, over the sectors of `abelian_anyon_data`."""
-    group, table = data.group, data.table
+    group = table.group
     ct = character_table(group)
     # irrep_product[qa, qb] is the row equal to the product of rows qa and qb:
     # every irrep is linear, so exponents add at each class
@@ -193,8 +193,8 @@ def fusion(data):
         for qb in range(k)] for qa in range(k)], dtype=np.int64)
     index = np.array([[table.index_of(g, q) for q in range(k)]
                       for g in range(group.order)], dtype=np.int64)
-    flux = np.array([g for g, _ in data.charges], dtype=np.int64)
-    charge = np.array([q for _, q in data.charges], dtype=np.int64)
+    flux = np.array([g for g, _ in table.charges], dtype=np.int64)
+    charge = np.array([q for _, q in table.charges], dtype=np.int64)
     return index[group.table[flux[:, None], flux[None, :]],
                  irrep_product[charge[:, None], charge[None, :]]]
 

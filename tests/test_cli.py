@@ -743,10 +743,11 @@ RUNS = {
                      SLICE | CONDENSATES | {"qdw.gsd"}, False),
     "logical": (["logical", "--group", "cyclic:3", "--lattice", "ring:3"],
                 SLICE | {"qdw.logical"}, False),
+    # the charge readout reads its S phases off the sector table alone
     "charge-project": (["charge-project", "--group", "cyclic:3", "--lattice", "ring:3"],
-                       SLICE | SECTORS | {"qdw.logical"}, False),
+                       SLICE | CONDENSATES | {"qdw.logical"}, False),
     "charge-project-patch": (["charge-project", "--group", "cyclic:5", "--lattice",
-                              TWO_HOLE_PATCH], SLICE | SECTORS | {"qdw.logical"}, False),
+                              TWO_HOLE_PATCH], SLICE | CONDENSATES | {"qdw.logical"}, False),
     "lattice-audit-sabotaged": (["lattice-audit", "--group", "cyclic:3", "--lattice", "ring:3",
                                  "--subgroup", "full", "--subgroup2", "trivial",
                                  "--inject-literal-edge", "in0"],
@@ -755,7 +756,8 @@ RUNS = {
 # the module boundaries each of these runs must not cross: an audit reads no
 # character table, sector, ground-state route or slice; a gsd run whose dense
 # route is over budget builds no operator and no census past the condensates;
-# `logical` reads no character table; `subgroups` reads no sector or character
+# `logical` reads no character table; `charge-project` loads no census command;
+# `subgroups` reads no sector or character
 NEVER_LOADED = {
     "subgroups": {"qdw.classify", "qdw.sectors", "qdw.characters"},
     "lattice-audit": {"qdw.characters", "qdw.sectors", "qdw.classify", "qdw.gsd", "qdw.flat"},
@@ -763,6 +765,8 @@ NEVER_LOADED = {
                                 "qdw.flat"},
     "gsd-no-dense": {"qdw.lattice", "qdw.classify"},
     "logical": {"qdw.characters"},
+    "charge-project": {"qdw.classify"},
+    "charge-project-patch": {"qdw.classify"},
 }
 
 

@@ -15,6 +15,7 @@ from qdw.groups import (
     InvariantError,
     Subgroup,
     _breadth_first,
+    _generating_sequence,
     build_group,
     double_cosets,
 )
@@ -220,16 +221,18 @@ def test_defect_sum_rule_builds_one_character_table_per_subgroup(monkeypatch):
 
 
 def test_verify_all_runs_the_subgroup_search_once(monkeypatch):
-    """Six checks list the subgroups; only the first call searches."""
-    import qdw.groups as groups
+    """Six checks list the subgroups; only the first call searches.  The
+    search closes one extension per (subgroup, right coset) pair through
+    its own binding of `_extend_closure`, which is what is counted."""
+    import qdw.subgroups as subgroups
     from qdw.verify import verify_group
     searches = []
-    real = groups.FiniteGroup.generated_subgroup
+    real = subgroups._extend_closure
 
-    def counted(self, generators):
-        searches.append(self)
-        return real(self, generators)
-    monkeypatch.setattr(groups.FiniteGroup, "generated_subgroup", counted)
+    def counted(group, have, gens):
+        searches.append(group)
+        return real(group, have, gens)
+    monkeypatch.setattr(subgroups, "_extend_closure", counted)
     enumerate_subgroups(build_group("symmetric:4"))
     one_search = len(searches)
     searches.clear()
@@ -637,3 +640,86 @@ def test_partitions_are_the_conjugation_orbits(data):
         orbit = {group.conj(g, cl.rep) for g in everyone}
         assert cl.members == tuple(sorted(orbit))
         assert cl.rep == min(orbit)
+
+
+# ---------------------------------------------------------------------------
+# the subgroup search and the generating sequences against their references
+
+# every preset family of order at most 24, and products up to that order
+SMALL_PRESETS = ([f"cyclic:{n}" for n in range(1, 25)]
+                 + [f"dihedral:{n}" for n in range(1, 13)]
+                 + [f"symmetric:{n}" for n in range(1, 5)]
+                 + ["quaternion8", "product:cyclic:2,cyclic:2", "product:cyclic:2,cyclic:4",
+                    "product:cyclic:2,cyclic:6", "product:cyclic:2,cyclic:8",
+                    "product:cyclic:2,cyclic:12", "product:cyclic:3,cyclic:3",
+                    "product:cyclic:3,cyclic:6", "product:cyclic:4,cyclic:4",
+                    "product:cyclic:4,cyclic:6", "product:cyclic:2,cyclic:2,cyclic:2",
+                    "product:cyclic:2,cyclic:2,cyclic:4", "product:cyclic:2,cyclic:2,cyclic:6",
+                    "product:cyclic:2,symmetric:3", "product:cyclic:3,symmetric:3",
+                    "product:cyclic:4,symmetric:3", "product:cyclic:2,dihedral:4",
+                    "product:cyclic:2,dihedral:6", "product:cyclic:3,dihedral:4",
+                    "product:cyclic:2,quaternion8", "product:cyclic:3,quaternion8"])
+
+
+def exhaustive_subgroups(group):
+    """Reference: the search `enumerate_subgroups` ran before it took one
+    element per right coset, closing every (subgroup, element) pair from
+    the identity over every element of the subgroup."""
+    found = {(0,)}
+    queue = [(0,)]
+    while queue:
+        elems = queue.pop()
+        for g in range(1, group.order):
+            if g in elems:
+                continue
+            ext = group.generated_subgroup(set(elems) | {g}).elements
+            if ext not in found:
+                found.add(ext)
+                queue.append(ext)
+    return sorted(found, key=lambda e: (len(e), e))
+
+
+def restarted_generating_sequence(group, elements=None):
+    """Reference: the generating sequence that walks each closure afresh from
+    the identity, as `_generating_sequence` did before it extended the last."""
+    elements = range(group.order) if elements is None else elements
+    gens, have = [], {0}
+    while len(have) < len(elements):
+        gens.append(min(x for x in elements if x not in have))
+        have = {x for x, _, _ in _breadth_first(
+            [0], lambda x: ((group.mul(x, g), g) for g in gens))}
+    return gens
+
+
+def assert_search_matches_the_references(group):
+    subs = enumerate_subgroups(group)
+    assert [sub.elements for sub in subs] == exhaustive_subgroups(group)
+    assert _generating_sequence(group) == restarted_generating_sequence(group)
+    for sub in subs:
+        assert _generating_sequence(group, sub.elements) == \
+            restarted_generating_sequence(group, sub.elements)
+
+
+def test_small_presets_cover_every_family_up_to_order_24():
+    orders = [build_group(spec).order for spec in SMALL_PRESETS]
+    assert max(orders) == MAX_SUBGROUP_ENUM_ORDER
+    assert set(range(1, 25)) <= set(orders)
+
+
+@pytest.mark.parametrize("spec", SMALL_PRESETS)
+def test_subgroup_search_matches_the_exhaustive_search(spec):
+    assert_search_matches_the_references(build_group(spec))
+
+
+@pytest.mark.parametrize("spec", ORACLE_PRESETS)
+def test_generating_sequence_matches_the_restarted_walk(spec):
+    group = build_group(spec)
+    assert _generating_sequence(group) == restarted_generating_sequence(group)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_subgroup_search_matches_the_exhaustive_search_on_relabellings(data):
+    spec = data.draw(st.sampled_from(SMALL_PRESETS))
+    perm = data.draw(st.permutations(range(build_group(spec).order)))
+    assert_search_matches_the_references(relabelled_group(spec, perm))

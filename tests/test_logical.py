@@ -11,7 +11,8 @@ import qdw.cli
 import qdw.flat
 import qdw.logical
 from qdw.classify import qudit_dimension
-from qdw.groups import InvariantError, build_group, double_cosets
+from qdw.flat import GaugeSlice
+from qdw.groups import InvariantError, UsageError, build_group, double_cosets
 from qdw.gsd import _dense_projector, ground_space_dimension
 from qdw.lattice import (
     BoundaryRegion,
@@ -29,6 +30,7 @@ from qdw.logical import (
     charge_projectors,
     charge_string,
     flux_string,
+    hole_qudit,
     logical_action,
     logical_algebra,
     loop_operator,
@@ -160,6 +162,66 @@ class TestSectors:
             AbelianGroundSpace(ring(3), g, rough_ring(g)[1])
         for command in ("logical", "charge-project"):
             assert qdw.cli.main([command, "--group", "cyclic:3", "--lattice", "ring:3"]) == 2
+
+
+class TestGaugeMoves:
+    """Each gauge move is checked on the faces and rim edges it touches
+    only; a move that leaves the admissible configurations still raises."""
+
+    def test_a_rim_value_moved_out_of_k_is_refused(self, monkeypatch):
+        """A gauge label outside K at a rim vertex keeps every face flat, so
+        only the rim check can see that the move leaves K."""
+        real = GaugeSlice.relabel
+
+        def escaping(self, values, v, g):
+            dom = self.domains[v]
+            if len(dom) < self.group.order:
+                g = min(x for x in range(self.group.order) if x not in dom)
+            real(self, values, v, g)
+
+        monkeypatch.setattr(GaugeSlice, "relabel", escaping)
+        g = build_group("cyclic:4")
+        lat, subs = two_hole(g)
+        subs["outer"] = g.subgroup((0, 2))
+        with pytest.raises(InvariantError, match="a gauge shift escapes the admissible kernel"):
+            AbelianGroundSpace(lat, g, subs)
+
+    def test_a_move_that_bends_one_face_is_refused(self, monkeypatch):
+        """Every rim has K = G, so only a face can refuse a move that
+        relabels one edge at its vertex and leaves the others."""
+        def one_edge(self, values, v, g):
+            e, at_head = self.lattice.star[v][0]
+            rows = self.group.rows
+            values[e] = rows[g][values[e]] if at_head else rows[values[e]][self.group.inv[g]]
+
+        monkeypatch.setattr(GaugeSlice, "relabel", one_edge)
+        g = build_group("cyclic:3")
+        with pytest.raises(InvariantError, match="a gauge shift escapes the admissible kernel"):
+            AbelianGroundSpace(patch(3, 3), g, {"outer": g.full_subgroup()})
+
+
+class TestHoleQudit:
+    """`hole_qudit` is the one builder of the hole qudit: the `logical` and
+    `charge-project` commands and `verify` all read it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("shape", ["ring", "two-hole"])
+    def test_builder_matches_the_pair_built_by_hand(self, n, shape):
+        g = build_group(f"cyclic:{n}")
+        lat, subs = rough_ring(g) if shape == "ring" else two_hole(g)
+        holes = ["inner", "outer"] if shape == "ring" else ["hole0", "hole1"]
+        qud, names = hole_qudit(lat, g, subs)
+        ags = AbelianGroundSpace(lat, g, subs)
+        want = logical_algebra(ags, tunnel_operator(ags, *holes), loop_operator(ags, holes[0]))
+        assert names == holes
+        fields = ("x_op", "z_op", "orbit_cycle", "fourier", "x_action", "z_action")
+        assert [getattr(qud, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert qud.sector.representatives == ags.representatives
+
+    def test_two_rough_regions_are_needed(self):
+        g = build_group("cyclic:3")
+        with pytest.raises(UsageError, match="two regions with the trivial subgroup"):
+            hole_qudit(ring(3), g, {"inner": g.trivial_subgroup(), "outer": g.full_subgroup()})
 
 
 class TestStringOperators:

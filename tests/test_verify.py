@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from qdw.classify import AbelianAnyonData
 from qdw.cli import COMMAND_TABLE, COMMANDS, EXIT_INVARIANT, main
 from qdw.groups import InvariantError, build_group
+from qdw.sectors import AnyonTable
 from qdw.verify import (
     CheckResult,
     check_names,
@@ -201,7 +201,7 @@ class TestExactModularData:
         return next(c["detail"] for c in res["checks"] if c["name"] == "abelian-modular-data")
 
     def test_a_charge_row_that_is_no_homomorphism_fails(self, monkeypatch, capsys):
-        real = AbelianAnyonData.charge_exponents.func
+        real = AnyonTable.charge_exponents.func
 
         def broken(self):
             # one of the n distinct rows, moved off a homomorphism at one
@@ -211,16 +211,16 @@ class TestExactModularData:
             return [[row[0], (row[1] + 1) % n, *row[2:]] if row == bad else row
                     for row in chi]
 
-        monkeypatch.setattr(AbelianAnyonData, "charge_exponents", property(broken))
+        monkeypatch.setattr(AnyonTable, "charge_exponents", property(broken))
         assert self._failed_verify_all(capsys) == "sector S matrix is not unitary"
 
     def test_an_asymmetric_phase_fails(self, monkeypatch, capsys):
-        real = AbelianAnyonData.s_phases.func
+        real = AnyonTable.s_phases.func
 
         def skewed(self):
             k = [list(row) for row in real(self)]
             k[1][2] = (k[1][2] + 1) % self.group.order
             return k
 
-        monkeypatch.setattr(AbelianAnyonData, "s_phases", property(skewed))
+        monkeypatch.setattr(AnyonTable, "s_phases", property(skewed))
         assert self._failed_verify_all(capsys) == "sector S matrix is not symmetric"
